@@ -12,7 +12,7 @@ Layout:
 * :mod:`ptmon.robustness` — episodes, robustness evaluation, basis vectors.
 * :mod:`ptmon.fragment` — atom dictionaries, min/max decoders, compilation.
 * :mod:`ptmon.conformal` — split-conformal calibration and certified bounds.
-* :mod:`ptmon.monitors` — streaming certification over episodes.
+* :mod:`ptmon.monitors` — streaming and whole-episode certification, verdicts.
 * :mod:`ptmon.benchmark` — crossroad scenario, predictor stubs, dataset I/O.
 * :mod:`ptmon.metrics` — certification quality metrics and reports.
 * :mod:`ptmon.cli` — the ``ptmon`` command-line tool.
@@ -34,10 +34,12 @@ from .conformal import (
     ScoreConfig,
     calibrate,
     certified_lower_bound,
+    certified_lower_bounds,
     estimate_sigma,
     interval_propagate,
     load_monitor,
     observer_calibrate,
+    predicted_basis,
     radius_for_support,
     sample_level2_time,
     save_monitor,
@@ -119,6 +121,7 @@ __all__ = [
     "build_depth1_dictionary",
     "calibrate",
     "certified_lower_bound",
+    "certified_lower_bounds",
     "check_membership",
     "compile_history_decoder",
     "compile_semantic_decoder",
@@ -137,6 +140,7 @@ __all__ = [
     "parse_formula",
     "predicate_history_basis",
     "predicate_lag_support",
+    "predicted_basis",
     "radius_for_support",
     "robustness",
     "robustness_series",

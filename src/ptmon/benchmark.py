@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -42,6 +43,7 @@ DEFAULT_INTERVALS = ((0, 1), (0, 2), (0, 4), (0, 8), (0, 16))
 DATASET_VERSION = 1
 
 _SPLIT_CODES = {"train": 0, "calib": 1, "test": 2}
+_EPISODE_FILE = re.compile(r"ep_(\d{5,})\.jsonl")
 
 
 @dataclass(frozen=True)
@@ -416,18 +418,29 @@ def dictionary_from_manifest(manifest: dict) -> AtomicDictionary:
 
 
 def load_split(dataset_dir: str | Path, split: str) -> list[Episode]:
-    """Load one split's episodes, restoring the uids they were written with."""
+    """Load one split's episodes in index order.
+
+    Each uid is rebuilt from the ``NNNNN`` of its ``ep_NNNNN.jsonl`` file
+    name, so a missing file leaves the other episodes' uids (and predictor
+    noise) unchanged. Any other ``ep_*.jsonl`` name is rejected.
+    """
     manifest = load_manifest(dataset_dir)
     split_dir = Path(dataset_dir) / split
     if not split_dir.is_dir():
         raise FileNotFoundError(f"dataset has no {split!r} split at {split_dir}")
     names = tuple(manifest["predicate_names"])
-    episodes = []
-    for i, path in enumerate(sorted(split_dir.glob("ep_*.jsonl"))):
-        episodes.append(_read_episode(path, manifest["dt"], names, _episode_seed(split, i)))
-    if not episodes:
+    indexed = []
+    for path in split_dir.glob("ep_*.jsonl"):
+        match = _EPISODE_FILE.fullmatch(path.name)
+        if match is None:
+            raise ValueError(f"{path}: episode files must be named ep_NNNNN.jsonl")
+        indexed.append((int(match.group(1)), path))
+    if not indexed:
         raise FileNotFoundError(f"no episodes found under {split_dir}")
-    return episodes
+    return [
+        _read_episode(path, manifest["dt"], names, _episode_seed(split, i))
+        for i, path in sorted(indexed)
+    ]
 
 
 def _read_episode(path: Path, dt: float, names: tuple[str, ...], uid: int) -> Episode:

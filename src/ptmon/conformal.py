@@ -3,10 +3,13 @@
 The contract: a predictor emits basis estimates for each episode; calibration
 turns held-out episodes into normalized one-sided error scores, takes the
 finite-sample quantile, and stores that radius. At run time, subtracting
-``radius * sigma`` from every predicted coordinate and decoding yields a
-number that lower-bounds the true robustness with the calibrated probability
-— simultaneously for every formula the decoder construction covers, because
-one basis-wide event implies them all.
+the monitor's ``shift`` (``radius * sigma``) from every predicted coordinate
+and decoding yields a number that lower-bounds the true robustness with the
+calibrated probability — simultaneously for every formula the decoder
+construction covers, because one basis-wide event implies them all. The
+per-coordinate observer baseline is the same operation with one radius per
+coordinate. :func:`certified_lower_bound` certifies one basis vector,
+:func:`certified_lower_bounds` a whole matrix of them.
 
 Two aggregation levels are supported: per-episode worst time (level 1) and a
 single uniformly sampled time per episode (level 2). The raw per-coordinate
@@ -30,6 +33,7 @@ from .fragment import (
     Decoder,
     HorizonExceededError,
     compile_history_decoder,
+    decode_series,
     decode_values,
     dictionary_from_json,
     dictionary_to_json,
@@ -41,6 +45,7 @@ from .robustness import (
     Episode,
     predicate_history_series,
     semantic_basis_series,
+    stack_lags,
 )
 
 SCORE_CACHE_VERSION = 1
@@ -197,7 +202,8 @@ class CalibratedMonitor:
 
     ``kind`` is ``"semantic"`` (decode a dictionary-atom basis),
     ``"rolling"`` (decode raw predicate history), or ``"observer"``
-    (per-coordinate symmetric intervals pushed through the formula).
+    (decode raw predicate history shrunk by per-coordinate radii
+    ``coord_radii``, the lower end of symmetric intervals).
     ``support`` of ``None`` means the radius protects the whole basis;
     otherwise only decoders reading within ``support`` may use it.
     """
@@ -239,6 +245,20 @@ class CalibratedMonitor:
     def basis_kind(self) -> BasisKind:
         return BasisKind.SEMANTIC if self.kind == "semantic" else BasisKind.PREDICATE_HISTORY
 
+    @property
+    def basis_spec(self) -> AtomicDictionary | tuple[int, int]:
+        """The layout in :func:`predicted_basis` terms: the dictionary, or
+        ``(m, k_max)`` for predicate history."""
+        return self.dictionary if self.kind == "semantic" else (self.m, self.k_max)
+
+    @property
+    def shift(self) -> np.ndarray:
+        """What certification subtracts from each predicted coordinate:
+        ``radius * sigma``, or ``coord_radii * sigma`` for the observer."""
+        if self.kind == "observer":
+            return self.coord_radii * self.sigma
+        return self.radius * self.sigma
+
     def support_of(self, f: Formula) -> frozenset[int]:
         """Basis coordinates formula ``f`` reads under this monitor's layout."""
         if self.kind == "semantic":
@@ -246,59 +266,38 @@ class CalibratedMonitor:
         return history_support_indices(f, self.k_max)
 
     def radius_for_formula(self, f: Formula) -> float:
-        """Radius for ``f``'s own support, recomputed from the cached scores.
+        """Radius for ``f``'s own support, recomputed from the cached scores."""
+        return self.for_formula(f).radius
+
+    def for_formula(self, f: Formula) -> "CalibratedMonitor":
+        """A copy specialized to ``f``: support narrowed, radius recomputed.
 
         Requires the cache; no episodes are re-read and no predictor re-run.
-        For observer monitors this applies the per-coordinate level split
-        ``alpha / |support|`` and returns the worst per-coordinate quantile.
+        For observer monitors each coordinate gets its own quantile at the
+        split level ``alpha / |support|``, and the radius is the worst one.
         """
         if self.cache is None:
             raise ValueError("monitor carries no score cache; recalibrate with caching enabled")
         support = self.support_of(f)
-        if self.kind == "observer":
-            return max(self._observer_coord_radii(support).values())
-        return radius_for_support(self.cache, support, self.alpha)
+        name = format_formula(f)
+        if self.kind != "observer":
+            return replace(self, support=support, formula=name,
+                           radius=radius_for_support(self.cache, support, self.alpha))
+        idx = sorted(support)
+        alpha_c = self.alpha / len(idx)
+        coord_radii = np.zeros(self.dim)
+        for c in idx:
+            coord_radii[c] = split_quantile(self.cache.matrix[:, c], alpha_c)
+        return replace(self, support=support, formula=name, coord_radii=coord_radii,
+                       radius=float(coord_radii[idx].max()))
 
-    def _observer_coord_radii(self, support: frozenset[int]) -> dict[int, float]:
-        alpha_c = self.alpha / len(support)
-        return {c: split_quantile(self.cache.matrix[:, c], alpha_c) for c in sorted(support)}
-
-    def for_formula(self, f: Formula) -> "CalibratedMonitor":
-        """A copy specialized to ``f``: support narrowed, radius recomputed."""
-        support = self.support_of(f)
-        mon = replace_monitor(self, support=support, formula=format_formula(f))
-        if self.kind == "observer":
-            coord = self._observer_coord_radii(support)
-            radii = np.zeros(self.dim)
-            for c, q in coord.items():
-                radii[c] = q
-            mon.coord_radii = radii
-            mon.radius = max(coord.values())
-        else:
-            mon.radius = self.radius_for_formula(f)
-        return mon
-
-
-def replace_monitor(mon: CalibratedMonitor, **changes) -> CalibratedMonitor:
-    fields = dict(
-        kind=mon.kind,
-        level=mon.level,
-        alpha=mon.alpha,
-        radius=mon.radius,
-        sigma=mon.sigma,
-        n_calibration=mon.n_calibration,
-        seed=mon.seed,
-        dictionary=mon.dictionary,
-        m=mon.m,
-        k_max=mon.k_max,
-        support=mon.support,
-        cache=mon.cache,
-        formula=mon.formula,
-        coord_radii=mon.coord_radii,
-        predictor_config=mon.predictor_config,
-    )
-    fields.update(changes)
-    return CalibratedMonitor(**fields)
+    def monitor_for(self, f: Formula) -> "CalibratedMonitor":
+        """The monitor that certifies ``f``: this one when its radius already
+        covers ``f`` (fragment-wide semantic or rolling, or calibrated for
+        ``f``), otherwise its specialization to ``f``."""
+        if (self.support is None and self.kind != "observer") or self.formula == format_formula(f):
+            return self
+        return self.for_formula(f)
 
 
 def history_support_indices(f: Formula, k_max: int) -> frozenset[int]:
@@ -333,42 +332,43 @@ def sample_level2_time(seed: int, episode_index: int, k_max: int, T: int) -> int
     return int(rng.integers(k_max, T + 1))
 
 
-def _normalized_error_matrix(ep: Episode, predictor, basis_spec, sigma: np.ndarray) -> np.ndarray:
-    """Per-coordinate normalized one-sided errors at every valid time."""
+def _layout(basis_spec) -> tuple[str, int, int]:
+    """Monitor kind, history depth and dimension of a basis layout."""
     if isinstance(basis_spec, AtomicDictionary):
-        truth = semantic_basis_series(ep, basis_spec)
-        predicted = np.asarray(predictor.predict(ep), dtype=float)
-        if predicted.shape != truth.shape:
-            raise ValueError(
-                f"predictor/basis mismatch: predictor gave {predicted.shape}, "
-                f"semantic basis needs {truth.shape}"
-            )
-        return one_sided_errors(predicted, truth) / sigma[:, None]
+        return "semantic", basis_spec.K_max, basis_spec.r
     m, k_max = basis_spec
+    return "rolling", k_max, m * (k_max + 1)
+
+
+def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
+    """The predictor's output for ``ep`` as basis columns over ``t = k_max .. T``.
+
+    ``basis_spec`` is an :class:`AtomicDictionary`, whose predictor emits the
+    atom columns directly, or ``(m, k_max)``, whose predictor emits per-step
+    predicates ``(m, T+1)`` that are stacked into predicate-history columns.
+    Raises ``ValueError`` for a too-short episode, a wrongly shaped
+    prediction or a non-finite one.
+    """
+    kind, k_max, _ = _layout(basis_spec)
+    if ep.T < k_max:
+        raise ValueError(f"episode too short: T={ep.T} < k_max={k_max}")
+    expected = (basis_spec.r, ep.T - k_max + 1) if kind == "semantic" else (basis_spec[0], ep.T + 1)
     predicted = np.asarray(predictor.predict(ep), dtype=float)
-    if predicted.shape != ep.mu.shape:
+    if predicted.shape != expected:
         raise ValueError(
-            f"predictor/basis mismatch: predictor gave {predicted.shape}, "
-            f"per-step predicates need {ep.mu.shape}"
+            f"predictor/basis mismatch: predictor gave {predicted.shape}, {kind} basis needs {expected}"
         )
-    if ep.m != m:
-        raise ValueError(f"episode has {ep.m} predicates, monitor expects {m}")
-    step_errors = one_sided_errors(predicted, ep.mu)
-    return _stack_lags(step_errors, k_max) / sigma[:, None]
+    if not np.isfinite(predicted).all():
+        raise ValueError(f"predictor returned non-finite values for episode {ep.uid}")
+    return predicted if kind == "semantic" else stack_lags(predicted, k_max)
 
 
-def _stack_lags(step_values: np.ndarray, k_max: int) -> np.ndarray:
-    """Arrange per-step values as history coordinates over valid times."""
-    m, n = step_values.shape
-    T = n - 1
-    if T < k_max:
-        raise ValueError(f"episode too short: T={T} < k_max={k_max}")
-    width = k_max + 1
-    out = np.empty((m * width, T - k_max + 1), dtype=float)
-    for k in range(m):
-        for j in range(width):
-            out[k * width + j] = step_values[k, k_max - j : T + 1 - j]
-    return out
+def _prediction_errors(ep: Episode, predictor, basis_spec) -> np.ndarray:
+    """Signed ``predicted - truth`` basis columns over the valid times."""
+    predicted = predicted_basis(ep, predictor, basis_spec)
+    if isinstance(basis_spec, AtomicDictionary):
+        return predicted - semantic_basis_series(ep, basis_spec)
+    return predicted - predicate_history_series(ep, basis_spec[1])
 
 
 def score_matrix(
@@ -389,14 +389,10 @@ def score_matrix(
     over any coordinate subset is the episode's score for that subset, which
     is what makes one matrix reusable for every formula support.
     """
-    if isinstance(basis_spec, AtomicDictionary):
-        k_max, dim = basis_spec.K_max, basis_spec.r
-    else:
-        m, k_max = basis_spec
-        dim = m * (k_max + 1)
+    _, k_max, dim = _layout(basis_spec)
     rows = np.empty((len(episodes), dim), dtype=float)
     for i, ep in enumerate(episodes):
-        errs = _normalized_error_matrix(ep, predictor, basis_spec, sigma)
+        errs = np.maximum(0.0, _prediction_errors(ep, predictor, basis_spec)) / sigma[:, None]
         if level == 1:
             rows[i] = errs.max(axis=1)
         else:
@@ -424,14 +420,7 @@ def calibrate(
     coordinates when ``None``). The per-coordinate score matrix is retained
     on the monitor unless ``keep_cache`` is false.
     """
-    if isinstance(basis_spec, AtomicDictionary):
-        kind = "semantic"
-        k_max = basis_spec.K_max
-        dim = basis_spec.r
-    else:
-        kind = "rolling"
-        m, k_max = basis_spec
-        dim = m * (k_max + 1)
+    kind, _, dim = _layout(basis_spec)
     if cfg.sigma.size != dim:
         raise ValueError(f"sigma has {cfg.sigma.size} entries, basis needs {dim}")
     if not episodes:
@@ -473,17 +462,7 @@ def estimate_sigma(
     overestimates at most half the time, which would collapse every
     coordinate to the floor and defeat the normalization.
     """
-    pooled: list[np.ndarray] = []
-    for ep in episodes:
-        if isinstance(basis_spec, AtomicDictionary):
-            truth = semantic_basis_series(ep, basis_spec)
-            predicted = np.asarray(predictor.predict(ep), dtype=float)
-            diff = predicted - truth
-        else:
-            _, k_max = basis_spec
-            predicted = np.asarray(predictor.predict(ep), dtype=float)
-            diff = _stack_lags(predicted - ep.mu, k_max)
-        pooled.append(np.abs(diff))
+    pooled = [np.abs(_prediction_errors(ep, predictor, basis_spec)) for ep in episodes]
     stacked = np.concatenate(pooled, axis=1)
     sigma = np.median(stacked, axis=1)
     return np.maximum(sigma, floor)
@@ -494,33 +473,43 @@ def estimate_sigma(
 # ---------------------------------------------------------------------------
 
 
-def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Decoder) -> float:
-    """Decode the uniformly shrunk prediction: a calibrated-probability lower
-    bound on the decoded true value.
-
-    Requires matching basis kind and dimension, and — when the monitor was
-    calibrated on a restricted support — that the decoder reads only inside
-    that support.
-    """
+def _check_certifiable(mon: CalibratedMonitor, kind: BasisKind, dim: int, d: Decoder) -> None:
     if d.basis_kind is not mon.basis_kind:
         raise BasisMismatchError(
             f"{mon.kind} monitor certifies {mon.basis_kind.value} decoders, got {d.basis_kind.value}"
         )
-    if predicted.kind is not d.basis_kind:
-        raise BasisMismatchError(
-            f"decoder reads {d.basis_kind.value}, basis is {predicted.kind.value}"
-        )
-    if predicted.values.shape != (mon.dim,) or d.dim != mon.dim:
-        raise BasisMismatchError(
-            f"monitor dimension {mon.dim} vs decoder {d.dim} vs basis {predicted.values.shape}"
-        )
+    if kind is not d.basis_kind:
+        raise BasisMismatchError(f"decoder reads {d.basis_kind.value}, basis is {kind.value}")
+    if not dim == d.dim == mon.dim:
+        raise BasisMismatchError(f"monitor dimension {mon.dim} vs decoder {d.dim} vs basis {dim}")
     if mon.support is not None and not d.support <= mon.support:
         extra = sorted(d.support - mon.support)
         raise SupportMismatchError(
             f"decoder reads coordinates {extra} outside the calibrated support"
         )
-    lowered = predicted.values - mon.radius * mon.sigma
-    return decode_values(d, lowered)
+
+
+def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Decoder) -> float:
+    """Decode the shrunk prediction ``predicted - mon.shift``: a
+    calibrated-probability lower bound on the decoded true value.
+
+    Requires matching basis kind and dimension, and — when the monitor was
+    calibrated on a restricted support — that the decoder reads only inside
+    that support.
+    """
+    values = predicted.values
+    _check_certifiable(mon, predicted.kind, values.shape[0], d)
+    return decode_values(d, values - mon.shift)
+
+
+def certified_lower_bounds(mon: CalibratedMonitor, predicted: np.ndarray, d: Decoder) -> np.ndarray:
+    """:func:`certified_lower_bound` for every column of a ``(dim, n)``
+    matrix of predicted bases in the monitor's layout, decoded at once."""
+    predicted = np.asarray(predicted, dtype=float)
+    if predicted.ndim != 2:
+        raise BasisMismatchError(f"expected a (dim, n) basis matrix, got shape {predicted.shape}")
+    _check_certifiable(mon, mon.basis_kind, predicted.shape[0], d)
+    return decode_series(d, predicted - mon.shift[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +533,15 @@ def observer_calibrate(
     ``|predicted - truth| / sigma_k`` score at the evenly split level
     ``1 - alpha/|support|``; sampling one time per episode matches level 2.
     The monitor's radius is the worst per-coordinate quantile (the number
-    reported alongside other monitors); the per-coordinate radii are kept for
-    interval construction. The full symmetric score matrix is cached, so
-    radii for other formulas remain recomputable.
+    reported alongside other monitors); the per-coordinate radii make up its
+    shift. The full symmetric score matrix is cached, so radii for other
+    formulas remain recomputable.
     """
     if not episodes:
         raise ValueError("calibration needs at least one episode")
     m = episodes[0].m
-    h = horizon(f)
-    k_max = max(h, k_max if k_max is not None else 0)
+    k_max = max(horizon(f), k_max if k_max is not None else 0)
     width = k_max + 1
-    dim = m * width
     if sigma_predicates is None:
         sigma_predicates = np.ones(m)
     sigma_predicates = np.asarray(sigma_predicates, dtype=float)
@@ -564,43 +551,26 @@ def observer_calibrate(
         raise ValueError("sigma_predicates must be strictly positive")
     sigma = np.repeat(sigma_predicates, width)
 
-    rows = np.empty((len(episodes), dim), dtype=float)
+    rows = np.empty((len(episodes), m * width), dtype=float)
     for i, ep in enumerate(episodes):
-        if ep.m != m:
-            raise ValueError("episodes disagree on predicate count")
-        predicted = np.asarray(predictor.predict(ep), dtype=float)
-        if predicted.shape != ep.mu.shape:
-            raise ValueError(
-                f"predictor/basis mismatch: predictor gave {predicted.shape}, "
-                f"per-step predicates need {ep.mu.shape}"
-            )
-        step_scores = np.abs(predicted - ep.mu)
+        errors = _prediction_errors(ep, predictor, (m, k_max))
         tau = sample_level2_time(tau_seed, i, k_max, ep.T)
-        stacked = _stack_lags(step_scores, k_max)
-        rows[i] = stacked[:, tau - k_max] / sigma
+        rows[i] = np.abs(errors[:, tau - k_max]) / sigma
 
-    cache = ScoreCache(rows, 2, tau_seed, symmetric=True)
-    support = history_support_indices(f, k_max)
-    alpha_c = alpha / len(support)
-    coord = {c: split_quantile(rows[:, c], alpha_c) for c in sorted(support)}
-    radii = np.zeros(dim)
-    for c, q in coord.items():
-        radii[c] = q
-    return CalibratedMonitor(
+    # Unspecialized, the observer has no radius; for_formula sets it.
+    unfitted = CalibratedMonitor(
         kind="observer",
         level=2,
         alpha=alpha,
-        radius=max(coord.values()),
+        radius=math.nan,
         sigma=sigma,
         n_calibration=len(episodes),
         seed=tau_seed,
         m=m,
         k_max=k_max,
-        support=support,
-        cache=cache,
-        formula=format_formula(f),
-        coord_radii=radii,
+        cache=ScoreCache(rows, 2, tau_seed, symmetric=True),
     )
+    return unfitted.for_formula(f)
 
 
 def interval_propagate(

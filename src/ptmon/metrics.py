@@ -112,7 +112,12 @@ def evaluate_monitor(
     formulas: Sequence[Formula],
     coverage_seed: int = 0,
 ) -> tuple[list[ReportRow], dict[str, str]]:
-    """Certify every episode for every formula and summarize per formula."""
+    """Certify every episode for every formula and summarize per formula.
+
+    A formula listed more than once is certified and reported once, at its
+    first position.
+    """
+    distinct = {format_formula(f): f for f in formulas}
     per_formula_lbs: dict[str, list[np.ndarray]] = {}
     per_formula_truths: dict[str, list[np.ndarray]] = {}
     errors: dict[str, str] = {}
@@ -124,16 +129,9 @@ def evaluate_monitor(
             per_formula_truths.setdefault(fname, []).append(rho)
 
     rows: list[ReportRow] = []
-    for f in formulas:
-        fname = format_formula(f)
+    for fname, f in distinct.items():
         if fname not in per_formula_lbs:
             continue
-        if mon.support is None and mon.kind != "observer":
-            q_phi = mon.radius
-        elif mon.kind == "observer" and mon.formula == fname:
-            q_phi = mon.radius
-        else:
-            q_phi = mon.for_formula(f).radius
         summary = compute_metrics(
             per_formula_lbs[fname],
             per_formula_truths[fname],
@@ -147,7 +145,7 @@ def evaluate_monitor(
                 monitor=name,
                 kind=mon.kind,
                 level=mon.level,
-                q_phi=q_phi,
+                q_phi=mon.monitor_for(f).radius,
                 **summary,
             )
         )

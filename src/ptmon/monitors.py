@@ -1,8 +1,17 @@
-"""Online per-timestep certification and verdict streams.
+"""Per-timestep certification: streaming, or batch over a recorded episode.
 
-A monitor session consumes one prediction per step and, once past warm-up,
-emits a verdict per formula per step: ``safe`` when the certified lower bound
-clears zero (ties count as safe), ``uncertain`` otherwise, and
+Every bound comes from one operation: shrink the predicted basis by the
+monitor's per-coordinate ``shift`` and decode it. All three monitor kinds
+(semantic, rolling, observer) do it the same way. Streaming callers feed
+one step at a time: :class:`RollingBuffer` with :func:`rolling_certify` or
+:func:`observer_certify` for per-step predicate predictions,
+:func:`semantic_certify` for predicted atom bases. :func:`run_episode`
+certifies a whole recorded episode at once, one
+:func:`ptmon.conformal.certified_lower_bounds` call per formula, and gives
+the bounds the streaming functions give step by step.
+
+Each formula gets a verdict per step: ``safe`` when the certified lower
+bound clears zero (ties count as safe), ``uncertain`` otherwise, and
 ``warming_up`` while the monitor does not yet have the history its
 calibration assumed (the first ``k_max`` steps, or after a dropped
 prediction empties the buffer).
@@ -15,14 +24,18 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .conformal import CalibratedMonitor, certified_lower_bound
+from .conformal import (
+    CalibratedMonitor,
+    certified_lower_bound,
+    certified_lower_bounds,
+    predicted_basis,
+)
 from .fragment import (
     Decoder,
     HorizonExceededError,
@@ -70,23 +83,26 @@ class RollingBuffer:
         self.m = m
         self.k_max = k_max
         self.capacity = k_max + 1
-        self._entries: deque[np.ndarray] = deque(maxlen=self.capacity)
+        # Column j holds the step at lag j; columns at or past the fill are zero.
+        self._lags = np.zeros((m, self.capacity))
+        self.fill = 0
         self.t = -1
-
-    @property
-    def fill(self) -> int:
-        return len(self._entries)
 
     def push(self, mu_hat: Sequence[float] | np.ndarray) -> None:
         values = np.asarray(mu_hat, dtype=float)
         if values.shape != (self.m,):
             raise ValueError(f"expected {self.m} predicate values, got shape {values.shape}")
-        self._entries.append(values)
+        if not np.isfinite(values).all():
+            raise ValueError("predicate values must be finite; mark a missing step as dropped")
+        self._lags[:, 1:] = self._lags[:, :-1]
+        self._lags[:, 0] = values
+        self.fill = min(self.fill + 1, self.capacity)
         self.t += 1
 
     def mark_dropped(self) -> None:
         """A step arrived with no prediction: time advances, history resets."""
-        self._entries.clear()
+        self._lags[:] = 0.0
+        self.fill = 0
         self.t += 1
 
     def history_vector(self, t: int | None = None) -> np.ndarray:
@@ -96,13 +112,7 @@ class RollingBuffer:
         older than the buffer holds read as zero, so callers must only decode
         supports within the filled depth.
         """
-        width = self.k_max + 1
-        out = np.zeros(self.m * width, dtype=float)
-        for j, values in enumerate(reversed(self._entries)):
-            if j >= width:
-                break
-            out[j::width] = values
-        return out
+        return self._lags.reshape(-1).copy()
 
 
 def rolling_step(buf: RollingBuffer, mu_hat: Sequence[float] | np.ndarray | None) -> None:
@@ -123,16 +133,19 @@ def rolling_certify(
 
     Warm-up applies until the monitor's full history depth has streamed past
     (``t >= k_max``) and the buffer holds at least ``horizon(f)+1`` fresh
-    steps. ``decoder`` may be passed to reuse a compiled tree.
+    steps; warm-up verdicts compile nothing. ``decoder`` may be passed to
+    reuse a compiled tree.
     """
     name = format_formula(f)
+    h = horizon(f)
+    if h > mon.k_max:
+        raise HorizonExceededError(f"formula horizon {h} exceeds history depth {mon.k_max}: {name}")
+    if buf.t < mon.k_max or buf.fill < h + 1:
+        return _warming(buf.t, name)
     if decoder is None:
         decoder = compile_history_decoder(f, mon.m, mon.k_max)
-    if buf.t < mon.k_max or buf.fill < horizon(f) + 1:
-        return _warming(buf.t, name)
     basis = BasisVector(BasisKind.PREDICATE_HISTORY, buf.history_vector(), buf.t)
-    lb = certified_lower_bound(mon, basis, decoder)
-    return _verdict(buf.t, name, lb)
+    return _verdict(buf.t, name, certified_lower_bound(mon, basis, decoder))
 
 
 def semantic_certify(
@@ -147,8 +160,7 @@ def semantic_certify(
         decoder = compile_semantic_decoder(f, mon.dictionary)
     if basis_hat.t < mon.k_max:
         return _warming(basis_hat.t, name)
-    lb = certified_lower_bound(mon, basis_hat, decoder)
-    return _verdict(basis_hat.t, name, lb)
+    return _verdict(basis_hat.t, name, certified_lower_bound(mon, basis_hat, decoder))
 
 
 def observer_certify(
@@ -156,20 +168,17 @@ def observer_certify(
     mon: CalibratedMonitor,
     f: Formula,
 ) -> MonitorVerdict:
-    """Certify ``f`` through per-coordinate intervals around buffered steps."""
-    from .conformal import interval_propagate  # local to avoid import cycle noise
+    """Certify ``f`` with an observer monitor calibrated for it.
 
-    name = format_formula(f)
-    if mon.formula is not None and mon.formula != name:
+    The bound is the lower end of the observer's symmetric per-coordinate
+    intervals pushed through ``f``: since ``f`` is monotone, that is
+    :func:`rolling_certify` with the observer's per-coordinate shift.
+    """
+    if mon.formula is not None and mon.formula != format_formula(f):
         raise ValueError(
-            f"observer monitor was calibrated for {mon.formula!r}, asked to certify {name!r}"
+            f"observer monitor was calibrated for {mon.formula!r}, asked to certify {format_formula(f)!r}"
         )
-    if buf.t < mon.k_max or buf.fill < horizon(f) + 1:
-        return _warming(buf.t, name)
-    center = buf.history_vector()
-    spread = mon.coord_radii * mon.sigma
-    lo, _hi = interval_propagate(f, center - spread, center + spread, mon.m, mon.k_max)
-    return MonitorVerdict(buf.t, name, lo, Label.SAFE if lo >= 0.0 else Label.UNCERTAIN)
+    return rolling_certify(buf, mon, f)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +188,35 @@ def observer_certify(
 
 @dataclass
 class EpisodeResult:
-    """Verdicts for one episode, with ground truth for scoring.
+    """Certified bounds for one episode, with ground truth for scoring.
 
-    ``verdicts`` is time-major (all formulas at t, then t+1, ...).
-    ``truth[name]`` holds the exact robustness of that formula at
-    ``t = k_max .. T``. Formulas the monitor cannot certify (outside the
-    dictionary span, or deeper than the history) land in ``errors`` with the
-    reason, and the run continues without them.
+    ``bounds[name]`` and ``truth[name]`` hold, for each certified formula,
+    the lower bound and the exact robustness at ``t = k_max .. T``.
+    Formulas the monitor cannot certify (outside the dictionary span, or
+    deeper than the history) land in ``errors`` with the reason, and the run
+    continues without them.
     """
 
-    verdicts: list[MonitorVerdict]
+    bounds: dict[str, np.ndarray]
     truth: dict[str, np.ndarray]
     errors: dict[str, str]
     k_max: int
 
     def by_formula(self, name: str) -> list[MonitorVerdict]:
-        return [v for v in self.verdicts if v.formula == name]
+        """One formula's verdicts in time order, warm-up steps first."""
+        lbs = self.bounds[name].tolist()
+        warm = [_warming(t, name) for t in range(self.k_max)]
+        return warm + [_verdict(self.k_max + i, name, lb) for i, lb in enumerate(lbs)]
+
+    @property
+    def verdicts(self) -> list[MonitorVerdict]:
+        """Every verdict, time-major: all formulas at t, then t+1, ..."""
+        per_formula = [self.by_formula(name) for name in self.bounds]
+        return [v for step in zip(*per_formula) for v in step]
 
     def lower_bounds(self, name: str) -> np.ndarray:
         """Valid-time lower bounds for one formula, aligned to ``t = k_max..T``."""
-        out = [v.lower_bound for v in self.verdicts if v.formula == name and v.label is not Label.WARMING_UP]
-        return np.asarray(out, dtype=float)
+        return self.bounds[name]
 
 
 def run_episode(
@@ -208,71 +225,36 @@ def run_episode(
     mon: CalibratedMonitor,
     formulas: Sequence[Formula],
 ) -> EpisodeResult:
-    """Stream one episode through a monitor for several formulas at once.
+    """Certify a recorded episode for several formulas at once.
 
-    Predictions are generated once (they are per-step vectors for rolling and
-    observer monitors, per-valid-time basis columns for semantic ones) and
-    consumed in time order. Fragment-wide monitors share their single radius
-    across all formulas; support-restricted monitors are specialized per
-    formula from the score cache.
+    The episode's predictions become one basis matrix
+    (:func:`ptmon.conformal.predicted_basis`); each distinct formula is
+    compiled once and certified over every valid time by one
+    :func:`ptmon.conformal.certified_lower_bounds` call, with the monitor
+    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks. The bounds
+    equal what the streaming functions give step by step.
     """
+    predicted = predicted_basis(ep, predictor, mon.basis_spec)
     k_max = mon.k_max
-    if ep.T < k_max:
-        raise ValueError(f"episode too short: T={ep.T} < k_max={k_max}")
-
-    prepared: list[tuple[Formula, str, Decoder, CalibratedMonitor]] = []
+    bounds: dict[str, np.ndarray] = {}
+    truth: dict[str, np.ndarray] = {}
     errors: dict[str, str] = {}
     for f in formulas:
         name = format_formula(f)
+        if name in bounds or name in errors:
+            continue
         try:
             if mon.kind == "semantic":
                 decoder = compile_semantic_decoder(f, mon.dictionary)
             else:
-                decoder = compile_history_decoder(f, mon.m, mon.k_max)
-            if mon.support is None and mon.kind != "observer":
-                mon_f = mon
-            elif mon.formula == name:
-                mon_f = mon
-            else:
-                mon_f = mon.for_formula(f)
+                decoder = compile_history_decoder(f, mon.m, k_max)
+            mon_f = mon.monitor_for(f)
         except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
             errors[name] = str(exc)
             continue
-        prepared.append((f, name, decoder, mon_f))
-
-    truth = {
-        name: robustness_series(f, ep)[k_max - horizon(f) :] if horizon(f) < k_max else robustness_series(f, ep)
-        for f, name, _, _ in prepared
-    }
-
-    verdicts: list[MonitorVerdict] = []
-    predictions = np.asarray(predictor.predict(ep), dtype=float)
-
-    if mon.kind == "semantic":
-        expected = (mon.dim, ep.T - k_max + 1)
-        if predictions.shape != expected:
-            raise ValueError(f"predictor/basis mismatch: {predictions.shape} vs {expected}")
-        for t in range(0, k_max):
-            verdicts.extend(_warming(t, name) for _, name, _, _ in prepared)
-        for t in range(k_max, ep.T + 1):
-            basis = BasisVector(BasisKind.SEMANTIC, predictions[:, t - k_max], t)
-            for f, name, decoder, mon_f in prepared:
-                verdicts.append(semantic_certify(basis, mon_f, f, decoder))
-        return EpisodeResult(verdicts, truth, errors, k_max)
-
-    if predictions.shape != ep.mu.shape:
-        raise ValueError(f"predictor/basis mismatch: {predictions.shape} vs {ep.mu.shape}")
-    buf = RollingBuffer(mon.m, k_max)
-    for t in range(0, ep.T + 1):
-        rolling_step(buf, predictions[:, t])
-        for f, name, decoder, mon_f in prepared:
-            if t < k_max:
-                verdicts.append(_warming(t, name))
-            elif mon.kind == "observer":
-                verdicts.append(observer_certify(buf, mon_f, f))
-            else:
-                verdicts.append(rolling_certify(buf, mon_f, f, decoder))
-    return EpisodeResult(verdicts, truth, errors, k_max)
+        bounds[name] = certified_lower_bounds(mon_f, predicted, decoder)
+        truth[name] = robustness_series(f, ep)[k_max - horizon(f) :]
+    return EpisodeResult(bounds, truth, errors, k_max)
 
 
 # ---------------------------------------------------------------------------

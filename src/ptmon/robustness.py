@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .logic import (
     Always,
@@ -99,6 +100,8 @@ class BasisVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"basis values must be a vector, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("basis values contain non-finite entries")
         object.__setattr__(self, "values", values)
 
 
@@ -249,17 +252,23 @@ def predicate_history_series(ep: Episode, k_max: int) -> np.ndarray:
     Shape ``(m*(k_max+1), T - k_max + 1)``; column ``i`` equals
     :func:`predicate_history_basis` at ``t = k_max + i``.
     """
+    return stack_lags(ep.mu, k_max)
+
+
+def stack_lags(step_values: np.ndarray, k_max: int) -> np.ndarray:
+    """Lay out per-step values ``(m, T+1)`` as history columns over the
+    valid times ``t = k_max .. T``: row ``k*(k_max+1) + j`` holds row ``k``
+    at lag ``j``."""
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    if ep.T < k_max:
-        raise TimeOutOfRangeError(f"episode too short: T={ep.T} < k_max={k_max}")
-    n_valid = ep.T - k_max + 1
+    x = np.asarray(step_values, dtype=float)
+    m, n = x.shape
+    if n - 1 < k_max:
+        raise TimeOutOfRangeError(f"episode too short: T={n - 1} < k_max={k_max}")
     width = k_max + 1
-    out = np.empty((ep.m * width, n_valid), dtype=float)
-    for k in range(ep.m):
-        for j in range(width):
-            out[k * width + j] = ep.mu[k, k_max - j : ep.T + 1 - j]
-    return out
+    # windows[k, i, j] is row k at time i + j; reversing j turns it into a lag.
+    windows = sliding_window_view(x, width, axis=1)
+    return np.array(windows[:, :, ::-1].transpose(0, 2, 1), order="C").reshape(m * width, -1)
 
 
 def semantic_basis(ep: Episode, dictionary, t: int) -> BasisVector:

@@ -238,6 +238,25 @@ class TestDatasetIO:
                 assert ep.uid not in uids
                 uids.add(ep.uid)
 
+    def test_uids_come_from_file_names(self, tmp_path):
+        cfg = CrossroadConfig(T=20)
+        out = generate_dataset(cfg, {"calib": 4}, seed=3, out_dir=tmp_path / "ds")
+        before = load_split(out, "calib")
+        (out / "calib" / "ep_00001.jsonl").unlink()
+        after = load_split(out, "calib")
+        assert [ep.uid for ep in after] == [before[i].uid for i in (0, 2, 3)]
+        # a later episode still regenerates from its uid
+        cfg_back = CrossroadConfig.from_json(load_manifest(out)["config"])
+        regen = simulate_episode(cfg_back, after[-1].uid)
+        assert np.array_equal(after[-1].mu, regen.mu)
+
+    def test_unexpected_episode_file_name_rejected(self, tmp_path):
+        cfg = CrossroadConfig(T=20)
+        out = generate_dataset(cfg, {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
+        (out / "calib" / "ep_00001.jsonl").rename(out / "calib" / "ep_1b.jsonl")
+        with pytest.raises(ValueError, match="ep_NNNNN"):
+            load_split(out, "calib")
+
     def test_missing_split(self, tmp_path):
         cfg = CrossroadConfig(T=20)
         out = generate_dataset(cfg, {"train": 1, "calib": 1, "test": 1}, seed=1, out_dir=tmp_path / "ds")

@@ -262,6 +262,22 @@ class TestReport:
             by_mon.setdefault(r["monitor"], []).append(float(r["q_phi"]))
         assert set(by_mon) == {"sem", "roll", "obs"}
 
+    def test_duplicate_formula_reported_once(self, workspace, tmp_path):
+        root, ds, _ = workspace
+        formulas = tmp_path / "dups.txt"
+        formulas.write_text("G[0,4] p_clear\nF[0,2] p_f\nG[0,4] p_clear\n")
+        out = tmp_path / "dups.csv"
+        models = ",".join(str(root / f"{s}.json") for s in ("sem", "roll"))
+        assert main([
+            "report", "--models", models, "--dataset", str(ds),
+            "--formulas", str(formulas), "--sweep", "", "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            rows = [(r["monitor"], r["formula"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            (mon, f) for mon in ("sem", "roll") for f in ("G[0,4] p_clear", "F[0,2] p_f")
+        ]
+
     def test_sweep_skipped_when_empty(self, workspace, tmp_path):
         root, ds, _ = workspace
         formulas = self.formulas_file(tmp_path)

@@ -19,6 +19,7 @@ from ptmon.conformal import (
     load_score_cache,
     observer_calibrate,
     one_sided_errors,
+    predicted_basis,
     radius_for_support,
     sample_level2_time,
     save_monitor,
@@ -442,6 +443,43 @@ class TestPersistence:
         path.write_text('{"version": 99}')
         with pytest.raises(ValueError):
             load_monitor(path)
+
+
+class TestPredictedBasis:
+    def test_history_columns_are_stacked_steps(self):
+        rng = np.random.default_rng(19)
+        ep = random_episode(rng, 2, 7)
+        stub = PredictorStub(mode="predicates", scale=0.2, seed=9)
+        got = predicted_basis(ep, stub, (2, 3))
+        pred = stub.predict(ep)
+        assert got.shape == (8, 5)
+        for t in range(3, 8):
+            for k in range(2):
+                for j in range(4):
+                    assert got[k * 4 + j, t - 3] == pred[k, t - j]
+
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(19)
+        ep = random_episode(rng, 2, 7)
+        stub = PredictorStub(mode="predicates", scale=0.2, seed=9)
+        with pytest.raises(ValueError, match="predictor/basis mismatch"):
+            predicted_basis(ep, stub, (3, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_prediction_rejected(self, bad):
+        class Broken:
+            def predict(self, ep):
+                out = ep.mu.copy()
+                out[1, 4] = bad
+                return out
+
+        rng = np.random.default_rng(20)
+        eps = [random_episode(rng, 2, 7) for _ in range(4)]
+        with pytest.raises(ValueError, match="non-finite"):
+            predicted_basis(eps[0], Broken(), (2, 3))
+        # every calibration reads predictions through predicted_basis
+        with pytest.raises(ValueError, match="non-finite"):
+            calibrate(eps, Broken(), ScoreConfig(sigma=np.ones(8), alpha=0.1, level=2), (2, 3))
 
 
 class TestScoreMatrix:

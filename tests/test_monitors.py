@@ -3,10 +3,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_episode
+from helpers import random_episode, random_fragment_formula
 from ptmon.benchmark import PredictorStub
-from ptmon.conformal import ScoreConfig, calibrate, certified_lower_bound, observer_calibrate
+from ptmon.conformal import (
+    ScoreConfig,
+    calibrate,
+    certified_lower_bound,
+    interval_propagate,
+    observer_calibrate,
+)
 from ptmon.fragment import build_depth1_dictionary, compile_history_decoder
 from ptmon.logic import format_formula, parse_formula
 from ptmon.monitors import (
@@ -64,6 +72,13 @@ class TestRollingBuffer:
         buf = RollingBuffer(2, 1)
         with pytest.raises(ValueError):
             buf.push([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        buf = RollingBuffer(2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            buf.push([1.0, bad])
+        assert buf.fill == 0 and buf.t == -1
 
     def test_matches_episode_history_when_fed_truth(self):
         rng = np.random.default_rng(0)
@@ -241,6 +256,101 @@ class TestRunEpisode:
         ep = random_episode(rng, 2, 2)
         with pytest.raises(ValueError):
             run_episode(ep, stub, mon, [])
+
+
+def stream_verdicts(ep, predictor, mon, f):
+    """Certify ``f`` over ``ep`` one step at a time with the streaming API."""
+    predicted = np.asarray(predictor.predict(ep))
+    if mon.kind == "semantic":
+        out = []
+        for t in range(ep.T + 1):
+            values = predicted[:, t - mon.k_max] if t >= mon.k_max else np.zeros(mon.dim)
+            out.append(semantic_certify(BasisVector(BasisKind.SEMANTIC, values, t), mon, f))
+        return out
+    buf = RollingBuffer(mon.m, mon.k_max)
+    certify = observer_certify if mon.kind == "observer" else rolling_certify
+    out = []
+    for t in range(ep.T + 1):
+        rolling_step(buf, predicted[:, t])
+        out.append(certify(buf, mon, f))
+    return out
+
+
+CASES = ("semantic-level1", "semantic-level2", "rolling", "restricted", "observer")
+
+
+def case_setup(case, seed):
+    """A monitor of the given case, its predictor, a test episode and three
+    fragment formulas; the first formula is the one a restricted or
+    observer monitor was fitted to."""
+    rng = np.random.default_rng(seed)
+    d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+    eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(10)]
+    formulas = [random_fragment_formula(rng, d) for _ in range(3)]
+    ep = random_episode(rng, 2, int(rng.integers(3, 13)), names=d.predicate_names)
+    if case.startswith("semantic") or case == "restricted":
+        stub = PredictorStub(mode="semantic", scale=0.2, seed=seed % 1000, dictionary=d)
+        level = 1 if case == "semantic-level1" else 2
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=level), d)
+        if case == "restricted":
+            mon = mon.for_formula(formulas[0])
+        return mon, stub, ep, formulas
+    stub = PredictorStub(mode="predicates", scale=0.2, seed=seed % 1000)
+    if case == "rolling":
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(2 * 4), alpha=0.1, level=2), (2, 3))
+    else:
+        mon = observer_calibrate(eps, stub, formulas[0], 0.1, k_max=3)
+    return mon, stub, ep, formulas
+
+
+class TestBatchEqualsStreaming:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CASES), st.integers(0, 2**32 - 1))
+    def test_run_episode_matches_step_by_step(self, case, seed):
+        mon, stub, ep, formulas = case_setup(case, seed)
+        res = run_episode(ep, stub, mon, formulas)
+        assert not res.errors
+        for f in formulas:
+            name = format_formula(f)
+            # the monitor each kind certifies f with, spelled out
+            own = mon.support is None and mon.kind != "observer"
+            mon_f = mon if own or mon.formula == name else mon.for_formula(f)
+            streamed = stream_verdicts(ep, stub, mon_f, f)
+            assert [(v.t, v.label) for v in res.by_formula(name)] == [(v.t, v.label) for v in streamed]
+            want = np.array([v.lower_bound for v in streamed if v.label is not Label.WARMING_UP])
+            assert np.array_equal(res.lower_bounds(name), want)
+            assert res.truth[name].shape == want.shape
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_observer_bound_is_lower_end_of_interval(self, seed):
+        mon, stub, ep, formulas = case_setup("observer", seed)
+        f = formulas[0]
+        predicted = stub.predict(ep)
+        spread = mon.coord_radii * mon.sigma
+        buf = RollingBuffer(mon.m, mon.k_max)
+        for t in range(ep.T + 1):
+            rolling_step(buf, predicted[:, t])
+            v = observer_certify(buf, mon, f)
+            if v.label is Label.WARMING_UP:
+                continue
+            c = buf.history_vector()
+            assert v.lower_bound == interval_propagate(f, c - spread, c + spread, mon.m, mon.k_max)[0]
+
+    def test_verdicts_are_time_major(self):
+        mon, stub, ep, formulas = case_setup("rolling", 3)
+        res = run_episode(ep, stub, mon, formulas)
+        names = list(res.bounds)
+        assert [(v.t, v.formula) for v in res.verdicts] == [
+            (t, name) for t in range(ep.T + 1) for name in names
+        ]
+
+    def test_duplicate_formula_certified_once(self):
+        mon, stub, ep, formulas = case_setup("semantic-level2", 4)
+        f = formulas[0]
+        res = run_episode(ep, stub, mon, [f, f])
+        assert list(res.bounds) == [format_formula(f)]
+        assert len(res.verdicts) == ep.T + 1
 
 
 class TestVerdictSerialization:

@@ -15,6 +15,7 @@ from ptmon.fragment import AtomicDictionary
 from ptmon.logic import TimeInterval, horizon, parse_formula
 from ptmon.robustness import (
     BasisKind,
+    BasisVector,
     Episode,
     TimeOutOfRangeError,
     predicate_history_basis,
@@ -186,6 +187,11 @@ class TestHistoryBasis:
         ep = Episode(mu=np.zeros((1, 5)), dt=1.0)
         with pytest.raises(TimeOutOfRangeError):
             predicate_history_basis(ep, 3, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_basis_vector_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            BasisVector(BasisKind.SEMANTIC, np.array([0.0, bad]), 3)
 
 
 class TestSemanticBasis:
