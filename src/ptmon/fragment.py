@@ -308,6 +308,8 @@ def decoder_node_from_json(obj: dict) -> DecoderNode:
     op = obj["op"]
     if op == "leaf":
         return Leaf(int(obj["idx"]))
+    if op not in ("min", "max"):
+        raise ValueError(f"decoder node op must be 'leaf', 'min' or 'max', got {op!r}")
     children = tuple(decoder_node_from_json(c) for c in obj["children"])
     if not children:
         raise ValueError("min/max node needs at least one child")

@@ -105,7 +105,7 @@ class RollingBuffer:
         self.fill = 0
         self.t += 1
 
-    def history_vector(self, t: int | None = None) -> np.ndarray:
+    def history_vector(self) -> np.ndarray:
         """Current predicate-history vector, zero-filled beyond the fill.
 
         Coordinate ``k*(k_max+1) + j`` is predicate ``k`` at lag ``j``; lags

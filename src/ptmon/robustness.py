@@ -5,6 +5,11 @@ the min, ``|`` the max, ``G[a,b]`` the min over the backward window
 ``t-b..t-a`` and ``F[a,b]`` the max. A formula is satisfied at ``t`` exactly
 when its robustness is ``>= 0``.
 
+There is one evaluator: it computes a formula's robustness at every valid
+time of a ``(m, n)`` margin array, window nodes as the elementwise min/max of
+lag-shifted slices. A value at one time ``t`` is that evaluator run on the
+window ``t - horizon .. t``.
+
 Two flattenings of an episode's history are used downstream:
 
 * the predicate-history vector: every predicate value at every lag up to a
@@ -12,15 +17,15 @@ Two flattenings of an episode's history are used downstream:
   ``k`` at lag ``j``);
 * the semantic vector: one robustness value per atom of a dictionary.
 
-Everything here is pure; episodes are treated as immutable once built.
+Everything here is pure; an episode keeps read-only copies of its arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .logic import (
     Always,
     And,
-    Eventually,
     Formula,
     Or,
     Predicate,
@@ -53,7 +57,8 @@ class Episode:
     ``mu`` has shape ``(m, T+1)``; row ``k`` holds predicate ``k``'s margin at
     each step. ``states`` (optional) has one row per step and is carried only
     for dataset round-trips — the monitors never read it. ``uid`` identifies
-    the episode for reproducible noise generation.
+    the episode for reproducible noise generation. Both arrays are stored as
+    read-only copies, so no result that views them can change the episode.
     """
 
     mu: np.ndarray
@@ -63,7 +68,8 @@ class Episode:
     uid: int = 0
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
+        mu = np.array(self.mu, dtype=float)
+        mu.flags.writeable = False
         if mu.ndim != 2 or mu.shape[1] < 1:
             raise ValueError(f"mu must be (m, T+1), got shape {mu.shape}")
         if not np.isfinite(mu).all():
@@ -72,7 +78,8 @@ class Episode:
             raise ValueError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "mu", mu)
         if self.states is not None:
-            states = np.asarray(self.states, dtype=float)
+            states = np.array(self.states, dtype=float)
+            states.flags.writeable = False
             if states.shape[0] != mu.shape[1]:
                 raise ValueError("states and mu disagree on episode length")
             object.__setattr__(self, "states", states)
@@ -106,50 +113,7 @@ class BasisVector:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation
-# ---------------------------------------------------------------------------
-
-
-def robustness(f: Formula, ep: Episode, t: int, memo: dict | None = None) -> float:
-    """Exact robustness of ``f`` over ``ep`` at time ``t``.
-
-    Raises :class:`TimeOutOfRangeError` unless ``horizon(f) <= t <= ep.T``.
-    ``memo`` (optional) caches subformula values keyed by node identity so a
-    caller evaluating many formulas that share subtrees at the same time can
-    pass one dict across calls; the formulas must outlive the memo.
-    """
-    h = horizon(f)
-    if t < h or t > ep.T:
-        raise TimeOutOfRangeError(
-            f"t={t} outside valid range [{h}, {ep.T}] for a horizon-{h} formula"
-        )
-    if memo is None:
-        memo = {}
-    return _rob(f, ep.mu, t, memo)
-
-
-def _rob(f: Formula, mu: np.ndarray, t: int, memo: dict) -> float:
-    key = (id(f), t)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(f, Predicate):
-        v = float(mu[f.index, t])
-    elif isinstance(f, And):
-        v = min(_rob(f.left, mu, t, memo), _rob(f.right, mu, t, memo))
-    elif isinstance(f, Or):
-        v = max(_rob(f.left, mu, t, memo), _rob(f.right, mu, t, memo))
-    else:
-        iv = f.interval
-        child = f.child
-        values = (_rob(child, mu, s, memo) for s in range(t - iv.b, t - iv.a + 1))
-        v = min(values) if isinstance(f, Always) else max(values)
-    memo[key] = v
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Sliding-window extrema
+# Evaluation
 # ---------------------------------------------------------------------------
 
 Mode = Literal["min", "max"]
@@ -160,9 +124,10 @@ def windowed_extrema(series: Sequence[float] | np.ndarray, interval: TimeInterva
 
     ``out[i]`` is the ``mode``-extremum of ``series[t-b .. t-a]`` for
     ``t = i + b``; times whose window would reach before the first sample are
-    omitted, so the result has length ``max(0, len(series) - b)``. Runs in
-    amortized O(1) per step with a monotone double-ended queue and returns
-    exactly what a naive rescan of each window would.
+    omitted, so the result has length ``max(0, len(series) - b)``. It is the
+    elementwise min or max of the ``b - a + 1`` lag-shifted slices, so it costs
+    O((b - a + 1) * len(series)) in numpy, is exactly what a naive rescan of
+    each window returns, and never shares memory with ``series``.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -171,34 +136,28 @@ def windowed_extrema(series: Sequence[float] | np.ndarray, interval: TimeInterva
         raise ValueError(f"series must be one-dimensional, got shape {x.shape}")
     a, b = interval.a, interval.b
     n = x.shape[0]
-    out_len = n - b
-    if out_len <= 0:
+    if n <= b:
         return np.empty(0, dtype=float)
-    out = np.empty(out_len, dtype=float)
-    dq: deque[int] = deque()
-    if mode == "min":
-        def push(i: int) -> None:
-            while dq and x[dq[-1]] >= x[i]:
-                dq.pop()
-            dq.append(i)
-    else:
-        def push(i: int) -> None:
-            while dq and x[dq[-1]] <= x[i]:
-                dq.pop()
-            dq.append(i)
-    for i in range(0, b - a):
-        push(i)
-    for t in range(b, n):
-        push(t - a)
-        while dq[0] < t - b:
-            dq.popleft()
-        out[t - b] = x[dq[0]]
-    return out
+    op = np.minimum if mode == "min" else np.maximum
+    # x[b-j : n-j] holds lag j at the times t = b .. n-1. The first slice is
+    # copied so that a point window [a, a] returns a new array, not a view.
+    lags = (x[b - j : n - j] for j in range(a + 1, b + 1))
+    return functools.reduce(op, lags, x[b - a : n - a].copy())
 
 
-# ---------------------------------------------------------------------------
-# Batch evaluation
-# ---------------------------------------------------------------------------
+def robustness(f: Formula, ep: Episode, t: int) -> float:
+    """Exact robustness of ``f`` over ``ep`` at time ``t``.
+
+    Raises :class:`TimeOutOfRangeError` unless ``horizon(f) <= t <= ep.T``.
+    Evaluates :func:`robustness_series` on the window ``t - horizon(f) .. t``,
+    which holds exactly one valid time.
+    """
+    h = horizon(f)
+    if t < h or t > ep.T:
+        raise TimeOutOfRangeError(
+            f"t={t} outside valid range [{h}, {ep.T}] for a horizon-{h} formula"
+        )
+    return float(_series(f, ep.mu[:, t - h : t + 1])[0])
 
 
 def robustness_series(f: Formula, ep: Episode) -> np.ndarray:
@@ -206,23 +165,23 @@ def robustness_series(f: Formula, ep: Episode) -> np.ndarray:
 
     The result is aligned to ``t = horizon(f) .. ep.T`` (empty if the episode
     is shorter than the horizon). Window nodes run through
-    :func:`windowed_extrema`, so the whole series costs O(nodes * T).
+    :func:`windowed_extrema`, so the series costs O(T) per node and
+    O((b - a + 1) * T) per window node.
     """
     return _series(f, ep.mu)
 
 
 def _series(f: Formula, mu: np.ndarray) -> np.ndarray:
     if isinstance(f, Predicate):
-        return mu[f.index].astype(float, copy=False)
+        return mu[f.index]
     if isinstance(f, (And, Or)):
         left = _series(f.left, mu)
         right = _series(f.right, mu)
-        h_left = horizon(f.left)
-        h_right = horizon(f.right)
-        h = max(h_left, h_right)
-        left = left[h - h_left:] if h > h_left else left
-        right = right[h - h_right:] if h > h_right else right
-        return np.minimum(left, right) if isinstance(f, And) else np.maximum(left, right)
+        # Both children end at the last step, so they align on their common
+        # tail; x[-n:] would be all of x when n == 0.
+        n = min(left.size, right.size)
+        op = np.minimum if isinstance(f, And) else np.maximum
+        return op(left[left.size - n :], right[right.size - n :])
     child = _series(f.child, mu)
     return windowed_extrema(child, f.interval, "min" if isinstance(f, Always) else "max")
 
@@ -237,12 +196,9 @@ def predicate_history_basis(ep: Episode, k_max: int, t: int) -> BasisVector:
 
     Coordinate ``k * (k_max+1) + j`` holds predicate ``k`` at lag ``j``.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if t < k_max or t > ep.T:
         raise TimeOutOfRangeError(f"t={t} outside valid range [{k_max}, {ep.T}]")
-    window = ep.mu[:, t - k_max : t + 1]
-    values = window[:, ::-1].reshape(-1).copy()
+    values = stack_lags(ep.mu[:, t - k_max : t + 1], k_max)[:, 0]
     return BasisVector(BasisKind.PREDICATE_HISTORY, values, t)
 
 
@@ -276,23 +232,21 @@ def semantic_basis(ep: Episode, dictionary, t: int) -> BasisVector:
     k_max = dictionary.K_max
     if t < k_max or t > ep.T:
         raise TimeOutOfRangeError(f"t={t} outside valid range [{k_max}, {ep.T}]")
-    memo: dict = {}
-    values = np.array([_rob(a, ep.mu, t, memo) for a in dictionary.atoms], dtype=float)
+    window = ep.mu[:, t - k_max : t + 1]
+    values = np.array([_series(atom, window)[-1] for atom in dictionary.atoms])
     return BasisVector(BasisKind.SEMANTIC, values, t)
 
 
 def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:
     """Semantic vectors for all valid times, one dictionary atom per row.
 
-    Shape ``(r, T - K_max + 1)``, aligned to ``t = K_max .. T``. Each atom is
-    evaluated with one sliding-window pass, and the rows agree exactly with
+    Shape ``(r, T - K_max + 1)``, aligned to ``t = K_max .. T``: each atom's
+    series is cut to that common tail, and the rows agree exactly with
     pointwise :func:`semantic_basis` calls.
     """
     k_max = dictionary.K_max
     if ep.T < k_max:
         raise TimeOutOfRangeError(f"episode too short: T={ep.T} < K_max={k_max}")
-    rows = []
-    for atom in dictionary.atoms:
-        series = _series(atom, ep.mu)
-        rows.append(series[k_max - horizon(atom):] if horizon(atom) < k_max else series)
-    return np.vstack(rows)
+    n = ep.T - k_max + 1
+    rows = [_series(atom, ep.mu) for atom in dictionary.atoms]
+    return np.vstack([row[row.size - n :] for row in rows])

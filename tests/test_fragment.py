@@ -130,6 +130,12 @@ class TestDecoderStructure:
         back = decoder_from_json(decoder_to_json(dec))
         assert back == dec
 
+    @pytest.mark.parametrize("op", ["mean", "MIN", ""])
+    def test_json_rejects_unknown_op(self, op):
+        blob = {"basis": "semantic", "dim": 1, "tree": {"op": op, "children": [{"op": "leaf", "idx": 0}]}}
+        with pytest.raises(ValueError, match="op"):
+            decoder_from_json(blob)
+
 
 class TestDecodeExactness:
     @settings(max_examples=200, deadline=None)

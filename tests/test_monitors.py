@@ -31,7 +31,13 @@ from ptmon.monitors import (
     write_verdicts_csv,
     write_verdicts_jsonl,
 )
-from ptmon.robustness import BasisKind, BasisVector, predicate_history_basis, semantic_basis
+from ptmon.robustness import (
+    BasisKind,
+    BasisVector,
+    Episode,
+    predicate_history_basis,
+    semantic_basis,
+)
 
 
 def rolling_monitor(rng, m=2, k_max=3, n=10, T=9, **stub_kw):
@@ -249,6 +255,20 @@ class TestRunEpisode:
         res = run_episode(ep, stub, mon, [f])
         assert not res.errors
         assert res.lower_bounds(format_formula(f)).size == 9 - 3 + 1
+
+    def test_truth_of_bare_predicate_cannot_change_the_episode(self):
+        rng = np.random.default_rng(13)
+        mon, stub, _ = rolling_monitor(rng, m=2, k_max=3)
+        mu = rng.normal(size=(2, 10))
+        ep = Episode(mu=mu, dt=1.0)
+        before = ep.mu.copy()
+        f = parse_formula("p0", ("p0", "p1"))
+        truth = run_episode(ep, stub, mon, [f]).truth[format_formula(f)]
+        with pytest.raises(ValueError):
+            truth[0] = 123.0
+        assert np.array_equal(ep.mu, before)
+        mu[0, 0] = 123.0  # the caller's array is copied, not frozen
+        assert np.array_equal(ep.mu, before)
 
     def test_episode_shorter_than_history_rejected(self):
         rng = np.random.default_rng(12)

@@ -12,7 +12,7 @@ from helpers import (
     valid_time,
 )
 from ptmon.fragment import AtomicDictionary
-from ptmon.logic import TimeInterval, horizon, parse_formula
+from ptmon.logic import Always, And, Eventually, Or, TimeInterval, horizon, parse_formula
 from ptmon.robustness import (
     BasisKind,
     BasisVector,
@@ -26,9 +26,6 @@ from ptmon.robustness import (
     semantic_basis_series,
     windowed_extrema,
 )
-
-P = ("p0", "p1", "p2")
-
 
 class TestEpisode:
     def test_properties(self):
@@ -94,15 +91,6 @@ class TestRobustness:
         t = valid_time(rng, f, T)
         assert robustness(f, shifted, t) == pytest.approx(robustness(f, ep, t) + c)
 
-    def test_memo_is_shared_and_consistent(self):
-        rng = np.random.default_rng(0)
-        f = parse_formula("G[0,3] (p0 | F[0,2] p1) & F[1,4] p0", P)
-        ep = random_episode(rng, 3, 12)
-        memo: dict = {}
-        first = robustness(f, ep, 8, memo=memo)
-        assert memo
-        assert robustness(f, ep, 8, memo=memo) == first == naive_robustness(f, ep.mu, 8)
-
 
 class TestWindowedExtrema:
     def test_matches_naive_frozen(self):
@@ -117,6 +105,11 @@ class TestWindowedExtrema:
         x = np.arange(6.0)
         got = windowed_extrema(x, TimeInterval(2, 2), "max")
         assert np.array_equal(got, x[:-2])
+
+    def test_point_window_is_a_new_array(self):
+        x = np.arange(6.0)
+        got = windowed_extrema(x, TimeInterval(2, 2), "min")
+        assert not np.shares_memory(got, x)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -138,7 +131,40 @@ class TestWindowedExtrema:
             windowed_extrema(np.ones(5), TimeInterval(0, 1), "median")
 
 
+def nested_window_formula(rng, m):
+    """A random PNF formula with two nested windows, the outer one with
+    ``a > 0``, combined with a sibling of an independent horizon."""
+    outer_op, inner_op = (Always if rng.random() < 0.5 else Eventually for _ in range(2))
+    a = int(rng.integers(1, 4))
+    outer = TimeInterval(a, a + int(rng.integers(0, 4)))
+    nested = outer_op(outer, inner_op(random_interval(rng), random_pnf_formula(rng, m)))
+    sibling = random_pnf_formula(rng, m)
+    pair = (nested, sibling) if rng.random() < 0.5 else (sibling, nested)
+    return And(*pair) if rng.random() < 0.5 else Or(*pair)
+
+
 class TestRobustnessSeries:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_naive_at_every_time(self, seed):
+        rng = np.random.default_rng(seed)
+        f = nested_window_formula(rng, 3)
+        h = horizon(f)
+        T = h + int(rng.integers(0, 8))
+        ep = random_episode(rng, 3, T)
+        series = robustness_series(f, ep)
+        assert series.shape == (T - h + 1,)
+        for t in range(h, T + 1):
+            assert series[t - h] == naive_robustness(f, ep.mu, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_empty_when_episode_shorter_than_horizon(self, seed):
+        rng = np.random.default_rng(seed)
+        f = nested_window_formula(rng, 3)
+        T = int(rng.integers(0, horizon(f)))
+        assert robustness_series(f, random_episode(rng, 3, T)).shape == (0,)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_pointwise_agreement(self, seed):
