@@ -340,11 +340,6 @@ def stub_from_json(obj: dict, dictionary: AtomicDictionary | None = None) -> Pre
     )
 
 
-def predict(stub: PredictorStub, ep: Episode) -> np.ndarray:
-    """Functional alias for :meth:`PredictorStub.predict`."""
-    return stub.predict(ep)
-
-
 # ---------------------------------------------------------------------------
 # Dataset generation and loading
 # ---------------------------------------------------------------------------

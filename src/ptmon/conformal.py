@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,14 +31,14 @@ from .fragment import (
     AtomicDictionary,
     BasisMismatchError,
     Decoder,
-    HorizonExceededError,
     compile_history_decoder,
+    compile_semantic_decoder,
     decode_series,
     decode_values,
     dictionary_from_json,
     dictionary_to_json,
 )
-from .logic import Formula, atom_support, format_formula, horizon, predicate_lag_support
+from .logic import Formula, format_formula, horizon
 from .robustness import (
     BasisKind,
     BasisVector,
@@ -75,8 +75,8 @@ class ScoreConfig:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 1 or sigma.size == 0:
             raise ValueError("sigma must be a nonempty vector")
-        if not (sigma > 0).all():
-            raise ValueError("sigma must be strictly positive")
+        if not (np.isfinite(sigma) & (sigma > 0)).all():
+            raise ValueError("sigma must be finite and strictly positive")
         object.__setattr__(self, "sigma", sigma)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -89,37 +89,6 @@ class ScoreConfig:
             if min(support) < 0 or max(support) >= sigma.size:
                 raise ValueError("support indices out of range")
             object.__setattr__(self, "support", support)
-
-
-def one_sided_errors(predicted, truth) -> np.ndarray:
-    """Overestimation ``max(0, predicted - truth)``, elementwise.
-
-    Accepts vectors, matrices, or :class:`BasisVector` snapshots (whose kinds
-    must match). Underestimation never counts: a conservative prediction has
-    error zero.
-    """
-    if isinstance(predicted, BasisVector) and isinstance(truth, BasisVector):
-        if predicted.kind is not truth.kind:
-            raise BasisMismatchError(
-                f"mixed basis kinds: {predicted.kind.value} vs {truth.kind.value}"
-            )
-        predicted, truth = predicted.values, truth.values
-    p = np.asarray(predicted, dtype=float)
-    g = np.asarray(truth, dtype=float)
-    if p.shape != g.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    return np.maximum(0.0, p - g)
-
-
-def score(errors: np.ndarray, cfg: ScoreConfig) -> float:
-    """Worst normalized error over the configured coordinate set."""
-    e = np.asarray(errors, dtype=float)
-    if e.shape != cfg.sigma.shape:
-        raise ValueError(f"errors shape {e.shape} does not match sigma {cfg.sigma.shape}")
-    normalized = e / cfg.sigma
-    if cfg.support is not None:
-        normalized = normalized[sorted(cfg.support)]
-    return float(normalized.max())
 
 
 def split_quantile(scores: Sequence[float] | np.ndarray, alpha: float) -> float:
@@ -206,6 +175,8 @@ class CalibratedMonitor:
     ``coord_radii``, the lower end of symmetric intervals).
     ``support`` of ``None`` means the radius protects the whole basis;
     otherwise only decoders reading within ``support`` may use it.
+    :meth:`decoder` compiles each formula once per monitor and keeps the
+    result; copies made with :func:`dataclasses.replace` start empty.
     """
 
     kind: str
@@ -223,6 +194,7 @@ class CalibratedMonitor:
     formula: str | None = None
     coord_radii: np.ndarray | None = None
     predictor_config: dict | None = None
+    _decoders: dict[Formula, Decoder] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
@@ -259,11 +231,27 @@ class CalibratedMonitor:
             return self.coord_radii * self.sigma
         return self.radius * self.sigma
 
+    def decoder(self, f: Formula) -> Decoder:
+        """The decoder reading ``f`` off this monitor's basis layout,
+        compiled on the first request and reused afterwards.
+
+        Raises :class:`~ptmon.logic.NotInFragmentError` when ``f`` is not
+        built from the dictionary's atoms, and
+        :class:`~ptmon.fragment.HorizonExceededError` when it reads deeper
+        than ``k_max``.
+        """
+        d = self._decoders.get(f)
+        if d is None:
+            if self.kind == "semantic":
+                d = compile_semantic_decoder(f, self.dictionary)
+            else:
+                d = compile_history_decoder(f, self.m, self.k_max)
+            self._decoders[f] = d
+        return d
+
     def support_of(self, f: Formula) -> frozenset[int]:
         """Basis coordinates formula ``f`` reads under this monitor's layout."""
-        if self.kind == "semantic":
-            return frozenset(atom_support(f, self.dictionary))
-        return history_support_indices(f, self.k_max)
+        return self.decoder(f).support
 
     def radius_for_formula(self, f: Formula) -> float:
         """Radius for ``f``'s own support, recomputed from the cached scores."""
@@ -298,17 +286,6 @@ class CalibratedMonitor:
         if (self.support is None and self.kind != "observer") or self.formula == format_formula(f):
             return self
         return self.for_formula(f)
-
-
-def history_support_indices(f: Formula, k_max: int) -> frozenset[int]:
-    """Flat predicate-history coordinates read by ``f`` (depth-checked)."""
-    h = horizon(f)
-    if h > k_max:
-        raise HorizonExceededError(
-            f"formula horizon {h} exceeds history depth {k_max}: {format_formula(f)}"
-        )
-    width = k_max + 1
-    return frozenset(c.pred * width + c.lag for c in predicate_lag_support(f))
 
 
 def radius_for_support(cache: ScoreCache, support: Iterable[int], alpha: float) -> float:
@@ -408,7 +385,6 @@ def calibrate(
     basis_spec,
     *,
     tau_seed: int = 0,
-    keep_cache: bool = True,
 ) -> CalibratedMonitor:
     """Calibrate a semantic or rolling monitor on held-out episodes.
 
@@ -418,7 +394,7 @@ def calibrate(
     ``cfg.level`` (level 2 samples one time per episode using ``tau_seed``),
     and the radius is their split quantile over ``cfg.support`` (all
     coordinates when ``None``). The per-coordinate score matrix is retained
-    on the monitor unless ``keep_cache`` is false.
+    on the monitor as its score cache.
     """
     kind, _, dim = _layout(basis_spec)
     if cfg.sigma.size != dim:
@@ -442,7 +418,7 @@ def calibrate(
         m=None if kind == "semantic" else basis_spec[0],
         k_max=None if kind == "semantic" else basis_spec[1],
         support=cfg.support,
-        cache=cache if keep_cache else None,
+        cache=cache,
     )
 
 
@@ -547,8 +523,8 @@ def observer_calibrate(
     sigma_predicates = np.asarray(sigma_predicates, dtype=float)
     if sigma_predicates.shape != (m,):
         raise ValueError(f"sigma_predicates must have shape ({m},)")
-    if not (sigma_predicates > 0).all():
-        raise ValueError("sigma_predicates must be strictly positive")
+    if not (np.isfinite(sigma_predicates) & (sigma_predicates > 0)).all():
+        raise ValueError("sigma_predicates must be finite and strictly positive")
     sigma = np.repeat(sigma_predicates, width)
 
     rows = np.empty((len(episodes), m * width), dtype=float)

@@ -250,6 +250,13 @@ def _eval_node(node: DecoderNode, values: np.ndarray) -> float:
     return min(child_values) if isinstance(node, MinNode) else max(child_values)
 
 
+def _eval_series(node: DecoderNode, values: np.ndarray) -> np.ndarray:
+    if isinstance(node, Leaf):
+        return values[node.index]
+    op = np.minimum if isinstance(node, MinNode) else np.maximum
+    return functools.reduce(op, (_eval_series(c, values) for c in node.children))
+
+
 def decode(d: Decoder, basis: BasisVector) -> float:
     """Read the decoder off a basis snapshot.
 
@@ -282,14 +289,7 @@ def decode_series(d: Decoder, values: np.ndarray) -> np.ndarray:
         raise BasisMismatchError(
             f"decoder expects ({d.dim}, n) columns, got shape {values.shape}"
         )
-
-    def ev(node: DecoderNode) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return values[node.index]
-        op = np.minimum if isinstance(node, MinNode) else np.maximum
-        return functools.reduce(op, (ev(c) for c in node.children))
-
-    return ev(d.root)
+    return _eval_series(d.root, values)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ dataclass machinery, so formulas can key dictionaries and sets directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 
@@ -359,15 +359,6 @@ class Decomposition:
     index: int | None = None
     children: tuple["Decomposition", ...] = ()
 
-    def leaf_indices(self) -> set[int]:
-        if self.op == "atom":
-            assert self.index is not None
-            return {self.index}
-        out: set[int] = set()
-        for child in self.children:
-            out |= child.leaf_indices()
-        return out
-
 
 def check_membership(f: Formula, dictionary) -> Decomposition:
     """Decompose ``f`` over the atoms of ``dictionary`` or fail.
@@ -392,8 +383,3 @@ def check_membership(f: Formula, dictionary) -> Decomposition:
         raise NotInFragmentError(node)
 
     return walk(f)
-
-
-def atom_support(f: Formula, dictionary) -> set[int]:
-    """Indices of the dictionary atoms appearing in ``f``'s decomposition."""
-    return check_membership(f, dictionary).leaf_indices()

@@ -36,12 +36,7 @@ from .conformal import (
     certified_lower_bounds,
     predicted_basis,
 )
-from .fragment import (
-    Decoder,
-    HorizonExceededError,
-    compile_history_decoder,
-    compile_semantic_decoder,
-)
+from .fragment import Decoder, HorizonExceededError
 from .logic import Formula, NotInFragmentError, format_formula, horizon
 from .robustness import BasisKind, BasisVector, Episode, robustness_series
 
@@ -133,8 +128,8 @@ def rolling_certify(
 
     Warm-up applies until the monitor's full history depth has streamed past
     (``t >= k_max``) and the buffer holds at least ``horizon(f)+1`` fresh
-    steps; warm-up verdicts compile nothing. ``decoder`` may be passed to
-    reuse a compiled tree.
+    steps; warm-up verdicts compile nothing. Without ``decoder``, the
+    monitor's own :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used.
     """
     name = format_formula(f)
     h = horizon(f)
@@ -143,7 +138,7 @@ def rolling_certify(
     if buf.t < mon.k_max or buf.fill < h + 1:
         return _warming(buf.t, name)
     if decoder is None:
-        decoder = compile_history_decoder(f, mon.m, mon.k_max)
+        decoder = mon.decoder(f)
     basis = BasisVector(BasisKind.PREDICATE_HISTORY, buf.history_vector(), buf.t)
     return _verdict(buf.t, name, certified_lower_bound(mon, basis, decoder))
 
@@ -154,10 +149,14 @@ def semantic_certify(
     f: Formula,
     decoder: Decoder | None = None,
 ) -> MonitorVerdict:
-    """Certify ``f`` from a predicted dictionary-atom basis snapshot."""
+    """Certify ``f`` from a predicted dictionary-atom basis snapshot.
+
+    Without ``decoder``, the monitor's own
+    :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used.
+    """
     name = format_formula(f)
     if decoder is None:
-        decoder = compile_semantic_decoder(f, mon.dictionary)
+        decoder = mon.decoder(f)
     if basis_hat.t < mon.k_max:
         return _warming(basis_hat.t, name)
     return _verdict(basis_hat.t, name, certified_lower_bound(mon, basis_hat, decoder))
@@ -229,10 +228,11 @@ def run_episode(
 
     The episode's predictions become one basis matrix
     (:func:`ptmon.conformal.predicted_basis`); each distinct formula is
-    compiled once and certified over every valid time by one
+    certified over every valid time by one
     :func:`ptmon.conformal.certified_lower_bounds` call, with the monitor
-    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks. The bounds
-    equal what the streaming functions give step by step.
+    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks and
+    ``mon``'s cached decoder, so repeated runs compile nothing new. The
+    bounds equal what the streaming functions give step by step.
     """
     predicted = predicted_basis(ep, predictor, mon.basis_spec)
     k_max = mon.k_max
@@ -244,10 +244,7 @@ def run_episode(
         if name in bounds or name in errors:
             continue
         try:
-            if mon.kind == "semantic":
-                decoder = compile_semantic_decoder(f, mon.dictionary)
-            else:
-                decoder = compile_history_decoder(f, mon.m, k_max)
+            decoder = mon.decoder(f)
             mon_f = mon.monitor_for(f)
         except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
             errors[name] = str(exc)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_episode, random_fragment_formula
+from helpers import random_episode, random_fragment_formula, random_pnf_formula
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     CalibratedMonitor,
@@ -13,28 +15,38 @@ from ptmon.conformal import (
     calibrate,
     certified_lower_bound,
     estimate_sigma,
-    history_support_indices,
     interval_propagate,
     load_monitor,
     load_score_cache,
     observer_calibrate,
-    one_sided_errors,
     predicted_basis,
     radius_for_support,
     sample_level2_time,
     save_monitor,
     save_score_cache,
-    score,
     score_matrix,
     split_quantile,
 )
-from ptmon.fragment import build_depth1_dictionary, compile_semantic_decoder
-from ptmon.logic import format_formula, parse_formula
+from ptmon.fragment import (
+    HorizonExceededError,
+    build_depth1_dictionary,
+    compile_history_decoder,
+    compile_semantic_decoder,
+)
+from ptmon.logic import And, Or, format_formula, horizon, parse_formula, predicate_lag_support
 from ptmon.robustness import BasisKind, BasisVector, semantic_basis
 
 
 def tiny_dictionary():
     return build_depth1_dictionary(2, ((0, 1), (0, 2)))
+
+
+def history_monitor(m, k_max):
+    """An uncalibrated rolling monitor: only its layout matters."""
+    return CalibratedMonitor(
+        kind="rolling", level=2, alpha=0.1, radius=0.0, sigma=np.ones(m * (k_max + 1)),
+        n_calibration=1, seed=0, m=m, k_max=k_max,
+    )
 
 
 def tiny_episodes(rng, dictionary, n, T=8):
@@ -78,24 +90,6 @@ class TestSplitQuantile:
 
 
 class TestScores:
-    def test_one_sided_clips_underestimation(self):
-        got = one_sided_errors(np.array([1.0, -2.0]), np.array([0.0, 0.0]))
-        assert np.array_equal(got, [1.0, 0.0])
-
-    def test_basis_vector_kind_guard(self):
-        a = BasisVector(BasisKind.SEMANTIC, np.zeros(2), 3)
-        b = BasisVector(BasisKind.PREDICATE_HISTORY, np.zeros(2), 3)
-        with pytest.raises(ValueError):
-            one_sided_errors(a, b)
-
-    def test_score_respects_support(self):
-        cfg = ScoreConfig(sigma=np.ones(3), alpha=0.1, level=2, support=frozenset({1}))
-        assert score(np.array([5.0, 1.0, 7.0]), cfg) == 1.0
-
-    def test_score_normalizes_by_sigma(self):
-        cfg = ScoreConfig(sigma=np.array([2.0, 1.0]), alpha=0.1, level=1)
-        assert score(np.array([3.0, 1.0]), cfg) == 1.5
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScoreConfig(sigma=np.array([1.0, -1.0]), alpha=0.1, level=1)
@@ -107,6 +101,12 @@ class TestScores:
             ScoreConfig(sigma=np.ones(2), alpha=0.1, level=1, support=frozenset({5}))
         with pytest.raises(ValueError):
             ScoreConfig(sigma=np.ones(2), alpha=0.1, level=1, support=frozenset())
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_sigma_rejected(self, bad):
+        # an infinite scale would make a zero radius shift by 0 * inf = NaN
+        with pytest.raises(ValueError, match="finite"):
+            ScoreConfig(sigma=np.array([1.0, bad]), alpha=0.1, level=1)
 
 
 class TestSampleTime:
@@ -237,15 +237,42 @@ class TestSupportNarrowing:
         rng = np.random.default_rng(10)
         eps = tiny_episodes(rng, d, 5)
         stub = PredictorStub(mode="semantic", scale=0.2, seed=7, dictionary=d)
-        mon = calibrate(
-            eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d, keep_cache=False
-        )
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        mon = replace(mon, cache=None)
         with pytest.raises(ValueError):
             mon.for_formula(parse_formula("G[0,1] p0", d.predicate_names))
 
     def test_history_support_indices(self):
         f = parse_formula("G[0,1] p0 & F[0,1] p1", ("p0", "p1"))
-        assert history_support_indices(f, 2) == {0, 1, 3, 4}
+        mon = history_monitor(m=2, k_max=2)
+        assert mon.support_of(f) == {0, 1, 3, 4}
+        assert compile_history_decoder(f, 2, 2).support == {0, 1, 3, 4}
+        with pytest.raises(HorizonExceededError):
+            mon.support_of(parse_formula("G[0,3] p0", ("p0", "p1")))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_history_support_is_predicate_lag_support(self, seed, slack):
+        rng = np.random.default_rng(seed)
+        f = random_pnf_formula(rng, m=3)
+        k_max = horizon(f) + slack
+        want = {p * (k_max + 1) + lag for p, lag in predicate_lag_support(f)}
+        assert history_monitor(m=3, k_max=k_max).support_of(f) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_semantic_support_is_the_atoms_used(self, seed):
+        rng = np.random.default_rng(seed)
+        d = tiny_dictionary()
+        used = [int(q) for q in rng.integers(d.r, size=int(rng.integers(1, 6)))]
+        f = d.atoms[used[0]]
+        for q in used[1:]:
+            f = And(f, d.atoms[q]) if rng.random() < 0.5 else Or(d.atoms[q], f)
+        mon = CalibratedMonitor(
+            kind="semantic", level=2, alpha=0.1, radius=0.0, sigma=np.ones(d.r),
+            n_calibration=1, seed=0, dictionary=d,
+        )
+        assert mon.support_of(f) == set(used)
 
 
 class TestCertifiedBound:
@@ -361,6 +388,15 @@ class TestObserver:
         small = observer_calibrate(eps, stub, parse_formula("G[0,1] p0", ("p0",)), 0.1, k_max=8, tau_seed=2)
         big = observer_calibrate(eps, stub, parse_formula("G[0,8] p0", ("p0",)), 0.1, k_max=8, tau_seed=2)
         assert big.radius >= small.radius
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_sigma_predicates_rejected(self, bad):
+        rng = np.random.default_rng(18)
+        eps = [random_episode(rng, 2, 6) for _ in range(5)]
+        stub = PredictorStub(mode="predicates", scale=0.1, seed=0)
+        f = parse_formula("G[0,1] p0", ("p0", "p1"))
+        with pytest.raises(ValueError, match="finite"):
+            observer_calibrate(eps, stub, f, 0.1, sigma_predicates=np.array([1.0, bad]))
 
 
 class TestIntervalPropagate:

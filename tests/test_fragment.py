@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +189,24 @@ class TestDecodeExactness:
         got = decode_series(dec, series)
         want = np.array([decode_values(dec, series[:, i]) for i in range(series.shape[1])])
         assert np.array_equal(got, want)
+
+
+    def test_decode_series_keeps_no_reference_to_its_input(self):
+        # A self-referencing evaluator closure would keep the input alive
+        # until the cyclic collector runs.
+        f = parse_formula("G[0,2] p0 | F[0,1] p1", ("p0", "p1"))
+        dec = compile_history_decoder(f, 2, 2)
+        x = np.random.default_rng(0).normal(size=(dec.dim, 5))
+        ref = weakref.ref(x)
+        gc.disable()
+        try:
+            out = decode_series(dec, x)
+            del x
+            alive = ref() is not None
+        finally:
+            gc.enable()
+        assert not alive
+        assert out.shape == (5,)
 
 
 class TestDecodeGuards:

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_robustness, random_pnf_formula
+from ptmon.fragment import compile_semantic_decoder
 from ptmon.logic import (
     Always,
     And,
+    Decomposition,
     Eventually,
     FormulaSyntaxError,
     NotInFragmentError,
@@ -15,7 +17,6 @@ from ptmon.logic import (
     PredicateLag,
     TimeInterval,
     UnknownPredicateError,
-    atom_support,
     check_membership,
     format_formula,
     horizon,
@@ -196,14 +197,20 @@ class TestMembership:
     def test_atom_matches_itself(self, standard_dictionary):
         atom = standard_dictionary.atoms[7]
         dec = check_membership(atom, standard_dictionary)
-        assert dec.leaf_indices() == {7}
+        assert dec == Decomposition("atom", index=7)
+        assert compile_semantic_decoder(atom, standard_dictionary).support == {7}
 
     def test_and_or_composition(self, standard_dictionary):
         names = standard_dictionary.predicate_names
         f = parse_formula("G[0,4] p_f & (F[0,2] p_clear | G[0,1] p_goal)", names)
         dec = check_membership(f, standard_dictionary)
-        assert dec.leaf_indices() == atom_support(f, standard_dictionary)
-        assert len(dec.leaf_indices()) == 3
+        assert (dec.op, [c.op for c in dec.children]) == ("and", ["atom", "or"])
+        atoms = [
+            parse_formula(text, names) for text in ("G[0,4] p_f", "F[0,2] p_clear", "G[0,1] p_goal")
+        ]
+        want = {standard_dictionary.atoms.index(a) for a in atoms}
+        assert len(want) == 3
+        assert compile_semantic_decoder(f, standard_dictionary).support == want
 
     def test_alien_interval_rejected(self, standard_dictionary):
         names = standard_dictionary.predicate_names

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_episode, random_fragment_formula
+import ptmon.conformal as conformal
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     ScoreConfig,
@@ -276,6 +278,42 @@ class TestRunEpisode:
         ep = random_episode(rng, 2, 2)
         with pytest.raises(ValueError):
             run_episode(ep, stub, mon, [])
+
+
+class TestDecoderCache:
+    def test_each_formula_compiles_once_per_monitor(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
+        sem_stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
+        sem = calibrate(eps, sem_stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        roll, pred_stub, _ = rolling_monitor(rng, m=2, k_max=3)
+        f1, f2 = (parse_formula(t, d.predicate_names) for t in ("G[0,1] p0", "F[0,2] p1 | G[0,2] p0"))
+        obs = observer_calibrate(eps, pred_stub, f1, 0.1, k_max=3)
+
+        compiled = Counter()
+        for layout in ("semantic", "history"):
+            real = getattr(conformal, f"compile_{layout}_decoder")
+
+            def counting(f, *args, real=real, layout=layout):
+                compiled[layout, format_formula(f)] += 1
+                return real(f, *args)
+
+            monkeypatch.setattr(conformal, f"compile_{layout}_decoder", counting)
+
+        buf = RollingBuffer(2, 3)
+        for _ in range(10):
+            rolling_step(buf, rng.normal(size=2))
+            rolling_certify(buf, roll, f1)
+            rolling_certify(buf, roll, f2)
+            observer_certify(buf, obs, f1)
+        for ep in eps[:3]:
+            run_episode(ep, sem_stub, sem, [f1, f2])
+            run_episode(ep, pred_stub, roll, [f1, f2])
+            run_episode(ep, pred_stub, obs, [f1])
+        n1, n2 = format_formula(f1), format_formula(f2)
+        # semantic: (sem, f1), (sem, f2); history: (roll, f1), (obs, f1), (roll, f2)
+        assert compiled == {("semantic", n1): 1, ("semantic", n2): 1, ("history", n1): 2, ("history", n2): 1}
 
 
 def stream_verdicts(ep, predictor, mon, f):
