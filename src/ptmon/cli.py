@@ -205,6 +205,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     formula = parse_formula(args.formula, names)
     stub = _predictor_for_model(mon)
     episodes = load_split(dataset, args.split)
+    # Specialise and compile before --out is opened, so a formula the model
+    # cannot certify leaves an existing output file as it was.
+    mon = mon.monitor_for(formula)
+    mon.decoder(formula)
 
     out_path = Path(args.out)
     as_csv = out_path.suffix.lower() == ".csv"

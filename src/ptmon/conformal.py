@@ -38,7 +38,7 @@ from .fragment import (
     dictionary_from_json,
     dictionary_to_json,
 )
-from .logic import Formula, format_formula, horizon
+from .logic import Formula, horizon
 from .robustness import (
     BasisKind,
     BasisVector,
@@ -50,6 +50,8 @@ from .robustness import (
 
 SCORE_CACHE_VERSION = 1
 MONITOR_VERSION = 1
+# Smallest per-coordinate scale estimate_sigma returns.
+SIGMA_FLOOR = 1e-6
 
 
 class SupportMismatchError(ValueError):
@@ -266,8 +268,8 @@ class CalibratedMonitor:
         """
         if self.cache is None:
             raise ValueError("monitor carries no score cache; recalibrate with caching enabled")
-        support = self.support_of(f)
-        name = format_formula(f)
+        decoder = self.decoder(f)
+        support, name = decoder.support, decoder.formula
         if self.kind != "observer":
             return replace(self, support=support, formula=name,
                            radius=radius_for_support(self.cache, support, self.alpha))
@@ -283,7 +285,7 @@ class CalibratedMonitor:
         """The monitor that certifies ``f``: this one when its radius already
         covers ``f`` (fragment-wide semantic or rolling, or calibrated for
         ``f``), otherwise its specialization to ``f``."""
-        if (self.support is None and self.kind != "observer") or self.formula == format_formula(f):
+        if (self.support is None and self.kind != "observer") or self.formula == self.decoder(f).formula:
             return self
         return self.for_formula(f)
 
@@ -422,26 +424,20 @@ def calibrate(
     )
 
 
-def estimate_sigma(
-    episodes: Sequence[Episode],
-    predictor,
-    basis_spec,
-    *,
-    floor: float = 1e-6,
-) -> np.ndarray:
+def estimate_sigma(episodes: Sequence[Episode], predictor, basis_spec) -> np.ndarray:
     """Per-coordinate median absolute prediction error on a held-out slice.
 
     Pools all valid times of the given episodes; coordinates whose median is
-    below ``floor`` are floored so downstream divisions stay finite. The
-    scale is deliberately symmetric even though calibration scores are
-    one-sided: the median of one-sided errors is zero for any predictor that
-    overestimates at most half the time, which would collapse every
-    coordinate to the floor and defeat the normalization.
+    below :data:`SIGMA_FLOOR` are floored so downstream divisions stay
+    finite. The scale is deliberately symmetric even though calibration
+    scores are one-sided: the median of one-sided errors is zero for any
+    predictor that overestimates at most half the time, which would collapse
+    every coordinate to the floor and defeat the normalization.
     """
     pooled = [np.abs(_prediction_errors(ep, predictor, basis_spec)) for ep in episodes]
     stacked = np.concatenate(pooled, axis=1)
     sigma = np.median(stacked, axis=1)
-    return np.maximum(sigma, floor)
+    return np.maximum(sigma, SIGMA_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class AtomicDictionary:
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("dictionary atoms must be pairwise structurally distinct")
         for atom in self.atoms:
-            for k in _predicate_indices(atom):
+            for k in _predicate_names(atom):
                 if k < 0 or k >= self.m:
                     raise ValueError(f"atom uses predicate index {k} outside 0..{self.m - 1}")
 
@@ -80,16 +80,6 @@ class AtomicDictionary:
         for atom in self.atoms:
             names.update(_predicate_names(atom))
         return tuple(names.get(k, f"p{k}") for k in range(self.m))
-
-
-def _predicate_indices(f: Formula) -> Iterable[int]:
-    if isinstance(f, Predicate):
-        yield f.index
-    elif isinstance(f, (And, Or)):
-        yield from _predicate_indices(f.left)
-        yield from _predicate_indices(f.right)
-    else:
-        yield from _predicate_indices(f.child)
 
 
 def _predicate_names(f: Formula) -> dict[int, str]:
@@ -156,11 +146,18 @@ DecoderNode = Union[Leaf, MinNode, MaxNode]
 
 @dataclass(frozen=True)
 class Decoder:
-    """A compiled min/max read-out over one basis layout."""
+    """A compiled min/max read-out over one basis layout.
+
+    ``formula`` is the :func:`~ptmon.logic.format_formula` text of the
+    formula it was compiled from and ``horizon`` that formula's horizon, so
+    certification never walks the formula again.
+    """
 
     root: DecoderNode
     basis_kind: BasisKind
     dim: int
+    formula: str
+    horizon: int
 
     @functools.cached_property
     def support(self) -> frozenset[int]:
@@ -206,7 +203,9 @@ def compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decode
         cls = MinNode if d.op == "and" else MaxNode
         return _combine(cls, (build(c) for c in d.children))
 
-    return Decoder(build(decomposition), BasisKind.SEMANTIC, dictionary.r)
+    return Decoder(
+        build(decomposition), BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f)
+    )
 
 
 def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
@@ -235,7 +234,7 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
         cls = MinNode if isinstance(node, Always) else MaxNode
         return _combine(cls, (build(node.child, lag + d) for d in range(iv.a, iv.b + 1)))
 
-    return Decoder(build(f, 0), BasisKind.PREDICATE_HISTORY, m * width)
+    return Decoder(build(f, 0), BasisKind.PREDICATE_HISTORY, m * width, format_formula(f), h)
 
 
 # ---------------------------------------------------------------------------
@@ -295,37 +294,6 @@ def decode_series(d: Decoder, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def decoder_node_to_json(node: DecoderNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"op": "leaf", "idx": node.index}
-    op = "min" if isinstance(node, MinNode) else "max"
-    return {"op": op, "children": [decoder_node_to_json(c) for c in node.children]}
-
-
-def decoder_node_from_json(obj: dict) -> DecoderNode:
-    op = obj["op"]
-    if op == "leaf":
-        return Leaf(int(obj["idx"]))
-    if op not in ("min", "max"):
-        raise ValueError(f"decoder node op must be 'leaf', 'min' or 'max', got {op!r}")
-    children = tuple(decoder_node_from_json(c) for c in obj["children"])
-    if not children:
-        raise ValueError("min/max node needs at least one child")
-    return MinNode(children) if op == "min" else MaxNode(children)
-
-
-def decoder_to_json(d: Decoder) -> dict:
-    return {"basis": d.basis_kind.value, "dim": d.dim, "tree": decoder_node_to_json(d.root)}
-
-
-def decoder_from_json(obj: dict) -> Decoder:
-    return Decoder(
-        decoder_node_from_json(obj["tree"]),
-        BasisKind(obj["basis"]),
-        int(obj["dim"]),
-    )
 
 
 def dictionary_to_json(dictionary: AtomicDictionary) -> dict:

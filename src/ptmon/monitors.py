@@ -37,7 +37,7 @@ from .conformal import (
     predicted_basis,
 )
 from .fragment import Decoder, HorizonExceededError
-from .logic import Formula, NotInFragmentError, format_formula, horizon
+from .logic import Formula, NotInFragmentError, format_formula
 from .robustness import BasisKind, BasisVector, Episode, robustness_series
 
 
@@ -127,20 +127,18 @@ def rolling_certify(
     """Certify ``f`` from buffered per-step predictions at the buffer's time.
 
     Warm-up applies until the monitor's full history depth has streamed past
-    (``t >= k_max``) and the buffer holds at least ``horizon(f)+1`` fresh
-    steps; warm-up verdicts compile nothing. Without ``decoder``, the
-    monitor's own :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used.
+    (``t >= k_max``) and the buffer holds at least ``decoder.horizon + 1``
+    fresh steps. Without ``decoder``, the monitor's own
+    :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used, so a formula
+    the monitor cannot certify raises on the first call, warm-up or not. The
+    verdict names ``decoder.formula``.
     """
-    name = format_formula(f)
-    h = horizon(f)
-    if h > mon.k_max:
-        raise HorizonExceededError(f"formula horizon {h} exceeds history depth {mon.k_max}: {name}")
-    if buf.t < mon.k_max or buf.fill < h + 1:
-        return _warming(buf.t, name)
     if decoder is None:
         decoder = mon.decoder(f)
+    if buf.t < mon.k_max or buf.fill < decoder.horizon + 1:
+        return _warming(buf.t, decoder.formula)
     basis = BasisVector(BasisKind.PREDICATE_HISTORY, buf.history_vector(), buf.t)
-    return _verdict(buf.t, name, certified_lower_bound(mon, basis, decoder))
+    return _verdict(buf.t, decoder.formula, certified_lower_bound(mon, basis, decoder))
 
 
 def semantic_certify(
@@ -152,14 +150,14 @@ def semantic_certify(
     """Certify ``f`` from a predicted dictionary-atom basis snapshot.
 
     Without ``decoder``, the monitor's own
-    :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used.
+    :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used. The verdict
+    names ``decoder.formula``.
     """
-    name = format_formula(f)
     if decoder is None:
         decoder = mon.decoder(f)
     if basis_hat.t < mon.k_max:
-        return _warming(basis_hat.t, name)
-    return _verdict(basis_hat.t, name, certified_lower_bound(mon, basis_hat, decoder))
+        return _warming(basis_hat.t, decoder.formula)
+    return _verdict(basis_hat.t, decoder.formula, certified_lower_bound(mon, basis_hat, decoder))
 
 
 def observer_certify(
@@ -173,11 +171,12 @@ def observer_certify(
     intervals pushed through ``f``: since ``f`` is monotone, that is
     :func:`rolling_certify` with the observer's per-coordinate shift.
     """
-    if mon.formula is not None and mon.formula != format_formula(f):
+    decoder = mon.decoder(f)
+    if mon.formula is not None and mon.formula != decoder.formula:
         raise ValueError(
-            f"observer monitor was calibrated for {mon.formula!r}, asked to certify {format_formula(f)!r}"
+            f"observer monitor was calibrated for {mon.formula!r}, asked to certify {decoder.formula!r}"
         )
-    return rolling_certify(buf, mon, f)
+    return rolling_certify(buf, mon, f, decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def run_episode(
             errors[name] = str(exc)
             continue
         bounds[name] = certified_lower_bounds(mon_f, predicted, decoder)
-        truth[name] = robustness_series(f, ep)[k_max - horizon(f) :]
+        truth[name] = robustness_series(f, ep)[k_max - decoder.horizon :]
     return EpisodeResult(bounds, truth, errors, k_max)
 
 

@@ -207,12 +207,19 @@ class TestCertify:
             "--formula", "G[0,2] p_f", "--out", str(tmp_path / "v.jsonl"),
         ]) == 1
 
-    def test_bad_formula_exit_2(self, workspace, tmp_path):
+    @pytest.mark.parametrize(
+        "formula", ["G[0,2] p_bogus", "G[0,3] p_f"], ids=["unknown_predicate", "outside_dictionary"]
+    )
+    def test_bad_formula_exit_2(self, workspace, tmp_path, formula):
         root, ds, _ = workspace
+        out = tmp_path / "v.jsonl"
+        out.write_text('{"earlier": "verdicts"}\n')
+        before = out.read_bytes()
         assert main([
             "certify", "--model", str(root / "sem.json"), "--dataset", str(ds),
-            "--formula", "G[0,2] p_bogus", "--out", str(tmp_path / "v.jsonl"),
+            "--formula", formula, "--out", str(out),
         ]) == 2
+        assert out.read_bytes() == before
 
 
 class TestReport:

@@ -28,8 +28,6 @@ from ptmon.fragment import (
     decode,
     decode_series,
     decode_values,
-    decoder_from_json,
-    decoder_to_json,
     dictionary_from_json,
     dictionary_to_json,
     information_order_check,
@@ -126,18 +124,24 @@ class TestDecoderStructure:
         with pytest.raises(HorizonExceededError):
             compile_history_decoder(f, 1, 3)
 
-    def test_json_round_trip(self):
-        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
-        f = parse_formula("G[0,1] p0 & (F[0,2] p1 | F[0,1] p0)", ("p0", "p1"))
-        dec = compile_semantic_decoder(f, d)
-        back = decoder_from_json(decoder_to_json(dec))
-        assert back == dec
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_history_decoder_carries_formula_and_horizon(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_pnf_formula(rng, m=3)
+        dec = compile_history_decoder(f, 3, horizon(f) + int(rng.integers(0, 3)))
+        assert dec.formula == format_formula(f)
+        assert dec.horizon == horizon(f)
 
-    @pytest.mark.parametrize("op", ["mean", "MIN", ""])
-    def test_json_rejects_unknown_op(self, op):
-        blob = {"basis": "semantic", "dim": 1, "tree": {"op": op, "children": [{"op": "leaf", "idx": 0}]}}
-        with pytest.raises(ValueError, match="op"):
-            decoder_from_json(blob)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_semantic_decoder_carries_formula_and_horizon(self, seed):
+        rng = np.random.default_rng(seed)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        f = random_fragment_formula(rng, d)
+        dec = compile_semantic_decoder(f, d)
+        assert dec.formula == format_formula(f)
+        assert dec.horizon == horizon(f)
 
 
 class TestDecodeExactness:

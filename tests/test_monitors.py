@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import random_episode, random_fragment_formula
 import ptmon.conformal as conformal
+import ptmon.fragment as fragment
+import ptmon.monitors as monitors
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     ScoreConfig,
@@ -17,7 +19,7 @@ from ptmon.conformal import (
     interval_propagate,
     observer_calibrate,
 )
-from ptmon.fragment import build_depth1_dictionary, compile_history_decoder
+from ptmon.fragment import build_depth1_dictionary, compile_history_decoder, compile_semantic_decoder
 from ptmon.logic import format_formula, parse_formula
 from ptmon.monitors import (
     EpisodeResult,
@@ -155,6 +157,20 @@ class TestRollingCertify:
             buf2.push([1.0, 2.0])  # lb = exactly 0.0
         assert rolling_certify(buf2, mon, f).label is Label.SAFE
 
+    def test_verdict_names_the_decoders_formula(self):
+        rng = np.random.default_rng(8)
+        mon, stub, _ = rolling_monitor(rng)
+        f, g = (parse_formula(t, ("p0", "p1")) for t in ("G[0,2] p0", "F[0,1] p1"))
+        dec = compile_history_decoder(g, 2, 3)
+        buf = RollingBuffer(2, 3)
+        rolling_step(buf, [1.0, 2.0])
+        assert rolling_certify(buf, mon, f, dec).formula == format_formula(g)
+        for _ in range(4):
+            rolling_step(buf, [1.0, 2.0])
+        v = rolling_certify(buf, mon, f, dec)
+        assert v.formula == format_formula(g)
+        assert v.lower_bound == rolling_certify(buf, mon, g).lower_bound
+
 
 class TestSemanticCertify:
     def test_warmup_and_verdict(self):
@@ -172,6 +188,21 @@ class TestSemanticCertify:
         v = semantic_certify(hat, mon, f)
         assert v.t == t
         assert v.lower_bound is not None
+
+    def test_verdict_names_the_decoders_formula(self):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        rng = np.random.default_rng(9)
+        eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
+        stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        f, g = (parse_formula(t, d.predicate_names) for t in ("G[0,1] p0", "F[0,2] p1 | G[0,1] p0"))
+        dec = compile_semantic_decoder(g, d)
+        early = BasisVector(BasisKind.SEMANTIC, np.zeros(d.r), 1)
+        assert semantic_certify(early, mon, f, dec).formula == format_formula(g)
+        hat = BasisVector(BasisKind.SEMANTIC, semantic_basis(eps[0], d, 5).values, 5)
+        v = semantic_certify(hat, mon, f, dec)
+        assert v.formula == format_formula(g)
+        assert v.lower_bound == semantic_certify(hat, mon, g).lower_bound
 
 
 class TestObserverCertify:
@@ -314,6 +345,58 @@ class TestDecoderCache:
         n1, n2 = format_formula(f1), format_formula(f2)
         # semantic: (sem, f1), (sem, f2); history: (roll, f1), (obs, f1), (roll, f2)
         assert compiled == {("semantic", n1): 1, ("semantic", n2): 1, ("history", n1): 2, ("history", n2): 1}
+
+    def test_certification_walks_no_formula_after_compiling(self, monkeypatch):
+        # Once a (monitor, formula) pair has compiled, its verdicts take the
+        # formula's text and horizon from the decoder.
+        rng = np.random.default_rng(21)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
+        sem_stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
+        sem = calibrate(eps, sem_stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        roll, pred_stub, _ = rolling_monitor(rng, m=2, k_max=3)
+        formulas = [parse_formula(t, d.predicate_names) for t in ("G[0,1] p0", "F[0,2] p1 | G[0,2] p0")]
+        observers = [observer_calibrate(eps, pred_stub, f, 0.1, k_max=3) for f in formulas]
+
+        walks = Counter()
+        for mod in (conformal, fragment, monitors):
+            for name in ("format_formula", "horizon"):
+                if hasattr(mod, name):
+                    def walking(f, real=getattr(mod, name), name=name):
+                        walks[name] += 1
+                        return real(f)
+
+                    monkeypatch.setattr(mod, name, walking)
+        compiles = []
+        for layout in ("semantic", "history"):
+            def compiling(f, *args, real=getattr(conformal, f"compile_{layout}_decoder")):
+                compiles.append(f)
+                return real(f, *args)
+
+            monkeypatch.setattr(conformal, f"compile_{layout}_decoder", compiling)
+
+        compiled = set()
+        late_walks = Counter()
+
+        def certify(key, call):
+            walked, n_compiles = walks.copy(), len(compiles)
+            call()
+            if key in compiled:
+                late_walks.update(walks - walked)
+                assert len(compiles) == n_compiles, key
+            elif len(compiles) > n_compiles:
+                compiled.add(key)
+
+        buf = RollingBuffer(2, 3)
+        for t in range(10):
+            rolling_step(buf, rng.normal(size=2))
+            basis = BasisVector(BasisKind.SEMANTIC, rng.normal(size=d.r), t)
+            for i, f in enumerate(formulas):
+                certify(("semantic", i), lambda: semantic_certify(basis, sem, f))
+                certify(("rolling", i), lambda: rolling_certify(buf, roll, f))
+                certify(("observer", i), lambda: observer_certify(buf, observers[i], f))
+        assert len(compiled) == 6
+        assert late_walks == Counter()
 
 
 def stream_verdicts(ep, predictor, mon, f):
