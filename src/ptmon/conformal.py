@@ -132,6 +132,10 @@ class ScoreCache:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"cache matrix must be 2-D, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("cache matrix contains non-finite entries")
+        if self.level not in (1, 2):
+            raise ValueError(f"level must be 1 or 2, got {self.level}")
         object.__setattr__(self, "matrix", matrix)
 
     @property

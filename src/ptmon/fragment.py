@@ -34,7 +34,14 @@ from .logic import (
     horizon,
     parse_formula,
 )
-from .robustness import BasisKind, BasisVector, predicate_history_series, semantic_basis_series
+from .robustness import (
+    BasisKind,
+    BasisVector,
+    WindowLayout,
+    predicate_history_series,
+    semantic_basis_series,
+    window_layout,
+)
 
 
 class HorizonExceededError(ValueError):
@@ -50,7 +57,9 @@ class AtomicDictionary:
     """An ordered tuple of structurally distinct atom formulas.
 
     ``m`` is the number of predicates the atoms range over. The history depth
-    ``K_max`` is derived as the largest atom horizon.
+    ``K_max`` is derived as the largest atom horizon, and ``window_layout``
+    tells semantic basis extraction which atoms share its running min/max
+    pass; both are computed once per dictionary.
     """
 
     atoms: tuple[Formula, ...]
@@ -69,6 +78,10 @@ class AtomicDictionary:
     @functools.cached_property
     def K_max(self) -> int:
         return max(horizon(a) for a in self.atoms)
+
+    @functools.cached_property
+    def window_layout(self) -> WindowLayout:
+        return window_layout(self.atoms)
 
     @property
     def r(self) -> int:

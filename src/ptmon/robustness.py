@@ -5,10 +5,13 @@ the min, ``|`` the max, ``G[a,b]`` the min over the backward window
 ``t-b..t-a`` and ``F[a,b]`` the max. A formula is satisfied at ``t`` exactly
 when its robustness is ``>= 0``.
 
-There is one evaluator: it computes a formula's robustness at every valid
-time of a ``(m, n)`` margin array, window nodes as the elementwise min/max of
+One evaluator computes a formula's robustness at every valid time of a
+``(m, n)`` margin array, window nodes as the elementwise min/max of
 lag-shifted slices. A value at one time ``t`` is that evaluator run on the
-window ``t - horizon .. t``.
+window ``t - horizon .. t``. The semantic basis has one shortcut: the
+dictionary's ``G[0,b] p`` and ``F[0,b] p`` atoms share one running min and
+max over the lag slices of all predicates, which applies the same operations
+in the same order, so its rows are bit-identical to the evaluator's.
 
 Two flattenings of an episode's history are used downstream:
 
@@ -33,6 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .logic import (
     Always,
     And,
+    Eventually,
     Formula,
     Or,
     Predicate,
@@ -227,26 +231,93 @@ def stack_lags(step_values: np.ndarray, k_max: int) -> np.ndarray:
     return np.array(windows[:, :, ::-1].transpose(0, 2, 1), order="C").reshape(m * width, -1)
 
 
+@dataclass(frozen=True, eq=False)
+class WindowLayout:
+    """Which atoms of a dictionary the shared running min/max pass fills.
+
+    Row ``rows[i]`` of the semantic basis is ``G[0,b] p`` (``modes[i] == 0``)
+    or ``F[0,b] p`` (``modes[i] == 1``) for the predicate ``predicates[i]``
+    and ``b = widths[width_index[i]]``; ``widths`` holds the distinct ``b``
+    in ascending order. Every row in ``fallback`` is evaluated on its own.
+    """
+
+    widths: tuple[int, ...]
+    rows: np.ndarray
+    modes: np.ndarray
+    width_index: np.ndarray
+    predicates: np.ndarray
+    fallback: tuple[int, ...]
+
+
+def window_layout(atoms: Sequence[Formula]) -> WindowLayout:
+    """The :class:`WindowLayout` of a dictionary's atoms."""
+    shared = [
+        i
+        for i, f in enumerate(atoms)
+        if isinstance(f, (Always, Eventually)) and f.interval.a == 0 and isinstance(f.child, Predicate)
+    ]
+    bs = np.array([atoms[i].interval.b for i in shared], dtype=np.intp)
+    widths = np.unique(bs)
+    return WindowLayout(
+        widths=tuple(widths.tolist()),
+        rows=np.array(shared, dtype=np.intp),
+        modes=np.array([isinstance(atoms[i], Eventually) for i in shared], dtype=np.intp),
+        width_index=np.searchsorted(widths, bs),
+        predicates=np.array([atoms[i].child.index for i in shared], dtype=np.intp),
+        fallback=tuple(i for i in range(len(atoms)) if i not in shared),
+    )
+
+
+def _basis_rows(mu: np.ndarray, dictionary) -> np.ndarray:
+    """Every atom's robustness at the times ``K_max .. n-1`` of a ``(m, n)``
+    margin array, one atom per row; ``n > K_max``."""
+    layout = dictionary.window_layout
+    k, n = dictionary.K_max, mu.shape[1]
+    out = np.empty((dictionary.r, n - k))
+    if layout.widths:
+        # lo and hi run over mu[:, k-j : n-j], lag j at the times k .. n-1, in
+        # the order windowed_extrema reduces a [0, b] window.
+        lo = hi = mu[:, k:]
+        extrema = []
+        for j in range(layout.widths[-1] + 1):
+            if j:
+                lag = mu[:, k - j : n - j]
+                lo, hi = np.minimum(lo, lag), np.maximum(hi, lag)
+            if j in layout.widths:
+                extrema.append((lo, hi))
+        out[layout.rows] = np.array(extrema)[layout.width_index, layout.modes, layout.predicates]
+    for i in layout.fallback:
+        row = _series(dictionary.atoms[i], mu)
+        out[i] = row[row.size - out.shape[1] :]
+    return out
+
+
 def semantic_basis(ep: Episode, dictionary, t: int) -> BasisVector:
-    """Robustness of every dictionary atom at time ``t``."""
+    """Robustness of every dictionary atom at time ``t``: the one column of
+    :func:`semantic_basis_series`'s routine run on the window
+    ``t - K_max .. t``."""
     k_max = dictionary.K_max
     if t < k_max or t > ep.T:
         raise TimeOutOfRangeError(f"t={t} outside valid range [{k_max}, {ep.T}]")
-    window = ep.mu[:, t - k_max : t + 1]
-    values = np.array([_series(atom, window)[-1] for atom in dictionary.atoms])
+    values = _basis_rows(ep.mu[:, t - k_max : t + 1], dictionary)[:, 0]
     return BasisVector(BasisKind.SEMANTIC, values, t)
 
 
 def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:
     """Semantic vectors for all valid times, one dictionary atom per row.
 
-    Shape ``(r, T - K_max + 1)``, aligned to ``t = K_max .. T``: each atom's
-    series is cut to that common tail, and the rows agree exactly with
-    pointwise :func:`semantic_basis` calls.
+    Shape ``(r, T - K_max + 1)``, aligned to ``t = K_max .. T``. The atoms
+    ``G[0,b] p`` and ``F[0,b] p`` over a bare predicate (the whole of a
+    :func:`~ptmon.fragment.build_depth1_dictionary` dictionary whose windows
+    start at 0) come from one shared pass: a running ``np.minimum`` and
+    ``np.maximum`` over the lag slices of all predicates, snapshotted at each
+    distinct ``b`` and gathered into their rows. Every other atom is evaluated
+    on its own with :func:`robustness_series`'s evaluator and cut to the
+    common tail. Both are exact, so each row equals that atom's
+    :func:`robustness_series` tail bit for bit, and each column equals
+    :func:`semantic_basis` at its time. The result is a new writable array.
     """
     k_max = dictionary.K_max
     if ep.T < k_max:
         raise TimeOutOfRangeError(f"episode too short: T={ep.T} < K_max={k_max}")
-    n = ep.T - k_max + 1
-    rows = [_series(atom, ep.mu) for atom in dictionary.atoms]
-    return np.vstack([row[row.size - n :] for row in rows])
+    return _basis_rows(ep.mu, dictionary)

@@ -443,6 +443,29 @@ class TestPersistence:
         assert np.array_equal(back.matrix, cache.matrix)
         assert back.level == 1 and back.seed == 3 and back.symmetric
 
+    @staticmethod
+    def _tampered_cache(tmp_path, **changes):
+        """Save a valid cache, rewrite some of its fields, return the path."""
+        rng = np.random.default_rng(15)
+        path = tmp_path / "c.npz"
+        save_score_cache(ScoreCache(rng.normal(size=(40, 3)), level=2, seed=0), path)
+        with np.load(path) as data:
+            fields = {**data, **changes}
+        np.savez(path, **fields)
+        return path
+
+    def test_load_rejects_nonfinite_scores(self, tmp_path):
+        matrix = np.random.default_rng(16).normal(size=(40, 3))
+        matrix[:25, 1] = np.nan
+        path = self._tampered_cache(tmp_path, matrix=matrix)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_score_cache(path)
+
+    def test_load_rejects_unknown_level(self, tmp_path):
+        path = self._tampered_cache(tmp_path, level=np.int64(7))
+        with pytest.raises(ValueError, match="level must be 1 or 2"):
+            load_score_cache(path)
+
     def test_monitor_round_trip_semantic(self, tmp_path):
         d = tiny_dictionary()
         rng = np.random.default_rng(13)

@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,19 @@ from helpers import (
     random_pnf_formula,
     valid_time,
 )
-from ptmon.fragment import AtomicDictionary
-from ptmon.logic import Always, And, Eventually, Or, TimeInterval, horizon, parse_formula
+from ptmon import fragment
+from ptmon.benchmark import DEFAULT_INTERVALS, PREDICATE_NAMES
+from ptmon.fragment import AtomicDictionary, build_depth1_dictionary
+from ptmon.logic import (
+    Always,
+    And,
+    Eventually,
+    Or,
+    Predicate,
+    TimeInterval,
+    horizon,
+    parse_formula,
+)
 from ptmon.robustness import (
     BasisKind,
     BasisVector,
@@ -26,6 +40,10 @@ from ptmon.robustness import (
     semantic_basis_series,
     windowed_extrema,
 )
+
+# ``ptmon.robustness`` is also the name of the package's robustness function.
+robustness_module = importlib.import_module("ptmon.robustness")
+
 
 class TestEpisode:
     def test_properties(self):
@@ -252,3 +270,80 @@ class TestSemanticBasis:
             atom = standard_dictionary.atoms[i]
             for t in (K, 18):
                 assert series[i, t - K] == naive_robustness(atom, ep.mu, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_shared_pass_matches_per_atom_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        d = mixed_dictionary(rng, m)
+        K = d.K_max
+        T = K + int(rng.integers(0, 13))
+        ep = random_episode(rng, m, T)
+        series = semantic_basis_series(ep, d)
+        assert series.shape == (d.r, T - K + 1)
+        times = rng.integers(K, T + 1, size=3)
+        for i, atom in enumerate(d.atoms):
+            row = robustness_series(atom, ep)
+            assert series[i].tobytes() == row[row.size - series.shape[1] :].tobytes()
+            for t in times:
+                assert series[i, t - K] == naive_robustness(atom, ep.mu, t)
+        for t in times:
+            assert series[:, t - K].tobytes() == semantic_basis(ep, d, t).values.tobytes()
+        mu = ep.mu.copy()
+        series[:] = np.nan
+        semantic_basis(ep, d, T).values[:] = np.nan
+        assert np.array_equal(ep.mu, mu)
+        if K > 0:
+            with pytest.raises(TimeOutOfRangeError):
+                semantic_basis_series(random_episode(rng, m, int(rng.integers(0, K))), d)
+
+    def test_shared_pass_runs_no_per_atom_evaluator(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(robustness_module, "windowed_extrema")
+        counted(robustness_module, "_series")
+        counted(fragment, "window_layout")
+        d = build_depth1_dictionary(7, DEFAULT_INTERVALS, PREDICATE_NAMES)
+        ep = random_episode(np.random.default_rng(17), 7, 40, names=PREDICATE_NAMES)
+        for _ in range(3):
+            semantic_basis_series(ep, d)
+        semantic_basis(ep, d, 30)
+        assert calls == {"window_layout": 1}
+
+
+def mixed_dictionary(rng, m):
+    """A dictionary whose ``G[0,b] p`` / ``F[0,b] p`` atoms (random widths,
+    ``b = 0`` included) are shuffled among atoms outside that layout: a
+    window with ``a > 0``, a nested window, an ``&``/``|`` atom and a bare
+    predicate, each present at random."""
+
+    def p():
+        k = int(rng.integers(m))
+        return Predicate(f"p{k}", k)
+
+    def op():
+        return Always if rng.random() < 0.5 else Eventually
+
+    atoms = [op()(TimeInterval(0, int(rng.integers(0, 9))), p()) for _ in range(rng.integers(0, 9))]
+    if rng.random() < 0.5:
+        a = int(rng.integers(1, 4))
+        atoms.append(op()(TimeInterval(a, a + int(rng.integers(0, 4))), p()))
+    if rng.random() < 0.5:
+        atoms.append(nested_window_formula(rng, m))
+    if rng.random() < 0.5:
+        pair = (op()(random_interval(rng), p()), op()(random_interval(rng), p()))
+        atoms.append(And(*pair) if rng.random() < 0.5 else Or(*pair))
+    if rng.random() < 0.5 or not atoms:
+        atoms.append(p())
+    atoms = list(dict.fromkeys(atoms))
+    return AtomicDictionary(tuple(atoms[i] for i in rng.permutation(len(atoms))), m)
