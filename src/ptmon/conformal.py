@@ -475,7 +475,8 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     """
     values = predicted.values
     _check_certifiable(mon, predicted.kind, values.shape[0], d)
-    return decode_values(d, values - mon.shift)
+    # A basis vector is one-dimensional, so the check above covers its shape.
+    return d.read((values - mon.shift).tolist(), min, max)
 
 
 def certified_lower_bounds(mon: CalibratedMonitor, predicted: np.ndarray, d: Decoder) -> np.ndarray:

@@ -7,16 +7,20 @@ disjunction act as coordinatewise min/max. The same construction unrolls
 window operators into min/max over lagged predicate-history coordinates, so
 one decoder type serves both basis layouts.
 
-Decoders are plain trees of ``leaf`` / ``min`` / ``max`` nodes. They are
-monotone in every coordinate and 1-Lipschitz for the sup norm, which is what
-makes uniform lower bounds on the basis transfer to the decoded value.
+Decoders are trees of ``leaf`` / ``min`` / ``max`` nodes. They are monotone
+in every coordinate and 1-Lipschitz for the sup norm, which is what makes
+uniform lower bounds on the basis transfer to the decoded value. On its first
+decode a decoder turns its tree into one straight-line Python function,
+:attr:`Decoder.read`, that both the per-step and the batch decode run: with
+the built-in ``min``/``max`` over a list of floats, or with left folds of
+``np.minimum``/``np.maximum`` over the rows of a basis matrix.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -157,13 +161,33 @@ class MaxNode:
 DecoderNode = Union[Leaf, MinNode, MaxNode]
 
 
+def _nodes(root: DecoderNode) -> Iterator[DecoderNode]:
+    """Every node of a decoder tree, each parent before its children and
+    siblings last to first."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, Leaf):
+            stack.extend(node.children)
+
+
 @dataclass(frozen=True)
 class Decoder:
     """A compiled min/max read-out over one basis layout.
 
     ``formula`` is the :func:`~ptmon.logic.format_formula` text of the
     formula it was compiled from and ``horizon`` that formula's horizon, so
-    certification never walks the formula again.
+    certification never walks the formula again. The tree is checked when
+    the decoder is built: every leaf reads an ``int`` coordinate in
+    ``0..dim-1`` and every min/max node has at least one child (a one-child
+    node reads its child).
+
+    Decoding runs :attr:`read`, generated once per decoder on its first
+    decode, with one of two reducer pairs: the built-in ``min``/``max`` over
+    a list of floats (:func:`decode_values`), or left folds of
+    ``np.minimum``/``np.maximum`` over the rows of a ``(dim, n)`` matrix
+    (:func:`decode_series`).
     """
 
     root: DecoderNode
@@ -172,18 +196,57 @@ class Decoder:
     formula: str
     horizon: int
 
+    def __post_init__(self) -> None:
+        for node in _nodes(self.root):
+            if isinstance(node, Leaf):
+                # ``type`` rather than ``isinstance``: the index is written
+                # into generated source, so it must print as a plain literal.
+                if type(node.index) is not int or not 0 <= node.index < self.dim:
+                    raise ValueError(f"leaf index {node.index!r} outside 0..{self.dim - 1}")
+            elif not node.children:
+                raise ValueError(f"{type(node).__name__} needs at least one child")
+
+    def __getstate__(self) -> dict:
+        # The generated read-out is a function without an importable name;
+        # an unpickled decoder generates its own on first decode.
+        return {k: v for k, v in self.__dict__.items() if k != "read"}
+
     @functools.cached_property
     def support(self) -> frozenset[int]:
         """The basis coordinates the decoder actually reads."""
-        out: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        return frozenset(node.index for node in _nodes(self.root) if isinstance(node, Leaf))
+
+    @functools.cached_property
+    def read(self) -> Callable:
+        """The tree as one straight-line function ``read(v, lo, hi)``.
+
+        Every min/max node of two or more children becomes one line
+        ``t<k> = lo(...)`` (min) or ``t<k> = hi(...)`` (max) whose arguments
+        are its children in tree order; a leaf is ``v[index]`` and a
+        one-child node is its child. Children come before their parent, so
+        no expression nests and the source holds nothing but ``int``
+        indices, ``t<k>`` names and ``lo``/``hi``.
+        """
+        lines: list[str] = []
+        names: dict[int, str] = {}
+
+        def ref(node: DecoderNode) -> str:
+            return f"v[{node.index}]" if isinstance(node, Leaf) else names[id(node)]
+
+        # Reversed, ``_nodes`` puts every child before its parent and
+        # siblings first to last.
+        for node in reversed(list(_nodes(self.root))):
             if isinstance(node, Leaf):
-                out.add(node.index)
-            else:
-                stack.extend(node.children)
-        return frozenset(out)
+                continue
+            args = [ref(c) for c in node.children]
+            op = "lo" if isinstance(node, MinNode) else "hi"
+            expr = args[0] if len(args) == 1 else f"{op}({', '.join(args)})"
+            names[id(node)] = name = f"t{len(lines)}"
+            lines.append(f"    {name} = {expr}\n")
+        source = "def read(v, lo, hi):\n" + "".join(lines) + f"    return {ref(self.root)}\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        return namespace["read"]
 
 
 def _combine(cls, children: Iterable[DecoderNode]) -> DecoderNode:
@@ -255,18 +318,12 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
 # ---------------------------------------------------------------------------
 
 
-def _eval_node(node: DecoderNode, values: np.ndarray) -> float:
-    if isinstance(node, Leaf):
-        return float(values[node.index])
-    child_values = (_eval_node(c, values) for c in node.children)
-    return min(child_values) if isinstance(node, MinNode) else max(child_values)
+def _fold(op: np.ufunc) -> Callable[..., np.ndarray]:
+    """``op`` reduced over its arguments left to right."""
+    return lambda *rows: functools.reduce(op, rows)
 
 
-def _eval_series(node: DecoderNode, values: np.ndarray) -> np.ndarray:
-    if isinstance(node, Leaf):
-        return values[node.index]
-    op = np.minimum if isinstance(node, MinNode) else np.maximum
-    return functools.reduce(op, (_eval_series(c, values) for c in node.children))
+_ROWS_MIN, _ROWS_MAX = _fold(np.minimum), _fold(np.maximum)
 
 
 def decode(d: Decoder, basis: BasisVector) -> float:
@@ -281,7 +338,7 @@ def decode(d: Decoder, basis: BasisVector) -> float:
         raise BasisMismatchError(
             f"decoder expects dimension {d.dim}, basis has shape {basis.values.shape}"
         )
-    return _eval_node(d.root, basis.values)
+    return d.read(basis.values.tolist(), min, max)
 
 
 def decode_values(d: Decoder, values: np.ndarray) -> float:
@@ -291,7 +348,7 @@ def decode_values(d: Decoder, values: np.ndarray) -> float:
         raise BasisMismatchError(
             f"decoder expects dimension {d.dim}, got shape {values.shape}"
         )
-    return _eval_node(d.root, values)
+    return d.read(values.tolist(), min, max)
 
 
 def decode_series(d: Decoder, values: np.ndarray) -> np.ndarray:
@@ -301,7 +358,7 @@ def decode_series(d: Decoder, values: np.ndarray) -> np.ndarray:
         raise BasisMismatchError(
             f"decoder expects ({d.dim}, n) columns, got shape {values.shape}"
         )
-    return _eval_series(d.root, values)
+    return d.read(values, _ROWS_MIN, _ROWS_MAX)
 
 
 # ---------------------------------------------------------------------------

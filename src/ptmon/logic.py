@@ -23,13 +23,15 @@ predicate for ``-h`` instead of ``not (h >= 0)``), which keeps every operator
 monotone in the predicate values.
 
 All node types are immutable; structural equality and hashing come from the
-dataclass machinery, so formulas can key dictionaries and sets directly.
+dataclass machinery, so formulas can key dictionaries and sets directly. A
+formula node computes its hash once, keeps it, and leaves it out of its
+pickled state (a string's hash differs between interpreter runs).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence, Union
 
 
@@ -52,6 +54,33 @@ class TimeInterval:
         return f"[{self.a},{self.b}]"
 
 
+def _structural_hash(node) -> int:
+    """The hash a frozen dataclass gives ``node``: that of its field tuple."""
+    return hash(tuple(getattr(node, f.name) for f in fields(node)))
+
+
+def _cached_hash(node) -> int:
+    h = node.__dict__.get("_hash")
+    if h is None:
+        h = node.__dict__["_hash"] = _structural_hash(node)
+    return h
+
+
+def _state_without_hash(node) -> dict:
+    return {k: v for k, v in node.__dict__.items() if k != "_hash"}
+
+
+def _hash_once(cls):
+    """Give a frozen dataclass its structural hash, computed once per node.
+
+    Looking a formula up in a dict would otherwise rehash its whole tree.
+    """
+    cls.__hash__ = _cached_hash
+    cls.__getstate__ = _state_without_hash
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Predicate:
     """A named atomic measurement; ``index`` is its row in the episode data."""
@@ -60,18 +89,21 @@ class Predicate:
     index: int
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Always:
     """Child held at every step of the backward window."""
@@ -80,6 +112,7 @@ class Always:
     child: "Formula"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Eventually:
     """Child held at some step of the backward window."""

@@ -1,14 +1,18 @@
 """Shared test utilities: naive reference oracles and seeded generators.
 
 The oracles here deliberately avoid every optimization the library uses —
-no memoization, no sliding-window deques, no vectorization — so agreement
-between the two is meaningful.
+no memoization, no sliding-window deques, no vectorization beyond single
+elementwise ufuncs, no generated code — so agreement between the two is
+meaningful.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from ptmon.fragment import DecoderNode, Leaf, MinNode
 from ptmon.logic import (
     Always,
     And,
@@ -46,6 +50,23 @@ def naive_robustness(f: Formula, mu: np.ndarray, t: int) -> float:
             for k in range(f.interval.a, f.interval.b + 1)
         )
     raise TypeError(f"not a formula: {f!r}")
+
+
+def naive_decode(node: DecoderNode, values) -> float:
+    """Walk a decoder tree with the built-in ``min``/``max``, child by child."""
+    if isinstance(node, Leaf):
+        return float(values[node.index])
+    child_values = (naive_decode(c, values) for c in node.children)
+    return min(child_values) if isinstance(node, MinNode) else max(child_values)
+
+
+def naive_decode_series(node: DecoderNode, values: np.ndarray) -> np.ndarray:
+    """Walk a decoder tree over the rows of a ``(dim, n)`` matrix, folding
+    each node's children left to right with ``np.minimum``/``np.maximum``."""
+    if isinstance(node, Leaf):
+        return values[node.index]
+    op = np.minimum if isinstance(node, MinNode) else np.maximum
+    return functools.reduce(op, (naive_decode_series(c, values) for c in node.children))
 
 
 def naive_windowed_extrema(series, interval: TimeInterval, mode: str):

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    naive_decode,
+    naive_decode_series,
     naive_robustness,
     random_episode,
     random_fragment_formula,
     random_pnf_formula,
     valid_time,
 )
+import ptmon.fragment as fragment
 from ptmon.logic import And, Predicate, format_formula, horizon, parse_formula
 from ptmon.fragment import (
     AtomicDictionary,
@@ -226,6 +230,109 @@ class TestDecodeGuards:
         dec = compile_semantic_decoder(d.atoms[0], d)
         with pytest.raises(BasisMismatchError):
             decode_values(dec, np.zeros(5))
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# Ties, repeats and both signed zeros, so that an evaluator reducing children
+# in another order or breaking ties another way reads out different bits.
+TIE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5)
+
+
+def hand_built_trees(dim: int):
+    """Decoder trees as no compiler builds them: any nesting, children
+    repeated, one-child min/max nodes and single-leaf roots."""
+    leaves = st.builds(Leaf, st.integers(0, dim - 1))
+
+    def node(children):
+        kids = st.lists(children, min_size=1, max_size=4).map(tuple)
+        return st.one_of(st.builds(MinNode, kids), st.builds(MaxNode, kids))
+
+    return st.recursive(leaves, node, max_leaves=12)
+
+
+@st.composite
+def decoders(draw):
+    kind = draw(st.sampled_from(("semantic", "history", "hand-built")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "semantic":
+        d = build_depth1_dictionary(2, ((0, 1), (0, 3), (1, 2)))
+        return compile_semantic_decoder(random_fragment_formula(rng, d), d)
+    if kind == "history":
+        f = random_pnf_formula(rng, 2, depth=3, max_b=3)
+        return compile_history_decoder(f, 2, horizon(f) + int(rng.integers(0, 2)))
+    return Decoder(draw(hand_built_trees(6)), BasisKind.SEMANTIC, 6, "hand-built", 0)
+
+
+class TestReadOut:
+    @settings(max_examples=150, deadline=None)
+    @given(decoders(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_one_evaluator_matches_the_tree_walk(self, dec, n, seed):
+        rng = np.random.default_rng(seed)
+        shape = (dec.dim, n)
+        matrix = np.where(rng.random(shape) < 0.5, rng.choice(TIE_VALUES, shape), rng.normal(size=shape))
+
+        series = decode_series(dec, matrix)
+        assert series.shape == (n,)
+        assert bits(series) == naive_decode_series(dec.root, matrix).tobytes()
+        for j in range(n):
+            column = matrix[:, j]
+            got = decode_values(dec, column)
+            assert type(got) is float
+            assert bits(got) == bits(naive_decode(dec.root, column))
+            # The two reducer pairs agree in value; on a tie between 0.0 and
+            # -0.0 the built-in min/max keep the first argument and numpy's
+            # ufuncs the second, so only the sign of a zero may differ.
+            assert series[j] == got
+
+    def test_source_is_straight_line(self, monkeypatch):
+        sources = []
+
+        def recording(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(fragment, "exec", recording, raising=False)
+        tree = MaxNode((MinNode((Leaf(2), Leaf(0))), MinNode((Leaf(1),)), Leaf(3)))
+        dec = Decoder(tree, BasisKind.SEMANTIC, 4, "hand-built", 0)
+        assert decode_values(dec, np.array([4.0, 1.0, 3.0, 2.0])) == 3.0
+        assert sources == [
+            "def read(v, lo, hi):\n"
+            "    t0 = lo(v[2], v[0])\n"
+            "    t1 = v[1]\n"
+            "    t2 = hi(t0, t1, v[3])\n"
+            "    return t2\n"
+        ]
+
+    def test_pickles_after_decoding(self):
+        f = parse_formula("G[0,2] p0 | F[0,1] p1", ("p0", "p1"))
+        dec = compile_history_decoder(f, 2, 2)
+        x = np.random.default_rng(1).normal(size=dec.dim)
+        want = decode_values(dec, x)
+        back = pickle.loads(pickle.dumps(dec))
+        assert back == dec
+        assert decode_values(back, x) == want
+
+
+class TestDecoderValidation:
+    @pytest.mark.parametrize("index", [-1, 3, 1.0, True, np.int64(1)])
+    def test_leaf_index_must_be_an_int_inside_the_basis(self, index):
+        with pytest.raises(ValueError, match="leaf index"):
+            Decoder(MinNode((Leaf(0), Leaf(index))), BasisKind.SEMANTIC, 3, "x", 0)
+
+    @pytest.mark.parametrize("cls", [MinNode, MaxNode])
+    def test_empty_node_rejected_when_built(self, cls):
+        with pytest.raises(ValueError, match="at least one child"):
+            Decoder(MaxNode((Leaf(0), cls(()))), BasisKind.SEMANTIC, 3, "x", 0)
+
+    def test_one_child_node_reads_its_child(self):
+        dec = Decoder(MinNode((MaxNode((Leaf(1),)),)), BasisKind.SEMANTIC, 3, "x", 0)
+        x = np.array([[5.0, 0.0], [-2.0, -0.0], [7.0, 1.0]])
+        assert dec.support == {1}
+        assert bits(decode_values(dec, x[:, 1])) == bits(-0.0)
+        assert bits(decode_series(dec, x)) == x[1].tobytes()
 
 
 class TestInformationOrder:

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_robustness, random_pnf_formula
+import ptmon
+import ptmon.logic as logic
 from ptmon.fragment import compile_semantic_decoder
 from ptmon.logic import (
     Always,
@@ -40,6 +47,75 @@ class TestTimeInterval:
 
     def test_str(self):
         assert str(TimeInterval(1, 3)) == "[1,3]"
+
+
+def formula_nodes(f):
+    """The distinct node objects of a formula tree."""
+    out, stack = {}, [f]
+    while stack:
+        node = stack.pop()
+        out[id(node)] = node
+        if isinstance(node, (And, Or)):
+            stack += [node.left, node.right]
+        elif isinstance(node, (Always, Eventually)):
+            stack.append(node.child)
+    return list(out.values())
+
+
+PICKLE_A_HASHED_FORMULA = """
+import pickle, sys
+from ptmon.logic import parse_formula
+f = parse_formula("G[0,2] p0 & (F[0,1] p1 | p2)", ("p0", "p1", "p2"))
+hash(f)
+sys.stdout.buffer.write(pickle.dumps(f))
+"""
+
+LOOK_IT_UP = """
+import pickle, sys
+from ptmon.logic import parse_formula
+f = pickle.loads(sys.stdin.buffer.read())
+g = parse_formula("G[0,2] p0 & (F[0,1] p1 | p2)", ("p0", "p1", "p2"))
+assert f == g
+assert {g: 1}.get(f) == 1 and {f: 1}.get(g) == 1, "stale hash"
+assert {g.left: 1}.get(f.left) == 1, "stale hash of a subformula"
+"""
+
+
+class TestHashing:
+    def test_each_node_hashes_its_structure_once(self, monkeypatch):
+        calls = []
+
+        def counting(node, real=logic._structural_hash):
+            calls.append(id(node))
+            return real(node)
+
+        monkeypatch.setattr(logic, "_structural_hash", counting)
+        f = parse_formula("G[0,2] (p0 | F[1,3] p1) & (p2 | G[0,1] p0)", P)
+        nodes = formula_nodes(f)
+        h = hash(f)
+        assert hash(f) == h
+        assert {f: 1}[f] == 1
+        assert sorted(calls) == sorted(id(n) for n in nodes)
+
+    def test_hash_is_the_structural_one(self):
+        # The value a plain frozen dataclass would give, so the iteration
+        # order of sets of formulas does not change.
+        f = parse_formula("G[0,2] (p0 | F[1,3] p1) & p2", P)
+        for node in formula_nodes(f):
+            assert hash(node) == hash(tuple(getattr(node, k) for k in node.__dataclass_fields__))
+
+    def test_pickled_formula_keys_a_dict_under_another_hash_seed(self):
+        src = str(Path(ptmon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        dumped = subprocess.run(
+            [sys.executable, "-c", PICKLE_A_HASHED_FORMULA],
+            env={**env, "PYTHONHASHSEED": "1"}, capture_output=True, check=True,
+        ).stdout
+        looked_up = subprocess.run(
+            [sys.executable, "-c", LOOK_IT_UP],
+            env={**env, "PYTHONHASHSEED": "2"}, input=dumped, capture_output=True,
+        )
+        assert looked_up.returncode == 0, looked_up.stderr.decode()
 
 
 class TestParser:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import random_episode, random_fragment_formula
 import ptmon.conformal as conformal
 import ptmon.fragment as fragment
@@ -397,6 +398,51 @@ class TestDecoderCache:
                 certify(("observer", i), lambda: observer_certify(buf, observers[i], f))
         assert len(compiled) == 6
         assert late_walks == Counter()
+
+    def test_each_decoder_generates_its_read_out_once(self, monkeypatch):
+        # Every decoder used while streaming runs its own generated read-out,
+        # generated on its first decode and never again; nothing walks a tree.
+        generated = []
+
+        def counting_exec(source, namespace):
+            generated.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(fragment, "exec", counting_exec, raising=False)
+        walks = Counter()
+        for name in ("naive_decode", "naive_decode_series"):
+            def walking(*args, real=getattr(helpers, name), name=name):
+                walks[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(helpers, name, walking)
+
+        rng = np.random.default_rng(22)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
+        sem_stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
+        sem = calibrate(eps, sem_stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        roll, pred_stub, _ = rolling_monitor(rng, m=2, k_max=3)
+        texts = ("G[0,1] p0", "F[0,2] p1 | G[0,2] p0", "F[0,1] p0 & G[0,1] p1", "G[0,2] p1", "F[0,2] p0 | F[0,1] p1")
+        formulas = [parse_formula(t, d.predicate_names) for t in texts]
+        observers = [observer_calibrate(eps, pred_stub, f, 0.1, k_max=3) for f in formulas]
+        assert generated == []
+
+        buf = RollingBuffer(2, 3)
+        for t in range(10):
+            rolling_step(buf, rng.normal(size=2))
+            basis = BasisVector(BasisKind.SEMANTIC, rng.normal(size=d.r), t)
+            for f, obs in zip(formulas, observers):
+                semantic_certify(basis, sem, f)
+                rolling_certify(buf, roll, f)
+                observer_certify(buf, obs, f)
+
+        used = [mon.decoder(f) for f in formulas for mon in (sem, roll)]
+        used += [obs.decoder(f) for f, obs in zip(formulas, observers)]
+        assert len({id(dec) for dec in used}) == 15
+        assert all("read" in dec.__dict__ for dec in used)
+        assert len(generated) == 15
+        assert walks == Counter()
 
 
 def stream_verdicts(ep, predictor, mon, f):
