@@ -8,7 +8,7 @@ formula of the supported fragment.
 
 Layout:
 
-* :mod:`ptmon.logic` — formula types, parser, printer, horizons, supports.
+* :mod:`ptmon.logic` — formula types, parser, printer, horizons.
 * :mod:`ptmon.robustness` — episodes, robustness evaluation, basis vectors.
 * :mod:`ptmon.fragment` — atom dictionaries, min/max decoders, compilation.
 * :mod:`ptmon.conformal` — split-conformal calibration and certified bounds.
@@ -65,11 +65,9 @@ from .logic import (
     Or,
     Predicate,
     TimeInterval,
-    check_membership,
     format_formula,
     horizon,
     parse_formula,
-    predicate_lag_support,
 )
 from .monitors import (
     Label,
@@ -87,7 +85,6 @@ from .robustness import (
     predicate_history_basis,
     robustness,
     robustness_series,
-    semantic_basis,
     semantic_basis_series,
 )
 
@@ -122,7 +119,6 @@ __all__ = [
     "calibrate",
     "certified_lower_bound",
     "certified_lower_bounds",
-    "check_membership",
     "compile_history_decoder",
     "compile_semantic_decoder",
     "decode",
@@ -139,7 +135,6 @@ __all__ = [
     "observer_certify",
     "parse_formula",
     "predicate_history_basis",
-    "predicate_lag_support",
     "predicted_basis",
     "radius_for_support",
     "robustness",
@@ -149,7 +144,6 @@ __all__ = [
     "sample_level2_time",
     "save_monitor",
     "score_matrix",
-    "semantic_basis",
     "semantic_basis_series",
     "semantic_certify",
     "simulate_episode",

@@ -139,10 +139,6 @@ class ScoreCache:
         object.__setattr__(self, "matrix", matrix)
 
     @property
-    def n_episodes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 

@@ -27,13 +27,12 @@ import numpy as np
 from .logic import (
     Always,
     And,
-    Decomposition,
     Eventually,
     Formula,
+    NotInFragmentError,
     Or,
     Predicate,
     TimeInterval,
-    check_membership,
     format_formula,
     horizon,
     parse_formula,
@@ -42,8 +41,6 @@ from .robustness import (
     BasisKind,
     BasisVector,
     WindowLayout,
-    predicate_history_series,
-    semantic_basis_series,
     window_layout,
 )
 
@@ -268,20 +265,26 @@ def _combine(cls, children: Iterable[DecoderNode]) -> DecoderNode:
 def compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decoder:
     """Decoder reading the per-atom robustness vector of ``dictionary``.
 
-    Requires ``f`` to decompose into dictionary atoms (see
-    :func:`ptmon.logic.check_membership`, whose error propagates).
+    Membership is syntactic: walking down from the root, every node must
+    either equal a dictionary atom node-for-node (window bounds included),
+    which reads that atom's coordinate, or be an ``&``/``|`` whose children
+    compile in turn. Semantically equivalent rewrites (e.g. a wider window
+    that happens to coincide on some data) do not count. On failure raises
+    :class:`~ptmon.logic.NotInFragmentError` carrying the offending maximal
+    subtree.
     """
-    decomposition = check_membership(f, dictionary)
+    atom_index: dict[Formula, int] = {atom: q for q, atom in enumerate(dictionary.atoms)}
 
-    def build(d: Decomposition) -> DecoderNode:
-        if d.op == "atom":
-            return Leaf(d.index)
-        cls = MinNode if d.op == "and" else MaxNode
-        return _combine(cls, (build(c) for c in d.children))
+    def build(node: Formula) -> DecoderNode:
+        q = atom_index.get(node)
+        if q is not None:
+            return Leaf(q)
+        if isinstance(node, (And, Or)):
+            cls = MinNode if isinstance(node, And) else MaxNode
+            return _combine(cls, (build(node.left), build(node.right)))
+        raise NotInFragmentError(node)
 
-    return Decoder(
-        build(decomposition), BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f)
-    )
+    return Decoder(build(f), BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f))
 
 
 def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
@@ -334,11 +337,7 @@ def decode(d: Decoder, basis: BasisVector) -> float:
     """
     if basis.kind is not d.basis_kind:
         raise BasisMismatchError(f"decoder reads {d.basis_kind.value}, basis is {basis.kind.value}")
-    if basis.values.shape != (d.dim,):
-        raise BasisMismatchError(
-            f"decoder expects dimension {d.dim}, basis has shape {basis.values.shape}"
-        )
-    return d.read(basis.values.tolist(), min, max)
+    return decode_values(d, basis.values)
 
 
 def decode_values(d: Decoder, values: np.ndarray) -> float:
@@ -378,45 +377,3 @@ def dictionary_from_json(obj: dict) -> AtomicDictionary:
     names = list(obj["predicate_names"])
     atoms = tuple(parse_formula(text, names) for text in obj["atoms"])
     return AtomicDictionary(atoms, int(obj["m"]))
-
-
-# ---------------------------------------------------------------------------
-# Cross-basis consistency
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InformationOrderReport:
-    """Result of checking that history vectors determine semantic vectors."""
-
-    semantic_dim: int
-    history_dim: int
-    points_checked: int
-    max_discrepancy: float
-
-
-def information_order_check(dictionary: AtomicDictionary, episodes: Iterable) -> InformationOrderReport:
-    """Recompute every atom's robustness from raw history and compare.
-
-    For each episode and valid time, each atom's compiled history decoder is
-    evaluated on the predicate-history vector and compared against the
-    directly computed semantic vector. The maximum absolute discrepancy is
-    reported and must be exactly zero; the report also carries the two basis
-    dimensions for compactness accounting.
-    """
-    k_max = dictionary.K_max
-    decoders = [compile_history_decoder(a, dictionary.m, k_max) for a in dictionary.atoms]
-    max_disc = 0.0
-    points = 0
-    for ep in episodes:
-        history = predicate_history_series(ep, k_max)
-        semantic = semantic_basis_series(ep, dictionary)
-        stacked = np.vstack([decode_series(d, history) for d in decoders])
-        max_disc = max(max_disc, float(np.abs(stacked - semantic).max()))
-        points += semantic.size
-    return InformationOrderReport(
-        semantic_dim=dictionary.r,
-        history_dim=dictionary.m * (k_max + 1),
-        points_checked=points,
-        max_discrepancy=max_disc,
-    )

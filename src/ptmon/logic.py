@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,6 @@ class Eventually:
 
 
 Formula = Union[Predicate, And, Or, Always, Eventually]
-
-
-class PredicateLag(NamedTuple):
-    """A (predicate index, backward lag) coordinate of the history a formula reads."""
-
-    pred: int
-    lag: int
 
 
 class FormulaSyntaxError(ValueError):
@@ -359,60 +352,3 @@ def horizon(f: Formula) -> int:
     if isinstance(f, (And, Or)):
         return max(horizon(f.left), horizon(f.right))
     return f.interval.b + horizon(f.child)
-
-
-def predicate_lag_support(f: Formula) -> set[PredicateLag]:
-    """All (predicate, lag) history coordinates the formula reads.
-
-    Window operators shift the lags of their child by every offset in the
-    window; boolean nodes take the union of their children.
-    """
-    if isinstance(f, Predicate):
-        return {PredicateLag(f.index, 0)}
-    if isinstance(f, (And, Or)):
-        return predicate_lag_support(f.left) | predicate_lag_support(f.right)
-    child = predicate_lag_support(f.child)
-    iv = f.interval
-    return {
-        PredicateLag(c.pred, c.lag + offset)
-        for c in child
-        for offset in range(iv.a, iv.b + 1)
-    }
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """How a formula splits into dictionary atoms under ``&`` / ``|``.
-
-    ``op`` is ``"atom"`` (with ``index`` the dictionary position), ``"and"``,
-    or ``"or"``; boolean nodes carry their two children.
-    """
-
-    op: str
-    index: int | None = None
-    children: tuple["Decomposition", ...] = ()
-
-
-def check_membership(f: Formula, dictionary) -> Decomposition:
-    """Decompose ``f`` over the atoms of ``dictionary`` or fail.
-
-    Membership is syntactic: walking down from the root, every node must
-    either equal a dictionary atom node-for-node (window bounds included) or
-    be an ``&``/``|`` whose children decompose in turn. Semantically
-    equivalent rewrites (e.g. a wider window that happens to coincide on some
-    data) do not count. On failure raises :class:`NotInFragmentError`
-    carrying the offending maximal subtree.
-    """
-    atom_index: dict[Formula, int] = {atom: q for q, atom in enumerate(dictionary.atoms)}
-
-    def walk(node: Formula) -> Decomposition:
-        q = atom_index.get(node)
-        if q is not None:
-            return Decomposition("atom", index=q)
-        if isinstance(node, And):
-            return Decomposition("and", children=(walk(node.left), walk(node.right)))
-        if isinstance(node, Or):
-            return Decomposition("or", children=(walk(node.left), walk(node.right)))
-        raise NotInFragmentError(node)
-
-    return walk(f)

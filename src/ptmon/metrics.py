@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import CalibratedMonitor, sample_level2_time
-from .logic import Always, Formula, Predicate, TimeInterval, format_formula
+from .fragment import HorizonExceededError
+from .logic import Always, Formula, NotInFragmentError, Predicate, TimeInterval, format_formula
 from .monitors import run_episode
 from .robustness import Episode
 
@@ -162,7 +163,8 @@ def horizon_sweep(
     No episodes are touched: each monitor's stored score matrix yields the
     support-restricted radius for every requested window length. Monitors
     that cannot express a window (a missing dictionary atom, or a horizon
-    past their history depth) simply contribute no row for that ``K``.
+    past their history depth) simply contribute no row for that ``K``; a
+    monitor without a score cache raises :class:`ValueError`.
     """
     rows: list[SweepRow] = []
     for k in ks:
@@ -170,7 +172,7 @@ def horizon_sweep(
         for name, mon in monitors.items():
             try:
                 q = mon.radius_for_formula(f)
-            except ValueError:
+            except (NotInFragmentError, HorizonExceededError):
                 continue
             rows.append(SweepRow(int(k), name, mon.kind, mon.level, q))
     return rows

@@ -292,17 +292,6 @@ def _basis_rows(mu: np.ndarray, dictionary) -> np.ndarray:
     return out
 
 
-def semantic_basis(ep: Episode, dictionary, t: int) -> BasisVector:
-    """Robustness of every dictionary atom at time ``t``: the one column of
-    :func:`semantic_basis_series`'s routine run on the window
-    ``t - K_max .. t``."""
-    k_max = dictionary.K_max
-    if t < k_max or t > ep.T:
-        raise TimeOutOfRangeError(f"t={t} outside valid range [{k_max}, {ep.T}]")
-    values = _basis_rows(ep.mu[:, t - k_max : t + 1], dictionary)[:, 0]
-    return BasisVector(BasisKind.SEMANTIC, values, t)
-
-
 def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:
     """Semantic vectors for all valid times, one dictionary atom per row.
 
@@ -314,8 +303,8 @@ def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:
     distinct ``b`` and gathered into their rows. Every other atom is evaluated
     on its own with :func:`robustness_series`'s evaluator and cut to the
     common tail. Both are exact, so each row equals that atom's
-    :func:`robustness_series` tail bit for bit, and each column equals
-    :func:`semantic_basis` at its time. The result is a new writable array.
+    :func:`robustness_series` tail bit for bit. The result is a new writable
+    array.
     """
     k_max = dictionary.K_max
     if ep.T < k_max:

@@ -52,6 +52,24 @@ def naive_robustness(f: Formula, mu: np.ndarray, t: int) -> float:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def predicate_lag_support(f: Formula) -> set[tuple[int, int]]:
+    """All ``(predicate index, backward lag)`` history coordinates ``f`` reads.
+
+    Window operators shift the lags of their child by every offset in the
+    window; boolean nodes take the union of their children.
+    """
+    if isinstance(f, Predicate):
+        return {(f.index, 0)}
+    if isinstance(f, (And, Or)):
+        return predicate_lag_support(f.left) | predicate_lag_support(f.right)
+    iv = f.interval
+    return {
+        (pred, lag + offset)
+        for pred, lag in predicate_lag_support(f.child)
+        for offset in range(iv.a, iv.b + 1)
+    }
+
+
 def naive_decode(node: DecoderNode, values) -> float:
     """Walk a decoder tree with the built-in ``min``/``max``, child by child."""
     if isinstance(node, Leaf):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_episode, random_fragment_formula, random_pnf_formula
+from helpers import predicate_lag_support, random_episode, random_fragment_formula, random_pnf_formula
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     CalibratedMonitor,
@@ -33,8 +33,8 @@ from ptmon.fragment import (
     compile_history_decoder,
     compile_semantic_decoder,
 )
-from ptmon.logic import And, Or, format_formula, horizon, parse_formula, predicate_lag_support
-from ptmon.robustness import BasisKind, BasisVector, semantic_basis
+from ptmon.logic import And, Or, format_formula, horizon, parse_formula
+from ptmon.robustness import BasisKind, BasisVector, semantic_basis_series
 
 
 def tiny_dictionary():
@@ -134,7 +134,8 @@ class TestCalibrate:
         # with the exact bias removed, the certified bound equals the truth
         ep = eps[0]
         t = d.K_max + 2
-        basis_hat = BasisVector(BasisKind.SEMANTIC, semantic_basis(ep, d, t).values + 0.25, t)
+        true_basis = semantic_basis_series(ep, d)[:, t - d.K_max]
+        basis_hat = BasisVector(BasisKind.SEMANTIC, true_basis + 0.25, t)
         f = random_fragment_formula(rng, d)
         dec = compile_semantic_decoder(f, d)
         from helpers import naive_robustness

@@ -34,13 +34,12 @@ from ptmon.fragment import (
     decode_values,
     dictionary_from_json,
     dictionary_to_json,
-    information_order_check,
 )
 from ptmon.robustness import (
     BasisKind,
     BasisVector,
     predicate_history_basis,
-    semantic_basis,
+    predicate_history_series,
     semantic_basis_series,
 )
 
@@ -159,7 +158,8 @@ class TestDecodeExactness:
         ep = random_episode(rng, 2, T)
         t = int(rng.integers(d.K_max, T + 1))
         dec = compile_semantic_decoder(f, d)
-        got = decode(dec, semantic_basis(ep, d, t))
+        basis = BasisVector(BasisKind.SEMANTIC, semantic_basis_series(ep, d)[:, t - d.K_max], t)
+        got = decode(dec, basis)
         assert got == naive_robustness(f, ep.mu, t)
 
     @settings(max_examples=200, deadline=None)
@@ -337,13 +337,20 @@ class TestDecoderValidation:
 
 class TestInformationOrder:
     def test_semantic_basis_recoverable_from_history(self, standard_dictionary):
+        """Each atom's compiled history decoder, run on the predicate-history
+        vectors, recomputes the semantic basis with no discrepancy at all."""
+        d = standard_dictionary
         rng = np.random.default_rng(5)
-        eps = [
-            random_episode(rng, 7, 22, names=standard_dictionary.predicate_names)
-            for _ in range(3)
-        ]
-        report = information_order_check(standard_dictionary, eps)
-        assert report.semantic_dim == 70
-        assert report.history_dim == 119
-        assert report.max_discrepancy == 0.0
-        assert report.points_checked > 0
+        eps = [random_episode(rng, 7, 22, names=d.predicate_names) for _ in range(3)]
+        decoders = [compile_history_decoder(a, d.m, d.K_max) for a in d.atoms]
+        max_discrepancy, points_checked = 0.0, 0
+        for ep in eps:
+            history = predicate_history_series(ep, d.K_max)
+            semantic = semantic_basis_series(ep, d)
+            recovered = np.vstack([decode_series(dec, history) for dec in decoders])
+            max_discrepancy = max(max_discrepancy, float(np.abs(recovered - semantic).max()))
+            points_checked += semantic.size
+        assert semantic.shape[0] == 70
+        assert history.shape[0] == 119
+        assert max_discrepancy == 0.0
+        assert points_checked > 0

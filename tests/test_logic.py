@@ -11,24 +11,27 @@ from hypothesis import strategies as st
 from helpers import naive_robustness, random_pnf_formula
 import ptmon
 import ptmon.logic as logic
-from ptmon.fragment import compile_semantic_decoder
+from ptmon.fragment import (
+    AtomicDictionary,
+    Leaf,
+    MaxNode,
+    MinNode,
+    compile_history_decoder,
+    compile_semantic_decoder,
+)
 from ptmon.logic import (
     Always,
     And,
-    Decomposition,
     Eventually,
     FormulaSyntaxError,
     NotInFragmentError,
     Or,
     Predicate,
-    PredicateLag,
     TimeInterval,
     UnknownPredicateError,
-    check_membership,
     format_formula,
     horizon,
     parse_formula,
-    predicate_lag_support,
 )
 
 P = ("p0", "p1", "p2")
@@ -247,62 +250,74 @@ class TestHorizon:
 
 
 class TestSupport:
+    """The history coordinates a compiled history decoder reads: predicate
+    ``k`` at lag ``j`` is coordinate ``k*(k_max+1) + j``."""
+
     def test_oracle(self):
         f = parse_formula("G[0,1] p0 & F[0,1] p1", P)
-        assert predicate_lag_support(f) == {
-            PredicateLag(0, 0),
-            PredicateLag(0, 1),
-            PredicateLag(1, 0),
-            PredicateLag(1, 1),
-        }
+        # k_max=3: p0 at lags 0, 1 and p1 at lags 0, 1.
+        assert compile_history_decoder(f, 3, 3).support == {0, 1, 4, 5}
 
     def test_nesting_shifts_lags(self):
         f = parse_formula("G[2,3] p1", P)
-        assert predicate_lag_support(f) == {PredicateLag(1, 2), PredicateLag(1, 3)}
+        assert compile_history_decoder(f, 3, 3).support == {6, 7}
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_max_lag_equals_horizon(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_max_lag_equals_horizon(self, seed, slack):
         rng = np.random.default_rng(seed)
         f = random_pnf_formula(rng, m=3)
-        lags = {lag for _, lag in predicate_lag_support(f)}
+        k_max = horizon(f) + slack
+        lags = {c % (k_max + 1) for c in compile_history_decoder(f, 3, k_max).support}
         assert max(lags) == horizon(f)
 
 
 class TestMembership:
     def test_atom_matches_itself(self, standard_dictionary):
         atom = standard_dictionary.atoms[7]
-        dec = check_membership(atom, standard_dictionary)
-        assert dec == Decomposition("atom", index=7)
-        assert compile_semantic_decoder(atom, standard_dictionary).support == {7}
+        dec = compile_semantic_decoder(atom, standard_dictionary)
+        assert dec.root == Leaf(7)
+        assert dec.support == {7}
 
     def test_and_or_composition(self, standard_dictionary):
         names = standard_dictionary.predicate_names
         f = parse_formula("G[0,4] p_f & (F[0,2] p_clear | G[0,1] p_goal)", names)
-        dec = check_membership(f, standard_dictionary)
-        assert (dec.op, [c.op for c in dec.children]) == ("and", ["atom", "or"])
-        atoms = [
-            parse_formula(text, names) for text in ("G[0,4] p_f", "F[0,2] p_clear", "G[0,1] p_goal")
-        ]
-        want = {standard_dictionary.atoms.index(a) for a in atoms}
-        assert len(want) == 3
-        assert compile_semantic_decoder(f, standard_dictionary).support == want
+        a, b, c = (
+            standard_dictionary.atoms.index(parse_formula(text, names))
+            for text in ("G[0,4] p_f", "F[0,2] p_clear", "G[0,1] p_goal")
+        )
+        assert len({a, b, c}) == 3
+        dec = compile_semantic_decoder(f, standard_dictionary)
+        assert dec.root == MinNode((Leaf(a), MaxNode((Leaf(b), Leaf(c)))))
+        assert dec.support == {a, b, c}
 
     def test_alien_interval_rejected(self, standard_dictionary):
         names = standard_dictionary.predicate_names
         f = parse_formula("G[0,3] p_f", names)
-        with pytest.raises(NotInFragmentError):
-            check_membership(f, standard_dictionary)
+        with pytest.raises(NotInFragmentError) as ei:
+            compile_semantic_decoder(f, standard_dictionary)
+        assert ei.value.offending == f
 
     def test_bare_predicate_rejected_when_not_an_atom(self, standard_dictionary):
         names = standard_dictionary.predicate_names
         f = parse_formula("p_f", names)
-        with pytest.raises(NotInFragmentError):
-            check_membership(f, standard_dictionary)
+        with pytest.raises(NotInFragmentError) as ei:
+            compile_semantic_decoder(f, standard_dictionary)
+        assert ei.value.offending == f
 
     def test_offending_subtree_reported(self, standard_dictionary):
         names = standard_dictionary.predicate_names
         f = parse_formula("G[0,1] p_f & F[0,3] p_clear", names)
         with pytest.raises(NotInFragmentError) as ei:
-            check_membership(f, standard_dictionary)
+            compile_semantic_decoder(f, standard_dictionary)
         assert format_formula(ei.value.offending) == "F[0,3] p_clear"
+        assert str(ei.value) == "subformula not in dictionary: F[0,3] p_clear"
+
+    def test_boolean_atom_is_one_leaf(self):
+        names = ("a0", "a1")
+        a0, a1, both = (parse_formula(text, names) for text in ("a0", "a1", "a0 & a1"))
+        d = AtomicDictionary((a0, a1, both), m=2)
+        assert compile_semantic_decoder(both, d).root == Leaf(2)
+        assert compile_semantic_decoder(And(both, a0), d).root == MinNode((Leaf(2), Leaf(0)))
+        # Membership is syntactic: the swapped conjunction is not the atom.
+        assert compile_semantic_decoder(And(a1, a0), d).root == MinNode((Leaf(1), Leaf(0)))

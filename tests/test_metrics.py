@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -138,6 +139,13 @@ class TestHorizonSweep:
         rows = horizon_sweep({"roll": mon}, [1, 2, 4, 8], Predicate("p0", 0))
         qs = [r.q_phi for r in rows]
         assert qs == sorted(qs)
+
+    def test_monitor_without_cache_raises(self):
+        _, mon, _, _ = small_setup()
+        assert len(horizon_sweep({"sem": mon}, [1, 2, 3], Predicate("p0", 0))) == 2
+        cacheless = dataclasses.replace(mon, cache=None)
+        with pytest.raises(ValueError, match="no score cache"):
+            horizon_sweep({"sem": cacheless}, [1, 2, 3], Predicate("p0", 0))
 
 
 class TestWriters:

@@ -41,7 +41,7 @@ from ptmon.robustness import (
     BasisVector,
     Episode,
     predicate_history_basis,
-    semantic_basis,
+    semantic_basis_series,
 )
 
 
@@ -185,7 +185,7 @@ class TestSemanticCertify:
         assert semantic_certify(early, mon, f).label is Label.WARMING_UP
         ep = eps[0]
         t = 5
-        hat = BasisVector(BasisKind.SEMANTIC, semantic_basis(ep, d, t).values, t)
+        hat = BasisVector(BasisKind.SEMANTIC, semantic_basis_series(ep, d)[:, t - d.K_max], t)
         v = semantic_certify(hat, mon, f)
         assert v.t == t
         assert v.lower_bound is not None
@@ -200,7 +200,7 @@ class TestSemanticCertify:
         dec = compile_semantic_decoder(g, d)
         early = BasisVector(BasisKind.SEMANTIC, np.zeros(d.r), 1)
         assert semantic_certify(early, mon, f, dec).formula == format_formula(g)
-        hat = BasisVector(BasisKind.SEMANTIC, semantic_basis(eps[0], d, 5).values, 5)
+        hat = BasisVector(BasisKind.SEMANTIC, semantic_basis_series(eps[0], d)[:, 5 - d.K_max], 5)
         v = semantic_certify(hat, mon, f, dec)
         assert v.formula == format_formula(g)
         assert v.lower_bound == semantic_certify(hat, mon, g).lower_bound

@@ -36,7 +36,6 @@ from ptmon.robustness import (
     predicate_history_series,
     robustness,
     robustness_series,
-    semantic_basis,
     semantic_basis_series,
     windowed_extrema,
 )
@@ -248,9 +247,7 @@ class TestSemanticBasis:
             m=1,
         )
         ep = Episode(mu=np.array([[1.0, 3.0, 2.0]]), dt=1.0)
-        b = semantic_basis(ep, d, 2)
-        assert b.kind is BasisKind.SEMANTIC
-        assert np.array_equal(b.values, [1.0, 3.0])
+        assert np.array_equal(semantic_basis_series(ep, d), [[1.0], [3.0]])
 
     def test_series_matches_single_time(self, standard_dictionary):
         rng = np.random.default_rng(11)
@@ -259,7 +256,8 @@ class TestSemanticBasis:
         K = standard_dictionary.K_max
         assert series.shape == (standard_dictionary.r, 25 - K + 1)
         for t in (K, 20, 25):
-            assert np.array_equal(series[:, t - K], semantic_basis(ep, standard_dictionary, t).values)
+            column = [robustness(atom, ep, t) for atom in standard_dictionary.atoms]
+            assert series[:, t - K].tolist() == column
 
     def test_each_row_is_atom_robustness(self, standard_dictionary):
         rng = np.random.default_rng(13)
@@ -288,11 +286,8 @@ class TestSemanticBasis:
             assert series[i].tobytes() == row[row.size - series.shape[1] :].tobytes()
             for t in times:
                 assert series[i, t - K] == naive_robustness(atom, ep.mu, t)
-        for t in times:
-            assert series[:, t - K].tobytes() == semantic_basis(ep, d, t).values.tobytes()
         mu = ep.mu.copy()
         series[:] = np.nan
-        semantic_basis(ep, d, T).values[:] = np.nan
         assert np.array_equal(ep.mu, mu)
         if K > 0:
             with pytest.raises(TimeOutOfRangeError):
@@ -317,7 +312,6 @@ class TestSemanticBasis:
         ep = random_episode(np.random.default_rng(17), 7, 40, names=PREDICATE_NAMES)
         for _ in range(3):
             semantic_basis_series(ep, d)
-        semantic_basis(ep, d, 30)
         assert calls == {"window_layout": 1}
 
 
