@@ -27,16 +27,10 @@ from ptmon.benchmark import (
     PredictorStub,
     simulate_episode,
 )
-from ptmon.conformal import (
-    ScoreConfig,
-    calibrate,
-    certified_lower_bound,
-    sample_level2_time,
-    score_matrix,
-)
-from ptmon.fragment import build_depth1_dictionary, compile_semantic_decoder, decode
+from ptmon.conformal import ScoreConfig, calibrate, sample_level2_time, score_matrix
+from ptmon.fragment import build_depth1_dictionary
 from ptmon.logic import And, Or
-from ptmon.robustness import BasisKind, BasisVector, semantic_basis_series
+from ptmon.monitors import run_episodes
 
 
 def random_fragment_formula(rng, d):
@@ -70,20 +64,11 @@ def run_seed(d, cfg, s, n, scale, alpha, joint):
 
     if joint:
         frng = np.random.default_rng(777_000 + s)
-        decoders = [
-            compile_semantic_decoder(random_fragment_formula(frng, d), d) for _ in range(joint)
-        ]
+        formulas = [random_fragment_formula(frng, d) for _ in range(joint)]
         hits = 0
-        for i, ep in enumerate(test):
+        for i, res in enumerate(run_episodes(test, stub, mon2, formulas)):
             col = sample_level2_time(s + 777, i, d.K_max, cfg.T) - d.K_max
-            true_col = semantic_basis_series(ep, d)[:, col]
-            pred_col = np.asarray(stub.predict(ep), dtype=float)[:, col]
-            pred = BasisVector(BasisKind.SEMANTIC, pred_col, d.K_max)
-            truth = BasisVector(BasisKind.SEMANTIC, true_col, d.K_max)
-            hits += all(
-                certified_lower_bound(mon2, pred, dec) <= decode(dec, truth)
-                for dec in decoders
-            )
+            hits += all(res.bounds[n][col] <= res.truth[n][col] for n in res.bounds)
         out["cov_joint"] = hits / len(test)
     return out
 

@@ -76,6 +76,7 @@ from .monitors import (
     observer_certify,
     rolling_certify,
     run_episode,
+    run_episodes,
     semantic_certify,
 )
 from .robustness import (
@@ -141,6 +142,7 @@ __all__ = [
     "robustness_series",
     "rolling_certify",
     "run_episode",
+    "run_episodes",
     "sample_level2_time",
     "save_monitor",
     "score_matrix",

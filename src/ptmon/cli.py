@@ -49,7 +49,7 @@ from .metrics import (
     write_report_json,
     write_sweep_csv,
 )
-from .monitors import run_episode, write_verdicts_csv, write_verdicts_jsonl
+from .monitors import run_episodes, write_verdicts_csv, write_verdicts_jsonl
 
 
 def read_kv_file(path: str | Path) -> dict:
@@ -159,16 +159,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise ValueError("--monitor observer requires --formula")
         stub = _load_noise(args.noise, "predicates", dictionary)
         calib_eps = load_split(dataset, "calib")
-        sigma_predicates = None
-        if args.sigma == "auto":
-            train = load_split(dataset, "train")
-            sigma_predicates = estimate_sigma(train, stub, (m, 0))
         mon = observer_calibrate(
             calib_eps,
             stub,
             formula,
             args.alpha,
-            sigma_predicates=sigma_predicates,
+            sigma_predicates=_resolve_sigma(args, dataset, stub, (m, 0), m),
             k_max=k_max,
             tau_seed=args.tau_seed,
         )
@@ -187,6 +183,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             mon = mon.for_formula(formula)
 
     mon.predictor_config = stub.to_json()
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_monitor(mon, args.out)
     scope = "formula-specific" if mon.support is not None else "fragment-wide"
     print(
@@ -205,25 +202,23 @@ def cmd_certify(args: argparse.Namespace) -> int:
     formula = parse_formula(args.formula, names)
     stub = _predictor_for_model(mon)
     episodes = load_split(dataset, args.split)
-    # Specialise and compile before --out is opened, so a formula the model
-    # cannot certify leaves an existing output file as it was.
-    mon = mon.monitor_for(formula)
-    mon.decoder(formula)
+    # Certify before opening --out, so a failure leaves an existing file as it was.
+    results = run_episodes(episodes, stub, mon, [formula])
+    if results[0].errors:
+        raise ValueError(next(iter(results[0].errors.values())))
 
     out_path = Path(args.out)
     as_csv = out_path.suffix.lower() == ".csv"
     counts: dict[str, int] = {}
     with open(out_path, "w", newline="" if as_csv else None) as fh:
-        for i, ep in enumerate(episodes):
-            result = run_episode(ep, stub, mon, [formula])
-            if result.errors:
-                raise ValueError(next(iter(result.errors.values())))
-            for v in result.verdicts:
+        for i, result in enumerate(results):
+            verdicts = result.verdicts
+            for v in verdicts:
                 counts[v.label.value] = counts.get(v.label.value, 0) + 1
             if as_csv:
-                write_verdicts_csv(result.verdicts, fh, header=(i == 0), episode=i)
+                write_verdicts_csv(verdicts, fh, header=(i == 0), episode=i)
             else:
-                write_verdicts_jsonl(result.verdicts, fh, episode=i)
+                write_verdicts_jsonl(verdicts, fh, episode=i)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"certified {len(episodes)} episodes ({summary}) -> {out_path}")
     return 0
@@ -243,14 +238,23 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not formula_texts:
         raise ValueError(f"{args.formulas}: no formulas found")
     formulas = [parse_formula(t, names) for t in formula_texts]
+    ks = _parse_int_list(args.sweep)
+    if ks and args.sweep_predicate not in names:
+        raise ValueError(f"--sweep-predicate {args.sweep_predicate!r} not among {list(names)}")
+    model_paths = [p.strip() for p in args.models.split(",")]
+    stems = [Path(p).stem for p in model_paths]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ValueError(f"--models: two models named {stem!r} (rows are named by file stem)")
 
-    monitors: dict[str, CalibratedMonitor] = {}
+    # The sweep needs only the score caches, so it runs (and can fail) first.
+    monitors = {name: load_monitor(path) for name, path in zip(stems, model_paths)}
+    if ks:
+        pred = Predicate(args.sweep_predicate, names.index(args.sweep_predicate))
+        sweep_rows = horizon_sweep(monitors, ks, pred)
+
     rows = []
-    for model_path in args.models.split(","):
-        model_path = model_path.strip()
-        name = Path(model_path).stem
-        mon = load_monitor(model_path)
-        monitors[name] = mon
+    for name, mon in monitors.items():
         stub = _predictor_for_model(mon)
         mon_rows, errors = evaluate_monitor(
             name, mon, stub, episodes, formulas, coverage_seed=args.coverage_seed
@@ -259,19 +263,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         for fname, msg in sorted(errors.items()):
             print(f"note: {name} cannot certify {fname!r}: {msg}", file=sys.stderr)
 
+    # Nothing is written until every monitor and the sweep have succeeded.
     out_path = Path(args.out)
     write_report_csv(rows, out_path)
     write_report_json(rows, out_path.with_suffix(".json"))
     written = [str(out_path), str(out_path.with_suffix(".json"))]
-
-    ks = _parse_int_list(args.sweep)
     if ks:
-        if args.sweep_predicate not in names:
-            raise ValueError(
-                f"--sweep-predicate {args.sweep_predicate!r} not among {list(names)}"
-            )
-        pred = Predicate(args.sweep_predicate, names.index(args.sweep_predicate))
-        sweep_rows = horizon_sweep(monitors, ks, pred)
         sweep_path = out_path.with_name(out_path.stem + "_sweep.csv")
         write_sweep_csv(sweep_rows, sweep_path)
         written.append(str(sweep_path))

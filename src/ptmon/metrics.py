@@ -31,7 +31,7 @@ import numpy as np
 from .conformal import CalibratedMonitor, sample_level2_time
 from .fragment import HorizonExceededError
 from .logic import Always, Formula, NotInFragmentError, Predicate, TimeInterval, format_formula
-from .monitors import run_episode
+from .monitors import run_episodes
 from .robustness import Episode
 
 
@@ -118,39 +118,28 @@ def evaluate_monitor(
     A formula listed more than once is certified and reported once, at its
     first position.
     """
+    results = run_episodes(episodes, predictor, mon, formulas)
+    if not results:
+        return [], {}
     distinct = {format_formula(f): f for f in formulas}
-    per_formula_lbs: dict[str, list[np.ndarray]] = {}
-    per_formula_truths: dict[str, list[np.ndarray]] = {}
-    errors: dict[str, str] = {}
-    for ep in episodes:
-        result = run_episode(ep, predictor, mon, formulas)
-        errors.update(result.errors)
-        for fname, rho in result.truth.items():
-            per_formula_lbs.setdefault(fname, []).append(result.lower_bounds(fname))
-            per_formula_truths.setdefault(fname, []).append(rho)
-
-    rows: list[ReportRow] = []
-    for fname, f in distinct.items():
-        if fname not in per_formula_lbs:
-            continue
-        summary = compute_metrics(
-            per_formula_lbs[fname],
-            per_formula_truths[fname],
-            mon.level,
-            mon.k_max,
-            coverage_seed,
+    rows = [
+        ReportRow(
+            formula=fname,
+            monitor=name,
+            kind=mon.kind,
+            level=mon.level,
+            q_phi=mon.monitor_for(distinct[fname]).radius,
+            **compute_metrics(
+                [r.bounds[fname] for r in results],
+                [r.truth[fname] for r in results],
+                mon.level,
+                mon.k_max,
+                coverage_seed,
+            ),
         )
-        rows.append(
-            ReportRow(
-                formula=fname,
-                monitor=name,
-                kind=mon.kind,
-                level=mon.level,
-                q_phi=mon.monitor_for(f).radius,
-                **summary,
-            )
-        )
-    return rows, errors
+        for fname in results[0].bounds
+    ]
+    return rows, results[0].errors
 
 
 def horizon_sweep(

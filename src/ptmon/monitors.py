@@ -5,10 +5,10 @@ monitor's per-coordinate ``shift`` and decode it. All three monitor kinds
 (semantic, rolling, observer) do it the same way. Streaming callers feed
 one step at a time: :class:`RollingBuffer` with :func:`rolling_certify` or
 :func:`observer_certify` for per-step predicate predictions,
-:func:`semantic_certify` for predicted atom bases. :func:`run_episode`
-certifies a whole recorded episode at once, one
-:func:`ptmon.conformal.certified_lower_bounds` call per formula, and gives
-the bounds the streaming functions give step by step.
+:func:`semantic_certify` for predicted atom bases. :func:`run_episodes`
+certifies recorded episodes, each formula resolved once and then one
+:func:`ptmon.conformal.certified_lower_bounds` call per episode and formula,
+and gives the bounds the streaming functions give step by step.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -217,40 +217,51 @@ class EpisodeResult:
         return self.bounds[name]
 
 
+def run_episodes(
+    episodes: Iterable[Episode],
+    predictor,
+    mon: CalibratedMonitor,
+    formulas: Sequence[Formula],
+) -> list[EpisodeResult]:
+    """Certify recorded episodes for several formulas at once.
+
+    Each distinct formula is resolved once, before any episode is read, to
+    ``mon``'s cached decoder and the monitor that
+    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
+    reason it cannot be certified, which every result carries in ``errors``.
+    Each episode then takes one :func:`~ptmon.conformal.predicted_basis` and
+    one :func:`~ptmon.conformal.certified_lower_bounds` call per formula.
+    """
+    resolved: dict[str, tuple[Formula, Decoder, CalibratedMonitor]] = {}
+    errors: dict[str, str] = {}
+    for f in formulas:
+        name = format_formula(f)
+        if name in resolved or name in errors:
+            continue
+        try:
+            resolved[name] = (f, mon.decoder(f), mon.monitor_for(f))
+        except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
+            errors[name] = str(exc)
+    results = []
+    for ep in episodes:
+        predicted = predicted_basis(ep, predictor, mon.basis_spec)
+        bounds: dict[str, np.ndarray] = {}
+        truth: dict[str, np.ndarray] = {}
+        for name, (f, decoder, mon_f) in resolved.items():
+            bounds[name] = certified_lower_bounds(mon_f, predicted, decoder)
+            truth[name] = robustness_series(f, ep)[mon.k_max - decoder.horizon :]
+        results.append(EpisodeResult(bounds, truth, dict(errors), mon.k_max))
+    return results
+
+
 def run_episode(
     ep: Episode,
     predictor,
     mon: CalibratedMonitor,
     formulas: Sequence[Formula],
 ) -> EpisodeResult:
-    """Certify a recorded episode for several formulas at once.
-
-    The episode's predictions become one basis matrix
-    (:func:`ptmon.conformal.predicted_basis`); each distinct formula is
-    certified over every valid time by one
-    :func:`ptmon.conformal.certified_lower_bounds` call, with the monitor
-    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks and
-    ``mon``'s cached decoder, so repeated runs compile nothing new. The
-    bounds equal what the streaming functions give step by step.
-    """
-    predicted = predicted_basis(ep, predictor, mon.basis_spec)
-    k_max = mon.k_max
-    bounds: dict[str, np.ndarray] = {}
-    truth: dict[str, np.ndarray] = {}
-    errors: dict[str, str] = {}
-    for f in formulas:
-        name = format_formula(f)
-        if name in bounds or name in errors:
-            continue
-        try:
-            decoder = mon.decoder(f)
-            mon_f = mon.monitor_for(f)
-        except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
-            errors[name] = str(exc)
-            continue
-        bounds[name] = certified_lower_bounds(mon_f, predicted, decoder)
-        truth[name] = robustness_series(f, ep)[k_max - decoder.horizon :]
-    return EpisodeResult(bounds, truth, errors, k_max)
+    """:func:`run_episodes` for one episode."""
+    return run_episodes([ep], predictor, mon, formulas)[0]
 
 
 # ---------------------------------------------------------------------------

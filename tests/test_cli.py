@@ -1,8 +1,10 @@
 import csv
 import json
+import shutil
 
 import pytest
 
+import ptmon.monitors as monitors
 from ptmon.cli import _parse_counts, _parse_int_list, main, read_kv_file
 
 
@@ -113,6 +115,15 @@ class TestCalibrate:
         assert json.loads((root / "sem.json").read_text())["support"] is None
         assert json.loads((root / "roll.json").read_text())["formula"] == "G[0,2] p_f"
 
+    def test_model_directory_created(self, workspace, tmp_path):
+        _, ds, noise = workspace
+        out = tmp_path / "models" / "sem.json"
+        assert main([
+            "calibrate", "--dataset", str(ds), "--monitor", "semantic", "--scope", "fragment",
+            "--noise", str(noise), "--out", str(out),
+        ]) == 0
+        assert out.exists() and out.with_suffix(".scores.npz").exists()
+
     def test_observer_level1_exit_2(self, workspace, capsys):
         root, ds, noise = workspace
         code = main([
@@ -199,6 +210,22 @@ class TestCertify:
             "--formula", "F[0,1] p_goal", "--out", str(out),
         ]) == 0
         assert len(out.read_text().splitlines()) == 6 * 25
+
+    def test_verdicts_built_once_per_episode(self, workspace, tmp_path, monkeypatch):
+        root, ds, _ = workspace
+        built = []
+        real = monitors.EpisodeResult.by_formula
+
+        def counting(self, name):
+            built.append(name)
+            return real(self, name)
+
+        monkeypatch.setattr(monitors.EpisodeResult, "by_formula", counting)
+        assert main([
+            "certify", "--model", str(root / "obs.json"), "--dataset", str(ds),
+            "--formula", "G[0,2] p_f", "--out", str(tmp_path / "v.csv"),
+        ]) == 0
+        assert built == ["G[0,2] p_f"] * 6
 
     def test_missing_model_exit_1(self, workspace, tmp_path):
         _, ds, _ = workspace
@@ -305,6 +332,44 @@ class TestReport:
         ])
         assert code == 2
         assert "p_nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failure", ["model_without_cache", "unknown_sweep_predicate"])
+    def test_failed_report_writes_nothing(self, workspace, tmp_path, capsys, failure):
+        root, ds, _ = workspace
+        formulas = self.formulas_file(tmp_path)
+        model, extra, message = root / "sem.json", ["--sweep-predicate", "p_nope"], "p_nope"
+        if failure == "model_without_cache":
+            obj = json.loads(model.read_text())
+            obj["score_cache_path"] = None
+            model, extra, message = tmp_path / "sem.json", [], "no score cache"
+            model.write_text(json.dumps(obj))
+        out = tmp_path / "r.csv"
+        code = main([
+            "report", "--models", str(model), "--dataset", str(ds),
+            "--formulas", str(formulas), "--sweep", "1,2", *extra, "--out", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".json").exists()
+        assert not (tmp_path / "r_sweep.csv").exists()
+
+    def test_models_with_one_stem_exit_2(self, workspace, tmp_path, capsys):
+        root, ds, _ = workspace
+        other = tmp_path / "other"
+        other.mkdir()
+        # a rolling model saved as other/sem.json, next to its own score cache
+        shutil.copy(root / "roll.json", other / "sem.json")
+        shutil.copy(root / "roll.scores.npz", other / "roll.scores.npz")
+        out = tmp_path / "r.csv"
+        code = main([
+            "report", "--models", f"{root / 'sem.json'},{other / 'sem.json'}",
+            "--dataset", str(ds), "--formulas", str(self.formulas_file(tmp_path)),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "'sem'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_formula_file_exit_2(self, workspace, tmp_path):
         root, ds, _ = workspace

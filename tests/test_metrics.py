@@ -1,15 +1,17 @@
 import csv
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import random_episode
 from ptmon.benchmark import PredictorStub
-from ptmon.conformal import ScoreConfig, calibrate, sample_level2_time
+import ptmon.conformal as conformal
+from ptmon.conformal import CalibratedMonitor, ScoreConfig, calibrate, observer_calibrate, sample_level2_time
 from ptmon.fragment import build_depth1_dictionary
-from ptmon.logic import Predicate, parse_formula
+from ptmon.logic import Predicate, format_formula, parse_formula
 from ptmon.metrics import (
     ReportRow,
     SweepRow,
@@ -113,6 +115,37 @@ class TestEvaluateMonitor:
         rows, errors = evaluate_monitor("semL2", mon, stub, test_eps, [alien])
         assert not rows
         assert "G[0,5] p0" in errors
+
+    def test_each_formula_resolved_once_over_all_episodes(self, monkeypatch):
+        names = ("p_f", "p_goal")
+        rng = np.random.default_rng(40)
+        calib = [random_episode(rng, 2, 12, names=names) for _ in range(10)]
+        episodes = [random_episode(rng, 2, 12, names=names) for _ in range(20)]
+        stub = PredictorStub(mode="predicates", scale=0.1, seed=3)
+        obs = observer_calibrate(calib, stub, parse_formula("G[0,2] p_f", names), 0.1, k_max=4)
+
+        specialised, compiles = Counter(), Counter()
+        real_for_formula = CalibratedMonitor.for_formula
+        real_compile = conformal.compile_history_decoder
+
+        def counting_for_formula(self, f):
+            specialised[format_formula(f)] += 1
+            return real_for_formula(self, f)
+
+        def counting_compile(f, *args):
+            compiles[format_formula(f)] += 1
+            return real_compile(f, *args)
+
+        monkeypatch.setattr(CalibratedMonitor, "for_formula", counting_for_formula)
+        monkeypatch.setattr(conformal, "compile_history_decoder", counting_compile)
+        goal, deep = (parse_formula(t, names) for t in ("F[0,4] p_goal", "G[0,8] p_f"))
+        rows, errors = evaluate_monitor("obs", obs, stub, episodes, [goal, deep])
+        assert [r.formula for r in rows] == ["F[0,4] p_goal"]
+        assert list(errors) == ["G[0,8] p_f"]
+        # one specialisation to certify and one for q_phi; the deep formula
+        # fails to compile once, not once per episode
+        assert specialised["F[0,4] p_goal"] <= 2
+        assert compiles["G[0,8] p_f"] <= 1
 
 
 class TestHorizonSweep:

@@ -31,6 +31,7 @@ from ptmon.monitors import (
     rolling_certify,
     rolling_step,
     run_episode,
+    run_episodes,
     semantic_certify,
     verdict_to_json,
     write_verdicts_csv,
@@ -310,6 +311,29 @@ class TestRunEpisode:
         ep = random_episode(rng, 2, 2)
         with pytest.raises(ValueError):
             run_episode(ep, stub, mon, [])
+
+
+class TestRunEpisodes:
+    @pytest.mark.parametrize("case", ["semantic-level2", "rolling", "observer"])
+    def test_batch_equals_one_episode_at_a_time(self, case):
+        mon, stub, _, formulas = case_setup(case, 5)
+        rng = np.random.default_rng(6)
+        eps = [random_episode(rng, 2, int(rng.integers(3, 13))) for _ in range(6)]
+        alien = parse_formula("G[0,7] p0", ("p0", "p1"))
+        formulas = [*formulas, alien]
+        batch = run_episodes(eps, stub, mon, formulas)
+        singles = [run_episode(ep, stub, mon, formulas) for ep in eps]
+        assert len(batch) == len(eps)
+        for b, one in zip(batch, singles):
+            assert list(b.errors) == [format_formula(alien)]
+            assert b.errors == one.errors
+            for got, want in ((b.bounds, one.bounds), (b.truth, one.truth)):
+                assert list(got) == list(want)
+                for name in got:
+                    assert got[name].dtype == want[name].dtype
+                    assert got[name].shape == want[name].shape
+                    assert got[name].tobytes() == want[name].tobytes()
+        assert batch[0].errors is not batch[1].errors
 
 
 class TestDecoderCache:
