@@ -45,6 +45,7 @@ from .conformal import (
     save_monitor,
     score_matrix,
     split_quantile,
+    true_basis,
 )
 from .fragment import (
     AtomicDictionary,
@@ -150,5 +151,6 @@ __all__ = [
     "semantic_certify",
     "simulate_episode",
     "split_quantile",
+    "true_basis",
     "__version__",
 ]

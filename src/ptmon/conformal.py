@@ -9,7 +9,8 @@ calibrated probability — simultaneously for every formula the decoder
 construction covers, because one basis-wide event implies them all. The
 per-coordinate observer baseline is the same operation with one radius per
 coordinate. :func:`certified_lower_bound` certifies one basis vector,
-:func:`certified_lower_bounds` a whole matrix of them.
+shrinking each snapshot once per monitor for all the formulas certified
+from it; :func:`certified_lower_bounds` certifies a whole matrix of them.
 
 Two aggregation levels are supported: per-episode worst time (level 1) and a
 single uniformly sampled time per episode (level 2). The raw per-coordinate
@@ -44,6 +45,7 @@ from .robustness import (
     BasisVector,
     Episode,
     predicate_history_series,
+    read_only_array,
     semantic_basis_series,
     stack_lags,
 )
@@ -179,6 +181,9 @@ class CalibratedMonitor:
     otherwise only decoders reading within ``support`` may use it.
     :meth:`decoder` compiles each formula once per monitor and keeps the
     result; copies made with :func:`dataclasses.replace` start empty.
+    ``sigma`` and ``coord_radii`` are stored read-only, so the shift cannot
+    change in place; reassigning a field is seen by the next bound (see
+    :func:`certified_lower_bound`).
     """
 
     kind: str
@@ -201,7 +206,9 @@ class CalibratedMonitor:
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
             raise ValueError(f"unknown monitor kind {self.kind!r}")
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        self.sigma = read_only_array(self.sigma)
+        if self.coord_radii is not None:
+            self.coord_radii = read_only_array(self.coord_radii)
         if self.kind == "semantic":
             if self.dictionary is None:
                 raise ValueError("semantic monitor needs a dictionary")
@@ -278,6 +285,7 @@ class CalibratedMonitor:
         coord_radii = np.zeros(self.dim)
         for c in idx:
             coord_radii[c] = split_quantile(self.cache.matrix[:, c], alpha_c)
+        coord_radii.flags.writeable = False  # nothing else holds it: no copy needed
         return replace(self, support=support, formula=name, coord_radii=coord_radii,
                        radius=float(coord_radii[idx].max()))
 
@@ -342,12 +350,18 @@ def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
     return predicted if kind == "semantic" else stack_lags(predicted, k_max)
 
 
+def true_basis(ep: Episode, basis_spec) -> np.ndarray:
+    """The exact basis of ``ep`` as columns over ``t = k_max .. T``, in the
+    layout of :func:`predicted_basis`: :func:`semantic_basis_series` for a
+    dictionary, :func:`predicate_history_series` for ``(m, k_max)``."""
+    if isinstance(basis_spec, AtomicDictionary):
+        return semantic_basis_series(ep, basis_spec)
+    return predicate_history_series(ep, basis_spec[1])
+
+
 def _prediction_errors(ep: Episode, predictor, basis_spec) -> np.ndarray:
     """Signed ``predicted - truth`` basis columns over the valid times."""
-    predicted = predicted_basis(ep, predictor, basis_spec)
-    if isinstance(basis_spec, AtomicDictionary):
-        return predicted - semantic_basis_series(ep, basis_spec)
-    return predicted - predicate_history_series(ep, basis_spec[1])
+    return predicted_basis(ep, predictor, basis_spec) - true_basis(ep, basis_spec)
 
 
 def score_matrix(
@@ -468,11 +482,29 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     Requires matching basis kind and dimension, and — when the monitor was
     calibrated on a restricted support — that the decoder reads only inside
     that support.
+
+    The shrunk values are computed once per snapshot and monitor and kept on
+    the snapshot, so every formula certified from one snapshot shares them.
+    They are reused only while the monitor's ``radius``, ``sigma``,
+    ``coord_radii`` and ``kind`` are the very objects they were computed
+    from: reassigning any of them gives a fresh shrink. (Identity, not
+    equality, because the radii ``0.0`` and ``-0.0`` are equal but shift a
+    ``-0.0`` coordinate to zeros of different sign.)
     """
     values = predicted.values
     _check_certifiable(mon, predicted.kind, values.shape[0], d)
     # A basis vector is one-dimensional, so the check above covers its shape.
-    return d.read((values - mon.shift).tolist(), min, max)
+    hit = predicted._shrunk.get(mon)
+    if (
+        hit is None
+        or hit[0] is not mon.radius
+        or hit[1] is not mon.sigma
+        or hit[2] is not mon.coord_radii
+        or hit[3] is not mon.kind
+    ):
+        hit = (mon.radius, mon.sigma, mon.coord_radii, mon.kind, (values - mon.shift).tolist())
+        predicted._shrunk[mon] = hit
+    return d.read(hit[4], min, max)
 
 
 def certified_lower_bounds(mon: CalibratedMonitor, predicted: np.ndarray, d: Decoder) -> np.ndarray:

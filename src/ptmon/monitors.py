@@ -5,10 +5,13 @@ monitor's per-coordinate ``shift`` and decode it. All three monitor kinds
 (semantic, rolling, observer) do it the same way. Streaming callers feed
 one step at a time: :class:`RollingBuffer` with :func:`rolling_certify` or
 :func:`observer_certify` for per-step predicate predictions,
-:func:`semantic_certify` for predicted atom bases. :func:`run_episodes`
-certifies recorded episodes, each formula resolved once and then one
-:func:`ptmon.conformal.certified_lower_bounds` call per episode and formula,
-and gives the bounds the streaming functions give step by step.
+:func:`semantic_certify` for predicted atom bases. A step's basis snapshot
+is shrunk once per monitor and the result is shared by every formula
+certified from it: the buffer builds one snapshot per step, and a semantic
+caller passes one :class:`~ptmon.robustness.BasisVector` for all formulas.
+:func:`run_episodes` certifies recorded episodes, each formula resolved once
+and then one :func:`ptmon.conformal.certified_lower_bounds` call per episode
+and formula, and gives the bounds the streaming functions give step by step.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -35,10 +38,11 @@ from .conformal import (
     certified_lower_bound,
     certified_lower_bounds,
     predicted_basis,
+    true_basis,
 )
-from .fragment import Decoder, HorizonExceededError
+from .fragment import Decoder, HorizonExceededError, decode_series
 from .logic import Formula, NotInFragmentError, format_formula
-from .robustness import BasisKind, BasisVector, Episode, robustness_series
+from .robustness import BasisKind, BasisVector, Episode
 
 
 class Label(str, Enum):
@@ -70,6 +74,11 @@ class RollingBuffer:
     There is no interpolation: when a step's prediction is missing, call
     :meth:`mark_dropped`, which empties the buffer so certification reports
     warm-up until enough fresh steps have arrived again.
+
+    Certification reads the current step through one read-only
+    :class:`~ptmon.robustness.BasisVector`, built on the first certification
+    after each ``push`` or ``mark_dropped``. Each monitor shrinks that
+    snapshot once, and every formula certified at the step reuses the result.
     """
 
     def __init__(self, m: int, k_max: int):
@@ -82,6 +91,7 @@ class RollingBuffer:
         self._lags = np.zeros((m, self.capacity))
         self.fill = 0
         self.t = -1
+        self._snapshot: BasisVector | None = None
 
     def push(self, mu_hat: Sequence[float] | np.ndarray) -> None:
         values = np.asarray(mu_hat, dtype=float)
@@ -93,12 +103,14 @@ class RollingBuffer:
         self._lags[:, 0] = values
         self.fill = min(self.fill + 1, self.capacity)
         self.t += 1
+        self._snapshot = None
 
     def mark_dropped(self) -> None:
         """A step arrived with no prediction: time advances, history resets."""
         self._lags[:] = 0.0
         self.fill = 0
         self.t += 1
+        self._snapshot = None
 
     def history_vector(self) -> np.ndarray:
         """Current predicate-history vector, zero-filled beyond the fill.
@@ -108,6 +120,12 @@ class RollingBuffer:
         supports within the filled depth.
         """
         return self._lags.reshape(-1).copy()
+
+    def _current_basis(self) -> BasisVector:
+        """The current history vector as a basis snapshot, built once per step."""
+        if self._snapshot is None:
+            self._snapshot = BasisVector(BasisKind.PREDICATE_HISTORY, self._lags.reshape(-1), self.t)
+        return self._snapshot
 
 
 def rolling_step(buf: RollingBuffer, mu_hat: Sequence[float] | np.ndarray | None) -> None:
@@ -137,8 +155,7 @@ def rolling_certify(
         decoder = mon.decoder(f)
     if buf.t < mon.k_max or buf.fill < decoder.horizon + 1:
         return _warming(buf.t, decoder.formula)
-    basis = BasisVector(BasisKind.PREDICATE_HISTORY, buf.history_vector(), buf.t)
-    return _verdict(buf.t, decoder.formula, certified_lower_bound(mon, basis, decoder))
+    return _verdict(buf.t, decoder.formula, certified_lower_bound(mon, buf._current_basis(), decoder))
 
 
 def semantic_certify(
@@ -231,25 +248,33 @@ def run_episodes(
     reason it cannot be certified, which every result carries in ``errors``.
     Each episode then takes one :func:`~ptmon.conformal.predicted_basis` and
     one :func:`~ptmon.conformal.certified_lower_bounds` call per formula.
+    The truth comes from one :func:`~ptmon.conformal.true_basis` per episode
+    (read-only), read out by the same decoders with no shift. Min and max
+    are exact, so it equals each formula's robustness; the bits can differ
+    only in the sign of a zero, where a formula repeats a subformula that
+    its decoder reads once.
     """
-    resolved: dict[str, tuple[Formula, Decoder, CalibratedMonitor]] = {}
+    resolved: dict[str, tuple[Decoder, CalibratedMonitor]] = {}
     errors: dict[str, str] = {}
     for f in formulas:
         name = format_formula(f)
         if name in resolved or name in errors:
             continue
         try:
-            resolved[name] = (f, mon.decoder(f), mon.monitor_for(f))
+            resolved[name] = (mon.decoder(f), mon.monitor_for(f))
         except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
             errors[name] = str(exc)
     results = []
     for ep in episodes:
         predicted = predicted_basis(ep, predictor, mon.basis_spec)
+        true = true_basis(ep, mon.basis_spec)
+        # A one-leaf read-out is a row of ``true``; it must not be writable.
+        true.flags.writeable = False
         bounds: dict[str, np.ndarray] = {}
         truth: dict[str, np.ndarray] = {}
-        for name, (f, decoder, mon_f) in resolved.items():
+        for name, (decoder, mon_f) in resolved.items():
             bounds[name] = certified_lower_bounds(mon_f, predicted, decoder)
-            truth[name] = robustness_series(f, ep)[mon.k_max - decoder.horizon :]
+            truth[name] = decode_series(decoder, true)
         results.append(EpisodeResult(bounds, truth, dict(errors), mon.k_max))
     return results
 

@@ -20,13 +20,13 @@ Two flattenings of an episode's history are used downstream:
   ``k`` at lag ``j``);
 * the semantic vector: one robustness value per atom of a dictionary.
 
-Everything here is pure; an episode keeps read-only copies of its arrays.
+Everything here is pure; an episode keeps its arrays read-only.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal, Sequence
 
@@ -54,6 +54,17 @@ class BasisKind(str, Enum):
     SEMANTIC = "semantic"
 
 
+def read_only_array(x) -> np.ndarray:
+    """``x`` as a float array that cannot be written: a read-only copy, or
+    ``x`` itself when it already is a read-only float array owning its
+    memory (such as one this function returned)."""
+    if isinstance(x, np.ndarray) and x.dtype == float and x.base is None and not x.flags.writeable:
+        return x
+    out = np.array(x, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Episode:
     """A finished run: per-predicate margins over ``t = 0..T`` plus metadata.
@@ -61,8 +72,9 @@ class Episode:
     ``mu`` has shape ``(m, T+1)``; row ``k`` holds predicate ``k``'s margin at
     each step. ``states`` (optional) has one row per step and is carried only
     for dataset round-trips — the monitors never read it. ``uid`` identifies
-    the episode for reproducible noise generation. Both arrays are stored as
-    read-only copies, so no result that views them can change the episode.
+    the episode for reproducible noise generation. Both arrays are stored
+    read-only (:func:`read_only_array`), so no result that views them can
+    change the episode.
     """
 
     mu: np.ndarray
@@ -72,8 +84,7 @@ class Episode:
     uid: int = 0
 
     def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float)
-        mu.flags.writeable = False
+        mu = read_only_array(self.mu)
         if mu.ndim != 2 or mu.shape[1] < 1:
             raise ValueError(f"mu must be (m, T+1), got shape {mu.shape}")
         if not np.isfinite(mu).all():
@@ -82,8 +93,7 @@ class Episode:
             raise ValueError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "mu", mu)
         if self.states is not None:
-            states = np.array(self.states, dtype=float)
-            states.flags.writeable = False
+            states = read_only_array(self.states)
             if states.shape[0] != mu.shape[1]:
                 raise ValueError("states and mu disagree on episode length")
             object.__setattr__(self, "states", states)
@@ -101,14 +111,21 @@ class Episode:
 
 @dataclass(frozen=True, eq=False)
 class BasisVector:
-    """A basis snapshot at one evaluation time, tagged with its layout."""
+    """A basis snapshot at one evaluation time, tagged with its layout.
+
+    ``values`` is stored read-only (:func:`read_only_array`), so a snapshot
+    never changes once built. That lets certification keep per-monitor work on
+    the snapshot itself (``_shrunk``, see
+    :func:`~ptmon.conformal.certified_lower_bound`), which goes away with it.
+    """
 
     kind: BasisKind
     values: np.ndarray
     t: int
+    _shrunk: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = read_only_array(self.values)
         if values.ndim != 1:
             raise ValueError(f"basis values must be a vector, got shape {values.shape}")
         if not np.isfinite(values).all():

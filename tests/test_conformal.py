@@ -318,6 +318,62 @@ class TestCertifiedBound:
             certified_lower_bound(mon, wrong, dec)
 
 
+class TestShrinkOnce:
+    """A snapshot keeps its shrunk values per monitor; they must never go stale."""
+
+    def test_basis_values_are_a_read_only_copy(self):
+        mon = history_monitor(1, 1)
+        mon.radius = 0.5
+        dec = compile_history_decoder(parse_formula("G[0,1] p0", ("p0",)), 1, 1)
+        given = np.array([2.0, 3.0])
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, given, 1)
+        with pytest.raises(ValueError):
+            basis.values[0] = -5.0
+        assert certified_lower_bound(mon, basis, dec) == 1.5
+        given[0] = -5.0
+        assert np.array_equal(basis.values, [2.0, 3.0])
+        assert certified_lower_bound(mon, basis, dec) == 1.5
+
+    @pytest.mark.parametrize("field", ["radius", "sigma", "coord_radii"])
+    def test_reassigned_field_gives_the_fresh_bound(self, field):
+        kind = "observer" if field == "coord_radii" else "rolling"
+        mon = replace(history_monitor(1, 1), kind=kind, radius=0.5, coord_radii=np.full(2, 0.5))
+        dec = compile_history_decoder(parse_formula("G[0,1] p0", ("p0",)), 1, 1)
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1)
+        assert certified_lower_bound(mon, basis, dec) == 1.5
+        setattr(mon, field, 2.0 if field == "radius" else np.full(2, 2.0))
+        fresh = certified_lower_bound(mon, BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1), dec)
+        assert fresh == (1.0 if field == "sigma" else 0.0)
+        assert certified_lower_bound(mon, basis, dec) == fresh
+
+    def test_equal_radius_of_other_sign_gives_the_fresh_zero(self):
+        # 0.0 == -0.0, yet -0.0 - 0.0 is -0.0 while -0.0 - (-0.0) is 0.0.
+        mon = history_monitor(1, 0)
+        dec = compile_history_decoder(parse_formula("p0", ("p0",)), 1, 0)
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, [-0.0], 0)
+        assert np.signbit(certified_lower_bound(mon, basis, dec))
+        mon.radius = -0.0
+        assert not np.signbit(certified_lower_bound(mon, basis, dec))
+
+    def test_shift_arrays_are_read_only_copies(self):
+        sigma, radii = np.ones(2), np.full(2, 0.5)
+        mon = replace(history_monitor(1, 1), kind="observer", sigma=sigma, coord_radii=radii)
+        for arr in (mon.sigma, mon.coord_radii):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+        sigma[0] = radii[0] = 9.0
+        assert np.array_equal(mon.shift, [0.5, 0.5])
+
+    def test_each_monitor_shrinks_a_snapshot_for_itself(self):
+        low, high = history_monitor(1, 0), history_monitor(1, 0)
+        low.radius, high.radius = 1.0, 3.0
+        dec = compile_history_decoder(parse_formula("p0", ("p0",)), 1, 0)
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0], 0)
+        for _ in range(2):
+            assert certified_lower_bound(low, basis, dec) == 1.0
+            assert certified_lower_bound(high, basis, dec) == -1.0
+
+
 class TestEstimateSigma:
     def test_constant_error_recovered(self):
         d = tiny_dictionary()

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 from collections import Counter
@@ -12,6 +13,7 @@ from helpers import random_episode, random_fragment_formula
 import ptmon.conformal as conformal
 import ptmon.fragment as fragment
 import ptmon.monitors as monitors
+from ptmon import benchmark
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     ScoreConfig,
@@ -21,7 +23,7 @@ from ptmon.conformal import (
     observer_calibrate,
 )
 from ptmon.fragment import build_depth1_dictionary, compile_history_decoder, compile_semantic_decoder
-from ptmon.logic import format_formula, parse_formula
+from ptmon.logic import format_formula, horizon, parse_formula
 from ptmon.monitors import (
     EpisodeResult,
     Label,
@@ -42,8 +44,12 @@ from ptmon.robustness import (
     BasisVector,
     Episode,
     predicate_history_basis,
+    robustness_series,
     semantic_basis_series,
 )
+
+# ``ptmon.robustness`` is also the name of a function the package exports.
+robustness_module = importlib.import_module("ptmon.robustness")
 
 
 def rolling_monitor(rng, m=2, k_max=3, n=10, T=9, **stub_kw):
@@ -336,6 +342,61 @@ class TestRunEpisodes:
         assert batch[0].errors is not batch[1].errors
 
 
+def crossroad_setup(kind, n_formulas=15):
+    """Simulated crossroad episodes (their margins hold exact zeros), a
+    monitor of ``kind`` over the default dictionary's layout, its predictor
+    and distinct fragment formulas."""
+    names = benchmark.PREDICATE_NAMES
+    d = build_depth1_dictionary(len(names), benchmark.DEFAULT_INTERVALS, names)
+    cfg = benchmark.CrossroadConfig(T=30, seed=4)
+    eps = [benchmark.simulate_episode(cfg, 500 + i) for i in range(14)]
+    rng = np.random.default_rng(4)
+    formulas = {}
+    while len(formulas) < n_formulas:
+        f = random_fragment_formula(rng, d)
+        formulas.setdefault(format_formula(f), f)
+    formulas = list(formulas.values())
+    if kind == "semantic":
+        stub = PredictorStub(mode="semantic", scale=0.2, seed=4, dictionary=d)
+        mon = calibrate(eps[:10], stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+    else:
+        stub = PredictorStub(mode="predicates", scale=0.2, seed=4)
+        if kind == "rolling":
+            cfg = ScoreConfig(sigma=np.ones(len(names) * (d.K_max + 1)), alpha=0.1, level=2)
+            mon = calibrate(eps[:10], stub, cfg, (len(names), d.K_max))
+        else:
+            mon = observer_calibrate(eps[:10], stub, formulas[0], 0.1, k_max=d.K_max)
+    return mon, stub, eps[10:], formulas
+
+
+class TestRunEpisodesTruth:
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_truth_is_the_robustness_oracle_bit_for_bit(self, kind):
+        mon, stub, eps, formulas = crossroad_setup(kind)
+        zeros = 0
+        for ep, res in zip(eps, run_episodes(eps, stub, mon, formulas)):
+            assert not res.errors
+            for f in formulas:
+                got = res.truth[format_formula(f)]
+                want = robustness_series(f, ep)[mon.k_max - horizon(f) :]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                zeros += int((got == 0.0).sum())
+        assert zeros > 0
+
+    def test_truth_evaluates_no_formula(self, monkeypatch):
+        mons = [crossroad_setup(kind, n_formulas=5) for kind in ("semantic", "rolling", "observer")]
+
+        def evaluating(*args):
+            raise AssertionError("run_episodes evaluated a formula")
+
+        for name in ("robustness_series", "_series"):
+            monkeypatch.setattr(robustness_module, name, evaluating)
+        for mon, stub, eps, formulas in mons:
+            results = run_episodes(eps, stub, mon, formulas)
+            assert all(len(res.truth) == len(formulas) for res in results)
+
+
 class TestDecoderCache:
     def test_each_formula_compiles_once_per_monitor(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -467,6 +528,55 @@ class TestDecoderCache:
         assert all("read" in dec.__dict__ for dec in used)
         assert len(generated) == 15
         assert walks == Counter()
+
+
+class TestSharedShrink:
+    def test_each_step_shrinks_once_per_monitor(self, monkeypatch):
+        # 20 formulas per step share one history snapshot and, per monitor,
+        # one shift; each observer is its own monitor, so it shifts once too.
+        rng = np.random.default_rng(23)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
+        sem_stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
+        sem = calibrate(eps, sem_stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        roll, pred_stub, _ = rolling_monitor(rng, m=2, k_max=3)
+        formulas = {}
+        while len(formulas) < 20:
+            f = random_fragment_formula(rng, d)
+            formulas.setdefault(format_formula(f), f)
+        formulas = list(formulas.values())
+        observers = [observer_calibrate(eps, pred_stub, f, 0.1, k_max=3) for f in formulas]
+
+        shifts = Counter()
+        real_shift = conformal.CalibratedMonitor.shift.fget
+
+        def counting_shift(mon):
+            shifts[id(mon)] += 1
+            return real_shift(mon)
+
+        monkeypatch.setattr(conformal.CalibratedMonitor, "shift", property(counting_shift))
+        built = []
+
+        def building(*args, real=monitors.BasisVector):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(monitors, "BasisVector", building)
+
+        buf = RollingBuffer(2, 3)
+        for t in range(10):
+            rolling_step(buf, rng.normal(size=2))
+            basis = BasisVector(BasisKind.SEMANTIC, rng.normal(size=d.r), t)
+            for f, obs in zip(formulas, observers):
+                semantic_certify(basis, sem, f)
+                rolling_certify(buf, roll, f)
+                observer_certify(buf, obs, f)
+        certified = {"semantic": 10 - sem.k_max, "history": 10 - roll.k_max}
+        assert shifts[id(sem)] == certified["semantic"]
+        assert shifts[id(roll)] == certified["history"]
+        assert [shifts[id(obs)] for obs in observers] == [certified["history"]] * 20
+        assert len(shifts) == 22
+        assert len(built) == certified["history"]
 
 
 def stream_verdicts(ep, predictor, mon, f):
