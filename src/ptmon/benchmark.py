@@ -153,10 +153,11 @@ class PredicateSuite:
             rel = peds - pos[:, None, :]
             dist = np.hypot(rel[:, :, 0], rel[:, :, 1])
 
+        bearing = np.arctan2(rel[:, :, 1], rel[:, :, 0])
+
         def cone_clearance(center: np.ndarray) -> np.ndarray:
             if n_ped == 0:
                 return np.full(n, cap)
-            bearing = np.arctan2(rel[:, :, 1], rel[:, :, 0])
             diff = np.abs(_wrap_angle(bearing - center[:, None]))
             in_cone = diff <= half_angle
             nearest = np.min(np.where(in_cone, dist, np.inf), axis=1)
@@ -201,6 +202,12 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
     Pedestrians follow straight paths with jittered starts and speeds plus a
     small random walk. Returned margins are exactly the suite applied to the
     recorded states; ``uid`` is set to ``seed`` for reproducible noise keys.
+
+    Episodes are bit-reproducible from ``(cfg, seed)``. The step loop runs on
+    Python floats: angles wrap with the float ``%`` (the same ``fmod`` rule
+    numpy's ``%`` follows), and the nearest-pedestrian distance takes the C
+    library's ``hypot`` through ``abs(complex(dx, dy))``, the function
+    ``np.hypot`` calls (``math.hypot`` rounds differently on some inputs).
     """
     rng = np.random.default_rng([cfg.seed, seed])
     suite = crossroad_predicates(cfg)
@@ -222,35 +229,37 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
     else:
         ped_paths = np.zeros((steps, 0, 2))
 
-    robot_noise = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, 2))
+    robot_noise = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, 2)).tolist()
+    peds = ped_paths.tolist()
+    max_turn = cfg.turn_rate_max * dt
+    tau = 2.0 * math.pi
+    v_max, gain, radius, d_safe = cfg.v_max, cfg.accel_gain, cfg.activation_radius, cfg.d_safe
 
     gx, gy = cfg.robot_goal
     x, y = cfg.robot_start
     heading = math.atan2(gy - y, gx - x)
     speed = 0.0
 
-    states = np.empty((steps, 4 + 2 * n_ped), dtype=float)
-    for t in range(steps):
-        states[t, 0], states[t, 1], states[t, 2], states[t, 3] = x, y, heading, speed
-        if n_ped:
-            states[t, 4:] = ped_paths[t].reshape(-1)
-        if t == steps - 1:
-            break
+    robot = [(x, y, heading, speed)]
+    for t in range(steps - 1):
         dist_goal = math.hypot(gx - x, gy - y)
         target = math.atan2(gy - y, gx - x)
-        turn = _wrap_angle(np.asarray(target - heading)).item()
-        turn = max(-cfg.turn_rate_max * dt, min(cfg.turn_rate_max * dt, turn))
-        heading = float(_wrap_angle(np.asarray(heading + turn)))
-        v_cmd = min(cfg.v_max, cfg.accel_gain * dist_goal)
+        turn = (target - heading + math.pi) % tau - math.pi
+        turn = max(-max_turn, min(max_turn, turn))
+        heading = (heading + turn + math.pi) % tau - math.pi
+        v_cmd = min(v_max, gain * dist_goal)
         if n_ped:
-            d_near = float(np.min(np.hypot(ped_paths[t, :, 0] - x, ped_paths[t, :, 1] - y)))
-            if d_near < cfg.activation_radius:
-                brake = (d_near - cfg.d_safe) / (cfg.activation_radius - cfg.d_safe)
+            d_near = min([abs(complex(px - x, py - y)) for px, py in peds[t]])
+            if d_near < radius:
+                brake = (d_near - d_safe) / (radius - d_safe)
                 v_cmd *= min(1.0, max(0.0, brake))
         speed = v_cmd
-        x += speed * math.cos(heading) * dt + robot_noise[t, 0]
-        y += speed * math.sin(heading) * dt + robot_noise[t, 1]
+        noise_x, noise_y = robot_noise[t]
+        x += speed * math.cos(heading) * dt + noise_x
+        y += speed * math.sin(heading) * dt + noise_y
+        robot.append((x, y, heading, speed))
 
+    states = np.hstack([np.array(robot, dtype=float), ped_paths.reshape(steps, -1)])
     mu = suite.evaluate(states)
     return Episode(mu=mu, dt=dt, states=states, predicate_names=suite.names, uid=seed)
 
@@ -391,10 +400,10 @@ def generate_dataset(
 
 
 def _write_episode(ep: Episode, path: Path) -> None:
-    with open(path, "w") as fh:
-        for t in range(ep.T + 1):
-            state = ep.states[t].tolist() if ep.states is not None else []
-            fh.write(json.dumps({"t": t, "state": state, "mu": ep.mu[:, t].tolist()}) + "\n")
+    states = ep.states.tolist() if ep.states is not None else [[]] * (ep.T + 1)
+    rows = zip(states, ep.mu.T.tolist())
+    lines = [json.dumps({"t": t, "state": state, "mu": mu}) + "\n" for t, (state, mu) in enumerate(rows)]
+    path.write_text("".join(lines))
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:

@@ -9,9 +9,13 @@ meaningful.
 from __future__ import annotations
 
 import functools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 
+from ptmon.benchmark import PREDICATE_NAMES, CrossroadConfig
 from ptmon.fragment import DecoderNode, Leaf, MinNode
 from ptmon.logic import (
     Always,
@@ -95,6 +99,126 @@ def naive_windowed_extrema(series, interval: TimeInterval, mode: str):
     for t in range(interval.b, len(x)):
         out.append(pick(x[t - interval.b : t - interval.a + 1]))
     return np.asarray(out, dtype=float)
+
+
+def naive_wrap_angle(angle: np.ndarray) -> np.ndarray:
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def naive_crossroad_margins(cfg: CrossroadConfig, states: np.ndarray) -> np.ndarray:
+    """The seven crossroad margins of an ``(n, 4 + 2*peds)`` state array,
+    each cone recomputing its own bearings."""
+    states = np.asarray(states, dtype=float)
+    n = states.shape[0]
+    n_ped = (states.shape[1] - 4) // 2
+    pos = states[:, 0:2]
+    heading = states[:, 2]
+    speed = states[:, 3]
+
+    half_angle = math.radians(cfg.sector_half_angle_deg)
+    cap = cfg.sector_max
+
+    if n_ped == 0:
+        dist = np.full((n, 0), np.inf)
+        rel = np.zeros((n, 0, 2))
+    else:
+        peds = states[:, 4:].reshape(n, n_ped, 2)
+        rel = peds - pos[:, None, :]
+        dist = np.hypot(rel[:, :, 0], rel[:, :, 1])
+
+    def cone_clearance(center: np.ndarray) -> np.ndarray:
+        if n_ped == 0:
+            return np.full(n, cap)
+        bearing = np.arctan2(rel[:, :, 1], rel[:, :, 0])
+        diff = np.abs(naive_wrap_angle(bearing - center[:, None]))
+        in_cone = diff <= half_angle
+        nearest = np.min(np.where(in_cone, dist, np.inf), axis=1)
+        return np.minimum(nearest, cap)
+
+    p_clear = np.minimum(np.min(dist, axis=1, initial=np.inf), cap) - cfg.d_safe
+    p_f = cone_clearance(heading) - cfg.d_safe
+    p_l = cone_clearance(heading + 0.5 * math.pi) - cfg.d_safe
+    p_r = cone_clearance(heading - 0.5 * math.pi) - cfg.d_safe
+
+    if n_ped == 0:
+        gap = np.full(n, cap)
+    else:
+        cos_h = np.cos(heading)[:, None]
+        sin_h = np.sin(heading)[:, None]
+        longitudinal = rel[:, :, 0] * cos_h + rel[:, :, 1] * sin_h
+        lateral = -rel[:, :, 0] * sin_h + rel[:, :, 1] * cos_h
+        ahead = (longitudinal > 0.0) & (np.abs(lateral) <= cfg.corridor_half_width)
+        gap = np.minimum(np.min(np.where(ahead, longitudinal, np.inf), axis=1), cap)
+    p_front_margin = gap - cfg.d_safe
+
+    p_goal = cfg.goal_radius - np.hypot(pos[:, 0] - cfg.robot_goal[0], pos[:, 1] - cfg.robot_goal[1])
+    p_speed = cfg.v_max - speed
+
+    return np.vstack([p_clear, p_f, p_l, p_r, p_front_margin, p_goal, p_speed])
+
+
+def naive_simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
+    """The crossroad roll-out with numpy scalars in the step loop: each angle
+    wrapped through a 0-d array, the nearest pedestrian by ``np.hypot`` and
+    ``np.min``, and the state matrix filled row by row."""
+    rng = np.random.default_rng([cfg.seed, seed])
+    n_ped = cfg.n_pedestrians
+    steps = cfg.T + 1
+    dt = cfg.dt
+
+    if n_ped:
+        starts = np.asarray(cfg.pedestrian_starts, dtype=float)
+        starts = starts + rng.uniform(-cfg.start_jitter, cfg.start_jitter, size=(n_ped, 2))
+        speeds = np.asarray(cfg.pedestrian_speeds, dtype=float)
+        speeds = speeds * (1.0 + rng.uniform(-cfg.speed_jitter, cfg.speed_jitter, size=n_ped))
+        headings = np.radians(np.asarray(cfg.pedestrian_headings_deg, dtype=float))
+        directions = np.stack([np.cos(headings), np.sin(headings)], axis=1)
+        times = np.arange(steps)[:, None, None] * dt
+        walk = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, n_ped, 2))
+        drift = np.concatenate([np.zeros((1, n_ped, 2)), np.cumsum(walk, axis=0)])
+        ped_paths = starts[None, :, :] + speeds[None, :, None] * directions[None, :, :] * times + drift
+    else:
+        ped_paths = np.zeros((steps, 0, 2))
+
+    robot_noise = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, 2))
+
+    gx, gy = cfg.robot_goal
+    x, y = cfg.robot_start
+    heading = math.atan2(gy - y, gx - x)
+    speed = 0.0
+
+    states = np.empty((steps, 4 + 2 * n_ped), dtype=float)
+    for t in range(steps):
+        states[t, 0], states[t, 1], states[t, 2], states[t, 3] = x, y, heading, speed
+        if n_ped:
+            states[t, 4:] = ped_paths[t].reshape(-1)
+        if t == steps - 1:
+            break
+        dist_goal = math.hypot(gx - x, gy - y)
+        target = math.atan2(gy - y, gx - x)
+        turn = naive_wrap_angle(np.asarray(target - heading)).item()
+        turn = max(-cfg.turn_rate_max * dt, min(cfg.turn_rate_max * dt, turn))
+        heading = float(naive_wrap_angle(np.asarray(heading + turn)))
+        v_cmd = min(cfg.v_max, cfg.accel_gain * dist_goal)
+        if n_ped:
+            d_near = float(np.min(np.hypot(ped_paths[t, :, 0] - x, ped_paths[t, :, 1] - y)))
+            if d_near < cfg.activation_radius:
+                brake = (d_near - cfg.d_safe) / (cfg.activation_radius - cfg.d_safe)
+                v_cmd *= min(1.0, max(0.0, brake))
+        speed = v_cmd
+        x += speed * math.cos(heading) * dt + robot_noise[t, 0]
+        y += speed * math.sin(heading) * dt + robot_noise[t, 1]
+
+    mu = naive_crossroad_margins(cfg, states)
+    return Episode(mu=mu, dt=dt, states=states, predicate_names=PREDICATE_NAMES, uid=seed)
+
+
+def naive_write_episode(ep: Episode, path: Path) -> None:
+    """Write an episode as JSON lines, one ``json.dumps`` and one write per step."""
+    with open(path, "w") as fh:
+        for t in range(ep.T + 1):
+            state = ep.states[t].tolist() if ep.states is not None else []
+            fh.write(json.dumps({"t": t, "state": state, "mu": ep.mu[:, t].tolist()}) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import naive_simulate_episode, naive_write_episode, random_episode
 from ptmon.benchmark import (
     DEFAULT_INTERVALS,
     PREDICATE_NAMES,
@@ -14,6 +15,8 @@ from ptmon.benchmark import (
     generate_dataset,
     load_manifest,
     load_split,
+    _wrap_angle,
+    _write_episode,
     simulate_episode,
     stub_from_json,
 )
@@ -149,6 +152,65 @@ class TestSimulate:
         assert ep.states[:, 3].max() <= cfg.v_max + 1e-9
 
 
+# (config, episodes): 2,040 episodes between them, covering one-step
+# episodes, an empty crossing, braking from far away, a saturated turn rate
+# and noise large enough to scatter the robot and pedestrians.
+ORACLE_CASES = [
+    pytest.param(CrossroadConfig(T=40), 400, id="default"),
+    pytest.param(CrossroadConfig(T=1), 400, id="one-step"),
+    pytest.param(
+        CrossroadConfig(T=30, pedestrian_starts=(), pedestrian_headings_deg=(), pedestrian_speeds=()),
+        300,
+        id="no-pedestrians",
+    ),
+    pytest.param(CrossroadConfig(T=30, activation_radius=8.0), 300, id="early-braking"),
+    pytest.param(CrossroadConfig(T=30, turn_rate_max=0.05), 320, id="saturated-turn"),
+    pytest.param(
+        CrossroadConfig(T=30, process_noise=1.0, start_jitter=4.0, speed_jitter=0.9, seed=7),
+        320,
+        id="high-noise",
+    ),
+]
+
+
+class TestSimulatorOracle:
+    """The Python-float step loop against the numpy-scalar loop it replaced."""
+
+    @pytest.mark.parametrize("cfg, count", ORACLE_CASES)
+    def test_bit_identical_to_numpy_scalar_loop(self, cfg, count):
+        for seed in range(count):
+            got = simulate_episode(cfg, seed)
+            want = naive_simulate_episode(cfg, seed)
+            assert got.mu.tobytes() == want.mu.tobytes(), seed
+            assert got.states.shape == want.states.shape
+            assert got.states.tobytes() == want.states.tobytes(), seed
+            assert got.uid == want.uid == seed
+
+    @pytest.mark.parametrize("seed, scale", enumerate([1e-300, 1e-3, 1.0, 10.0, 1e5, 1e150]))
+    def test_abs_complex_is_np_hypot(self, seed, scale):
+        # The loop's nearest-pedestrian distance relies on CPython's complex
+        # abs calling the C library's hypot, as np.hypot does.
+        rng = np.random.default_rng([400, seed])
+        a, b = rng.normal(0.0, scale, size=(2, 100_000))
+        a[:100] = 0.0
+        b[100:200] = -0.0
+        got = np.array([abs(complex(u, v)) for u, v in zip(a.tolist(), b.tolist())])
+        assert got.tobytes() == np.hypot(a, b).tobytes()
+
+    @pytest.mark.parametrize("seed, scale", enumerate([1e-12, 1.0, math.pi, 100.0, 1e8]))
+    def test_float_mod_matches_numpy_wrap(self, seed, scale):
+        rng = np.random.default_rng([500, seed])
+        angles = rng.normal(0.0, scale, size=20_000)
+        edges = [k * math.pi for k in range(-5, 6)] + [-0.0, 0.0, math.nextafter(math.pi, 0.0)]
+        angles = np.concatenate([edges, angles])
+        tau = 2.0 * math.pi
+        got = np.array([(a + math.pi) % tau - math.pi for a in angles.tolist()])
+        assert got.tobytes() == _wrap_angle(angles).tobytes()
+        # the replaced loop wrapped one 0-d array at a time
+        scalar = np.array([_wrap_angle(np.asarray(a)).item() for a in angles[:2_000].tolist()])
+        assert got[:2_000].tobytes() == scalar.tobytes()
+
+
 class TestPredictorStub:
     def test_zero_scale_bias_shifts_exactly(self):
         cfg = CrossroadConfig(T=15)
@@ -276,3 +338,20 @@ class TestDatasetIO:
         (out / "manifest.json").write_text(json.dumps(blob))
         with pytest.raises(ValueError):
             load_manifest(out)
+
+    def test_writer_bytes_match_the_per_line_writer(self, tmp_path):
+        cfg = CrossroadConfig(T=20)
+        out = generate_dataset(cfg, {"train": 2, "calib": 3, "test": 2}, seed=4, out_dir=tmp_path / "ds")
+        cfg_back = CrossroadConfig.from_json(load_manifest(out)["config"])
+        for split in ("train", "calib", "test"):
+            for i, ep in enumerate(load_split(out, split)):
+                want = tmp_path / f"{split}_{i}.jsonl"
+                naive_write_episode(simulate_episode(cfg_back, ep.uid), want)
+                assert (out / split / f"ep_{i:05d}.jsonl").read_bytes() == want.read_bytes()
+
+    def test_writer_without_states_matches_the_per_line_writer(self, tmp_path):
+        ep = random_episode(np.random.default_rng(6), len(PREDICATE_NAMES), 9)
+        assert ep.states is None
+        _write_episode(ep, tmp_path / "a.jsonl")
+        naive_write_episode(ep, tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()

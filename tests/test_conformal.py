@@ -1,4 +1,7 @@
+import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from helpers import predicate_lag_support, random_episode, random_fragment_formu
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     CalibratedMonitor,
+    certified_lower_bounds,
     ScoreCache,
     ScoreConfig,
     SupportMismatchError,
@@ -75,8 +79,6 @@ class TestSplitQuantile:
         st.floats(0.01, 0.99),
     )
     def test_is_the_documented_order_statistic(self, scores, alpha):
-        import math
-
         n = len(scores)
         rank = min(n, math.ceil((n + 1) * (1 - alpha)))
         assert split_quantile(scores, alpha) == sorted(scores)[rank - 1]
@@ -87,6 +89,23 @@ class TestSplitQuantile:
         # The finite-sample correction only ever rounds the rank up.
         q = split_quantile(scores, 0.1)
         assert q >= float(np.quantile(scores, 0.9, method="inverted_cdf")) - 1e-12
+
+
+class TestCoverageLaw:
+    def test_marginal_coverage_is_exactly_18_of_20(self):
+        # With n = 19 exchangeable continuous scores and alpha = 0.1, the
+        # radius is the 18th smallest, so a fresh score falls at or below it
+        # with probability exactly 18/20; a rank one lower would give 17/20.
+        n, draws, support = 19, 20_000, (0, 2)
+        rows = np.random.default_rng(2024).random((draws, n + 1, 3))
+        covered = 0
+        for draw in rows:
+            radius = radius_for_support(ScoreCache(draw[:n], level=1, seed=0), support, 0.1)
+            covered += draw[n, list(support)].max() <= radius
+        mean = covered / draws
+        se = math.sqrt(0.9 * 0.1 / draws)
+        assert abs(mean - 18 / 20) < 5 * se
+        assert abs(mean - 17 / 20) > 5 * se
 
 
 class TestScores:
@@ -553,6 +572,64 @@ class TestPersistence:
         assert back.formula == format_formula(f)
         assert np.array_equal(back.coord_radii, mon.coord_radii)
         assert back.support == mon.support
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["semantic", "rolling", "observer"]),
+        st.booleans(),
+        st.one_of(st.none(), st.floats(-1e6, 1e6)),
+    )
+    def test_monitor_round_trip_is_exact(self, seed, kind, specialise, radius):
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(0.05, 0.5))
+        if kind == "semantic":
+            d = tiny_dictionary()
+            eps = tiny_episodes(rng, d, 12)
+            stub = PredictorStub(mode="semantic", scale=0.2, bias=-0.05, seed=seed, dictionary=d)
+            sigma = rng.uniform(0.5, 2.0, size=d.r)
+            mon = calibrate(eps, stub, ScoreConfig(sigma=sigma, alpha=alpha, level=1), d)
+            f = random_fragment_formula(rng, d)
+        else:
+            m, k_max = 2, 4
+            eps = [random_episode(rng, m, 10) for _ in range(12)]
+            stub = PredictorStub(mode="predicates", scale=0.2, seed=seed)
+            f = random_pnf_formula(rng, m, depth=2, max_b=2)
+            if kind == "rolling":
+                sigma = rng.uniform(0.5, 2.0, size=m * (k_max + 1))
+                cfg = ScoreConfig(sigma=sigma, alpha=alpha, level=2)
+                mon = calibrate(eps, stub, cfg, (m, k_max), tau_seed=seed % 97)
+            else:
+                mon = observer_calibrate(eps, stub, f, alpha, k_max=k_max, tau_seed=seed % 97,
+                                         sigma_predicates=rng.uniform(0.5, 2.0, size=m))
+        if specialise and kind != "observer":
+            mon = mon.for_formula(f)
+        if radius is not None and kind != "observer":
+            mon = replace(mon, radius=radius)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mon.json"
+            save_monitor(mon, path)
+            back = load_monitor(path)
+
+        def same(a, b):
+            return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+        assert same(back.radius, mon.radius)
+        assert same(back.sigma, mon.sigma)
+        assert (back.coord_radii is None) == (mon.coord_radii is None)
+        if mon.coord_radii is not None:
+            assert same(back.coord_radii, mon.coord_radii)
+        assert back.support == mon.support
+        assert back.formula == mon.formula
+        assert same(back.cache.matrix, mon.cache.matrix)
+        assert back.cache.matrix.shape == mon.cache.matrix.shape
+        predicted = rng.normal(size=(mon.dim, 6))
+        d_mon, d_back = mon.decoder(f), back.decoder(f)
+        assert same(
+            certified_lower_bounds(back, predicted, d_back),
+            certified_lower_bounds(mon, predicted, d_mon),
+        )
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "m.json"
