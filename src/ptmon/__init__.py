@@ -85,7 +85,6 @@ from .robustness import (
     BasisVector,
     Episode,
     predicate_history_basis,
-    robustness,
     robustness_series,
     semantic_basis_series,
 )
@@ -139,7 +138,6 @@ __all__ = [
     "predicate_history_basis",
     "predicted_basis",
     "radius_for_support",
-    "robustness",
     "robustness_series",
     "rolling_certify",
     "run_episode",

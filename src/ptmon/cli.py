@@ -19,6 +19,7 @@ import argparse
 import ast
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         if args.scope == "active":
             mon = mon.for_formula(formula)
 
-    mon.predictor_config = stub.to_json()
+    mon = replace(mon, predictor_config=stub.to_json())
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_monitor(mon, args.out)
     scope = "formula-specific" if mon.support is not None else "fragment-wide"

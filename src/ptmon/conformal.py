@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -95,17 +96,18 @@ class ScoreConfig:
             object.__setattr__(self, "support", support)
 
 
-def split_quantile(scores: Sequence[float] | np.ndarray, alpha: float) -> float:
+def split_quantile(scores: Sequence[float] | np.ndarray, alpha: float) -> float | np.ndarray:
     """Finite-sample upper quantile: the ``min(n, ceil((n+1)(1-alpha)))``-th
-    smallest of ``n`` scores (1-based)."""
-    s = np.sort(np.asarray(scores, dtype=float))
-    n = s.size
+    smallest of ``n`` scores (1-based); of each column, for an ``(n, c)``
+    matrix of scores."""
+    s = np.sort(np.asarray(scores, dtype=float), axis=0)
+    n = s.shape[0]
     if n == 0:
         raise ValueError("cannot take a quantile of an empty score list")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rank = min(n, math.ceil((n + 1) * (1.0 - alpha)))
-    return float(s[rank - 1])
+    return float(s[rank - 1]) if s.ndim == 1 else s[rank - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def load_score_cache(path: str | Path) -> ScoreCache:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CalibratedMonitor:
     """Everything needed to certify at run time, plus the score cache.
 
@@ -179,11 +181,13 @@ class CalibratedMonitor:
     ``coord_radii``, the lower end of symmetric intervals).
     ``support`` of ``None`` means the radius protects the whole basis;
     otherwise only decoders reading within ``support`` may use it.
-    :meth:`decoder` compiles each formula once per monitor and keeps the
-    result; copies made with :func:`dataclasses.replace` start empty.
-    ``sigma`` and ``coord_radii`` are stored read-only, so the shift cannot
-    change in place; reassigning a field is seen by the next bound (see
-    :func:`certified_lower_bound`).
+
+    A monitor is immutable: its fields cannot be reassigned, and ``sigma``
+    and ``coord_radii`` are stored read-only. So its :attr:`shift` is
+    computed once, and a snapshot shrunk for it stays valid (see
+    :func:`certified_lower_bound`). A changed monitor is a new one, made
+    with :func:`dataclasses.replace`. :meth:`decoder` compiles each formula
+    once per monitor and keeps the result; a copy starts with none.
     """
 
     kind: str
@@ -206,14 +210,14 @@ class CalibratedMonitor:
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
             raise ValueError(f"unknown monitor kind {self.kind!r}")
-        self.sigma = read_only_array(self.sigma)
+        object.__setattr__(self, "sigma", read_only_array(self.sigma))
         if self.coord_radii is not None:
-            self.coord_radii = read_only_array(self.coord_radii)
+            object.__setattr__(self, "coord_radii", read_only_array(self.coord_radii))
         if self.kind == "semantic":
             if self.dictionary is None:
                 raise ValueError("semantic monitor needs a dictionary")
-            self.m = self.dictionary.m
-            self.k_max = self.dictionary.K_max
+            object.__setattr__(self, "m", self.dictionary.m)
+            object.__setattr__(self, "k_max", self.dictionary.K_max)
         else:
             if self.m is None or self.k_max is None:
                 raise ValueError(f"{self.kind} monitor needs m and k_max")
@@ -232,13 +236,14 @@ class CalibratedMonitor:
         ``(m, k_max)`` for predicate history."""
         return self.dictionary if self.kind == "semantic" else (self.m, self.k_max)
 
-    @property
+    @cached_property
     def shift(self) -> np.ndarray:
         """What certification subtracts from each predicted coordinate:
-        ``radius * sigma``, or ``coord_radii * sigma`` for the observer."""
-        if self.kind == "observer":
-            return self.coord_radii * self.sigma
-        return self.radius * self.sigma
+        ``radius * sigma``, or ``coord_radii * sigma`` for the observer.
+        Computed on first use and kept, read-only."""
+        shift = self.coord_radii * self.sigma if self.kind == "observer" else self.radius * self.sigma
+        shift.flags.writeable = False
+        return shift
 
     def decoder(self, f: Formula) -> Decoder:
         """The decoder reading ``f`` off this monitor's basis layout,
@@ -258,14 +263,6 @@ class CalibratedMonitor:
             self._decoders[f] = d
         return d
 
-    def support_of(self, f: Formula) -> frozenset[int]:
-        """Basis coordinates formula ``f`` reads under this monitor's layout."""
-        return self.decoder(f).support
-
-    def radius_for_formula(self, f: Formula) -> float:
-        """Radius for ``f``'s own support, recomputed from the cached scores."""
-        return self.for_formula(f).radius
-
     def for_formula(self, f: Formula) -> "CalibratedMonitor":
         """A copy specialized to ``f``: support narrowed, radius recomputed.
 
@@ -281,10 +278,8 @@ class CalibratedMonitor:
             return replace(self, support=support, formula=name,
                            radius=radius_for_support(self.cache, support, self.alpha))
         idx = sorted(support)
-        alpha_c = self.alpha / len(idx)
         coord_radii = np.zeros(self.dim)
-        for c in idx:
-            coord_radii[c] = split_quantile(self.cache.matrix[:, c], alpha_c)
+        coord_radii[idx] = split_quantile(self.cache.matrix[:, idx], self.alpha / len(idx))
         coord_radii.flags.writeable = False  # nothing else holds it: no copy needed
         return replace(self, support=support, formula=name, coord_radii=coord_radii,
                        radius=float(coord_radii[idx].max()))
@@ -484,27 +479,16 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     that support.
 
     The shrunk values are computed once per snapshot and monitor and kept on
-    the snapshot, so every formula certified from one snapshot shares them.
-    They are reused only while the monitor's ``radius``, ``sigma``,
-    ``coord_radii`` and ``kind`` are the very objects they were computed
-    from: reassigning any of them gives a fresh shrink. (Identity, not
-    equality, because the radii ``0.0`` and ``-0.0`` are equal but shift a
-    ``-0.0`` coordinate to zeros of different sign.)
+    the snapshot, keyed by the monitor, so every formula certified from one
+    snapshot shares them. Both are immutable, so the entry never goes stale.
     """
     values = predicted.values
     _check_certifiable(mon, predicted.kind, values.shape[0], d)
     # A basis vector is one-dimensional, so the check above covers its shape.
-    hit = predicted._shrunk.get(mon)
-    if (
-        hit is None
-        or hit[0] is not mon.radius
-        or hit[1] is not mon.sigma
-        or hit[2] is not mon.coord_radii
-        or hit[3] is not mon.kind
-    ):
-        hit = (mon.radius, mon.sigma, mon.coord_radii, mon.kind, (values - mon.shift).tolist())
-        predicted._shrunk[mon] = hit
-    return d.read(hit[4], min, max)
+    shrunk = predicted._shrunk.get(mon)
+    if shrunk is None:
+        shrunk = predicted._shrunk[mon] = (values - mon.shift).tolist()
+    return d.read(shrunk, min, max)
 
 
 def certified_lower_bounds(mon: CalibratedMonitor, predicted: np.ndarray, d: Decoder) -> np.ndarray:

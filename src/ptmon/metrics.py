@@ -160,7 +160,7 @@ def horizon_sweep(
         f = Always(TimeInterval(0, int(k)), predicate)
         for name, mon in monitors.items():
             try:
-                q = mon.radius_for_formula(f)
+                q = mon.for_formula(f).radius
             except (NotInFragmentError, HorizonExceededError):
                 continue
             rows.append(SweepRow(int(k), name, mon.kind, mon.level, q))

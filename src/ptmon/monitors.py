@@ -9,6 +9,8 @@ one step at a time: :class:`RollingBuffer` with :func:`rolling_certify` or
 is shrunk once per monitor and the result is shared by every formula
 certified from it: the buffer builds one snapshot per step, and a semantic
 caller passes one :class:`~ptmon.robustness.BasisVector` for all formulas.
+Snapshots and monitors are both immutable, so a shrunk snapshot never
+goes stale.
 :func:`run_episodes` certifies recorded episodes, each formula resolved once
 and then one :func:`ptmon.conformal.certified_lower_bounds` call per episode
 and formula, and gives the bounds the streaming functions give step by step.

@@ -114,9 +114,10 @@ class BasisVector:
     """A basis snapshot at one evaluation time, tagged with its layout.
 
     ``values`` is stored read-only (:func:`read_only_array`), so a snapshot
-    never changes once built. That lets certification keep per-monitor work on
-    the snapshot itself (``_shrunk``, see
-    :func:`~ptmon.conformal.certified_lower_bound`), which goes away with it.
+    never changes once built. Monitors are immutable too, so certification
+    keeps each monitor's shrunk values on the snapshot itself (``_shrunk``,
+    keyed by the monitor, see :func:`~ptmon.conformal.certified_lower_bound`),
+    and they go away with it.
     """
 
     kind: BasisKind

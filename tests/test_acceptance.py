@@ -9,6 +9,7 @@ whole file runs in about two minutes.
 import shutil
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ def test_criterion_3_quantile_order_invariants(rng):
         cfg2 = ScoreConfig(sigma=np.ones(9), alpha=ALPHA, level=2)
         roll = calibrate(eps, stub, cfg2, (1, 8), tau_seed=4)
         qs = [
-            roll.radius_for_formula(Always(TimeInterval(0, k), Predicate("p0", 0)))
+            roll.for_formula(Always(TimeInterval(0, k), Predicate("p0", 0))).radius
             for k in range(9)
         ]
         assert qs == sorted(qs)
@@ -368,7 +369,7 @@ def test_criterion_9_reuse_without_data_or_predictor(tmp_path, standard_dictiona
         mon = calibrate(
             calib, stub, ScoreConfig(sigma=ones, alpha=ALPHA, level=2), d, tau_seed=1
         )
-        mon.predictor_config = stub.to_json()
+        mon = replace(mon, predictor_config=stub.to_json())
         model = tmp_path / "model.json"
         save_monitor(mon, model)
 
@@ -376,7 +377,7 @@ def test_criterion_9_reuse_without_data_or_predictor(tmp_path, standard_dictiona
         want = calibrate(
             calib,
             stub,
-            ScoreConfig(sigma=ones, alpha=ALPHA, level=2, support=mon.support_of(f_new)),
+            ScoreConfig(sigma=ones, alpha=ALPHA, level=2, support=mon.decoder(f_new).support),
             d,
             tau_seed=1,
         ).radius

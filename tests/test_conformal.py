@@ -1,6 +1,6 @@
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,22 @@ class TestSplitQuantile:
         n = len(scores)
         rank = min(n, math.ceil((n + 1) * (1 - alpha)))
         assert split_quantile(scores, alpha) == sorted(scores)[rank - 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 8),
+        st.floats(0.001, 0.99),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_gives_each_columns_quantile_bit_for_bit(self, n, c, alpha, seed):
+        rng = np.random.default_rng(seed)
+        # Even columns are all ties and signed zeros; odd ones continuous.
+        scores = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(n, c))
+        scores[:, 1::2] = rng.normal(size=(n, c))[:, 1::2]
+        want = np.array([split_quantile(scores[:, j], alpha) for j in range(c)])
+        got = split_quantile(scores, alpha)
+        assert got.shape == (c,) and got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30))
@@ -265,10 +281,10 @@ class TestSupportNarrowing:
     def test_history_support_indices(self):
         f = parse_formula("G[0,1] p0 & F[0,1] p1", ("p0", "p1"))
         mon = history_monitor(m=2, k_max=2)
-        assert mon.support_of(f) == {0, 1, 3, 4}
+        assert mon.decoder(f).support == {0, 1, 3, 4}
         assert compile_history_decoder(f, 2, 2).support == {0, 1, 3, 4}
         with pytest.raises(HorizonExceededError):
-            mon.support_of(parse_formula("G[0,3] p0", ("p0", "p1")))
+            mon.decoder(parse_formula("G[0,3] p0", ("p0", "p1")))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
@@ -277,7 +293,7 @@ class TestSupportNarrowing:
         f = random_pnf_formula(rng, m=3)
         k_max = horizon(f) + slack
         want = {p * (k_max + 1) + lag for p, lag in predicate_lag_support(f)}
-        assert history_monitor(m=3, k_max=k_max).support_of(f) == want
+        assert history_monitor(m=3, k_max=k_max).decoder(f).support == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -292,7 +308,7 @@ class TestSupportNarrowing:
             kind="semantic", level=2, alpha=0.1, radius=0.0, sigma=np.ones(d.r),
             n_calibration=1, seed=0, dictionary=d,
         )
-        assert mon.support_of(f) == set(used)
+        assert mon.decoder(f).support == set(used)
 
 
 class TestCertifiedBound:
@@ -341,8 +357,7 @@ class TestShrinkOnce:
     """A snapshot keeps its shrunk values per monitor; they must never go stale."""
 
     def test_basis_values_are_a_read_only_copy(self):
-        mon = history_monitor(1, 1)
-        mon.radius = 0.5
+        mon = replace(history_monitor(1, 1), radius=0.5)
         dec = compile_history_decoder(parse_formula("G[0,1] p0", ("p0",)), 1, 1)
         given = np.array([2.0, 3.0])
         basis = BasisVector(BasisKind.PREDICATE_HISTORY, given, 1)
@@ -360,10 +375,11 @@ class TestShrinkOnce:
         dec = compile_history_decoder(parse_formula("G[0,1] p0", ("p0",)), 1, 1)
         basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1)
         assert certified_lower_bound(mon, basis, dec) == 1.5
-        setattr(mon, field, 2.0 if field == "radius" else np.full(2, 2.0))
-        fresh = certified_lower_bound(mon, BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1), dec)
+        changed = replace(mon, **{field: 2.0 if field == "radius" else np.full(2, 2.0)})
+        fresh = certified_lower_bound(changed, BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1), dec)
         assert fresh == (1.0 if field == "sigma" else 0.0)
-        assert certified_lower_bound(mon, basis, dec) == fresh
+        assert certified_lower_bound(changed, basis, dec) == fresh
+        assert certified_lower_bound(mon, basis, dec) == 1.5
 
     def test_equal_radius_of_other_sign_gives_the_fresh_zero(self):
         # 0.0 == -0.0, yet -0.0 - 0.0 is -0.0 while -0.0 - (-0.0) is 0.0.
@@ -371,8 +387,8 @@ class TestShrinkOnce:
         dec = compile_history_decoder(parse_formula("p0", ("p0",)), 1, 0)
         basis = BasisVector(BasisKind.PREDICATE_HISTORY, [-0.0], 0)
         assert np.signbit(certified_lower_bound(mon, basis, dec))
-        mon.radius = -0.0
-        assert not np.signbit(certified_lower_bound(mon, basis, dec))
+        assert not np.signbit(certified_lower_bound(replace(mon, radius=-0.0), basis, dec))
+        assert np.signbit(certified_lower_bound(mon, basis, dec))
 
     def test_shift_arrays_are_read_only_copies(self):
         sigma, radii = np.ones(2), np.full(2, 0.5)
@@ -383,9 +399,28 @@ class TestShrinkOnce:
         sigma[0] = radii[0] = 9.0
         assert np.array_equal(mon.shift, [0.5, 0.5])
 
+    @pytest.mark.parametrize("kind", ["rolling", "observer"])
+    def test_shift_is_computed_once_and_read_only(self, kind):
+        mon = replace(history_monitor(1, 1), kind=kind, radius=0.5, coord_radii=np.full(2, 0.25))
+        shift = mon.shift
+        assert shift is mon.shift
+        assert np.array_equal(shift, [0.5, 0.5] if kind == "rolling" else [0.25, 0.25])
+        with pytest.raises(ValueError):
+            shift[0] = 9.0
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1)
+        dec = compile_history_decoder(parse_formula("G[0,1] p0", ("p0",)), 1, 1)
+        certified_lower_bound(mon, basis, dec)
+        assert mon.shift is shift
+        assert replace(mon).shift is not shift
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CalibratedMonitor)] + ["shift"])
+    def test_fields_cannot_be_assigned(self, name):
+        mon = history_monitor(1, 1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(mon, name, getattr(mon, name))
+
     def test_each_monitor_shrinks_a_snapshot_for_itself(self):
-        low, high = history_monitor(1, 0), history_monitor(1, 0)
-        low.radius, high.radius = 1.0, 3.0
+        low, high = (replace(history_monitor(1, 0), radius=r) for r in (1.0, 3.0))
         dec = compile_history_decoder(parse_formula("p0", ("p0",)), 1, 0)
         basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0], 0)
         for _ in range(2):
@@ -548,7 +583,7 @@ class TestPersistence:
         eps = tiny_episodes(rng, d, 9)
         stub = PredictorStub(mode="semantic", scale=0.2, seed=3, dictionary=d)
         mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
-        mon.predictor_config = stub.to_json()
+        mon = replace(mon, predictor_config=stub.to_json())
         path = tmp_path / "mon.json"
         save_monitor(mon, path)
         assert (tmp_path / "mon.scores.npz").exists()

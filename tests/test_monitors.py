@@ -1,7 +1,7 @@
-import importlib
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from helpers import random_episode, random_fragment_formula
 import ptmon.conformal as conformal
 import ptmon.fragment as fragment
 import ptmon.monitors as monitors
+import ptmon.robustness as robustness_module
 from ptmon import benchmark
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
@@ -47,9 +48,6 @@ from ptmon.robustness import (
     robustness_series,
     semantic_basis_series,
 )
-
-# ``ptmon.robustness`` is also the name of a function the package exports.
-robustness_module = importlib.import_module("ptmon.robustness")
 
 
 def rolling_monitor(rng, m=2, k_max=3, n=10, T=9, **stub_kw):
@@ -153,7 +151,7 @@ class TestRollingCertify:
     def test_tie_is_safe(self):
         rng = np.random.default_rng(4)
         mon, stub, _ = rolling_monitor(rng)
-        mon.radius = 1.0
+        mon = replace(mon, radius=1.0)
         f = parse_formula("p0", ("p0", "p1"))
         buf = RollingBuffer(2, 3)
         for _ in range(5):
@@ -533,7 +531,8 @@ class TestDecoderCache:
 class TestSharedShrink:
     def test_each_step_shrinks_once_per_monitor(self, monkeypatch):
         # 20 formulas per step share one history snapshot and, per monitor,
-        # one shift; each observer is its own monitor, so it shifts once too.
+        # one shrink of it; each observer is its own monitor, so it shrinks
+        # the snapshot once too.
         rng = np.random.default_rng(23)
         d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
         eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
@@ -547,36 +546,46 @@ class TestSharedShrink:
         formulas = list(formulas.values())
         observers = [observer_calibrate(eps, pred_stub, f, 0.1, k_max=3) for f in formulas]
 
-        shifts = Counter()
-        real_shift = conformal.CalibratedMonitor.shift.fget
+        class Shrinks(dict):
+            """A snapshot's memo that counts each monitor's stored shrinks."""
 
-        def counting_shift(mon):
-            shifts[id(mon)] += 1
-            return real_shift(mon)
+            def __init__(self):
+                super().__init__()
+                self.stored = Counter()
 
-        monkeypatch.setattr(conformal.CalibratedMonitor, "shift", property(counting_shift))
+            def __setitem__(self, mon, shrunk):
+                self.stored[mon] += 1
+                super().__setitem__(mon, shrunk)
+
+        def counted(snapshot):
+            object.__setattr__(snapshot, "_shrunk", Shrinks())
+            return snapshot
+
         built = []
 
         def building(*args, real=monitors.BasisVector):
-            built.append(real(*args))
+            built.append(counted(real(*args)))
             return built[-1]
 
         monkeypatch.setattr(monitors, "BasisVector", building)
 
         buf = RollingBuffer(2, 3)
+        semantic = []
         for t in range(10):
             rolling_step(buf, rng.normal(size=2))
-            basis = BasisVector(BasisKind.SEMANTIC, rng.normal(size=d.r), t)
+            semantic.append(counted(BasisVector(BasisKind.SEMANTIC, rng.normal(size=d.r), t)))
             for f, obs in zip(formulas, observers):
-                semantic_certify(basis, sem, f)
+                semantic_certify(semantic[-1], sem, f)
                 rolling_certify(buf, roll, f)
                 observer_certify(buf, obs, f)
         certified = {"semantic": 10 - sem.k_max, "history": 10 - roll.k_max}
-        assert shifts[id(sem)] == certified["semantic"]
-        assert shifts[id(roll)] == certified["history"]
-        assert [shifts[id(obs)] for obs in observers] == [certified["history"]] * 20
-        assert len(shifts) == 22
         assert len(built) == certified["history"]
+        # One shrink per snapshot and monitor: the semantic monitor alone on
+        # each certified semantic snapshot; the rolling monitor and the 20
+        # observers on each history snapshot.
+        assert [b._shrunk.stored for b in semantic[-certified["semantic"]:]] == [Counter([sem])] * certified["semantic"]
+        assert [b._shrunk.stored for b in semantic[: -certified["semantic"]]] == [Counter()] * sem.k_max
+        assert [b._shrunk.stored for b in built] == [Counter([roll, *observers])] * certified["history"]
 
 
 def stream_verdicts(ep, predictor, mon, f):

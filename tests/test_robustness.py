@@ -1,4 +1,3 @@
-import importlib
 from collections import Counter
 
 import numpy as np
@@ -14,6 +13,7 @@ from helpers import (
     random_pnf_formula,
     valid_time,
 )
+import ptmon.robustness as robustness_module
 from ptmon import fragment
 from ptmon.benchmark import DEFAULT_INTERVALS, PREDICATE_NAMES
 from ptmon.fragment import AtomicDictionary, build_depth1_dictionary
@@ -39,9 +39,6 @@ from ptmon.robustness import (
     semantic_basis_series,
     windowed_extrema,
 )
-
-# ``ptmon.robustness`` is also the name of the package's robustness function.
-robustness_module = importlib.import_module("ptmon.robustness")
 
 
 class TestEpisode:
