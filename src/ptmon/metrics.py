@@ -13,6 +13,12 @@ episode:
   per episode at one sampled time for level-2 monitors, as an
   all-times-per-episode event for level-1.
 
+The episodes' bounds and truth are concatenated into one array each and
+counted at once; level-1 coverage reduces each episode's slice, level-2
+coverage reads each episode's sampled time. :func:`evaluate_monitor`
+draws those times once per monitor, since every formula's bounds span the
+same valid times.
+
 The CSV report rounds percentages to one decimal; a JSON sidecar keeps full
 precision. A separate sweep file tabulates the radius of ``G[0,K]`` window
 formulas against ``K`` for each monitor, recomputed from the score caches.
@@ -67,41 +73,72 @@ def compute_metrics(
 ) -> dict:
     """Pool per-episode valid-time lower bounds against ground truth.
 
-    ``lower_bounds[i]`` and ``truths[i]`` must align to ``t = k_max .. T_i``
-    for episode ``i``. Returns percentages in [0, 100]; ``prec`` and ``fpr``
-    are ``None`` exactly when their denominators are empty.
+    ``lower_bounds[i]`` and ``truths[i]`` must be 1-D arrays of one shape,
+    aligned to ``t = k_max .. T_i`` for episode ``i``, and some episode must
+    have a valid time. Returns percentages in [0, 100]; ``prec`` and ``fpr``
+    are ``None`` exactly when their denominators are empty. At level 1 an
+    episode with no valid time counts as covered; level 2 needs a valid time
+    in every episode.
     """
+    lb, rho, sizes = _pool(lower_bounds, truths)
+    times = _level2_times(sizes, k_max, coverage_seed) if level != 1 else None
+    return _score(lb, rho, sizes, times)
+
+
+def _pool(lower_bounds, truths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every episode's bounds and truth, each concatenated into one array,
+    and the episodes' sizes."""
     if len(lower_bounds) != len(truths):
         raise ValueError("lower_bounds and truths must pair up per episode")
     if not lower_bounds:
         raise ValueError("need at least one episode")
-    n_valid = n_safe = n_true_safe = n_safe_correct = n_unsafe = n_safe_wrong = 0
-    covered = 0
-    for i, (lb, rho) in enumerate(zip(lower_bounds, truths)):
-        lb = np.asarray(lb, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        if lb.shape != rho.shape:
-            raise ValueError(f"episode {i}: bounds shape {lb.shape} vs truth {rho.shape}")
-        safe = lb >= 0.0
-        true_safe = rho >= 0.0
-        n_valid += lb.size
-        n_safe += int(safe.sum())
-        n_true_safe += int(true_safe.sum())
-        n_safe_correct += int((safe & true_safe).sum())
-        n_unsafe += int((~true_safe).sum())
-        n_safe_wrong += int((safe & ~true_safe).sum())
-        if level == 1:
-            covered += int(bool((lb <= rho).all()))
-        else:
-            T = k_max + lb.size - 1
-            tau = sample_level2_time(coverage_seed, i, k_max, T)
-            covered += int(lb[tau - k_max] <= rho[tau - k_max])
+    lbs = [np.asarray(lb, dtype=float) for lb in lower_bounds]
+    rhos = [np.asarray(rho, dtype=float) for rho in truths]
+    for i, (lb, rho) in enumerate(zip(lbs, rhos)):
+        if lb.ndim != 1 or lb.shape != rho.shape:
+            raise ValueError(f"episode {i}: bounds shape {lb.shape} vs truth {rho.shape}, need one 1-D shape")
+    sizes = np.array([lb.size for lb in lbs])
+    if not sizes.any():
+        raise ValueError("no episode has a valid time")
+    return np.concatenate(lbs), np.concatenate(rhos), sizes
+
+
+def _level2_times(sizes: np.ndarray, k_max: int, coverage_seed: int) -> np.ndarray:
+    """Each episode's sampled level-2 coverage time, as an index into its
+    valid times."""
+    if not sizes.all():
+        raise ValueError("level-2 coverage needs a valid time in every episode")
+    draws = [sample_level2_time(coverage_seed, i, k_max, k_max + n - 1) for i, n in enumerate(sizes.tolist())]
+    return np.array(draws) - k_max
+
+
+def _score(lb: np.ndarray, rho: np.ndarray, sizes: np.ndarray, times: np.ndarray | None) -> dict:
+    """The metrics of pooled bounds and truth: level-2 coverage at each
+    episode's index in ``times``, level-1 coverage when it is ``None``."""
+    safe = lb >= 0.0
+    true_safe = rho >= 0.0
+    n_valid = lb.size
+    n_safe = int(np.count_nonzero(safe))
+    n_true_safe = int(np.count_nonzero(true_safe))
+    n_safe_correct = int(np.count_nonzero(safe & true_safe))
+    n_unsafe = n_valid - n_true_safe
+    n_safe_wrong = n_safe - n_safe_correct
+    starts = np.cumsum(sizes) - sizes
+    if times is None:
+        held = lb <= rho
+        nonempty = sizes > 0
+        # An episode with no valid time holds vacuously.
+        covered = int(np.count_nonzero(np.logical_and.reduceat(held, starts[nonempty])))
+        covered += sizes.size - int(np.count_nonzero(nonempty))
+    else:
+        at = starts + times
+        covered = int(np.count_nonzero(lb[at] <= rho[at]))
     return {
         "csr": 100.0 * n_safe / n_valid,
         "prec": 100.0 * n_safe_correct / n_safe if n_safe else None,
         "fpr": 100.0 * n_safe_wrong / n_unsafe if n_unsafe else None,
         "gt_safe": 100.0 * n_true_safe / n_valid,
-        "coverage": 100.0 * covered / len(lower_bounds),
+        "coverage": 100.0 * covered / sizes.size,
     }
 
 
@@ -113,32 +150,33 @@ def evaluate_monitor(
     formulas: Sequence[Formula],
     coverage_seed: int = 0,
 ) -> tuple[list[ReportRow], dict[str, str]]:
-    """Certify every episode for every formula and summarize per formula.
+    """Certify every episode for every formula and summarize per formula,
+    as :func:`compute_metrics` does.
 
     A formula listed more than once is certified and reported once, at its
-    first position.
+    first position. Every formula's bounds span the same valid times, so a
+    level-2 monitor draws each episode's coverage time once for all of them.
     """
     results = run_episodes(episodes, predictor, mon, formulas)
     if not results:
         return [], {}
     distinct = {format_formula(f): f for f in formulas}
-    rows = [
-        ReportRow(
-            formula=fname,
-            monitor=name,
-            kind=mon.kind,
-            level=mon.level,
-            q_phi=mon.monitor_for(distinct[fname]).radius,
-            **compute_metrics(
-                [r.bounds[fname] for r in results],
-                [r.truth[fname] for r in results],
-                mon.level,
-                mon.k_max,
-                coverage_seed,
-            ),
+    rows = []
+    times = None
+    for fname in results[0].bounds:
+        lb, rho, sizes = _pool([r.bounds[fname] for r in results], [r.truth[fname] for r in results])
+        if mon.level != 1 and times is None:
+            times = _level2_times(sizes, mon.k_max, coverage_seed)
+        rows.append(
+            ReportRow(
+                formula=fname,
+                monitor=name,
+                kind=mon.kind,
+                level=mon.level,
+                q_phi=mon.monitor_for(distinct[fname]).radius,
+                **_score(lb, rho, sizes, times),
+            )
         )
-        for fname in results[0].bounds
-    ]
     return rows, results[0].errors
 
 

@@ -11,9 +11,10 @@ certified from it: the buffer builds one snapshot per step, and a semantic
 caller passes one :class:`~ptmon.robustness.BasisVector` for all formulas.
 Snapshots and monitors are both immutable, so a shrunk snapshot never
 goes stale.
-:func:`run_episodes` certifies recorded episodes, each formula resolved once
-and then one :func:`ptmon.conformal.certified_lower_bounds` call per episode
-and formula, and gives the bounds the streaming functions give step by step.
+:func:`run_episodes` certifies recorded episodes in blocks of whole episodes,
+each formula resolved once and then one
+:func:`ptmon.conformal.certified_lower_bounds` call per block and formula,
+and gives the bounds the streaming functions give step by step.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -236,6 +237,13 @@ class EpisodeResult:
         return self.bounds[name]
 
 
+# Basis columns in one block of :func:`run_episodes`: enough to pay numpy's
+# per-call overhead once for several episodes, few enough that peak memory
+# does not grow with the split (one matrix for 100 episodes at T=60 raised
+# the peak resident memory of a report from 43 to 61 MB).
+_BLOCK_COLUMNS = 256
+
+
 def run_episodes(
     episodes: Iterable[Episode],
     predictor,
@@ -248,13 +256,19 @@ def run_episodes(
     ``mon``'s cached decoder and the monitor that
     :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
     reason it cannot be certified, which every result carries in ``errors``.
-    Each episode then takes one :func:`~ptmon.conformal.predicted_basis` and
-    one :func:`~ptmon.conformal.certified_lower_bounds` call per formula.
-    The truth comes from one :func:`~ptmon.conformal.true_basis` per episode
-    (read-only), read out by the same decoders with no shift. Min and max
-    are exact, so it equals each formula's robustness; the bits can differ
-    only in the sign of a zero, where a formula repeats a subformula that
-    its decoder reads once.
+    Each episode takes one :func:`~ptmon.conformal.predicted_basis` and one
+    :func:`~ptmon.conformal.true_basis`. The episodes are then taken in
+    blocks of whole episodes, up to a few hundred basis columns (a block
+    always holds at least one episode): the block's predicted bases, side by
+    side, take one :func:`~ptmon.conformal.certified_lower_bounds` call per
+    formula, and its true bases (read-only) are read out by the same
+    decoders with no shift. Each result holds column views of its block's
+    arrays. Blocks, not one matrix for all episodes, keep memory at one
+    block's basis. Every column is decoded on its own, so the bounds are
+    those of one episode at a time, bit for bit.
+    Min and max are exact, so the truth equals each formula's robustness;
+    the bits can differ only in the sign of a zero, where a formula repeats
+    a subformula that its decoder reads once.
     """
     resolved: dict[str, tuple[Decoder, CalibratedMonitor]] = {}
     errors: dict[str, str] = {}
@@ -266,19 +280,46 @@ def run_episodes(
             resolved[name] = (mon.decoder(f), mon.monitor_for(f))
         except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
             errors[name] = str(exc)
-    results = []
-    for ep in episodes:
-        predicted = predicted_basis(ep, predictor, mon.basis_spec)
-        true = true_basis(ep, mon.basis_spec)
+
+    results: list[EpisodeResult] = []
+    for predicted, true, widths in _blocks(episodes, predictor, mon.basis_spec):
         # A one-leaf read-out is a row of ``true``; it must not be writable.
         true.flags.writeable = False
-        bounds: dict[str, np.ndarray] = {}
-        truth: dict[str, np.ndarray] = {}
-        for name, (decoder, mon_f) in resolved.items():
-            bounds[name] = certified_lower_bounds(mon_f, predicted, decoder)
-            truth[name] = decode_series(decoder, true)
-        results.append(EpisodeResult(bounds, truth, dict(errors), mon.k_max))
+        bounds = {name: certified_lower_bounds(mon_f, predicted, d) for name, (d, mon_f) in resolved.items()}
+        truth = {name: decode_series(d, true) for name, (d, _) in resolved.items()}
+        start = 0
+        for width in widths:
+            cols = slice(start, start + width)
+            start = cols.stop
+            results.append(
+                EpisodeResult(
+                    {name: lb[cols] for name, lb in bounds.items()},
+                    {name: rho[cols] for name, rho in truth.items()},
+                    dict(errors),
+                    mon.k_max,
+                )
+            )
     return results
+
+
+def _blocks(episodes: Iterable[Episode], predictor, basis_spec):
+    """The episodes' predicted and true bases side by side, in blocks of
+    whole episodes, each with its episodes' widths."""
+    preds: list[np.ndarray] = []
+    trues: list[np.ndarray] = []
+    widths: list[int] = []
+    for ep in episodes:
+        predicted = predicted_basis(ep, predictor, basis_spec)
+        if widths and sum(widths) + predicted.shape[1] > _BLOCK_COLUMNS:
+            block = np.concatenate(preds, axis=1), np.concatenate(trues, axis=1), widths
+            # Drop the episodes' own copies while the block is decoded.
+            preds, trues, widths = [], [], []
+            yield block
+        preds.append(predicted)
+        trues.append(true_basis(ep, basis_spec))
+        widths.append(predicted.shape[1])
+    if widths:
+        yield np.concatenate(preds, axis=1), np.concatenate(trues, axis=1), widths
 
 
 def run_episode(

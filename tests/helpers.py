@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ptmon.benchmark import PREDICATE_NAMES, CrossroadConfig
+from ptmon.conformal import sample_level2_time
 from ptmon.fragment import DecoderNode, Leaf, MinNode
 from ptmon.logic import (
     Always,
@@ -89,6 +90,38 @@ def naive_decode_series(node: DecoderNode, values: np.ndarray) -> np.ndarray:
         return values[node.index]
     op = np.minimum if isinstance(node, MinNode) else np.maximum
     return functools.reduce(op, (naive_decode_series(c, values) for c in node.children))
+
+
+def naive_compute_metrics(lower_bounds, truths, level: int, k_max: int, coverage_seed: int = 0) -> dict:
+    """``metrics.compute_metrics`` one episode at a time: per-episode counts
+    summed in Python, level-1 coverage as ``all`` over each episode, and one
+    level-2 time drawn per episode."""
+    n_valid = n_safe = n_true_safe = n_safe_correct = n_unsafe = n_safe_wrong = 0
+    covered = 0
+    for i, (lb, rho) in enumerate(zip(lower_bounds, truths)):
+        lb = np.asarray(lb, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        safe = lb >= 0.0
+        true_safe = rho >= 0.0
+        n_valid += lb.size
+        n_safe += int(safe.sum())
+        n_true_safe += int(true_safe.sum())
+        n_safe_correct += int((safe & true_safe).sum())
+        n_unsafe += int((~true_safe).sum())
+        n_safe_wrong += int((safe & ~true_safe).sum())
+        if level == 1:
+            covered += int(bool((lb <= rho).all()))
+        else:
+            T = k_max + lb.size - 1
+            tau = sample_level2_time(coverage_seed, i, k_max, T)
+            covered += int(lb[tau - k_max] <= rho[tau - k_max])
+    return {
+        "csr": 100.0 * n_safe / n_valid,
+        "prec": 100.0 * n_safe_correct / n_safe if n_safe else None,
+        "fpr": 100.0 * n_safe_wrong / n_unsafe if n_unsafe else None,
+        "gt_safe": 100.0 * n_true_safe / n_valid,
+        "coverage": 100.0 * covered / len(lower_bounds),
+    }
 
 
 def naive_windowed_extrema(series, interval: TimeInterval, mode: str):

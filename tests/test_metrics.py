@@ -5,8 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_episode
+from helpers import naive_compute_metrics, random_episode
+import ptmon.metrics as metrics_module
+import ptmon.monitors as monitors
 from ptmon.benchmark import PredictorStub
 import ptmon.conformal as conformal
 from ptmon.conformal import CalibratedMonitor, ScoreConfig, calibrate, observer_calibrate, sample_level2_time
@@ -73,6 +77,59 @@ class TestComputeMetrics:
             compute_metrics([], [], level=1, k_max=0)
         with pytest.raises(ValueError):
             compute_metrics([np.zeros(3)], [np.zeros(3), np.zeros(3)], level=1, k_max=0)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_episodes_must_be_one_dimensional(self, level):
+        pair = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="1-D"):
+            compute_metrics([pair], [pair], level=level, k_max=0)
+        with pytest.raises(ValueError, match="1-D"):
+            compute_metrics([np.zeros(3), np.float64(0.5)], [np.zeros(3), np.float64(0.5)], level=level, k_max=0)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_no_valid_time_at_all_raises(self, level):
+        with pytest.raises(ValueError, match="no episode has a valid time"):
+            compute_metrics([np.zeros(0), np.zeros(0)], [np.zeros(0), np.zeros(0)], level=level, k_max=3)
+
+    def test_level1_empty_episode_is_vacuously_covered(self):
+        # episode 0 overshoots, episode 1 has no valid time, episode 2 holds
+        lb = [np.array([1.0, 0.0]), np.zeros(0), np.array([-1.0])]
+        rho = [np.array([0.0, 0.0]), np.zeros(0), np.array([-1.0])]
+        got = compute_metrics(lb, rho, level=1, k_max=2)
+        assert got["coverage"] == 100.0 * 2 / 3
+        assert got == naive_compute_metrics(lb, rho, level=1, k_max=2)
+
+    def test_level2_empty_episode_raises(self):
+        lb = [np.array([1.0, 0.0]), np.zeros(0)]
+        with pytest.raises(ValueError, match="every episode"):
+            compute_metrics(lb, lb, level=2, k_max=2)
+
+
+# Exact zeros of both signs, and ties drawn as ``rho == lb``.
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_nan=False, width=16))
+
+
+@st.composite
+def bounds_and_truths(draw):
+    lbs, rhos = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.integers(1, 12))
+        lb = draw(st.lists(VALUES, min_size=size, max_size=size))
+        rho = [x if draw(st.booleans()) else draw(VALUES) for x in lb]
+        lbs.append(np.array(lb))
+        rhos.append(np.array(rho))
+    return lbs, rhos
+
+
+class TestPooledEqualsPerEpisode:
+    @settings(max_examples=150, deadline=None)
+    @given(bounds_and_truths(), st.sampled_from([1, 2]), st.integers(0, 6), st.integers(0, 5))
+    def test_pooled_metrics_equal_the_per_episode_oracle(self, episodes, level, k_max, seed):
+        lbs, rhos = episodes
+        got = compute_metrics(lbs, rhos, level=level, k_max=k_max, coverage_seed=seed)
+        want = naive_compute_metrics(lbs, rhos, level=level, k_max=k_max, coverage_seed=seed)
+        # ``repr`` also tells a numpy scalar from a Python float or int.
+        assert repr(got) == repr(want)
 
 
 def small_setup():
@@ -146,6 +203,39 @@ class TestEvaluateMonitor:
         # fails to compile once, not once per episode
         assert specialised["F[0,4] p_goal"] <= 2
         assert compiles["G[0,8] p_f"] <= 1
+
+    def test_level2_times_drawn_once_per_episode_and_one_certification_per_block(self, monkeypatch):
+        d, mon, stub, test_eps = small_setup()
+        assert mon.level == 2
+        formulas = [parse_formula(t, d.predicate_names) for t in ("G[0,1] p0", "F[0,2] p1", "G[0,2] p0 & F[0,1] p1")]
+        cols = test_eps[0].T - mon.k_max + 1
+        assert all(ep.T - mon.k_max + 1 == cols for ep in test_eps)
+        # Two episodes fit a block, so the five episodes take three blocks.
+        monkeypatch.setattr(monitors, "_BLOCK_COLUMNS", 2 * cols + 1)
+        draws, certifications = Counter(), Counter()
+        real_draw, real_certify = metrics_module.sample_level2_time, monitors.certified_lower_bounds
+
+        def counting_draw(seed, i, *args):
+            draws[i] += 1
+            return real_draw(seed, i, *args)
+
+        def counting_certify(mon_f, predicted, decoder):
+            certifications[decoder.formula] += 1
+            return real_certify(mon_f, predicted, decoder)
+
+        monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
+        monkeypatch.setattr(monitors, "certified_lower_bounds", counting_certify)
+        rows, errors = evaluate_monitor("semL2", mon, stub, test_eps, formulas, coverage_seed=5)
+        assert not errors and len(rows) == len(formulas)
+        assert draws == {i: 1 for i in range(len(test_eps))}
+        assert certifications == {format_formula(f): 3 for f in formulas}
+        # The shared draw is the one ``compute_metrics`` makes per formula.
+        results = monitors.run_episodes(test_eps, stub, mon, formulas)
+        for row in rows:
+            summary = compute_metrics(
+                [r.bounds[row.formula] for r in results], [r.truth[row.formula] for r in results], 2, mon.k_max, 5
+            )
+            assert {k: getattr(row, k) for k in summary} == summary
 
 
 class TestHorizonSweep:

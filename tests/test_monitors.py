@@ -319,13 +319,29 @@ class TestRunEpisode:
 
 class TestRunEpisodes:
     @pytest.mark.parametrize("case", ["semantic-level2", "rolling", "observer"])
-    def test_batch_equals_one_episode_at_a_time(self, case):
+    def test_batch_equals_one_episode_at_a_time(self, case, monkeypatch):
         mon, stub, _, formulas = case_setup(case, 5)
         rng = np.random.default_rng(6)
         eps = [random_episode(rng, 2, int(rng.integers(3, 13))) for _ in range(6)]
+        # Then distinct lengths, so the block boundaries among them fall
+        # between episodes of different lengths; all span several blocks.
+        eps += [random_episode(rng, 2, int(T)) for T in rng.permutation(np.arange(20, 140, 10))]
+        assert sum(ep.T - mon.k_max + 1 for ep in eps) > 3 * monitors._BLOCK_COLUMNS
         alien = parse_formula("G[0,7] p0", ("p0", "p1"))
-        formulas = [*formulas, alien]
+        # A one-leaf read-out is a row of the block's read-only true basis.
+        leaf = parse_formula("G[0,1] p0" if case.startswith("semantic") else "p0", ("p0", "p1"))
+        formulas = [*formulas, alien, leaf]
+        calls = Counter()
+        real = monitors.certified_lower_bounds
+
+        def counting(mon_f, predicted, decoder):
+            calls[decoder.formula] += 1
+            return real(mon_f, predicted, decoder)
+
+        monkeypatch.setattr(monitors, "certified_lower_bounds", counting)
         batch = run_episodes(eps, stub, mon, formulas)
+        n_blocks = calls[format_formula(leaf)]
+        assert n_blocks > 3 and set(calls.values()) == {n_blocks}
         singles = [run_episode(ep, stub, mon, formulas) for ep in eps]
         assert len(batch) == len(eps)
         for b, one in zip(batch, singles):
@@ -337,7 +353,17 @@ class TestRunEpisodes:
                     assert got[name].dtype == want[name].dtype
                     assert got[name].shape == want[name].shape
                     assert got[name].tobytes() == want[name].tobytes()
+                    assert got[name].flags.writeable == want[name].flags.writeable
+            assert not b.truth[format_formula(leaf)].flags.writeable
         assert batch[0].errors is not batch[1].errors
+
+    def test_short_episode_in_the_middle_raises(self):
+        mon, stub, _, formulas = case_setup("rolling", 8)
+        rng = np.random.default_rng(8)
+        eps = [random_episode(rng, 2, 60) for _ in range(12)]
+        eps[7] = random_episode(rng, 2, mon.k_max - 1)
+        with pytest.raises(ValueError, match="too short"):
+            run_episodes(eps, stub, mon, formulas)
 
 
 def crossroad_setup(kind, n_formulas=15):
