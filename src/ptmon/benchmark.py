@@ -40,10 +40,10 @@ from .robustness import Episode, semantic_basis_series
 
 PREDICATE_NAMES = ("p_clear", "p_f", "p_l", "p_r", "p_front_margin", "p_goal", "p_speed")
 DEFAULT_INTERVALS = ((0, 1), (0, 2), (0, 4), (0, 8), (0, 16))
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 _SPLIT_CODES = {"train": 0, "calib": 1, "test": 2}
-_EPISODE_FILE = re.compile(r"ep_(\d{5,})\.jsonl")
+_EPISODE_FILE = re.compile(r"ep_(\d{5,})\.npy")
 
 
 @dataclass(frozen=True)
@@ -367,13 +367,24 @@ def generate_dataset(
 ) -> Path:
     """Simulate train/calib/test splits and write them under ``out_dir``.
 
-    Layout: ``manifest.json`` plus one ``<split>/ep_NNNNN.jsonl`` per episode,
-    each line ``{"t": step, "state": [...], "mu": [...]}``. Episode seeds are
+    Layout: ``manifest.json`` plus one ``<split>/ep_NNNNN.npy`` per episode,
+    a C-order float64 table of shape ``(T+1, S+m)`` (NumPy's ``.npy``
+    format) whose row ``t`` is the state at step ``t`` followed by the ``m``
+    margins; ``S = 0`` for an episode without states. Episode seeds are
     disjoint across splits (the split code occupies bits above any index), so
     splits never share randomness. The dataset seed replaces ``cfg.seed``.
+
+    Raises ``ValueError``, before simulating anything, if a split directory
+    it would write already holds ``ep_*`` files: episodes of two datasets
+    must never share a directory.
     """
     cfg = dataclasses.replace(cfg, seed=seed)
     out = Path(out_dir)
+    for split in counts:
+        if split not in _SPLIT_CODES:
+            raise ValueError(f"unknown split {split!r} (expected train/calib/test)")
+        if any((out / split).glob("ep_*")):
+            raise ValueError(f"{out / split} already holds episode files; simulate into a new directory")
     out.mkdir(parents=True, exist_ok=True)
     dictionary = build_depth1_dictionary(len(PREDICATE_NAMES), intervals, PREDICATE_NAMES)
     manifest = {
@@ -388,28 +399,28 @@ def generate_dataset(
         "seed": seed,
     }
     for split, count in counts.items():
-        if split not in _SPLIT_CODES:
-            raise ValueError(f"unknown split {split!r} (expected train/calib/test)")
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
         for i in range(count):
             ep = simulate_episode(cfg, _episode_seed(split, i))
-            _write_episode(ep, split_dir / f"ep_{i:05d}.jsonl")
+            _write_episode(ep, split_dir / f"ep_{i:05d}.npy")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return out
 
 
 def _write_episode(ep: Episode, path: Path) -> None:
-    states = ep.states.tolist() if ep.states is not None else [[]] * (ep.T + 1)
-    rows = zip(states, ep.mu.T.tolist())
-    lines = [json.dumps({"t": t, "state": state, "mu": mu}) + "\n" for t, (state, mu) in enumerate(rows)]
-    path.write_text("".join(lines))
+    table = ep.mu.T if ep.states is None else np.hstack([ep.states, ep.mu.T])
+    np.save(path, np.ascontiguousarray(table), allow_pickle=False)
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
     manifest = json.loads((Path(dataset_dir) / "manifest.json").read_text())
-    if int(manifest.get("version", 0)) != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {manifest.get('version')}")
+    version = manifest.get("version")
+    if version != DATASET_VERSION:
+        raise ValueError(
+            f"unsupported dataset version {version} (expected {DATASET_VERSION}); re-run "
+            "`ptmon simulate` with the manifest's config, seed and counts to regenerate it"
+        )
     return manifest
 
 
@@ -424,21 +435,28 @@ def dictionary_from_manifest(manifest: dict) -> AtomicDictionary:
 def load_split(dataset_dir: str | Path, split: str) -> list[Episode]:
     """Load one split's episodes in index order.
 
-    Each uid is rebuilt from the ``NNNNN`` of its ``ep_NNNNN.jsonl`` file
-    name, so a missing file leaves the other episodes' uids (and predictor
-    noise) unchanged. Any other ``ep_*.jsonl`` name is rejected.
+    Each uid is rebuilt from the ``NNNNN`` of its ``ep_NNNNN.npy`` file name,
+    so a missing file leaves the other episodes' uids (and predictor noise)
+    unchanged. Any other ``ep_*`` name, and any index at or past the
+    manifest's count for the split, is rejected. Episode files are read
+    without unpickling and validated (see :func:`generate_dataset` for the
+    table layout).
     """
     manifest = load_manifest(dataset_dir)
     split_dir = Path(dataset_dir) / split
     if not split_dir.is_dir():
         raise FileNotFoundError(f"dataset has no {split!r} split at {split_dir}")
+    count = int(manifest["counts"].get(split, 0))
     names = tuple(manifest["predicate_names"])
     indexed = []
-    for path in split_dir.glob("ep_*.jsonl"):
+    for path in split_dir.glob("ep_*"):
         match = _EPISODE_FILE.fullmatch(path.name)
         if match is None:
-            raise ValueError(f"{path}: episode files must be named ep_NNNNN.jsonl")
-        indexed.append((int(match.group(1)), path))
+            raise ValueError(f"{path}: episode files must be named ep_NNNNN.npy")
+        index = int(match.group(1))
+        if index >= count:
+            raise ValueError(f"{path}: index {index} is past the manifest's {count} {split!r} episodes")
+        indexed.append((index, path))
     if not indexed:
         raise FileNotFoundError(f"no episodes found under {split_dir}")
     return [
@@ -448,15 +466,22 @@ def load_split(dataset_dir: str | Path, split: str) -> list[Episode]:
 
 
 def _read_episode(path: Path, dt: float, names: tuple[str, ...], uid: int) -> Episode:
-    states = []
-    mu_rows = []
-    with open(path) as fh:
-        for line in fh:
-            record = json.loads(line)
-            states.append(record["state"])
-            mu_rows.append(record["mu"])
-    mu = np.asarray(mu_rows, dtype=float).T
-    state_arr = None
-    if states and all(len(s) for s in states):
-        state_arr = np.asarray(states, dtype=float)
-    return Episode(mu=mu, dt=dt, states=state_arr, predicate_names=names, uid=uid)
+    with open(path, "rb") as fh:
+        try:
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the episode table")
+    m = len(names)
+    if table.dtype != np.float64:
+        raise ValueError(f"{path}: episode table must be float64, got {table.dtype}")
+    if table.ndim != 2:
+        raise ValueError(f"{path}: episode table must be 2-D, got shape {table.shape}")
+    if table.shape[1] < m:
+        raise ValueError(f"{path}: episode table has {table.shape[1]} columns, fewer than the {m} margins")
+    if table.shape[0] == 0:
+        raise ValueError(f"{path}: episode table has no rows")
+    n_states = table.shape[1] - m
+    states = table[:, :n_states] if n_states else None
+    return Episode(mu=table[:, n_states:].T, dt=dt, states=states, predicate_names=names, uid=uid)

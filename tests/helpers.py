@@ -9,9 +9,7 @@ meaningful.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -244,14 +242,6 @@ def naive_simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
 
     mu = naive_crossroad_margins(cfg, states)
     return Episode(mu=mu, dt=dt, states=states, predicate_names=PREDICATE_NAMES, uid=seed)
-
-
-def naive_write_episode(ep: Episode, path: Path) -> None:
-    """Write an episode as JSON lines, one ``json.dumps`` and one write per step."""
-    with open(path, "w") as fh:
-        for t in range(ep.T + 1):
-            state = ep.states[t].tolist() if ep.states is not None else []
-            fh.write(json.dumps({"t": t, "state": state, "mu": ep.mu[:, t].tolist()}) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import naive_simulate_episode, naive_write_episode, random_episode
+import ptmon.benchmark as benchmark
+from helpers import naive_simulate_episode, random_episode
 from ptmon.benchmark import (
     DEFAULT_INTERVALS,
     PREDICATE_NAMES,
@@ -15,6 +19,7 @@ from ptmon.benchmark import (
     generate_dataset,
     load_manifest,
     load_split,
+    _read_episode,
     _wrap_angle,
     _write_episode,
     simulate_episode,
@@ -304,7 +309,7 @@ class TestDatasetIO:
         cfg = CrossroadConfig(T=20)
         out = generate_dataset(cfg, {"calib": 4}, seed=3, out_dir=tmp_path / "ds")
         before = load_split(out, "calib")
-        (out / "calib" / "ep_00001.jsonl").unlink()
+        (out / "calib" / "ep_00001.npy").unlink()
         after = load_split(out, "calib")
         assert [ep.uid for ep in after] == [before[i].uid for i in (0, 2, 3)]
         # a later episode still regenerates from its uid
@@ -315,7 +320,7 @@ class TestDatasetIO:
     def test_unexpected_episode_file_name_rejected(self, tmp_path):
         cfg = CrossroadConfig(T=20)
         out = generate_dataset(cfg, {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
-        (out / "calib" / "ep_00001.jsonl").rename(out / "calib" / "ep_1b.jsonl")
+        (out / "calib" / "ep_00001.npy").rename(out / "calib" / "ep_1b.npy")
         with pytest.raises(ValueError, match="ep_NNNNN"):
             load_split(out, "calib")
 
@@ -345,13 +350,129 @@ class TestDatasetIO:
         cfg_back = CrossroadConfig.from_json(load_manifest(out)["config"])
         for split in ("train", "calib", "test"):
             for i, ep in enumerate(load_split(out, split)):
-                want = tmp_path / f"{split}_{i}.jsonl"
-                naive_write_episode(simulate_episode(cfg_back, ep.uid), want)
-                assert (out / split / f"ep_{i:05d}.jsonl").read_bytes() == want.read_bytes()
+                regen = simulate_episode(cfg_back, ep.uid)
+                want = np.hstack([regen.states, regen.mu.T])
+                table = np.load(out / split / f"ep_{i:05d}.npy", allow_pickle=False)
+                assert table.dtype == np.float64 and table.flags.c_contiguous
+                assert table.shape == want.shape
+                assert table.tobytes() == want.tobytes()
 
     def test_writer_without_states_matches_the_per_line_writer(self, tmp_path):
         ep = random_episode(np.random.default_rng(6), len(PREDICATE_NAMES), 9)
         assert ep.states is None
-        _write_episode(ep, tmp_path / "a.jsonl")
-        naive_write_episode(ep, tmp_path / "b.jsonl")
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        _write_episode(ep, tmp_path / "a.npy")
+        assert np.load(tmp_path / "a.npy").shape == (10, len(PREDICATE_NAMES))
+        back = _read_episode(tmp_path / "a.npy", ep.dt, ep.predicate_names, ep.uid)
+        assert back.states is None
+        assert back.mu.tobytes() == ep.mu.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(0, 30),
+        st.integers(0, 4),
+    )
+    def test_write_read_round_trip_is_exact(self, tmp_path_factory, seed, m, T, n_states):
+        rng = np.random.default_rng(seed)
+        ep = random_episode(rng, m, T)
+        mu = ep.mu.copy()
+        mu[rng.random(mu.shape) < 0.2] = -0.0
+        states = rng.normal(size=(T + 1, n_states)) if n_states else None
+        if states is not None:
+            states[rng.random(states.shape) < 0.2] = -0.0
+        ep = dataclasses.replace(ep, mu=mu, states=states)
+        path = tmp_path_factory.mktemp("rt") / "ep_00000.npy"
+        _write_episode(ep, path)
+        back = _read_episode(path, ep.dt, ep.predicate_names, ep.uid)
+        assert back.uid == ep.uid and back.predicate_names == ep.predicate_names
+        assert back.mu.shape == ep.mu.shape
+        assert back.mu.tobytes() == ep.mu.tobytes()
+        if states is None:
+            assert back.states is None
+        else:
+            assert back.states.tobytes() == ep.states.tobytes()
+
+    def test_version_1_manifest_names_the_fix(self, tmp_path):
+        cfg = CrossroadConfig(T=20)
+        out = generate_dataset(cfg, {"calib": 1}, seed=1, out_dir=tmp_path / "ds")
+        blob = json.loads((out / "manifest.json").read_text())
+        blob["version"] = 1
+        (out / "manifest.json").write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="ptmon simulate"):
+            load_manifest(out)
+
+    def test_used_directory_is_refused_before_simulating(self, tmp_path, monkeypatch):
+        cfg = CrossroadConfig(T=20)
+        out = generate_dataset(cfg, {"train": 1, "calib": 6, "test": 1}, seed=0, out_dir=tmp_path / "ds")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def no_simulation(*args):
+            raise AssertionError("simulated into a used directory")
+
+        monkeypatch.setattr(benchmark, "simulate_episode", no_simulation)
+        with pytest.raises(ValueError, match="already holds episode files"):
+            generate_dataset(cfg, {"train": 1, "calib": 3, "test": 1}, seed=5, out_dir=out)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_episode_past_the_manifest_count_rejected(self, tmp_path):
+        cfg = CrossroadConfig(T=20)
+        out = generate_dataset(cfg, {"calib": 3}, seed=3, out_dir=tmp_path / "ds")
+        (out / "calib" / "ep_00002.npy").rename(out / "calib" / "ep_00003.npy")
+        with pytest.raises(ValueError, match="ep_00003.npy"):
+            load_split(out, "calib")
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((5, 9), dtype=np.float32),
+            np.zeros((5, 9), dtype=np.int64),
+            np.zeros(9),
+            np.zeros((5, 9, 1)),
+            np.zeros((5, 6)),
+            np.zeros((0, 9)),
+        ],
+        ids=["float32", "int64", "1-D", "3-D", "too-few-columns", "no-rows"],
+    )
+    def test_malformed_episode_file_rejected(self, tmp_path, table):
+        out = generate_dataset(CrossroadConfig(T=4), {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
+        np.save(out / "calib" / "ep_00001.npy", table)
+        with pytest.raises(ValueError, match="ep_00001.npy"):
+            load_split(out, "calib")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda b: b'{"t": 0, "state": [], "mu": [1.0]}\n',
+            lambda b: b[:20],
+            lambda b: b[:-16],
+            lambda b: b + bytes(8),
+        ],
+        ids=["jsonl-line", "cut-header", "cut-data", "trailing-bytes"],
+    )
+    def test_unreadable_episode_file_rejected(self, tmp_path, damage):
+        out = generate_dataset(CrossroadConfig(T=4), {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
+        path = out / "calib" / "ep_00001.npy"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="ep_00001.npy"):
+            load_split(out, "calib")
+
+    def test_object_array_rejected_without_unpickling(self, tmp_path):
+        out = generate_dataset(CrossroadConfig(T=4), {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
+        path = out / "calib" / "ep_00001.npy"
+        np.save(path, np.array([_Tripwire()], dtype=object), allow_pickle=True)
+        with pytest.raises(RuntimeError, match="unpickled"):
+            np.load(path, allow_pickle=True)  # unpickling the file runs code
+        with pytest.raises(ValueError, match="ep_00001.npy"):
+            load_split(out, "calib")
+
+
+def _trip() -> None:
+    raise RuntimeError("episode file was unpickled")
+
+
+class _Tripwire:
+    """Pickles to a call of :func:`_trip`, so unpickling it raises."""
+
+    def __reduce__(self):
+        return (_trip, ())

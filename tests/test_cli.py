@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 import ptmon.monitors as monitors
@@ -91,8 +92,23 @@ class TestSimulate:
         manifest = json.loads((ds / "manifest.json").read_text())
         assert manifest["counts"] == {"train": 6, "calib": 8, "test": 6}
         assert manifest["config"]["T"] == 24
+        assert manifest["version"] == 2
         for split, n in (("train", 6), ("calib", 8), ("test", 6)):
-            assert len(list((ds / split).glob("ep_*.jsonl"))) == n
+            assert len(list((ds / split).glob("ep_*.npy"))) == n
+        table = np.load(ds / "calib" / "ep_00000.npy", allow_pickle=False)
+        assert table.dtype == np.float64
+        assert table.shape[0] == 25 and table.shape[1] > manifest["m"]
+
+    def test_used_directory_exit_2_and_left_as_it_was(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.txt"
+        cfg.write_text("T = 8\n")
+        out = tmp_path / "d"
+        first = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert main(first + ["--counts", "1,6,1", "--seed", "0"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(first + ["--counts", "1,3,1", "--seed", "5"]) == 2
+        assert "already holds episode files" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_bad_counts_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--counts", "1,2", "--out", str(tmp_path / "x")]) == 2
