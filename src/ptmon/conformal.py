@@ -183,11 +183,12 @@ class CalibratedMonitor:
     otherwise only decoders reading within ``support`` may use it.
 
     A monitor is immutable: its fields cannot be reassigned, and ``sigma``
-    and ``coord_radii`` are stored read-only. So its :attr:`shift` is
-    computed once, and a snapshot shrunk for it stays valid (see
-    :func:`certified_lower_bound`). A changed monitor is a new one, made
-    with :func:`dataclasses.replace`. :meth:`decoder` compiles each formula
-    once per monitor and keeps the result; a copy starts with none.
+    and ``coord_radii`` are stored read-only. So its :attr:`shift`,
+    :attr:`dim` and :attr:`basis_kind` are computed once, and a snapshot
+    shrunk for it stays valid (see :func:`certified_lower_bound`). A
+    changed monitor is a new one, made with :func:`dataclasses.replace`.
+    :meth:`decoder` compiles each formula once per monitor and keeps the
+    result; a copy starts with none.
     """
 
     kind: str
@@ -222,11 +223,11 @@ class CalibratedMonitor:
             if self.m is None or self.k_max is None:
                 raise ValueError(f"{self.kind} monitor needs m and k_max")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(self.sigma.size)
 
-    @property
+    @cached_property
     def basis_kind(self) -> BasisKind:
         return BasisKind.SEMANTIC if self.kind == "semantic" else BasisKind.PREDICATE_HISTORY
 

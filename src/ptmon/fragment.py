@@ -248,7 +248,14 @@ class Decoder:
 
 def _combine(cls, children: Iterable[DecoderNode]) -> DecoderNode:
     # Flatten nested nodes of the same operator and drop duplicate children;
-    # both rewrites preserve the computed min/max exactly.
+    # both rewrites preserve the computed min/max in value. A dropped child
+    # can change which of two tied zeros a fold returns: ``(p0 & p1) & p0``
+    # at ``p0 = 0.0, p1 = -0.0`` decodes in batch to ``-0.0`` where
+    # ``robustness_series`` gives ``0.0``. The sign of a zero is no contract
+    # here anyway: on a tie, ``min``/``max`` (streaming) keep the first
+    # argument and ``np.minimum``/``np.maximum`` (batch) the second, so
+    # ``p0 & p1`` at those margins reads ``0.0`` streamed and ``-0.0`` in
+    # batch (``TIE_VALUES`` in the fragment tests). Repeats stay dropped.
     flat: list[DecoderNode] = []
     seen: set[DecoderNode] = set()
     for child in children:

@@ -20,7 +20,13 @@ Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
 ``warming_up`` while the monitor does not yet have the history its
 calibration assumed (the first ``k_max`` steps, or after a dropped
-prediction empties the buffer).
+prediction empties the buffer). A :class:`MonitorVerdict` is a
+:class:`~typing.NamedTuple`, an immutable record that builds in less than
+half the time of a frozen dataclass: it unpacks as
+``t, formula, lb, label`` and equals the plain tuple of its fields. Every
+certification call still checks the monitor, decoder and snapshot against
+each other; the monitor's layout (``basis_kind``, ``dim``) is computed once
+per monitor, like its ``shift``.
 
 Verdict streams serialize as line-delimited JSON ``{t, formula, lb, label}``
 and as CSV with the same columns.
@@ -32,7 +38,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +60,9 @@ class Label(str, Enum):
     WARMING_UP = "warming_up"
 
 
-@dataclass(frozen=True)
-class MonitorVerdict:
+class MonitorVerdict(NamedTuple):
+    """One formula's verdict at one step; unpacks and compares as a tuple."""
+
     t: int
     formula: str
     lower_bound: float | None

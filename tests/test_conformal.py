@@ -32,6 +32,7 @@ from ptmon.conformal import (
     split_quantile,
 )
 from ptmon.fragment import (
+    BasisMismatchError,
     HorizonExceededError,
     build_depth1_dictionary,
     compile_history_decoder,
@@ -413,7 +414,7 @@ class TestShrinkOnce:
         assert mon.shift is shift
         assert replace(mon).shift is not shift
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(CalibratedMonitor)] + ["shift"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(CalibratedMonitor)] + ["shift", "dim", "basis_kind"])
     def test_fields_cannot_be_assigned(self, name):
         mon = history_monitor(1, 1)
         with pytest.raises(FrozenInstanceError):
@@ -426,6 +427,74 @@ class TestShrinkOnce:
         for _ in range(2):
             assert certified_lower_bound(low, basis, dec) == 1.0
             assert certified_lower_bound(high, basis, dec) == -1.0
+
+
+class TestChecksEveryCall:
+    """Certification checks monitor, decoder and snapshot on every call,
+    also once the snapshot's shrink for the monitor is memoised."""
+
+    @staticmethod
+    def warm(mon, basis, dec):
+        certified_lower_bound(mon, basis, dec)
+        assert mon in basis._shrunk
+
+    def semantic(self):
+        d = tiny_dictionary()
+        eps = tiny_episodes(np.random.default_rng(1), d, 6)
+        stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        return d, mon, BasisVector(BasisKind.SEMANTIC, np.zeros(d.r), d.K_max)
+
+    def test_history_decoder_on_semantic_monitor(self):
+        d, mon, basis = self.semantic()
+        f = parse_formula("G[0,1] p0", d.predicate_names)
+        self.warm(mon, basis, mon.decoder(f))
+        with pytest.raises(BasisMismatchError):
+            certified_lower_bound(mon, basis, compile_history_decoder(f, d.m, d.K_max))
+
+    def test_decoder_outside_restricted_support(self):
+        d, wide, basis = self.semantic()
+        f = parse_formula("G[0,1] p0", d.predicate_names)
+        narrow = wide.for_formula(f)
+        self.warm(narrow, basis, narrow.decoder(f))
+        other = narrow.decoder(parse_formula("F[0,2] p1", d.predicate_names))
+        with pytest.raises(SupportMismatchError):
+            certified_lower_bound(narrow, basis, other)
+
+    def test_decoder_of_another_dimension(self):
+        mon = history_monitor(1, 1)
+        f = parse_formula("G[0,1] p0", ("p0",))
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 1)
+        self.warm(mon, basis, mon.decoder(f))
+        with pytest.raises(BasisMismatchError):
+            certified_lower_bound(mon, basis, compile_history_decoder(f, 1, 2))
+
+    def test_layout_of_copies(self):
+        d, sem, _ = self.semantic()
+        assert (sem.basis_kind, sem.dim) == (BasisKind.SEMANTIC, d.r)
+        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)))
+        assert (rolling.basis_kind, rolling.dim) == (BasisKind.PREDICATE_HISTORY, d.m * (d.K_max + 1))
+        wider = replace(rolling, sigma=np.ones(rolling.dim + 1))
+        assert wider.dim == rolling.dim + 1
+        narrow = sem.for_formula(parse_formula("G[0,1] p0", d.predicate_names))
+        assert (narrow.basis_kind, narrow.dim) == (BasisKind.SEMANTIC, d.r)
+        obs = self.observer()  # built by for_formula
+        assert (obs.basis_kind, obs.dim) == (BasisKind.PREDICATE_HISTORY, 3)
+
+    @staticmethod
+    def observer():
+        eps = [random_episode(np.random.default_rng(2), 1, 6) for _ in range(9)]
+        stub = PredictorStub(mode="predicates", scale=0.1, seed=0)
+        return observer_calibrate(eps, stub, parse_formula("G[0,1] p0", ("p0",)), 0.1, k_max=2)
+
+    def test_layout_after_round_trip(self, tmp_path):
+        d, sem, _ = self.semantic()
+        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)))
+        for mon in (sem, rolling, self.observer()):
+            mon.basis_kind, mon.dim  # cached on the saved monitor before it is written
+            save_monitor(mon, tmp_path / f"{mon.kind}.json")
+            back = load_monitor(tmp_path / f"{mon.kind}.json")
+            assert (back.basis_kind, back.dim) == (mon.basis_kind, mon.dim)
 
 
 class TestEstimateSigma:

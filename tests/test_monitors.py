@@ -676,6 +676,8 @@ class TestBatchEqualsStreaming:
             want = np.array([v.lower_bound for v in streamed if v.label is not Label.WARMING_UP])
             assert np.array_equal(res.lower_bounds(name), want)
             assert res.truth[name].shape == want.shape
+            # Whole verdicts: formula text and bound too, not only time and label.
+            assert res.by_formula(name) == streamed
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -707,6 +709,29 @@ class TestBatchEqualsStreaming:
         res = run_episode(ep, stub, mon, [f, f])
         assert list(res.bounds) == [format_formula(f)]
         assert len(res.verdicts) == ep.T + 1
+
+
+class TestVerdictRecord:
+    def test_fields_in_order(self):
+        assert MonitorVerdict._fields == ("t", "formula", "lower_bound", "label")
+
+    @pytest.mark.parametrize("name", MonitorVerdict._fields)
+    def test_fields_cannot_be_assigned(self, name):
+        v = MonitorVerdict(4, "G[0,1] p0", 0.25, Label.SAFE)
+        with pytest.raises(AttributeError):
+            setattr(v, name, getattr(v, name))
+        assert v == (4, "G[0,1] p0", 0.25, Label.SAFE)
+
+    def test_no_new_attribute(self):
+        with pytest.raises(AttributeError):
+            MonitorVerdict(0, "p0", None, Label.WARMING_UP).note = "x"
+
+    def test_unpacks_and_equals_its_tuple(self):
+        v = MonitorVerdict(1, "p0", -0.5, Label.UNCERTAIN)
+        t, formula, lb, label = v
+        assert (t, formula, lb, label) == (v.t, v.formula, v.lower_bound, v.label)
+        assert v == (1, "p0", -0.5, Label.UNCERTAIN)
+        assert v != (1, "p0", -0.5, Label.SAFE)
 
 
 class TestVerdictSerialization:
