@@ -45,7 +45,6 @@ from .conformal import (
     save_monitor,
     score_matrix,
     split_quantile,
-    true_basis,
 )
 from .fragment import (
     AtomicDictionary,
@@ -84,7 +83,6 @@ from .robustness import (
     BasisKind,
     BasisVector,
     Episode,
-    predicate_history_basis,
     robustness_series,
     semantic_basis_series,
 )
@@ -135,7 +133,6 @@ __all__ = [
     "observer_calibrate",
     "observer_certify",
     "parse_formula",
-    "predicate_history_basis",
     "predicted_basis",
     "radius_for_support",
     "robustness_series",
@@ -149,6 +146,5 @@ __all__ = [
     "semantic_certify",
     "simulate_episode",
     "split_quantile",
-    "true_basis",
     "__version__",
 ]

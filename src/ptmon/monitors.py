@@ -11,8 +11,9 @@ certified from it: the buffer builds one snapshot per step, and a semantic
 caller passes one :class:`~ptmon.robustness.BasisVector` for all formulas.
 Snapshots and monitors are both immutable, so a shrunk snapshot never
 goes stale.
-:func:`run_episodes` certifies recorded episodes in blocks of whole episodes,
-each formula resolved once and then one
+:func:`run_episodes` certifies recorded episodes in the blocks of whole
+episodes that calibration reads (one predicted and one true basis per
+block), each formula resolved once and then one
 :func:`ptmon.conformal.certified_lower_bounds` call per block and formula,
 and gives the bounds the streaming functions give step by step.
 
@@ -44,10 +45,9 @@ import numpy as np
 
 from .conformal import (
     CalibratedMonitor,
+    _episode_blocks,
     certified_lower_bound,
     certified_lower_bounds,
-    predicted_basis,
-    true_basis,
 )
 from .fragment import Decoder, HorizonExceededError, decode_series
 from .logic import Formula, NotInFragmentError, format_formula
@@ -69,12 +69,16 @@ class MonitorVerdict(NamedTuple):
     label: Label
 
 
+# Bound once: reading a member through the Enum class costs a lookup per verdict.
+_SAFE, _UNCERTAIN, _WARMING_UP = Label.SAFE, Label.UNCERTAIN, Label.WARMING_UP
+
+
 def _verdict(t: int, formula: str, lb: float) -> MonitorVerdict:
-    return MonitorVerdict(t, formula, lb, Label.SAFE if lb >= 0.0 else Label.UNCERTAIN)
+    return MonitorVerdict(t, formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN)
 
 
 def _warming(t: int, formula: str) -> MonitorVerdict:
-    return MonitorVerdict(t, formula, None, Label.WARMING_UP)
+    return MonitorVerdict(t, formula, None, _WARMING_UP)
 
 
 class RollingBuffer:
@@ -244,13 +248,6 @@ class EpisodeResult:
         return self.bounds[name]
 
 
-# Basis columns in one block of :func:`run_episodes`: enough to pay numpy's
-# per-call overhead once for several episodes, few enough that peak memory
-# does not grow with the split (one matrix for 100 episodes at T=60 raised
-# the peak resident memory of a report from 43 to 61 MB).
-_BLOCK_COLUMNS = 256
-
-
 def run_episodes(
     episodes: Iterable[Episode],
     predictor,
@@ -263,16 +260,18 @@ def run_episodes(
     ``mon``'s cached decoder and the monitor that
     :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
     reason it cannot be certified, which every result carries in ``errors``.
-    Each episode takes one :func:`~ptmon.conformal.predicted_basis` and one
-    :func:`~ptmon.conformal.true_basis`. The episodes are then taken in
-    blocks of whole episodes, up to a few hundred basis columns (a block
-    always holds at least one episode): the block's predicted bases, side by
-    side, take one :func:`~ptmon.conformal.certified_lower_bounds` call per
-    formula, and its true bases (read-only) are read out by the same
-    decoders with no shift. Each result holds column views of its block's
-    arrays. Blocks, not one matrix for all episodes, keep memory at one
-    block's basis. Every column is decoded on its own, so the bounds are
-    those of one episode at a time, bit for bit.
+    The episodes are then read in the blocks calibration reads (see
+    :mod:`ptmon.conformal`): whole episodes up to a few hundred basis
+    columns, each prediction checked on its own, the block's true basis
+    built once over its episodes laid end to end, with the columns that
+    straddle two episodes dropped, so it equals the per-episode bases side
+    by side, bit for bit. The predicted block takes one
+    :func:`~ptmon.conformal.certified_lower_bounds` call per formula, and
+    the true block (read-only) is read out by the same decoders with no
+    shift. Each result holds column views of its block's arrays. Blocks,
+    not one matrix for all episodes, keep memory at one block's basis.
+    Every column is decoded on its own, so the bounds are those of one
+    episode at a time, bit for bit.
     Min and max are exact, so the truth equals each formula's robustness;
     the bits can differ only in the sign of a zero, where a formula repeats
     a subformula that its decoder reads once.
@@ -289,7 +288,7 @@ def run_episodes(
             errors[name] = str(exc)
 
     results: list[EpisodeResult] = []
-    for predicted, true, widths in _blocks(episodes, predictor, mon.basis_spec):
+    for predicted, true, widths in _episode_blocks(episodes, predictor, mon.basis_spec):
         # A one-leaf read-out is a row of ``true``; it must not be writable.
         true.flags.writeable = False
         bounds = {name: certified_lower_bounds(mon_f, predicted, d) for name, (d, mon_f) in resolved.items()}
@@ -307,26 +306,6 @@ def run_episodes(
                 )
             )
     return results
-
-
-def _blocks(episodes: Iterable[Episode], predictor, basis_spec):
-    """The episodes' predicted and true bases side by side, in blocks of
-    whole episodes, each with its episodes' widths."""
-    preds: list[np.ndarray] = []
-    trues: list[np.ndarray] = []
-    widths: list[int] = []
-    for ep in episodes:
-        predicted = predicted_basis(ep, predictor, basis_spec)
-        if widths and sum(widths) + predicted.shape[1] > _BLOCK_COLUMNS:
-            block = np.concatenate(preds, axis=1), np.concatenate(trues, axis=1), widths
-            # Drop the episodes' own copies while the block is decoded.
-            preds, trues, widths = [], [], []
-            yield block
-        preds.append(predicted)
-        trues.append(true_basis(ep, basis_spec))
-        widths.append(predicted.shape[1])
-    if widths:
-        yield np.concatenate(preds, axis=1), np.concatenate(trues, axis=1), widths
 
 
 def run_episode(

@@ -216,7 +216,9 @@ def _series(f: Formula, mu: np.ndarray) -> np.ndarray:
 def predicate_history_basis(ep: Episode, k_max: int, t: int) -> BasisVector:
     """Stack the last ``k_max+1`` values of every predicate at time ``t``.
 
-    Coordinate ``k * (k_max+1) + j`` holds predicate ``k`` at lag ``j``.
+    Coordinate ``k * (k_max+1) + j`` holds predicate ``k`` at lag ``j``. No
+    library path reads one snapshot at a time; the acceptance tests check
+    decoders against this pointwise form.
     """
     if t < k_max or t > ep.T:
         raise TimeOutOfRangeError(f"t={t} outside valid range [{k_max}, {ep.T}]")
@@ -227,8 +229,9 @@ def predicate_history_basis(ep: Episode, k_max: int, t: int) -> BasisVector:
 def predicate_history_series(ep: Episode, k_max: int) -> np.ndarray:
     """Predicate-history vectors for all valid times, as columns.
 
-    Shape ``(m*(k_max+1), T - k_max + 1)``; column ``i`` equals
-    :func:`predicate_history_basis` at ``t = k_max + i``.
+    Shape ``(m*(k_max+1), T - k_max + 1)``; column ``i`` is the history at
+    ``t = k_max + i``, coordinate ``k * (k_max+1) + j`` holding predicate
+    ``k`` at lag ``j`` (:func:`stack_lags`).
     """
     return stack_lags(ep.mu, k_max)
 

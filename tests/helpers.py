@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from ptmon.benchmark import PREDICATE_NAMES, CrossroadConfig
-from ptmon.conformal import sample_level2_time
-from ptmon.fragment import DecoderNode, Leaf, MinNode
+from ptmon.conformal import SIGMA_FLOOR, predicted_basis, sample_level2_time
+from ptmon.fragment import AtomicDictionary, DecoderNode, Leaf, MinNode
 from ptmon.logic import (
     Always,
     And,
@@ -26,7 +26,7 @@ from ptmon.logic import (
     TimeInterval,
     horizon,
 )
-from ptmon.robustness import Episode
+from ptmon.robustness import Episode, predicate_history_series, semantic_basis_series
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,49 @@ def naive_compute_metrics(lower_bounds, truths, level: int, k_max: int, coverage
         "gt_safe": 100.0 * n_true_safe / n_valid,
         "coverage": 100.0 * covered / len(lower_bounds),
     }
+
+
+def naive_true_basis(ep: Episode, basis_spec) -> np.ndarray:
+    """One episode's exact basis columns over ``t = k_max .. T``: its
+    semantic basis for a dictionary, its predicate history for ``(m, k_max)``."""
+    if isinstance(basis_spec, AtomicDictionary):
+        return semantic_basis_series(ep, basis_spec)
+    return predicate_history_series(ep, basis_spec[1])
+
+
+def naive_score_matrix(episodes, predictor, basis_spec, sigma, level: int, tau_seed: int = 0) -> np.ndarray:
+    """``conformal.score_matrix`` one episode at a time: each episode's own
+    prediction and truth, its error matrix, then its row."""
+    k_max = basis_spec.K_max if isinstance(basis_spec, AtomicDictionary) else basis_spec[1]
+    rows = []
+    for i, ep in enumerate(episodes):
+        errs = predicted_basis(ep, predictor, basis_spec) - naive_true_basis(ep, basis_spec)
+        errs = np.maximum(0.0, errs) / sigma[:, None]
+        if level == 1:
+            rows.append(errs.max(axis=1))
+        else:
+            rows.append(errs[:, sample_level2_time(tau_seed, i, k_max, ep.T) - k_max])
+    return np.array(rows)
+
+
+def naive_estimate_sigma(episodes, predictor, basis_spec) -> np.ndarray:
+    """``conformal.estimate_sigma`` one episode at a time: every episode's
+    absolute errors pooled in episode order, then the floored median."""
+    pooled = [
+        np.abs(predicted_basis(ep, predictor, basis_spec) - naive_true_basis(ep, basis_spec)) for ep in episodes
+    ]
+    return np.maximum(np.median(np.concatenate(pooled, axis=1), axis=1), SIGMA_FLOOR)
+
+
+def naive_observer_rows(episodes, predictor, m: int, k_max: int, sigma, tau_seed: int = 0) -> np.ndarray:
+    """The observer's score cache one episode at a time: the symmetric
+    error ``|predicted - truth| / sigma`` at one sampled time per episode."""
+    rows = []
+    for i, ep in enumerate(episodes):
+        errors = predicted_basis(ep, predictor, (m, k_max)) - naive_true_basis(ep, (m, k_max))
+        tau = sample_level2_time(tau_seed, i, k_max, ep.T)
+        rows.append(np.abs(errors[:, tau - k_max]) / sigma)
+    return np.array(rows)
 
 
 def naive_windowed_extrema(series, interval: TimeInterval, mode: str):
@@ -306,3 +349,43 @@ def valid_time(rng: np.random.Generator, f: Formula, T: int) -> int:
     h = horizon(f)
     assert h <= T, f"formula horizon {h} exceeds episode length {T}"
     return int(rng.integers(h, T + 1))
+
+
+def nested_window_formula(rng, m):
+    """A random PNF formula with two nested windows, the outer one with
+    ``a > 0``, combined with a sibling of an independent horizon."""
+    outer_op, inner_op = (Always if rng.random() < 0.5 else Eventually for _ in range(2))
+    a = int(rng.integers(1, 4))
+    outer = TimeInterval(a, a + int(rng.integers(0, 4)))
+    nested = outer_op(outer, inner_op(random_interval(rng), random_pnf_formula(rng, m)))
+    sibling = random_pnf_formula(rng, m)
+    pair = (nested, sibling) if rng.random() < 0.5 else (sibling, nested)
+    return And(*pair) if rng.random() < 0.5 else Or(*pair)
+
+
+def mixed_dictionary(rng, m):
+    """A dictionary whose ``G[0,b] p`` / ``F[0,b] p`` atoms (random widths,
+    ``b = 0`` included) are shuffled among atoms outside that layout: a
+    window with ``a > 0``, a nested window, an ``&``/``|`` atom and a bare
+    predicate, each present at random."""
+
+    def p():
+        k = int(rng.integers(m))
+        return Predicate(f"p{k}", k)
+
+    def op():
+        return Always if rng.random() < 0.5 else Eventually
+
+    atoms = [op()(TimeInterval(0, int(rng.integers(0, 9))), p()) for _ in range(rng.integers(0, 9))]
+    if rng.random() < 0.5:
+        a = int(rng.integers(1, 4))
+        atoms.append(op()(TimeInterval(a, a + int(rng.integers(0, 4))), p()))
+    if rng.random() < 0.5:
+        atoms.append(nested_window_formula(rng, m))
+    if rng.random() < 0.5:
+        pair = (op()(random_interval(rng), p()), op()(random_interval(rng), p()))
+        atoms.append(And(*pair) if rng.random() < 0.5 else Or(*pair))
+    if rng.random() < 0.5 or not atoms:
+        atoms.append(p())
+    atoms = list(dict.fromkeys(atoms))
+    return AtomicDictionary(tuple(atoms[i] for i in rng.permutation(len(atoms))), m)

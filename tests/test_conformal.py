@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -8,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import predicate_lag_support, random_episode, random_fragment_formula, random_pnf_formula
+from helpers import (
+    mixed_dictionary,
+    naive_estimate_sigma,
+    naive_observer_rows,
+    naive_score_matrix,
+    predicate_lag_support,
+    random_episode,
+    random_fragment_formula,
+    random_pnf_formula,
+)
+import ptmon.conformal as conformal
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     CalibratedMonitor,
@@ -32,6 +43,7 @@ from ptmon.conformal import (
     split_quantile,
 )
 from ptmon.fragment import (
+    AtomicDictionary,
     BasisMismatchError,
     HorizonExceededError,
     build_depth1_dictionary,
@@ -778,6 +790,29 @@ class TestPredictedBasis:
         with pytest.raises(ValueError, match="non-finite"):
             calibrate(eps, Broken(), ScoreConfig(sigma=np.ones(8), alpha=0.1, level=2), (2, 3))
 
+    @pytest.mark.parametrize("mode", ["semantic", "predicates"])
+    def test_nonfinite_prediction_in_a_later_episode_of_a_block_names_it(self, mode):
+        d = tiny_dictionary()
+        rng = np.random.default_rng(21)
+        eps = tiny_episodes(rng, d, 6)
+        spec = d if mode == "semantic" else (2, 3)
+        assert sum(ep.T + 1 for ep in eps) <= conformal._BLOCK_COLUMNS  # one block in either layout
+        bad_uid = eps[4].uid
+        stub = PredictorStub(mode=mode, seed=1, dictionary=d)
+
+        class BrokenLater:
+            def predict(self, ep):
+                out = stub.predict(ep)
+                if ep.uid == bad_uid:
+                    out[0, -1] = np.nan
+                return out
+
+        dim = d.r if mode == "semantic" else 8
+        with pytest.raises(ValueError, match=re.escape(f"non-finite values for episode {bad_uid}")):
+            calibrate(eps, BrokenLater(), ScoreConfig(sigma=np.ones(dim), alpha=0.1, level=1), spec)
+        with pytest.raises(ValueError, match=re.escape(f"non-finite values for episode {bad_uid}")):
+            estimate_sigma(eps, BrokenLater(), spec)
+
 
 class TestScoreMatrix:
     def test_level1_rows_dominate_level2(self):
@@ -805,3 +840,105 @@ class TestScoreMatrix:
                 for j in range(k_max + 1):
                     want[k * (k_max + 1) + j] = errs[k, tau - j]
             assert np.allclose(rows[i], want)
+
+
+def mixed_length_episodes(rng, m, k_max, n):
+    """``n`` episodes of distinct lengths in random order, so block
+    boundaries fall between episodes of different lengths: one with a
+    single valid time (``T = k_max``), the rest with 37 to 156, so that
+    20 or more of them span more than 3 blocks."""
+    extra = np.concatenate([[0], rng.choice(np.arange(36, 156), size=n - 1, replace=False)])
+    return [random_episode(rng, m, k_max + int(T)) for T in rng.permutation(extra)]
+
+
+class TestBlocksEqualOneEpisodeAtATime:
+    """Every calibration reads episodes in blocks; its outputs equal the
+    per-episode oracles of ``helpers`` bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_semantic_scores_and_sigma(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 3
+        d = mixed_dictionary(rng, m)
+        if not d.window_layout.fallback:  # an atom outside the shared pass in every example
+            d = AtomicDictionary((*d.atoms, parse_formula("G[1,3] p0 & F[0,2] p2", ("p0", "p1", "p2"))), m)
+        eps = mixed_length_episodes(rng, m, d.K_max, 22)
+        assert sum(ep.T - d.K_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
+        stub = PredictorStub(mode="semantic", scale=0.2, bias=-0.05, ar_coeff=0.5, seed=seed % 97, dictionary=d)
+        sigma = estimate_sigma(eps, stub, d)
+        assert np.array_equal(sigma, naive_estimate_sigma(eps, stub, d))
+        for level in (1, 2):
+            got = score_matrix(eps, stub, d, sigma, level, tau_seed=seed % 13)
+            assert np.array_equal(got, naive_score_matrix(eps, stub, d, sigma, level, tau_seed=seed % 13))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_history_scores_sigma_and_observer_cache(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 2
+        f = random_pnf_formula(rng, m, depth=2, max_b=3)
+        k_max = max(int(rng.integers(0, 7)), horizon(f))  # the observer's own depth, too
+        eps = mixed_length_episodes(rng, m, k_max, 30)
+        assert sum(ep.T - k_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
+        stub = PredictorStub(mode="predicates", scale=0.2, bias=0.05, ar_coeff=0.3, seed=seed % 89)
+        spec = (m, k_max)
+        sigma = estimate_sigma(eps, stub, spec)
+        assert np.array_equal(sigma, naive_estimate_sigma(eps, stub, spec))
+        for level in (1, 2):
+            got = score_matrix(eps, stub, spec, sigma, level, tau_seed=seed % 11)
+            assert np.array_equal(got, naive_score_matrix(eps, stub, spec, sigma, level, tau_seed=seed % 11))
+        sigma_p = rng.uniform(0.5, 2.0, size=m)
+        mon = observer_calibrate(eps, stub, f, 0.1, sigma_predicates=sigma_p, k_max=k_max, tau_seed=seed % 7)
+        want = naive_observer_rows(eps, stub, m, k_max, np.repeat(sigma_p, k_max + 1), seed % 7)
+        assert np.array_equal(mon.cache.matrix, want)
+
+
+class TestTruthOncePerBlock:
+    """A calibration builds each block's true basis in one call of the basis
+    routine, not one call per episode."""
+
+    def count_truth_builds(self, monkeypatch, eps):
+        margins = np.concatenate([ep.mu for ep in eps], axis=1)
+        calls = {"blocks": 0, "truth": 0, "other": 0}
+        real_blocks = conformal._block_bases
+
+        def counting_blocks(*args):
+            calls["blocks"] += 1
+            return real_blocks(*args)
+
+        def counted(name):
+            real = getattr(conformal, name)
+
+            def wrapper(x, *args):
+                # A true block holds only recorded margins; a noisy prediction none.
+                calls["truth" if np.isin(x, margins).all() else "other"] += 1
+                return real(x, *args)
+
+            monkeypatch.setattr(conformal, name, wrapper)
+
+        monkeypatch.setattr(conformal, "_block_bases", counting_blocks)
+        counted("_basis_rows")
+        counted("stack_lags")
+        return calls
+
+    def test_semantic_calibrate(self, monkeypatch):
+        d = build_depth1_dictionary(3, ((0, 1), (0, 3)))
+        rng = np.random.default_rng(30)
+        eps = tiny_episodes(rng, d, 40, T=30)
+        stub = PredictorStub(mode="semantic", scale=0.1, seed=3, dictionary=d)
+        calls = self.count_truth_builds(monkeypatch, eps)
+        calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=1), d)
+        assert 1 < calls["blocks"] < len(eps)
+        assert calls == {"blocks": calls["blocks"], "truth": calls["blocks"], "other": 0}
+
+    def test_observer_calibrate(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        eps = [random_episode(rng, 2, 30) for _ in range(40)]
+        stub = PredictorStub(mode="predicates", scale=0.1, seed=3)
+        f = parse_formula("G[0,2] p0 & F[0,1] p1", ("p0", "p1"))
+        calls = self.count_truth_builds(monkeypatch, eps)
+        observer_calibrate(eps, stub, f, 0.1, k_max=3)
+        assert 1 < calls["blocks"] < len(eps)
+        # One stacking of the block's truth and one of its predictions.
+        assert calls == {"blocks": calls["blocks"], "truth": calls["blocks"], "other": calls["blocks"]}

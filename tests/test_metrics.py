@@ -211,7 +211,7 @@ class TestEvaluateMonitor:
         cols = test_eps[0].T - mon.k_max + 1
         assert all(ep.T - mon.k_max + 1 == cols for ep in test_eps)
         # Two episodes fit a block, so the five episodes take three blocks.
-        monkeypatch.setattr(monitors, "_BLOCK_COLUMNS", 2 * cols + 1)
+        monkeypatch.setattr(conformal, "_BLOCK_COLUMNS", 2 * cols + 1)
         draws, certifications = Counter(), Counter()
         real_draw, real_certify = metrics_module.sample_level2_time, monitors.certified_lower_bounds
 

@@ -326,7 +326,7 @@ class TestRunEpisodes:
         # Then distinct lengths, so the block boundaries among them fall
         # between episodes of different lengths; all span several blocks.
         eps += [random_episode(rng, 2, int(T)) for T in rng.permutation(np.arange(20, 140, 10))]
-        assert sum(ep.T - mon.k_max + 1 for ep in eps) > 3 * monitors._BLOCK_COLUMNS
+        assert sum(ep.T - mon.k_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         alien = parse_formula("G[0,7] p0", ("p0", "p1"))
         # A one-leaf read-out is a row of the block's read-only true basis.
         leaf = parse_formula("G[0,1] p0" if case.startswith("semantic") else "p0", ("p0", "p1"))

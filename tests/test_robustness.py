@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    mixed_dictionary,
     naive_robustness,
     naive_windowed_extrema,
+    nested_window_formula,
     random_episode,
     random_interval,
     random_pnf_formula,
@@ -17,16 +19,7 @@ import ptmon.robustness as robustness_module
 from ptmon import fragment
 from ptmon.benchmark import DEFAULT_INTERVALS, PREDICATE_NAMES
 from ptmon.fragment import AtomicDictionary, build_depth1_dictionary
-from ptmon.logic import (
-    Always,
-    And,
-    Eventually,
-    Or,
-    Predicate,
-    TimeInterval,
-    horizon,
-    parse_formula,
-)
+from ptmon.logic import TimeInterval, horizon, parse_formula
 from ptmon.robustness import (
     BasisKind,
     BasisVector,
@@ -143,18 +136,6 @@ class TestWindowedExtrema:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             windowed_extrema(np.ones(5), TimeInterval(0, 1), "median")
-
-
-def nested_window_formula(rng, m):
-    """A random PNF formula with two nested windows, the outer one with
-    ``a > 0``, combined with a sibling of an independent horizon."""
-    outer_op, inner_op = (Always if rng.random() < 0.5 else Eventually for _ in range(2))
-    a = int(rng.integers(1, 4))
-    outer = TimeInterval(a, a + int(rng.integers(0, 4)))
-    nested = outer_op(outer, inner_op(random_interval(rng), random_pnf_formula(rng, m)))
-    sibling = random_pnf_formula(rng, m)
-    pair = (nested, sibling) if rng.random() < 0.5 else (sibling, nested)
-    return And(*pair) if rng.random() < 0.5 else Or(*pair)
 
 
 class TestRobustnessSeries:
@@ -310,31 +291,3 @@ class TestSemanticBasis:
         for _ in range(3):
             semantic_basis_series(ep, d)
         assert calls == {"window_layout": 1}
-
-
-def mixed_dictionary(rng, m):
-    """A dictionary whose ``G[0,b] p`` / ``F[0,b] p`` atoms (random widths,
-    ``b = 0`` included) are shuffled among atoms outside that layout: a
-    window with ``a > 0``, a nested window, an ``&``/``|`` atom and a bare
-    predicate, each present at random."""
-
-    def p():
-        k = int(rng.integers(m))
-        return Predicate(f"p{k}", k)
-
-    def op():
-        return Always if rng.random() < 0.5 else Eventually
-
-    atoms = [op()(TimeInterval(0, int(rng.integers(0, 9))), p()) for _ in range(rng.integers(0, 9))]
-    if rng.random() < 0.5:
-        a = int(rng.integers(1, 4))
-        atoms.append(op()(TimeInterval(a, a + int(rng.integers(0, 4))), p()))
-    if rng.random() < 0.5:
-        atoms.append(nested_window_formula(rng, m))
-    if rng.random() < 0.5:
-        pair = (op()(random_interval(rng), p()), op()(random_interval(rng), p()))
-        atoms.append(And(*pair) if rng.random() < 0.5 else Or(*pair))
-    if rng.random() < 0.5 or not atoms:
-        atoms.append(p())
-    atoms = list(dict.fromkeys(atoms))
-    return AtomicDictionary(tuple(atoms[i] for i in rng.permutation(len(atoms))), m)
