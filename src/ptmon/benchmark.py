@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,10 +39,9 @@ from .robustness import Episode, semantic_basis_series
 
 PREDICATE_NAMES = ("p_clear", "p_f", "p_l", "p_r", "p_front_margin", "p_goal", "p_speed")
 DEFAULT_INTERVALS = ((0, 1), (0, 2), (0, 4), (0, 8), (0, 16))
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 _SPLIT_CODES = {"train": 0, "calib": 1, "test": 2}
-_EPISODE_FILE = re.compile(r"ep_(\d{5,})\.npy")
 
 
 @dataclass(frozen=True)
@@ -367,24 +365,26 @@ def generate_dataset(
 ) -> Path:
     """Simulate train/calib/test splits and write them under ``out_dir``.
 
-    Layout: ``manifest.json`` plus one ``<split>/ep_NNNNN.npy`` per episode,
-    a C-order float64 table of shape ``(T+1, S+m)`` (NumPy's ``.npy``
-    format) whose row ``t`` is the state at step ``t`` followed by the ``m``
-    margins; ``S = 0`` for an episode without states. Episode seeds are
-    disjoint across splits (the split code occupies bits above any index), so
-    splits never share randomness. The dataset seed replaces ``cfg.seed``.
+    Layout: ``manifest.json`` plus one ``<split>.npy`` per split, a C-order
+    float64 table of shape ``(n, T+1, S+m)`` (NumPy's ``.npy`` format, one
+    ``np.save``) whose row ``i`` is episode ``i``: the state at each step
+    followed by the ``m`` margins. A split with count 0 gets no table.
+    Episode ``i`` has uid ``_episode_seed(split, i)``; seeds are disjoint
+    across splits (the split code occupies bits above any index), so splits
+    never share randomness. The dataset seed replaces ``cfg.seed``.
 
-    Raises ``ValueError``, before simulating anything, if a split directory
-    it would write already holds ``ep_*`` files: episodes of two datasets
-    must never share a directory.
+    Raises ``ValueError``, before simulating anything, if ``out_dir`` already
+    holds a ``manifest.json`` or any split table: two datasets must never
+    share a directory.
     """
     cfg = dataclasses.replace(cfg, seed=seed)
     out = Path(out_dir)
     for split in counts:
         if split not in _SPLIT_CODES:
             raise ValueError(f"unknown split {split!r} (expected train/calib/test)")
-        if any((out / split).glob("ep_*")):
-            raise ValueError(f"{out / split} already holds episode files; simulate into a new directory")
+    used = [name for name in ("manifest.json", *(f"{s}.npy" for s in _SPLIT_CODES)) if (out / name).exists()]
+    if used:
+        raise ValueError(f"{out} already holds episode files ({', '.join(used)}); simulate into a new directory")
     out.mkdir(parents=True, exist_ok=True)
     dictionary = build_depth1_dictionary(len(PREDICATE_NAMES), intervals, PREDICATE_NAMES)
     manifest = {
@@ -399,18 +399,16 @@ def generate_dataset(
         "seed": seed,
     }
     for split, count in counts.items():
-        split_dir = out / split
-        split_dir.mkdir(exist_ok=True)
-        for i in range(count):
-            ep = simulate_episode(cfg, _episode_seed(split, i))
-            _write_episode(ep, split_dir / f"ep_{i:05d}.npy")
+        if count:
+            episodes = [simulate_episode(cfg, _episode_seed(split, i)) for i in range(count)]
+            _write_split(episodes, out / f"{split}.npy")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return out
 
 
-def _write_episode(ep: Episode, path: Path) -> None:
-    table = ep.mu.T if ep.states is None else np.hstack([ep.states, ep.mu.T])
-    np.save(path, np.ascontiguousarray(table), allow_pickle=False)
+def _write_split(episodes: Sequence[Episode], path: Path) -> None:
+    table = np.stack([ep.mu.T if ep.states is None else np.hstack([ep.states, ep.mu.T]) for ep in episodes])
+    np.save(path, table, allow_pickle=False)
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
@@ -433,55 +431,46 @@ def dictionary_from_manifest(manifest: dict) -> AtomicDictionary:
 
 
 def load_split(dataset_dir: str | Path, split: str) -> list[Episode]:
-    """Load one split's episodes in index order.
+    """Load one split's episodes in row order from ``<split>.npy``.
 
-    Each uid is rebuilt from the ``NNNNN`` of its ``ep_NNNNN.npy`` file name,
-    so a missing file leaves the other episodes' uids (and predictor noise)
-    unchanged. Any other ``ep_*`` name, and any index at or past the
-    manifest's count for the split, is rejected. Episode files are read
-    without unpickling and validated (see :func:`generate_dataset` for the
-    table layout).
+    The table is read in one call, without unpickling, and validated once
+    (see :func:`generate_dataset` for the layout): it must be a float64
+    array of shape ``(counts[split], config["T"] + 1, S + m)`` with nothing
+    after it. Row ``i`` becomes the episode with uid
+    ``_episode_seed(split, i)``. Raises ``FileNotFoundError`` for a split
+    without a table (an unknown split, or one of count 0).
     """
     manifest = load_manifest(dataset_dir)
-    split_dir = Path(dataset_dir) / split
-    if not split_dir.is_dir():
-        raise FileNotFoundError(f"dataset has no {split!r} split at {split_dir}")
-    count = int(manifest["counts"].get(split, 0))
-    names = tuple(manifest["predicate_names"])
-    indexed = []
-    for path in split_dir.glob("ep_*"):
-        match = _EPISODE_FILE.fullmatch(path.name)
-        if match is None:
-            raise ValueError(f"{path}: episode files must be named ep_NNNNN.npy")
-        index = int(match.group(1))
-        if index >= count:
-            raise ValueError(f"{path}: index {index} is past the manifest's {count} {split!r} episodes")
-        indexed.append((index, path))
-    if not indexed:
-        raise FileNotFoundError(f"no episodes found under {split_dir}")
-    return [
-        _read_episode(path, manifest["dt"], names, _episode_seed(split, i))
-        for i, path in sorted(indexed)
-    ]
+    path = Path(dataset_dir) / f"{split}.npy"
+    if split not in _SPLIT_CODES or not path.is_file():
+        raise FileNotFoundError(f"dataset has no {split!r} split at {path}")
+    steps = int(manifest["config"]["T"]) + 1
+    return _read_split(path, split, int(manifest["counts"].get(split, 0)), steps, manifest["dt"],
+                       tuple(manifest["predicate_names"]))
 
 
-def _read_episode(path: Path, dt: float, names: tuple[str, ...], uid: int) -> Episode:
+def _read_split(path: Path, split: str, count: int, steps: int, dt: float, names: tuple[str, ...]) -> list[Episode]:
     with open(path, "rb") as fh:
         try:
             table = np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the episode table")
+            raise ValueError(f"{path}: trailing bytes after the split table")
     m = len(names)
     if table.dtype != np.float64:
-        raise ValueError(f"{path}: episode table must be float64, got {table.dtype}")
-    if table.ndim != 2:
-        raise ValueError(f"{path}: episode table must be 2-D, got shape {table.shape}")
-    if table.shape[1] < m:
-        raise ValueError(f"{path}: episode table has {table.shape[1]} columns, fewer than the {m} margins")
-    if table.shape[0] == 0:
-        raise ValueError(f"{path}: episode table has no rows")
-    n_states = table.shape[1] - m
-    states = table[:, :n_states] if n_states else None
-    return Episode(mu=table[:, n_states:].T, dt=dt, states=states, predicate_names=names, uid=uid)
+        raise ValueError(f"{path}: split table must be float64, got {table.dtype}")
+    if table.ndim != 3:
+        raise ValueError(f"{path}: split table must be 3-D (episodes, steps, columns), got shape {table.shape}")
+    if table.shape[0] != count:
+        raise ValueError(f"{path}: {table.shape[0]} episodes, but the manifest counts {count} {split!r} episodes")
+    if table.shape[1] != steps:
+        raise ValueError(f"{path}: {table.shape[1]} steps per episode, but the manifest's T + 1 is {steps}")
+    if table.shape[2] < m:
+        raise ValueError(f"{path}: split table has {table.shape[2]} columns, fewer than the {m} margins")
+    n_states = table.shape[2] - m
+    return [
+        Episode(mu=row[:, n_states:].T, dt=dt, states=row[:, :n_states] if n_states else None,
+                predicate_names=names, uid=_episode_seed(split, i))
+        for i, row in enumerate(table)
+    ]

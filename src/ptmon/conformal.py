@@ -524,6 +524,8 @@ def estimate_sigma(episodes: Sequence[Episode], predictor, basis_spec) -> np.nda
     Each block's ``|predicted - truth|`` is formed once
     (:func:`_episode_blocks`) and pooled in episode order.
     """
+    if not episodes:
+        raise ValueError("sigma estimation needs at least one episode")
     pooled = [np.abs(predicted - true) for predicted, true, _ in _episode_blocks(episodes, predictor, basis_spec)]
     sigma = np.median(np.concatenate(pooled, axis=1), axis=1)
     return np.maximum(sigma, SIGMA_FLOOR)

@@ -19,9 +19,10 @@ from ptmon.benchmark import (
     generate_dataset,
     load_manifest,
     load_split,
-    _read_episode,
+    _episode_seed,
+    _read_split,
     _wrap_angle,
-    _write_episode,
+    _write_split,
     simulate_episode,
     stub_from_json,
 )
@@ -305,24 +306,27 @@ class TestDatasetIO:
                 assert ep.uid not in uids
                 uids.add(ep.uid)
 
-    def test_uids_come_from_file_names(self, tmp_path):
+    def test_row_uids_come_from_row_indices(self, tmp_path):
         cfg = CrossroadConfig(T=20)
         out = generate_dataset(cfg, {"calib": 4}, seed=3, out_dir=tmp_path / "ds")
-        before = load_split(out, "calib")
-        (out / "calib" / "ep_00001.npy").unlink()
-        after = load_split(out, "calib")
-        assert [ep.uid for ep in after] == [before[i].uid for i in (0, 2, 3)]
-        # a later episode still regenerates from its uid
+        calib = load_split(out, "calib")
+        assert [ep.uid for ep in calib] == [_episode_seed("calib", i) for i in range(4)]
+        # every row regenerates bit for bit from its uid and the manifest's config
         cfg_back = CrossroadConfig.from_json(load_manifest(out)["config"])
-        regen = simulate_episode(cfg_back, after[-1].uid)
-        assert np.array_equal(after[-1].mu, regen.mu)
+        for ep in calib:
+            regen = simulate_episode(cfg_back, ep.uid)
+            assert ep.mu.tobytes() == regen.mu.tobytes()
+            assert ep.states.tobytes() == regen.states.tobytes()
 
-    def test_unexpected_episode_file_name_rejected(self, tmp_path):
+    def test_table_row_count_disagreeing_with_manifest_rejected(self, tmp_path):
         cfg = CrossroadConfig(T=20)
-        out = generate_dataset(cfg, {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
-        (out / "calib" / "ep_00001.npy").rename(out / "calib" / "ep_1b.npy")
-        with pytest.raises(ValueError, match="ep_NNNNN"):
-            load_split(out, "calib")
+        out = generate_dataset(cfg, {"calib": 3}, seed=3, out_dir=tmp_path / "ds")
+        path = out / "calib.npy"
+        table = np.load(path)
+        for rows in (table[:2], np.concatenate([table, table[:1]])):
+            np.save(path, rows)
+            with pytest.raises(ValueError, match=r"calib\.npy: .* manifest counts 3 'calib' episodes"):
+                load_split(out, "calib")
 
     def test_missing_split(self, tmp_path):
         cfg = CrossroadConfig(T=20)
@@ -346,25 +350,28 @@ class TestDatasetIO:
 
     def test_writer_bytes_match_the_per_line_writer(self, tmp_path):
         cfg = CrossroadConfig(T=20)
-        out = generate_dataset(cfg, {"train": 2, "calib": 3, "test": 2}, seed=4, out_dir=tmp_path / "ds")
+        counts = {"train": 2, "calib": 3, "test": 2}
+        out = generate_dataset(cfg, counts, seed=4, out_dir=tmp_path / "ds")
         cfg_back = CrossroadConfig.from_json(load_manifest(out)["config"])
-        for split in ("train", "calib", "test"):
-            for i, ep in enumerate(load_split(out, split)):
-                regen = simulate_episode(cfg_back, ep.uid)
-                want = np.hstack([regen.states, regen.mu.T])
-                table = np.load(out / split / f"ep_{i:05d}.npy", allow_pickle=False)
-                assert table.dtype == np.float64 and table.flags.c_contiguous
-                assert table.shape == want.shape
-                assert table.tobytes() == want.tobytes()
+        assert sorted(p.name for p in out.iterdir()) == ["calib.npy", "manifest.json", "test.npy", "train.npy"]
+        for split, n in counts.items():
+            table = np.load(out / f"{split}.npy", allow_pickle=False)
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            assert table.shape == (n, 21, 4 + 2 * cfg.n_pedestrians + len(PREDICATE_NAMES))
+            for i in range(n):
+                regen = simulate_episode(cfg_back, _episode_seed(split, i))
+                assert table[i].tobytes() == np.hstack([regen.states, regen.mu.T]).tobytes()
 
     def test_writer_without_states_matches_the_per_line_writer(self, tmp_path):
-        ep = random_episode(np.random.default_rng(6), len(PREDICATE_NAMES), 9)
-        assert ep.states is None
-        _write_episode(ep, tmp_path / "a.npy")
-        assert np.load(tmp_path / "a.npy").shape == (10, len(PREDICATE_NAMES))
-        back = _read_episode(tmp_path / "a.npy", ep.dt, ep.predicate_names, ep.uid)
-        assert back.states is None
-        assert back.mu.tobytes() == ep.mu.tobytes()
+        rng = np.random.default_rng(6)
+        eps = [random_episode(rng, len(PREDICATE_NAMES), 9) for _ in range(2)]
+        assert eps[0].states is None
+        _write_split(eps, tmp_path / "calib.npy")
+        assert np.load(tmp_path / "calib.npy").shape == (2, 10, len(PREDICATE_NAMES))
+        back = _read_split(tmp_path / "calib.npy", "calib", 2, 10, 1.0, eps[0].predicate_names)
+        for ep, got in zip(eps, back):
+            assert got.states is None
+            assert got.mu.tobytes() == ep.mu.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -372,35 +379,41 @@ class TestDatasetIO:
         st.integers(1, 8),
         st.integers(0, 30),
         st.integers(0, 4),
+        st.integers(1, 3),
     )
-    def test_write_read_round_trip_is_exact(self, tmp_path_factory, seed, m, T, n_states):
+    def test_write_read_round_trip_is_exact(self, tmp_path_factory, seed, m, T, n_states, n):
         rng = np.random.default_rng(seed)
-        ep = random_episode(rng, m, T)
-        mu = ep.mu.copy()
-        mu[rng.random(mu.shape) < 0.2] = -0.0
-        states = rng.normal(size=(T + 1, n_states)) if n_states else None
-        if states is not None:
-            states[rng.random(states.shape) < 0.2] = -0.0
-        ep = dataclasses.replace(ep, mu=mu, states=states)
-        path = tmp_path_factory.mktemp("rt") / "ep_00000.npy"
-        _write_episode(ep, path)
-        back = _read_episode(path, ep.dt, ep.predicate_names, ep.uid)
-        assert back.uid == ep.uid and back.predicate_names == ep.predicate_names
-        assert back.mu.shape == ep.mu.shape
-        assert back.mu.tobytes() == ep.mu.tobytes()
-        if states is None:
-            assert back.states is None
-        else:
-            assert back.states.tobytes() == ep.states.tobytes()
+        eps = []
+        for _ in range(n):
+            ep = random_episode(rng, m, T)
+            mu = ep.mu.copy()
+            mu[rng.random(mu.shape) < 0.2] = -0.0
+            states = rng.normal(size=(T + 1, n_states)) if n_states else None
+            if states is not None:
+                states[rng.random(states.shape) < 0.2] = -0.0
+            eps.append(dataclasses.replace(ep, mu=mu, states=states))
+        path = tmp_path_factory.mktemp("rt") / "test.npy"
+        _write_split(eps, path)
+        back = _read_split(path, "test", n, T + 1, eps[0].dt, eps[0].predicate_names)
+        assert [b.uid for b in back] == [_episode_seed("test", i) for i in range(n)]
+        for ep, b in zip(eps, back):
+            assert b.predicate_names == ep.predicate_names and b.dt == ep.dt
+            assert b.mu.shape == ep.mu.shape
+            assert b.mu.tobytes() == ep.mu.tobytes()
+            if n_states:
+                assert b.states.tobytes() == ep.states.tobytes()
+            else:
+                assert b.states is None
 
     def test_version_1_manifest_names_the_fix(self, tmp_path):
         cfg = CrossroadConfig(T=20)
         out = generate_dataset(cfg, {"calib": 1}, seed=1, out_dir=tmp_path / "ds")
         blob = json.loads((out / "manifest.json").read_text())
-        blob["version"] = 1
-        (out / "manifest.json").write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match="ptmon simulate"):
-            load_manifest(out)
+        for version in (1, 2):
+            blob["version"] = version
+            (out / "manifest.json").write_text(json.dumps(blob))
+            with pytest.raises(ValueError, match=f"unsupported dataset version {version} .*ptmon simulate"):
+                load_manifest(out)
 
     def test_used_directory_is_refused_before_simulating(self, tmp_path, monkeypatch):
         cfg = CrossroadConfig(T=20)
@@ -415,29 +428,52 @@ class TestDatasetIO:
             generate_dataset(cfg, {"train": 1, "calib": 3, "test": 1}, seed=5, out_dir=out)
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_episode_past_the_manifest_count_rejected(self, tmp_path):
-        cfg = CrossroadConfig(T=20)
-        out = generate_dataset(cfg, {"calib": 3}, seed=3, out_dir=tmp_path / "ds")
-        (out / "calib" / "ep_00002.npy").rename(out / "calib" / "ep_00003.npy")
-        with pytest.raises(ValueError, match="ep_00003.npy"):
-            load_split(out, "calib")
+    @pytest.mark.parametrize("name", ["manifest.json", "train.npy", "calib.npy", "test.npy"])
+    def test_any_dataset_file_makes_a_used_directory(self, tmp_path, monkeypatch, name):
+        out = tmp_path / "ds"
+        out.mkdir()
+        (out / name).write_bytes(b"x")
+
+        def no_simulation(*args):
+            raise AssertionError("simulated into a used directory")
+
+        monkeypatch.setattr(benchmark, "simulate_episode", no_simulation)
+        with pytest.raises(ValueError, match=f"already holds episode files \\({name}\\)"):
+            generate_dataset(CrossroadConfig(T=4), {"calib": 1}, seed=0, out_dir=out)
+        assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [(name, b"x")]
+
+    def test_split_of_count_zero_has_no_table(self, tmp_path):
+        out = generate_dataset(CrossroadConfig(T=4), {"train": 0, "calib": 2}, seed=3, out_dir=tmp_path / "ds")
+        assert not (out / "train.npy").exists()
+        with pytest.raises(FileNotFoundError, match="'train'"):
+            load_split(out, "train")
+
+    def test_table_step_count_disagreeing_with_manifest_rejected(self, tmp_path):
+        out = generate_dataset(CrossroadConfig(T=20), {"calib": 3}, seed=3, out_dir=tmp_path / "ds")
+        path = out / "calib.npy"
+        table = np.load(path)
+        for steps in (table[:, :-1], np.concatenate([table, table[:, -1:]], axis=1)):
+            np.save(path, steps)
+            with pytest.raises(ValueError, match=r"calib\.npy: .* steps per episode, but the manifest's T \+ 1 is 21"):
+                load_split(out, "calib")
 
     @pytest.mark.parametrize(
         "table",
         [
-            np.zeros((5, 9), dtype=np.float32),
-            np.zeros((5, 9), dtype=np.int64),
-            np.zeros(9),
-            np.zeros((5, 9, 1)),
-            np.zeros((5, 6)),
-            np.zeros((0, 9)),
+            np.zeros((2, 5, 17), dtype=np.float32),
+            np.zeros((2, 5, 17), dtype=np.int64),
+            np.zeros(17),
+            np.zeros((2, 5, 17, 1)),
+            np.zeros((5, 17)),
+            np.zeros((2, 5, 6)),
+            np.zeros((0, 5, 17)),
         ],
-        ids=["float32", "int64", "1-D", "3-D", "too-few-columns", "no-rows"],
+        ids=["float32", "int64", "1-D", "4-D", "2-D", "too-few-columns", "no-rows"],
     )
     def test_malformed_episode_file_rejected(self, tmp_path, table):
         out = generate_dataset(CrossroadConfig(T=4), {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
-        np.save(out / "calib" / "ep_00001.npy", table)
-        with pytest.raises(ValueError, match="ep_00001.npy"):
+        np.save(out / "calib.npy", table)
+        with pytest.raises(ValueError, match=r"calib\.npy"):
             load_split(out, "calib")
 
     @pytest.mark.parametrize(
@@ -452,18 +488,18 @@ class TestDatasetIO:
     )
     def test_unreadable_episode_file_rejected(self, tmp_path, damage):
         out = generate_dataset(CrossroadConfig(T=4), {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
-        path = out / "calib" / "ep_00001.npy"
+        path = out / "calib.npy"
         path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(ValueError, match="ep_00001.npy"):
+        with pytest.raises(ValueError, match=r"calib\.npy"):
             load_split(out, "calib")
 
     def test_object_array_rejected_without_unpickling(self, tmp_path):
         out = generate_dataset(CrossroadConfig(T=4), {"calib": 2}, seed=3, out_dir=tmp_path / "ds")
-        path = out / "calib" / "ep_00001.npy"
+        path = out / "calib.npy"
         np.save(path, np.array([_Tripwire()], dtype=object), allow_pickle=True)
         with pytest.raises(RuntimeError, match="unpickled"):
             np.load(path, allow_pickle=True)  # unpickling the file runs code
-        with pytest.raises(ValueError, match="ep_00001.npy"):
+        with pytest.raises(ValueError, match=r"calib\.npy"):
             load_split(out, "calib")
 
 

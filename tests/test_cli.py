@@ -92,12 +92,12 @@ class TestSimulate:
         manifest = json.loads((ds / "manifest.json").read_text())
         assert manifest["counts"] == {"train": 6, "calib": 8, "test": 6}
         assert manifest["config"]["T"] == 24
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
+        assert sorted(p.name for p in ds.iterdir()) == ["calib.npy", "manifest.json", "test.npy", "train.npy"]
         for split, n in (("train", 6), ("calib", 8), ("test", 6)):
-            assert len(list((ds / split).glob("ep_*.npy"))) == n
-        table = np.load(ds / "calib" / "ep_00000.npy", allow_pickle=False)
-        assert table.dtype == np.float64
-        assert table.shape[0] == 25 and table.shape[1] > manifest["m"]
+            table = np.load(ds / f"{split}.npy", allow_pickle=False)
+            assert table.dtype == np.float64
+            assert table.shape[:2] == (n, 25) and table.shape[2] > manifest["m"]
 
     def test_used_directory_exit_2_and_left_as_it_was(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.txt"

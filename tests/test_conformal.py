@@ -510,6 +510,12 @@ class TestChecksEveryCall:
 
 
 class TestEstimateSigma:
+    def test_no_episodes_rejected_up_front(self):
+        d = tiny_dictionary()
+        stub = PredictorStub(mode="semantic", scale=0.1, seed=0, dictionary=d)
+        with pytest.raises(ValueError, match="sigma estimation needs at least one episode"):
+            estimate_sigma([], stub, d)
+
     def test_constant_error_recovered(self):
         d = tiny_dictionary()
         rng = np.random.default_rng(3)
