@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,17 +102,23 @@ class ScoreConfig:
             object.__setattr__(self, "support", support)
 
 
+def _rank(n: int, alpha: float) -> int:
+    """The 1-based rank of the split-conformal quantile among ``n`` scores:
+    ``min(n, ceil((n+1)(1-alpha)))``. Every quantile of this module takes
+    its rank here."""
+    if n == 0:
+        raise ValueError("cannot take a quantile of an empty score list")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return min(n, math.ceil((n + 1) * (1.0 - alpha)))
+
+
 def split_quantile(scores: Sequence[float] | np.ndarray, alpha: float) -> float | np.ndarray:
     """Finite-sample upper quantile: the ``min(n, ceil((n+1)(1-alpha)))``-th
     smallest of ``n`` scores (1-based); of each column, for an ``(n, c)``
     matrix of scores."""
     s = np.sort(np.asarray(scores, dtype=float), axis=0)
-    n = s.shape[0]
-    if n == 0:
-        raise ValueError("cannot take a quantile of an empty score list")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    rank = min(n, math.ceil((n + 1) * (1.0 - alpha)))
+    rank = _rank(s.shape[0], alpha)
     return float(s[rank - 1]) if s.ndim == 1 else s[rank - 1]
 
 
@@ -130,6 +136,12 @@ class ScoreCache:
     ``sigma[c]``. Because max commutes with max, the radius for any
     coordinate subset is the split quantile of row-wise maxima over that
     subset — no data or predictor involved.
+
+    The matrix is stored read-only and column-major, so the columns of a
+    support are contiguous reads (:func:`radius_for_support`). The first
+    per-coordinate query (:meth:`column_quantiles`) sorts every column once
+    and keeps the result, one more array of the matrix's size; later
+    queries read their order statistics from it.
     """
 
     matrix: np.ndarray
@@ -139,18 +151,32 @@ class ScoreCache:
     version: int = SCORE_CACHE_VERSION
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
+        # An owned, read-only copy: the sorted columns can never go stale.
+        matrix = np.array(self.matrix, dtype=float, order="F")
         if matrix.ndim != 2:
             raise ValueError(f"cache matrix must be 2-D, got shape {matrix.shape}")
         if not np.isfinite(matrix).all():
             raise ValueError("cache matrix contains non-finite entries")
         if self.level not in (1, 2):
             raise ValueError(f"level must be 1 or 2, got {self.level}")
+        matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def _sorted_columns(self) -> np.ndarray:
+        """Each column of :attr:`matrix` in ascending order, computed once."""
+        s = np.sort(self.matrix, axis=0)
+        s.flags.writeable = False
+        return s
+
+    def column_quantiles(self, idx: Sequence[int], alpha: float) -> np.ndarray:
+        """``split_quantile(matrix[:, idx], alpha)``, bit for bit: each
+        listed column's order statistic, read from the columns sorted once."""
+        return self._sorted_columns[_rank(self.matrix.shape[0], alpha) - 1].take(idx)
 
 
 def save_score_cache(cache: ScoreCache, path: str | Path) -> None:
@@ -192,9 +218,14 @@ class CalibratedMonitor:
     and ``coord_radii`` are stored read-only. So its :attr:`shift`,
     :attr:`dim` and :attr:`basis_kind` are computed once, and a snapshot
     shrunk for it stays valid (see :func:`certified_lower_bound`). A
-    changed monitor is a new one, made with :func:`dataclasses.replace`.
+    changed monitor is a new one, made with :func:`dataclasses.replace`,
+    which validates it again. :meth:`for_formula` changes only fields that
+    need no validation (support, formula, radius, coordinate radii), so it
+    builds its copies without the frozen ``__init__``: it copies the
+    fields' values into a fresh instance and sets the changed ones.
     :meth:`decoder` compiles each formula once per monitor and keeps the
-    result; a copy starts with none.
+    result; a copy starts with none, and computes its own :attr:`shift`,
+    :attr:`dim` and :attr:`basis_kind`.
     """
 
     kind: str
@@ -282,14 +313,30 @@ class CalibratedMonitor:
         decoder = self.decoder(f)
         support, name = decoder.support, decoder.formula
         if self.kind != "observer":
-            return replace(self, support=support, formula=name,
-                           radius=radius_for_support(self.cache, support, self.alpha))
+            return self._specialised(support=support, formula=name,
+                                     radius=radius_for_support(self.cache, support, self.alpha))
         idx = sorted(support)
+        quantiles = self.cache.column_quantiles(idx, self.alpha / len(idx))
         coord_radii = np.zeros(self.dim)
-        coord_radii[idx] = split_quantile(self.cache.matrix[:, idx], self.alpha / len(idx))
+        coord_radii[idx] = quantiles
         coord_radii.flags.writeable = False  # nothing else holds it: no copy needed
-        return replace(self, support=support, formula=name, coord_radii=coord_radii,
-                       radius=float(coord_radii[idx].max()))
+        return self._specialised(support=support, formula=name, coord_radii=coord_radii,
+                                 radius=float(quantiles.max()))
+
+    def _specialised(self, **changes) -> "CalibratedMonitor":
+        """This monitor with ``changes`` applied, for :meth:`for_formula`.
+
+        Like :func:`dataclasses.replace` without the frozen ``__init__``,
+        which sets each field through ``object.__setattr__`` and costs about
+        10 µs a copy; ``changes`` must be values :meth:`__post_init__`
+        would keep as they are. The copy's cached properties and decoders
+        start empty.
+        """
+        copy = object.__new__(type(self))
+        state = vars(copy)
+        state.update({name: getattr(self, name) for name in _FIELDS})
+        state.update(changes, _decoders={})
+        return copy
 
     def monitor_for(self, f: Formula) -> "CalibratedMonitor":
         """The monitor that certifies ``f``: this one when its radius already
@@ -300,15 +347,23 @@ class CalibratedMonitor:
         return self.for_formula(f)
 
 
+# The monitor's fields, which :meth:`CalibratedMonitor._specialised` copies.
+_FIELDS = tuple(f.name for f in fields(CalibratedMonitor))
+
+
 def radius_for_support(cache: ScoreCache, support: Iterable[int], alpha: float) -> float:
-    """Split quantile of row-wise maxima over a coordinate subset."""
-    idx = sorted(int(i) for i in support)
+    """Split quantile of row-wise maxima over a coordinate subset.
+
+    The support's columns are read as contiguous rows of the column-major
+    matrix's transpose and reduced in coordinate order, which gives the
+    row maxima of ``cache.matrix[:, sorted(support)]`` bit for bit.
+    """
+    idx = sorted(map(int, support))
     if not idx:
         raise ValueError("support must be nonempty")
     if idx[0] < 0 or idx[-1] >= cache.dim:
         raise ValueError("support indices out of range for the cache")
-    scores = cache.matrix[:, idx].max(axis=1)
-    return split_quantile(scores, alpha)
+    return split_quantile(cache.matrix.T.take(idx, axis=0).max(axis=0), alpha)
 
 
 # ---------------------------------------------------------------------------

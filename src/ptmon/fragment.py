@@ -58,9 +58,11 @@ class AtomicDictionary:
     """An ordered tuple of structurally distinct atom formulas.
 
     ``m`` is the number of predicates the atoms range over. The history depth
-    ``K_max`` is derived as the largest atom horizon, and ``window_layout``
+    ``K_max`` is derived as the largest atom horizon, ``window_layout``
     tells semantic basis extraction which atoms share its running min/max
-    pass; both are computed once per dictionary.
+    pass, and each atom's coordinate is looked up in one index that every
+    :func:`compile_semantic_decoder` call shares; all three are computed
+    once per dictionary.
     """
 
     atoms: tuple[Formula, ...]
@@ -83,6 +85,10 @@ class AtomicDictionary:
     @functools.cached_property
     def window_layout(self) -> WindowLayout:
         return window_layout(self.atoms)
+
+    @functools.cached_property
+    def _atom_index(self) -> dict[Formula, int]:
+        return {atom: q for q, atom in enumerate(self.atoms)}
 
     @property
     def r(self) -> int:
@@ -280,7 +286,7 @@ def compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decode
     :class:`~ptmon.logic.NotInFragmentError` carrying the offending maximal
     subtree.
     """
-    atom_index: dict[Formula, int] = {atom: q for q, atom in enumerate(dictionary.atoms)}
+    atom_index = dictionary._atom_index
 
     def build(node: Formula) -> DecoderNode:
         q = atom_index.get(node)

@@ -165,6 +165,35 @@ def naive_observer_rows(episodes, predictor, m: int, k_max: int, sigma, tau_seed
     return np.array(rows)
 
 
+def naive_split_quantile(scores: np.ndarray, alpha: float) -> np.ndarray:
+    """The ``min(n, ceil((n+1)(1-alpha)))``-th smallest of each column
+    (1-based) of ``n`` scores, from one full sort along the first axis."""
+    s = np.sort(scores, axis=0)
+    n = s.shape[0]
+    return s[min(n, math.ceil((n + 1) * (1.0 - alpha))) - 1]
+
+
+def naive_radius_for_support(cache, support, alpha: float) -> float:
+    """``conformal.radius_for_support`` on a row-major copy of the cache:
+    the support's columns gathered in coordinate order, each row's maximum
+    over them, then the split quantile of those maxima."""
+    idx = sorted(int(i) for i in support)
+    scores = np.ascontiguousarray(cache.matrix)[:, idx].max(axis=1)
+    return float(naive_split_quantile(scores, alpha))
+
+
+def naive_coord_radii(cache, support, alpha: float) -> np.ndarray:
+    """The observer's per-coordinate radii for ``support``: each support
+    column's split quantile at level ``alpha / |support|``, from a full sort
+    of the gathered columns of a row-major copy of the cache; zero
+    elsewhere. The observer's radius is their maximum over the support in
+    coordinate order."""
+    idx = sorted(support)
+    radii = np.zeros(cache.dim)
+    radii[idx] = naive_split_quantile(np.ascontiguousarray(cache.matrix)[:, idx], alpha / len(idx))
+    return radii
+
+
 def naive_windowed_extrema(series, interval: TimeInterval, mode: str):
     """Rescan every window with the built-in min/max."""
     x = list(series)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tempfile
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     mixed_dictionary,
+    naive_coord_radii,
     naive_estimate_sigma,
     naive_observer_rows,
+    naive_radius_for_support,
     naive_score_matrix,
     predicate_lag_support,
     random_episode,
@@ -50,7 +53,7 @@ from ptmon.fragment import (
     compile_history_decoder,
     compile_semantic_decoder,
 )
-from ptmon.logic import And, Or, format_formula, horizon, parse_formula
+from ptmon.logic import And, Eventually, Or, Predicate, TimeInterval, format_formula, horizon, parse_formula
 from ptmon.robustness import BasisKind, BasisVector, semantic_basis_series
 
 
@@ -71,6 +74,23 @@ def tiny_episodes(rng, dictionary, n, T=8):
         random_episode(rng, dictionary.m, T, names=dictionary.predicate_names)
         for _ in range(n)
     ]
+
+
+def calibrated(kind):
+    """A small calibrated monitor of ``kind`` and a formula it certifies."""
+    rng = np.random.default_rng(21)
+    if kind == "semantic":
+        d = tiny_dictionary()
+        stub = PredictorStub(mode="semantic", scale=0.2, seed=3, dictionary=d)
+        mon = calibrate(tiny_episodes(rng, d, 9), stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        return mon, parse_formula("G[0,1] p0 & F[0,2] p1", d.predicate_names)
+    eps = [random_episode(rng, 2, 8) for _ in range(9)]
+    stub = PredictorStub(mode="predicates", scale=0.2, seed=3)
+    if kind == "rolling":
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(6), alpha=0.1, level=2), (2, 2))
+    else:
+        mon = observer_calibrate(eps, stub, parse_formula("G[0,2] p0", ("p0", "p1")), 0.1, k_max=2)
+    return mon, parse_formula("G[0,1] p0 | F[0,2] p1", ("p0", "p1"))
 
 
 class TestSplitQuantile:
@@ -324,6 +344,128 @@ class TestSupportNarrowing:
         assert mon.decoder(f).support == set(used)
 
 
+def lag_term(c, width):
+    """``F[j,j] p<k>``, which reads history coordinate ``c = k * width + j`` alone."""
+    k, j = divmod(c, width)
+    return Eventually(TimeInterval(j, j), Predicate(f"p{k}", k))
+
+
+class TestRadiusQueriesMatchTheOracles:
+    """Radius queries read the column-major cache and its columns sorted
+    once; every radius must equal the row-major gather-and-sort oracles
+    byte for byte, the sign of a zero included."""
+
+    @staticmethod
+    def monitor(kind, cache, alpha, m, k_max):
+        """An unspecialised monitor of ``kind`` over ``cache``. Its basis has
+        one coordinate per ``(predicate, lag)``; a semantic one has the atom
+        ``lag_term(c)`` at coordinate ``c``, so every kind gives a formula
+        the same support."""
+        dim = m * (k_max + 1)
+        if kind == "semantic":
+            layout = {"dictionary": AtomicDictionary(tuple(lag_term(c, k_max + 1) for c in range(dim)), m)}
+        else:
+            layout = {"m": m, "k_max": k_max}
+        return CalibratedMonitor(kind=kind, level=2, alpha=alpha, radius=0.0, sigma=np.ones(dim),
+                                 n_calibration=cache.matrix.shape[0], seed=0, cache=cache, **layout)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 250),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.floats(0.001, 0.999),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_for_formula_and_radius_for_support(self, n, m, k_max, u, clamp, seed):
+        rng = np.random.default_rng(seed)
+        dim = m * (k_max + 1)
+        # Ties and zeros of both signs everywhere; continuous scores in some columns.
+        matrix = rng.choice([-0.0, 0.0, 0.5, 1.0, -1.0], size=(n, dim))
+        continuous = rng.random(dim) < 0.3
+        matrix[:, continuous] = rng.normal(size=(n, int(continuous.sum())))
+        alpha = u / (n + 1) if clamp else u
+        if clamp:  # the rank asks for more than the n-th smallest score
+            assert math.ceil((n + 1) * (1 - alpha)) > n
+        support = sorted(int(c) for c in rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+        f = functools.reduce(Or, (lag_term(c, k_max + 1) for c in support))
+        cache = ScoreCache(matrix, level=2, seed=0)
+        radius = naive_radius_for_support(cache, support, alpha)
+        coord_radii = naive_coord_radii(cache, support, alpha)
+        observer_radius = float(coord_radii[support].max())
+
+        def same(a, b):
+            return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+        assert same(radius_for_support(cache, set(support), alpha), radius)
+        for kind in ("semantic", "rolling", "observer"):
+            mon = self.monitor(kind, cache, alpha, m, k_max)
+            with tempfile.TemporaryDirectory() as tmp:
+                save_monitor(mon, Path(tmp) / "mon.json")
+                back = load_monitor(Path(tmp) / "mon.json")
+            for source in (mon, back):
+                spec = source.for_formula(f)
+                assert spec.support == set(support)
+                if kind == "observer":
+                    assert same(spec.coord_radii, coord_radii)
+                    assert same(spec.radius, observer_radius)
+                else:
+                    assert same(spec.radius, radius)
+
+
+class TestSpecialisedCopies:
+    """``for_formula`` builds its copies without the frozen ``__init__``;
+    they must behave like any other monitor."""
+
+    KINDS = ["semantic", "rolling", "observer"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_layout_and_shift_are_the_copys_own(self, kind):
+        mon, f = calibrated(kind)
+        mon.shift, mon.dim, mon.basis_kind  # cached on the source first
+        copy = mon.for_formula(f)
+        assert not {"shift", "dim", "basis_kind"} & set(vars(copy))
+        want = copy.coord_radii * copy.sigma if kind == "observer" else copy.radius * copy.sigma
+        assert copy.shift is not mon.shift
+        assert copy.shift.tobytes() == want.tobytes()
+        assert (copy.dim, copy.basis_kind) == (mon.dim, mon.basis_kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decoders_start_empty(self, kind):
+        mon, f = calibrated(kind)
+        mon.decoder(f)
+        copy = mon.for_formula(f)
+        assert copy._decoders == {} and copy._decoders is not mon._decoders
+        assert mon.for_formula(f)._decoders is not copy._decoders
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_arrays_are_read_only(self, kind):
+        mon, f = calibrated(kind)
+        copy = mon.for_formula(f)
+        for arr in (copy.sigma, copy.coord_radii) if kind == "observer" else (copy.sigma,):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replace_validates_again(self, kind):
+        mon, f = calibrated(kind)
+        copy = mon.for_formula(f)
+        with pytest.raises(ValueError, match="unknown monitor kind"):
+            replace(copy, kind="bogus")
+        again = replace(copy)
+        assert again.radius == copy.radius and again.support == copy.support
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_carries_what_the_rank_probe_reads(self, kind):
+        # The benchmark tracer's rank-clamp probe reads these three fields.
+        mon, f = calibrated(kind)
+        copy = mon.for_formula(f)
+        assert copy.support == mon.decoder(f).support
+        assert (copy.alpha, copy.n_calibration) == (mon.alpha, mon.n_calibration)
+        assert copy.formula == format_formula(f)
+
+
 class TestCertifiedBound:
     def test_frozen_subtraction_example(self):
         d = tiny_dictionary()
@@ -428,9 +570,11 @@ class TestShrinkOnce:
 
     @pytest.mark.parametrize("name", [f.name for f in fields(CalibratedMonitor)] + ["shift", "dim", "basis_kind"])
     def test_fields_cannot_be_assigned(self, name):
-        mon = history_monitor(1, 1)
-        with pytest.raises(FrozenInstanceError):
-            setattr(mon, name, getattr(mon, name))
+        # A copy from for_formula is built without the frozen __init__.
+        copies = [mon.for_formula(f) for mon, f in map(calibrated, ("semantic", "rolling", "observer"))]
+        for mon in [history_monitor(1, 1), *copies]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(mon, name, getattr(mon, name))
 
     def test_each_monitor_shrinks_a_snapshot_for_itself(self):
         low, high = (replace(history_monitor(1, 0), radius=r) for r in (1.0, 3.0))
@@ -629,6 +773,25 @@ class TestIntervalPropagate:
         lo, hi = interval_propagate(f, lower, upper, 2, k_max)
         rho = naive_robustness(f, ep.mu, t)
         assert lo <= rho <= hi
+
+
+class TestScoreCacheLayout:
+    def test_matrix_is_a_read_only_column_major_copy(self):
+        given = np.arange(6.0).reshape(3, 2)
+        cache = ScoreCache(given, level=2, seed=0)
+        assert cache.matrix.shape == (3, 2) and cache.matrix.flags.f_contiguous
+        with pytest.raises(ValueError):
+            cache.matrix[0, 0] = 9.0
+        given[0, 0] = 9.0
+        assert np.array_equal(cache.matrix, np.arange(6.0).reshape(3, 2))
+
+    def test_columns_are_sorted_once(self):
+        scores = np.random.default_rng(22).normal(size=(20, 4))
+        cache = ScoreCache(scores, level=2, seed=0)
+        assert cache.column_quantiles([1, 3], 0.1).tobytes() == split_quantile(scores[:, [1, 3]], 0.1).tobytes()
+        kept = cache._sorted_columns
+        assert cache.column_quantiles([0], 0.5).tobytes() == split_quantile(scores[:, [0]], 0.5).tobytes()
+        assert cache._sorted_columns is kept and not kept.flags.writeable
 
 
 class TestPersistence:

@@ -84,6 +84,17 @@ class TestDictionary:
         d = build_depth1_dictionary(2, ((0, 1),), ("left", "right"))
         assert d.predicate_names == ("left", "right")
 
+    def test_atom_index_is_built_once(self):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        first = compile_semantic_decoder(parse_formula("G[0,1] p0", d.predicate_names), d)
+        index = d._atom_index
+        second = compile_semantic_decoder(parse_formula("G[0,1] p0 | F[0,2] p1", d.predicate_names), d)
+        assert d._atom_index is index
+        assert index == {atom: q for q, atom in enumerate(d.atoms)}
+        assert (first.support, second.support) == ({0}, {0, 7})
+        fresh = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        assert d == fresh and hash(d) == hash(fresh)
+
     def test_json_round_trip(self, standard_dictionary):
         blob = dictionary_to_json(standard_dictionary)
         back = dictionary_from_json(blob)
