@@ -1,5 +1,5 @@
-"""Synthetic crossroad scenario: simulator, predicate suite, noisy predictor
-stubs, and dataset generation.
+"""Synthetic crossroad scenario: simulator, predicate margins, noisy
+predictor stubs, and dataset generation.
 
 A differential-drive style robot crosses an arena toward a goal while a few
 pedestrians walk straight crossing paths. Episodes are i.i.d. given a config:
@@ -7,7 +7,7 @@ all per-episode randomness (start jitter, speed jitter, process noise) comes
 from one generator seeded by ``(config seed, episode seed)``, so the same
 pair reproduces an episode bit for bit.
 
-The predicate suite is fixed at seven margins (all "safe when positive"):
+The predicates are fixed at seven margins (all "safe when positive"):
 
 * ``p_clear``         distance to the nearest pedestrian minus ``d_safe``
 * ``p_f/p_l/p_r``     nearest pedestrian inside the front/left/right cone
@@ -19,8 +19,8 @@ The predicate suite is fixed at seven margins (all "safe when positive"):
 * ``p_speed``         ``v_max`` minus the current speed
 
 Distances feeding the clearance predicates are capped at ``sector_max`` so
-empty sectors stay finite. The recorded margin matrix always equals the suite
-evaluated on the recorded states, row for row.
+empty sectors stay finite. The recorded margin matrix always equals
+:func:`crossroad_margins` of the recorded states, row for row.
 """
 
 from __future__ import annotations
@@ -109,87 +109,48 @@ class CrossroadConfig:
         return cls(**kwargs)
 
 
-class PredicateSuite:
-    """The seven crossroad margins as functions of the raw state vector.
+def crossroad_margins(cfg: CrossroadConfig, states: np.ndarray) -> np.ndarray:
+    """The seven crossroad margins of an ``(n, 4 + 2*peds)`` state array.
 
-    The state layout is ``(x, y, heading, speed, px1, py1, px2, py2, ...)``.
-    ``evaluate`` maps an ``(n, 4 + 2*peds)`` state array to an ``(m, n)``
-    margin matrix; ``evaluate_state`` is the single-state view of the same
-    computation.
+    Each row is ``(x, y, heading, speed, px1, py1, px2, py2, ...)``; the
+    result is the ``(m, n)`` margin matrix, one predicate per row. With no
+    pedestrians every clearance reads the cap ``sector_max``.
     """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] < 4 or (states.shape[1] - 4) % 2 != 0:
+        raise ValueError(f"state array must be (n, 4 + 2*peds), got {states.shape}")
+    pos, heading, speed = states[:, 0:2], states[:, 2], states[:, 3]
+    rel = states[:, 4:].reshape(states.shape[0], (states.shape[1] - 4) // 2, 2) - pos[:, None, :]
+    dist = np.hypot(rel[:, :, 0], rel[:, :, 1])
+    bearing = np.arctan2(rel[:, :, 1], rel[:, :, 0])
+    half_angle = math.radians(cfg.sector_half_angle_deg)
 
-    def __init__(self, cfg: CrossroadConfig):
-        self.cfg = cfg
-        self.names = PREDICATE_NAMES
+    def nearest(values: np.ndarray) -> np.ndarray:
+        """The row minimum capped at ``sector_max``; the cap for an empty row."""
+        return np.minimum(np.min(values, axis=1, initial=np.inf), cfg.sector_max)
 
-    @property
-    def m(self) -> int:
-        return len(self.names)
+    def cone_clearance(center: np.ndarray) -> np.ndarray:
+        in_cone = np.abs(_wrap_angle(bearing - center[:, None])) <= half_angle
+        return nearest(np.where(in_cone, dist, np.inf))
 
-    def evaluate_state(self, state: Sequence[float] | np.ndarray) -> np.ndarray:
-        return self.evaluate(np.asarray(state, dtype=float)[None, :])[:, 0]
+    cos_h = np.cos(heading)[:, None]
+    sin_h = np.sin(heading)[:, None]
+    longitudinal = rel[:, :, 0] * cos_h + rel[:, :, 1] * sin_h
+    lateral = -rel[:, :, 0] * sin_h + rel[:, :, 1] * cos_h
+    ahead = (longitudinal > 0.0) & (np.abs(lateral) <= cfg.corridor_half_width)
 
-    def evaluate(self, states: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 2 or states.shape[1] < 4 or (states.shape[1] - 4) % 2 != 0:
-            raise ValueError(f"state array must be (n, 4 + 2*peds), got {states.shape}")
-        n = states.shape[0]
-        n_ped = (states.shape[1] - 4) // 2
-        pos = states[:, 0:2]
-        heading = states[:, 2]
-        speed = states[:, 3]
-
-        half_angle = math.radians(cfg.sector_half_angle_deg)
-        cap = cfg.sector_max
-
-        if n_ped == 0:
-            dist = np.full((n, 0), np.inf)
-            rel = np.zeros((n, 0, 2))
-        else:
-            peds = states[:, 4:].reshape(n, n_ped, 2)
-            rel = peds - pos[:, None, :]
-            dist = np.hypot(rel[:, :, 0], rel[:, :, 1])
-
-        bearing = np.arctan2(rel[:, :, 1], rel[:, :, 0])
-
-        def cone_clearance(center: np.ndarray) -> np.ndarray:
-            if n_ped == 0:
-                return np.full(n, cap)
-            diff = np.abs(_wrap_angle(bearing - center[:, None]))
-            in_cone = diff <= half_angle
-            nearest = np.min(np.where(in_cone, dist, np.inf), axis=1)
-            return np.minimum(nearest, cap)
-
-        p_clear = np.minimum(np.min(dist, axis=1, initial=np.inf), cap) - cfg.d_safe
-        p_f = cone_clearance(heading) - cfg.d_safe
-        p_l = cone_clearance(heading + 0.5 * math.pi) - cfg.d_safe
-        p_r = cone_clearance(heading - 0.5 * math.pi) - cfg.d_safe
-
-        if n_ped == 0:
-            gap = np.full(n, cap)
-        else:
-            cos_h = np.cos(heading)[:, None]
-            sin_h = np.sin(heading)[:, None]
-            longitudinal = rel[:, :, 0] * cos_h + rel[:, :, 1] * sin_h
-            lateral = -rel[:, :, 0] * sin_h + rel[:, :, 1] * cos_h
-            ahead = (longitudinal > 0.0) & (np.abs(lateral) <= cfg.corridor_half_width)
-            gap = np.minimum(np.min(np.where(ahead, longitudinal, np.inf), axis=1), cap)
-        p_front_margin = gap - cfg.d_safe
-
-        p_goal = cfg.goal_radius - np.hypot(pos[:, 0] - cfg.robot_goal[0], pos[:, 1] - cfg.robot_goal[1])
-        p_speed = cfg.v_max - speed
-
-        return np.vstack([p_clear, p_f, p_l, p_r, p_front_margin, p_goal, p_speed])
+    p_clear = nearest(dist) - cfg.d_safe
+    p_f = cone_clearance(heading) - cfg.d_safe
+    p_l = cone_clearance(heading + 0.5 * math.pi) - cfg.d_safe
+    p_r = cone_clearance(heading - 0.5 * math.pi) - cfg.d_safe
+    p_front_margin = nearest(np.where(ahead, longitudinal, np.inf)) - cfg.d_safe
+    p_goal = cfg.goal_radius - np.hypot(pos[:, 0] - cfg.robot_goal[0], pos[:, 1] - cfg.robot_goal[1])
+    p_speed = cfg.v_max - speed
+    return np.vstack([p_clear, p_f, p_l, p_r, p_front_margin, p_goal, p_speed])
 
 
 def _wrap_angle(angle: np.ndarray) -> np.ndarray:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def crossroad_predicates(cfg: CrossroadConfig | None = None) -> PredicateSuite:
-    """The scenario's predicate suite (defaults when no config is given)."""
-    return PredicateSuite(cfg if cfg is not None else CrossroadConfig())
 
 
 def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
@@ -198,8 +159,9 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
     The robot steers proportionally toward the goal, slows inside
     ``activation_radius`` of the nearest pedestrian, and stops at the goal.
     Pedestrians follow straight paths with jittered starts and speeds plus a
-    small random walk. Returned margins are exactly the suite applied to the
-    recorded states; ``uid`` is set to ``seed`` for reproducible noise keys.
+    small random walk. Returned margins are exactly :func:`crossroad_margins`
+    of the recorded states; ``uid`` is set to ``seed`` for reproducible noise
+    keys.
 
     Episodes are bit-reproducible from ``(cfg, seed)``. The step loop runs on
     Python floats: angles wrap with the float ``%`` (the same ``fmod`` rule
@@ -208,24 +170,21 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
     ``np.hypot`` calls (``math.hypot`` rounds differently on some inputs).
     """
     rng = np.random.default_rng([cfg.seed, seed])
-    suite = crossroad_predicates(cfg)
     n_ped = cfg.n_pedestrians
     steps = cfg.T + 1
     dt = cfg.dt
 
-    if n_ped:
-        starts = np.asarray(cfg.pedestrian_starts, dtype=float)
-        starts = starts + rng.uniform(-cfg.start_jitter, cfg.start_jitter, size=(n_ped, 2))
-        speeds = np.asarray(cfg.pedestrian_speeds, dtype=float)
-        speeds = speeds * (1.0 + rng.uniform(-cfg.speed_jitter, cfg.speed_jitter, size=n_ped))
-        headings = np.radians(np.asarray(cfg.pedestrian_headings_deg, dtype=float))
-        directions = np.stack([np.cos(headings), np.sin(headings)], axis=1)
-        times = np.arange(steps)[:, None, None] * dt
-        walk = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, n_ped, 2))
-        drift = np.concatenate([np.zeros((1, n_ped, 2)), np.cumsum(walk, axis=0)])
-        ped_paths = starts[None, :, :] + speeds[None, :, None] * directions[None, :, :] * times + drift
-    else:
-        ped_paths = np.zeros((steps, 0, 2))
+    # With no pedestrians every draw below has size 0 and leaves rng as it is.
+    starts = np.asarray(cfg.pedestrian_starts, dtype=float).reshape(n_ped, 2)
+    starts = starts + rng.uniform(-cfg.start_jitter, cfg.start_jitter, size=(n_ped, 2))
+    speeds = np.asarray(cfg.pedestrian_speeds, dtype=float)
+    speeds = speeds * (1.0 + rng.uniform(-cfg.speed_jitter, cfg.speed_jitter, size=n_ped))
+    headings = np.radians(np.asarray(cfg.pedestrian_headings_deg, dtype=float))
+    directions = np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    times = np.arange(steps)[:, None, None] * dt
+    walk = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, n_ped, 2))
+    drift = np.concatenate([np.zeros((1, n_ped, 2)), np.cumsum(walk, axis=0)])
+    ped_paths = starts[None, :, :] + speeds[None, :, None] * directions[None, :, :] * times + drift
 
     robot_noise = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, 2)).tolist()
     peds = ped_paths.tolist()
@@ -246,11 +205,10 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
         turn = max(-max_turn, min(max_turn, turn))
         heading = (heading + turn + math.pi) % tau - math.pi
         v_cmd = min(v_max, gain * dist_goal)
-        if n_ped:
-            d_near = min([abs(complex(px - x, py - y)) for px, py in peds[t]])
-            if d_near < radius:
-                brake = (d_near - d_safe) / (radius - d_safe)
-                v_cmd *= min(1.0, max(0.0, brake))
+        d_near = min([abs(complex(px - x, py - y)) for px, py in peds[t]], default=math.inf)
+        if d_near < radius:
+            brake = (d_near - d_safe) / (radius - d_safe)
+            v_cmd *= min(1.0, max(0.0, brake))
         speed = v_cmd
         noise_x, noise_y = robot_noise[t]
         x += speed * math.cos(heading) * dt + noise_x
@@ -258,8 +216,7 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
         robot.append((x, y, heading, speed))
 
     states = np.hstack([np.array(robot, dtype=float), ped_paths.reshape(steps, -1)])
-    mu = suite.evaluate(states)
-    return Episode(mu=mu, dt=dt, states=states, predicate_names=suite.names, uid=seed)
+    return Episode(mu=crossroad_margins(cfg, states), dt=dt, states=states, predicate_names=PREDICATE_NAMES, uid=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,12 @@ class CalibratedMonitor:
     ``support`` of ``None`` means the radius protects the whole basis;
     otherwise only decoders reading within ``support`` may use it.
 
+    Building a monitor checks that its parts agree, and raises
+    ``ValueError`` naming the numbers when they do not: ``sigma``,
+    ``coord_radii`` and the cache's columns must each have the basis
+    dimension, and the cache must hold ``n_calibration`` rows at the
+    monitor's ``level``.
+
     A monitor is immutable: its fields cannot be reassigned, and ``sigma``
     and ``coord_radii`` are stored read-only. So its :attr:`shift`,
     :attr:`dim` and :attr:`basis_kind` are computed once, and a snapshot
@@ -256,9 +262,22 @@ class CalibratedMonitor:
                 raise ValueError("semantic monitor needs a dictionary")
             object.__setattr__(self, "m", self.dictionary.m)
             object.__setattr__(self, "k_max", self.dictionary.K_max)
-        else:
-            if self.m is None or self.k_max is None:
-                raise ValueError(f"{self.kind} monitor needs m and k_max")
+        elif self.m is None or self.k_max is None:
+            raise ValueError(f"{self.kind} monitor needs m and k_max")
+        _, _, dim = _layout(self.basis_spec)
+        parts = [("sigma's size", self.sigma.size, "the basis dimension", dim)]
+        if self.coord_radii is not None:
+            parts.append(("coord_radii's size", self.coord_radii.size, "the basis dimension", dim))
+        if self.cache is not None:
+            rows, columns = self.cache.matrix.shape
+            parts += [
+                ("the score cache's column count", columns, "the basis dimension", dim),
+                ("the score cache's row count", rows, "n_calibration", self.n_calibration),
+                ("the score cache's level", self.cache.level, "the monitor's level", self.level),
+            ]
+        for part, got, whole, want in parts:
+            if got != want:
+                raise ValueError(f"inconsistent {self.kind} monitor: {part} is {got}, but {whole} is {want}")
 
     @cached_property
     def dim(self) -> int:
@@ -669,14 +688,10 @@ def observer_calibrate(
     m = episodes[0].m
     k_max = max(horizon(f), k_max if k_max is not None else 0)
     width = k_max + 1
-    if sigma_predicates is None:
-        sigma_predicates = np.ones(m)
-    sigma_predicates = np.asarray(sigma_predicates, dtype=float)
+    sigma_predicates = np.ones(m) if sigma_predicates is None else np.asarray(sigma_predicates, dtype=float)
     if sigma_predicates.shape != (m,):
         raise ValueError(f"sigma_predicates must have shape ({m},)")
-    if not (np.isfinite(sigma_predicates) & (sigma_predicates > 0)).all():
-        raise ValueError("sigma_predicates must be finite and strictly positive")
-    sigma = np.repeat(sigma_predicates, width)
+    sigma = ScoreConfig(np.repeat(sigma_predicates, width), alpha, 2).sigma
 
     rows = _scores(episodes, predictor, (m, k_max), sigma, 2, tau_seed, symmetric=True)
 
@@ -726,11 +741,12 @@ def interval_propagate(
 # ---------------------------------------------------------------------------
 
 
-def save_monitor(mon: CalibratedMonitor, path: str | Path, cache_path: str | Path | None = None) -> None:
-    """Write a monitor as JSON, with its score cache in a sibling ``.npz``.
+def save_monitor(mon: CalibratedMonitor, path: str | Path) -> None:
+    """Write a monitor as JSON, with its score cache beside it in
+    ``<stem>.scores.npz``.
 
-    ``score_cache_path`` inside the JSON is stored relative to the JSON file
-    so the pair can be moved together.
+    ``score_cache_path`` inside the JSON is the cache's file name, relative
+    to the JSON file, so the pair can be moved together.
     """
     path = Path(path)
     obj: dict = {
@@ -752,32 +768,25 @@ def save_monitor(mon: CalibratedMonitor, path: str | Path, cache_path: str | Pat
     else:
         obj["m"] = mon.m
         obj["k_max"] = mon.k_max
+    obj["score_cache_path"] = None
     if mon.cache is not None:
-        if cache_path is None:
-            cache_path = path.with_suffix(".scores.npz")
-        cache_path = Path(cache_path)
+        cache_path = path.with_suffix(".scores.npz")
         save_score_cache(mon.cache, cache_path)
-        try:
-            obj["score_cache_path"] = str(cache_path.relative_to(path.parent))
-        except ValueError:
-            obj["score_cache_path"] = str(cache_path)
-    else:
-        obj["score_cache_path"] = None
+        obj["score_cache_path"] = cache_path.name
     path.write_text(json.dumps(obj, indent=2))
 
 
 def load_monitor(path: str | Path) -> CalibratedMonitor:
+    """Read a monitor written by :func:`save_monitor`. A relative
+    ``score_cache_path`` is read beside the JSON file, an absolute one as it
+    stands. Raises ``ValueError`` when the parts disagree (see
+    :class:`CalibratedMonitor`)."""
     path = Path(path)
     obj = json.loads(path.read_text())
     version = int(obj.get("version", 0))
     if version != MONITOR_VERSION:
         raise ValueError(f"unsupported monitor version {version}")
-    cache = None
-    if obj.get("score_cache_path"):
-        cache_path = Path(obj["score_cache_path"])
-        if not cache_path.is_absolute():
-            cache_path = path.parent / cache_path
-        cache = load_score_cache(cache_path)
+    cache = load_score_cache(path.parent / obj["score_cache_path"]) if obj.get("score_cache_path") else None
     dictionary = dictionary_from_json(obj["dictionary"]) if "dictionary" in obj else None
     support = obj.get("support")
     coord_radii = obj.get("coord_radii")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,16 @@ class NotInFragmentError(ValueError):
 # Parsing
 # ---------------------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"\d+")
-_NEGATION_CHARS = {"!", "~", "¬"}
+# One named group per token kind, tried in order; every character matches
+# exactly one group, so the scan has no gaps. Whitespace is what
+# ``str.isspace`` calls whitespace, and a newline starts a new line.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[&|()\[\],])|(?P<negation>[!~¬])|(?P<other>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "int" | one of "&|()[]," | "end"
     text: str
     line: int
@@ -168,46 +171,23 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _NEGATION_CHARS:
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, ch, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "negation":
             raise FormulaSyntaxError(
                 f"negation ({ch!r}) is not part of the grammar: formulas are kept in "
                 "positive normal form, so express a negated measurement as its own predicate",
                 line,
                 col,
             )
-        if ch in "&|()[],":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+        elif kind == "other":
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
+        elif kind != "space":
+            tokens.append(_Token(ch if kind == "punct" else kind, ch, line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -7,11 +7,11 @@ when its robustness is ``>= 0``.
 
 One evaluator computes a formula's robustness at every valid time of a
 ``(m, n)`` margin array, window nodes as the elementwise min/max of
-lag-shifted slices. A value at one time ``t`` is that evaluator run on the
-window ``t - horizon .. t``. The semantic basis has one shortcut: the
-dictionary's ``G[0,b] p`` and ``F[0,b] p`` atoms share one running min and
-max over the lag slices of all predicates, which applies the same operations
-in the same order, so its rows are bit-identical to the evaluator's.
+lag-shifted slices; the value at one time ``t`` is entry ``t - horizon``.
+The semantic basis has one shortcut: the dictionary's ``G[0,b] p`` and
+``F[0,b] p`` atoms share one running min and max over the lag slices of all
+predicates, which applies the same operations in the same order, so its rows
+are bit-identical to the evaluator's.
 
 Two flattenings of an episode's history are used downstream:
 
@@ -41,12 +41,11 @@ from .logic import (
     Or,
     Predicate,
     TimeInterval,
-    horizon,
 )
 
 
 class TimeOutOfRangeError(ValueError):
-    """Evaluation time falls before the formula's horizon or after the episode end."""
+    """Evaluation time falls before the history depth or after the episode end."""
 
 
 class BasisKind(str, Enum):
@@ -165,21 +164,6 @@ def windowed_extrema(series: Sequence[float] | np.ndarray, interval: TimeInterva
     # copied so that a point window [a, a] returns a new array, not a view.
     lags = (x[b - j : n - j] for j in range(a + 1, b + 1))
     return functools.reduce(op, lags, x[b - a : n - a].copy())
-
-
-def robustness(f: Formula, ep: Episode, t: int) -> float:
-    """Exact robustness of ``f`` over ``ep`` at time ``t``.
-
-    Raises :class:`TimeOutOfRangeError` unless ``horizon(f) <= t <= ep.T``.
-    Evaluates :func:`robustness_series` on the window ``t - horizon(f) .. t``,
-    which holds exactly one valid time.
-    """
-    h = horizon(f)
-    if t < h or t > ep.T:
-        raise TimeOutOfRangeError(
-            f"t={t} outside valid range [{h}, {ep.T}] for a horizon-{h} formula"
-        )
-    return float(_series(f, ep.mu[:, t - h : t + 1])[0])
 
 
 def robustness_series(f: Formula, ep: Episode) -> np.ndarray:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmon.benchmark as benchmark
-from helpers import naive_simulate_episode, random_episode
+from helpers import naive_crossroad_margins, naive_simulate_episode, random_episode
 from ptmon.benchmark import (
     DEFAULT_INTERVALS,
     PREDICATE_NAMES,
     CrossroadConfig,
     PredictorStub,
-    crossroad_predicates,
+    crossroad_margins,
     dictionary_from_manifest,
     generate_dataset,
     load_manifest,
@@ -63,63 +63,82 @@ class TestConfig:
             CrossroadConfig(activation_radius=0.5)  # must exceed d_safe
 
 
+def margins_of(state, cfg=None):
+    """The margins of one state: a one-row call of ``crossroad_margins``."""
+    return crossroad_margins(cfg or CrossroadConfig(), np.asarray(state)[None, :])[:, 0]
+
+
 class TestPredicates:
     def test_front_cone_margin(self):
-        suite = crossroad_predicates()
         # pedestrian 1.5 m dead ahead, safety distance 1.0 -> margin 0.5
-        s = state_row(peds=[[1.5, 0.0], far(), far()])
-        mu = suite.evaluate_state(s)
+        mu = margins_of(state_row(peds=[[1.5, 0.0], far(), far()]))
         assert mu[PREDICATE_NAMES.index("p_f")] == pytest.approx(0.5)
         assert mu[PREDICATE_NAMES.index("p_clear")] == pytest.approx(0.5)
         assert mu[PREDICATE_NAMES.index("p_front_margin")] == pytest.approx(0.5)
 
     def test_side_cones_see_lateral_pedestrian(self):
-        suite = crossroad_predicates()
-        s = state_row(peds=[[0.0, 2.0], far(), far()])  # 2 m to the left
-        mu = suite.evaluate_state(s)
+        mu = margins_of(state_row(peds=[[0.0, 2.0], far(), far()]))  # 2 m to the left
         assert mu[PREDICATE_NAMES.index("p_l")] == pytest.approx(1.0)
         # right cone sees nothing: capped clearance minus d_safe
         assert mu[PREDICATE_NAMES.index("p_r")] == pytest.approx(10.0 - 1.0)
 
     def test_heading_rotates_cones(self):
-        suite = crossroad_predicates()
         # facing north, the same pedestrian is now dead ahead
-        s = state_row(heading=math.pi / 2, peds=[[0.0, 2.0], far(), far()])
-        mu = suite.evaluate_state(s)
+        mu = margins_of(state_row(heading=math.pi / 2, peds=[[0.0, 2.0], far(), far()]))
         assert mu[PREDICATE_NAMES.index("p_f")] == pytest.approx(1.0)
 
     def test_goal_margin_at_goal(self):
         cfg = CrossroadConfig()
-        suite = crossroad_predicates(cfg)
-        s = state_row(x=cfg.robot_goal[0], y=cfg.robot_goal[1])
-        mu = suite.evaluate_state(s)
+        mu = margins_of(state_row(x=cfg.robot_goal[0], y=cfg.robot_goal[1]), cfg)
         assert mu[PREDICATE_NAMES.index("p_goal")] == pytest.approx(cfg.goal_radius)
 
     def test_speed_margin(self):
-        suite = crossroad_predicates()
-        s = state_row(speed=1.2)
-        mu = suite.evaluate_state(s)
+        mu = margins_of(state_row(speed=1.2))
         assert mu[PREDICATE_NAMES.index("p_speed")] == pytest.approx(1.5 - 1.2)
 
     def test_corridor_excludes_lateral_offset(self):
-        suite = crossroad_predicates()
         # ahead but 2 m off-axis: outside the 1 m corridor
-        s = state_row(peds=[[3.0, 2.0], far(), far()])
-        mu = suite.evaluate_state(s)
+        mu = margins_of(state_row(peds=[[3.0, 2.0], far(), far()]))
         assert mu[PREDICATE_NAMES.index("p_front_margin")] == pytest.approx(9.0)
 
     def test_single_state_matches_batch(self):
-        suite = crossroad_predicates()
         rng = np.random.default_rng(0)
         states = rng.normal(size=(5, 10))
-        batch = suite.evaluate(states)
+        batch = crossroad_margins(CrossroadConfig(), states)
         for i in range(5):
-            assert np.array_equal(suite.evaluate_state(states[i]), batch[:, i])
+            assert np.array_equal(margins_of(states[i]), batch[:, i])
 
     def test_bad_state_shape(self):
-        suite = crossroad_predicates()
-        with pytest.raises(ValueError):
-            suite.evaluate(np.zeros((3, 5)))
+        for shape in ((3, 5), (3, 3), (10,)):
+            with pytest.raises(ValueError, match="state array must be"):
+                crossroad_margins(CrossroadConfig(), np.zeros(shape))
+
+    def test_no_pedestrians_reads_the_caps(self):
+        cfg = CrossroadConfig()
+        mu = margins_of(state_row(peds=[]), cfg)
+        for name in ("p_clear", "p_f", "p_l", "p_r", "p_front_margin"):
+            assert mu[PREDICATE_NAMES.index(name)] == cfg.sector_max - cfg.d_safe
+        assert crossroad_margins(cfg, np.zeros((0, 4))).shape == (7, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_matches_the_naive_margins(self, n_ped, n, seed):
+        """Bit for bit, on random states with 0-4 pedestrians, some near the
+        robot (inside the cones, the corridor and the cap) and some far."""
+        rng = np.random.default_rng(seed)
+        cfg = CrossroadConfig(sector_half_angle_deg=float(rng.choice([45.0, rng.uniform(10.0, 180.0)])))
+        states = np.hstack([rng.normal(0.0, 5.0, size=(n, 2)), rng.uniform(-7.0, 7.0, size=(n, 1)),
+                            rng.uniform(0.0, 2.0, size=(n, 1)), rng.normal(0.0, 6.0, size=(n, 2 * n_ped))])
+        if rng.random() < 0.5:  # on a grid around the robot: pedestrians on cone and corridor edges
+            states = np.round(states)
+            states[:, 2] = rng.integers(-2, 3, size=n) * (math.pi / 4)
+            states[:, 4:] = np.tile(states[:, 0:2], n_ped) + rng.integers(-3, 4, size=(n, 2 * n_ped))
+        if n and n_ped:  # a pedestrian exactly on the robot: zero distance and bearing
+            states[0, 4:6] = states[0, 0:2]
+        got = crossroad_margins(cfg, states)
+        want = naive_crossroad_margins(cfg, states)
+        assert got.shape == want.shape == (7, n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSimulate:
@@ -138,8 +157,7 @@ class TestSimulate:
         assert ep.mu.shape == (7, 26)
         assert ep.states.shape == (26, 10)
         assert ep.uid == 9
-        suite = crossroad_predicates(cfg)
-        assert np.array_equal(ep.mu, suite.evaluate(ep.states))
+        assert np.array_equal(ep.mu, crossroad_margins(cfg, ep.states))
 
     def test_dataset_seed_changes_everything(self):
         a = simulate_episode(CrossroadConfig(T=20, seed=0), 5)
@@ -158,8 +176,8 @@ class TestSimulate:
         assert ep.states[:, 3].max() <= cfg.v_max + 1e-9
 
 
-# (config, episodes): 2,040 episodes between them, covering one-step
-# episodes, an empty crossing, braking from far away, a saturated turn rate
+# (config, episodes): 2,240 episodes between them, covering one-step
+# episodes, an empty crossing, a single pedestrian, braking from far away, a saturated turn rate
 # and noise large enough to scatter the robot and pedestrians.
 ORACLE_CASES = [
     pytest.param(CrossroadConfig(T=40), 400, id="default"),
@@ -168,6 +186,12 @@ ORACLE_CASES = [
         CrossroadConfig(T=30, pedestrian_starts=(), pedestrian_headings_deg=(), pedestrian_speeds=()),
         300,
         id="no-pedestrians",
+    ),
+    pytest.param(
+        CrossroadConfig(T=30, pedestrian_starts=((-2.0, -7.0),), pedestrian_headings_deg=(90.0,),
+                        pedestrian_speeds=(1.2,)),
+        200,
+        id="one-pedestrian",
     ),
     pytest.param(CrossroadConfig(T=30, activation_radius=8.0), 300, id="early-braking"),
     pytest.param(CrossroadConfig(T=30, turn_rate_max=0.05), 320, id="saturated-turn"),

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 import tempfile
@@ -628,10 +629,11 @@ class TestChecksEveryCall:
     def test_layout_of_copies(self):
         d, sem, _ = self.semantic()
         assert (sem.basis_kind, sem.dim) == (BasisKind.SEMANTIC, d.r)
-        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)))
+        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)), cache=None)
         assert (rolling.basis_kind, rolling.dim) == (BasisKind.PREDICATE_HISTORY, d.m * (d.K_max + 1))
-        wider = replace(rolling, sigma=np.ones(rolling.dim + 1))
-        assert wider.dim == rolling.dim + 1
+        wider = f"sigma's size is {rolling.dim + 1}, but the basis dimension is {rolling.dim}"
+        with pytest.raises(ValueError, match=wider):
+            replace(rolling, sigma=np.ones(rolling.dim + 1))
         narrow = sem.for_formula(parse_formula("G[0,1] p0", d.predicate_names))
         assert (narrow.basis_kind, narrow.dim) == (BasisKind.SEMANTIC, d.r)
         obs = self.observer()  # built by for_formula
@@ -645,7 +647,7 @@ class TestChecksEveryCall:
 
     def test_layout_after_round_trip(self, tmp_path):
         d, sem, _ = self.semantic()
-        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)))
+        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)), cache=None)
         for mon in (sem, rolling, self.observer()):
             mon.basis_kind, mon.dim  # cached on the saved monitor before it is written
             save_monitor(mon, tmp_path / f"{mon.kind}.json")
@@ -857,6 +859,50 @@ class TestPersistence:
         assert back.formula == format_formula(f)
         assert np.array_equal(back.coord_radii, mon.coord_radii)
         assert back.support == mon.support
+
+    @staticmethod
+    def _rolling(n, level):
+        rng = np.random.default_rng(22)
+        eps = [random_episode(rng, 2, 8) for _ in range(n)]
+        stub = PredictorStub(mode="predicates", scale=0.2, seed=3)
+        return calibrate(eps, stub, ScoreConfig(sigma=np.ones(6), alpha=0.1, level=level), (2, 2))
+
+    @staticmethod
+    def _rewrite(path, **changes):
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps({**obj, **changes}))
+
+    @pytest.mark.parametrize("donor, message", [
+        ("semantic", "the score cache's column count is 8, but the basis dimension is 6"),
+        ("12 episodes", "the score cache's row count is 12, but n_calibration is 9"),
+        ("level 1", "the score cache's level is 1, but the monitor's level is 2"),
+    ])
+    def test_model_naming_another_models_cache_is_refused(self, tmp_path, donor, message):
+        other = {"semantic": lambda: calibrated("semantic")[0], "12 episodes": lambda: self._rolling(12, 2),
+                 "level 1": lambda: self._rolling(9, 1)}[donor]()
+        save_monitor(other, tmp_path / "other.json")
+        save_monitor(self._rolling(9, 2), tmp_path / "roll.json")
+        self._rewrite(tmp_path / "roll.json", score_cache_path="other.scores.npz")
+        with pytest.raises(ValueError, match=re.escape(f"inconsistent rolling monitor: {message}")):
+            load_monitor(tmp_path / "roll.json")
+
+    @pytest.mark.parametrize("kind, key", [("semantic", "sigma"), ("rolling", "sigma"), ("observer", "coord_radii")])
+    def test_model_with_a_short_vector_is_refused(self, tmp_path, kind, key):
+        mon, _ = calibrated(kind)
+        save_monitor(mon, tmp_path / "m.json")
+        self._rewrite(tmp_path / "m.json", **{key: getattr(mon, key)[:5].tolist()})
+        with pytest.raises(ValueError, match=re.escape(f"{key}'s size is 5, but the basis dimension is {mon.dim}")):
+            load_monitor(tmp_path / "m.json")
+
+    def test_absolute_cache_path_is_read_as_it_stands(self, tmp_path):
+        mon, _ = calibrated("rolling")
+        save_monitor(mon, tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["score_cache_path"] == "m.scores.npz"
+        (tmp_path / "elsewhere").mkdir()
+        moved = tmp_path / "elsewhere" / "m.json"
+        moved.write_text((tmp_path / "m.json").read_text())
+        self._rewrite(moved, score_cache_path=str(tmp_path / "m.scores.npz"))
+        assert load_monitor(moved).cache.matrix.tobytes() == mon.cache.matrix.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

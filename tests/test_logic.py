@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,79 @@ class TestParser:
         # Only 'G[' / 'F[' start a temporal operator.
         f = parse_formula("G & F", ("G", "F"))
         assert f == And(Predicate("G", 0), Predicate("F", 1))
+
+
+def respaced(rng, f):
+    """``f``'s text with a random run of spaces, tabs and newlines (perhaps
+    empty) before every token and at the end; also its tokens and their
+    start indices."""
+    tokens = re.findall(r"\w+|\S", format_formula(f))
+
+    def gap():
+        return "".join(rng.choice([" ", "\t", "\n"], size=int(rng.integers(0, 4))))
+
+    text, starts = "", []
+    for tok in tokens:
+        text += gap()
+        starts.append(len(text))
+        text += tok
+    return text + gap(), tokens, starts
+
+
+def position(text, i):
+    """The 1-based (line, column) of index ``i`` of ``text``."""
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("p0 &", 1, 5, "expected a subformula, found 'end of input'"),
+        ("p0 &  ", 1, 7, "expected a subformula, found 'end of input'"),
+        ("p0 &\n  ", 2, 3, "expected a subformula, found 'end of input'"),
+        ("G[0,1]\n  p0 \u00e9", 2, 6, "unexpected character '\u00e9'"),
+        ("(p0", 1, 4, "expected ')', found 'end of input'"),
+        ("p0 &\t(p1 | G[0,", 1, 16, "expected an integer bound, found 'end of input'"),
+    ])
+    def test_pinned_messages_and_positions(self, text, line, column, message):
+        with pytest.raises(FormulaSyntaxError) as ei:
+            parse_formula(text, P)
+        assert (ei.value.line, ei.value.column) == (line, column)
+        assert str(ei.value) == f"line {line}, column {column}: {message}"
+
+    @pytest.mark.parametrize("ch", ["!", "~", "\u00ac"])
+    def test_pinned_negation_message(self, ch):
+        with pytest.raises(FormulaSyntaxError) as ei:
+            parse_formula(f"p0 &\n {ch}p1", P)
+        assert str(ei.value) == (
+            f"line 2, column 2: negation ({ch!r}) is not part of the grammar: formulas are kept in "
+            "positive normal form, so express a negated measurement as its own predicate"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_positions_on_respaced_texts(self, seed):
+        """An illegal character inserted at index ``i`` is reported at
+        ``i``'s position; a text cut after a token that needs a successor is
+        reported at the end of the text."""
+        rng = np.random.default_rng(seed)
+        f = random_pnf_formula(rng, m=3)
+        text, tokens, starts = respaced(rng, f)
+        assert parse_formula(text, P) == f
+
+        i = int(rng.integers(0, len(text) + 1))
+        bad = "$#?\u00e9\x00!~\u00ac"[int(rng.integers(8))]
+        with pytest.raises(FormulaSyntaxError) as ei:
+            parse_formula(text[:i] + bad + text[i:], P)
+        assert (ei.value.line, ei.value.column) == position(text, i)
+
+        # Every token but an identifier or ")" needs one after it.
+        cuts = [k for k, tok in enumerate(tokens) if tok != ")" and not tok[0].isalpha()]
+        if cuts:
+            k = cuts[int(rng.integers(len(cuts)))]
+            cut = text[: starts[k] + len(tokens[k])] + ["", " ", "\t\n", "\n "][int(rng.integers(4))]
+            with pytest.raises(FormulaSyntaxError, match="end of input") as ei:
+                parse_formula(cut, P)
+            assert (ei.value.line, ei.value.column) == position(cut, len(cut))
 
 
 class TestFormatter:

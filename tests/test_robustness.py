@@ -27,7 +27,6 @@ from ptmon.robustness import (
     TimeOutOfRangeError,
     predicate_history_basis,
     predicate_history_series,
-    robustness,
     robustness_series,
     semantic_basis_series,
     windowed_extrema,
@@ -66,16 +65,7 @@ class TestRobustness:
     def test_oracle_min_of_temporal_pair(self):
         f = parse_formula("F[0,2] p0 & G[0,1] p0", ("p0",))
         ep = Episode(mu=np.array([[1.0, 3.0, 2.0]]), dt=1.0)
-        assert robustness(f, ep, 2) == 2.0
-
-    def test_time_out_of_range(self):
-        f = parse_formula("G[0,2] p0", ("p0",))
-        ep = Episode(mu=np.ones((1, 4)), dt=1.0)
-        with pytest.raises(TimeOutOfRangeError):
-            robustness(f, ep, 1)
-        with pytest.raises(TimeOutOfRangeError):
-            robustness(f, ep, 4)
-        assert robustness(f, ep, 2) == 1.0
+        assert robustness_series(f, ep).tolist() == [2.0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -85,7 +75,7 @@ class TestRobustness:
         T = horizon(f) + int(rng.integers(0, 8))
         ep = random_episode(rng, 3, T)
         t = valid_time(rng, f, T)
-        assert robustness(f, ep, t) == naive_robustness(f, ep.mu, t)
+        assert robustness_series(f, ep)[t - horizon(f)] == naive_robustness(f, ep.mu, t)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-5, 5))
@@ -95,8 +85,7 @@ class TestRobustness:
         T = horizon(f) + 3
         ep = random_episode(rng, 2, T)
         shifted = Episode(mu=ep.mu + c, dt=ep.dt)
-        t = valid_time(rng, f, T)
-        assert robustness(f, shifted, t) == pytest.approx(robustness(f, ep, t) + c)
+        assert robustness_series(f, shifted) == pytest.approx(robustness_series(f, ep) + c)
 
 
 class TestWindowedExtrema:
@@ -170,8 +159,9 @@ class TestRobustnessSeries:
         ep = random_episode(rng, 2, T)
         series = robustness_series(f, ep)
         assert series.shape == (T - h + 1,)
+        # Past time: the value at t reads only the window t - h .. t.
         for t in range(h, T + 1):
-            assert series[t - h] == robustness(f, ep, t)
+            assert robustness_series(f, Episode(mu=ep.mu[:, t - h : t + 1])).tolist() == [series[t - h]]
 
 
 class TestHistoryBasis:
@@ -234,7 +224,7 @@ class TestSemanticBasis:
         K = standard_dictionary.K_max
         assert series.shape == (standard_dictionary.r, 25 - K + 1)
         for t in (K, 20, 25):
-            column = [robustness(atom, ep, t) for atom in standard_dictionary.atoms]
+            column = [robustness_series(atom, ep)[t - horizon(atom)] for atom in standard_dictionary.atoms]
             assert series[:, t - K].tolist() == column
 
     def test_each_row_is_atom_robustness(self, standard_dictionary):
