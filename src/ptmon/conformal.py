@@ -218,7 +218,8 @@ class CalibratedMonitor:
     ``ValueError`` naming the numbers when they do not: ``sigma``,
     ``coord_radii`` and the cache's columns must each have the basis
     dimension, and the cache must hold ``n_calibration`` rows at the
-    monitor's ``level``.
+    monitor's ``level`` and ``seed``, symmetric (``|error|``) scores for an
+    observer and one-sided ones otherwise.
 
     A monitor is immutable: its fields cannot be reassigned, and ``sigma``
     and ``coord_radii`` are stored read-only. So its :attr:`shift`,
@@ -274,6 +275,9 @@ class CalibratedMonitor:
                 ("the score cache's column count", columns, "the basis dimension", dim),
                 ("the score cache's row count", rows, "n_calibration", self.n_calibration),
                 ("the score cache's level", self.cache.level, "the monitor's level", self.level),
+                ("the score cache's seed", self.cache.seed, "the monitor's seed", self.seed),
+                ("the score cache's symmetric flag", self.cache.symmetric,
+                 f"the {self.kind} kind's", self.kind == "observer"),
             ]
         for part, got, whole, want in parts:
             if got != want:

@@ -14,6 +14,11 @@ decode a decoder turns its tree into one straight-line Python function,
 :attr:`Decoder.read`, that both the per-step and the batch decode run: with
 the built-in ``min``/``max`` over a list of floats, or with left folds of
 ``np.minimum``/``np.maximum`` over the rows of a basis matrix.
+
+Both compilers build their tree first over plain ``int`` leaves and
+``(op, children)`` tuples, where flattening and dropping repeated children
+cost C-level hashing and comparison; only the surviving nodes become
+``Leaf``/``MinNode``/``MaxNode`` objects.
 """
 
 from __future__ import annotations
@@ -184,7 +189,8 @@ class Decoder:
     certification never walks the formula again. The tree is checked when
     the decoder is built: every leaf reads an ``int`` coordinate in
     ``0..dim-1`` and every min/max node has at least one child (a one-child
-    node reads its child).
+    node reads its child). The same walk fills ``support``, the
+    ``frozenset`` of coordinates the leaves read.
 
     Decoding runs :attr:`read`, generated once per decoder on its first
     decode, with one of two reducer pairs: the built-in ``min``/``max`` over
@@ -200,24 +206,25 @@ class Decoder:
     horizon: int
 
     def __post_init__(self) -> None:
-        for node in _nodes(self.root):
+        support, stack = set(), [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, Leaf):
                 # ``type`` rather than ``isinstance``: the index is written
                 # into generated source, so it must print as a plain literal.
                 if type(node.index) is not int or not 0 <= node.index < self.dim:
                     raise ValueError(f"leaf index {node.index!r} outside 0..{self.dim - 1}")
-            elif not node.children:
+                support.add(node.index)
+            elif node.children:
+                stack.extend(node.children)
+            else:
                 raise ValueError(f"{type(node).__name__} needs at least one child")
+        object.__setattr__(self, "support", frozenset(support))
 
     def __getstate__(self) -> dict:
         # The generated read-out is a function without an importable name;
         # an unpickled decoder generates its own on first decode.
         return {k: v for k, v in self.__dict__.items() if k != "read"}
-
-    @functools.cached_property
-    def support(self) -> frozenset[int]:
-        """The basis coordinates the decoder actually reads."""
-        return frozenset(node.index for node in _nodes(self.root) if isinstance(node, Leaf))
 
     @functools.cached_property
     def read(self) -> Callable:
@@ -252,27 +259,40 @@ class Decoder:
         return namespace["read"]
 
 
-def _combine(cls, children: Iterable[DecoderNode]) -> DecoderNode:
-    # Flatten nested nodes of the same operator and drop duplicate children;
-    # both rewrites preserve the computed min/max in value. A dropped child
-    # can change which of two tied zeros a fold returns: ``(p0 & p1) & p0``
-    # at ``p0 = 0.0, p1 = -0.0`` decodes in batch to ``-0.0`` where
-    # ``robustness_series`` gives ``0.0``. The sign of a zero is no contract
-    # here anyway: on a tie, ``min``/``max`` (streaming) keep the first
-    # argument and ``np.minimum``/``np.maximum`` (batch) the second, so
-    # ``p0 & p1`` at those margins reads ``0.0`` streamed and ``-0.0`` in
-    # batch (``TIE_VALUES`` in the fragment tests). Repeats stay dropped.
-    flat: list[DecoderNode] = []
-    seen: set[DecoderNode] = set()
+# The intermediate a compiler builds first: a leaf is its ``int``
+# coordinate, a min/max node ``(op, children)`` with ``op`` one of
+# ``_MIN``/``_MAX`` and a tuple of children. Two intermediates are equal
+# exactly when the trees they stand for are, which ``_join`` relies on.
+_MIN, _MAX = 0, 1
+
+
+def _join(op: int, children: Iterable) -> int | tuple:
+    # Flatten children of the same operator and drop repeated children,
+    # keeping the first; both rewrites preserve the computed min/max in
+    # value. A dropped child can change which of two tied zeros a fold
+    # returns: ``(p0 & p1) & p0`` at ``p0 = 0.0, p1 = -0.0`` decodes in
+    # batch to ``-0.0`` where ``robustness_series`` gives ``0.0``. The sign
+    # of a zero is no contract here anyway: on a tie, ``min``/``max``
+    # (streaming) keep the first argument and ``np.minimum``/``np.maximum``
+    # (batch) the second, so ``p0 & p1`` at those margins reads ``0.0``
+    # streamed and ``-0.0`` in batch (``TIE_VALUES`` in the fragment tests).
+    # Repeats stay dropped.
+    flat: list = []
     for child in children:
-        parts = child.children if isinstance(child, cls) else (child,)
-        for part in parts:
-            if part not in seen:
-                seen.add(part)
-                flat.append(part)
-    if len(flat) == 1:
-        return flat[0]
-    return cls(tuple(flat))
+        if type(child) is tuple and child[0] == op:
+            flat.extend(child[1])
+        else:
+            flat.append(child)
+    kept = tuple(dict.fromkeys(flat))
+    return kept[0] if len(kept) == 1 else (op, kept)
+
+
+def _materialise(node: int | tuple) -> DecoderNode:
+    """The ``Leaf``/``MinNode``/``MaxNode`` tree of an intermediate."""
+    if type(node) is int:
+        return Leaf(node)
+    op, children = node
+    return (MinNode if op == _MIN else MaxNode)(tuple(map(_materialise, children)))
 
 
 def compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decoder:
@@ -288,16 +308,17 @@ def compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decode
     """
     atom_index = dictionary._atom_index
 
-    def build(node: Formula) -> DecoderNode:
+    def build(node: Formula) -> int | tuple:
         q = atom_index.get(node)
         if q is not None:
-            return Leaf(q)
+            return q
         if isinstance(node, (And, Or)):
-            cls = MinNode if isinstance(node, And) else MaxNode
-            return _combine(cls, (build(node.left), build(node.right)))
+            op = _MIN if isinstance(node, And) else _MAX
+            return _join(op, (build(node.left), build(node.right)))
         raise NotInFragmentError(node)
 
-    return Decoder(build(f), BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f))
+    root = _materialise(build(f))
+    return Decoder(root, BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f))
 
 
 def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
@@ -314,19 +335,19 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
         )
     width = k_max + 1
 
-    def build(node: Formula, lag: int) -> DecoderNode:
+    def build(node: Formula, lag: int) -> int | tuple:
         if isinstance(node, Predicate):
             if node.index < 0 or node.index >= m:
                 raise ValueError(f"predicate index {node.index} outside 0..{m - 1}")
-            return Leaf(node.index * width + lag)
+            return node.index * width + lag
         if isinstance(node, (And, Or)):
-            cls = MinNode if isinstance(node, And) else MaxNode
-            return _combine(cls, (build(node.left, lag), build(node.right, lag)))
-        iv = node.interval
-        cls = MinNode if isinstance(node, Always) else MaxNode
-        return _combine(cls, (build(node.child, lag + d) for d in range(iv.a, iv.b + 1)))
+            op = _MIN if isinstance(node, And) else _MAX
+            return _join(op, (build(node.left, lag), build(node.right, lag)))
+        op, iv, child = _MIN if isinstance(node, Always) else _MAX, node.interval, node.child
+        return _join(op, [build(child, lag + d) for d in range(iv.a, iv.b + 1)])
 
-    return Decoder(build(f, 0), BasisKind.PREDICATE_HISTORY, m * width, format_formula(f), h)
+    root = _materialise(build(f, 0))
+    return Decoder(root, BasisKind.PREDICATE_HISTORY, m * width, format_formula(f), h)
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,28 @@ import numpy as np
 
 from ptmon.benchmark import PREDICATE_NAMES, CrossroadConfig
 from ptmon.conformal import SIGMA_FLOOR, predicted_basis, sample_level2_time
-from ptmon.fragment import AtomicDictionary, DecoderNode, Leaf, MinNode
+from ptmon.fragment import (
+    AtomicDictionary,
+    Decoder,
+    DecoderNode,
+    HorizonExceededError,
+    Leaf,
+    MaxNode,
+    MinNode,
+)
 from ptmon.logic import (
     Always,
     And,
     Eventually,
     Formula,
+    NotInFragmentError,
     Or,
     Predicate,
     TimeInterval,
+    format_formula,
     horizon,
 )
-from ptmon.robustness import Episode, predicate_history_series, semantic_basis_series
+from ptmon.robustness import BasisKind, Episode, predicate_history_series, semantic_basis_series
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +98,73 @@ def naive_decode_series(node: DecoderNode, values: np.ndarray) -> np.ndarray:
         return values[node.index]
     op = np.minimum if isinstance(node, MinNode) else np.maximum
     return functools.reduce(op, (naive_decode_series(c, values) for c in node.children))
+
+
+def _naive_combine(cls, children) -> DecoderNode:
+    """A ``cls`` node over ``children`` with same-operator children
+    flattened and repeats dropped (first kept), found through a set of
+    decoder nodes; a lone survivor stands alone."""
+    flat: list[DecoderNode] = []
+    seen: set[DecoderNode] = set()
+    for child in children:
+        parts = child.children if isinstance(child, cls) else (child,)
+        for part in parts:
+            if part not in seen:
+                seen.add(part)
+                flat.append(part)
+    if len(flat) == 1:
+        return flat[0]
+    return cls(tuple(flat))
+
+
+def naive_compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decoder:
+    """The semantic decoder built node object by node object: an atom is a
+    ``Leaf``, ``&``/``|`` combine their compiled children, anything else
+    raises ``NotInFragmentError``."""
+    atom_index = {atom: q for q, atom in enumerate(dictionary.atoms)}
+
+    def build(node: Formula) -> DecoderNode:
+        q = atom_index.get(node)
+        if q is not None:
+            return Leaf(q)
+        if isinstance(node, (And, Or)):
+            cls = MinNode if isinstance(node, And) else MaxNode
+            return _naive_combine(cls, (build(node.left), build(node.right)))
+        raise NotInFragmentError(node)
+
+    return Decoder(build(f), BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f))
+
+
+def naive_compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
+    """The history decoder built node object by node object, every window
+    lag unrolled recursively."""
+    h = horizon(f)
+    if h > k_max:
+        raise HorizonExceededError(
+            f"formula horizon {h} exceeds history depth {k_max}: {format_formula(f)}"
+        )
+    width = k_max + 1
+
+    def build(node: Formula, lag: int) -> DecoderNode:
+        if isinstance(node, Predicate):
+            if node.index < 0 or node.index >= m:
+                raise ValueError(f"predicate index {node.index} outside 0..{m - 1}")
+            return Leaf(node.index * width + lag)
+        if isinstance(node, (And, Or)):
+            cls = MinNode if isinstance(node, And) else MaxNode
+            return _naive_combine(cls, (build(node.left, lag), build(node.right, lag)))
+        iv = node.interval
+        cls = MinNode if isinstance(node, Always) else MaxNode
+        return _naive_combine(cls, (build(node.child, lag + d) for d in range(iv.a, iv.b + 1)))
+
+    return Decoder(build(f, 0), BasisKind.PREDICATE_HISTORY, m * width, format_formula(f), h)
+
+
+def naive_leaf_indices(node: DecoderNode) -> set[int]:
+    """Every coordinate a decoder tree's leaves read, by recursion."""
+    if isinstance(node, Leaf):
+        return {node.index}
+    return set().union(*(naive_leaf_indices(c) for c in node.children))
 
 
 def naive_compute_metrics(lower_bounds, truths, level: int, k_max: int, coverage_seed: int = 0) -> dict:

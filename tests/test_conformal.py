@@ -367,6 +367,9 @@ class TestRadiusQueriesMatchTheOracles:
             layout = {"dictionary": AtomicDictionary(tuple(lag_term(c, k_max + 1) for c in range(dim)), m)}
         else:
             layout = {"m": m, "k_max": k_max}
+        if kind == "observer":
+            # An observer calibrates symmetric scores; the matrix is the same.
+            cache = replace(cache, symmetric=True)
         return CalibratedMonitor(kind=kind, level=2, alpha=alpha, radius=0.0, sigma=np.ones(dim),
                                  n_calibration=cache.matrix.shape[0], seed=0, cache=cache, **layout)
 
@@ -861,11 +864,11 @@ class TestPersistence:
         assert back.support == mon.support
 
     @staticmethod
-    def _rolling(n, level):
+    def _rolling(n, level, tau_seed=0):
         rng = np.random.default_rng(22)
         eps = [random_episode(rng, 2, 8) for _ in range(n)]
         stub = PredictorStub(mode="predicates", scale=0.2, seed=3)
-        return calibrate(eps, stub, ScoreConfig(sigma=np.ones(6), alpha=0.1, level=level), (2, 2))
+        return calibrate(eps, stub, ScoreConfig(sigma=np.ones(6), alpha=0.1, level=level), (2, 2), tau_seed=tau_seed)
 
     @staticmethod
     def _rewrite(path, **changes):
@@ -876,15 +879,26 @@ class TestPersistence:
         ("semantic", "the score cache's column count is 8, but the basis dimension is 6"),
         ("12 episodes", "the score cache's row count is 12, but n_calibration is 9"),
         ("level 1", "the score cache's level is 1, but the monitor's level is 2"),
+        ("seed 5", "the score cache's seed is 5, but the monitor's seed is 0"),
+        ("observer", "the score cache's symmetric flag is True, but the rolling kind's is False"),
     ])
     def test_model_naming_another_models_cache_is_refused(self, tmp_path, donor, message):
         other = {"semantic": lambda: calibrated("semantic")[0], "12 episodes": lambda: self._rolling(12, 2),
-                 "level 1": lambda: self._rolling(9, 1)}[donor]()
+                 "level 1": lambda: self._rolling(9, 1), "seed 5": lambda: self._rolling(9, 2, tau_seed=5),
+                 "observer": lambda: calibrated("observer")[0]}[donor]()
         save_monitor(other, tmp_path / "other.json")
         save_monitor(self._rolling(9, 2), tmp_path / "roll.json")
         self._rewrite(tmp_path / "roll.json", score_cache_path="other.scores.npz")
         with pytest.raises(ValueError, match=re.escape(f"inconsistent rolling monitor: {message}")):
             load_monitor(tmp_path / "roll.json")
+
+    def test_observer_naming_a_one_sided_cache_is_refused(self, tmp_path):
+        save_monitor(self._rolling(9, 2), tmp_path / "roll.json")
+        save_monitor(calibrated("observer")[0], tmp_path / "obs.json")
+        self._rewrite(tmp_path / "obs.json", score_cache_path="roll.scores.npz")
+        message = "inconsistent observer monitor: the score cache's symmetric flag is False, but the observer kind's is True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_monitor(tmp_path / "obs.json")
 
     @pytest.mark.parametrize("kind, key", [("semantic", "sigma"), ("rolling", "sigma"), ("observer", "coord_radii")])
     def test_model_with_a_short_vector_is_refused(self, tmp_path, kind, key):

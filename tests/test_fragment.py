@@ -1,5 +1,7 @@
+import functools
 import gc
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -8,16 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    mixed_dictionary,
+    naive_compile_history_decoder,
+    naive_compile_semantic_decoder,
     naive_decode,
     naive_decode_series,
+    naive_leaf_indices,
     naive_robustness,
     random_episode,
     random_fragment_formula,
+    random_interval,
     random_pnf_formula,
     valid_time,
 )
 import ptmon.fragment as fragment
-from ptmon.logic import And, Predicate, format_formula, horizon, parse_formula
+from ptmon.logic import (
+    Always,
+    And,
+    Eventually,
+    NotInFragmentError,
+    Or,
+    Predicate,
+    format_formula,
+    horizon,
+    parse_formula,
+)
 from ptmon.fragment import (
     AtomicDictionary,
     BasisMismatchError,
@@ -338,12 +355,124 @@ class TestDecoderValidation:
         with pytest.raises(ValueError, match="at least one child"):
             Decoder(MaxNode((Leaf(0), cls(()))), BasisKind.SEMANTIC, 3, "x", 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_trees(6))
+    def test_support_is_the_leaf_walk(self, tree):
+        assert Decoder(tree, BasisKind.SEMANTIC, 6, "hand-built", 0).support == naive_leaf_indices(tree)
+
+    @pytest.mark.parametrize("tree, support", [
+        (MinNode((Leaf(2), Leaf(2), MaxNode((Leaf(0),)))), {0, 2}),
+        (MaxNode((MinNode((Leaf(1),)), Leaf(1), Leaf(1))), {1}),
+        (MinNode((MinNode((MinNode((Leaf(0),)),)),)), {0}),
+        (Leaf(2), {2}),
+    ])
+    def test_support_of_one_child_nodes_and_repeated_leaves(self, tree, support):
+        assert Decoder(tree, BasisKind.SEMANTIC, 3, "x", 0).support == support
+
+    @pytest.mark.parametrize("tree, message", [
+        (MinNode((MaxNode((Leaf(5),)),)), "leaf index 5 outside 0..2"),
+        (MaxNode((Leaf(0), Leaf(0), MinNode(()))), "MinNode needs at least one child"),
+        (MinNode((Leaf(1), MaxNode((Leaf(1), Leaf(-1))), Leaf(1))), "leaf index -1 outside 0..2"),
+        (MaxNode((MaxNode((MaxNode(()),)),)), "MaxNode needs at least one child"),
+    ])
+    def test_defect_under_one_child_nodes_and_repeated_leaves(self, tree, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Decoder(tree, BasisKind.SEMANTIC, 3, "x", 0)
+
     def test_one_child_node_reads_its_child(self):
         dec = Decoder(MinNode((MaxNode((Leaf(1),)),)), BasisKind.SEMANTIC, 3, "x", 0)
         x = np.array([[5.0, 0.0], [-2.0, -0.0], [7.0, 1.0]])
         assert dec.support == {1}
         assert bits(decode_values(dec, x[:, 1])) == bits(-0.0)
         assert bits(decode_series(dec, x)) == x[1].tobytes()
+
+
+def nested_formula(rng, leaf, depth=3, windows=True):
+    """A random formula over ``leaf()``: windows (``a > 0`` included, unless
+    not ``windows``) nested up to ``depth``, long ``&``/``|`` chains folded
+    either way, and repeated subformulas."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return leaf()
+    if r < 0.45 and windows:
+        op = Always if rng.random() < 0.5 else Eventually
+        return op(random_interval(rng, max_b=3), nested_formula(rng, leaf, depth - 1))
+    parts = [nested_formula(rng, leaf, depth - 1, windows) for _ in range(int(rng.integers(1, 5)))]
+    parts += [parts[int(i)] for i in rng.integers(len(parts), size=int(rng.integers(1, 4)))]
+    parts = [parts[int(i)] for i in rng.permutation(len(parts))]
+
+    def join(a, b):
+        return And(a, b) if rng.random() < 0.7 else Or(a, b)
+
+    if rng.random() < 0.5:
+        return functools.reduce(join, parts)
+    return functools.reduce(lambda acc, x: join(x, acc), reversed(parts))
+
+
+def outcome(compiler, *args):
+    """A compiled decoder, or what identifies the error compiling raised:
+    the offending subtree of a ``NotInFragmentError``, else type and text."""
+    try:
+        return compiler(*args)
+    except NotInFragmentError as e:
+        return ("NotInFragmentError", e.offending, str(e))
+    except ValueError as e:
+        return (type(e).__name__, str(e))
+
+
+class TestCompilersMatchTheOracles:
+    """Both compilers against recursive ones that build and compare decoder
+    node objects directly: equal decoders, or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_decoders_and_errors_match(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        d = mixed_dictionary(rng, m)
+
+        def leaf():
+            r = rng.random()
+            if r < 0.6:
+                return d.atoms[int(rng.integers(d.r))]
+            if r < 0.95:
+                k = int(rng.integers(m))
+                return Predicate(f"p{k}", k)
+            return Predicate(f"p{m}", m)  # outside both layouts
+
+        f = nested_formula(rng, leaf)
+        k_max = max(0, horizon(f) + int(rng.integers(-1, 3)))
+        pairs = [
+            (outcome(compile_semantic_decoder, f, d), outcome(naive_compile_semantic_decoder, f, d)),
+            (outcome(compile_history_decoder, f, m, k_max), outcome(naive_compile_history_decoder, f, m, k_max)),
+        ]
+        for got, want in pairs:
+            assert type(got) is type(want)
+            if not isinstance(want, Decoder):
+                assert got == want
+                continue
+            assert (got.root, got.basis_kind, got.dim, got.formula, got.horizon) == (
+                want.root, want.basis_kind, want.dim, want.formula, want.horizon)
+            assert got.support == want.support == naive_leaf_indices(want.root)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_decoding_is_bit_identical(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        d = mixed_dictionary(rng, m)
+        atom = lambda: d.atoms[int(rng.integers(d.r))]
+        f = nested_formula(rng, atom, windows=False)
+        g = nested_formula(rng, lambda: atom() if rng.random() < 0.5 else random_pnf_formula(rng, m, depth=1))
+        for got, want in [
+            (compile_semantic_decoder(f, d), naive_compile_semantic_decoder(f, d)),
+            (compile_history_decoder(g, m, horizon(g)), naive_compile_history_decoder(g, m, horizon(g))),
+        ]:
+            shape = (got.dim, n)
+            matrix = np.where(rng.random(shape) < 0.7, rng.choice(TIE_VALUES, shape), rng.normal(size=shape))
+            assert decode_series(got, matrix).tobytes() == decode_series(want, matrix).tobytes()
+            for j in range(n):
+                assert bits(decode_values(got, matrix[:, j])) == bits(decode_values(want, matrix[:, j]))
 
 
 class TestInformationOrder:
