@@ -477,8 +477,9 @@ def _block_bases(block: list[tuple[Episode, np.ndarray]], basis_spec):
     or :func:`stack_lags`. Column ``c`` is then the window ending at step
     ``c + k_max``; the ``k_max`` columns after each episode's last one
     straddle a boundary and are dropped. Every kept column reads only its
-    own episode, through the same elementwise ``np.minimum``/``np.maximum``
-    operations in the same order as a call on that episode alone (an atom
+    own episode, and the doubling of
+    :func:`~ptmon.robustness._sliding_extrema` builds a window from the
+    same ``np.minimum``/``np.maximum`` calls wherever it starts (an atom
     outside the shared pass is evaluated on its own and tail-aligned, so
     this holds for it too): the result is the per-episode bases side by
     side, bit for bit.

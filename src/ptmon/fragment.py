@@ -64,10 +64,10 @@ class AtomicDictionary:
 
     ``m`` is the number of predicates the atoms range over. The history depth
     ``K_max`` is derived as the largest atom horizon, ``window_layout``
-    tells semantic basis extraction which atoms share its running min/max
-    pass, and each atom's coordinate is looked up in one index that every
-    :func:`compile_semantic_decoder` call shares; all three are computed
-    once per dictionary.
+    tells semantic basis extraction which atoms share its one
+    sliding-extremum pass, and each atom's coordinate is looked up in one
+    index that every :func:`compile_semantic_decoder` call shares; all
+    three are computed once per dictionary.
     """
 
     atoms: tuple[Formula, ...]

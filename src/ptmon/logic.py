@@ -24,8 +24,9 @@ monotone in the predicate values.
 
 All node types are immutable; structural equality and hashing come from the
 dataclass machinery, so formulas can key dictionaries and sets directly. A
-formula node computes its hash once, keeps it, and leaves it out of its
-pickled state (a string's hash differs between interpreter runs).
+formula node computes its hash, its :func:`format_formula` text and its
+:func:`horizon` once, keeps them, and leaves them out of its pickled state
+(a string's hash differs between interpreter runs).
 """
 
 from __future__ import annotations
@@ -66,17 +67,20 @@ def _cached_hash(node) -> int:
     return h
 
 
-def _state_without_hash(node) -> dict:
-    return {k: v for k, v in node.__dict__.items() if k != "_hash"}
+def _fields_only(node) -> dict:
+    # Leaves out what a node keeps beside its fields: ``_hash``, ``_text``
+    # and ``_horizon``.
+    return {k: v for k, v in node.__dict__.items() if not k.startswith("_")}
 
 
 def _hash_once(cls):
-    """Give a frozen dataclass its structural hash, computed once per node.
+    """Give a frozen dataclass its structural hash, computed once per node,
+    and a pickled state of its fields alone.
 
     Looking a formula up in a dict would otherwise rehash its whole tree.
     """
     cls.__hash__ = _cached_hash
-    cls.__getstate__ = _state_without_hash
+    cls.__getstate__ = _fields_only
     return cls
 
 
@@ -316,8 +320,14 @@ def _fmt(f: Formula, min_level: int) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    """Render a formula so that reparsing reproduces it node for node."""
-    return _fmt(f, _OR_LEVEL)
+    """Render a formula so that reparsing reproduces it node for node.
+
+    The text is computed once per formula object and kept on it.
+    """
+    text = f.__dict__.get("_text")
+    if text is None:
+        text = f.__dict__["_text"] = _fmt(f, _OR_LEVEL)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +336,15 @@ def format_formula(f: Formula) -> str:
 
 
 def horizon(f: Formula) -> int:
-    """Largest backward lag the formula can read at evaluation time."""
-    if isinstance(f, Predicate):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max(horizon(f.left), horizon(f.right))
-    return f.interval.b + horizon(f.child)
+    """Largest backward lag the formula can read at evaluation time,
+    computed once per node object and kept on it."""
+    h = f.__dict__.get("_horizon")
+    if h is None:
+        if isinstance(f, Predicate):
+            h = 0
+        elif isinstance(f, (And, Or)):
+            h = max(horizon(f.left), horizon(f.right))
+        else:
+            h = f.interval.b + horizon(f.child)
+        f.__dict__["_horizon"] = h
+    return h

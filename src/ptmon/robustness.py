@@ -6,12 +6,12 @@ the min, ``|`` the max, ``G[a,b]`` the min over the backward window
 when its robustness is ``>= 0``.
 
 One evaluator computes a formula's robustness at every valid time of a
-``(m, n)`` margin array, window nodes as the elementwise min/max of
-lag-shifted slices; the value at one time ``t`` is entry ``t - horizon``.
-The semantic basis has one shortcut: the dictionary's ``G[0,b] p`` and
-``F[0,b] p`` atoms share one running min and max over the lag slices of all
-predicates, which applies the same operations in the same order, so its rows
-are bit-identical to the evaluator's.
+``(m, n)`` margin array; the value at one time ``t`` is entry
+``t - horizon``. Every sliding window extremum, in that evaluator and in the
+semantic basis (whose ``G[0,b] p`` / ``F[0,b] p`` atoms share one pass over
+all predicates), comes from :func:`_sliding_extrema`: about ``log2(w)``
+numpy passes for a width-``w`` window, and bit-identical to folding the lags
+one by one, tied zeros of opposite sign included.
 
 Two flattenings of an episode's history are used downstream:
 
@@ -25,7 +25,6 @@ Everything here is pure; an episode keeps its arrays read-only.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal, Sequence
@@ -140,15 +139,38 @@ class BasisVector:
 Mode = Literal["min", "max"]
 
 
+def _sliding_extrema(y: np.ndarray, op: np.ufunc, windows) -> None:
+    """Sliding ``op`` (``np.minimum`` or ``np.maximum``) along axis 0 of ``y``.
+
+    ``windows`` holds ``(width, first, out)`` triples in ascending
+    ``width``; ``out[i]`` receives the extremum of ``y[first + i : first +
+    i + width]``. Windows of ``p = 1, 2, 4, ...`` samples are built by
+    doubling until ``2p >= width``; each width is then the extremum of two
+    windows of ``p``, written into ``out``. Each pass is one contiguous loop
+    when ``y`` is C-contiguous.
+
+    The older window always goes second: numpy keeps the second argument
+    on a tie, so of ``0.0`` and ``-0.0`` the oldest sample wins, as in a
+    left-to-right fold over the lags.
+    """
+    table, p = y, 1
+    for width, first, out in windows:
+        while 2 * p < width:
+            table = op(table[p:], table[:-p])
+            p *= 2
+        later = first + width - p
+        op(table[later : later + len(out)], table[first : first + len(out)], out=out)
+
+
 def windowed_extrema(series: Sequence[float] | np.ndarray, interval: TimeInterval, mode: Mode) -> np.ndarray:
     """Backward-window extremum of ``series`` at every fully covered time.
 
     ``out[i]`` is the ``mode``-extremum of ``series[t-b .. t-a]`` for
     ``t = i + b``; times whose window would reach before the first sample are
-    omitted, so the result has length ``max(0, len(series) - b)``. It is the
-    elementwise min or max of the ``b - a + 1`` lag-shifted slices, so it costs
-    O((b - a + 1) * len(series)) in numpy, is exactly what a naive rescan of
-    each window returns, and never shares memory with ``series``.
+    omitted, so the result has length ``max(0, len(series) - b)``. It comes
+    from :func:`_sliding_extrema` in about ``log2(b - a + 1)`` passes over
+    the series, is exactly what a naive rescan of each window returns (bit
+    for bit, tied zeros included) and never shares memory with ``series``.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -159,11 +181,10 @@ def windowed_extrema(series: Sequence[float] | np.ndarray, interval: TimeInterva
     n = x.shape[0]
     if n <= b:
         return np.empty(0, dtype=float)
-    op = np.minimum if mode == "min" else np.maximum
-    # x[b-j : n-j] holds lag j at the times t = b .. n-1. The first slice is
-    # copied so that a point window [a, a] returns a new array, not a view.
-    lags = (x[b - j : n - j] for j in range(a + 1, b + 1))
-    return functools.reduce(op, lags, x[b - a : n - a].copy())
+    out = np.empty(n - b)
+    # The window of t = i + b is x[i : i + b - a + 1].
+    _sliding_extrema(x, np.minimum if mode == "min" else np.maximum, [(b - a + 1, 0, out)])
+    return out
 
 
 def robustness_series(f: Formula, ep: Episode) -> np.ndarray:
@@ -171,8 +192,8 @@ def robustness_series(f: Formula, ep: Episode) -> np.ndarray:
 
     The result is aligned to ``t = horizon(f) .. ep.T`` (empty if the episode
     is shorter than the horizon). Window nodes run through
-    :func:`windowed_extrema`, so the series costs O(T) per node and
-    O((b - a + 1) * T) per window node.
+    :func:`windowed_extrema`, so the series costs O(T) per ``&``/``|`` node
+    and O(T log(b - a + 1)) per window node.
     """
     return _series(f, ep.mu)
 
@@ -238,7 +259,7 @@ def stack_lags(step_values: np.ndarray, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WindowLayout:
-    """Which atoms of a dictionary the shared running min/max pass fills.
+    """Which atoms of a dictionary the shared window pass fills.
 
     Row ``rows[i]`` of the semantic basis is ``G[0,b] p`` (``modes[i] == 0``)
     or ``F[0,b] p`` (``modes[i] == 1``) for the predicate ``predicates[i]``
@@ -278,19 +299,20 @@ def _basis_rows(mu: np.ndarray, dictionary) -> np.ndarray:
     margin array, one atom per row; ``n > K_max``."""
     layout = dictionary.window_layout
     k, n = dictionary.K_max, mu.shape[1]
-    out = np.empty((dictionary.r, n - k))
+    # Without fallback atoms the shared rows are all rows, in order.
+    out = np.empty((dictionary.r, n - k)) if layout.fallback else None
     if layout.widths:
-        # lo and hi run over mu[:, k-j : n-j], lag j at the times k .. n-1, in
-        # the order windowed_extrema reduces a [0, b] window.
-        lo = hi = mu[:, k:]
-        extrema = []
-        for j in range(layout.widths[-1] + 1):
-            if j:
-                lag = mu[:, k - j : n - j]
-                lo, hi = np.minimum(lo, lag), np.maximum(hi, lag)
-            if j in layout.widths:
-                extrema.append((lo, hi))
-        out[layout.rows] = np.array(extrema)[layout.width_index, layout.modes, layout.predicates]
+        # snapshots[w, mode, i] holds every predicate's min (mode 0) or max
+        # (mode 1) over the window of b = widths[w] ending at time k + i,
+        # which starts at row k - b + i of the time-major margins.
+        y = np.ascontiguousarray(mu.T)
+        snapshots = np.empty((len(layout.widths), 2, n - k, mu.shape[0]))
+        for mode, op in enumerate((np.minimum, np.maximum)):
+            _sliding_extrema(y, op, [(b + 1, k - b, snapshots[w, mode]) for w, b in enumerate(layout.widths)])
+        rows = snapshots[layout.width_index, layout.modes, :, layout.predicates]
+        if out is None:
+            return rows
+        out[layout.rows] = rows
     for i in layout.fallback:
         row = _series(dictionary.atoms[i], mu)
         out[i] = row[row.size - out.shape[1] :]
@@ -303,13 +325,13 @@ def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:
     Shape ``(r, T - K_max + 1)``, aligned to ``t = K_max .. T``. The atoms
     ``G[0,b] p`` and ``F[0,b] p`` over a bare predicate (the whole of a
     :func:`~ptmon.fragment.build_depth1_dictionary` dictionary whose windows
-    start at 0) come from one shared pass: a running ``np.minimum`` and
-    ``np.maximum`` over the lag slices of all predicates, snapshotted at each
-    distinct ``b`` and gathered into their rows. Every other atom is evaluated
-    on its own with :func:`robustness_series`'s evaluator and cut to the
-    common tail. Both are exact, so each row equals that atom's
-    :func:`robustness_series` tail bit for bit. The result is a new writable
-    array.
+    start at 0) come from one shared pass: :func:`_sliding_extrema` over the
+    time-major margins of all predicates, once for the min and once for the
+    max, written for each distinct ``b`` into one snapshot array and
+    gathered into their rows. Every other atom is evaluated on its own with
+    :func:`robustness_series`'s evaluator and cut to the common tail. Both
+    are exact, so each row equals that atom's :func:`robustness_series`
+    tail bit for bit. The result is a new writable array.
     """
     k_max = dictionary.K_max
     if ep.T < k_max:

@@ -36,7 +36,17 @@ from ptmon.logic import (
     format_formula,
     horizon,
 )
-from ptmon.robustness import BasisKind, Episode, predicate_history_series, semantic_basis_series
+from ptmon.robustness import BasisKind, Episode, predicate_history_series
+
+
+# Ties, repeats and both signed zeros, so that an evaluator reducing children
+# in another order or breaking ties another way reads out different bits.
+TIE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5)
+
+
+def tie_heavy(rng: np.random.Generator, shape) -> np.ndarray:
+    """Values half drawn from :data:`TIE_VALUES`, half normal draws."""
+    return np.where(rng.random(shape) < 0.5, rng.choice(TIE_VALUES, shape), rng.normal(size=shape))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +211,10 @@ def naive_compute_metrics(lower_bounds, truths, level: int, k_max: int, coverage
 
 def naive_true_basis(ep: Episode, basis_spec) -> np.ndarray:
     """One episode's exact basis columns over ``t = k_max .. T``: its
-    semantic basis for a dictionary, its predicate history for ``(m, k_max)``."""
+    semantic basis by the lag loop for a dictionary, its predicate history
+    for ``(m, k_max)``."""
     if isinstance(basis_spec, AtomicDictionary):
-        return semantic_basis_series(ep, basis_spec)
+        return lag_loop_basis_rows(ep.mu, basis_spec)
     return predicate_history_series(ep, basis_spec[1])
 
 
@@ -279,6 +290,59 @@ def naive_windowed_extrema(series, interval: TimeInterval, mode: str):
     for t in range(interval.b, len(x)):
         out.append(pick(x[t - interval.b : t - interval.a + 1]))
     return np.asarray(out, dtype=float)
+
+
+def lag_fold_windowed_extrema(series, interval: TimeInterval, mode: str) -> np.ndarray:
+    """The sliding extremum as a left fold of ``np.minimum``/``np.maximum``
+    over the lag-shifted slices ``x[b-j : n-j]``, ``j = a..b``, newest lag
+    first. numpy keeps the second argument on a tie, so of two tied zeros of
+    opposite sign the oldest sample wins: the bits the library's doubling
+    routine must reproduce."""
+    x = np.asarray(series, dtype=float)
+    a, b = interval.a, interval.b
+    n = x.shape[0]
+    if n <= b:
+        return np.empty(0, dtype=float)
+    op = np.minimum if mode == "min" else np.maximum
+    lags = (x[b - j : n - j] for j in range(a + 1, b + 1))
+    return functools.reduce(op, lags, x[b - a : n - a].copy())
+
+
+def lag_fold_series(f: Formula, mu: np.ndarray) -> np.ndarray:
+    """A formula's robustness at every valid time, every window by
+    :func:`lag_fold_windowed_extrema`."""
+    if isinstance(f, Predicate):
+        return mu[f.index]
+    if isinstance(f, (And, Or)):
+        left, right = lag_fold_series(f.left, mu), lag_fold_series(f.right, mu)
+        n = min(left.size, right.size)
+        op = np.minimum if isinstance(f, And) else np.maximum
+        return op(left[left.size - n :], right[right.size - n :])
+    mode = "min" if isinstance(f, Always) else "max"
+    return lag_fold_windowed_extrema(lag_fold_series(f.child, mu), f.interval, mode)
+
+
+def lag_loop_basis_rows(mu: np.ndarray, dictionary: AtomicDictionary) -> np.ndarray:
+    """The semantic basis at the times ``K_max .. n-1`` of a ``(m, n)``
+    margin array: every ``G[0,b] p`` / ``F[0,b] p`` atom from one running
+    ``np.minimum`` and ``np.maximum`` over the lag slices
+    ``mu[:, K-j : n-j]``, ``j = 1..K_max``, snapshotted at lag ``b``; every
+    other atom from :func:`lag_fold_series`, cut to the common tail."""
+    k, n = dictionary.K_max, mu.shape[1]
+    lo = hi = mu[:, k:]
+    snapshots = [(lo, hi)]
+    for j in range(1, k + 1):
+        lag = mu[:, k - j : n - j]
+        lo, hi = np.minimum(lo, lag), np.maximum(hi, lag)
+        snapshots.append((lo, hi))
+    out = np.empty((dictionary.r, n - k))
+    for i, atom in enumerate(dictionary.atoms):
+        if isinstance(atom, (Always, Eventually)) and atom.interval.a == 0 and isinstance(atom.child, Predicate):
+            out[i] = snapshots[atom.interval.b][isinstance(atom, Eventually)][atom.child.index]
+        else:
+            row = lag_fold_series(atom, mu)
+            out[i] = row[row.size - (n - k) :]
+    return out
 
 
 def naive_wrap_angle(angle: np.ndarray) -> np.ndarray:

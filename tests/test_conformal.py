@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    lag_loop_basis_rows,
     mixed_dictionary,
     naive_coord_radii,
     naive_estimate_sigma,
@@ -22,6 +23,7 @@ from helpers import (
     random_episode,
     random_fragment_formula,
     random_pnf_formula,
+    tie_heavy,
 )
 import ptmon.conformal as conformal
 from ptmon.benchmark import PredictorStub
@@ -55,7 +57,7 @@ from ptmon.fragment import (
     compile_semantic_decoder,
 )
 from ptmon.logic import And, Eventually, Or, Predicate, TimeInterval, format_formula, horizon, parse_formula
-from ptmon.robustness import BasisKind, BasisVector, semantic_basis_series
+from ptmon.robustness import BasisKind, BasisVector, Episode, semantic_basis_series
 
 
 def tiny_dictionary():
@@ -1075,9 +1077,13 @@ def mixed_length_episodes(rng, m, k_max, n):
     """``n`` episodes of distinct lengths in random order, so block
     boundaries fall between episodes of different lengths: one with a
     single valid time (``T = k_max``), the rest with 37 to 156, so that
-    20 or more of them span more than 3 blocks."""
+    20 or more of them span more than 3 blocks. Half the margins are tied
+    values and signed zeros (``tie_heavy``)."""
     extra = np.concatenate([[0], rng.choice(np.arange(36, 156), size=n - 1, replace=False)])
-    return [random_episode(rng, m, k_max + int(T)) for T in rng.permutation(extra)]
+    return [
+        Episode(mu=tie_heavy(rng, (m, k_max + int(T) + 1)), uid=int(rng.integers(1 << 30)))
+        for T in rng.permutation(extra)
+    ]
 
 
 class TestBlocksEqualOneEpisodeAtATime:
@@ -1095,11 +1101,13 @@ class TestBlocksEqualOneEpisodeAtATime:
         eps = mixed_length_episodes(rng, m, d.K_max, 22)
         assert sum(ep.T - d.K_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         stub = PredictorStub(mode="semantic", scale=0.2, bias=-0.05, ar_coeff=0.5, seed=seed % 97, dictionary=d)
+        true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, d)], axis=1)
+        assert true.tobytes() == np.concatenate([lag_loop_basis_rows(ep.mu, d) for ep in eps], axis=1).tobytes()
         sigma = estimate_sigma(eps, stub, d)
-        assert np.array_equal(sigma, naive_estimate_sigma(eps, stub, d))
+        assert sigma.tobytes() == naive_estimate_sigma(eps, stub, d).tobytes()
         for level in (1, 2):
             got = score_matrix(eps, stub, d, sigma, level, tau_seed=seed % 13)
-            assert np.array_equal(got, naive_score_matrix(eps, stub, d, sigma, level, tau_seed=seed % 13))
+            assert got.tobytes() == naive_score_matrix(eps, stub, d, sigma, level, tau_seed=seed % 13).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

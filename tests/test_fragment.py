@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TIE_VALUES,
     mixed_dictionary,
     naive_compile_history_decoder,
     naive_compile_semantic_decoder,
@@ -262,11 +263,6 @@ class TestDecodeGuards:
 
 def bits(x) -> bytes:
     return np.float64(x).tobytes()
-
-
-# Ties, repeats and both signed zeros, so that an evaluator reducing children
-# in another order or breaking ties another way reads out different bits.
-TIE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5)
 
 
 def hand_built_trees(dim: int):

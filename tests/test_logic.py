@@ -122,6 +122,32 @@ class TestHashing:
         assert looked_up.returncode == 0, looked_up.stderr.decode()
 
 
+class TestKeptPerNode:
+    """A formula object computes its text and its horizon once; compiling
+    it again, for another monitor, walks it no more."""
+
+    def test_text_and_horizon_walk_the_formula_once(self, monkeypatch):
+        f = parse_formula("G[0,2] (p0 | F[1,3] p1) & (p2 | G[0,1] p0)", P)
+        text, h = format_formula(f), horizon(f)
+        calls = []
+
+        def counting(node, real=logic.horizon):
+            calls.append(node)
+            return real(node)
+
+        monkeypatch.setattr(logic, "_fmt", None)  # a second render would fail
+        monkeypatch.setattr(logic, "horizon", counting)
+        for _ in range(3):
+            assert (format_formula(f), logic.horizon(f)) == (text, h)
+        assert all(node is f for node in calls)
+
+    def test_kept_values_stay_out_of_the_pickled_state(self):
+        f = parse_formula("G[0,2] p0 & F[1,3] p1", P)
+        hash(f), format_formula(f), horizon(f)
+        for node in formula_nodes(f):
+            assert set(node.__getstate__()) == set(node.__dataclass_fields__)
+
+
 class TestParser:
     def test_single_predicate(self):
         assert parse_formula("p1", P) == Predicate("p1", 1)

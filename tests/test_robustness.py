@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    lag_fold_windowed_extrema,
+    lag_loop_basis_rows,
     mixed_dictionary,
     naive_robustness,
     naive_windowed_extrema,
@@ -13,13 +15,14 @@ from helpers import (
     random_episode,
     random_interval,
     random_pnf_formula,
+    tie_heavy,
     valid_time,
 )
 import ptmon.robustness as robustness_module
 from ptmon import fragment
 from ptmon.benchmark import DEFAULT_INTERVALS, PREDICATE_NAMES
 from ptmon.fragment import AtomicDictionary, build_depth1_dictionary
-from ptmon.logic import TimeInterval, horizon, parse_formula
+from ptmon.logic import Always, Eventually, Predicate, TimeInterval, horizon, parse_formula
 from ptmon.robustness import (
     BasisKind,
     BasisVector,
@@ -281,3 +284,62 @@ class TestSemanticBasis:
         for _ in range(3):
             semantic_basis_series(ep, d)
         assert calls == {"window_layout": 1}
+
+
+class TestNumpyTieRule:
+    """The sliding-extremum routine passes the older window second and
+    relies on numpy keeping the second argument on a tie; a numpy that
+    breaks ties another way fails here first."""
+
+    @pytest.mark.parametrize("op", [np.minimum, np.maximum], ids=["minimum", "maximum"])
+    @pytest.mark.parametrize("loop", ["contiguous", "strided", "contiguous out=", "strided out="])
+    @pytest.mark.parametrize("second_sign", [1.0, -1.0], ids=["+0 second", "-0 second"])
+    def test_second_argument_kept_on_a_signed_zero_tie(self, op, loop, second_sign):
+        first, second = np.zeros((32, 3)) * -second_sign, np.zeros((32, 3)) * second_sign
+        if loop.startswith("strided"):
+            first, second = first[::3, 1][:10], second[::2, 2][:10]
+        got = op(first, second, out=np.empty(first.shape)) if loop.endswith("out=") else op(first, second)
+        assert np.signbit(got).tolist() == np.signbit(second).tolist(), (
+            f"np.{op.__name__} no longer keeps its second argument on a 0.0/-0.0 tie ({loop} loop). "
+            "robustness._sliding_extrema calls op(later window, older window) so that tied zeros "
+            "resolve to the oldest sample, as a fold over the lags does; that argument order must change."
+        )
+
+
+# Windows of 1, 4, 6, 7 and 13 samples: powers of two and widths between them.
+ODD_WINDOWS = [(0, 0), (0, 3), (0, 5), (0, 6), (0, 12)]
+
+
+class TestSlidingExtremaBitForBit:
+    """Every sliding extremum equals the lag-by-lag fold of ``helpers`` bit
+    for bit (``tobytes``), tied zeros of opposite sign included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.sampled_from(ODD_WINDOWS), st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted)),
+        st.integers(1, 90),
+        st.sampled_from(["min", "max"]),
+    )
+    def test_windowed_extrema_matches_the_lag_fold(self, seed, window, n, mode):
+        x = tie_heavy(np.random.default_rng(seed), n)
+        iv = TimeInterval(*window)
+        got = windowed_extrema(x, iv, mode)
+        assert got.tobytes() == lag_fold_windowed_extrema(x, iv, mode).tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_semantic_basis_matches_the_lag_loop(self, seed, extra_columns):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        # Fallback atoms at random, and windows up to K_max = 64.
+        atoms = list(mixed_dictionary(rng, m).atoms)
+        for b in [*rng.choice(65, size=int(rng.integers(0, 4)), replace=False), *(b for _, b in ODD_WINDOWS)]:
+            k = int(rng.integers(m))
+            atoms.append((Always if rng.random() < 0.5 else Eventually)(TimeInterval(0, int(b)), Predicate(f"p{k}", k)))
+        d = AtomicDictionary(tuple(dict.fromkeys(atoms)), m)
+        mu = tie_heavy(rng, (m, d.K_max + extra_columns + 1))
+        got = semantic_basis_series(Episode(mu=mu), d)
+        assert got.shape == (d.r, extra_columns + 1)
+        assert got.tobytes() == lag_loop_basis_rows(mu, d).tobytes()
