@@ -77,6 +77,7 @@ from .monitors import (
     rolling_certify,
     run_episode,
     run_episodes,
+    run_monitors,
     semantic_certify,
 )
 from .robustness import (
@@ -139,6 +140,7 @@ __all__ = [
     "rolling_certify",
     "run_episode",
     "run_episodes",
+    "run_monitors",
     "sample_level2_time",
     "save_monitor",
     "score_matrix",

@@ -44,7 +44,7 @@ from .conformal import (
 )
 from .logic import Predicate, parse_formula
 from .metrics import (
-    evaluate_monitor,
+    evaluate_monitors,
     horizon_sweep,
     write_report_csv,
     write_report_json,
@@ -254,12 +254,25 @@ def cmd_report(args: argparse.Namespace) -> int:
         pred = Predicate(args.sweep_predicate, names.index(args.sweep_predicate))
         sweep_rows = horizon_sweep(monitors, ks, pred)
 
-    rows = []
+    # Models with one predictor and one basis layout share one pass over the
+    # episodes; rows and notes still come out in --models order.
+    groups: list[list[tuple[str, CalibratedMonitor]]] = []
     for name, mon in monitors.items():
-        stub = _predictor_for_model(mon)
-        mon_rows, errors = evaluate_monitor(
-            name, mon, stub, episodes, formulas, coverage_seed=args.coverage_seed
-        )
+        for group in groups:
+            first = group[0][1]
+            if first.predictor_config == mon.predictor_config and first.basis_spec == mon.basis_spec:
+                group.append((name, mon))
+                break
+        else:
+            groups.append([(name, mon)])
+    evaluated = {}
+    for group in groups:
+        stub = _predictor_for_model(group[0][1])
+        results = evaluate_monitors(group, stub, episodes, formulas, coverage_seed=args.coverage_seed)
+        evaluated.update(zip((name for name, _ in group), results))
+    rows = []
+    for name in monitors:
+        mon_rows, errors = evaluated[name]
         rows.extend(mon_rows)
         for fname, msg in sorted(errors.items()):
             print(f"note: {name} cannot certify {fname!r}: {msg}", file=sys.stderr)

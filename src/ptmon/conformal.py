@@ -306,6 +306,12 @@ class CalibratedMonitor:
         shift.flags.writeable = False
         return shift
 
+    @cached_property
+    def _support_shift(self) -> tuple[tuple[int, float], ...]:
+        """Each support coordinate with its :attr:`shift` as a Python float,
+        for a monitor with a restricted ``support``."""
+        return tuple((i, self.shift.item(i)) for i in sorted(self.support))
+
     def decoder(self, f: Formula) -> Decoder:
         """The decoder reading ``f`` off this monitor's basis layout,
         compiled on the first request and reused afterwards.
@@ -642,13 +648,24 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     The shrunk values are computed once per snapshot and monitor and kept on
     the snapshot, keyed by the monitor, so every formula certified from one
     snapshot shares them. Both are immutable, so the entry never goes stale.
+    A fragment-wide monitor shrinks every coordinate in one numpy
+    subtraction; a restricted one, whose decoders read only its support,
+    subtracts its shift from the support's coordinates of a copy of the
+    snapshot's values as Python floats, listed once per snapshot. Python and
+    numpy subtract floats alike, bit for bit.
     """
     values = predicted.values
     _check_certifiable(mon, predicted.kind, values.shape[0], d)
     # A basis vector is one-dimensional, so the check above covers its shape.
     shrunk = predicted._shrunk.get(mon)
     if shrunk is None:
-        shrunk = predicted._shrunk[mon] = (values - mon.shift).tolist()
+        if mon.support is None:
+            shrunk = (values - mon.shift).tolist()
+        else:
+            shrunk = predicted._floats.copy()
+            for i, shift in mon._support_shift:
+                shrunk[i] -= shift
+        predicted._shrunk[mon] = shrunk
     return d.read(shrunk, min, max)
 
 

@@ -15,9 +15,10 @@ episode:
 
 The episodes' bounds and truth are concatenated into one array each and
 counted at once; level-1 coverage reduces each episode's slice, level-2
-coverage reads each episode's sampled time. :func:`evaluate_monitor`
-draws those times once per monitor, since every formula's bounds span the
-same valid times.
+coverage reads each episode's sampled time. :func:`evaluate_monitors`
+scores several monitors that share one basis layout and one predictor from
+one pass over the episodes, and draws those times once for all of them,
+since every formula's bounds span the same valid times.
 
 The CSV report rounds percentages to one decimal; a JSON sidecar keeps full
 precision. A separate sweep file tabulates the radius of ``G[0,K]`` window
@@ -36,8 +37,8 @@ import numpy as np
 
 from .conformal import CalibratedMonitor, sample_level2_time
 from .fragment import HorizonExceededError
-from .logic import Always, Formula, NotInFragmentError, Predicate, TimeInterval, format_formula
-from .monitors import run_episodes
+from .logic import Always, Formula, NotInFragmentError, Predicate, TimeInterval
+from .monitors import _resolve, _run_resolved
 from .robustness import Episode
 
 
@@ -142,6 +143,54 @@ def _score(lb: np.ndarray, rho: np.ndarray, sizes: np.ndarray, times: np.ndarray
     }
 
 
+def evaluate_monitors(
+    named: Sequence[tuple[str, CalibratedMonitor]],
+    predictor,
+    episodes: Sequence[Episode],
+    formulas: Sequence[Formula],
+    coverage_seed: int = 0,
+) -> list[tuple[list[ReportRow], dict[str, str]]]:
+    """Certify every episode for every formula with each ``(name, monitor)``
+    pair and summarize per monitor and formula, as :func:`compute_metrics`
+    does; one ``(rows, errors)`` pair per monitor, in input order.
+
+    The monitors must read one basis layout through ``predictor``: they
+    share one :func:`~ptmon.monitors.run_monitors` pass, so each episode is
+    predicted and its truth read out once for all of them. A formula listed
+    more than once is certified and reported once, at its first position,
+    and its ``q_phi`` is the radius of the monitor that certified it. Every
+    formula's bounds span the same valid times, so the level-2 monitors
+    draw each episode's coverage time once for all of them.
+    """
+    mons = [mon for _, mon in named]
+    resolutions = [_resolve(mon, formulas) for mon in mons]
+    evaluated = []
+    times = None
+    for (name, mon), (resolved, _), results in zip(
+        named, resolutions, _run_resolved(episodes, predictor, mons, resolutions)
+    ):
+        if not results:
+            evaluated.append(([], {}))
+            continue
+        rows = []
+        for fname, (_, mon_f) in resolved.items():
+            lb, rho, sizes = _pool([r.bounds[fname] for r in results], [r.truth[fname] for r in results])
+            if mon.level != 1 and times is None:
+                times = _level2_times(sizes, mon.k_max, coverage_seed)
+            rows.append(
+                ReportRow(
+                    formula=fname,
+                    monitor=name,
+                    kind=mon.kind,
+                    level=mon.level,
+                    q_phi=mon_f.radius,
+                    **_score(lb, rho, sizes, times if mon.level != 1 else None),
+                )
+            )
+        evaluated.append((rows, results[0].errors))
+    return evaluated
+
+
 def evaluate_monitor(
     name: str,
     mon: CalibratedMonitor,
@@ -150,34 +199,8 @@ def evaluate_monitor(
     formulas: Sequence[Formula],
     coverage_seed: int = 0,
 ) -> tuple[list[ReportRow], dict[str, str]]:
-    """Certify every episode for every formula and summarize per formula,
-    as :func:`compute_metrics` does.
-
-    A formula listed more than once is certified and reported once, at its
-    first position. Every formula's bounds span the same valid times, so a
-    level-2 monitor draws each episode's coverage time once for all of them.
-    """
-    results = run_episodes(episodes, predictor, mon, formulas)
-    if not results:
-        return [], {}
-    distinct = {format_formula(f): f for f in formulas}
-    rows = []
-    times = None
-    for fname in results[0].bounds:
-        lb, rho, sizes = _pool([r.bounds[fname] for r in results], [r.truth[fname] for r in results])
-        if mon.level != 1 and times is None:
-            times = _level2_times(sizes, mon.k_max, coverage_seed)
-        rows.append(
-            ReportRow(
-                formula=fname,
-                monitor=name,
-                kind=mon.kind,
-                level=mon.level,
-                q_phi=mon.monitor_for(distinct[fname]).radius,
-                **_score(lb, rho, sizes, times),
-            )
-        )
-    return rows, results[0].errors
+    """:func:`evaluate_monitors` for one monitor."""
+    return evaluate_monitors([(name, mon)], predictor, episodes, formulas, coverage_seed)[0]
 
 
 def horizon_sweep(

@@ -11,11 +11,14 @@ certified from it: the buffer builds one snapshot per step, and a semantic
 caller passes one :class:`~ptmon.robustness.BasisVector` for all formulas.
 Snapshots and monitors are both immutable, so a shrunk snapshot never
 goes stale.
-:func:`run_episodes` certifies recorded episodes in the blocks of whole
-episodes that calibration reads (one predicted and one true basis per
-block), each formula resolved once and then one
-:func:`ptmon.conformal.certified_lower_bounds` call per block and formula,
-and gives the bounds the streaming functions give step by step.
+:func:`run_monitors` certifies recorded episodes with one or more monitors
+that read one basis layout through one predictor, in the blocks of whole
+episodes that calibration reads: one predicted and one true basis per
+block, shared by all the monitors, and each formula's truth read out once
+per block for all of them. Each monitor resolves each formula once and then
+takes one :func:`ptmon.conformal.certified_lower_bounds` call per block and
+formula, and gives the bounds the streaming functions give step by step.
+:func:`run_episodes` is its one-monitor case.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -220,7 +223,9 @@ class EpisodeResult:
     """Certified bounds for one episode, with ground truth for scoring.
 
     ``bounds[name]`` and ``truth[name]`` hold, for each certified formula,
-    the lower bound and the exact robustness at ``t = k_max .. T``.
+    the lower bound and the exact robustness at ``t = k_max .. T``; the
+    truth arrays are read-only, shared by the results of every monitor
+    certified in the same :func:`run_monitors` pass.
     Formulas the monitor cannot certify (outside the dictionary span, or
     deeper than the history) land in ``errors`` with the reason, and the run
     continues without them.
@@ -248,34 +253,12 @@ class EpisodeResult:
         return self.bounds[name]
 
 
-def run_episodes(
-    episodes: Iterable[Episode],
-    predictor,
-    mon: CalibratedMonitor,
-    formulas: Sequence[Formula],
-) -> list[EpisodeResult]:
-    """Certify recorded episodes for several formulas at once.
+# One monitor's formulas resolved for a run (see :func:`run_monitors`): names
+# to decoder and certifying monitor, and names to the reason they fail.
+_Resolution = tuple[dict[str, tuple[Decoder, CalibratedMonitor]], dict[str, str]]
 
-    Each distinct formula is resolved once, before any episode is read, to
-    ``mon``'s cached decoder and the monitor that
-    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
-    reason it cannot be certified, which every result carries in ``errors``.
-    The episodes are then read in the blocks calibration reads (see
-    :mod:`ptmon.conformal`): whole episodes up to a few hundred basis
-    columns, each prediction checked on its own, the block's true basis
-    built once over its episodes laid end to end, with the columns that
-    straddle two episodes dropped, so it equals the per-episode bases side
-    by side, bit for bit. The predicted block takes one
-    :func:`~ptmon.conformal.certified_lower_bounds` call per formula, and
-    the true block (read-only) is read out by the same decoders with no
-    shift. Each result holds column views of its block's arrays. Blocks,
-    not one matrix for all episodes, keep memory at one block's basis.
-    Every column is decoded on its own, so the bounds are those of one
-    episode at a time, bit for bit.
-    Min and max are exact, so the truth equals each formula's robustness;
-    the bits can differ only in the sign of a zero, where a formula repeats
-    a subformula that its decoder reads once.
-    """
+
+def _resolve(mon: CalibratedMonitor, formulas: Sequence[Formula]) -> _Resolution:
     resolved: dict[str, tuple[Decoder, CalibratedMonitor]] = {}
     errors: dict[str, str] = {}
     for f in formulas:
@@ -286,26 +269,93 @@ def run_episodes(
             resolved[name] = (mon.decoder(f), mon.monitor_for(f))
         except (NotInFragmentError, HorizonExceededError, ValueError) as exc:
             errors[name] = str(exc)
+    return resolved, errors
 
-    results: list[EpisodeResult] = []
-    for predicted, true, widths in _episode_blocks(episodes, predictor, mon.basis_spec):
+
+def run_monitors(
+    episodes: Iterable[Episode],
+    predictor,
+    mons: Sequence[CalibratedMonitor],
+    formulas: Sequence[Formula],
+) -> list[list[EpisodeResult]]:
+    """Certify recorded episodes for several formulas with several monitors
+    that read one basis layout through one predictor; one list of results
+    per monitor, in the order of ``mons``.
+
+    Before any episode is read, monitors whose ``basis_spec`` differ raise
+    ``ValueError``, and each monitor resolves each distinct formula once, to
+    its cached decoder and the monitor that
+    :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
+    reason it cannot be certified, which its results carry in ``errors``.
+    The episodes are then read in the blocks calibration reads (see
+    :mod:`ptmon.conformal`): whole episodes up to a few hundred basis
+    columns, each predicted once and checked on its own, the block's true
+    basis built once over its episodes laid end to end, with the columns
+    that straddle two episodes dropped, so it equals the per-episode bases
+    side by side, bit for bit. Each formula's truth is read off the true
+    block once, read-only, and shared by every monitor's results; each
+    monitor takes one :func:`~ptmon.conformal.certified_lower_bounds` call
+    per formula on the predicted block. Results hold column views of their
+    block's arrays; blocks, not one matrix for all episodes, keep memory at
+    one block's basis. Every column is decoded on its own, so the bounds
+    are those of one monitor and one episode at a time, bit for bit.
+    Min and max are exact, so the truth equals each formula's robustness;
+    the bits can differ only in the sign of a zero, where a formula repeats
+    a subformula that its decoder reads once.
+    """
+    return _run_resolved(episodes, predictor, mons, [_resolve(mon, formulas) for mon in mons])
+
+
+def _run_resolved(
+    episodes: Iterable[Episode],
+    predictor,
+    mons: Sequence[CalibratedMonitor],
+    resolutions: Sequence[_Resolution],
+) -> list[list[EpisodeResult]]:
+    """:func:`run_monitors` with each monitor's formulas already resolved."""
+    spec = mons[0].basis_spec
+    for mon in mons[1:]:
+        if mon.basis_spec != spec:
+            raise ValueError(f"monitors in one pass must share a basis layout, got {spec!r} and {mon.basis_spec!r}")
+    # Decoders compiled from one formula for one layout are the same tree,
+    # so the first monitor that certifies a formula reads its truth for all.
+    truth_decoders: dict[str, Decoder] = {}
+    for resolved, _ in resolutions:
+        for name, (d, _) in resolved.items():
+            truth_decoders.setdefault(name, d)
+
+    results: list[list[EpisodeResult]] = [[] for _ in mons]
+    for predicted, true, widths in _episode_blocks(episodes, predictor, spec):
         # A one-leaf read-out is a row of ``true``; it must not be writable.
         true.flags.writeable = False
-        bounds = {name: certified_lower_bounds(mon_f, predicted, d) for name, (d, mon_f) in resolved.items()}
-        truth = {name: decode_series(d, true) for name, (d, _) in resolved.items()}
-        start = 0
-        for width in widths:
-            cols = slice(start, start + width)
-            start = cols.stop
-            results.append(
-                EpisodeResult(
-                    {name: lb[cols] for name, lb in bounds.items()},
-                    {name: rho[cols] for name, rho in truth.items()},
-                    dict(errors),
-                    mon.k_max,
+        truth = {name: decode_series(d, true) for name, d in truth_decoders.items()}
+        for rho in truth.values():
+            rho.flags.writeable = False
+        stops = np.cumsum(widths).tolist()
+        columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
+        episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
+        for mon, (resolved, errors), out in zip(mons, resolutions, results):
+            bounds = {name: certified_lower_bounds(mon_f, predicted, d) for name, (d, mon_f) in resolved.items()}
+            for cols, rho in zip(columns, episode_truth):
+                out.append(
+                    EpisodeResult(
+                        {name: lb[cols] for name, lb in bounds.items()},
+                        {name: rho[name] for name in resolved},
+                        dict(errors),
+                        mon.k_max,
+                    )
                 )
-            )
     return results
+
+
+def run_episodes(
+    episodes: Iterable[Episode],
+    predictor,
+    mon: CalibratedMonitor,
+    formulas: Sequence[Formula],
+) -> list[EpisodeResult]:
+    """:func:`run_monitors` for one monitor."""
+    return run_monitors(episodes, predictor, [mon], formulas)[0]
 
 
 def run_episode(

@@ -26,6 +26,7 @@ Everything here is pure; an episode keeps its arrays read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Literal, Sequence
 
@@ -115,7 +116,8 @@ class BasisVector:
     never changes once built. Monitors are immutable too, so certification
     keeps each monitor's shrunk values on the snapshot itself (``_shrunk``,
     keyed by the monitor, see :func:`~ptmon.conformal.certified_lower_bound`),
-    and they go away with it.
+    and the values as Python floats for monitors that shrink only their
+    support (``_floats``); they go away with it.
     """
 
     kind: BasisKind
@@ -130,6 +132,12 @@ class BasisVector:
         if not np.isfinite(values).all():
             raise ValueError("basis values contain non-finite entries")
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def _floats(self) -> list[float]:
+        """``values`` as a list of Python floats, built on first use; the
+        monitors that shrink only their support copy it."""
+        return self.values.tolist()
 
 
 # ---------------------------------------------------------------------------

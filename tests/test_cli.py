@@ -1,11 +1,13 @@
 import csv
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ptmon.monitors as monitors
+from ptmon.benchmark import PredictorStub, load_split
 from ptmon.cli import _parse_counts, _parse_int_list, main, read_kv_file
 
 
@@ -327,6 +329,48 @@ class TestReport:
         assert rows == [
             (mon, f) for mon in ("sem", "roll") for f in ("G[0,4] p_clear", "F[0,2] p_f")
         ]
+
+    def test_models_sharing_a_predictor_share_one_pass(self, workspace, tmp_path, monkeypatch):
+        root, ds, noise = workspace
+        formulas = self.formulas_file(tmp_path)
+        # An observer like obs.json, but predicted with another noise seed.
+        reseeded = tmp_path / "noise.txt"
+        reseeded.write_text(noise.read_text().replace("seed = 9", "seed = 10"))
+        assert main([
+            "calibrate", "--dataset", str(ds), "--noise", str(reseeded), "--monitor", "observer",
+            "--formula", "G[0,2] p_f", "--out", str(tmp_path / "reseeded.json"),
+        ]) == 0
+        predictions = Counter()
+        real_predict = PredictorStub.predict
+
+        def counting_predict(self, ep):
+            predictions[ep.uid] += 1
+            return real_predict(self, ep)
+
+        monkeypatch.setattr(PredictorStub, "predict", counting_predict)
+
+        def report(*models):
+            """The JSON rows of a report over ``models``, and how many times
+            each test episode was predicted for it."""
+            predictions.clear()
+            out = tmp_path / "reports" / ("-".join(m.stem for m in models) + ".csv")
+            out.parent.mkdir(exist_ok=True)
+            assert main([
+                "report", "--models", ",".join(map(str, models)), "--dataset", str(ds),
+                "--formulas", str(formulas), "--sweep", "", "--out", str(out),
+            ]) == 0
+            return json.loads(out.with_suffix(".json").read_text()), Counter(predictions.values())
+
+        n_test = len(load_split(ds, "test"))
+        roll, obs, reseeded = root / "roll.json", root / "obs.json", tmp_path / "reseeded.json"
+        alone = {m: report(m)[0] for m in (roll, obs, reseeded)}
+        rows, per_episode = report(roll, obs)
+        assert per_episode == {1: n_test}
+        assert rows == alone[roll] + alone[obs]
+        rows, per_episode = report(roll, reseeded)
+        assert per_episode == {2: n_test}
+        assert rows == alone[roll] + alone[reseeded]
+        assert alone[reseeded] != alone[obs]
 
     def test_sweep_skipped_when_empty(self, workspace, tmp_path):
         root, ds, _ = workspace

@@ -55,6 +55,7 @@ from ptmon.fragment import (
     build_depth1_dictionary,
     compile_history_decoder,
     compile_semantic_decoder,
+    decode_values,
 )
 from ptmon.logic import And, Eventually, Or, Predicate, TimeInterval, format_formula, horizon, parse_formula
 from ptmon.robustness import BasisKind, BasisVector, Episode, semantic_basis_series
@@ -589,6 +590,49 @@ class TestShrinkOnce:
         for _ in range(2):
             assert certified_lower_bound(low, basis, dec) == 1.0
             assert certified_lower_bound(high, basis, dec) == -1.0
+
+
+class TestRestrictedShrink:
+    """A monitor with a restricted support shrinks only the support's
+    coordinates, of the snapshot's values listed once as Python floats."""
+
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_bound_equals_the_full_shrink_bit_for_bit(self, kind):
+        mon, _ = calibrated(kind)
+        d = tiny_dictionary()
+        rng = np.random.default_rng(47)
+        narrow = []
+        for f in (random_fragment_formula(rng, d) for _ in range(12)):
+            copy = mon.for_formula(f)
+            # A shift of -0.0 turns a -0.0 coordinate into 0.0; one of 0.0 keeps it.
+            zero = {"coord_radii": np.full(mon.dim, -0.0)} if kind == "observer" else {"radius": -0.0}
+            narrow += [(f, copy), (f, replace(copy, **zero)), (f, replace(copy, sigma=np.zeros(mon.dim)))]
+        assert all(n.support is not None for _, n in narrow)
+        signed_zeros = 0
+        for _ in range(8):
+            values = tie_heavy(rng, mon.dim)
+            basis = BasisVector(mon.basis_kind, values, mon.k_max)
+            for f, n in narrow:
+                dec = n.decoder(f)
+                got = certified_lower_bound(n, basis, dec)
+                want = decode_values(dec, values - n.shift)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                signed_zeros += got == 0.0 and np.signbit(got)
+            # The shared float list is copied, never shrunk in place.
+            assert basis._floats == values.tolist()
+        assert signed_zeros > 0
+
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_decoder_outside_the_support_is_refused_before_shrinking(self, kind):
+        mon, _ = calibrated(kind)
+        names = tiny_dictionary().predicate_names
+        narrow = mon.for_formula(parse_formula("G[0,1] p0", names))
+        other = narrow.decoder(parse_formula("F[0,2] p1", names))
+        basis = BasisVector(mon.basis_kind, np.zeros(mon.dim), mon.k_max)
+        with pytest.raises(SupportMismatchError):
+            certified_lower_bound(narrow, basis, other)
+        assert narrow not in basis._shrunk and "_floats" not in vars(basis)
 
 
 class TestChecksEveryCall:

@@ -21,6 +21,7 @@ from ptmon.metrics import (
     SweepRow,
     compute_metrics,
     evaluate_monitor,
+    evaluate_monitors,
     horizon_sweep,
     write_report_csv,
     write_report_json,
@@ -199,9 +200,10 @@ class TestEvaluateMonitor:
         rows, errors = evaluate_monitor("obs", obs, stub, episodes, [goal, deep])
         assert [r.formula for r in rows] == ["F[0,4] p_goal"]
         assert list(errors) == ["G[0,8] p_f"]
-        # one specialisation to certify and one for q_phi; the deep formula
+        # one specialisation, whose radius is also q_phi; the deep formula
         # fails to compile once, not once per episode
-        assert specialised["F[0,4] p_goal"] <= 2
+        assert specialised["F[0,4] p_goal"] == 1
+        assert rows[0].q_phi == obs.for_formula(goal).radius
         assert compiles["G[0,8] p_f"] <= 1
 
     def test_level2_times_drawn_once_per_episode_and_one_certification_per_block(self, monkeypatch):
@@ -236,6 +238,70 @@ class TestEvaluateMonitor:
                 [r.bounds[row.formula] for r in results], [r.truth[row.formula] for r in results], 2, mon.k_max, 5
             )
             assert {k: getattr(row, k) for k in summary} == summary
+
+
+def history_group():
+    """A fragment-wide rolling monitor, its copy for one formula and an
+    observer without a score cache, all over one ``(2, 4)`` layout and one
+    predictor, with formulas of which the observer certifies only its own."""
+    names = ("p_f", "p_goal")
+    rng = np.random.default_rng(41)
+    calib = [random_episode(rng, 2, 12, names=names) for _ in range(10)]
+    # Mixed lengths, several blocks.
+    episodes = [random_episode(rng, 2, int(T), names=names) for T in rng.permutation(np.arange(8, 120, 8))]
+    stub = PredictorStub(mode="predicates", scale=0.1, seed=3)
+    own, goal, deep = (parse_formula(t, names) for t in ("G[0,2] p_f", "F[0,4] p_goal", "G[0,8] p_f"))
+    roll = calibrate(calib, stub, ScoreConfig(sigma=np.ones(2 * 5), alpha=0.1, level=2), (2, 4))
+    obs = observer_calibrate(calib, stub, own, 0.1, k_max=4)
+    named = [("roll", roll), ("narrow", roll.for_formula(goal)), ("obs", dataclasses.replace(obs, cache=None))]
+    return named, stub, episodes, [goal, own, deep, goal]
+
+
+class TestEvaluateMonitors:
+    def test_shared_pass_equals_one_monitor_at_a_time(self):
+        named, stub, episodes, formulas = history_group()
+        shared = evaluate_monitors(named, stub, episodes, formulas, coverage_seed=7)
+        alone = [evaluate_monitor(name, mon, stub, episodes, formulas, coverage_seed=7) for name, mon in named]
+        # ``repr`` tells a numpy scalar from a Python float, and -0.0 from 0.0.
+        assert repr(shared) == repr(alone)
+        assert [[r.formula for r in rows] for rows, _ in shared] == [
+            ["F[0,4] p_goal", "G[0,2] p_f"], ["F[0,4] p_goal", "G[0,2] p_f"], ["G[0,2] p_f"]
+        ]
+        assert [sorted(errors) for _, errors in shared] == [
+            ["G[0,8] p_f"], ["G[0,8] p_f"], ["F[0,4] p_goal", "G[0,8] p_f"]
+        ]
+
+    def test_one_prediction_and_one_level2_draw_per_episode_for_the_group(self, monkeypatch):
+        named, stub, episodes, formulas = history_group()
+        draws, predictions = Counter(), Counter()
+        real_draw, real_predict = metrics_module.sample_level2_time, PredictorStub.predict
+
+        def counting_draw(seed, i, *args):
+            draws[i] += 1
+            return real_draw(seed, i, *args)
+
+        def counting_predict(self, ep):
+            predictions[ep.uid] += 1
+            return real_predict(self, ep)
+
+        monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
+        monkeypatch.setattr(PredictorStub, "predict", counting_predict)
+        results = evaluate_monitors(named, stub, episodes, formulas)
+        assert sum(len(rows) for rows, _ in results) == 5
+        assert draws == {i: 1 for i in range(len(episodes))}
+        assert predictions == {ep.uid: 1 for ep in episodes}
+
+    def test_layout_mismatch_raises_before_predicting(self, monkeypatch):
+        named, stub, episodes, formulas = history_group()
+        roll = named[0][1]
+        deeper = dataclasses.replace(roll, k_max=5, sigma=np.ones(2 * 6), cache=None)
+
+        def predicting(self, ep):
+            raise AssertionError("an episode was predicted")
+
+        monkeypatch.setattr(PredictorStub, "predict", predicting)
+        with pytest.raises(ValueError, match="share a basis layout"):
+            evaluate_monitors([*named, ("deeper", deeper)], stub, episodes, formulas)
 
 
 class TestHorizonSweep:

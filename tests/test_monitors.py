@@ -366,6 +366,91 @@ class TestRunEpisodes:
             run_episodes(eps, stub, mon, formulas)
 
 
+def history_group(seed):
+    """One group of history monitors over the ``(2, 3)`` layout and their
+    shared predictor: a fragment-wide rolling monitor, its copy for the
+    first formula and an observer of the first formula without a score
+    cache (so it certifies that formula alone); the formulas, and
+    mixed-length episodes that span several blocks."""
+    mon, stub, _, formulas = case_setup("observer", seed)
+    rng = np.random.default_rng(seed)
+    eps = [random_episode(rng, 2, 8) for _ in range(10)]
+    roll = calibrate(eps, stub, ScoreConfig(sigma=np.ones(2 * 4), alpha=0.1, level=2), (2, 3))
+    mons = [roll, roll.for_formula(formulas[0]), replace(mon, cache=None)]
+    episodes = [random_episode(rng, 2, int(rng.integers(3, 13))) for _ in range(6)]
+    episodes += [random_episode(rng, 2, int(T)) for T in rng.permutation(np.arange(20, 140, 10))]
+    assert sum(ep.T - roll.k_max + 1 for ep in episodes) > 3 * conformal._BLOCK_COLUMNS
+    return mons, stub, episodes, formulas
+
+
+class CountingPredictor:
+    """A predictor that counts its calls per episode."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, Counter()
+
+    def predict(self, ep):
+        self.calls[ep.uid] += 1
+        return self.inner.predict(ep)
+
+
+class TestRunMonitors:
+    def test_shared_pass_equals_one_monitor_at_a_time(self):
+        mons, stub, eps, formulas = history_group(11)
+        alien = parse_formula("G[0,7] p0", ("p0", "p1"))
+        leaf = parse_formula("p0", ("p0", "p1"))
+        formulas = [*formulas, alien, leaf]
+        predictor = CountingPredictor(stub)
+        shared = monitors.run_monitors(eps, predictor, mons, formulas)
+        # Each episode is predicted once for the whole group.
+        assert predictor.calls == Counter({ep.uid: 1 for ep in eps})
+        alone = [run_episodes(eps, stub, mon, formulas) for mon in mons]
+        names = [format_formula(f) for f in formulas]
+        # Only the observer's own formula is certified by every monitor.
+        assert list(shared[2][0].bounds) == [names[0]]
+        assert list(shared[0][0].bounds) == list(shared[1][0].bounds) == [names[0], *names[1:3], names[4]]
+        assert len(shared) == len(mons)
+        for got_results, want_results in zip(shared, alone):
+            assert len(got_results) == len(want_results) == len(eps)
+            for got, want in zip(got_results, want_results):
+                assert got.errors == want.errors and got.k_max == want.k_max
+                for g, w in ((got.bounds, want.bounds), (got.truth, want.truth)):
+                    assert list(g) == list(w)
+                    for name in g:
+                        assert g[name].dtype == w[name].dtype and g[name].shape == w[name].shape
+                        assert g[name].tobytes() == w[name].tobytes()
+        assert names[3] in shared[0][0].errors
+        assert "score cache" in shared[2][0].errors[names[1]]
+        # The group reads one truth array per formula and block.
+        for i in range(len(eps)):
+            truths = [results[i].truth[names[0]] for results in shared]
+            assert truths[0] is truths[1] is truths[2]
+
+    def test_shared_truth_is_read_only(self):
+        mons, stub, eps, formulas = history_group(12)
+        for results in monitors.run_monitors(eps, stub, mons, formulas):
+            for res in results:
+                for rho in res.truth.values():
+                    assert not rho.flags.writeable
+                    with pytest.raises(ValueError):
+                        rho[0] = 1.0
+
+    @pytest.mark.parametrize("other", ["deeper", "wider", "semantic"])
+    def test_layout_mismatch_raises_before_predicting(self, other):
+        mons, stub, eps, formulas = history_group(13)
+        roll = mons[0]
+        if other == "semantic":
+            d = build_depth1_dictionary(2, ((0, 1), (0, 3)))
+            mismatched = replace(roll, kind="semantic", dictionary=d, sigma=np.ones(d.r), cache=None)
+        else:
+            m, k_max = (2, 4) if other == "deeper" else (3, 3)
+            mismatched = replace(roll, m=m, k_max=k_max, sigma=np.ones(m * (k_max + 1)), cache=None)
+        predictor = CountingPredictor(stub)
+        with pytest.raises(ValueError, match="share a basis layout"):
+            monitors.run_monitors(eps, predictor, [*mons, mismatched], formulas)
+        assert not predictor.calls
+
+
 def crossroad_setup(kind, n_formulas=15):
     """Simulated crossroad episodes (their margins hold exact zeros), a
     monitor of ``kind`` over the default dictionary's layout, its predictor
