@@ -19,10 +19,11 @@ recomputed later without touching data or predictor again.
 
 :func:`estimate_sigma`, :func:`score_matrix`, :func:`observer_calibrate`
 and :func:`~ptmon.monitors.run_episodes` read episodes through one
-generator of blocks of whole episodes (:func:`_episode_blocks`): each
-prediction is checked on its own, but the truth and the error matrix are
-computed once per block, with results bit-identical to one episode at a
-time.
+generator of blocks (:func:`_episode_blocks`) of whole episodes or, at
+level 2, of each episode's sampled window of ``k_max + 1`` steps. Each
+episode is predicted whole and its prediction checked on its own, but the
+truth and the error matrix are computed once per block, with results
+bit-identical to one episode at a time.
 """
 
 from __future__ import annotations
@@ -452,51 +453,66 @@ def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
 _BLOCK_COLUMNS = 256
 
 
-def _episode_blocks(episodes: Iterable[Episode], predictor, basis_spec):
-    """The episodes' predicted and true bases side by side, in blocks of
-    whole episodes up to :data:`_BLOCK_COLUMNS` columns (a block always
-    holds at least one episode), each with its episodes' widths. Each
-    prediction is checked on its own (:func:`_prediction`)."""
-    _, k_max, _ = _layout(basis_spec)
-    block: list[tuple[Episode, np.ndarray]] = []
+def _episode_blocks(episodes: Iterable[Episode], predictor, basis_spec, tau_seed: int | None = None):
+    """The episodes' predicted and true bases side by side, in blocks, each
+    with its episodes' widths. Every episode is predicted whole and its
+    prediction checked on its own (:func:`_prediction`).
+
+    Without ``tau_seed`` a block holds whole episodes up to
+    :data:`_BLOCK_COLUMNS` columns. With one (level 2), episode ``i`` enters
+    only as its sampled window: the ``k_max + 1`` steps that end at
+    ``tau = sample_level2_time(tau_seed, i, k_max, ep.T)``, with the
+    prediction's column for ``tau`` (atom columns) or the same steps
+    (per-step predictions), one basis column wide. A window counts its
+    ``k_max + 1`` steps against :data:`_BLOCK_COLUMNS`, so a block's
+    intermediates are no larger than for whole episodes. A block always
+    holds at least one episode.
+    """
+    kind, k_max, _ = _layout(basis_spec)
+    block: list[tuple[np.ndarray, np.ndarray]] = []
     columns = 0
-    for ep in episodes:
-        predicted = _prediction(ep, predictor, basis_spec)
+    for i, ep in enumerate(episodes):
+        mu, predicted = ep.mu, _prediction(ep, predictor, basis_spec)
         width = ep.T - k_max + 1
+        if tau_seed is not None:
+            start = sample_level2_time(tau_seed, i, k_max, ep.T) - k_max
+            mu, width = mu[:, start : start + k_max + 1], k_max + 1
+            predicted = predicted[:, start : start + (1 if kind == "semantic" else width)]
         if block and columns + width > _BLOCK_COLUMNS:
             bases = _block_bases(block, basis_spec)
             # Drop the episodes' own predictions while the block is used.
             block, columns = [], 0
             yield bases
-        block.append((ep, predicted))
+        block.append((mu, predicted))
         columns += width
     if block:
         yield _block_bases(block, basis_spec)
 
 
-def _block_bases(block: list[tuple[Episode, np.ndarray]], basis_spec):
-    """``(predicted, true, widths)`` for a block of episodes and their
-    checked predictions.
+def _block_bases(block: list[tuple[np.ndarray, np.ndarray]], basis_spec):
+    """``(predicted, true, widths)`` for a block of margin arrays (whole
+    episodes or sampled windows) and their checked predictions over the
+    same steps.
 
     The margins (and per-step predictions) are laid end to end along time
     and run once through the basis routine, :func:`~ptmon.robustness._basis_rows`
     or :func:`stack_lags`. Column ``c`` is then the window ending at step
-    ``c + k_max``; the ``k_max`` columns after each episode's last one
+    ``c + k_max``; the ``k_max`` columns after each array's last one
     straddle a boundary and are dropped. Every kept column reads only its
-    own episode, and the doubling of
+    own array, and the doubling of
     :func:`~ptmon.robustness._sliding_extrema` builds a window from the
     same ``np.minimum``/``np.maximum`` calls wherever it starts (an atom
     outside the shared pass is evaluated on its own and tail-aligned, so
-    this holds for it too): the result is the per-episode bases side by
+    this holds for it too): the result is the per-array bases side by
     side, bit for bit.
     """
     kind, k_max, _ = _layout(basis_spec)
-    widths = [ep.T - k_max + 1 for ep, _ in block]
-    # Episode e's columns start e * k_max columns later in the concatenation.
+    widths = [mu.shape[1] - k_max for mu, _ in block]
+    # Array e's columns start e * k_max columns later in the concatenation.
     keep = np.arange(sum(widths)) + k_max * np.repeat(np.arange(len(block)), widths)
     # Truth first: its temporaries are freed before the predictions are
     # stacked, which keeps the block's peak memory (and fresh pages) down.
-    mu = np.concatenate([ep.mu for ep, _ in block], axis=1)
+    mu = np.concatenate([mu for mu, _ in block], axis=1)
     true = (_basis_rows(mu, basis_spec) if kind == "semantic" else stack_lags(mu, k_max))[:, keep]
     predicted = np.concatenate([p for _, p in block], axis=1)
     if kind != "semantic":
@@ -523,31 +539,30 @@ def score_matrix(
     is what makes one matrix reusable for every formula support.
 
     Each block's errors ``max(0, predicted - truth) / sigma`` are formed
-    once (:func:`_episode_blocks`), at level 2 on the sampled columns alone,
-    then cut into the episodes' rows.
+    once (:func:`_episode_blocks`), then cut into the episodes' rows. At
+    level 2 a block holds only each episode's sampled window, so both bases
+    are built for the sampled columns alone.
     """
     return _scores(episodes, predictor, basis_spec, sigma, level, tau_seed, symmetric=False)
 
 
 def _scores(episodes, predictor, basis_spec, sigma, level, tau_seed, symmetric) -> np.ndarray:
     """:func:`score_matrix`, of ``|predicted - truth| / sigma`` when ``symmetric``."""
-    _, k_max, dim = _layout(basis_spec)
+    dim = _layout(basis_spec)[2]
     rows = np.empty((len(episodes), dim), dtype=float)
     i = 0
-    for predicted, true, widths in _episode_blocks(episodes, predictor, basis_spec):
-        starts = np.cumsum([0, *widths[:-1]])
-        if level == 2:
-            # Only each episode's sampled column is scored; its valid times start at k_max.
-            taus = [sample_level2_time(tau_seed, i + e, k_max, w + k_max - 1) for e, w in enumerate(widths)]
-            cols = starts + np.array(taus) - k_max
-            predicted, true = predicted[:, cols], true[:, cols]
+    blocks = _episode_blocks(episodes, predictor, basis_spec, tau_seed if level == 2 else None)
+    for predicted, true, widths in blocks:
+        # At level 2 each episode is one column: its sampled time.
         errs = predicted - true
         if symmetric:
             np.abs(errs, out=errs)
         else:
             np.maximum(0.0, errs, out=errs)
         errs /= sigma[:, None]
-        rows[i : i + len(widths)] = (np.maximum.reduceat(errs, starts, axis=1) if level == 1 else errs).T
+        if level == 1:
+            errs = np.maximum.reduceat(errs, np.cumsum([0, *widths[:-1]]), axis=1)
+        rows[i : i + len(widths)] = errs.T
         i += len(widths)
     return rows
 
@@ -563,10 +578,10 @@ def calibrate(
     """Calibrate a semantic or rolling monitor on held-out episodes.
 
     ``basis_spec`` is an :class:`AtomicDictionary` for the semantic basis or
-    a ``(m, k_max)`` pair for raw predicate history. Scores are computed for
-    every valid time ``t = k_max .. T`` per episode, aggregated per
-    ``cfg.level`` (level 2 samples one time per episode using ``tau_seed``),
-    and the radius is their split quantile over ``cfg.support`` (all
+    a ``(m, k_max)`` pair for raw predicate history. Each episode is scored
+    at every valid time ``t = k_max .. T`` and aggregated by its worst
+    (``cfg.level`` 1), or scored at one time sampled with ``tau_seed``
+    (level 2), and the radius is their split quantile over ``cfg.support`` (all
     coordinates when ``None``). The per-coordinate score matrix is retained
     on the monitor as its score cache.
     """

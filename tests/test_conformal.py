@@ -19,6 +19,7 @@ from helpers import (
     naive_observer_rows,
     naive_radius_for_support,
     naive_score_matrix,
+    naive_true_basis,
     predicate_lag_support,
     random_episode,
     random_fragment_formula,
@@ -1145,8 +1146,10 @@ class TestBlocksEqualOneEpisodeAtATime:
         eps = mixed_length_episodes(rng, m, d.K_max, 22)
         assert sum(ep.T - d.K_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         stub = PredictorStub(mode="semantic", scale=0.2, bias=-0.05, ar_coeff=0.5, seed=seed % 97, dictionary=d)
+        wholes = [lag_loop_basis_rows(ep.mu, d) for ep in eps]
         true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, d)], axis=1)
-        assert true.tobytes() == np.concatenate([lag_loop_basis_rows(ep.mu, d) for ep in eps], axis=1).tobytes()
+        assert true.tobytes() == np.concatenate(wholes, axis=1).tobytes()
+        assert block_truth_at_sampled_times(eps, stub, d, seed % 13) == sampled_columns(wholes, eps, d.K_max, seed % 13)
         sigma = estimate_sigma(eps, stub, d)
         assert sigma.tobytes() == naive_estimate_sigma(eps, stub, d).tobytes()
         for level in (1, 2):
@@ -1164,62 +1167,173 @@ class TestBlocksEqualOneEpisodeAtATime:
         assert sum(ep.T - k_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         stub = PredictorStub(mode="predicates", scale=0.2, bias=0.05, ar_coeff=0.3, seed=seed % 89)
         spec = (m, k_max)
+        wholes = [naive_true_basis(ep, spec) for ep in eps]
+        true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, spec)], axis=1)
+        assert true.tobytes() == np.concatenate(wholes, axis=1).tobytes()
+        assert block_truth_at_sampled_times(eps, stub, spec, seed % 11) == sampled_columns(wholes, eps, k_max, seed % 11)
         sigma = estimate_sigma(eps, stub, spec)
-        assert np.array_equal(sigma, naive_estimate_sigma(eps, stub, spec))
+        assert sigma.tobytes() == naive_estimate_sigma(eps, stub, spec).tobytes()
         for level in (1, 2):
             got = score_matrix(eps, stub, spec, sigma, level, tau_seed=seed % 11)
-            assert np.array_equal(got, naive_score_matrix(eps, stub, spec, sigma, level, tau_seed=seed % 11))
+            assert got.tobytes() == naive_score_matrix(eps, stub, spec, sigma, level, tau_seed=seed % 11).tobytes()
         sigma_p = rng.uniform(0.5, 2.0, size=m)
         mon = observer_calibrate(eps, stub, f, 0.1, sigma_predicates=sigma_p, k_max=k_max, tau_seed=seed % 7)
         want = naive_observer_rows(eps, stub, m, k_max, np.repeat(sigma_p, k_max + 1), seed % 7)
-        assert np.array_equal(mon.cache.matrix, want)
+        assert mon.cache.matrix.tobytes() == want.tobytes()
+
+
+def block_truth_at_sampled_times(eps, predictor, spec, tau_seed) -> bytes:
+    """The true bases of the level-2 blocks (each episode's sampled window),
+    side by side, as bytes."""
+    blocks = conformal._episode_blocks(eps, predictor, spec, tau_seed)
+    return np.concatenate([t for _, t, _ in blocks], axis=1).tobytes()
+
+
+def sampled_columns(wholes, eps, k_max, tau_seed) -> bytes:
+    """Each episode's whole-episode basis column at its sampled level-2
+    time, side by side, as bytes."""
+    taus = [sample_level2_time(tau_seed, i, k_max, ep.T) for i, ep in enumerate(eps)]
+    return np.stack([w[:, tau - k_max] for w, tau in zip(wholes, taus)], axis=1).tobytes()
+
+
+class RecordingPredictor:
+    """A predictor that keeps every episode it is asked to predict."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def predict(self, ep):
+        self.seen.append(ep)
+        return self.inner.predict(ep)
 
 
 class TestTruthOncePerBlock:
     """A calibration builds each block's true basis in one call of the basis
-    routine, not one call per episode."""
+    routine, not one call per episode. At level 2 a block holds each
+    episode's sampled window, the ``k_max + 1`` steps that end at its
+    sampled time; level 1 and ``estimate_sigma`` read whole episodes. Every
+    episode is predicted once, whole, and no call of the basis routine reads
+    more steps than a block of whole episodes does."""
 
-    def count_truth_builds(self, monkeypatch, eps):
+    def record(self, monkeypatch, eps):
+        """Count the blocks and keep what each basis routine call receives:
+        recorded margins as ``truth``, a noisy prediction as ``other``."""
         margins = np.concatenate([ep.mu for ep in eps], axis=1)
-        calls = {"blocks": 0, "truth": 0, "other": 0}
+        calls = {"blocks": 0, "truth": [], "other": []}
         real_blocks = conformal._block_bases
 
         def counting_blocks(*args):
             calls["blocks"] += 1
             return real_blocks(*args)
 
-        def counted(name):
+        def recorded(name):
             real = getattr(conformal, name)
 
             def wrapper(x, *args):
-                # A true block holds only recorded margins; a noisy prediction none.
-                calls["truth" if np.isin(x, margins).all() else "other"] += 1
+                calls["truth" if np.isin(x, margins).all() else "other"].append(np.array(x))
                 return real(x, *args)
 
             monkeypatch.setattr(conformal, name, wrapper)
 
         monkeypatch.setattr(conformal, "_block_bases", counting_blocks)
-        counted("_basis_rows")
-        counted("stack_lags")
+        recorded("_basis_rows")
+        recorded("stack_lags")
         return calls
 
-    def test_semantic_calibrate(self, monkeypatch):
-        d = build_depth1_dictionary(3, ((0, 1), (0, 3)))
+    @staticmethod
+    def laid_end_to_end(arrays, eps, k_max, tau_seed) -> bytes:
+        """One array per episode, side by side: whole, or with a
+        ``tau_seed`` only each episode's sampled window."""
+        if tau_seed is not None:
+            starts = [sample_level2_time(tau_seed, i, k_max, ep.T) - k_max for i, ep in enumerate(eps)]
+            arrays = [a[:, s : s + k_max + 1] for a, s in zip(arrays, starts)]
+        return np.concatenate(arrays, axis=1).tobytes()
+
+    def check(self, calls, predictor, eps, k_max, tau_seed, stacks_predictions):
+        # Each episode is predicted once, as the Episode itself.
+        assert len(predictor.seen) == len(eps) and all(a is b for a, b in zip(predictor.seen, eps))
+        assert 1 < calls["blocks"] < len(eps)
+        assert len(calls["truth"]) == calls["blocks"]
+        got = np.concatenate(calls["truth"], axis=1).tobytes()
+        assert got == self.laid_end_to_end([ep.mu for ep in eps], eps, k_max, tau_seed)
+        if stacks_predictions:
+            assert len(calls["other"]) == calls["blocks"]
+            got = np.concatenate(calls["other"], axis=1).tobytes()
+            predictions = [predictor.inner.predict(ep) for ep in eps]
+            assert got == self.laid_end_to_end(predictions, eps, k_max, tau_seed)
+        else:
+            assert calls["other"] == []
+        # A block of whole episodes holds as many as fit in _BLOCK_COLUMNS
+        # columns; a block of windows counts each window's steps.
+        T = eps[0].T
+        whole_block = conformal._BLOCK_COLUMNS // (T - k_max + 1) * (T + 1)
+        most = max(x.shape[1] for x in calls["truth"] + calls["other"])
+        assert most <= whole_block
+        if tau_seed is not None:
+            assert most <= conformal._BLOCK_COLUMNS
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_semantic_calibrate(self, monkeypatch, level):
+        d = build_depth1_dictionary(3, ((0, 1), (0, 7)))
         rng = np.random.default_rng(30)
         eps = tiny_episodes(rng, d, 40, T=30)
-        stub = PredictorStub(mode="semantic", scale=0.1, seed=3, dictionary=d)
-        calls = self.count_truth_builds(monkeypatch, eps)
-        calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=1), d)
-        assert 1 < calls["blocks"] < len(eps)
-        assert calls == {"blocks": calls["blocks"], "truth": calls["blocks"], "other": 0}
+        predictor = RecordingPredictor(PredictorStub(mode="semantic", scale=0.1, seed=3, dictionary=d))
+        calls = self.record(monkeypatch, eps)
+        calibrate(eps, predictor, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=level), d, tau_seed=5)
+        self.check(calls, predictor, eps, d.K_max, 5 if level == 2 else None, stacks_predictions=False)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_rolling_calibrate(self, monkeypatch, level):
+        rng = np.random.default_rng(32)
+        eps = [random_episode(rng, 2, 30) for _ in range(40)]
+        predictor = RecordingPredictor(PredictorStub(mode="predicates", scale=0.1, seed=3))
+        calls = self.record(monkeypatch, eps)
+        calibrate(eps, predictor, ScoreConfig(sigma=np.ones(2 * 8), alpha=0.1, level=level), (2, 7), tau_seed=5)
+        self.check(calls, predictor, eps, 7, 5 if level == 2 else None, stacks_predictions=True)
 
     def test_observer_calibrate(self, monkeypatch):
         rng = np.random.default_rng(31)
         eps = [random_episode(rng, 2, 30) for _ in range(40)]
-        stub = PredictorStub(mode="predicates", scale=0.1, seed=3)
+        predictor = RecordingPredictor(PredictorStub(mode="predicates", scale=0.1, seed=3))
         f = parse_formula("G[0,2] p0 & F[0,1] p1", ("p0", "p1"))
-        calls = self.count_truth_builds(monkeypatch, eps)
-        observer_calibrate(eps, stub, f, 0.1, k_max=3)
-        assert 1 < calls["blocks"] < len(eps)
-        # One stacking of the block's truth and one of its predictions.
-        assert calls == {"blocks": calls["blocks"], "truth": calls["blocks"], "other": calls["blocks"]}
+        calls = self.record(monkeypatch, eps)
+        observer_calibrate(eps, predictor, f, 0.1, k_max=7, tau_seed=5)
+        self.check(calls, predictor, eps, 7, 5, stacks_predictions=True)
+
+    @pytest.mark.parametrize("mode", ["semantic", "predicates"])
+    def test_estimate_sigma(self, monkeypatch, mode):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 7)))
+        rng = np.random.default_rng(34)
+        eps = tiny_episodes(rng, d, 40, T=30)
+        predictor = RecordingPredictor(PredictorStub(mode=mode, scale=0.1, seed=3, dictionary=d))
+        calls = self.record(monkeypatch, eps)
+        estimate_sigma(eps, predictor, d if mode == "semantic" else (2, 7))
+        self.check(calls, predictor, eps, 7, None, stacks_predictions=mode == "predicates")
+
+
+class TestTooShortEpisodeRefused:
+    """An episode shorter than the basis depth (``T < k_max``) in the middle
+    of the list is refused by every calibration with the same error, before
+    it is predicted; the episodes before it have been predicted."""
+
+    def check_refused(self, predictor, calibrate_episodes):
+        rng = np.random.default_rng(33)
+        eps = [random_episode(rng, 2, 12) for _ in range(6)]
+        eps.insert(3, random_episode(rng, 2, 3))  # T = 3 < k_max = 4
+        with pytest.raises(ValueError, match="episode too short"):
+            calibrate_episodes(eps)
+        assert len(predictor.seen) == 3 and all(a is b for a, b in zip(predictor.seen, eps))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("mode", ["semantic", "predicates"])
+    def test_calibrate(self, mode, level):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 4)))
+        spec = d if mode == "semantic" else (2, 4)
+        cfg = ScoreConfig(sigma=np.ones(d.r if mode == "semantic" else 10), alpha=0.1, level=level)
+        predictor = RecordingPredictor(PredictorStub(mode=mode, scale=0.1, seed=3, dictionary=d))
+        self.check_refused(predictor, lambda eps: calibrate(eps, predictor, cfg, spec, tau_seed=2))
+
+    def test_observer_calibrate(self):
+        f = parse_formula("G[0,2] p0", ("p0", "p1"))
+        predictor = RecordingPredictor(PredictorStub(mode="predicates", scale=0.1, seed=3))
+        self.check_refused(predictor, lambda eps: observer_calibrate(eps, predictor, f, 0.1, k_max=4, tau_seed=2))
