@@ -10,7 +10,9 @@ construction covers, because one basis-wide event implies them all. The
 per-coordinate observer baseline is the same operation with one radius per
 coordinate. :func:`certified_lower_bound` certifies one basis vector,
 shrinking each snapshot once per monitor for all the formulas certified
-from it; :func:`certified_lower_bounds` certifies a whole matrix of them.
+from it; :func:`certified_lower_bounds` certifies a whole matrix of them
+for several formulas, shrinking it once for all their decoders, which read
+it row-major.
 
 Two aggregation levels are supported: per-episode worst time (level 1) and a
 single uniformly sampled time per episode (level 2). The raw per-coordinate
@@ -479,10 +481,12 @@ def _episode_blocks(episodes: Iterable[Episode], predictor, basis_spec, tau_seed
             mu, width = mu[:, start : start + k_max + 1], k_max + 1
             predicted = predicted[:, start : start + (1 if kind == "semantic" else width)]
         if block and columns + width > _BLOCK_COLUMNS:
-            bases = _block_bases(block, basis_spec)
-            # Drop the episodes' own predictions while the block is used.
+            bases = [_block_bases(block, basis_spec)]
+            # Hold neither the episodes' own predictions nor, once popped,
+            # the bases while the block is used: a caller that copies them
+            # frees the originals.
             block, columns = [], 0
-            yield bases
+            yield bases.pop()
         block.append((mu, predicted))
         columns += width
     if block:
@@ -684,14 +688,32 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     return d.read(shrunk, min, max)
 
 
-def certified_lower_bounds(mon: CalibratedMonitor, predicted: np.ndarray, d: Decoder) -> np.ndarray:
+def certified_lower_bounds(
+    mon: CalibratedMonitor, predicted: np.ndarray, decoders: Sequence[Decoder]
+) -> list[np.ndarray]:
     """:func:`certified_lower_bound` for every column of a ``(dim, n)``
-    matrix of predicted bases in the monitor's layout, decoded at once."""
+    matrix of predicted bases in the monitor's layout, one array per decoder
+    of ``decoders``, in their order.
+
+    Every decoder is checked against the monitor and the matrix first; the
+    matrix is then shrunk once, in its own layout, and each decoder reads
+    the shrunk matrix row-major with :func:`~ptmon.fragment.decode_series`,
+    which copies a matrix that is not C-order first, once per decoder: pass
+    a C-order matrix, as :func:`~ptmon.monitors.run_monitors` does. There each
+    run of consecutive rows that a node reads is reduced by one numpy
+    ``reduce`` over the slab: on a tie between ``0.0`` and ``-0.0`` it keeps
+    the later row, as a left fold of ``np.minimum``/``np.maximum`` does,
+    which holds for the element-wise reduction numpy runs over a row-major
+    slab of two or more columns, and a one-column slab is folded. So the
+    bounds equal those of one column at a time, bit for bit.
+    """
     predicted = np.asarray(predicted, dtype=float)
     if predicted.ndim != 2:
         raise BasisMismatchError(f"expected a (dim, n) basis matrix, got shape {predicted.shape}")
-    _check_certifiable(mon, mon.basis_kind, predicted.shape[0], d)
-    return decode_series(d, predicted - mon.shift[:, None])
+    for d in decoders:
+        _check_certifiable(mon, mon.basis_kind, predicted.shape[0], d)
+    shrunk = predicted - mon.shift[:, None]
+    return [decode_series(d, shrunk) for d in decoders]
 
 
 # ---------------------------------------------------------------------------

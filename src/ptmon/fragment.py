@@ -10,10 +10,11 @@ one decoder type serves both basis layouts.
 Decoders are trees of ``leaf`` / ``min`` / ``max`` nodes. They are monotone
 in every coordinate and 1-Lipschitz for the sup norm, which is what makes
 uniform lower bounds on the basis transfer to the decoded value. On its first
-decode a decoder turns its tree into one straight-line Python function,
-:attr:`Decoder.read`, that both the per-step and the batch decode run: with
-the built-in ``min``/``max`` over a list of floats, or with left folds of
-``np.minimum``/``np.maximum`` over the rows of a basis matrix.
+decode a decoder turns its tree into straight-line Python, written by one
+walk of the tree: :attr:`Decoder.read` for one basis vector, with the
+built-in ``min``/``max`` over a list of floats, and
+:attr:`Decoder.read_series` for the columns of a row-major basis matrix,
+which reduces each run of consecutive rows in one numpy call.
 
 Both compilers build their tree first over plain ``int`` leaves and
 ``(op, children)`` tuples, where flattening and dropping repeated children
@@ -24,6 +25,7 @@ cost C-level hashing and comparison; only the surviving nodes become
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -192,11 +194,14 @@ class Decoder:
     node reads its child). The same walk fills ``support``, the
     ``frozenset`` of coordinates the leaves read.
 
-    Decoding runs :attr:`read`, generated once per decoder on its first
-    decode, with one of two reducer pairs: the built-in ``min``/``max`` over
-    a list of floats (:func:`decode_values`), or left folds of
-    ``np.minimum``/``np.maximum`` over the rows of a ``(dim, n)`` matrix
-    (:func:`decode_series`).
+    Decoding runs a function generated once per decoder on its first use:
+    :attr:`read` with the built-in ``min``/``max`` over a list of floats
+    (:func:`decode_values`, and streaming certification), or
+    :attr:`read_series` with ``np.minimum``/``np.maximum`` over the rows of
+    a C-order ``(dim, n)`` matrix (:func:`decode_series`). Both come from
+    the same walk of the tree and give the same values; on a tie between
+    ``0.0`` and ``-0.0`` the built-in ``min``/``max`` keep the first
+    argument and numpy the later one.
     """
 
     root: DecoderNode
@@ -222,9 +227,15 @@ class Decoder:
         object.__setattr__(self, "support", frozenset(support))
 
     def __getstate__(self) -> dict:
-        # The generated read-out is a function without an importable name;
+        # The generated read-outs are functions without an importable name;
         # an unpickled decoder generates its own on first decode.
-        return {k: v for k, v in self.__dict__.items() if k != "read"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_sources", "read", "read_series")}
+
+    @functools.cached_property
+    def _sources(self) -> tuple[str, str]:
+        # Both read-outs' source, from one walk of the tree; each read-out
+        # is compiled on its own first use.
+        return _write_sources(self.root)
 
     @functools.cached_property
     def read(self) -> Callable:
@@ -237,26 +248,67 @@ class Decoder:
         no expression nests and the source holds nothing but ``int``
         indices, ``t<k>`` names and ``lo``/``hi``.
         """
-        lines: list[str] = []
-        names: dict[int, str] = {}
+        return _compiled(self._sources[0], "read")
 
-        def ref(node: DecoderNode) -> str:
-            return f"v[{node.index}]" if isinstance(node, Leaf) else names[id(node)]
+    @functools.cached_property
+    def read_series(self) -> Callable:
+        """The tree as ``read_series(v, lo, hi, lo_run, hi_run)`` over the
+        rows of a C-order ``(dim, n)`` matrix ``v``, from the same walk as
+        :attr:`read`.
 
-        # Reversed, ``_nodes`` puts every child before its parent and
-        # siblings first to last.
-        for node in reversed(list(_nodes(self.root))):
-            if isinstance(node, Leaf):
-                continue
-            args = [ref(c) for c in node.children]
-            op = "lo" if isinstance(node, MinNode) else "hi"
-            expr = args[0] if len(args) == 1 else f"{op}({', '.join(args)})"
-            names[id(node)] = name = f"t{len(lines)}"
-            lines.append(f"    {name} = {expr}\n")
-        source = "def read(v, lo, hi):\n" + "".join(lines) + f"    return {ref(self.root)}\n"
-        namespace: dict = {}
-        exec(source, namespace)
-        return namespace["read"]
+        Each maximal run of two or more consecutive leaf indices ``a .. b-1``
+        among a node's children reads as one slab, ``lo_run(v[a:b])``; a
+        node's arguments are then folded left to right in tree order, one
+        binary ``lo``/``hi`` call per line. A one-leaf tree returns a row of
+        ``v`` itself.
+        """
+        return _compiled(self._sources[1], "read_series")
+
+
+def _write_sources(root: DecoderNode) -> tuple[str, str]:
+    """The source of :attr:`Decoder.read` and of :attr:`Decoder.read_series`,
+    written in one walk of the tree."""
+    lines: list[str] = []
+    series: list[str] = []
+    names: dict[int, str] = {}
+
+    def ref(node: DecoderNode) -> str:
+        return f"v[{node.index}]" if isinstance(node, Leaf) else names[id(node)]
+
+    # Reversed, ``_nodes`` puts every child before its parent and
+    # siblings first to last.
+    for node in reversed(list(_nodes(root))):
+        if isinstance(node, Leaf):
+            continue
+        args = [ref(c) for c in node.children]
+        op = "lo" if isinstance(node, MinNode) else "hi"
+        expr = args[0] if len(args) == 1 else f"{op}({', '.join(args)})"
+        names[id(node)] = name = f"t{len(lines)}"
+        lines.append(f"    {name} = {expr}\n")
+        rows = []
+        for _, run in itertools.groupby(enumerate(node.children), _run_key):
+            run = [c for _, c in run]
+            rows.append(ref(run[0]) if len(run) == 1 else f"{op}_run(v[{run[0].index}:{run[-1].index + 1}])")
+        series.append(f"    {name} = {rows[0]}\n")
+        series += [f"    {name} = {op}({name}, {row})\n" for row in rows[1:]]
+    tail = f"    return {ref(root)}\n"
+    return (
+        "def read(v, lo, hi):\n" + "".join(lines) + tail,
+        "def read_series(v, lo, hi, lo_run, hi_run):\n" + "".join(series) + tail,
+    )
+
+
+def _run_key(item: tuple[int, DecoderNode]):
+    # Leaves whose indices grow by one from one child to the next share a
+    # key; every other child has a key of its own.
+    position, node = item
+    return node.index - position if isinstance(node, Leaf) else item
+
+
+def _compiled(source: str, name: str) -> Callable:
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace[name]
 
 
 # The intermediate a compiler builds first: a leaf is its ``int``
@@ -355,12 +407,20 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
 # ---------------------------------------------------------------------------
 
 
-def _fold(op: np.ufunc) -> Callable[..., np.ndarray]:
-    """``op`` reduced over its arguments left to right."""
-    return lambda *rows: functools.reduce(op, rows)
+def _run(op: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
+    """``op`` reduced over the rows of a C-order slab, first to last.
+
+    With two or more columns numpy runs an axis-0 ``reduce`` as one
+    element-wise ``op(accumulator, row)`` per row, the left fold itself,
+    which on a tie between ``0.0`` and ``-0.0`` keeps the later row. With
+    one column the slab is contiguous along the axis, and numpy takes a
+    vectorised reduction that may keep another of the tied zeros, so one
+    column is folded row by row.
+    """
+    return lambda slab: op.reduce(slab, axis=0) if slab.shape[1] > 1 else functools.reduce(op, slab)
 
 
-_ROWS_MIN, _ROWS_MAX = _fold(np.minimum), _fold(np.maximum)
+_RUN_MIN, _RUN_MAX = _run(np.minimum), _run(np.maximum)
 
 
 def decode(d: Decoder, basis: BasisVector) -> float:
@@ -385,13 +445,22 @@ def decode_values(d: Decoder, values: np.ndarray) -> float:
 
 
 def decode_series(d: Decoder, values: np.ndarray) -> np.ndarray:
-    """Decode every column of a ``(dim, n)`` basis matrix at once."""
-    values = np.asarray(values, dtype=float)
+    """Decode every column of a ``(dim, n)`` basis matrix at once.
+
+    The matrix is read row-major (:attr:`Decoder.read_series`), copied to C
+    order first unless it is already, and the result is a new array that
+    holds no reference to it. Each column's value equals, bit for bit, the
+    left fold of ``np.minimum``/``np.maximum`` over every node's children in
+    tree order, whatever the input's layout (see :func:`_run`).
+    """
+    values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != d.dim:
         raise BasisMismatchError(
             f"decoder expects ({d.dim}, n) columns, got shape {values.shape}"
         )
-    return d.read(values, _ROWS_MIN, _ROWS_MAX)
+    out = d.read_series(values, np.minimum, np.maximum, _RUN_MIN, _RUN_MAX)
+    # A one-leaf read-out is a row of ``values``.
+    return out if out.base is None else out.copy()
 
 
 # ---------------------------------------------------------------------------

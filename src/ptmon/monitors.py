@@ -15,10 +15,12 @@ goes stale.
 that read one basis layout through one predictor, in the blocks of whole
 episodes that calibration reads: one predicted and one true basis per
 block, shared by all the monitors, and each formula's truth read out once
-per block for all of them. Each monitor resolves each formula once and then
-takes one :func:`ptmon.conformal.certified_lower_bounds` call per block and
-formula, and gives the bounds the streaming functions give step by step.
-:func:`run_episodes` is its one-monitor case.
+per block for all of them. Each monitor resolves each formula once and
+groups its formulas by the monitor that certifies them; each group takes
+one :func:`ptmon.conformal.certified_lower_bounds` call per block, which
+shrinks the block once into a row-major matrix and decodes every formula
+of the group from it. The bounds are those the streaming functions give
+step by step. :func:`run_episodes` is its one-monitor case.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -292,13 +294,17 @@ def run_monitors(
     columns, each predicted once and checked on its own, the block's true
     basis built once over its episodes laid end to end, with the columns
     that straddle two episodes dropped, so it equals the per-episode bases
-    side by side, bit for bit. Each formula's truth is read off the true
-    block once, read-only, and shared by every monitor's results; each
-    monitor takes one :func:`~ptmon.conformal.certified_lower_bounds` call
-    per formula on the predicted block. Results hold column views of their
-    block's arrays; blocks, not one matrix for all episodes, keep memory at
-    one block's basis. Every column is decoded on its own, so the bounds
-    are those of one monitor and one episode at a time, bit for bit.
+    side by side, bit for bit. Both blocks are read row-major (C order).
+    Each formula's truth is read off the true block once, read-only, and
+    shared by every monitor's results. Each monitor's formulas are grouped
+    by their certifying monitor (one group for a fragment-wide semantic or
+    rolling monitor, one per formula for a specialised observer), and each
+    group takes one :func:`~ptmon.conformal.certified_lower_bounds` call on
+    the predicted block: one shrink, then one decode per formula. Results
+    hold column views of each formula's bound and truth arrays, not of a
+    block's basis; blocks, not one matrix for all episodes, keep memory at
+    one block's basis. The bounds are those of one monitor and one episode
+    at a time, bit for bit.
     Min and max are exact, so the truth equals each formula's robustness;
     the bits can differ only in the sign of a zero, where a formula repeats
     a subformula that its decoder reads once.
@@ -323,23 +329,36 @@ def _run_resolved(
     for resolved, _ in resolutions:
         for name, (d, _) in resolved.items():
             truth_decoders.setdefault(name, d)
+    # Each monitor's formulas grouped by the monitor that certifies them: one
+    # group for a fragment-wide monitor, one per formula for a specialised one.
+    groups: list[list[tuple[CalibratedMonitor, list[str], list[Decoder]]]] = []
+    for resolved, _ in resolutions:
+        by_monitor: dict[int, tuple[CalibratedMonitor, list[str], list[Decoder]]] = {}
+        for name, (d, mon_f) in resolved.items():
+            _, names, decoders = by_monitor.setdefault(id(mon_f), (mon_f, [], []))
+            names.append(name)
+            decoders.append(d)
+        groups.append(list(by_monitor.values()))
 
     results: list[list[EpisodeResult]] = [[] for _ in mons]
     for predicted, true, widths in _episode_blocks(episodes, predictor, spec):
-        # A one-leaf read-out is a row of ``true``; it must not be writable.
-        true.flags.writeable = False
+        # Read row-major: ``_block_bases`` hands both over column-major, and
+        # each shrink of a row-major ``predicted`` is row-major too.
+        predicted, true = np.ascontiguousarray(predicted), np.ascontiguousarray(true)
         truth = {name: decode_series(d, true) for name, d in truth_decoders.items()}
         for rho in truth.values():
             rho.flags.writeable = False
         stops = np.cumsum(widths).tolist()
         columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
         episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
-        for mon, (resolved, errors), out in zip(mons, resolutions, results):
-            bounds = {name: certified_lower_bounds(mon_f, predicted, d) for name, (d, mon_f) in resolved.items()}
+        for mon, (resolved, errors), mon_groups, out in zip(mons, resolutions, groups, results):
+            bounds: dict[str, np.ndarray] = {}
+            for mon_f, names, decoders in mon_groups:
+                bounds.update(zip(names, certified_lower_bounds(mon_f, predicted, decoders)))
             for cols, rho in zip(columns, episode_truth):
                 out.append(
                     EpisodeResult(
-                        {name: lb[cols] for name, lb in bounds.items()},
+                        {name: bounds[name][cols] for name in resolved},
                         {name: rho[name] for name in resolved},
                         dict(errors),
                         mon.k_max,

@@ -342,6 +342,36 @@ class TestDatasetIO:
             assert ep.mu.tobytes() == regen.mu.tobytes()
             assert ep.states.tobytes() == regen.states.tobytes()
 
+    def test_episodes_hold_read_only_copies_of_their_rows(self, tmp_path):
+        out = generate_dataset(CrossroadConfig(T=6), {"calib": 3}, seed=3, out_dir=tmp_path / "ds")
+        calib = load_split(out, "calib")
+        table = np.load(out / "calib.npy")
+        m = calib[0].m
+        for ep, row in zip(calib, table):
+            # The layout an ``Episode`` built from the row would have.
+            assert ep.mu.flags.f_contiguous and ep.states.flags.c_contiguous
+            assert ep.mu.tobytes("A") == row[:, -m:].T.tobytes("F")
+            for data in (ep.mu, ep.states):
+                assert data.flags.owndata and not data.flags.writeable
+                with pytest.raises(ValueError):
+                    data[0, 0] = 1.0
+        assert not np.shares_memory(calib[0].mu, calib[1].mu)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_margin_rejected_wherever_it_is(self, tmp_path, row):
+        out = generate_dataset(CrossroadConfig(T=6), {"calib": 3}, seed=3, out_dir=tmp_path / "ds")
+        path = out / "calib.npy"
+        table = np.load(path)
+        table[row, 4, -1] = np.nan
+        np.save(path, table)
+        with pytest.raises(ValueError, match="mu contains non-finite values"):
+            load_split(out, "calib")
+        # States are carried, not checked, as before.
+        table[row, 4, -1] = 0.0
+        table[row, 4, 0] = np.inf
+        np.save(path, table)
+        assert np.isinf(load_split(out, "calib")[row].states[4, 0])
+
     def test_table_row_count_disagreeing_with_manifest_rejected(self, tmp_path):
         cfg = CrossroadConfig(T=20)
         out = generate_dataset(cfg, {"calib": 3}, seed=3, out_dir=tmp_path / "ds")

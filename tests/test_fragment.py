@@ -32,6 +32,7 @@ from ptmon.logic import (
     NotInFragmentError,
     Or,
     Predicate,
+    TimeInterval,
     format_formula,
     horizon,
     parse_formula,
@@ -290,6 +291,20 @@ def decoders(draw):
     return Decoder(draw(hand_built_trees(6)), BasisKind.SEMANTIC, 6, "hand-built", 0)
 
 
+# Column counts on both sides of numpy's vector widths.
+SERIES_WIDTHS = (1, 2, 7, 8, 17, 64, 300)
+
+
+def long_window_decoder(rng, alone=False):
+    """A history decoder of a window that unrolls into a run of 17 to 39
+    rows, alone or beside a random formula."""
+    a, width, k = int(rng.integers(0, 5)), int(rng.integers(17, 40)), int(rng.integers(2))
+    f = (Always if rng.random() < 0.5 else Eventually)(TimeInterval(a, a + width - 1), Predicate(f"p{k}", k))
+    if not alone:
+        f = (And if rng.random() < 0.5 else Or)(f, random_pnf_formula(rng, 2, depth=3, max_b=12))
+    return compile_history_decoder(f, 2, horizon(f) + int(rng.integers(0, 2)))
+
+
 class TestReadOut:
     @settings(max_examples=150, deadline=None)
     @given(decoders(), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -310,6 +325,55 @@ class TestReadOut:
             # -0.0 the built-in min/max keep the first argument and numpy's
             # ufuncs the second, so only the sign of a zero may differ.
             assert series[j] == got
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", SERIES_WIDTHS)
+    def test_series_read_out_is_the_fold_in_every_layout(self, n, layout):
+        # Runs of consecutive rows are reduced in one numpy call each; the
+        # result is the left fold, bit for bit, in C order, in F order and
+        # on a view of every second column. The values are signed zeros,
+        # all or most of them, so nearly every run ends in a tie.
+        rng = np.random.default_rng(n)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 3), (1, 2)))
+        for i in range(40):
+            if i % 4 == 0:
+                dec = compile_semantic_decoder(random_fragment_formula(rng, d), d)
+            elif i % 4 == 1:
+                dec = compile_history_decoder(random_pnf_formula(rng, 2, depth=4, max_b=6), 2, 30)
+            else:
+                # A lone window's read-out is one run, so its tie shows.
+                dec = long_window_decoder(rng, alone=i % 4 == 2)
+            shape = (dec.dim, 2 * n)
+            for zeros in (1.0, 0.9):
+                zero = rng.random(shape) < zeros
+                matrix = np.where(zero, rng.choice([0.0, -0.0], shape), rng.choice(TIE_VALUES, shape))
+                values = {"C": matrix[:, :n].copy(), "F": np.asfortranarray(matrix[:, :n]),
+                          "strided": matrix[:, ::2]}[layout]
+                series = decode_series(dec, values)
+                assert series.shape == (n,) and series.flags.owndata
+                assert series.tobytes() == naive_decode_series(dec.root, values).tobytes(), dec.formula
+
+    def test_series_source_reads_runs_of_rows_as_slabs(self, monkeypatch):
+        sources = []
+
+        def recording(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(fragment, "exec", recording, raising=False)
+        tree = MaxNode((Leaf(4), Leaf(5), Leaf(6), MinNode((Leaf(0), Leaf(1))), Leaf(3), Leaf(2), Leaf(3)))
+        dec = Decoder(tree, BasisKind.SEMANTIC, 7, "hand-built", 0)
+        x = np.arange(14.0).reshape(7, 2)
+        assert decode_series(dec, x).tolist() == [12.0, 13.0]
+        assert sources == [
+            "def read_series(v, lo, hi, lo_run, hi_run):\n"
+            "    t0 = lo_run(v[0:2])\n"
+            "    t1 = hi_run(v[4:7])\n"
+            "    t1 = hi(t1, t0)\n"
+            "    t1 = hi(t1, v[3])\n"
+            "    t1 = hi(t1, hi_run(v[2:4]))\n"
+            "    return t1\n"
+        ]
 
     def test_source_is_straight_line(self, monkeypatch):
         sources = []
@@ -334,10 +398,23 @@ class TestReadOut:
         f = parse_formula("G[0,2] p0 | F[0,1] p1", ("p0", "p1"))
         dec = compile_history_decoder(f, 2, 2)
         x = np.random.default_rng(1).normal(size=dec.dim)
-        want = decode_values(dec, x)
+        want, want_series = decode_values(dec, x), decode_series(dec, x[:, None])
         back = pickle.loads(pickle.dumps(dec))
         assert back == dec
         assert decode_values(back, x) == want
+        assert decode_series(back, x[:, None]).tobytes() == want_series.tobytes()
+
+    def test_both_read_outs_come_from_one_walk_of_the_tree(self, monkeypatch):
+        walks = []
+        write = fragment._write_sources
+        monkeypatch.setattr(fragment, "_write_sources", lambda root: walks.append(root) or write(root))
+        dec = compile_history_decoder(parse_formula("G[0,2] p0 | F[0,1] p1", ("p0", "p1")), 2, 2)
+        x = np.random.default_rng(1).normal(size=dec.dim)
+        decode_values(dec, x)
+        decode_series(dec, x[:, None])
+        decode_values(dec, x)
+        assert walks == [dec.root]
+        assert "_sources" not in dec.__getstate__()
 
 
 class TestDecoderValidation:

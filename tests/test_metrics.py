@@ -214,23 +214,32 @@ class TestEvaluateMonitor:
         assert all(ep.T - mon.k_max + 1 == cols for ep in test_eps)
         # Two episodes fit a block, so the five episodes take three blocks.
         monkeypatch.setattr(conformal, "_BLOCK_COLUMNS", 2 * cols + 1)
-        draws, certifications = Counter(), Counter()
+        draws, certifications, decodes = Counter(), Counter(), Counter()
         real_draw, real_certify = metrics_module.sample_level2_time, monitors.certified_lower_bounds
+        real_decode = conformal.decode_series
 
         def counting_draw(seed, i, *args):
             draws[i] += 1
             return real_draw(seed, i, *args)
 
-        def counting_certify(mon_f, predicted, decoder):
-            certifications[decoder.formula] += 1
-            return real_certify(mon_f, predicted, decoder)
+        def counting_certify(mon_f, predicted, decoders):
+            certifications[mon_f is mon, tuple(d.formula for d in decoders)] += 1
+            return real_certify(mon_f, predicted, decoders)
+
+        def counting_decode(d, values):
+            decodes[d.formula] += 1
+            return real_decode(d, values)
 
         monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
         monkeypatch.setattr(monitors, "certified_lower_bounds", counting_certify)
+        monkeypatch.setattr(conformal, "decode_series", counting_decode)
         rows, errors = evaluate_monitor("semL2", mon, stub, test_eps, formulas, coverage_seed=5)
         assert not errors and len(rows) == len(formulas)
         assert draws == {i: 1 for i in range(len(test_eps))}
-        assert certifications == {format_formula(f): 3 for f in formulas}
+        # The fragment-wide monitor certifies all formulas in one call per
+        # block, which decodes each formula once.
+        assert certifications == {(True, tuple(format_formula(f) for f in formulas)): 3}
+        assert decodes == {format_formula(f): 3 for f in formulas}
         # The shared draw is the one ``compute_metrics`` makes per formula.
         results = monitors.run_episodes(test_eps, stub, mon, formulas)
         for row in rows:

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -328,20 +330,41 @@ class TestRunEpisodes:
         eps += [random_episode(rng, 2, int(T)) for T in rng.permutation(np.arange(20, 140, 10))]
         assert sum(ep.T - mon.k_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         alien = parse_formula("G[0,7] p0", ("p0", "p1"))
-        # A one-leaf read-out is a row of the block's read-only true basis.
+        # A one-leaf read-out copies a row of the block's basis.
         leaf = parse_formula("G[0,1] p0" if case.startswith("semantic") else "p0", ("p0", "p1"))
         formulas = [*formulas, alien, leaf]
-        calls = Counter()
-        real = monitors.certified_lower_bounds
+        names = list(dict.fromkeys(format_formula(f) for f in formulas if f is not alien))
+        blocks, calls, decodes = Counter(), Counter(), Counter()
+        real_blocks, real_certify = conformal._block_bases, monitors.certified_lower_bounds
+        real_decode = conformal.decode_series
 
-        def counting(mon_f, predicted, decoder):
-            calls[decoder.formula] += 1
-            return real(mon_f, predicted, decoder)
+        def counting_blocks(*args):
+            blocks["block"] += 1
+            return real_blocks(*args)
 
+        def counting(mon_f, predicted, decoders):
+            calls[mon_f is mon, tuple(d.formula for d in decoders)] += 1
+            return real_certify(mon_f, predicted, decoders)
+
+        def counting_decodes(d, values):
+            decodes[d.formula] += 1
+            return real_decode(d, values)
+
+        monkeypatch.setattr(conformal, "_block_bases", counting_blocks)
         monkeypatch.setattr(monitors, "certified_lower_bounds", counting)
+        monkeypatch.setattr(conformal, "decode_series", counting_decodes)
         batch = run_episodes(eps, stub, mon, formulas)
-        n_blocks = calls[format_formula(leaf)]
-        assert n_blocks > 3 and set(calls.values()) == {n_blocks}
+        n_blocks = blocks["block"]
+        assert n_blocks > 3
+        # One certification per certifying monitor and block: the whole
+        # fragment-wide monitor at once, or the observer's own formula and a
+        # specialisation per other formula; one decode per formula and block.
+        if case == "observer":
+            want = {(name == mon.formula, (name,)): n_blocks for name in names}
+        else:
+            want = {(True, tuple(names)): n_blocks}
+        assert calls == want
+        assert decodes == {name: n_blocks for name in names}
         singles = [run_episode(ep, stub, mon, formulas) for ep in eps]
         assert len(batch) == len(eps)
         for b, one in zip(batch, singles):
@@ -356,6 +379,32 @@ class TestRunEpisodes:
                     assert got[name].flags.writeable == want[name].flags.writeable
             assert not b.truth[format_formula(leaf)].flags.writeable
         assert batch[0].errors is not batch[1].errors
+
+    @pytest.mark.parametrize("case", ["semantic-level2", "rolling", "observer"])
+    def test_results_keep_no_reference_to_a_shrunk_block(self, case, monkeypatch):
+        # A one-leaf bound is a copied row: the results hold the bound arrays
+        # only, not the matrix each block was shrunk into.
+        mon, stub, _, formulas = case_setup(case, 7)
+        rng = np.random.default_rng(7)
+        eps = [random_episode(rng, 2, int(T)) for T in (40, 90, 130, 60, 110)]
+        leaf = parse_formula("G[0,1] p0" if case.startswith("semantic") else "p0", ("p0", "p1"))
+        shrunk = []
+        real = conformal.decode_series
+
+        def recording(d, values):
+            shrunk.append(weakref.ref(values))
+            return real(d, values)
+
+        monkeypatch.setattr(conformal, "decode_series", recording)
+        gc.disable()
+        try:
+            results = run_episodes(eps, stub, mon, [*formulas, leaf])
+            alive = sum(ref() is not None for ref in shrunk)
+        finally:
+            gc.enable()
+        assert len(shrunk) >= 2 * len(formulas) + 2
+        assert alive == 0
+        assert len(results) == len(eps) and format_formula(leaf) in results[0].bounds
 
     def test_short_episode_in_the_middle_raises(self):
         mon, stub, _, formulas = case_setup("rolling", 8)

@@ -287,9 +287,11 @@ class TestSemanticBasis:
 
 
 class TestNumpyTieRule:
-    """The sliding-extremum routine passes the older window second and
-    relies on numpy keeping the second argument on a tie; a numpy that
-    breaks ties another way fails here first."""
+    """Two routines rely on numpy keeping the later operand on a 0.0/-0.0
+    tie: the sliding-extremum routine, which passes the older window
+    second, and the decoders' series read-out, which reduces each run of
+    consecutive rows along axis 0. A numpy that breaks ties another way
+    fails here first."""
 
     @pytest.mark.parametrize("op", [np.minimum, np.maximum], ids=["minimum", "maximum"])
     @pytest.mark.parametrize("loop", ["contiguous", "strided", "contiguous out=", "strided out="])
@@ -304,6 +306,21 @@ class TestNumpyTieRule:
             "robustness._sliding_extrema calls op(later window, older window) so that tied zeros "
             "resolve to the oldest sample, as a fold over the lags does; that argument order must change."
         )
+
+
+    @pytest.mark.parametrize("op", [np.minimum, np.maximum], ids=["minimum", "maximum"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 17, 64, 300])
+    def test_axis0_reduce_of_a_row_major_slab_keeps_the_last_tied_row(self, op, n):
+        rng = np.random.default_rng(n)
+        for rows in (2, 3, 8, 17, 40) * 5:
+            slab = rng.choice([0.0, -0.0], size=(rows, n))
+            assert slab.flags.c_contiguous
+            got = op.reduce(slab, axis=0)
+            assert np.signbit(got).tolist() == np.signbit(slab[-1]).tolist(), (
+                f"np.{op.__name__}.reduce(axis=0) over a C-order slab of {n} columns no longer keeps the "
+                "last of tied zeros. fragment.decode_series reduces each run of consecutive rows this way "
+                "and relies on it equalling the left fold over the rows."
+            )
 
 
 # Windows of 1, 4, 6, 7 and 13 samples: powers of two and widths between them.
