@@ -234,8 +234,11 @@ class CalibratedMonitor:
     builds its copies without the frozen ``__init__``: it copies the
     fields' values into a fresh instance and sets the changed ones.
     :meth:`decoder` compiles each formula once per monitor and keeps the
-    result; a copy starts with none, and computes its own :attr:`shift`,
-    :attr:`dim` and :attr:`basis_kind`.
+    result. A :meth:`for_formula` copy starts with its parent's decoder for
+    the formula, whose support is the copy's ``support`` (decoders are
+    immutable, so sharing one is safe); a :func:`dataclasses.replace` copy
+    starts with none. Either computes its own :attr:`shift`, :attr:`dim`
+    and :attr:`basis_kind`.
     """
 
     kind: str
@@ -345,29 +348,30 @@ class CalibratedMonitor:
         decoder = self.decoder(f)
         support, name = decoder.support, decoder.formula
         if self.kind != "observer":
-            return self._specialised(support=support, formula=name,
+            return self._specialised(f, decoder, support=support, formula=name,
                                      radius=radius_for_support(self.cache, support, self.alpha))
         idx = sorted(support)
         quantiles = self.cache.column_quantiles(idx, self.alpha / len(idx))
         coord_radii = np.zeros(self.dim)
         coord_radii[idx] = quantiles
         coord_radii.flags.writeable = False  # nothing else holds it: no copy needed
-        return self._specialised(support=support, formula=name, coord_radii=coord_radii,
+        return self._specialised(f, decoder, support=support, formula=name, coord_radii=coord_radii,
                                  radius=float(quantiles.max()))
 
-    def _specialised(self, **changes) -> "CalibratedMonitor":
+    def _specialised(self, f: Formula, decoder: Decoder, **changes) -> "CalibratedMonitor":
         """This monitor with ``changes`` applied, for :meth:`for_formula`.
 
         Like :func:`dataclasses.replace` without the frozen ``__init__``,
         which sets each field through ``object.__setattr__`` and costs about
         10 µs a copy; ``changes`` must be values :meth:`__post_init__`
-        would keep as they are. The copy's cached properties and decoders
-        start empty.
+        would keep as they are. The copy's cached properties start empty;
+        its decoders start with this monitor's ``decoder`` for ``f``, which
+        is immutable and reads the copy's layout.
         """
         copy = object.__new__(type(self))
         state = vars(copy)
         state.update({name: getattr(self, name) for name in _FIELDS})
-        state.update(changes, _decoders={})
+        state.update(changes, _decoders={f: decoder})
         return copy
 
     def monitor_for(self, f: Formula) -> "CalibratedMonitor":
@@ -662,7 +666,13 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
 
     Requires matching basis kind and dimension, and — when the monitor was
     calibrated on a restricted support — that the decoder reads only inside
-    that support.
+    that support. Each input is checked where it can change: the decoder
+    against the monitor on every call (a few attribute compares; the support
+    test is an identity check for the decoder a :meth:`~CalibratedMonitor.for_formula`
+    copy was made with, a subset test otherwise), and the snapshot against
+    the monitor once, before its shrink is stored. :func:`_check_certifiable`
+    builds the error when a test fails, before anything is shrunk, so every
+    mismatch raises as if all three were checked on every call.
 
     The shrunk values are computed once per snapshot and monitor and kept on
     the snapshot, keyed by the monitor, so every formula certified from one
@@ -673,12 +683,22 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     snapshot's values as Python floats, listed once per snapshot. Python and
     numpy subtract floats alike, bit for bit.
     """
-    values = predicted.values
-    _check_certifiable(mon, predicted.kind, values.shape[0], d)
-    # A basis vector is one-dimensional, so the check above covers its shape.
+    support = mon.support
+    if not (
+        d.basis_kind is mon.basis_kind
+        and d.dim == mon.dim
+        and (support is None or d.support is support or d.support <= support)
+    ):
+        _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
     shrunk = predicted._shrunk.get(mon)
     if shrunk is None:
-        if mon.support is None:
+        # Only a snapshot that matches the monitor is memoised, so a memoised
+        # one needs no second look. A basis vector is one-dimensional, so its
+        # length is its shape.
+        values = predicted.values
+        if predicted.kind is not mon.basis_kind or values.shape[0] != mon.dim:
+            _check_certifiable(mon, predicted.kind, values.shape[0], d)
+        if support is None:
             shrunk = (values - mon.shift).tolist()
         else:
             shrunk = predicted._floats.copy()

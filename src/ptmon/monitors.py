@@ -29,9 +29,12 @@ calibration assumed (the first ``k_max`` steps, or after a dropped
 prediction empties the buffer). A :class:`MonitorVerdict` is a
 :class:`~typing.NamedTuple`, an immutable record that builds in less than
 half the time of a frozen dataclass: it unpacks as
-``t, formula, lb, label`` and equals the plain tuple of its fields. Every
-certification call still checks the monitor, decoder and snapshot against
-each other; the monitor's layout (``basis_kind``, ``dim``) is computed once
+``t, formula, lb, label`` and equals the plain tuple of its fields; the
+streaming functions build each verdict in one step. Every certification
+call checks the decoder against the monitor, and each snapshot is checked
+against a monitor before the monitor's shrink of it is stored (see
+:func:`~ptmon.conformal.certified_lower_bound`), so a mismatch raises on
+every call; the monitor's layout (``basis_kind``, ``dim``) is computed once
 per monitor, like its ``shift``.
 
 Verdict streams serialize as line-delimited JSON ``{t, formula, lb, label}``
@@ -76,6 +79,9 @@ class MonitorVerdict(NamedTuple):
 
 # Bound once: reading a member through the Enum class costs a lookup per verdict.
 _SAFE, _UNCERTAIN, _WARMING_UP = Label.SAFE, Label.UNCERTAIN, Label.WARMING_UP
+# The streaming functions build each verdict with this, skipping the frame of
+# the NamedTuple's generated ``__new__``, which makes the same tuple.
+_new = tuple.__new__
 
 
 def _verdict(t: int, formula: str, lb: float) -> MonitorVerdict:
@@ -172,9 +178,11 @@ def rolling_certify(
     """
     if decoder is None:
         decoder = mon.decoder(f)
-    if buf.t < mon.k_max or buf.fill < decoder.horizon + 1:
-        return _warming(buf.t, decoder.formula)
-    return _verdict(buf.t, decoder.formula, certified_lower_bound(mon, buf._current_basis(), decoder))
+    t = buf.t
+    if t < mon.k_max or buf.fill < decoder.horizon + 1:
+        return _new(MonitorVerdict, (t, decoder.formula, None, _WARMING_UP))
+    lb = certified_lower_bound(mon, buf._current_basis(), decoder)
+    return _new(MonitorVerdict, (t, decoder.formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN))
 
 
 def semantic_certify(
@@ -191,9 +199,11 @@ def semantic_certify(
     """
     if decoder is None:
         decoder = mon.decoder(f)
-    if basis_hat.t < mon.k_max:
-        return _warming(basis_hat.t, decoder.formula)
-    return _verdict(basis_hat.t, decoder.formula, certified_lower_bound(mon, basis_hat, decoder))
+    t = basis_hat.t
+    if t < mon.k_max:
+        return _new(MonitorVerdict, (t, decoder.formula, None, _WARMING_UP))
+    lb = certified_lower_bound(mon, basis_hat, decoder)
+    return _new(MonitorVerdict, (t, decoder.formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN))
 
 
 def observer_certify(
@@ -205,14 +215,19 @@ def observer_certify(
 
     The bound is the lower end of the observer's symmetric per-coordinate
     intervals pushed through ``f``: since ``f`` is monotone, that is
-    :func:`rolling_certify` with the observer's per-coordinate shift.
+    :func:`rolling_certify` with the observer's per-coordinate shift, and
+    the body below is :func:`rolling_certify`'s.
     """
     decoder = mon.decoder(f)
     if mon.formula is not None and mon.formula != decoder.formula:
         raise ValueError(
             f"observer monitor was calibrated for {mon.formula!r}, asked to certify {decoder.formula!r}"
         )
-    return rolling_certify(buf, mon, f, decoder)
+    t = buf.t
+    if t < mon.k_max or buf.fill < decoder.horizon + 1:
+        return _new(MonitorVerdict, (t, decoder.formula, None, _WARMING_UP))
+    lb = certified_lower_bound(mon, buf._current_basis(), decoder)
+    return _new(MonitorVerdict, (t, decoder.formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN))
 
 
 # ---------------------------------------------------------------------------

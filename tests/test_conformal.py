@@ -59,6 +59,16 @@ from ptmon.fragment import (
     decode_values,
 )
 from ptmon.logic import And, Eventually, Or, Predicate, TimeInterval, format_formula, horizon, parse_formula
+from ptmon.monitors import (
+    Label,
+    MonitorVerdict,
+    RollingBuffer,
+    _verdict,
+    _warming,
+    observer_certify,
+    rolling_certify,
+    semantic_certify,
+)
 from ptmon.robustness import BasisKind, BasisVector, Episode, semantic_basis_series
 
 
@@ -440,12 +450,17 @@ class TestSpecialisedCopies:
         assert (copy.dim, copy.basis_kind) == (mon.dim, mon.basis_kind)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_decoders_start_empty(self, kind):
+    def test_copies_start_with_the_parents_decoder(self, kind):
+        # A for_formula copy holds exactly its parent's decoder for f, in a
+        # dict of its own; a replace copy holds none.
         mon, f = calibrated(kind)
-        mon.decoder(f)
+        dec = mon.decoder(f)
         copy = mon.for_formula(f)
-        assert copy._decoders == {} and copy._decoders is not mon._decoders
+        assert copy._decoders == {f: dec} and copy._decoders[f] is dec
+        assert copy._decoders is not mon._decoders
+        assert copy.decoder(f) is dec and copy.support is dec.support
         assert mon.for_formula(f)._decoders is not copy._decoders
+        assert replace(copy)._decoders == {}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_arrays_are_read_only(self, kind):
@@ -637,8 +652,9 @@ class TestRestrictedShrink:
 
 
 class TestChecksEveryCall:
-    """Certification checks monitor, decoder and snapshot on every call,
-    also once the snapshot's shrink for the monitor is memoised."""
+    """Every mismatch of monitor, decoder and snapshot raises on every call,
+    also once the snapshot's shrink for the monitor is memoised: the decoder
+    is checked on every call, the snapshot before its shrink is stored."""
 
     @staticmethod
     def warm(mon, basis, dec):
@@ -675,6 +691,86 @@ class TestChecksEveryCall:
         self.warm(mon, basis, mon.decoder(f))
         with pytest.raises(BasisMismatchError):
             certified_lower_bound(mon, basis, compile_history_decoder(f, 1, 2))
+
+    def test_snapshot_of_another_kind_refused_on_every_call(self):
+        d, sem, basis = self.semantic()
+        f = parse_formula("G[0,1] p0", d.predicate_names)
+        self.warm(sem, basis, sem.decoder(f))
+        # A history monitor of the same dimension reads the semantic snapshot.
+        rolling = replace(sem, kind="rolling", dictionary=None, m=1, k_max=d.r - 1, cache=None)
+        dec = rolling.decoder(parse_formula("p0", ("p0",)))
+        want = f"decoder reads {BasisKind.PREDICATE_HISTORY.value}, basis is {BasisKind.SEMANTIC.value}"
+        for _ in range(3):
+            with pytest.raises(BasisMismatchError, match=want):
+                certified_lower_bound(rolling, basis, dec)
+        assert list(basis._shrunk) == [sem]
+
+    def test_snapshot_of_another_dimension_refused_on_every_call(self):
+        short, long = history_monitor(1, 1), history_monitor(1, 2)
+        basis = BasisVector(BasisKind.PREDICATE_HISTORY, [2.0, 3.0], 2)
+        self.warm(short, basis, short.decoder(parse_formula("G[0,1] p0", ("p0",))))
+        dec = long.decoder(parse_formula("G[0,2] p0", ("p0",)))
+        for _ in range(3):
+            with pytest.raises(BasisMismatchError, match="monitor dimension 3 vs decoder 3 vs basis 2"):
+                certified_lower_bound(long, basis, dec)
+        assert list(basis._shrunk) == [short]
+
+    def test_equal_decoder_of_another_copy_takes_the_subset_test(self, monkeypatch):
+        # The copy's own decoder passes on identity; an equal decoder that is
+        # another object, or one reading part of the support, passes the
+        # subset test. None of them reaches _check_certifiable, which only
+        # builds the error; a decoder reading one coordinate more does.
+        d, wide, basis = self.semantic()
+        names = d.predicate_names
+        f = parse_formula("G[0,1] p0 & F[0,2] p1", names)
+        narrow = wide.for_formula(f)
+        own = narrow.decoder(f)
+        twin = replace(narrow).decoder(f)  # compiled afresh: equal, not the same
+        inner = narrow.decoder(parse_formula("G[0,1] p0", names))
+        wider = narrow.decoder(parse_formula("G[0,1] p0 & F[0,2] p1 & F[0,1] p0", names))
+        assert twin == own and twin is not own and twin.support is not narrow.support
+        assert own.support is narrow.support and inner.support < narrow.support < wider.support
+        checks = []
+
+        def counting(*args, real=conformal._check_certifiable):
+            checks.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(conformal, "_check_certifiable", counting)
+        want = certified_lower_bound(narrow, basis, own)
+        assert certified_lower_bound(narrow, basis, twin) == want
+        assert certified_lower_bound(narrow, basis, inner) == decode_values(inner, basis.values - narrow.shift)
+        assert checks == [] and narrow in basis._shrunk
+        for _ in range(2):
+            with pytest.raises(SupportMismatchError, match=r"coordinates \[\d+\] outside the calibrated support"):
+                certified_lower_bound(narrow, basis, wider)
+        assert checks == [wider, wider]
+
+    def test_streaming_verdicts_are_monitor_verdicts(self):
+        # The streaming functions build their verdicts directly; each must be
+        # the record _verdict and _warming build. Ties count as safe, so a
+        # bound of -0.0 (a -0.0 value shrunk by a zero shift) is safe.
+        d, sem, _ = self.semantic()
+        f = parse_formula("G[0,1] p0", d.predicate_names)
+        zero = replace(sem, radius=0.0)
+        obs = self.observer()
+        obs_zero = replace(obs, coord_radii=np.zeros(obs.dim))
+        g = parse_formula("G[0,1] p0", ("p0",))
+        got = []
+        for t in range(zero.k_max + 2):
+            basis = BasisVector(BasisKind.SEMANTIC, np.full(d.r, -0.0), t)
+            got.append((semantic_certify(basis, zero, f), zero.decoder(f)))
+        for certify, mon in ((rolling_certify, history_monitor(1, 2)), (observer_certify, obs_zero)):
+            buf = RollingBuffer(1, mon.k_max)
+            for t in range(mon.k_max + 2):
+                buf.push([-0.0])
+                got.append((certify(buf, mon, g), mon.decoder(g)))
+        assert {v.label for v, _ in got} == {Label.WARMING_UP, Label.SAFE}
+        for v, dec in got:
+            want = _warming(v.t, dec.formula) if v.lower_bound is None else _verdict(v.t, dec.formula, -0.0)
+            assert type(v) is MonitorVerdict and v == want and v.label is want.label
+            if v.lower_bound is not None:
+                assert np.signbit(v.lower_bound) and v.label is Label.SAFE
 
     def test_layout_of_copies(self):
         d, sem, _ = self.semantic()

@@ -587,8 +587,10 @@ class TestDecoderCache:
             run_episode(ep, pred_stub, roll, [f1, f2])
             run_episode(ep, pred_stub, obs, [f1])
         n1, n2 = format_formula(f1), format_formula(f2)
-        # semantic: (sem, f1), (sem, f2); history: (roll, f1), (obs, f1), (roll, f2)
-        assert compiled == {("semantic", n1): 1, ("semantic", n2): 1, ("history", n1): 2, ("history", n2): 1}
+        # semantic: (sem, f1), (sem, f2); history: (roll, f1), (roll, f2). The
+        # observer certifies with the decoder it was specialised with, which
+        # observer_calibrate compiled before the counting began.
+        assert compiled == {("semantic", n1): 1, ("semantic", n2): 1, ("history", n1): 1, ("history", n2): 1}
 
     def test_certification_walks_no_formula_after_compiling(self, monkeypatch):
         # Once a (monitor, formula) pair has compiled, its verdicts take the
@@ -619,7 +621,9 @@ class TestDecoderCache:
 
             monkeypatch.setattr(conformal, f"compile_{layout}_decoder", compiling)
 
-        compiled = set()
+        # observer_calibrate compiled each observer's formula before the
+        # counting began, and the observer holds that decoder.
+        compiled = {("observer", i) for i in range(len(formulas))}
         late_walks = Counter()
 
         def certify(key, call):
@@ -639,7 +643,9 @@ class TestDecoderCache:
                 certify(("semantic", i), lambda: semantic_certify(basis, sem, f))
                 certify(("rolling", i), lambda: rolling_certify(buf, roll, f))
                 certify(("observer", i), lambda: observer_certify(buf, observers[i], f))
-        assert len(compiled) == 6
+        # Only the semantic and rolling pairs compile while certifying.
+        assert len(compiles) == 4
+        assert compiled == {(kind, i) for kind in ("semantic", "rolling", "observer") for i in range(2)}
         assert late_walks == Counter()
 
     def test_each_decoder_generates_its_read_out_once(self, monkeypatch):
