@@ -8,9 +8,11 @@ and decoding yields a number that lower-bounds the true robustness with the
 calibrated probability — simultaneously for every formula the decoder
 construction covers, because one basis-wide event implies them all. The
 per-coordinate observer baseline is the same operation with one radius per
-coordinate. :func:`certified_lower_bound` certifies one basis vector,
-shrinking each snapshot once per monitor for all the formulas certified
-from it; :func:`certified_lower_bounds` certifies a whole matrix of them
+coordinate. :func:`certified_lower_bound` certifies one basis vector: a
+fragment-wide monitor shrinks each snapshot once for all the formulas
+certified from it, and a monitor with a restricted support subtracts its
+shift inside its own read-out of each decoder instead;
+:func:`certified_lower_bounds` certifies a whole matrix of them
 for several formulas, shrinking it once for all their decoders, which read
 it row-major.
 
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .fragment import (
     AtomicDictionary,
     BasisMismatchError,
     Decoder,
+    _shifted_read,
     compile_history_decoder,
     compile_semantic_decoder,
     decode_series,
@@ -238,7 +241,11 @@ class CalibratedMonitor:
     the formula, whose support is the copy's ``support`` (decoders are
     immutable, so sharing one is safe); a :func:`dataclasses.replace` copy
     starts with none. Either computes its own :attr:`shift`, :attr:`dim`
-    and :attr:`basis_kind`.
+    and :attr:`basis_kind`. A monitor with a restricted ``support`` keeps
+    its own shifted read-out of each decoder it has certified with
+    (:meth:`_read_out`), generated on the first certification, never by
+    :meth:`for_formula`; every copy starts with none, since its shift may
+    differ.
     """
 
     kind: str
@@ -257,6 +264,7 @@ class CalibratedMonitor:
     coord_radii: np.ndarray | None = None
     predictor_config: dict | None = None
     _decoders: dict[Formula, Decoder] = field(default_factory=dict, init=False, repr=False)
+    _read_outs: dict[int, tuple[Decoder, Callable]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
@@ -312,11 +320,19 @@ class CalibratedMonitor:
         shift.flags.writeable = False
         return shift
 
-    @cached_property
-    def _support_shift(self) -> tuple[tuple[int, float], ...]:
-        """Each support coordinate with its :attr:`shift` as a Python float,
-        for a monitor with a restricted ``support``."""
-        return tuple((i, self.shift.item(i)) for i in sorted(self.support))
+    def _read_out(self, d: Decoder) -> Callable:
+        """``d``'s read-out ``read(v, lo, hi)`` of a snapshot's float list
+        ``v`` shrunk by this monitor's :attr:`shift`
+        (:func:`~ptmon.fragment._shifted_read`), for a monitor with a
+        restricted ``support``. Generated on the first request for ``d`` and
+        kept in ``_read_outs`` under ``id(d)``, with ``d`` itself, as long as
+        the monitor lives: a lookup confirms the entry with ``is`` and never
+        compares two trees. A caller that passes a new decoder on every call
+        adds an entry on every call; reuse decoders, as :meth:`decoder` does."""
+        entry = self._read_outs.get(id(d))
+        if entry is None or entry[0] is not d:
+            entry = self._read_outs[id(d)] = (d, _shifted_read(d, self.shift.tolist()))
+        return entry[1]
 
     def decoder(self, f: Formula) -> Decoder:
         """The decoder reading ``f`` off this monitor's basis layout,
@@ -364,15 +380,21 @@ class CalibratedMonitor:
         Like :func:`dataclasses.replace` without the frozen ``__init__``,
         which sets each field through ``object.__setattr__`` and costs about
         10 µs a copy; ``changes`` must be values :meth:`__post_init__`
-        would keep as they are. The copy's cached properties start empty;
-        its decoders start with this monitor's ``decoder`` for ``f``, which
-        is immutable and reads the copy's layout.
+        would keep as they are. The copy's cached properties and read-outs
+        start empty, since its shift may differ; its decoders start with
+        this monitor's ``decoder`` for ``f``, which is immutable and reads
+        the copy's layout.
         """
         copy = object.__new__(type(self))
         state = vars(copy)
         state.update({name: getattr(self, name) for name in _FIELDS})
-        state.update(changes, _decoders={f: decoder})
+        state.update(changes, _decoders={f: decoder}, _read_outs={})
         return copy
+
+    def __getstate__(self) -> dict:
+        # Generated read-outs are functions without an importable name, and
+        # their keys are identities; an unpickled monitor generates its own.
+        return {**self.__dict__, "_read_outs": {}}
 
     def monitor_for(self, f: Formula) -> "CalibratedMonitor":
         """The monitor that certifies ``f``: this one when its radius already
@@ -666,22 +688,24 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
 
     Requires matching basis kind and dimension, and — when the monitor was
     calibrated on a restricted support — that the decoder reads only inside
-    that support. Each input is checked where it can change: the decoder
-    against the monitor on every call (a few attribute compares; the support
-    test is an identity check for the decoder a :meth:`~CalibratedMonitor.for_formula`
-    copy was made with, a subset test otherwise), and the snapshot against
-    the monitor once, before its shrink is stored. :func:`_check_certifiable`
-    builds the error when a test fails, before anything is shrunk, so every
-    mismatch raises as if all three were checked on every call.
+    that support. The decoder is checked against the monitor on every call
+    (a few attribute compares; the support test is an identity check for
+    the decoder a :meth:`~CalibratedMonitor.for_formula` copy was made
+    with, a subset test otherwise), and the snapshot against the monitor
+    before anything is read from it. :func:`_check_certifiable` builds the
+    error when a test fails, so every mismatch raises as if all three were
+    checked on every call.
 
-    The shrunk values are computed once per snapshot and monitor and kept on
-    the snapshot, keyed by the monitor, so every formula certified from one
-    snapshot shares them. Both are immutable, so the entry never goes stale.
-    A fragment-wide monitor shrinks every coordinate in one numpy
-    subtraction; a restricted one, whose decoders read only its support,
-    subtracts its shift from the support's coordinates of a copy of the
-    snapshot's values as Python floats, listed once per snapshot. Python and
-    numpy subtract floats alike, bit for bit.
+    A fragment-wide monitor shrinks every coordinate of a snapshot in one
+    numpy subtraction, once per snapshot and monitor: the shrunk values are
+    kept on the snapshot, keyed by the monitor, checked before they are
+    stored and shared by every formula certified from the snapshot. Both
+    are immutable, so the entry never goes stale. A restricted monitor,
+    whose decoders read only its support, shrinks nothing: its own read-out
+    of each decoder (:meth:`CalibratedMonitor._read_out`) subtracts its
+    shift from the coordinates it reads of the snapshot's values as Python
+    floats, listed once per snapshot for all monitors, so its snapshot test
+    runs on every call. Python and numpy subtract floats alike, bit for bit.
     """
     support = mon.support
     if not (
@@ -690,20 +714,19 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
         and (support is None or d.support is support or d.support <= support)
     ):
         _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
+    if support is not None:
+        # A basis vector is one-dimensional, so its length is its shape.
+        if predicted.kind is not mon.basis_kind or predicted.values.shape[0] != mon.dim:
+            _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
+        return mon._read_out(d)(predicted._floats, min, max)
     shrunk = predicted._shrunk.get(mon)
     if shrunk is None:
         # Only a snapshot that matches the monitor is memoised, so a memoised
-        # one needs no second look. A basis vector is one-dimensional, so its
-        # length is its shape.
+        # one needs no second look.
         values = predicted.values
         if predicted.kind is not mon.basis_kind or values.shape[0] != mon.dim:
             _check_certifiable(mon, predicted.kind, values.shape[0], d)
-        if support is None:
-            shrunk = (values - mon.shift).tolist()
-        else:
-            shrunk = predicted._floats.copy()
-            for i, shift in mon._support_shift:
-                shrunk[i] -= shift
+        shrunk = (values - mon.shift).tolist()
         predicted._shrunk[mon] = shrunk
     return d.read(shrunk, min, max)
 

@@ -14,7 +14,9 @@ decode a decoder turns its tree into straight-line Python, written by one
 walk of the tree: :attr:`Decoder.read` for one basis vector, with the
 built-in ``min``/``max`` over a list of floats, and
 :attr:`Decoder.read_series` for the columns of a row-major basis matrix,
-which reduces each run of consecutive rows in one numpy call.
+which reduces each run of consecutive rows in one numpy call. The same
+walk writes a monitor's shifted read-out of a decoder (:func:`_shifted_read`),
+which subtracts the monitor's shift from each coordinate as it reads it.
 
 Both compilers build their tree first over plain ``int`` leaves and
 ``(op, children)`` tuples, where flattening and dropping repeated children
@@ -265,22 +267,31 @@ class Decoder:
         return _compiled(self._sources[1], "read_series")
 
 
-def _write_sources(root: DecoderNode) -> tuple[str, str]:
+def _write_sources(root: DecoderNode, shifted: bool = False) -> tuple[str, str]:
     """The source of :attr:`Decoder.read` and of :attr:`Decoder.read_series`,
-    written in one walk of the tree."""
+    written in one walk of the tree.
+
+    When ``shifted``, ``read`` opens with one line ``s<i> = v[<i>] - c<i>``
+    per coordinate ``i`` its leaves read, in ascending order, and reads leaf
+    ``i`` as ``s<i>``; the names ``c<i>`` are left for the caller to bind
+    (see :func:`_shifted_read`). ``read_series`` is the same either way.
+    """
     lines: list[str] = []
     series: list[str] = []
     names: dict[int, str] = {}
+    support: set[int] = set()
+    read_leaf = "s{}" if shifted else "v[{}]"
 
-    def ref(node: DecoderNode) -> str:
-        return f"v[{node.index}]" if isinstance(node, Leaf) else names[id(node)]
+    def ref(node: DecoderNode, leaf: str = "v[{}]") -> str:
+        return leaf.format(node.index) if isinstance(node, Leaf) else names[id(node)]
 
     # Reversed, ``_nodes`` puts every child before its parent and
     # siblings first to last.
     for node in reversed(list(_nodes(root))):
         if isinstance(node, Leaf):
+            support.add(node.index)
             continue
-        args = [ref(c) for c in node.children]
+        args = [ref(c, read_leaf) for c in node.children]
         op = "lo" if isinstance(node, MinNode) else "hi"
         expr = args[0] if len(args) == 1 else f"{op}({', '.join(args)})"
         names[id(node)] = name = f"t{len(lines)}"
@@ -291,11 +302,25 @@ def _write_sources(root: DecoderNode) -> tuple[str, str]:
             rows.append(ref(run[0]) if len(run) == 1 else f"{op}_run(v[{run[0].index}:{run[-1].index + 1}])")
         series.append(f"    {name} = {rows[0]}\n")
         series += [f"    {name} = {op}({name}, {row})\n" for row in rows[1:]]
-    tail = f"    return {ref(root)}\n"
+    prologue = [f"    s{i} = v[{i}] - c{i}\n" for i in sorted(support)] if shifted else []
     return (
-        "def read(v, lo, hi):\n" + "".join(lines) + tail,
-        "def read_series(v, lo, hi, lo_run, hi_run):\n" + "".join(series) + tail,
+        "def read(v, lo, hi):\n" + "".join(prologue + lines) + f"    return {ref(root, read_leaf)}\n",
+        "def read_series(v, lo, hi, lo_run, hi_run):\n" + "".join(series) + f"    return {ref(root)}\n",
     )
+
+
+def _shifted_read(d: Decoder, shift: Sequence[float]) -> Callable:
+    """``d``'s :attr:`~Decoder.read` of ``v`` shrunk by ``shift``:
+    ``_shifted_read(d, shift)(v, lo, hi)`` equals ``d.read(w, lo, hi)`` for
+    ``w[i] = v[i] - shift[i]``, bit for bit, and reads only ``d.support``.
+
+    Generated from the same walk of the tree as :attr:`Decoder.read`. Each
+    coordinate's shift is bound as a Python float to the name ``c<i>`` of
+    the function's namespace, never written into its source, so ``-0.0``
+    keeps its sign and an infinite or NaN shift needs no literal.
+    """
+    namespace = {f"c{i}": float(shift[i]) for i in d.support}
+    return _compiled(_write_sources(d.root, shifted=True)[0], "read", namespace)
 
 
 def _run_key(item: tuple[int, DecoderNode]):
@@ -305,8 +330,8 @@ def _run_key(item: tuple[int, DecoderNode]):
     return node.index - position if isinstance(node, Leaf) else item
 
 
-def _compiled(source: str, name: str) -> Callable:
-    namespace: dict = {}
+def _compiled(source: str, name: str, namespace: dict | None = None) -> Callable:
+    namespace = {} if namespace is None else namespace
     exec(source, namespace)
     return namespace[name]
 

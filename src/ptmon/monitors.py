@@ -5,12 +5,15 @@ monitor's per-coordinate ``shift`` and decode it. All three monitor kinds
 (semantic, rolling, observer) do it the same way. Streaming callers feed
 one step at a time: :class:`RollingBuffer` with :func:`rolling_certify` or
 :func:`observer_certify` for per-step predicate predictions,
-:func:`semantic_certify` for predicted atom bases. A step's basis snapshot
-is shrunk once per monitor and the result is shared by every formula
-certified from it: the buffer builds one snapshot per step, and a semantic
-caller passes one :class:`~ptmon.robustness.BasisVector` for all formulas.
-Snapshots and monitors are both immutable, so a shrunk snapshot never
-goes stale.
+:func:`semantic_certify` for predicted atom bases. The buffer builds one
+basis snapshot per step, and a semantic caller passes one
+:class:`~ptmon.robustness.BasisVector` for all formulas. A fragment-wide
+monitor shrinks each snapshot once and shares the result with every
+formula certified from it; snapshots and monitors are both immutable, so a
+shrunk snapshot never goes stale. A monitor with a restricted support (a
+specialised observer, or any ``for_formula`` copy) shrinks nothing: it
+reads its shift inside its own read-out of each decoder, from the
+snapshot's values listed once as Python floats.
 :func:`run_monitors` certifies recorded episodes with one or more monitors
 that read one basis layout through one predictor, in the blocks of whole
 episodes that calibration reads: one predicted and one true basis per
@@ -32,7 +35,8 @@ half the time of a frozen dataclass: it unpacks as
 ``t, formula, lb, label`` and equals the plain tuple of its fields; the
 streaming functions build each verdict in one step. Every certification
 call checks the decoder against the monitor, and each snapshot is checked
-against a monitor before the monitor's shrink of it is stored (see
+against a monitor before the monitor's shrink of it is stored, or on every
+call of a restricted monitor (see
 :func:`~ptmon.conformal.certified_lower_bound`), so a mismatch raises on
 every call; the monitor's layout (``basis_kind``, ``dim``) is computed once
 per monitor, like its ``shift``.
@@ -102,8 +106,10 @@ class RollingBuffer:
 
     Certification reads the current step through one read-only
     :class:`~ptmon.robustness.BasisVector`, built on the first certification
-    after each ``push`` or ``mark_dropped``. Each monitor shrinks that
-    snapshot once, and every formula certified at the step reuses the result.
+    after each ``push`` or ``mark_dropped``. Each fragment-wide monitor
+    shrinks that snapshot once, and every formula certified at the step
+    reuses the result; restricted monitors read it through their own
+    read-outs.
     """
 
     def __init__(self, m: int, k_max: int):
@@ -216,7 +222,10 @@ def observer_certify(
     The bound is the lower end of the observer's symmetric per-coordinate
     intervals pushed through ``f``: since ``f`` is monotone, that is
     :func:`rolling_certify` with the observer's per-coordinate shift, and
-    the body below is :func:`rolling_certify`'s.
+    the body below is :func:`rolling_certify`'s. The observer's support is
+    ``f``'s, so it shrinks nothing: its own read-out of ``f``'s decoder
+    subtracts the shift from each coordinate it reads (see
+    :func:`~ptmon.conformal.certified_lower_bound`).
     """
     decoder = mon.decoder(f)
     if mon.formula is not None and mon.formula != decoder.formula:

@@ -114,10 +114,12 @@ class BasisVector:
 
     ``values`` is stored read-only (:func:`read_only_array`), so a snapshot
     never changes once built. Monitors are immutable too, so certification
-    keeps each monitor's shrunk values on the snapshot itself (``_shrunk``,
-    keyed by the monitor, see :func:`~ptmon.conformal.certified_lower_bound`),
-    and the values as Python floats for monitors that shrink only their
-    support (``_floats``); they go away with it.
+    keeps each fragment-wide monitor's shrunk values on the snapshot itself
+    (``_shrunk``, keyed by the monitor, see
+    :func:`~ptmon.conformal.certified_lower_bound`), and the values as
+    Python floats (``_floats``), which every monitor with a restricted
+    support reads and shifts inside its own read-out, without copying them;
+    they go away with it.
     """
 
     kind: BasisKind
@@ -135,8 +137,9 @@ class BasisVector:
 
     @cached_property
     def _floats(self) -> list[float]:
-        """``values`` as a list of Python floats, built on first use; the
-        monitors that shrink only their support copy it."""
+        """``values`` as a list of Python floats, built on first use and
+        read, never copied or changed, by the read-outs of monitors with a
+        restricted support."""
         return self.values.tolist()
 
 

@@ -177,6 +177,17 @@ def naive_leaf_indices(node: DecoderNode) -> set[int]:
     return set().union(*(naive_leaf_indices(c) for c in node.children))
 
 
+def copy_and_subtract_bound(mon, basis, d: Decoder) -> float:
+    """A restricted monitor's certified bound as it was computed before its
+    read-outs took the shift: the snapshot's values listed as Python floats,
+    the monitor's shift subtracted from each support coordinate of the copy
+    in a Python loop, and the tree walked over the result."""
+    shrunk = basis.values.tolist()
+    for i in sorted(mon.support):
+        shrunk[i] -= mon.shift.item(i)
+    return naive_decode(d.root, shrunk)
+
+
 def naive_compute_metrics(lower_bounds, truths, level: int, k_max: int, coverage_seed: int = 0) -> dict:
     """``metrics.compute_metrics`` one episode at a time: per-episode counts
     summed in Python, level-1 coverage as ``all`` over each episode, and one

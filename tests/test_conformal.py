@@ -1,8 +1,11 @@
 import functools
+import io
 import json
 import math
+import pickle
 import re
 import tempfile
+import tokenize
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    copy_and_subtract_bound,
     lag_loop_basis_rows,
     mixed_dictionary,
     naive_coord_radii,
@@ -27,6 +31,7 @@ from helpers import (
     tie_heavy,
 )
 import ptmon.conformal as conformal
+import ptmon.fragment as fragment
 from ptmon.benchmark import PredictorStub
 from ptmon.conformal import (
     CalibratedMonitor,
@@ -609,8 +614,9 @@ class TestShrinkOnce:
 
 
 class TestRestrictedShrink:
-    """A monitor with a restricted support shrinks only the support's
-    coordinates, of the snapshot's values listed once as Python floats."""
+    """A monitor with a restricted support subtracts its shift from the
+    support's coordinates inside its own read-out, of the snapshot's values
+    listed once as Python floats."""
 
     @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
     def test_bound_equals_the_full_shrink_bit_for_bit(self, kind):
@@ -651,15 +657,153 @@ class TestRestrictedShrink:
         assert narrow not in basis._shrunk and "_floats" not in vars(basis)
 
 
+# Shifts whose bits a literal in generated source could lose, or could not
+# write at all: both zeros, the smallest subnormal, a near-overflow and +inf.
+EDGE_SHIFTS = (0.0, -0.0, 5e-324, 1e308, math.inf)
+
+
+def with_shift(mon, shift):
+    """``mon`` shifting every coordinate by ``shift`` exactly: a sigma of
+    ones, and ``shift`` as the radius (``coord_radii`` for an observer)."""
+    if mon.kind == "observer":
+        return replace(mon, sigma=np.ones(mon.dim), coord_radii=np.full(mon.dim, shift))
+    return replace(mon, sigma=np.ones(mon.dim), radius=shift)
+
+
+def generated_sources(monkeypatch) -> list[str]:
+    """Every source :mod:`ptmon.fragment` executes from now on, in order."""
+    sources = []
+
+    def recording(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(fragment, "exec", recording, raising=False)
+    return sources
+
+
+def assert_no_float_literal(source):
+    """Every number in a generated source is an ``int`` index, and no name
+    spells a non-finite value."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    assert all(t.string.isdigit() for t in tokens if t.type == tokenize.NUMBER), source
+    assert not {t.string for t in tokens if t.type == tokenize.NAME} & {"inf", "nan", "float"}, source
+
+
+class TestRestrictedReadOut:
+    """A restricted monitor reads each snapshot through its own read-out of
+    each decoder, which subtracts the monitor's shift from the coordinates
+    it reads. The bounds equal those of the copy-and-subtract shrink it
+    replaces (``copy_and_subtract_bound``), bit for bit."""
+
+    @pytest.mark.parametrize("shift", EDGE_SHIFTS, ids=repr)
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_bound_equals_the_copy_and_subtract_oracle(self, kind, shift, monkeypatch):
+        sources = generated_sources(monkeypatch)
+        mon, _ = calibrated(kind)
+        rng = np.random.default_rng(53)
+        copies = []
+        for f in (random_fragment_formula(rng, tiny_dictionary()) for _ in range(8)):
+            copy = with_shift(mon.for_formula(f), shift)
+            copies.append((copy, copy.decoder(f)))
+        assert all(np.all(copy.shift == shift) for copy, _ in copies)
+        for _ in range(8):
+            basis = BasisVector(mon.basis_kind, tie_heavy(rng, mon.dim), mon.k_max)
+            for copy, dec in copies:
+                got = certified_lower_bound(copy, basis, dec)
+                want = copy_and_subtract_bound(copy, basis, dec)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                if shift == math.inf:
+                    assert got == -math.inf
+            assert basis._shrunk == {}
+        # One shifted read-out per copy; no plain one, and no float literal.
+        assert len(sources) == len(copies)
+        for source in sources:
+            assert " - c" in source
+            assert_no_float_literal(source)
+
+    @pytest.mark.parametrize("shift", [*EDGE_SHIFTS, -math.inf, math.nan], ids=repr)
+    def test_shifts_are_bound_as_names(self, shift, monkeypatch):
+        sources = generated_sources(monkeypatch)
+        mon, f = calibrated("rolling")
+        copy = with_shift(mon.for_formula(f), shift)
+        certified_lower_bound(copy, BasisVector(mon.basis_kind, np.ones(mon.dim), mon.k_max), copy.decoder(f))
+        assert len(sources) == 1
+        assert_no_float_literal(sources[0])
+
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_each_monitor_reads_with_its_own_shift(self, kind, monkeypatch):
+        # A restricted monitor, its for_formula copy and replace copies with
+        # another shift all certify through one decoder, shared with a
+        # fragment-wide monitor of the same layout.
+        mon, f = calibrated(kind)
+        wide = calibrated("rolling")[0] if kind == "observer" else mon
+        g = parse_formula("G[0,1] p0", ("p0", "p1"))
+        shared = wide.decoder(g)
+        values = tie_heavy(np.random.default_rng(59), mon.dim)
+        basis = BasisVector(mon.basis_kind, values, mon.k_max)
+        before = certified_lower_bound(wide, basis, shared)
+        assert before == decode_values(shared, values - wide.shift)
+
+        sources = generated_sources(monkeypatch)
+        narrow = mon.for_formula(f)
+        assert shared.support < narrow.support
+        first = certified_lower_bound(narrow, basis, shared)
+        assert len(sources) == 1 and list(narrow._read_outs) == [id(shared)]
+        # No copy inherits a read-out, and for_formula generates none.
+        child = narrow.for_formula(g)
+        field = "coord_radii" if kind == "observer" else "radius"
+        larger = replace(narrow, **{field: getattr(narrow, field) + 1.0})
+        copies = [child, larger, replace(narrow)]
+        assert len(sources) == 1 and all(copy._read_outs == {} for copy in copies)
+        assert certified_lower_bound(larger, basis, shared) < first
+        for copy in [narrow, *copies]:
+            got = certified_lower_bound(copy, basis, shared)
+            want = copy_and_subtract_bound(copy, basis, shared)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert copy._read_outs[id(shared)][0] is shared
+        assert len(sources) == 1 + len(copies)
+        # The shared decoder's plain read-out still reads the unshifted values.
+        again = BasisVector(mon.basis_kind, values, mon.k_max)
+        assert np.float64(certified_lower_bound(wide, again, shared)).tobytes() == np.float64(before).tobytes()
+
+    def test_read_out_kept_for_another_decoder_is_not_used(self):
+        # Entries are keyed by identity and checked with ``is``: an entry
+        # under a decoder's id that holds another decoder is replaced.
+        mon, f = calibrated("rolling")
+        narrow = mon.for_formula(f)
+        dec, other = narrow.decoder(f), replace(narrow).decoder(f)  # compiled afresh
+        assert other == dec and other is not dec
+        narrow._read_outs[id(dec)] = (other, lambda v, lo, hi: 99.0)
+        basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
+        assert certified_lower_bound(narrow, basis, dec) == copy_and_subtract_bound(narrow, basis, dec)
+        assert narrow._read_outs[id(dec)][0] is dec
+
+    def test_pickled_monitor_generates_its_own_read_outs(self):
+        mon, _ = calibrated("observer")
+        f = parse_formula("G[0,2] p0", ("p0", "p1"))
+        basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
+        want = certified_lower_bound(mon, basis, mon.decoder(f))
+        back = pickle.loads(pickle.dumps(mon))
+        assert mon._read_outs and back._read_outs == {}
+        assert certified_lower_bound(back, basis, back.decoder(f)) == want
+
+
 class TestChecksEveryCall:
     """Every mismatch of monitor, decoder and snapshot raises on every call,
-    also once the snapshot's shrink for the monitor is memoised: the decoder
-    is checked on every call, the snapshot before its shrink is stored."""
+    also once the monitor has certified from the snapshot: the decoder is
+    checked on every call; the snapshot before a fragment-wide monitor's
+    shrink of it is stored, and on every call of a restricted monitor,
+    which stores none."""
 
     @staticmethod
     def warm(mon, basis, dec):
         certified_lower_bound(mon, basis, dec)
-        assert mon in basis._shrunk
+        if mon.support is None:
+            assert mon in basis._shrunk
+        else:
+            assert mon not in basis._shrunk and id(dec) in mon._read_outs
 
     def semantic(self):
         d = tiny_dictionary()
@@ -740,7 +884,8 @@ class TestChecksEveryCall:
         want = certified_lower_bound(narrow, basis, own)
         assert certified_lower_bound(narrow, basis, twin) == want
         assert certified_lower_bound(narrow, basis, inner) == decode_values(inner, basis.values - narrow.shift)
-        assert checks == [] and narrow in basis._shrunk
+        assert checks == [] and narrow not in basis._shrunk
+        assert set(narrow._read_outs) == {id(own), id(twin), id(inner)}
         for _ in range(2):
             with pytest.raises(SupportMismatchError, match=r"coordinates \[\d+\] outside the calibrated support"):
                 certified_lower_bound(narrow, basis, wider)

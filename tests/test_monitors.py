@@ -649,8 +649,10 @@ class TestDecoderCache:
         assert late_walks == Counter()
 
     def test_each_decoder_generates_its_read_out_once(self, monkeypatch):
-        # Every decoder used while streaming runs its own generated read-out,
-        # generated on its first decode and never again; nothing walks a tree.
+        # Every decoder a fragment-wide monitor streams with runs its own
+        # generated read-out, and every (observer, decoder) pair the
+        # observer's shifted one; each is generated on its first use and
+        # never again, and nothing walks a tree.
         generated = []
 
         def counting_exec(source, namespace):
@@ -686,19 +688,24 @@ class TestDecoderCache:
                 rolling_certify(buf, roll, f)
                 observer_certify(buf, obs, f)
 
-        used = [mon.decoder(f) for f in formulas for mon in (sem, roll)]
-        used += [obs.decoder(f) for f, obs in zip(formulas, observers)]
-        assert len({id(dec) for dec in used}) == 15
-        assert all("read" in dec.__dict__ for dec in used)
+        plain = [mon.decoder(f) for f in formulas for mon in (sem, roll)]
+        shifted = [obs.decoder(f) for f, obs in zip(formulas, observers)]
+        assert len({id(dec) for dec in plain + shifted}) == 15
+        assert all("read" in dec.__dict__ for dec in plain)
+        # A decoder read only by observers never generates its plain read-out.
+        assert not any("read" in dec.__dict__ for dec in shifted)
+        assert [list(obs._read_outs) for obs in observers] == [[id(dec)] for dec in shifted]
         assert len(generated) == 15
+        assert sum(" - c" in source for source in generated) == 5
         assert walks == Counter()
 
 
 class TestSharedShrink:
     def test_each_step_shrinks_once_per_monitor(self, monkeypatch):
-        # 20 formulas per step share one history snapshot and, per monitor,
-        # one shrink of it; each observer is its own monitor, so it shrinks
-        # the snapshot once too.
+        # 20 formulas per step share one history snapshot and, per
+        # fragment-wide monitor, one shrink of it; each observer is its own
+        # restricted monitor, which subtracts its shift inside its read-out
+        # and stores no shrink.
         rng = np.random.default_rng(23)
         d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
         eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
@@ -746,12 +753,14 @@ class TestSharedShrink:
                 observer_certify(buf, obs, f)
         certified = {"semantic": 10 - sem.k_max, "history": 10 - roll.k_max}
         assert len(built) == certified["history"]
-        # One shrink per snapshot and monitor: the semantic monitor alone on
-        # each certified semantic snapshot; the rolling monitor and the 20
-        # observers on each history snapshot.
+        # One shrink per snapshot and fragment-wide monitor: the semantic
+        # monitor alone on each certified semantic snapshot, the rolling
+        # monitor alone on each history snapshot; none for the observers.
         assert [b._shrunk.stored for b in semantic[-certified["semantic"]:]] == [Counter([sem])] * certified["semantic"]
         assert [b._shrunk.stored for b in semantic[: -certified["semantic"]]] == [Counter()] * sem.k_max
-        assert [b._shrunk.stored for b in built] == [Counter([roll, *observers])] * certified["history"]
+        assert [b._shrunk.stored for b in built] == [Counter([roll])] * certified["history"]
+        # Every observer read each history snapshot's one float list.
+        assert all("_floats" in vars(b) for b in built)
 
 
 def stream_verdicts(ep, predictor, mon, f):
