@@ -115,6 +115,13 @@ def crossroad_margins(cfg: CrossroadConfig, states: np.ndarray) -> np.ndarray:
     Each row is ``(x, y, heading, speed, px1, py1, px2, py2, ...)``; the
     result is the ``(m, n)`` margin matrix, one predicate per row. With no
     pedestrians every clearance reads the cap ``sector_max``.
+
+    Every margin of a row is computed from that row alone, by elementwise
+    numpy expressions and reductions over its pedestrians, so the rows of
+    several episodes stacked into one call give each episode's own margins
+    bit for bit; :func:`generate_dataset` calls it on blocks of episodes. The
+    three cone clearances (front, left, right) come from one broadcast over
+    ``(rows, cones, pedestrians)``.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] < 4 or (states.shape[1] - 4) % 2 != 0:
@@ -123,15 +130,15 @@ def crossroad_margins(cfg: CrossroadConfig, states: np.ndarray) -> np.ndarray:
     rel = states[:, 4:].reshape(states.shape[0], (states.shape[1] - 4) // 2, 2) - pos[:, None, :]
     dist = np.hypot(rel[:, :, 0], rel[:, :, 1])
     bearing = np.arctan2(rel[:, :, 1], rel[:, :, 0])
-    half_angle = math.radians(cfg.sector_half_angle_deg)
 
     def nearest(values: np.ndarray) -> np.ndarray:
-        """The row minimum capped at ``sector_max``; the cap for an empty row."""
-        return np.minimum(np.min(values, axis=1, initial=np.inf), cfg.sector_max)
+        """The minimum over the last axis capped at ``sector_max``; the cap
+        where that axis is empty."""
+        return np.minimum(np.min(values, axis=-1, initial=np.inf), cfg.sector_max)
 
-    def cone_clearance(center: np.ndarray) -> np.ndarray:
-        in_cone = np.abs(_wrap_angle(bearing - center[:, None])) <= half_angle
-        return nearest(np.where(in_cone, dist, np.inf))
+    centers = np.stack([heading, heading + 0.5 * math.pi, heading - 0.5 * math.pi], axis=1)
+    in_cone = np.abs(_wrap_angle(bearing[:, None, :] - centers[:, :, None])) <= math.radians(cfg.sector_half_angle_deg)
+    cones = nearest(np.where(in_cone, dist[:, None, :], np.inf)) - cfg.d_safe
 
     cos_h = np.cos(heading)[:, None]
     sin_h = np.sin(heading)[:, None]
@@ -140,13 +147,10 @@ def crossroad_margins(cfg: CrossroadConfig, states: np.ndarray) -> np.ndarray:
     ahead = (longitudinal > 0.0) & (np.abs(lateral) <= cfg.corridor_half_width)
 
     p_clear = nearest(dist) - cfg.d_safe
-    p_f = cone_clearance(heading) - cfg.d_safe
-    p_l = cone_clearance(heading + 0.5 * math.pi) - cfg.d_safe
-    p_r = cone_clearance(heading - 0.5 * math.pi) - cfg.d_safe
     p_front_margin = nearest(np.where(ahead, longitudinal, np.inf)) - cfg.d_safe
     p_goal = cfg.goal_radius - np.hypot(pos[:, 0] - cfg.robot_goal[0], pos[:, 1] - cfg.robot_goal[1])
     p_speed = cfg.v_max - speed
-    return np.vstack([p_clear, p_f, p_l, p_r, p_front_margin, p_goal, p_speed])
+    return np.vstack([p_clear, cones.T, p_front_margin, p_goal, p_speed])
 
 
 def _wrap_angle(angle: np.ndarray) -> np.ndarray:
@@ -163,60 +167,123 @@ def simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
     of the recorded states; ``uid`` is set to ``seed`` for reproducible noise
     keys.
 
-    Episodes are bit-reproducible from ``(cfg, seed)``. The step loop runs on
-    Python floats: angles wrap with the float ``%`` (the same ``fmod`` rule
-    numpy's ``%`` follows), and the nearest-pedestrian distance takes the C
-    library's ``hypot`` through ``abs(complex(dx, dy))``, the function
-    ``np.hypot`` calls (``math.hypot`` rounds differently on some inputs).
+    This is the one-seed case of the simulator :func:`generate_dataset`
+    runs on a whole split, so an episode reads the same here as in row
+    ``i`` of a split table (see :func:`_simulate_split`).
     """
-    rng = np.random.default_rng([cfg.seed, seed])
-    n_ped = cfg.n_pedestrians
-    steps = cfg.T + 1
-    dt = cfg.dt
+    n_states = 4 + 2 * cfg.n_pedestrians
+    row = _simulate_split(cfg, [seed])[0]
+    return Episode(mu=np.ascontiguousarray(row[:, n_states:].T), dt=cfg.dt, states=row[:, :n_states],
+                   predicate_names=PREDICATE_NAMES, uid=seed)
 
-    # With no pedestrians every draw below has size 0 and leaves rng as it is.
-    starts = np.asarray(cfg.pedestrian_starts, dtype=float).reshape(n_ped, 2)
-    starts = starts + rng.uniform(-cfg.start_jitter, cfg.start_jitter, size=(n_ped, 2))
-    speeds = np.asarray(cfg.pedestrian_speeds, dtype=float)
-    speeds = speeds * (1.0 + rng.uniform(-cfg.speed_jitter, cfg.speed_jitter, size=n_ped))
+
+# State rows per crossroad_margins call in a split: enough to pay numpy's
+# per-call overhead once for many episodes, few enough that the call's
+# intermediates (about 60 floats a row) stay small next to the split's table
+# (against per-episode calls, one call over the 12,200 rows of a 200-episode
+# split raised perfbench's report/peak_rss_mb by 3.9 MB, blocks of 1,024 rows
+# by about 1 MB).
+_MARGIN_ROWS = 1024
+
+
+def _simulate_split(cfg: CrossroadConfig, seeds: Sequence[int]) -> np.ndarray:
+    """The episodes of ``seeds`` as one C-order ``(n, T+1, S+m)`` table:
+    row ``i`` is episode ``seeds[i]``, the state at each step followed by
+    its ``m`` margins (the layout :func:`generate_dataset` saves).
+
+    Per episode: one generator ``default_rng([cfg.seed, seed])`` with four
+    draws in a fixed order (start jitter, speed jitter, pedestrian walk,
+    robot noise), and the robot's step loop (:func:`_drive`). Once for the
+    whole split: the pedestrian paths and the table; the margins come from
+    one :func:`crossroad_margins` call per block of episodes (at least one
+    episode, at most :data:`_MARGIN_ROWS` state rows). Both are elementwise
+    numpy expressions plus a ``cumsum`` along time, so an episode's values
+    do not depend on the other seeds in the call.
+    """
+    n, n_ped, steps, dt = len(seeds), cfg.n_pedestrians, cfg.T + 1, cfg.dt
+    sd = cfg.process_noise * math.sqrt(dt)
+    start_jitter = np.empty((n, n_ped, 2))
+    speed_jitter = np.empty((n, n_ped))
+    paths = np.zeros((n, steps, n_ped, 2))  # the walk first; step 0 does not move
+    robot_noise = []
+    for i, seed in enumerate(seeds):
+        # With no pedestrians the first three draws have size 0 and leave rng as it is.
+        rng = np.random.default_rng([cfg.seed, seed])
+        start_jitter[i] = rng.uniform(-cfg.start_jitter, cfg.start_jitter, size=(n_ped, 2))
+        speed_jitter[i] = rng.uniform(-cfg.speed_jitter, cfg.speed_jitter, size=n_ped)
+        paths[i, 1:] = rng.normal(0.0, sd, size=(steps - 1, n_ped, 2))
+        robot_noise.append(rng.normal(0.0, sd, size=(steps - 1, 2)))
+
+    starts = np.asarray(cfg.pedestrian_starts, dtype=float).reshape(n_ped, 2) + start_jitter
+    speeds = np.asarray(cfg.pedestrian_speeds, dtype=float) * (1.0 + speed_jitter)
     headings = np.radians(np.asarray(cfg.pedestrian_headings_deg, dtype=float))
     directions = np.stack([np.cos(headings), np.sin(headings)], axis=1)
     times = np.arange(steps)[:, None, None] * dt
-    walk = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, n_ped, 2))
-    drift = np.concatenate([np.zeros((1, n_ped, 2)), np.cumsum(walk, axis=0)])
-    ped_paths = starts[None, :, :] + speeds[None, :, None] * directions[None, :, :] * times + drift
+    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
+    paths = starts[:, None] + speeds[:, None, :, None] * directions * times + paths
 
-    robot_noise = rng.normal(0.0, cfg.process_noise * math.sqrt(dt), size=(steps - 1, 2)).tolist()
-    peds = ped_paths.tolist()
+    n_states = 4 + 2 * n_ped
+    table = np.empty((n, steps, n_states + len(PREDICATE_NAMES)))
+    table[:, :, 4:n_states] = paths.reshape(n, steps, 2 * n_ped)
+    # Each position as one Python complex number, its parts the path's floats.
+    for row, peds, noise in zip(table, paths.view(complex)[..., 0], robot_noise):
+        row[:, :4] = np.reshape(_drive(cfg, peds.tolist(), noise.tolist()), (steps, 4))
+    per_call = max(1, _MARGIN_ROWS // steps)
+    for lo in range(0, n, per_call):
+        block = table[lo : lo + per_call]
+        states = block[:, :, :n_states].reshape(-1, n_states)
+        block[:, :, n_states:] = crossroad_margins(cfg, states).T.reshape(len(block), steps, len(PREDICATE_NAMES))
+    return table
+
+
+def _drive(cfg: CrossroadConfig, peds: list[list[complex]], noise: list[list[float]]) -> list[float]:
+    """The robot's ``x, y, heading, speed`` at each step, flat, given the
+    pedestrians' positions ``peds[t]`` and the process noise ``noise[t]``.
+
+    Runs on Python floats. Angles wrap with the float ``%`` (the same
+    ``fmod`` rule numpy's ``%`` follows). The nearest-pedestrian distance is
+    ``abs(p - z)`` of complex numbers: the difference is taken part by
+    part, and ``abs`` calls the C library's ``hypot``, the function
+    ``np.hypot`` calls (``math.hypot`` rounds differently on some inputs).
+    Each clamp is written as the comparison ``min``/``max`` would make, so
+    ties and signed zeros come out as theirs.
+    """
+    hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
+    tau = 2.0 * pi
+    dt, v_max, gain, radius, d_safe = cfg.dt, cfg.v_max, cfg.accel_gain, cfg.activation_radius, cfg.d_safe
     max_turn = cfg.turn_rate_max * dt
-    tau = 2.0 * math.pi
-    v_max, gain, radius, d_safe = cfg.v_max, cfg.accel_gain, cfg.activation_radius, cfg.d_safe
+    min_turn = -max_turn
 
     gx, gy = cfg.robot_goal
     x, y = cfg.robot_start
-    heading = math.atan2(gy - y, gx - x)
+    heading = atan2(gy - y, gx - x)
     speed = 0.0
-
-    robot = [(x, y, heading, speed)]
-    for t in range(steps - 1):
-        dist_goal = math.hypot(gx - x, gy - y)
-        target = math.atan2(gy - y, gx - x)
-        turn = (target - heading + math.pi) % tau - math.pi
-        turn = max(-max_turn, min(max_turn, turn))
-        heading = (heading + turn + math.pi) % tau - math.pi
-        v_cmd = min(v_max, gain * dist_goal)
-        d_near = min([abs(complex(px - x, py - y)) for px, py in peds[t]], default=math.inf)
-        if d_near < radius:
-            brake = (d_near - d_safe) / (radius - d_safe)
-            v_cmd *= min(1.0, max(0.0, brake))
-        speed = v_cmd
-        noise_x, noise_y = robot_noise[t]
-        x += speed * math.cos(heading) * dt + noise_x
-        y += speed * math.sin(heading) * dt + noise_y
-        robot.append((x, y, heading, speed))
-
-    states = np.hstack([np.array(robot, dtype=float), ped_paths.reshape(steps, -1)])
-    return Episode(mu=crossroad_margins(cfg, states), dt=dt, states=states, predicate_names=PREDICATE_NAMES, uid=seed)
+    robot = [x, y, heading, speed]
+    for here, (noise_x, noise_y) in zip(peds, noise):
+        dx, dy = gx - x, gy - y
+        turn = (atan2(dy, dx) - heading + pi) % tau - pi
+        if not turn < max_turn:
+            turn = max_turn
+        if not turn > min_turn:
+            turn = min_turn
+        heading = (heading + turn + pi) % tau - pi
+        speed = gain * hypot(dx, dy)
+        if not speed < v_max:
+            speed = v_max
+        if here:
+            z = complex(x, y)
+            d_near = min([abs(p - z) for p in here])
+            if d_near < radius:
+                brake = (d_near - d_safe) / (radius - d_safe)
+                if not brake > 0.0:
+                    brake = 0.0
+                if not brake < 1.0:
+                    brake = 1.0
+                speed *= brake
+        x += speed * cos(heading) * dt + noise_x
+        y += speed * sin(heading) * dt + noise_y
+        robot += (x, y, heading, speed)
+    return robot
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +397,11 @@ def generate_dataset(
     across splits (the split code occupies bits above any index), so splits
     never share randomness. The dataset seed replaces ``cfg.seed``.
 
+    Each split is simulated in one pass (:func:`_simulate_split`: draws and
+    step loop per episode, pedestrian paths and margins per split) and its
+    table saved as it comes, before the next split is simulated. Row ``i``
+    equals :func:`simulate_episode` of its uid bit for bit.
+
     Raises ``ValueError``, before simulating anything, if ``out_dir`` already
     holds a ``manifest.json`` or any split table: two datasets must never
     share a directory.
@@ -357,15 +429,10 @@ def generate_dataset(
     }
     for split, count in counts.items():
         if count:
-            episodes = [simulate_episode(cfg, _episode_seed(split, i)) for i in range(count)]
-            _write_split(episodes, out / f"{split}.npy")
+            seeds = [_episode_seed(split, i) for i in range(count)]
+            np.save(out / f"{split}.npy", _simulate_split(cfg, seeds), allow_pickle=False)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return out
-
-
-def _write_split(episodes: Sequence[Episode], path: Path) -> None:
-    table = np.stack([ep.mu.T if ep.states is None else np.hstack([ep.states, ep.mu.T]) for ep in episodes])
-    np.save(path, table, allow_pickle=False)
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -242,7 +243,7 @@ class CalibratedMonitor:
     immutable, so sharing one is safe); a :func:`dataclasses.replace` copy
     starts with none. Either computes its own :attr:`shift`, :attr:`dim`
     and :attr:`basis_kind`. A monitor with a restricted ``support`` keeps
-    its own shifted read-out of each decoder it has certified with
+    its own shifted read-out of each live decoder it has certified with
     (:meth:`_read_out`), generated on the first certification, never by
     :meth:`for_formula`; every copy starts with none, since its shift may
     differ.
@@ -264,7 +265,7 @@ class CalibratedMonitor:
     coord_radii: np.ndarray | None = None
     predictor_config: dict | None = None
     _decoders: dict[Formula, Decoder] = field(default_factory=dict, init=False, repr=False)
-    _read_outs: dict[int, tuple[Decoder, Callable]] = field(default_factory=dict, init=False, repr=False)
+    _read_outs: dict[int, tuple[weakref.ref, Callable]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
@@ -325,13 +326,17 @@ class CalibratedMonitor:
         ``v`` shrunk by this monitor's :attr:`shift`
         (:func:`~ptmon.fragment._shifted_read`), for a monitor with a
         restricted ``support``. Generated on the first request for ``d`` and
-        kept in ``_read_outs`` under ``id(d)``, with ``d`` itself, as long as
-        the monitor lives: a lookup confirms the entry with ``is`` and never
-        compares two trees. A caller that passes a new decoder on every call
-        adds an entry on every call; reuse decoders, as :meth:`decoder` does."""
+        kept in ``_read_outs`` under ``id(d)``, with a weak reference to
+        ``d``, until ``d`` is freed: a lookup confirms the entry with ``is``
+        and never compares two trees, and the reference's callback drops the
+        entry, so a caller that passes a new decoder on every call leaves no
+        entries behind. The callback holds the dict of entries, not the
+        monitor, so an entry keeps neither its decoder nor its monitor
+        alive."""
         entry = self._read_outs.get(id(d))
-        if entry is None or entry[0] is not d:
-            entry = self._read_outs[id(d)] = (d, _shifted_read(d, self.shift.tolist()))
+        if entry is None or entry[0]() is not d:
+            ref = weakref.ref(d, lambda _, outs=self._read_outs, key=id(d): outs.pop(key, None))
+            entry = self._read_outs[id(d)] = (ref, _shifted_read(d, self.shift.tolist()))
         return entry[1]
 
     def decoder(self, f: Formula) -> Decoder:
@@ -430,6 +435,20 @@ def radius_for_support(cache: ScoreCache, support: Iterable[int], alpha: float) 
 
 
 def sample_level2_time(seed: int, episode_index: int, k_max: int, T: int) -> int:
+    """The valid time, uniform on ``k_max .. T``, at which a level-2 score or
+    check reads episode ``episode_index``: one ``integers`` draw from a
+    fresh ``np.random.default_rng([seed, episode_index])``.
+
+    Every level-2 draw goes through this function: level-2 calibration and
+    the observer's calibration (each episode's window in
+    :func:`_episode_blocks`) and level-2 coverage in
+    :mod:`~ptmon.metrics`. So a draw depends only on ``(seed,
+    episode_index)``, never on the order or the number of other draws.
+    Do not vectorise it, share a generator between episodes or cache its
+    draws silently: any other stream of draws moves every level-2 time, and
+    with them every radius, model file and digest. A cheaper draw needs a
+    versioned change of this contract.
+    """
     rng = np.random.default_rng([seed, episode_index])
     return int(rng.integers(k_max, T + 1))
 

@@ -468,6 +468,14 @@ def naive_simulate_episode(cfg: CrossroadConfig, seed: int) -> Episode:
     return Episode(mu=mu, dt=dt, states=states, predicate_names=PREDICATE_NAMES, uid=seed)
 
 
+def write_split(episodes, path) -> None:
+    """Save ``episodes`` as one split table in the layout
+    ``generate_dataset`` writes: row ``i`` is episode ``i``, its states
+    (if any) followed by its margins at each step."""
+    table = np.stack([ep.mu.T if ep.states is None else np.hstack([ep.states, ep.mu.T]) for ep in episodes])
+    np.save(path, table, allow_pickle=False)
+
+
 # ---------------------------------------------------------------------------
 # Random generators (all driven by an explicit numpy Generator)
 # ---------------------------------------------------------------------------

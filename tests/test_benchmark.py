@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmon.benchmark as benchmark
-from helpers import naive_crossroad_margins, naive_simulate_episode, random_episode
+from helpers import naive_crossroad_margins, naive_simulate_episode, random_episode, write_split
 from ptmon.benchmark import (
     DEFAULT_INTERVALS,
     PREDICATE_NAMES,
@@ -22,7 +22,6 @@ from ptmon.benchmark import (
     _episode_seed,
     _read_split,
     _wrap_angle,
-    _write_split,
     simulate_episode,
     stub_from_json,
 )
@@ -61,6 +60,20 @@ class TestConfig:
             CrossroadConfig(d_safe=0.0)
         with pytest.raises(ValueError):
             CrossroadConfig(activation_radius=0.5)  # must exceed d_safe
+
+
+ONE_PEDESTRIAN = dict(pedestrian_starts=((-2.0, -7.0),), pedestrian_headings_deg=(90.0,), pedestrian_speeds=(1.2,))
+NO_PEDESTRIANS = dict(pedestrian_starts=(), pedestrian_headings_deg=(), pedestrian_speeds=())
+
+# Configs whose episodes are simulated or read together, in one call: each
+# episode must come out as it does alone.
+STACKED_CASES = [
+    pytest.param(CrossroadConfig(T=60), id="default"),
+    pytest.param(CrossroadConfig(T=7, **ONE_PEDESTRIAN), id="one-pedestrian"),
+    pytest.param(CrossroadConfig(T=7, **NO_PEDESTRIANS), id="no-pedestrians"),
+    pytest.param(CrossroadConfig(T=1), id="one-step"),
+    pytest.param(CrossroadConfig(T=7, sector_half_angle_deg=180.0, process_noise=1.0), id="180-degree-cones"),
+]
 
 
 def margins_of(state, cfg=None):
@@ -107,6 +120,21 @@ class TestPredicates:
         batch = crossroad_margins(CrossroadConfig(), states)
         for i in range(5):
             assert np.array_equal(margins_of(states[i]), batch[:, i])
+
+    @pytest.mark.parametrize("cfg", STACKED_CASES)
+    def test_stacked_episodes_read_as_each_episode_alone(self, cfg):
+        # Pins the platform assumption the one-pass simulator rests on: an
+        # elementwise numpy result for a row does not depend on the array
+        # the row sits in (its length, its neighbours, its strides).
+        episodes = [simulate_episode(cfg, seed) for seed in range(60)]
+        own = np.hstack([crossroad_margins(cfg, ep.states) for ep in episodes])
+        stacked = np.concatenate([ep.states for ep in episodes])
+        # The same rows as strided views, as in a split table.
+        in_table = np.hstack([stacked, np.zeros((stacked.shape[0], len(PREDICATE_NAMES)))])[:, : stacked.shape[1]]
+        for states in (stacked, in_table):
+            got = crossroad_margins(cfg, states)
+            assert got.shape == own.shape == (len(PREDICATE_NAMES), 60 * (cfg.T + 1))
+            assert got.tobytes() == own.tobytes()
 
     def test_bad_state_shape(self):
         for shape in ((3, 5), (3, 3), (10,)):
@@ -402,25 +430,26 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             load_manifest(out)
 
-    def test_writer_bytes_match_the_per_line_writer(self, tmp_path):
-        cfg = CrossroadConfig(T=20)
-        counts = {"train": 2, "calib": 3, "test": 2}
+    @pytest.mark.parametrize("cfg", STACKED_CASES)
+    def test_writer_bytes_match_the_per_line_writer(self, tmp_path, cfg):
+        # A split is simulated in one pass; each of its rows must equal the
+        # episode simulated alone, bit for bit.
+        counts = {"train": 60, "calib": 61, "test": 60}
         out = generate_dataset(cfg, counts, seed=4, out_dir=tmp_path / "ds")
         cfg_back = CrossroadConfig.from_json(load_manifest(out)["config"])
         assert sorted(p.name for p in out.iterdir()) == ["calib.npy", "manifest.json", "test.npy", "train.npy"]
         for split, n in counts.items():
             table = np.load(out / f"{split}.npy", allow_pickle=False)
             assert table.dtype == np.float64 and table.flags.c_contiguous
-            assert table.shape == (n, 21, 4 + 2 * cfg.n_pedestrians + len(PREDICATE_NAMES))
-            for i in range(n):
-                regen = simulate_episode(cfg_back, _episode_seed(split, i))
-                assert table[i].tobytes() == np.hstack([regen.states, regen.mu.T]).tobytes()
+            assert table.shape == (n, cfg.T + 1, 4 + 2 * cfg.n_pedestrians + len(PREDICATE_NAMES))
+            alone = [simulate_episode(cfg_back, _episode_seed(split, i)) for i in range(n)]
+            assert table.tobytes() == np.stack([np.hstack([ep.states, ep.mu.T]) for ep in alone]).tobytes()
 
     def test_writer_without_states_matches_the_per_line_writer(self, tmp_path):
         rng = np.random.default_rng(6)
         eps = [random_episode(rng, len(PREDICATE_NAMES), 9) for _ in range(2)]
         assert eps[0].states is None
-        _write_split(eps, tmp_path / "calib.npy")
+        write_split(eps, tmp_path / "calib.npy")
         assert np.load(tmp_path / "calib.npy").shape == (2, 10, len(PREDICATE_NAMES))
         back = _read_split(tmp_path / "calib.npy", "calib", 2, 10, 1.0, eps[0].predicate_names)
         for ep, got in zip(eps, back):
@@ -447,7 +476,7 @@ class TestDatasetIO:
                 states[rng.random(states.shape) < 0.2] = -0.0
             eps.append(dataclasses.replace(ep, mu=mu, states=states))
         path = tmp_path_factory.mktemp("rt") / "test.npy"
-        _write_split(eps, path)
+        write_split(eps, path)
         back = _read_split(path, "test", n, T + 1, eps[0].dt, eps[0].predicate_names)
         assert [b.uid for b in back] == [_episode_seed("test", i) for i in range(n)]
         for ep, b in zip(eps, back):
@@ -477,7 +506,7 @@ class TestDatasetIO:
         def no_simulation(*args):
             raise AssertionError("simulated into a used directory")
 
-        monkeypatch.setattr(benchmark, "simulate_episode", no_simulation)
+        monkeypatch.setattr(benchmark, "_simulate_split", no_simulation)
         with pytest.raises(ValueError, match="already holds episode files"):
             generate_dataset(cfg, {"train": 1, "calib": 3, "test": 1}, seed=5, out_dir=out)
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
@@ -491,7 +520,7 @@ class TestDatasetIO:
         def no_simulation(*args):
             raise AssertionError("simulated into a used directory")
 
-        monkeypatch.setattr(benchmark, "simulate_episode", no_simulation)
+        monkeypatch.setattr(benchmark, "_simulate_split", no_simulation)
         with pytest.raises(ValueError, match=f"already holds episode files \\({name}\\)"):
             generate_dataset(CrossroadConfig(T=4), {"calib": 1}, seed=0, out_dir=out)
         assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [(name, b"x")]

@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import pickle
 import re
 import tempfile
 import tokenize
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -762,7 +764,7 @@ class TestRestrictedReadOut:
             got = certified_lower_bound(copy, basis, shared)
             want = copy_and_subtract_bound(copy, basis, shared)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            assert copy._read_outs[id(shared)][0] is shared
+            assert copy._read_outs[id(shared)][0]() is shared
         assert len(sources) == 1 + len(copies)
         # The shared decoder's plain read-out still reads the unshifted values.
         again = BasisVector(mon.basis_kind, values, mon.k_max)
@@ -775,10 +777,27 @@ class TestRestrictedReadOut:
         narrow = mon.for_formula(f)
         dec, other = narrow.decoder(f), replace(narrow).decoder(f)  # compiled afresh
         assert other == dec and other is not dec
-        narrow._read_outs[id(dec)] = (other, lambda v, lo, hi: 99.0)
+        narrow._read_outs[id(dec)] = (weakref.ref(other), lambda v, lo, hi: 99.0)
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         assert certified_lower_bound(narrow, basis, dec) == copy_and_subtract_bound(narrow, basis, dec)
-        assert narrow._read_outs[id(dec)][0] is dec
+        assert narrow._read_outs[id(dec)][0]() is dec
+
+    def test_read_outs_are_freed_with_their_decoders(self):
+        # A caller compiling a fresh decoder for every call leaves no
+        # read-outs behind, and an entry does not keep its monitor alive:
+        # the monitor is freed as soon as it is dropped, while the decoder
+        # it shares with its parent lives on.
+        mon, f = calibrated("rolling")
+        narrow = mon.for_formula(f)
+        basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
+        want = certified_lower_bound(narrow, basis, narrow.decoder(f))
+        for _ in range(1_000):
+            assert certified_lower_bound(narrow, basis, compile_history_decoder(f, mon.m, mon.k_max)) == want
+        gc.collect()
+        assert list(narrow._read_outs) == [id(mon.decoder(f))]
+        gone = weakref.ref(narrow)
+        del narrow
+        assert gone() is None
 
     def test_pickled_monitor_generates_its_own_read_outs(self):
         mon, _ = calibrated("observer")
