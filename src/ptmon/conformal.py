@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -180,7 +180,7 @@ class ScoreCache:
         s.flags.writeable = False
         return s
 
-    def column_quantiles(self, idx: Sequence[int], alpha: float) -> np.ndarray:
+    def column_quantiles(self, idx: Sequence[int] | np.ndarray, alpha: float) -> np.ndarray:
         """``split_quantile(matrix[:, idx], alpha)``, bit for bit: each
         listed column's order statistic, read from the columns sorted once."""
         return self._sorted_columns[_rank(self.matrix.shape[0], alpha) - 1].take(idx)
@@ -235,13 +235,17 @@ class CalibratedMonitor:
     changed monitor is a new one, made with :func:`dataclasses.replace`,
     which validates it again. :meth:`for_formula` changes only fields that
     need no validation (support, formula, radius, coordinate radii), so it
-    builds its copies without the frozen ``__init__``: it copies the
-    fields' values into a fresh instance and sets the changed ones.
-    :meth:`decoder` compiles each formula once per monitor and keeps the
-    result. A :meth:`for_formula` copy starts with its parent's decoder for
-    the formula, whose support is the copy's ``support`` (decoders are
-    immutable, so sharing one is safe); a :func:`dataclasses.replace` copy
-    starts with none. Either computes its own :attr:`shift`, :attr:`dim`
+    builds its copies without the frozen ``__init__``: a fresh instance
+    takes one copy of this monitor's ``__dict__``, less its cached
+    properties, with the changed fields set. Its radius is read from the
+    cache through the decoder's sorted
+    :attr:`~ptmon.fragment.Decoder.support_index`, so a query for a
+    formula whose decoder is compiled costs the support's order statistics
+    and that copy. :meth:`decoder` compiles each formula once per monitor
+    and keeps the result. A :meth:`for_formula` copy starts with its
+    parent's decoder for the formula, whose support is the copy's
+    ``support`` (decoders are immutable, so sharing one is safe); a
+    :func:`dataclasses.replace` copy starts with none. Either computes its own :attr:`shift`, :attr:`dim`
     and :attr:`basis_kind`. A monitor with a restricted ``support`` keeps
     its own shifted read-out of each live decoder it has certified with
     (:meth:`_read_out`), generated on the first certification, never by
@@ -330,12 +334,19 @@ class CalibratedMonitor:
         ``d``, until ``d`` is freed: a lookup confirms the entry with ``is``
         and never compares two trees, and the reference's callback drops the
         entry, so a caller that passes a new decoder on every call leaves no
-        entries behind. The callback holds the dict of entries, not the
+        entries behind. The callback holds only a weak reference to the
         monitor, so an entry keeps neither its decoder nor its monitor
-        alive."""
+        alive, and is in no reference cycle: a dropped monitor's read-outs
+        are freed with it by reference counting."""
         entry = self._read_outs.get(id(d))
         if entry is None or entry[0]() is not d:
-            ref = weakref.ref(d, lambda _, outs=self._read_outs, key=id(d): outs.pop(key, None))
+            monitor = weakref.ref(self)
+
+            def forget(_, key=id(d)):
+                if (mon := monitor()) is not None:
+                    mon._read_outs.pop(key, None)
+
+            ref = weakref.ref(d, forget)
             entry = self._read_outs[id(d)] = (ref, _shifted_read(d, self.shift.tolist()))
         return entry[1]
 
@@ -363,37 +374,45 @@ class CalibratedMonitor:
         Requires the cache; no episodes are re-read and no predictor re-run.
         For observer monitors each coordinate gets its own quantile at the
         split level ``alpha / |support|``, and the radius is the worst one.
+        The support's columns are read through the decoder's
+        :attr:`~ptmon.fragment.Decoder.support_index`, sorted once per
+        decoder.
         """
         if self.cache is None:
             raise ValueError("monitor carries no score cache; recalibrate with caching enabled")
         decoder = self.decoder(f)
-        support, name = decoder.support, decoder.formula
+        support, name, index = decoder.support, decoder.formula, decoder.support_index
         if self.kind != "observer":
             return self._specialised(f, decoder, support=support, formula=name,
-                                     radius=radius_for_support(self.cache, support, self.alpha))
-        idx = sorted(support)
-        quantiles = self.cache.column_quantiles(idx, self.alpha / len(idx))
+                                     radius=_radius(self.cache, index, self.alpha))
+        quantiles = self.cache.column_quantiles(index, self.alpha / len(index))
         coord_radii = np.zeros(self.dim)
-        coord_radii[idx] = quantiles
+        coord_radii[index] = quantiles
         coord_radii.flags.writeable = False  # nothing else holds it: no copy needed
         return self._specialised(f, decoder, support=support, formula=name, coord_radii=coord_radii,
-                                 radius=float(quantiles.max()))
+                                 radius=float(np.maximum.reduce(quantiles)))
 
     def _specialised(self, f: Formula, decoder: Decoder, **changes) -> "CalibratedMonitor":
         """This monitor with ``changes`` applied, for :meth:`for_formula`.
 
         Like :func:`dataclasses.replace` without the frozen ``__init__``,
-        which sets each field through ``object.__setattr__`` and costs about
-        10 µs a copy; ``changes`` must be values :meth:`__post_init__`
-        would keep as they are. The copy's cached properties and read-outs
-        start empty, since its shift may differ; its decoders start with
-        this monitor's ``decoder`` for ``f``, which is immutable and reads
-        the copy's layout.
+        which sets each field through ``object.__setattr__``: the copy's
+        state is one copy of this monitor's ``__dict__``, with ``changes``
+        applied, which must be values :meth:`__post_init__` would keep as
+        they are. The copy's cached properties and read-outs start empty,
+        since its shift may differ; its decoders start with this monitor's
+        ``decoder`` for ``f``, which is immutable and reads the copy's
+        layout.
         """
+        # A new dict, not ``self.__dict__.copy()``: on CPython 3.11 that
+        # copy keeps the split key table ``__init__`` gives a monitor, and
+        # with entries popped from it every attribute read of the copy,
+        # several per certification, measured slower.
+        state = {**self.__dict__, **changes, "_decoders": {f: decoder}, "_read_outs": {}}
+        for name in _CACHED:
+            state.pop(name, None)
         copy = object.__new__(type(self))
-        state = vars(copy)
-        state.update({name: getattr(self, name) for name in _FIELDS})
-        state.update(changes, _decoders={f: decoder}, _read_outs={})
+        object.__setattr__(copy, "__dict__", state)
         return copy
 
     def __getstate__(self) -> dict:
@@ -410,23 +429,29 @@ class CalibratedMonitor:
         return self.for_formula(f)
 
 
-# The monitor's fields, which :meth:`CalibratedMonitor._specialised` copies.
-_FIELDS = tuple(f.name for f in fields(CalibratedMonitor))
+# The monitor's cached properties, which :meth:`CalibratedMonitor._specialised`
+# drops from its copy.
+_CACHED = tuple(name for name, value in vars(CalibratedMonitor).items() if isinstance(value, cached_property))
 
 
 def radius_for_support(cache: ScoreCache, support: Iterable[int], alpha: float) -> float:
-    """Split quantile of row-wise maxima over a coordinate subset.
-
-    The support's columns are read as contiguous rows of the column-major
-    matrix's transpose and reduced in coordinate order, which gives the
-    row maxima of ``cache.matrix[:, sorted(support)]`` bit for bit.
-    """
+    """Split quantile of row-wise maxima over a coordinate subset: the
+    radius :meth:`CalibratedMonitor.for_formula` gives a decoder reading
+    ``support``, bit for bit."""
     idx = sorted(map(int, support))
     if not idx:
         raise ValueError("support must be nonempty")
     if idx[0] < 0 or idx[-1] >= cache.dim:
         raise ValueError("support indices out of range for the cache")
-    return split_quantile(cache.matrix.T.take(idx, axis=0).max(axis=0), alpha)
+    return _radius(cache, np.array(idx, dtype=np.intp), alpha)
+
+
+def _radius(cache: ScoreCache, index: np.ndarray, alpha: float) -> float:
+    """The radius over the ascending, in-range ``np.intp`` coordinates
+    ``index``. Their columns are read as contiguous rows of the
+    column-major matrix's transpose and reduced in coordinate order, which
+    gives the row maxima of ``cache.matrix[:, index]`` bit for bit."""
+    return split_quantile(np.maximum.reduce(cache.matrix.T.take(index, axis=0), axis=0), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,12 @@ class Decoder:
     the decoder is built: every leaf reads an ``int`` coordinate in
     ``0..dim-1`` and every min/max node has at least one child (a one-child
     node reads its child). The same walk fills ``support``, the
-    ``frozenset`` of coordinates the leaves read.
+    ``frozenset`` of coordinates the leaves read, and ``support_index``,
+    the same coordinates sorted once into a read-only ``np.intp`` array,
+    which radius queries read the score cache's columns with. Both are
+    set when the decoder is built, not on first use as the read-outs are:
+    on CPython 3.11 a cached property makes every later attribute read of
+    the decoder slower, and certification reads several per call.
 
     Decoding runs a function generated once per decoder on its first use:
     :attr:`read` with the built-in ``min``/``max`` over a list of floats
@@ -226,12 +231,24 @@ class Decoder:
                 stack.extend(node.children)
             else:
                 raise ValueError(f"{type(node).__name__} needs at least one child")
+        index = np.array(sorted(support), dtype=np.intp)
+        index.flags.writeable = False
         object.__setattr__(self, "support", frozenset(support))
+        object.__setattr__(self, "support_index", index)
 
     def __getstate__(self) -> dict:
         # The generated read-outs are functions without an importable name;
-        # an unpickled decoder generates its own on first decode.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_sources", "read", "read_series")}
+        # an unpickled decoder generates its own on first decode, and fills
+        # its support in ``__setstate__``.
+        derived = ("_sources", "read", "read_series", "support", "support_index")
+        return {k: v for k, v in self.__dict__.items() if k not in derived}
+
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled decoder checks its tree and fills its support again:
+        # numpy unpickles arrays writeable, so the index is sorted afresh.
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     @functools.cached_property
     def _sources(self) -> tuple[str, str]:
@@ -331,9 +348,11 @@ def _run_key(item: tuple[int, DecoderNode]):
 
 
 def _compiled(source: str, name: str, namespace: dict | None = None) -> Callable:
+    # Popped, so that the function's ``__globals__`` does not hold the
+    # function: a dropped read-out is freed by reference counting.
     namespace = {} if namespace is None else namespace
     exec(source, namespace)
-    return namespace[name]
+    return namespace.pop(name)
 
 
 # The intermediate a compiler builds first: a leaf is its ``int``

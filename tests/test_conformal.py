@@ -401,15 +401,22 @@ class TestRadiusQueriesMatchTheOracles:
         st.integers(0, 3),
         st.floats(0.001, 0.999),
         st.booleans(),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_for_formula_and_radius_for_support(self, n, m, k_max, u, clamp, seed):
+    def test_for_formula_and_radius_for_support(self, n, m, k_max, u, clamp, zeros, seed):
         rng = np.random.default_rng(seed)
         dim = m * (k_max + 1)
-        # Ties and zeros of both signs everywhere; continuous scores in some columns.
-        matrix = rng.choice([-0.0, 0.0, 0.5, 1.0, -1.0], size=(n, dim))
-        continuous = rng.random(dim) < 0.3
-        matrix[:, continuous] = rng.normal(size=(n, int(continuous.sum())))
+        if zeros:
+            # No score above zero: nearly every radius is a tie between
+            # zeros of both signs, which only the oracles' reductions, in
+            # coordinate order, settle alike.
+            matrix = rng.choice([-0.0, 0.0, -1.0], size=(n, dim))
+        else:
+            # Ties and zeros of both signs everywhere; continuous scores in some columns.
+            matrix = rng.choice([-0.0, 0.0, 0.5, 1.0, -1.0], size=(n, dim))
+            continuous = rng.random(dim) < 0.3
+            matrix[:, continuous] = rng.normal(size=(n, int(continuous.sum())))
         alpha = u / (n + 1) if clamp else u
         if clamp:  # the rank asks for more than the n-th smallest score
             assert math.ceil((n + 1) * (1 - alpha)) > n
@@ -423,20 +430,28 @@ class TestRadiusQueriesMatchTheOracles:
         def same(a, b):
             return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
-        assert same(radius_for_support(cache, set(support), alpha), radius)
+        shuffled = list(rng.permutation(support))
+        for given_support in (set(support), shuffled, (int(c) for c in shuffled),
+                              np.array(shuffled, dtype=np.intp)):
+            assert same(radius_for_support(cache, given_support, alpha), radius)
+        # Another formula's copy answers f through monitor_for.
+        g = lag_term(support[-1], k_max + 1)
         for kind in ("semantic", "rolling", "observer"):
             mon = self.monitor(kind, cache, alpha, m, k_max)
             with tempfile.TemporaryDirectory() as tmp:
                 save_monitor(mon, Path(tmp) / "mon.json")
                 back = load_monitor(Path(tmp) / "mon.json")
             for source in (mon, back):
-                spec = source.for_formula(f)
-                assert spec.support == set(support)
-                if kind == "observer":
-                    assert same(spec.coord_radii, coord_radii)
-                    assert same(spec.radius, observer_radius)
-                else:
-                    assert same(spec.radius, radius)
+                # Cold (the decoder compiled, the observer's columns sorted),
+                # then warm, then through monitor_for.
+                specs = [source.for_formula(f), source.for_formula(f), source.for_formula(g).monitor_for(f)]
+                for spec in specs:
+                    assert spec.support == set(support)
+                    if kind == "observer":
+                        assert same(spec.coord_radii, coord_radii)
+                        assert same(spec.radius, observer_radius)
+                    else:
+                        assert same(spec.radius, radius)
 
 
 class TestSpecialisedCopies:
@@ -807,6 +822,39 @@ class TestRestrictedReadOut:
         back = pickle.loads(pickle.dumps(mon))
         assert mon._read_outs and back._read_outs == {}
         assert certified_lower_bound(back, basis, back.decoder(f)) == want
+
+
+class TestReadOutsFreedByReferenceCounting:
+    """Generated read-outs are in no reference cycle, so they die on
+    ``del`` with the cycle collector switched off."""
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_dropped_decoders_and_monitors_free_their_read_outs(self):
+        mon, f = calibrated("rolling")
+        basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
+        dec = compile_history_decoder(f, mon.m, mon.k_max)
+        decode_values(dec, basis.values)
+        fragment.decode_series(dec, basis.values[:, None])
+        refs = [weakref.ref(x) for x in (dec, dec.read, dec.read_series)]
+        del dec
+        assert [r() for r in refs] == [None] * 3
+        # The shared decoder outlives the monitor; its shifted read-out does
+        # not, and neither does the read-out of a decoder dropped with it.
+        narrow = mon.for_formula(f)
+        own = compile_history_decoder(f, mon.m, mon.k_max)
+        certified_lower_bound(narrow, basis, narrow.decoder(f))
+        certified_lower_bound(narrow, basis, own)
+        refs = [weakref.ref(narrow), weakref.ref(own)]
+        refs += [weakref.ref(read_out) for _, read_out in narrow._read_outs.values()]
+        assert len(refs) == 4
+        del narrow, own
+        assert [r() for r in refs] == [None] * 4
 
 
 class TestChecksEveryCall:
@@ -1281,6 +1329,26 @@ class TestPersistence:
         (got,) = certified_lower_bounds(back, predicted, [d_back])
         (want,) = certified_lower_bounds(mon, predicted, [d_mon])
         assert same(got, want)
+
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_pickled_and_reloaded_monitors_answer_queries_alike(self, kind, tmp_path):
+        # Each source reads the support's columns through a decoder's
+        # support index: one rebuilt after pickling, or a fresh decoder's.
+        mon, f = calibrated(kind)
+        want = mon.for_formula(f)
+        with_pickled_decoder = replace(mon)
+        with_pickled_decoder._decoders[f] = pickle.loads(pickle.dumps(mon.decoder(f)))
+        save_monitor(mon, tmp_path / "m.json")
+        sources = [pickle.loads(pickle.dumps(mon)), pickle.loads(pickle.dumps(want)), with_pickled_decoder,
+                   load_monitor(tmp_path / "m.json")]
+        for source in sources:
+            got = source.for_formula(f)
+            assert got.decoder(f) is not mon.decoder(f)
+            assert got.support == want.support and got.formula == want.formula
+            assert np.float64(got.radius).tobytes() == np.float64(want.radius).tobytes()
+            assert (got.coord_radii is None) == (want.coord_radii is None)
+            if want.coord_radii is not None:
+                assert got.coord_radii.tobytes() == want.coord_radii.tobytes()
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "m.json"

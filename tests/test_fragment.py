@@ -404,6 +404,20 @@ class TestReadOut:
         assert decode_values(back, x) == want
         assert decode_series(back, x[:, None]).tobytes() == want_series.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(decoders())
+    def test_support_index_is_the_sorted_support(self, dec):
+        index = dec.support_index
+        assert index is dec.support_index
+        assert index.dtype == np.intp and index.tolist() == sorted(dec.support)
+        with pytest.raises(ValueError):
+            index[0] = 0
+        # Pickling drops the index; the copy sorts its own, read-only too.
+        assert "support_index" not in dec.__getstate__()
+        back = pickle.loads(pickle.dumps(dec))
+        assert back.support_index.tolist() == index.tolist()
+        assert not back.support_index.flags.writeable
+
     def test_both_read_outs_come_from_one_walk_of_the_tree(self, monkeypatch):
         walks = []
         write = fragment._write_sources
