@@ -21,7 +21,12 @@ which subtracts the monitor's shift from each coordinate as it reads it.
 Both compilers build their tree first over plain ``int`` leaves and
 ``(op, children)`` tuples, where flattening and dropping repeated children
 cost C-level hashing and comparison; only the surviving nodes become
-``Leaf``/``MinNode``/``MaxNode`` objects.
+``Leaf``/``MinNode``/``MaxNode`` objects. A window over a predicate of the
+layout unrolls in one step, into the ``range`` of coordinates it reads,
+with no call per lag. ``Leaf`` objects are immutable values, so every tree
+takes its leaves from one shared table, ``Leaf(i)`` made once per
+coordinate ``i``: the table never outgrows the largest layout dimension
+compiled for.
 """
 
 from __future__ import annotations
@@ -383,10 +388,25 @@ def _join(op: int, children: Iterable) -> int | tuple:
     return kept[0] if len(kept) == 1 else (op, kept)
 
 
+class _LeafTable(dict):
+    """One ``Leaf`` per coordinate, made on the first compile that reads it
+    and shared by every tree compiled after: a ``Leaf`` is an immutable
+    value compared by value, so no tree can tell a shared one from its own.
+    The table holds at most one leaf per coordinate below the largest
+    layout dimension any decoder was compiled for."""
+
+    def __missing__(self, index: int) -> Leaf:
+        leaf = self[index] = Leaf(index)
+        return leaf
+
+
+_LEAVES = _LeafTable()
+
+
 def _materialise(node: int | tuple) -> DecoderNode:
     """The ``Leaf``/``MinNode``/``MaxNode`` tree of an intermediate."""
     if type(node) is int:
-        return Leaf(node)
+        return _LEAVES[node]
     op, children = node
     return (MinNode if op == _MIN else MaxNode)(tuple(map(_materialise, children)))
 
@@ -423,6 +443,14 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
     Window operators unroll into min/max over their child shifted by every
     lag in the window; predicates at accumulated lag ``j`` read coordinate
     ``k*(k_max+1) + j``. Requires ``horizon(f) <= k_max``.
+
+    A window ``[a,b]`` over a predicate ``k`` of the layout, at accumulated
+    lag ``j``, unrolls in one step: with ``lo = k*(k_max+1) + j + a``, it is
+    the leaf ``lo`` when ``a == b`` and otherwise the min/max over the
+    consecutive coordinates ``lo .. lo+b-a``, the tree the per-lag
+    recursion builds. Nested windows, ``&``/``|`` and predicates outside the
+    layout recurse per lag, so an out-of-layout predicate raises where it
+    always did, in tree order and after the horizon check.
     """
     h = horizon(f)
     if h > k_max:
@@ -440,6 +468,11 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
             op = _MIN if isinstance(node, And) else _MAX
             return _join(op, (build(node.left, lag), build(node.right, lag)))
         op, iv, child = _MIN if isinstance(node, Always) else _MAX, node.interval, node.child
+        if isinstance(child, Predicate) and 0 <= child.index < m:
+            # What ``_join`` makes of the per-lag list: distinct ``int``
+            # leaves, consecutive coordinates in lag order.
+            lo = child.index * width + lag + iv.a
+            return lo if iv.a == iv.b else (op, tuple(range(lo, lo + iv.b - iv.a + 1)))
         return _join(op, [build(child, lag + d) for d in range(iv.a, iv.b + 1)])
 
     root = _materialise(build(f, 0))

@@ -562,6 +562,123 @@ class TestCompilersMatchTheOracles:
                 assert bits(decode_values(got, matrix[:, j])) == bits(decode_values(want, matrix[:, j]))
 
 
+# Compiled as ``(text, m, k_max)`` over predicates ``p0``..``p3``: with
+# ``m = 2``, ``p2`` and ``p3`` lie outside the history layout.
+WINDOW_CASES = [
+    ("G[3,3] p1", 2, 5),  # a == b, a > 0: one leaf
+    ("F[0,0] p0", 2, 0),  # a == b == 0 == k_max
+    ("G[2,5] p0", 2, 5),  # a > 0, b == k_max
+    ("F[0,5] p1", 2, 5),  # b == k_max
+    ("G[0,1] p1", 2, 3),  # two lags
+    ("F[1,2] G[0,0] p1", 2, 2),  # over a width-1 window
+    ("G[1,2] (p0 & p1)", 2, 3),
+    ("F[0,3] (p0 | G[1,1] p1)", 2, 4),
+    ("G[0,2] F[1,3] p0", 2, 5),
+    ("F[1,2] F[0,2] p1", 2, 4),  # same operator: flattened, repeats dropped
+    ("G[0,2] p0 & G[1,3] p0", 2, 3),  # overlapping windows under one join
+    ("F[0,2] p0 | F[2,4] p0 | p0", 2, 4),
+    ("G[0,1] p0 & F[0,1] p0 | G[2,2] p1", 2, 2),
+    ("(G[0,2] p0 | F[1,1] p1) & G[0,2] p0", 2, 2),
+    ("G[1,3] p2", 2, 3),  # outside the layout, inside a window
+    ("G[0,1] p0 & F[1,2] p2", 2, 2),
+    ("F[0,1] p3 | G[0,1] p2", 2, 1),  # the first in tree order is reported
+    ("F[0,2] (p1 & p2)", 2, 2),
+    ("G[0,4] p2", 2, 3),  # horizon checked before the layout
+    ("G[2,2] p0", 2, 1),
+    ("F[0,1] p0 | G[1,3] p3", 2, 2),
+]
+
+
+# The 20 formulas ``perfbench`` certifies (``formula_texts`` at its
+# ``FORMULA_SEED``), over the crossroad dictionary.
+PERFBENCH_FORMULAS = [
+    "(G[0,4] p_front_margin | F[0,4] p_r | (G[0,2] p_clear | F[0,4] p_clear)) & (G[0,16] p_f & F[0,1] p_l)",
+    "F[0,1] p_clear & G[0,1] p_speed | G[0,8] p_clear | F[0,4] p_clear & F[0,8] p_r",
+    "F[0,8] p_front_margin | G[0,8] p_speed & F[0,4] p_front_margin",
+    "(G[0,4] p_r & G[0,8] p_l | G[0,1] p_goal) & (F[0,16] p_l & F[0,1] p_l)",
+    "(G[0,8] p_l | F[0,2] p_clear) & F[0,2] p_front_margin & (G[0,16] p_goal | F[0,4] p_clear)",
+    "G[0,16] p_l & F[0,16] p_r",
+    "(F[0,2] p_speed | G[0,1] p_l) & (G[0,1] p_front_margin | G[0,2] p_speed)",
+    "F[0,2] p_r | F[0,16] p_l | F[0,2] p_f | (G[0,8] p_speed | (G[0,4] p_r | F[0,2] p_clear))",
+    "G[0,16] p_clear | F[0,16] p_clear",
+    "(G[0,1] p_speed | F[0,1] p_clear) & ((G[0,16] p_speed | F[0,4] p_clear) & (G[0,1] p_speed | G[0,16] p_clear))",
+    "F[0,4] p_speed",
+    "G[0,2] p_f & (F[0,2] p_front_margin | F[0,8] p_goal | F[0,1] p_goal & G[0,2] p_clear)",
+    "F[0,4] p_f",
+    "F[0,1] p_speed & (F[0,16] p_clear & F[0,8] p_speed)",
+    "G[0,16] p_clear",
+    "F[0,1] p_front_margin & (G[0,16] p_r & G[0,1] p_speed | G[0,8] p_goal) | G[0,1] p_l",
+    "F[0,1] p_clear & (G[0,1] p_f & (F[0,16] p_goal & G[0,8] p_speed))",
+    "F[0,4] p_l",
+    "F[0,4] p_clear",
+    "F[0,4] p_front_margin | G[0,8] p_r",
+]
+
+
+def both_compilers(f, d):
+    """``(compiled, oracle-built)`` decoders of ``f`` on both layouts of
+    ``d``, at its own history depth."""
+    return [
+        (compile_semantic_decoder(f, d), naive_compile_semantic_decoder(f, d)),
+        (compile_history_decoder(f, d.m, d.K_max), naive_compile_history_decoder(f, d.m, d.K_max)),
+    ]
+
+
+class TestWindowsUnrolledInOneStep:
+    """A window over a predicate of the layout unrolls in one step; every
+    other window takes the recursive path. Either way the decoder, or the
+    error, is the oracle's."""
+
+    @pytest.mark.parametrize("text, m, k_max", WINDOW_CASES)
+    def test_history_decoder_or_error_matches_the_oracle(self, text, m, k_max):
+        f = parse_formula(text, ("p0", "p1", "p2", "p3"))
+        got = outcome(compile_history_decoder, f, m, k_max)
+        want = outcome(naive_compile_history_decoder, f, m, k_max)
+        assert type(got) is type(want)
+        if not isinstance(want, Decoder):
+            assert got == want
+            return
+        assert (got.root, got.dim, got.formula, got.horizon, got.support) == (
+            want.root, want.dim, want.formula, want.horizon, want.support)
+        assert got._sources == want._sources
+
+
+class TestSharedLeaves:
+    """Compiled trees share one ``Leaf`` per coordinate; nothing downstream
+    of the tree can tell."""
+
+    @pytest.mark.parametrize("text", PERFBENCH_FORMULAS)
+    def test_read_out_sources_equal_the_oracle_built_decoders(self, text, standard_dictionary):
+        f = parse_formula(text, standard_dictionary.predicate_names)
+        for got, want in both_compilers(f, standard_dictionary):
+            assert got.root == want.root
+            for shifted in (False, True):
+                assert fragment._write_sources(got.root, shifted) == fragment._write_sources(want.root, shifted)
+
+    @pytest.mark.parametrize("text", PERFBENCH_FORMULAS)
+    def test_pickled_decoders_validate_again_and_read_alike(self, text, standard_dictionary, monkeypatch):
+        f = parse_formula(text, standard_dictionary.predicate_names)
+        for dec, _ in both_compilers(f, standard_dictionary):
+            checked = []
+            check = Decoder.__post_init__
+            monkeypatch.setattr(Decoder, "__post_init__", lambda self: checked.append(self) or check(self))
+            back = pickle.loads(pickle.dumps(dec))
+            monkeypatch.undo()
+            assert len(checked) == 1 and checked[0] is back and back is not dec
+            assert back == dec and back.support == dec.support
+            assert back.support_index.tobytes() == dec.support_index.tobytes()
+            assert not back.support_index.flags.writeable
+            assert back._sources == dec._sources
+
+    def test_one_leaf_per_coordinate(self):
+        f = parse_formula("G[0,3] p1 & (F[1,2] p1 | G[0,0] p0)", ("p0", "p1"))
+        leaves = [n for n in fragment._nodes(compile_history_decoder(f, 2, 3).root) if isinstance(n, Leaf)]
+        again = [n for n in fragment._nodes(compile_history_decoder(f, 2, 3).root) if isinstance(n, Leaf)]
+        assert len(leaves) == 7 and len({n.index for n in leaves}) == len(set(map(id, leaves))) == 5
+        assert [n.index for n in again] == [n.index for n in leaves]
+        assert all(a is b for a, b in zip(again, leaves))
+
+
 class TestInformationOrder:
     def test_semantic_basis_recoverable_from_history(self, standard_dictionary):
         """Each atom's compiled history decoder, run on the predicate-history
