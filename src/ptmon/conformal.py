@@ -11,7 +11,7 @@ per-coordinate observer baseline is the same operation with one radius per
 coordinate. :func:`certified_lower_bound` certifies one basis vector: a
 fragment-wide monitor shrinks each snapshot once for all the formulas
 certified from it, and a monitor with a restricted support subtracts its
-shift inside its own read-out of each decoder instead;
+shift inside each decoder's shifted read-out instead;
 :func:`certified_lower_bounds` certifies a whole matrix of them
 for several formulas, shrinking it once for all their decoders, which read
 it row-major.
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .fragment import (
     AtomicDictionary,
     BasisMismatchError,
     Decoder,
-    _shifted_read,
     compile_history_decoder,
     compile_semantic_decoder,
     decode_series,
@@ -245,12 +243,10 @@ class CalibratedMonitor:
     and keeps the result. A :meth:`for_formula` copy starts with its
     parent's decoder for the formula, whose support is the copy's
     ``support`` (decoders are immutable, so sharing one is safe); a
-    :func:`dataclasses.replace` copy starts with none. Either computes its own :attr:`shift`, :attr:`dim`
-    and :attr:`basis_kind`. A monitor with a restricted ``support`` keeps
-    its own shifted read-out of each live decoder it has certified with
-    (:meth:`_read_out`), generated on the first certification, never by
-    :meth:`for_formula`; every copy starts with none, since its shift may
-    differ.
+    :func:`dataclasses.replace` copy starts with none. Either computes its
+    own :attr:`shift`, :attr:`dim`, :attr:`basis_kind` and
+    :attr:`_shift_floats`; it generates no read-out, as those belong to
+    the decoders.
     """
 
     kind: str
@@ -269,7 +265,6 @@ class CalibratedMonitor:
     coord_radii: np.ndarray | None = None
     predictor_config: dict | None = None
     _decoders: dict[Formula, Decoder] = field(default_factory=dict, init=False, repr=False)
-    _read_outs: dict[int, tuple[weakref.ref, Callable]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
@@ -325,30 +320,12 @@ class CalibratedMonitor:
         shift.flags.writeable = False
         return shift
 
-    def _read_out(self, d: Decoder) -> Callable:
-        """``d``'s read-out ``read(v, lo, hi)`` of a snapshot's float list
-        ``v`` shrunk by this monitor's :attr:`shift`
-        (:func:`~ptmon.fragment._shifted_read`), for a monitor with a
-        restricted ``support``. Generated on the first request for ``d`` and
-        kept in ``_read_outs`` under ``id(d)``, with a weak reference to
-        ``d``, until ``d`` is freed: a lookup confirms the entry with ``is``
-        and never compares two trees, and the reference's callback drops the
-        entry, so a caller that passes a new decoder on every call leaves no
-        entries behind. The callback holds only a weak reference to the
-        monitor, so an entry keeps neither its decoder nor its monitor
-        alive, and is in no reference cycle: a dropped monitor's read-outs
-        are freed with it by reference counting."""
-        entry = self._read_outs.get(id(d))
-        if entry is None or entry[0]() is not d:
-            monitor = weakref.ref(self)
-
-            def forget(_, key=id(d)):
-                if (mon := monitor()) is not None:
-                    mon._read_outs.pop(key, None)
-
-            ref = weakref.ref(d, forget)
-            entry = self._read_outs[id(d)] = (ref, _shifted_read(d, self.shift.tolist()))
-        return entry[1]
+    @cached_property
+    def _shift_floats(self) -> list[float]:
+        """:attr:`shift` listed once as Python floats, which a monitor with a
+        restricted ``support`` passes to each decoder's
+        :attr:`~ptmon.fragment.Decoder.read_shifted`."""
+        return self.shift.tolist()
 
     def decoder(self, f: Formula) -> Decoder:
         """The decoder reading ``f`` off this monitor's basis layout,
@@ -399,8 +376,8 @@ class CalibratedMonitor:
         which sets each field through ``object.__setattr__``: the copy's
         state is one copy of this monitor's ``__dict__``, with ``changes``
         applied, which must be values :meth:`__post_init__` would keep as
-        they are. The copy's cached properties and read-outs start empty,
-        since its shift may differ; its decoders start with this monitor's
+        they are. The copy's cached properties start empty, since its shift
+        may differ; its decoders start with this monitor's
         ``decoder`` for ``f``, which is immutable and reads the copy's
         layout.
         """
@@ -408,17 +385,12 @@ class CalibratedMonitor:
         # copy keeps the split key table ``__init__`` gives a monitor, and
         # with entries popped from it every attribute read of the copy,
         # several per certification, measured slower.
-        state = {**self.__dict__, **changes, "_decoders": {f: decoder}, "_read_outs": {}}
+        state = {**self.__dict__, **changes, "_decoders": {f: decoder}}
         for name in _CACHED:
             state.pop(name, None)
         copy = object.__new__(type(self))
         object.__setattr__(copy, "__dict__", state)
         return copy
-
-    def __getstate__(self) -> dict:
-        # Generated read-outs are functions without an importable name, and
-        # their keys are identities; an unpickled monitor generates its own.
-        return {**self.__dict__, "_read_outs": {}}
 
     def monitor_for(self, f: Formula) -> "CalibratedMonitor":
         """The monitor that certifies ``f``: this one when its radius already
@@ -745,30 +717,31 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     kept on the snapshot, keyed by the monitor, checked before they are
     stored and shared by every formula certified from the snapshot. Both
     are immutable, so the entry never goes stale. A restricted monitor,
-    whose decoders read only its support, shrinks nothing: its own read-out
-    of each decoder (:meth:`CalibratedMonitor._read_out`) subtracts its
-    shift from the coordinates it reads of the snapshot's values as Python
-    floats, listed once per snapshot for all monitors, so its snapshot test
-    runs on every call. Python and numpy subtract floats alike, bit for bit.
+    whose decoders read only its support, shrinks nothing, so its snapshot
+    test runs on every call: the decoder's
+    :attr:`~ptmon.fragment.Decoder.read_shifted` subtracts the monitor's
+    :attr:`~CalibratedMonitor._shift_floats` from the coordinates it reads
+    of the snapshot's float list. Python and numpy subtract floats alike,
+    bit for bit.
     """
-    support = mon.support
+    support, kind, dim = mon.support, mon.basis_kind, mon.dim
     if not (
-        d.basis_kind is mon.basis_kind
-        and d.dim == mon.dim
+        d.basis_kind is kind
+        and d.dim == dim
         and (support is None or d.support is support or d.support <= support)
     ):
         _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
     if support is not None:
         # A basis vector is one-dimensional, so its length is its shape.
-        if predicted.kind is not mon.basis_kind or predicted.values.shape[0] != mon.dim:
+        if predicted.kind is not kind or len(predicted.values) != dim:
             _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
-        return mon._read_out(d)(predicted._floats, min, max)
+        return d.read_shifted(predicted._floats, mon._shift_floats, min, max)
     shrunk = predicted._shrunk.get(mon)
     if shrunk is None:
         # Only a snapshot that matches the monitor is memoised, so a memoised
         # one needs no second look.
         values = predicted.values
-        if predicted.kind is not mon.basis_kind or values.shape[0] != mon.dim:
+        if predicted.kind is not kind or values.shape[0] != dim:
             _check_certifiable(mon, predicted.kind, values.shape[0], d)
         shrunk = (values - mon.shift).tolist()
         predicted._shrunk[mon] = shrunk

@@ -15,8 +15,8 @@ walk of the tree: :attr:`Decoder.read` for one basis vector, with the
 built-in ``min``/``max`` over a list of floats, and
 :attr:`Decoder.read_series` for the columns of a row-major basis matrix,
 which reduces each run of consecutive rows in one numpy call. The same
-walk writes a monitor's shifted read-out of a decoder (:func:`_shifted_read`),
-which subtracts the monitor's shift from each coordinate as it reads it.
+walk writes :attr:`Decoder.read_shifted`, which subtracts a shift passed as
+a list from each coordinate it reads, for every restricted monitor.
 
 Both compilers build their tree first over plain ``int`` leaves and
 ``(op, children)`` tuples, where flattening and dropping repeated children
@@ -208,10 +208,11 @@ class Decoder:
 
     Decoding runs a function generated once per decoder on its first use:
     :attr:`read` with the built-in ``min``/``max`` over a list of floats
-    (:func:`decode_values`, and streaming certification), or
-    :attr:`read_series` with ``np.minimum``/``np.maximum`` over the rows of
-    a C-order ``(dim, n)`` matrix (:func:`decode_series`). Both come from
-    the same walk of the tree and give the same values; on a tie between
+    (:func:`decode_values`, and streaming certification), its shifted twin
+    :attr:`read_shifted` (restricted monitors), or :attr:`read_series` with
+    ``np.minimum``/``np.maximum`` over the rows of a C-order ``(dim, n)``
+    matrix (:func:`decode_series`). All three come from the same walk of
+    the tree and give the same values; on a tie between
     ``0.0`` and ``-0.0`` the built-in ``min``/``max`` keep the first
     argument and numpy the later one.
     """
@@ -245,7 +246,7 @@ class Decoder:
         # The generated read-outs are functions without an importable name;
         # an unpickled decoder generates its own on first decode, and fills
         # its support in ``__setstate__``.
-        derived = ("_sources", "read", "read_series", "support", "support_index")
+        derived = ("_sources", "read", "read_series", "read_shifted", "support", "support_index")
         return {k: v for k, v in self.__dict__.items() if k not in derived}
 
     def __setstate__(self, state: dict) -> None:
@@ -256,9 +257,9 @@ class Decoder:
         self.__post_init__()
 
     @functools.cached_property
-    def _sources(self) -> tuple[str, str]:
-        # Both read-outs' source, from one walk of the tree; each read-out
-        # is compiled on its own first use.
+    def _sources(self) -> tuple[str, str, str]:
+        # The three read-outs' source, from one walk of the tree; each
+        # read-out is compiled on its own first use.
         return _write_sources(self.root)
 
     @functools.cached_property
@@ -288,24 +289,33 @@ class Decoder:
         """
         return _compiled(self._sources[1], "read_series")
 
+    @functools.cached_property
+    def read_shifted(self) -> Callable:
+        """The tree as ``read(v, c, lo, hi)``: :attr:`read` of the floats
+        ``v[i] - c[i]``, bit for bit, reading only :attr:`support`. It opens
+        with one line ``s<i> = v[<i>] - c[<i>]`` per support coordinate, in
+        ascending order, then reads leaf ``i`` as ``s<i>``; the shift ``c``
+        is never written into the source, so ``-0.0``, ``inf`` and ``nan``
+        need no literal.
+        """
+        return _compiled(self._sources[2], "read")
 
-def _write_sources(root: DecoderNode, shifted: bool = False) -> tuple[str, str]:
-    """The source of :attr:`Decoder.read` and of :attr:`Decoder.read_series`,
-    written in one walk of the tree.
 
-    When ``shifted``, ``read`` opens with one line ``s<i> = v[<i>] - c<i>``
-    per coordinate ``i`` its leaves read, in ascending order, and reads leaf
-    ``i`` as ``s<i>``; the names ``c<i>`` are left for the caller to bind
-    (see :func:`_shifted_read`). ``read_series`` is the same either way.
-    """
+def _write_sources(root: DecoderNode) -> tuple[str, str, str]:
+    """The source of :attr:`Decoder.read`, :attr:`Decoder.read_series` and
+    :attr:`Decoder.read_shifted`, written in one walk of the tree."""
     lines: list[str] = []
+    shifted: list[str] = []
     series: list[str] = []
     names: dict[int, str] = {}
     support: set[int] = set()
-    read_leaf = "s{}" if shifted else "v[{}]"
 
     def ref(node: DecoderNode, leaf: str = "v[{}]") -> str:
         return leaf.format(node.index) if isinstance(node, Leaf) else names[id(node)]
+
+    def line(name: str, op: str, args: list[str]) -> str:
+        expr = args[0] if len(args) == 1 else f"{op}({', '.join(args)})"
+        return f"    {name} = {expr}\n"
 
     # Reversed, ``_nodes`` puts every child before its parent and
     # siblings first to last.
@@ -313,36 +323,22 @@ def _write_sources(root: DecoderNode, shifted: bool = False) -> tuple[str, str]:
         if isinstance(node, Leaf):
             support.add(node.index)
             continue
-        args = [ref(c, read_leaf) for c in node.children]
         op = "lo" if isinstance(node, MinNode) else "hi"
-        expr = args[0] if len(args) == 1 else f"{op}({', '.join(args)})"
         names[id(node)] = name = f"t{len(lines)}"
-        lines.append(f"    {name} = {expr}\n")
+        lines.append(line(name, op, [ref(c) for c in node.children]))
+        shifted.append(line(name, op, [ref(c, "s{}") for c in node.children]))
         rows = []
         for _, run in itertools.groupby(enumerate(node.children), _run_key):
             run = [c for _, c in run]
             rows.append(ref(run[0]) if len(run) == 1 else f"{op}_run(v[{run[0].index}:{run[-1].index + 1}])")
         series.append(f"    {name} = {rows[0]}\n")
         series += [f"    {name} = {op}({name}, {row})\n" for row in rows[1:]]
-    prologue = [f"    s{i} = v[{i}] - c{i}\n" for i in sorted(support)] if shifted else []
+    prologue = [f"    s{i} = v[{i}] - c[{i}]\n" for i in sorted(support)]
     return (
-        "def read(v, lo, hi):\n" + "".join(prologue + lines) + f"    return {ref(root, read_leaf)}\n",
+        "def read(v, lo, hi):\n" + "".join(lines) + f"    return {ref(root)}\n",
         "def read_series(v, lo, hi, lo_run, hi_run):\n" + "".join(series) + f"    return {ref(root)}\n",
+        "def read(v, c, lo, hi):\n" + "".join(prologue + shifted) + f"    return {ref(root, 's{}')}\n",
     )
-
-
-def _shifted_read(d: Decoder, shift: Sequence[float]) -> Callable:
-    """``d``'s :attr:`~Decoder.read` of ``v`` shrunk by ``shift``:
-    ``_shifted_read(d, shift)(v, lo, hi)`` equals ``d.read(w, lo, hi)`` for
-    ``w[i] = v[i] - shift[i]``, bit for bit, and reads only ``d.support``.
-
-    Generated from the same walk of the tree as :attr:`Decoder.read`. Each
-    coordinate's shift is bound as a Python float to the name ``c<i>`` of
-    the function's namespace, never written into its source, so ``-0.0``
-    keeps its sign and an infinite or NaN shift needs no literal.
-    """
-    namespace = {f"c{i}": float(shift[i]) for i in d.support}
-    return _compiled(_write_sources(d.root, shifted=True)[0], "read", namespace)
 
 
 def _run_key(item: tuple[int, DecoderNode]):
@@ -352,10 +348,10 @@ def _run_key(item: tuple[int, DecoderNode]):
     return node.index - position if isinstance(node, Leaf) else item
 
 
-def _compiled(source: str, name: str, namespace: dict | None = None) -> Callable:
+def _compiled(source: str, name: str) -> Callable:
     # Popped, so that the function's ``__globals__`` does not hold the
     # function: a dropped read-out is freed by reference counting.
-    namespace = {} if namespace is None else namespace
+    namespace: dict = {}
     exec(source, namespace)
     return namespace.pop(name)
 

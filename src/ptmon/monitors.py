@@ -5,15 +5,14 @@ monitor's per-coordinate ``shift`` and decode it. All three monitor kinds
 (semantic, rolling, observer) do it the same way. Streaming callers feed
 one step at a time: :class:`RollingBuffer` with :func:`rolling_certify` or
 :func:`observer_certify` for per-step predicate predictions,
-:func:`semantic_certify` for predicted atom bases. The buffer builds one
-basis snapshot per step, and a semantic caller passes one
+:func:`semantic_certify` for predicted atom bases. The buffer checks each
+pushed value once and builds one basis snapshot per step, without checking
+it again; a semantic caller passes one
 :class:`~ptmon.robustness.BasisVector` for all formulas. A fragment-wide
-monitor shrinks each snapshot once and shares the result with every
-formula certified from it; snapshots and monitors are both immutable, so a
-shrunk snapshot never goes stale. A monitor with a restricted support (a
-specialised observer, or any ``for_formula`` copy) shrinks nothing: it
-reads its shift inside its own read-out of each decoder, from the
-snapshot's values listed once as Python floats.
+monitor shrinks each snapshot once for every formula certified from it
+(both are immutable, so the shrink never goes stale). A restricted monitor
+(a specialised observer, or any ``for_formula`` copy) shrinks nothing: it
+passes its shift to each decoder's shifted read-out.
 :func:`run_monitors` certifies recorded episodes with one or more monitors
 that read one basis layout through one predictor, in the blocks of whole
 episodes that calibration reads: one predicted and one true basis per
@@ -34,12 +33,11 @@ prediction empties the buffer). A :class:`MonitorVerdict` is a
 half the time of a frozen dataclass: it unpacks as
 ``t, formula, lb, label`` and equals the plain tuple of its fields; the
 streaming functions build each verdict in one step. Every certification
-call checks the decoder against the monitor, and each snapshot is checked
-against a monitor before the monitor's shrink of it is stored, or on every
+call checks the decoder and a buffer's ``k_max`` against the monitor; a
+snapshot is checked before a monitor's shrink of it is stored, or on every
 call of a restricted monitor (see
 :func:`~ptmon.conformal.certified_lower_bound`), so a mismatch raises on
-every call; the monitor's layout (``basis_kind``, ``dim``) is computed once
-per monitor, like its ``shift``.
+every call.
 
 Verdict streams serialize as line-delimited JSON ``{t, formula, lb, label}``
 and as CSV with the same columns.
@@ -61,7 +59,7 @@ from .conformal import (
     certified_lower_bound,
     certified_lower_bounds,
 )
-from .fragment import Decoder, HorizonExceededError, decode_series
+from .fragment import BasisMismatchError, Decoder, HorizonExceededError, decode_series
 from .logic import Formula, NotInFragmentError, format_formula
 from .robustness import BasisKind, BasisVector, Episode
 
@@ -104,12 +102,13 @@ class RollingBuffer:
     :meth:`mark_dropped`, which empties the buffer so certification reports
     warm-up until enough fresh steps have arrived again.
 
-    Certification reads the current step through one read-only
-    :class:`~ptmon.robustness.BasisVector`, built on the first certification
-    after each ``push`` or ``mark_dropped``. Each fragment-wide monitor
-    shrinks that snapshot once, and every formula certified at the step
-    reuses the result; restricted monitors read it through their own
-    read-outs.
+    ``push`` is the one place that checks values (shape, finiteness),
+    before anything changes. Certification reads the current step through
+    one read-only :class:`~ptmon.robustness.BasisVector`, a copy of the
+    history built without a second check on the first certification after
+    each ``push`` or ``mark_dropped``. Each fragment-wide monitor shrinks
+    that snapshot once for every formula certified at the step; restricted
+    monitors read its float list through each decoder's shifted read-out.
     """
 
     def __init__(self, m: int, k_max: int):
@@ -153,10 +152,19 @@ class RollingBuffer:
         return self._lags.reshape(-1).copy()
 
     def _current_basis(self) -> BasisVector:
-        """The current history vector as a basis snapshot, built once per step."""
+        """The current history vector as a basis snapshot, built once per
+        step as one read-only copy, not checked again."""
         if self._snapshot is None:
-            self._snapshot = BasisVector(BasisKind.PREDICATE_HISTORY, self._lags.reshape(-1), self.t)
+            values = self._lags.flatten()
+            values.flags.writeable = False
+            self._snapshot = BasisVector._checked(BasisKind.PREDICATE_HISTORY, values, self.t)
         return self._snapshot
+
+
+def _layout_mismatch(buf: RollingBuffer, mon: CalibratedMonitor) -> BasisMismatchError:
+    return BasisMismatchError(
+        f"buffer holds history (m={buf.m}, k_max={buf.k_max}), monitor reads (m={mon.m}, k_max={mon.k_max})"
+    )
 
 
 def rolling_step(buf: RollingBuffer, mu_hat: Sequence[float] | np.ndarray | None) -> None:
@@ -181,11 +189,20 @@ def rolling_certify(
     :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used, so a formula
     the monitor cannot certify raises on the first call, warm-up or not. The
     verdict names ``decoder.formula``.
+
+    A buffer whose ``k_max`` is not the monitor's raises
+    :class:`~ptmon.fragment.BasisMismatchError` on every call, warm-up
+    included, before anything is read: ``(2, 5)`` and ``(3, 3)`` histories
+    both have 12 coordinates, so the snapshot's dimension check alone
+    would let one be read as the other.
     """
+    k_max = mon.k_max
+    if buf.k_max != k_max:
+        raise _layout_mismatch(buf, mon)
     if decoder is None:
         decoder = mon.decoder(f)
     t = buf.t
-    if t < mon.k_max or buf.fill < decoder.horizon + 1:
+    if t < k_max or buf.fill < decoder.horizon + 1:
         return _new(MonitorVerdict, (t, decoder.formula, None, _WARMING_UP))
     lb = certified_lower_bound(mon, buf._current_basis(), decoder)
     return _new(MonitorVerdict, (t, decoder.formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN))
@@ -222,18 +239,21 @@ def observer_certify(
     The bound is the lower end of the observer's symmetric per-coordinate
     intervals pushed through ``f``: since ``f`` is monotone, that is
     :func:`rolling_certify` with the observer's per-coordinate shift, and
-    the body below is :func:`rolling_certify`'s. The observer's support is
-    ``f``'s, so it shrinks nothing: its own read-out of ``f``'s decoder
-    subtracts the shift from each coordinate it reads (see
-    :func:`~ptmon.conformal.certified_lower_bound`).
+    the body below is :func:`rolling_certify`'s (the decoder is looked up
+    in the monitor's table without a method call). The observer's support
+    is ``f``'s, so it shrinks nothing: the shifted read-out of ``f``'s
+    decoder subtracts the shift from each coordinate it reads.
     """
-    decoder = mon.decoder(f)
+    k_max = mon.k_max
+    if buf.k_max != k_max:
+        raise _layout_mismatch(buf, mon)
+    decoder = mon._decoders.get(f) or mon.decoder(f)
     if mon.formula is not None and mon.formula != decoder.formula:
         raise ValueError(
             f"observer monitor was calibrated for {mon.formula!r}, asked to certify {decoder.formula!r}"
         )
     t = buf.t
-    if t < mon.k_max or buf.fill < decoder.horizon + 1:
+    if t < k_max or buf.fill < decoder.horizon + 1:
         return _new(MonitorVerdict, (t, decoder.formula, None, _WARMING_UP))
     lb = certified_lower_bound(mon, buf._current_basis(), decoder)
     return _new(MonitorVerdict, (t, decoder.formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN))

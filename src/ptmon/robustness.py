@@ -118,8 +118,8 @@ class BasisVector:
     (``_shrunk``, keyed by the monitor, see
     :func:`~ptmon.conformal.certified_lower_bound`), and the values as
     Python floats (``_floats``), which every monitor with a restricted
-    support reads and shifts inside its own read-out, without copying them;
-    they go away with it.
+    support reads and shifts inside a decoder's shifted read-out, without
+    copying them; they go away with it.
     """
 
     kind: BasisKind
@@ -135,11 +135,21 @@ class BasisVector:
             raise ValueError("basis values contain non-finite entries")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _checked(cls, kind: BasisKind, values: np.ndarray, t: int) -> "BasisVector":
+        """A snapshot without the checks of ``__post_init__``, for
+        :class:`~ptmon.monitors.RollingBuffer`: ``values`` is a read-only
+        float vector that owns its memory, each entry of which the buffer's
+        ``push`` checked finite or a dropped step set to zero."""
+        snapshot = object.__new__(cls)
+        object.__setattr__(snapshot, "__dict__", {"kind": kind, "values": values, "t": t, "_shrunk": {}})
+        return snapshot
+
     @cached_property
     def _floats(self) -> list[float]:
         """``values`` as a list of Python floats, built on first use and
-        read, never copied or changed, by the read-outs of monitors with a
-        restricted support."""
+        read, never copied or changed, by the shifted read-outs that monitors
+        with a restricted support certify through."""
         return self.values.tolist()
 
 

@@ -613,7 +613,9 @@ class TestShrinkOnce:
         assert mon.shift is shift
         assert replace(mon).shift is not shift
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(CalibratedMonitor)] + ["shift", "dim", "basis_kind"])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(CalibratedMonitor)] + ["shift", "dim", "basis_kind", "_shift_floats"]
+    )
     def test_fields_cannot_be_assigned(self, name):
         # A copy from for_formula is built without the frozen __init__.
         copies = [mon.for_formula(f) for mon, f in map(calibrated, ("semantic", "rolling", "observer"))]
@@ -708,10 +710,11 @@ def assert_no_float_literal(source):
 
 
 class TestRestrictedReadOut:
-    """A restricted monitor reads each snapshot through its own read-out of
-    each decoder, which subtracts the monitor's shift from the coordinates
-    it reads. The bounds equal those of the copy-and-subtract shrink it
-    replaces (``copy_and_subtract_bound``), bit for bit."""
+    """A restricted monitor reads each snapshot through the decoder's
+    shifted read-out, passing its shift listed once as Python floats; the
+    read-out subtracts it from the coordinates it reads. The bounds equal
+    those of the copy-and-subtract shrink it replaces
+    (``copy_and_subtract_bound``), bit for bit."""
 
     @pytest.mark.parametrize("shift", EDGE_SHIFTS, ids=repr)
     @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
@@ -734,19 +737,26 @@ class TestRestrictedReadOut:
                 if shift == math.inf:
                     assert got == -math.inf
             assert basis._shrunk == {}
-        # One shifted read-out per copy; no plain one, and no float literal.
-        assert len(sources) == len(copies)
+        # One shifted read-out per decoder (each ``replace`` copy compiles
+        # its own); no plain one, and no float literal.
+        assert len({id(dec) for _, dec in copies}) == len(sources) == len(copies)
         for source in sources:
             assert " - c" in source
             assert_no_float_literal(source)
 
     @pytest.mark.parametrize("shift", [*EDGE_SHIFTS, -math.inf, math.nan], ids=repr)
     def test_shifts_are_bound_as_names(self, shift, monkeypatch):
+        # The shift travels as the items of the monitor's float list, read
+        # as ``c[i]``: never a literal, so ``-0.0`` keeps its sign.
         sources = generated_sources(monkeypatch)
         mon, f = calibrated("rolling")
         copy = with_shift(mon.for_formula(f), shift)
-        certified_lower_bound(copy, BasisVector(mon.basis_kind, np.ones(mon.dim), mon.k_max), copy.decoder(f))
-        assert len(sources) == 1
+        basis = BasisVector(mon.basis_kind, np.ones(mon.dim), mon.k_max)
+        got = certified_lower_bound(copy, basis, copy.decoder(f))
+        want = copy_and_subtract_bound(copy, basis, copy.decoder(f))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert [np.float64(c).tobytes() for c in copy._shift_floats] == [np.float64(shift).tobytes()] * mon.dim
+        assert len(sources) == 1 and "- c[" in sources[0]
         assert_no_float_literal(sources[0])
 
     @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
@@ -767,52 +777,80 @@ class TestRestrictedReadOut:
         narrow = mon.for_formula(f)
         assert shared.support < narrow.support
         first = certified_lower_bound(narrow, basis, shared)
-        assert len(sources) == 1 and list(narrow._read_outs) == [id(shared)]
-        # No copy inherits a read-out, and for_formula generates none.
+        assert len(sources) == 1 and "read_shifted" in vars(shared)
+        # No copy inherits the shift's float list, and for_formula and
+        # replace generate nothing.
         child = narrow.for_formula(g)
         field = "coord_radii" if kind == "observer" else "radius"
         larger = replace(narrow, **{field: getattr(narrow, field) + 1.0})
         copies = [child, larger, replace(narrow)]
-        assert len(sources) == 1 and all(copy._read_outs == {} for copy in copies)
+        assert all("_shift_floats" not in vars(copy) for copy in copies)
         assert certified_lower_bound(larger, basis, shared) < first
         for copy in [narrow, *copies]:
             got = certified_lower_bound(copy, basis, shared)
             want = copy_and_subtract_bound(copy, basis, shared)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            assert copy._read_outs[id(shared)][0]() is shared
-        assert len(sources) == 1 + len(copies)
+            assert copy._shift_floats == copy.shift.tolist()
+        # Every monitor reads through the decoder's one shifted read-out.
+        assert len(sources) == 1
         # The shared decoder's plain read-out still reads the unshifted values.
         again = BasisVector(mon.basis_kind, values, mon.k_max)
         assert np.float64(certified_lower_bound(wide, again, shared)).tobytes() == np.float64(before).tobytes()
 
     def test_read_out_kept_for_another_decoder_is_not_used(self):
-        # Entries are keyed by identity and checked with ``is``: an entry
-        # under a decoder's id that holds another decoder is replaced.
+        # Each decoder object generates and keeps its own shifted read-out:
+        # an equal decoder compiled afresh uses its own, and a read-out
+        # planted on another decoder is never read for this one.
         mon, f = calibrated("rolling")
         narrow = mon.for_formula(f)
         dec, other = narrow.decoder(f), replace(narrow).decoder(f)  # compiled afresh
         assert other == dec and other is not dec
-        narrow._read_outs[id(dec)] = (weakref.ref(other), lambda v, lo, hi: 99.0)
+        other.__dict__["read_shifted"] = lambda v, c, lo, hi: 99.0
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         assert certified_lower_bound(narrow, basis, dec) == copy_and_subtract_bound(narrow, basis, dec)
-        assert narrow._read_outs[id(dec)][0]() is dec
+        assert certified_lower_bound(narrow, basis, other) == 99.0
+        assert dec.read_shifted is not other.read_shifted
 
     def test_read_outs_are_freed_with_their_decoders(self):
-        # A caller compiling a fresh decoder for every call leaves no
-        # read-outs behind, and an entry does not keep its monitor alive:
-        # the monitor is freed as soon as it is dropped, while the decoder
-        # it shares with its parent lives on.
+        # A caller compiling a fresh decoder for every call leaves nothing
+        # behind on the monitor, each fresh decoder's read-out goes with it,
+        # and the monitor is freed as soon as it is dropped, while the
+        # decoder it shares with its parent lives on.
         mon, f = calibrated("rolling")
         narrow = mon.for_formula(f)
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         want = certified_lower_bound(narrow, basis, narrow.decoder(f))
+        state = dict(vars(narrow))
+        refs = []
         for _ in range(1_000):
-            assert certified_lower_bound(narrow, basis, compile_history_decoder(f, mon.m, mon.k_max)) == want
-        gc.collect()
-        assert list(narrow._read_outs) == [id(mon.decoder(f))]
+            dec = compile_history_decoder(f, mon.m, mon.k_max)
+            assert certified_lower_bound(narrow, basis, dec) == want
+            refs.append(weakref.ref(dec.read_shifted))
+        del dec
+        assert all(r() is None for r in refs)
+        assert vars(narrow).keys() == state.keys() and narrow._decoders == {f: mon.decoder(f)}
+        shared = mon.decoder(f).read_shifted
         gone = weakref.ref(narrow)
         del narrow
-        assert gone() is None
+        assert gone() is None and mon.decoder(f).read_shifted is shared
+
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_a_for_formula_copy_generates_nothing(self, kind, monkeypatch):
+        # Once a decoder has certified for one restricted monitor, every
+        # for_formula copy that certifies with it, on its first call too,
+        # generates no source: the read-out belongs to the decoder.
+        mon, f = calibrated(kind)
+        first = mon.for_formula(f)
+        basis = BasisVector(mon.basis_kind, tie_heavy(np.random.default_rng(61), mon.dim), mon.k_max)
+        certified_lower_bound(first, basis, first.decoder(f))
+        sources = generated_sources(monkeypatch)
+        copies = [mon.for_formula(f) for _ in range(3)] + [first.for_formula(f)]
+        for copy in copies:
+            assert copy.decoder(f) is first.decoder(f)
+            got = certified_lower_bound(copy, basis, copy.decoder(f))
+            want = copy_and_subtract_bound(copy, basis, copy.decoder(f))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert sources == []
 
     def test_pickled_monitor_generates_its_own_read_outs(self):
         mon, _ = calibrated("observer")
@@ -820,8 +858,10 @@ class TestRestrictedReadOut:
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         want = certified_lower_bound(mon, basis, mon.decoder(f))
         back = pickle.loads(pickle.dumps(mon))
-        assert mon._read_outs and back._read_outs == {}
+        # Its decoders come back without their shifted read-outs.
+        assert "read_shifted" in vars(mon.decoder(f)) and "read_shifted" not in vars(back.decoder(f))
         assert certified_lower_bound(back, basis, back.decoder(f)) == want
+        assert "read_shifted" in vars(back.decoder(f))
 
 
 class TestReadOutsFreedByReferenceCounting:
@@ -844,17 +884,15 @@ class TestReadOutsFreedByReferenceCounting:
         refs = [weakref.ref(x) for x in (dec, dec.read, dec.read_series)]
         del dec
         assert [r() for r in refs] == [None] * 3
-        # The shared decoder outlives the monitor; its shifted read-out does
-        # not, and neither does the read-out of a decoder dropped with it.
+        # A restricted monitor dies on ``del``; so does a decoder it read
+        # with, and that decoder's shifted read-out.
         narrow = mon.for_formula(f)
         own = compile_history_decoder(f, mon.m, mon.k_max)
         certified_lower_bound(narrow, basis, narrow.decoder(f))
         certified_lower_bound(narrow, basis, own)
-        refs = [weakref.ref(narrow), weakref.ref(own)]
-        refs += [weakref.ref(read_out) for _, read_out in narrow._read_outs.values()]
-        assert len(refs) == 4
+        refs = [weakref.ref(narrow), weakref.ref(own), weakref.ref(own.read_shifted)]
         del narrow, own
-        assert [r() for r in refs] == [None] * 4
+        assert [r() for r in refs] == [None] * 3
 
 
 class TestChecksEveryCall:
@@ -870,7 +908,7 @@ class TestChecksEveryCall:
         if mon.support is None:
             assert mon in basis._shrunk
         else:
-            assert mon not in basis._shrunk and id(dec) in mon._read_outs
+            assert mon not in basis._shrunk and "read_shifted" in vars(dec)
 
     def semantic(self):
         d = tiny_dictionary()
@@ -952,7 +990,7 @@ class TestChecksEveryCall:
         assert certified_lower_bound(narrow, basis, twin) == want
         assert certified_lower_bound(narrow, basis, inner) == decode_values(inner, basis.values - narrow.shift)
         assert checks == [] and narrow not in basis._shrunk
-        assert set(narrow._read_outs) == {id(own), id(twin), id(inner)}
+        assert all("read_shifted" in vars(dec) for dec in (own, twin, inner))
         for _ in range(2):
             with pytest.raises(SupportMismatchError, match=r"coordinates \[\d+\] outside the calibrated support"):
                 certified_lower_bound(narrow, basis, wider)

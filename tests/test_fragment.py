@@ -394,6 +394,62 @@ class TestReadOut:
             "    return t2\n"
         ]
 
+    def test_shifted_source_is_straight_line(self, monkeypatch):
+        sources = []
+
+        def recording(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(fragment, "exec", recording, raising=False)
+        tree = MaxNode((MinNode((Leaf(2), Leaf(0))), MinNode((Leaf(1),)), Leaf(2)))
+        dec = Decoder(tree, BasisKind.SEMANTIC, 4, "hand-built", 0)
+        assert dec.read_shifted([4.0, 1.0, 3.0, 2.0], [1.0, 0.5, -1.0, 9.0], min, max) == 4.0
+        assert sources == [
+            "def read(v, c, lo, hi):\n"
+            "    s0 = v[0] - c[0]\n"
+            "    s1 = v[1] - c[1]\n"
+            "    s2 = v[2] - c[2]\n"
+            "    t0 = lo(s2, s0)\n"
+            "    t1 = s1\n"
+            "    t2 = hi(t0, t1, s2)\n"
+            "    return t2\n"
+        ]
+        # A one-leaf tree returns its one shifted coordinate.
+        leaf = Decoder(Leaf(3), BasisKind.SEMANTIC, 4, "hand-built", 0)
+        assert leaf.read_shifted([0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.5], min, max) == 1.5
+        assert sources[-1] == "def read(v, c, lo, hi):\n    s3 = v[3] - c[3]\n    return s3\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(decoders(), st.integers(0, 2**32 - 1))
+    def test_shifted_read_out_is_the_read_of_the_shrunk_values(self, dec, seed):
+        # ``read_shifted(v, c)`` is ``read`` of ``v[i] - c[i]``, bit for bit,
+        # with signed zeros, subnormal, huge, infinite and NaN shifts read
+        # as list items; the source holds no float literal.
+        rng = np.random.default_rng(seed)
+        edge = [0.0, -0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan]
+        v = rng.choice(TIE_VALUES, dec.dim).tolist()
+        for c in (rng.choice(edge, dec.dim).tolist(), rng.choice(TIE_VALUES, dec.dim).tolist()):
+            shrunk = [a - b for a, b in zip(v, c)]
+            got = dec.read_shifted(v, c, min, max)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(naive_decode(dec.root, shrunk)).tobytes()
+            assert np.float64(got).tobytes() == np.float64(dec.read(shrunk, min, max)).tobytes()
+        source = dec._sources[2]
+        assert not re.search(r"\d\.\d|\be\d|inf|nan", source)
+        assert sorted(map(int, re.findall(r"- c\[(\d+)\]", source))) == sorted(dec.support)
+
+    def test_pickling_drops_the_shifted_read_out(self):
+        f = parse_formula("G[0,2] p0 | F[0,1] p1", ("p0", "p1"))
+        dec = compile_history_decoder(f, 2, 2)
+        x = np.random.default_rng(2).normal(size=dec.dim).tolist()
+        c = [0.25] * dec.dim
+        want = dec.read_shifted(x, c, min, max)
+        assert "read_shifted" not in dec.__getstate__()
+        back = pickle.loads(pickle.dumps(dec))
+        assert "read_shifted" not in vars(back) and "_sources" not in vars(back)
+        assert back.read_shifted(x, c, min, max) == want
+
     def test_pickles_after_decoding(self):
         f = parse_formula("G[0,2] p0 | F[0,1] p1", ("p0", "p1"))
         dec = compile_history_decoder(f, 2, 2)
@@ -426,6 +482,7 @@ class TestReadOut:
         x = np.random.default_rng(1).normal(size=dec.dim)
         decode_values(dec, x)
         decode_series(dec, x[:, None])
+        dec.read_shifted(x.tolist(), [0.0] * dec.dim, min, max)
         decode_values(dec, x)
         assert walks == [dec.root]
         assert "_sources" not in dec.__getstate__()
@@ -652,8 +709,7 @@ class TestSharedLeaves:
         f = parse_formula(text, standard_dictionary.predicate_names)
         for got, want in both_compilers(f, standard_dictionary):
             assert got.root == want.root
-            for shifted in (False, True):
-                assert fragment._write_sources(got.root, shifted) == fragment._write_sources(want.root, shifted)
+            assert fragment._write_sources(got.root) == fragment._write_sources(want.root)
 
     @pytest.mark.parametrize("text", PERFBENCH_FORMULAS)
     def test_pickled_decoders_validate_again_and_read_alike(self, text, standard_dictionary, monkeypatch):

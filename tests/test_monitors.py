@@ -98,6 +98,49 @@ class TestRollingBuffer:
             buf.push([1.0, bad])
         assert buf.fill == 0 and buf.t == -1
 
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_rejected_push_changes_nothing(self, bad):
+        buf = RollingBuffer(2, 2)
+        for step in range(2):
+            buf.push([float(step), -0.0])
+        snapshot, history = buf._current_basis(), buf._lags.copy()
+        with pytest.raises(ValueError):
+            buf.push(bad)
+        assert (buf.t, buf.fill) == (1, 2)
+        assert buf._lags.tobytes() == history.tobytes()
+        assert buf._current_basis() is snapshot
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        k_max=st.integers(0, 4),
+        steps=st.lists(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, -2.5])), min_size=1, max_size=24),
+    )
+    def test_snapshot_is_the_stacked_history(self, m, k_max, steps):
+        # After any sequence of pushes and drops (``None``), the snapshot
+        # equals stack_lags of the steps since the last drop, with zeros
+        # past the fill, bit for bit, and is a read-only array of its own.
+        buf = RollingBuffer(m, k_max)
+        fresh = []
+        for t, step in enumerate(steps):
+            if step is None:
+                rolling_step(buf, None)
+                fresh = []
+            else:
+                values = [step * (k + 1) for k in range(m)]
+                rolling_step(buf, values)
+                fresh.append(values)
+            padded = [[0.0] * m] * (k_max + 1 - min(len(fresh), k_max + 1)) + fresh[-(k_max + 1):]
+            want = robustness_module.stack_lags(np.array(padded).T, k_max)[:, -1]
+            snapshot = buf._current_basis()
+            assert snapshot.values.tobytes() == want.tobytes()
+            assert (snapshot.kind, snapshot.t) == (BasisKind.PREDICATE_HISTORY, t)
+            assert buf.fill == min(len(fresh), k_max + 1)
+            assert not snapshot.values.flags.writeable and snapshot.values.flags.owndata
+            assert snapshot._floats == want.tolist() and snapshot._shrunk == {}
+            with pytest.raises(ValueError):
+                snapshot.values[0] = 1.0
+
     def test_matches_episode_history_when_fed_truth(self):
         rng = np.random.default_rng(0)
         ep = random_episode(rng, 3, 8)
@@ -211,6 +254,42 @@ class TestSemanticCertify:
         v = semantic_certify(hat, mon, f, dec)
         assert v.formula == format_formula(g)
         assert v.lower_bound == semantic_certify(hat, mon, g).lower_bound
+
+
+class TestBufferLayout:
+    """A buffer of another history layout is refused, also when its
+    dimension is the monitor's: ``(2, 5)`` and ``(3, 3)`` both hold 12
+    coordinates, and ``p1`` would be read from another predicate's lags."""
+
+    @pytest.mark.parametrize("certify", [rolling_certify, observer_certify])
+    def test_other_k_max_of_the_same_dimension_raises_on_every_call(self, certify):
+        rng = np.random.default_rng(31)
+        mon, stub, eps = rolling_monitor(rng, m=3, k_max=3)
+        f = parse_formula("G[0,1] p1", ("p0", "p1", "p2"))
+        if certify is observer_certify:
+            mon = observer_calibrate(eps, stub, f, 0.1, k_max=3)
+        same, other = RollingBuffer(3, 3), RollingBuffer(2, 5)
+        assert same.m * (same.k_max + 1) == other.m * (other.k_max + 1) == mon.dim
+        want = r"buffer holds history \(m=2, k_max=5\), monitor reads \(m=3, k_max=3\)"
+        for t in range(8):
+            # Warm-up included, before anything is read.
+            with pytest.raises(fragment.BasisMismatchError, match=want):
+                certify(other, mon, f)
+            rolling_step(other, [10.0 + t, -5.0])
+            rolling_step(same, [10.0 + t, -5.0, 0.0])
+            v = certify(same, mon, f)
+            assert v.label is (Label.WARMING_UP if t < 3 else Label.UNCERTAIN)
+            assert v.lower_bound is None or v.lower_bound < -5.0
+        with pytest.raises(fragment.BasisMismatchError, match=want):
+            certify(other, mon, f)
+        assert other._snapshot is None
+
+    def test_rolling_certify_checks_before_compiling(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        mon, _, _ = rolling_monitor(rng, m=2, k_max=3)
+        monkeypatch.setattr(conformal, "compile_history_decoder", None)
+        with pytest.raises(fragment.BasisMismatchError):
+            rolling_certify(RollingBuffer(2, 2), mon, parse_formula("p0", ("p0", "p1")))
 
 
 class TestObserverCertify:
@@ -650,9 +729,9 @@ class TestDecoderCache:
 
     def test_each_decoder_generates_its_read_out_once(self, monkeypatch):
         # Every decoder a fragment-wide monitor streams with runs its own
-        # generated read-out, and every (observer, decoder) pair the
-        # observer's shifted one; each is generated on its first use and
-        # never again, and nothing walks a tree.
+        # generated read-out, and every observer's decoder its shifted one;
+        # each is generated on its first use and never again, and nothing
+        # walks a tree.
         generated = []
 
         def counting_exec(source, namespace):
@@ -692,9 +771,11 @@ class TestDecoderCache:
         shifted = [obs.decoder(f) for f, obs in zip(formulas, observers)]
         assert len({id(dec) for dec in plain + shifted}) == 15
         assert all("read" in dec.__dict__ for dec in plain)
-        # A decoder read only by observers never generates its plain read-out.
+        # A decoder read only by observers never generates its plain read-out,
+        # and its shifted one is the decoder's own.
         assert not any("read" in dec.__dict__ for dec in shifted)
-        assert [list(obs._read_outs) for obs in observers] == [[id(dec)] for dec in shifted]
+        assert all("read_shifted" in dec.__dict__ for dec in shifted)
+        assert not any("read_shifted" in dec.__dict__ for dec in plain)
         assert len(generated) == 15
         assert sum(" - c" in source for source in generated) == 5
         assert walks == Counter()
@@ -705,7 +786,8 @@ class TestSharedShrink:
         # 20 formulas per step share one history snapshot and, per
         # fragment-wide monitor, one shrink of it; each observer is its own
         # restricted monitor, which subtracts its shift inside its read-out
-        # and stores no shrink.
+        # and stores no shrink. A history snapshot does not check its values
+        # again: ``push`` checked them.
         rng = np.random.default_rng(23)
         d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
         eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
@@ -734,13 +816,18 @@ class TestSharedShrink:
             object.__setattr__(snapshot, "_shrunk", Shrinks())
             return snapshot
 
-        built = []
+        built, checks = [], []
 
-        def building(*args, real=monitors.BasisVector):
+        def building(cls, *args, real=BasisVector._checked):
             built.append(counted(real(*args)))
             return built[-1]
 
-        monkeypatch.setattr(monitors, "BasisVector", building)
+        def checking(self, real=BasisVector.__post_init__):
+            checks.append(self.kind)
+            real(self)
+
+        monkeypatch.setattr(BasisVector, "_checked", classmethod(building))
+        monkeypatch.setattr(BasisVector, "__post_init__", checking)
 
         buf = RollingBuffer(2, 3)
         semantic = []
@@ -753,6 +840,7 @@ class TestSharedShrink:
                 observer_certify(buf, obs, f)
         certified = {"semantic": 10 - sem.k_max, "history": 10 - roll.k_max}
         assert len(built) == certified["history"]
+        assert checks == [BasisKind.SEMANTIC] * 10
         # One shrink per snapshot and fragment-wide monitor: the semantic
         # monitor alone on each certified semantic snapshot, the rolling
         # monitor alone on each history snapshot; none for the observers.
