@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -239,14 +239,14 @@ class CalibratedMonitor:
     cache through the decoder's sorted
     :attr:`~ptmon.fragment.Decoder.support_index`, so a query for a
     formula whose decoder is compiled costs the support's order statistics
-    and that copy. :meth:`decoder` compiles each formula once per monitor
-    and keeps the result. A :meth:`for_formula` copy starts with its
-    parent's decoder for the formula, whose support is the copy's
-    ``support`` (decoders are immutable, so sharing one is safe); a
-    :func:`dataclasses.replace` copy starts with none. Either computes its
-    own :attr:`shift`, :attr:`dim`, :attr:`basis_kind` and
-    :attr:`_shift_floats`; it generates no read-out, as those belong to
-    the decoders.
+    and that copy. A monitor keeps no decoders: :meth:`decoder` returns the
+    process's one decoder for the formula on the monitor's layout (see
+    :mod:`ptmon.fragment`), compiled for whichever monitor, copy or earlier
+    calibration of that layout asked first. Decoders are immutable, so
+    sharing one is safe, and a :meth:`for_formula` copy's ``support`` is its
+    decoder's. A copy computes its own :attr:`shift`, :attr:`dim`,
+    :attr:`basis_kind` and :attr:`_shift_floats`; it generates no read-out,
+    as those belong to the decoders.
     """
 
     kind: str
@@ -264,7 +264,6 @@ class CalibratedMonitor:
     formula: str | None = None
     coord_radii: np.ndarray | None = None
     predictor_config: dict | None = None
-    _decoders: dict[Formula, Decoder] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
@@ -328,22 +327,18 @@ class CalibratedMonitor:
         return self.shift.tolist()
 
     def decoder(self, f: Formula) -> Decoder:
-        """The decoder reading ``f`` off this monitor's basis layout,
-        compiled on the first request and reused afterwards.
+        """The decoder reading ``f`` off this monitor's basis layout: the
+        one :func:`~ptmon.fragment.compile_semantic_decoder` or
+        :func:`~ptmon.fragment.compile_history_decoder` keeps for it.
 
         Raises :class:`~ptmon.logic.NotInFragmentError` when ``f`` is not
         built from the dictionary's atoms, and
         :class:`~ptmon.fragment.HorizonExceededError` when it reads deeper
         than ``k_max``.
         """
-        d = self._decoders.get(f)
-        if d is None:
-            if self.kind == "semantic":
-                d = compile_semantic_decoder(f, self.dictionary)
-            else:
-                d = compile_history_decoder(f, self.m, self.k_max)
-            self._decoders[f] = d
-        return d
+        if self.kind == "semantic":
+            return compile_semantic_decoder(f, self.dictionary)
+        return compile_history_decoder(f, self.m, self.k_max)
 
     def for_formula(self, f: Formula) -> "CalibratedMonitor":
         """A copy specialized to ``f``: support narrowed, radius recomputed.
@@ -360,16 +355,16 @@ class CalibratedMonitor:
         decoder = self.decoder(f)
         support, name, index = decoder.support, decoder.formula, decoder.support_index
         if self.kind != "observer":
-            return self._specialised(f, decoder, support=support, formula=name,
-                                     radius=_radius(self.cache, index, self.alpha))
+            radius = _radius(self.cache, index, self.alpha)
+            return self._specialised(support=support, formula=name, radius=radius)
         quantiles = self.cache.column_quantiles(index, self.alpha / len(index))
         coord_radii = np.zeros(self.dim)
         coord_radii[index] = quantiles
         coord_radii.flags.writeable = False  # nothing else holds it: no copy needed
-        return self._specialised(f, decoder, support=support, formula=name, coord_radii=coord_radii,
+        return self._specialised(support=support, formula=name, coord_radii=coord_radii,
                                  radius=float(np.maximum.reduce(quantiles)))
 
-    def _specialised(self, f: Formula, decoder: Decoder, **changes) -> "CalibratedMonitor":
+    def _specialised(self, **changes) -> "CalibratedMonitor":
         """This monitor with ``changes`` applied, for :meth:`for_formula`.
 
         Like :func:`dataclasses.replace` without the frozen ``__init__``,
@@ -377,15 +372,13 @@ class CalibratedMonitor:
         state is one copy of this monitor's ``__dict__``, with ``changes``
         applied, which must be values :meth:`__post_init__` would keep as
         they are. The copy's cached properties start empty, since its shift
-        may differ; its decoders start with this monitor's
-        ``decoder`` for ``f``, which is immutable and reads the copy's
-        layout.
+        may differ.
         """
         # A new dict, not ``self.__dict__.copy()``: on CPython 3.11 that
         # copy keeps the split key table ``__init__`` gives a monitor, and
         # with entries popped from it every attribute read of the copy,
         # several per certification, measured slower.
-        state = {**self.__dict__, **changes, "_decoders": {f: decoder}}
+        state = {**self.__dict__, **changes}
         for name in _CACHED:
             state.pop(name, None)
         copy = object.__new__(type(self))
@@ -842,7 +835,9 @@ def interval_propagate(
     ``lower`` and ``upper`` bracket each predicate-history coordinate. Since
     every operator is a monotone min/max, interval arithmetic reduces to
     decoding each endpoint vector; the result brackets the true robustness
-    whenever the inputs bracket the true history.
+    whenever the inputs bracket the true history. The decoder and its
+    read-out are the ones :func:`~ptmon.fragment.compile_history_decoder`
+    keeps on ``f``, so repeated calls through one formula compile once.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)

@@ -27,12 +27,22 @@ with no call per lag. ``Leaf`` objects are immutable values, so every tree
 takes its leaves from one shared table, ``Leaf(i)`` made once per
 coordinate ``i``: the table never outgrows the largest layout dimension
 compiled for.
+
+Formula nodes are interned (:mod:`ptmon.logic`), so the process keeps one
+decoder per layout and node: :func:`compile_semantic_decoder` keeps its
+decoders on the dictionary, keyed by node, and
+:func:`compile_history_decoder` keeps its decoders on the node, keyed by
+``(m, k_max)``. Each is compiled, checked and given its read-outs once, and
+every monitor, copy and later calibration of that layout shares it. Neither
+table is module-level: a decoder, and its read-outs, are freed by reference
+counting once its node, or a semantic decoder's dictionary, is.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -69,14 +79,17 @@ class BasisMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class AtomicDictionary:
-    """An ordered tuple of structurally distinct atom formulas.
+    """An ordered tuple of distinct atom formulas.
 
     ``m`` is the number of predicates the atoms range over. The history depth
     ``K_max`` is derived as the largest atom horizon, ``window_layout``
     tells semantic basis extraction which atoms share its one
     sliding-extremum pass, and each atom's coordinate is looked up in one
     index that every :func:`compile_semantic_decoder` call shares; all
-    three are computed once per dictionary.
+    three are computed once per dictionary. Atoms are interned nodes, so an
+    atom lookup is an identity hit. The dictionary also keeps the semantic
+    decoders compiled for it, weakly keyed by formula node and left out of
+    its pickled state, so equal dictionaries built apart compile apart.
     """
 
     atoms: tuple[Formula, ...]
@@ -103,6 +116,14 @@ class AtomicDictionary:
     @functools.cached_property
     def _atom_index(self) -> dict[Formula, int]:
         return {atom: q for q, atom in enumerate(self.atoms)}
+
+    @functools.cached_property
+    def _decoders(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        # A weak table cannot be pickled, and its decoders are rebuilt on use.
+        return {k: v for k, v in self.__dict__.items() if k != "_decoders"}
 
     @property
     def r(self) -> int:
@@ -214,7 +235,9 @@ class Decoder:
     matrix (:func:`decode_series`). All three come from the same walk of
     the tree and give the same values; on a tie between
     ``0.0`` and ``-0.0`` the built-in ``min``/``max`` keep the first
-    argument and numpy the later one.
+    argument and numpy the later one. The compilers return one decoder per
+    layout and formula node, so every monitor of that layout shares these
+    read-outs.
     """
 
     root: DecoderNode
@@ -411,13 +434,24 @@ def compile_semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decode
     """Decoder reading the per-atom robustness vector of ``dictionary``.
 
     Membership is syntactic: walking down from the root, every node must
-    either equal a dictionary atom node-for-node (window bounds included),
-    which reads that atom's coordinate, or be an ``&``/``|`` whose children
-    compile in turn. Semantically equivalent rewrites (e.g. a wider window
-    that happens to coincide on some data) do not count. On failure raises
-    :class:`~ptmon.logic.NotInFragmentError` carrying the offending maximal
-    subtree.
+    either be a dictionary atom (the same interned node, window bounds
+    included), which reads that atom's coordinate, or be an ``&``/``|``
+    whose children compile in turn. Semantically equivalent rewrites (e.g. a
+    wider window that happens to coincide on some data) do not count. On
+    failure raises :class:`~ptmon.logic.NotInFragmentError` carrying the
+    offending maximal subtree.
+
+    The decoder is compiled on the first call for ``(dictionary, f)`` and
+    kept on the dictionary while ``f`` lives; later calls return it.
     """
+    table = dictionary._decoders
+    d = table.get(f)
+    if d is None:
+        d = table[f] = _semantic_decoder(f, dictionary)
+    return d
+
+
+def _semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decoder:
     atom_index = dictionary._atom_index
 
     def build(node: Formula) -> int | tuple:
@@ -447,7 +481,19 @@ def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
     recursion builds. Nested windows, ``&``/``|`` and predicates outside the
     layout recurse per lag, so an out-of-layout predicate raises where it
     always did, in tree order and after the horizon check.
+
+    The decoder is compiled on the first call for ``(m, k_max)`` and kept on
+    ``f``; later calls return it.
     """
+    try:
+        return f.__dict__["_decoders"][m, k_max]
+    except KeyError:
+        pass
+    d = f.__dict__.setdefault("_decoders", {})[m, k_max] = _history_decoder(f, m, k_max)
+    return d
+
+
+def _history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
     h = horizon(f)
     if h > k_max:
         raise HorizonExceededError(

@@ -22,22 +22,65 @@ operator. A negated measurement must be supplied as its own predicate (the
 predicate for ``-h`` instead of ``not (h >= 0)``), which keeps every operator
 monotone in the predicate values.
 
-All node types are immutable; structural equality and hashing come from the
-dataclass machinery, so formulas can key dictionaries and sets directly. A
-formula node computes its hash, its :func:`format_formula` text and its
-:func:`horizon` once, keeps them, and leaves them out of its pickled state
-(a string's hash differs between interpreter runs).
+All node types are immutable and hash-consed: a constructor returns the one
+live node with the same fields, so two formulas are equal exactly when they
+are the same object, and equality and hashing are the object defaults, which
+run in C. Nodes are kept in a ``weakref.WeakValueDictionary`` keyed by the
+constructor's class and the field values with their types (``Predicate("p",
+np.int64(0))`` is not ``Predicate("p", 0)``: only the latter compiles); a
+child is keyed by its identity. A node that nothing else holds is dropped by
+reference counting, and its entry with it. Pickling and ``copy``/``deepcopy``
+go through the constructor, so they return the live node. A node computes
+its :func:`format_formula` text and its :func:`horizon` once and keeps them;
+:mod:`ptmon.fragment` keeps its history decoders on it too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
+# Every live formula node, keyed by :func:`_key`.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True)
-class TimeInterval:
+
+class _Interned(type):
+    """Metaclass of the formula node types: calling one returns the live
+    node with those fields, or builds, checks and keeps a new one. Every
+    node type has two fields."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != 2:
+            # The dataclass ``__init__`` binds keywords, or raises its
+            # ``TypeError``; the node it builds gives the key.
+            fresh = super().__call__(*args, **kwargs)
+            return _NODES.setdefault(_key(cls, *(fresh.__dict__[f] for f in cls.__match_args__)), fresh)
+        key = _key(cls, *args)
+        try:
+            node = _NODES.get(key)
+        except TypeError:  # an unhashable field: the constructor's checks come first
+            super().__call__(*args)
+            raise
+        if node is None:
+            node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+def _key(cls, a, b) -> tuple:
+    # Typed, so values that compare equal but compile differently stay apart.
+    return cls, type(a), a, type(b), b
+
+
+class _Node(metaclass=_Interned):
+    def __reduce__(self):
+        # Unpickling and ``copy`` call the constructor, which returns the live node.
+        return type(self), tuple(self.__dict__[f] for f in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False)
+class TimeInterval(_Node):
     """Discrete lag window ``[a, b]``, measured backwards in whole steps."""
 
     a: int
@@ -55,70 +98,36 @@ class TimeInterval:
         return f"[{self.a},{self.b}]"
 
 
-def _structural_hash(node) -> int:
-    """The hash a frozen dataclass gives ``node``: that of its field tuple."""
-    return hash(tuple(getattr(node, f.name) for f in fields(node)))
-
-
-def _cached_hash(node) -> int:
-    h = node.__dict__.get("_hash")
-    if h is None:
-        h = node.__dict__["_hash"] = _structural_hash(node)
-    return h
-
-
-def _fields_only(node) -> dict:
-    # Leaves out what a node keeps beside its fields: ``_hash``, ``_text``
-    # and ``_horizon``.
-    return {k: v for k, v in node.__dict__.items() if not k.startswith("_")}
-
-
-def _hash_once(cls):
-    """Give a frozen dataclass its structural hash, computed once per node,
-    and a pickled state of its fields alone.
-
-    Looking a formula up in a dict would otherwise rehash its whole tree.
-    """
-    cls.__hash__ = _cached_hash
-    cls.__getstate__ = _fields_only
-    return cls
-
-
-@_hash_once
-@dataclass(frozen=True)
-class Predicate:
+@dataclass(frozen=True, eq=False)
+class Predicate(_Node):
     """A named atomic measurement; ``index`` is its row in the episode data."""
 
     name: str
     index: int
 
 
-@_hash_once
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Always:
+@dataclass(frozen=True, eq=False)
+class Always(_Node):
     """Child held at every step of the backward window."""
 
     interval: TimeInterval
     child: "Formula"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Eventually:
+@dataclass(frozen=True, eq=False)
+class Eventually(_Node):
     """Child held at some step of the backward window."""
 
     interval: TimeInterval
@@ -320,9 +329,9 @@ def _fmt(f: Formula, min_level: int) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    """Render a formula so that reparsing reproduces it node for node.
+    """Render a formula so that reparsing reproduces it: the same node.
 
-    The text is computed once per formula object and kept on it.
+    The text is computed once per node and kept on it.
     """
     text = f.__dict__.get("_text")
     if text is None:
@@ -337,7 +346,7 @@ def format_formula(f: Formula) -> str:
 
 def horizon(f: Formula) -> int:
     """Largest backward lag the formula can read at evaluation time,
-    computed once per node object and kept on it."""
+    computed once per node and kept on it."""
     h = f.__dict__.get("_horizon")
     if h is None:
         if isinstance(f, Predicate):

@@ -59,7 +59,13 @@ from .conformal import (
     certified_lower_bound,
     certified_lower_bounds,
 )
-from .fragment import BasisMismatchError, Decoder, HorizonExceededError, decode_series
+from .fragment import (
+    BasisMismatchError,
+    Decoder,
+    HorizonExceededError,
+    compile_history_decoder,
+    decode_series,
+)
 from .logic import Formula, NotInFragmentError, format_formula
 from .robustness import BasisKind, BasisVector, Episode
 
@@ -239,15 +245,14 @@ def observer_certify(
     The bound is the lower end of the observer's symmetric per-coordinate
     intervals pushed through ``f``: since ``f`` is monotone, that is
     :func:`rolling_certify` with the observer's per-coordinate shift, and
-    the body below is :func:`rolling_certify`'s (the decoder is looked up
-    in the monitor's table without a method call). The observer's support
+    the body below is :func:`rolling_certify`'s. The observer's support
     is ``f``'s, so it shrinks nothing: the shifted read-out of ``f``'s
     decoder subtracts the shift from each coordinate it reads.
     """
     k_max = mon.k_max
     if buf.k_max != k_max:
         raise _layout_mismatch(buf, mon)
-    decoder = mon._decoders.get(f) or mon.decoder(f)
+    decoder = compile_history_decoder(f, mon.m, k_max)
     if mon.formula is not None and mon.formula != decoder.formula:
         raise ValueError(
             f"observer monitor was calibrated for {mon.formula!r}, asked to certify {decoder.formula!r}"

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import ptmon.fragment as fragment
 import ptmon.monitors as monitors
 from ptmon.benchmark import PredictorStub, load_split
 from ptmon.cli import _parse_counts, _parse_int_list, main, read_kv_file
@@ -371,6 +372,34 @@ class TestReport:
         assert per_episode == {2: n_test}
         assert rows == alone[roll] + alone[reseeded]
         assert alone[reseeded] != alone[obs]
+
+    def test_history_models_share_decoders(self, workspace, tmp_path, monkeypatch):
+        # Each formula's decoder generates one batch read-out per layout:
+        # the rolling and observer models read one history layout, so they
+        # share its decoders, and the semantic model has its dictionary's.
+        root, ds, _ = workspace
+        formulas = tmp_path / "shared.txt"
+        # Formulas no other test certifies, so no decoder of them exists yet;
+        # the last one is outside the semantic dictionary.
+        formulas.write_text("G[0,4] p_goal & F[0,8] p_f | G[0,1] p_clear\nF[0,2] p_goal & F[0,1] p_f\n"
+                            "G[1,3] p_clear | F[0,2] p_goal\n")
+        sources = []
+
+        def recording(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(fragment, "exec", recording, raising=False)
+        out = tmp_path / "shared.csv"
+        models = ",".join(str(root / f"{s}.json") for s in ("sem", "roll", "obs"))
+        assert main([
+            "report", "--models", models, "--dataset", str(ds),
+            "--formulas", str(formulas), "--sweep", "", "--out", str(out),
+        ]) == 0
+        assert len(json.loads(out.with_suffix(".json").read_text())) == 8
+        # Two semantic decoders and three history ones, against eight when
+        # each model compiled its own.
+        assert len(sources) == 5 and all(s.startswith("def read_series") for s in sources)
 
     def test_sweep_skipped_when_empty(self, workspace, tmp_path):
         root, ds, _ = workspace

@@ -473,16 +473,20 @@ class TestSpecialisedCopies:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_copies_start_with_the_parents_decoder(self, kind):
-        # A for_formula copy holds exactly its parent's decoder for f, in a
-        # dict of its own; a replace copy holds none.
+        # No monitor keeps decoders: a for_formula copy, a copy of that copy
+        # and a replace copy all read f through the one decoder the layout's
+        # table keeps, on the dictionary (semantic) or on f (history).
         mon, f = calibrated(kind)
         dec = mon.decoder(f)
         copy = mon.for_formula(f)
-        assert copy._decoders == {f: dec} and copy._decoders[f] is dec
-        assert copy._decoders is not mon._decoders
+        assert not any("decoder" in name for name in vars(copy))
         assert copy.decoder(f) is dec and copy.support is dec.support
-        assert mon.for_formula(f)._decoders is not copy._decoders
-        assert replace(copy)._decoders == {}
+        assert mon.for_formula(f).decoder(f) is dec and copy.for_formula(f).decoder(f) is dec
+        assert replace(copy).decoder(f) is dec
+        if kind == "semantic":
+            assert mon.dictionary._decoders[f] is dec
+        else:
+            assert f.__dict__["_decoders"][mon.m, mon.k_max] is dec
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_arrays_are_read_only(self, kind):
@@ -719,14 +723,17 @@ class TestRestrictedReadOut:
     @pytest.mark.parametrize("shift", EDGE_SHIFTS, ids=repr)
     @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
     def test_bound_equals_the_copy_and_subtract_oracle(self, kind, shift, monkeypatch):
-        sources = generated_sources(monkeypatch)
         mon, _ = calibrated(kind)
         rng = np.random.default_rng(53)
         copies = []
         for f in (random_fragment_formula(rng, tiny_dictionary()) for _ in range(8)):
             copy = with_shift(mon.for_formula(f), shift)
             copies.append((copy, copy.decoder(f)))
+            assert copies[-1][1] is mon.decoder(f)
         assert all(np.all(copy.shift == shift) for copy, _ in copies)
+        # A decoder shared with another test may have its read-out already.
+        fresh = {id(dec) for _, dec in copies if "read_shifted" not in vars(dec)}
+        sources = generated_sources(monkeypatch)
         for _ in range(8):
             basis = BasisVector(mon.basis_kind, tie_heavy(rng, mon.dim), mon.k_max)
             for copy, dec in copies:
@@ -737,9 +744,10 @@ class TestRestrictedReadOut:
                 if shift == math.inf:
                     assert got == -math.inf
             assert basis._shrunk == {}
-        # One shifted read-out per decoder (each ``replace`` copy compiles
-        # its own); no plain one, and no float literal.
-        assert len({id(dec) for _, dec in copies}) == len(sources) == len(copies)
+        # One shifted read-out per decoder, shared by every ``replace`` copy
+        # of the layout; no plain one, and no float literal.
+        assert len(sources) == len(fresh)
+        assert all("read_shifted" in vars(dec) for _, dec in copies)
         for source in sources:
             assert " - c" in source
             assert_no_float_literal(source)
@@ -766,8 +774,12 @@ class TestRestrictedReadOut:
         # fragment-wide monitor of the same layout.
         mon, f = calibrated(kind)
         wide = calibrated("rolling")[0] if kind == "observer" else mon
-        g = parse_formula("G[0,1] p0", ("p0", "p1"))
+        # A history formula with names no other test uses, so its decoder
+        # is new; a semantic monitor has a dictionary of its own.
+        names = ("p0", "p1") if kind == "semantic" else ("own_shift_0", "own_shift_1")
+        g = parse_formula(f"G[0,1] {names[0]}", names)
         shared = wide.decoder(g)
+        assert shared is mon.decoder(g)
         values = tie_heavy(np.random.default_rng(59), mon.dim)
         basis = BasisVector(mon.basis_kind, values, mon.k_max)
         before = certified_lower_bound(wide, basis, shared)
@@ -799,12 +811,13 @@ class TestRestrictedReadOut:
 
     def test_read_out_kept_for_another_decoder_is_not_used(self):
         # Each decoder object generates and keeps its own shifted read-out:
-        # an equal decoder compiled afresh uses its own, and a read-out
-        # planted on another decoder is never read for this one.
+        # an equal decoder from elsewhere (here unpickled) uses its own, and
+        # a read-out planted on another decoder is never read for this one.
         mon, f = calibrated("rolling")
         narrow = mon.for_formula(f)
-        dec, other = narrow.decoder(f), replace(narrow).decoder(f)  # compiled afresh
-        assert other == dec and other is not dec
+        dec = narrow.decoder(f)
+        other = pickle.loads(pickle.dumps(dec))
+        assert other == dec and other is not dec and replace(narrow).decoder(f) is dec
         other.__dict__["read_shifted"] = lambda v, c, lo, hi: 99.0
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         assert certified_lower_bound(narrow, basis, dec) == copy_and_subtract_bound(narrow, basis, dec)
@@ -812,27 +825,30 @@ class TestRestrictedReadOut:
         assert dec.read_shifted is not other.read_shifted
 
     def test_read_outs_are_freed_with_their_decoders(self):
-        # A caller compiling a fresh decoder for every call leaves nothing
-        # behind on the monitor, each fresh decoder's read-out goes with it,
-        # and the monitor is freed as soon as it is dropped, while the
-        # decoder it shares with its parent lives on.
-        mon, f = calibrated("rolling")
+        # A caller compiling for every call gets the one decoder and its one
+        # shifted read-out, and leaves nothing behind on the monitor; the
+        # monitor is freed as soon as it is dropped, while the decoder it
+        # shares with its parent lives on, and both go with their formula.
+        mon, _ = calibrated("rolling")
+        names = ("freed_with_decoders_0", "freed_with_decoders_1")  # in no other test
+        f = parse_formula(f"G[0,1] {names[0]} | F[0,2] {names[1]}", names)
         narrow = mon.for_formula(f)
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         want = certified_lower_bound(narrow, basis, narrow.decoder(f))
         state = dict(vars(narrow))
-        refs = []
+        shared = mon.decoder(f).read_shifted
         for _ in range(1_000):
             dec = compile_history_decoder(f, mon.m, mon.k_max)
             assert certified_lower_bound(narrow, basis, dec) == want
-            refs.append(weakref.ref(dec.read_shifted))
+            assert dec.read_shifted is shared
         del dec
-        assert all(r() is None for r in refs)
-        assert vars(narrow).keys() == state.keys() and narrow._decoders == {f: mon.decoder(f)}
-        shared = mon.decoder(f).read_shifted
+        assert vars(narrow).keys() == state.keys()
         gone = weakref.ref(narrow)
         del narrow
         assert gone() is None and mon.decoder(f).read_shifted is shared
+        refs = [weakref.ref(x) for x in (f, mon.decoder(f), shared)]
+        del f, shared
+        assert [r() for r in refs] == [None] * 3
 
     @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
     def test_a_for_formula_copy_generates_nothing(self, kind, monkeypatch):
@@ -852,16 +868,21 @@ class TestRestrictedReadOut:
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert sources == []
 
-    def test_pickled_monitor_generates_its_own_read_outs(self):
+    def test_pickled_monitors_and_decoders_carry_no_read_outs(self):
+        # An unpickled monitor holds no decoder: it reads through the
+        # layout's one decoder. An unpickled decoder comes back without its
+        # read-outs and generates its own.
         mon, _ = calibrated("observer")
         f = parse_formula("G[0,2] p0", ("p0", "p1"))
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
         want = certified_lower_bound(mon, basis, mon.decoder(f))
         back = pickle.loads(pickle.dumps(mon))
-        # Its decoders come back without their shifted read-outs.
-        assert "read_shifted" in vars(mon.decoder(f)) and "read_shifted" not in vars(back.decoder(f))
+        assert back.decoder(f) is mon.decoder(f)
         assert certified_lower_bound(back, basis, back.decoder(f)) == want
-        assert "read_shifted" in vars(back.decoder(f))
+        dec = pickle.loads(pickle.dumps(mon.decoder(f)))
+        assert "read_shifted" in vars(mon.decoder(f)) and "read_shifted" not in vars(dec)
+        assert certified_lower_bound(back, basis, dec) == want
+        assert "read_shifted" in vars(dec) and dec.read_shifted is not mon.decoder(f).read_shifted
 
 
 class TestReadOutsFreedByReferenceCounting:
@@ -875,24 +896,46 @@ class TestReadOutsFreedByReferenceCounting:
         yield
         gc.enable()
 
-    def test_dropped_decoders_and_monitors_free_their_read_outs(self):
-        mon, f = calibrated("rolling")
+    def test_dropped_formulas_free_their_decoders_and_read_outs(self):
+        # A history decoder lives on its formula: dropping the decoder or a
+        # restricted monitor that read with it frees neither the decoder nor
+        # its read-outs; dropping the formula frees them all, and its nodes.
+        mon, _ = calibrated("rolling")
         basis = BasisVector(mon.basis_kind, np.arange(mon.dim, dtype=float), mon.k_max)
+        names = ("freed_by_refcount_0", "freed_by_refcount_1")  # in no other test
+        f = parse_formula(f"G[0,1] {names[0]} | F[0,2] {names[1]}", names)
         dec = compile_history_decoder(f, mon.m, mon.k_max)
         decode_values(dec, basis.values)
         fragment.decode_series(dec, basis.values[:, None])
-        refs = [weakref.ref(x) for x in (dec, dec.read, dec.read_series)]
-        del dec
-        assert [r() for r in refs] == [None] * 3
-        # A restricted monitor dies on ``del``; so does a decoder it read
-        # with, and that decoder's shifted read-out.
         narrow = mon.for_formula(f)
-        own = compile_history_decoder(f, mon.m, mon.k_max)
         certified_lower_bound(narrow, basis, narrow.decoder(f))
-        certified_lower_bound(narrow, basis, own)
-        refs = [weakref.ref(narrow), weakref.ref(own), weakref.ref(own.read_shifted)]
-        del narrow, own
-        assert [r() for r in refs] == [None] * 3
+        refs = [weakref.ref(x) for x in (dec, dec.read, dec.read_series, dec.read_shifted)]
+        monitor = weakref.ref(narrow)
+        del dec, narrow
+        assert monitor() is None and all(r() is not None for r in refs)
+        nodes = [weakref.ref(node) for node in (f, f.left, f.left.child, f.right.child)]
+        del f
+        assert [r() for r in refs + nodes] == [None] * 8
+
+    def test_dropped_dictionaries_and_formulas_free_semantic_decoders(self):
+        # A semantic decoder lives on its dictionary while its formula lives:
+        # it goes with either.
+        names = ("freed_semantic_0", "freed_semantic_1")  # in no other test
+        f = parse_formula(f"G[0,1] {names[0]} & F[0,2] {names[1]}", names)
+        for drop in ("dictionary", "formula"):
+            d = build_depth1_dictionary(2, ((0, 1), (0, 2)), names)
+            dec = compile_semantic_decoder(f, d)
+            decode_values(dec, np.arange(d.r, dtype=float))
+            refs = [weakref.ref(dec), weakref.ref(dec.read)]
+            del dec
+            assert all(r() is not None for r in refs)
+            if drop == "dictionary":
+                del d
+            else:
+                table = d._decoders
+                del f
+                assert len(table) == 0
+            assert [r() for r in refs] == [None] * 2
 
 
 class TestChecksEveryCall:
@@ -974,7 +1017,7 @@ class TestChecksEveryCall:
         f = parse_formula("G[0,1] p0 & F[0,2] p1", names)
         narrow = wide.for_formula(f)
         own = narrow.decoder(f)
-        twin = replace(narrow).decoder(f)  # compiled afresh: equal, not the same
+        twin = pickle.loads(pickle.dumps(own))  # equal, not the same
         inner = narrow.decoder(parse_formula("G[0,1] p0", names))
         wider = narrow.decoder(parse_formula("G[0,1] p0 & F[0,2] p1 & F[0,1] p0", names))
         assert twin == own and twin is not own and twin.support is not narrow.support
@@ -1152,6 +1195,22 @@ class TestIntervalPropagate:
         f = parse_formula("G[0,1] p0", ("p0",))
         with pytest.raises(ValueError):
             interval_propagate(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, 1)
+
+    def test_one_formula_compiles_once(self, monkeypatch):
+        # 1,000 calls through one formula compile its decoder and generate
+        # its read-out once, on the first call.
+        names = ("once_p0", "once_p1", "once_p2")  # in no other test
+        f = parse_formula("G[0,8] (once_p0 | F[0,3] once_p1) & F[0,5] once_p2", names)
+        compiles = []
+        real = fragment._history_decoder
+        monkeypatch.setattr(fragment, "_history_decoder", lambda *args: compiles.append(args) or real(*args))
+        sources = generated_sources(monkeypatch)
+        rng = np.random.default_rng(41)
+        for _ in range(1_000):
+            x = rng.normal(size=3 * 17)
+            lo, hi = interval_propagate(f, x - 1.0, x + 1.0, 3, 16)
+            assert lo == decode_values(compile_history_decoder(f, 3, 16), x - 1.0) and lo <= hi
+        assert len(compiles) == 1 and len(sources) == 1 and sources[0].startswith("def read(v, lo, hi)")
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -1371,17 +1430,25 @@ class TestPersistence:
     @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
     def test_pickled_and_reloaded_monitors_answer_queries_alike(self, kind, tmp_path):
         # Each source reads the support's columns through a decoder's
-        # support index: one rebuilt after pickling, or a fresh decoder's.
+        # support index: the shared one, or a fresh one for a semantic
+        # source's own dictionary; so does an unpickled decoder, whose index
+        # is rebuilt.
         mon, f = calibrated(kind)
         want = mon.for_formula(f)
-        with_pickled_decoder = replace(mon)
-        with_pickled_decoder._decoders[f] = pickle.loads(pickle.dumps(mon.decoder(f)))
+        index = pickle.loads(pickle.dumps(mon.decoder(f))).support_index
+        if kind == "observer":
+            radius = np.maximum.reduce(mon.cache.column_quantiles(index, mon.alpha / len(index)))
+        else:
+            radius = conformal._radius(mon.cache, index, mon.alpha)
+        assert np.float64(radius).tobytes() == np.float64(want.radius).tobytes()
         save_monitor(mon, tmp_path / "m.json")
-        sources = [pickle.loads(pickle.dumps(mon)), pickle.loads(pickle.dumps(want)), with_pickled_decoder,
+        sources = [pickle.loads(pickle.dumps(mon)), pickle.loads(pickle.dumps(want)),
                    load_monitor(tmp_path / "m.json")]
         for source in sources:
             got = source.for_formula(f)
-            assert got.decoder(f) is not mon.decoder(f)
+            # A semantic source has a dictionary of its own, so a decoder of
+            # its own; a history one shares f's decoder for the layout.
+            assert (got.decoder(f) is mon.decoder(f)) == (kind != "semantic")
             assert got.support == want.support and got.formula == want.formula
             assert np.float64(got.radius).tobytes() == np.float64(want.radius).tobytes()
             assert (got.coord_radii is None) == (want.coord_radii is None)

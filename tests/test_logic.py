@@ -1,7 +1,12 @@
+import copy
+import gc
 import os
+import pickle
 import re
 import subprocess
 import sys
+import weakref
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -79,34 +84,38 @@ import pickle, sys
 from ptmon.logic import parse_formula
 f = pickle.loads(sys.stdin.buffer.read())
 g = parse_formula("G[0,2] p0 & (F[0,1] p1 | p2)", ("p0", "p1", "p2"))
-assert f == g
+assert f is g
 assert {g: 1}.get(f) == 1 and {f: 1}.get(g) == 1, "stale hash"
 assert {g.left: 1}.get(f.left) == 1, "stale hash of a subformula"
 """
 
 
 class TestHashing:
-    def test_each_node_hashes_its_structure_once(self, monkeypatch):
-        calls = []
+    """Hashing and equality are the object defaults: a formula keys a dict
+    by identity, in C."""
 
-        def counting(node, real=logic._structural_hash):
-            calls.append(id(node))
-            return real(node)
-
-        monkeypatch.setattr(logic, "_structural_hash", counting)
-        f = parse_formula("G[0,2] (p0 | F[1,3] p1) & (p2 | G[0,1] p0)", P)
-        nodes = formula_nodes(f)
-        h = hash(f)
-        assert hash(f) == h
-        assert {f: 1}[f] == 1
-        assert sorted(calls) == sorted(id(n) for n in nodes)
-
-    def test_hash_is_the_structural_one(self):
-        # The value a plain frozen dataclass would give, so the iteration
-        # order of sets of formulas does not change.
+    def test_hash_and_equality_are_the_object_defaults(self):
         f = parse_formula("G[0,2] (p0 | F[1,3] p1) & p2", P)
-        for node in formula_nodes(f):
-            assert hash(node) == hash(tuple(getattr(node, k) for k in node.__dataclass_fields__))
+        for node in formula_nodes(f) + [f.left.interval]:
+            assert type(node).__hash__ is object.__hash__ and type(node).__eq__ is object.__eq__
+            assert hash(node) == object.__hash__(node)
+
+    def test_a_lookup_runs_no_python_code(self):
+        # Once a node exists, hashing it, comparing it and keying a dict
+        # with it run in C: no Python-level frame is entered.
+        f = parse_formula("G[0,2] (p0 | F[1,3] p1) & (p2 | G[0,1] p0)", P)
+        g = parse_formula("G[0,2] (p0 | F[1,3] p1) & (p2 | G[0,1] p0)", P)
+        nodes, others = formula_nodes(f), formula_nodes(g)
+        table = {node: k for k, node in enumerate(nodes)}
+        calls, hits = [], []
+        sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+        try:
+            for node in others:
+                hits.append(table[node])
+            same = g == f and hash(g) == hash(f)
+        finally:
+            sys.setprofile(None)
+        assert calls == [] and same and sorted(hits) == list(range(len(nodes)))
 
     def test_pickled_formula_keys_a_dict_under_another_hash_seed(self):
         src = str(Path(ptmon.__file__).resolve().parents[1])
@@ -121,6 +130,79 @@ class TestHashing:
         )
         assert looked_up.returncode == 0, looked_up.stderr.decode()
 
+
+class TestInterning:
+    """A constructor returns the one live node with its fields, so equal
+    formulas are one object."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_reparsing_returns_the_same_node(self, seed):
+        f = random_pnf_formula(np.random.default_rng(seed), m=3)
+        assert parse_formula(format_formula(f), P) is f
+        assert random_pnf_formula(np.random.default_rng(seed), m=3) is f
+
+    def test_copies_are_the_node_itself(self):
+        f = parse_formula("G[0,2] (p0 | F[1,3] p1) & p2", P)
+        format_formula(f), horizon(f)
+        for node in formula_nodes(f) + [f.left.interval]:
+            assert copy.copy(node) is node and copy.deepcopy(node) is node
+            assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.deepcopy([f, f.left])[1] is f.left
+
+    def test_constructors_raise_their_errors(self):
+        for a, b, message in [
+            (-1, 2, r"interval bounds must be nonnegative, got \[-1,2\]"),
+            (3, 2, r"interval bounds reversed: \[3,2\]"),
+            (0.5, 2, r"interval bounds must be integers, got \[0.5,2\]"),
+            (np.int64(0), 2, r"interval bounds must be integers, got \[0,2\]"),
+            ([0], 2, r"interval bounds must be integers, got \[\[0\],2\]"),
+        ]:
+            for _ in range(2):  # a failed construction keeps nothing
+                with pytest.raises(ValueError, match=message):
+                    TimeInterval(a, b)
+        with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'index'"):
+            Predicate("p0")
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'idx'"):
+            Predicate("p0", idx=0)
+        with pytest.raises(TypeError, match="unhashable"):
+            Predicate("p0", [0])
+        with pytest.raises(FrozenInstanceError):
+            Predicate("p0", 0).index = 1
+        p = Predicate("p0", 0)
+        assert Predicate(name="p0", index=0) is p and Predicate("p0", index=0) is p
+        assert And(left=p, right=p) is And(p, p) and TimeInterval(b=2, a=1) is TimeInterval(1, 2)
+
+    def test_values_of_another_type_are_other_nodes(self):
+        # A numpy integer index equals the int, but the history compiler
+        # refuses a leaf that is not an int, so the two are kept apart; so
+        # are True and 1.
+        p, q = Predicate("p0", 0), Predicate("p0", np.int64(0))
+        assert q is not p and q is Predicate("p0", np.int64(0)) and type(q.index) is np.int64
+        assert Predicate("p0", True) is not Predicate("p0", 1)
+        assert TimeInterval(True, 2) is not TimeInterval(1, 2)
+        assert compile_history_decoder(p, 1, 1).support == {0}
+        for _ in range(2):  # a failed compile keeps nothing
+            with pytest.raises(TypeError):
+                compile_history_decoder(q, 1, 1)
+
+    def test_dropped_formulas_leave_no_entry(self):
+        # With the cycle collector off, dropping every reference to a
+        # formula frees its nodes by reference counting, and their entries.
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(logic._NODES)
+            names = ("interned_x", "interned_y")  # in no other test
+            f = parse_formula("G[11,12] (interned_x | F[13,14] interned_y) & interned_x", names)
+            format_formula(f), horizon(f), compile_history_decoder(f, 2, 26)
+            nodes = formula_nodes(f) + [f.left.interval, f.left.child.right.interval]
+            assert len(nodes) == 8 and len(logic._NODES) == before + 8
+            refs = [weakref.ref(node) for node in nodes]
+            del f, nodes
+            assert [r() for r in refs] == [None] * 8 and len(logic._NODES) == before
+        finally:
+            gc.enable()
 
 class TestKeptPerNode:
     """A formula object computes its text and its horizon once; compiling
@@ -142,10 +224,13 @@ class TestKeptPerNode:
         assert all(node is f for node in calls)
 
     def test_kept_values_stay_out_of_the_pickled_state(self):
+        # A node pickles as its constructor and its fields alone: its text,
+        # horizon and decoders stay behind.
         f = parse_formula("G[0,2] p0 & F[1,3] p1", P)
-        hash(f), format_formula(f), horizon(f)
+        format_formula(f), horizon(f), compile_history_decoder(f, 3, 4)
         for node in formula_nodes(f):
-            assert set(node.__getstate__()) == set(node.__dataclass_fields__)
+            fields = tuple(getattr(node, k) for k in node.__dataclass_fields__)
+            assert node.__reduce__() == (type(node), fields)
 
 
 class TestParser:

@@ -634,8 +634,19 @@ class TestRunEpisodesTruth:
             assert all(len(res.truth) == len(formulas) for res in results)
 
 
+def count_compiles(monkeypatch, record):
+    """Call ``record(layout, f)`` for every decoder compiled from now on
+    (layout ``"semantic"`` or ``"history"``), past the layout's table."""
+    for layout in ("semantic", "history"):
+        def compiling(f, *args, real=getattr(fragment, f"_{layout}_decoder"), layout=layout):
+            record(layout, f)
+            return real(f, *args)
+
+        monkeypatch.setattr(fragment, f"_{layout}_decoder", compiling)
+
+
 class TestDecoderCache:
-    def test_each_formula_compiles_once_per_monitor(self, monkeypatch):
+    def test_each_formula_compiles_once_per_layout(self, monkeypatch):
         rng = np.random.default_rng(20)
         d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
         eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
@@ -646,14 +657,7 @@ class TestDecoderCache:
         obs = observer_calibrate(eps, pred_stub, f1, 0.1, k_max=3)
 
         compiled = Counter()
-        for layout in ("semantic", "history"):
-            real = getattr(conformal, f"compile_{layout}_decoder")
-
-            def counting(f, *args, real=real, layout=layout):
-                compiled[layout, format_formula(f)] += 1
-                return real(f, *args)
-
-            monkeypatch.setattr(conformal, f"compile_{layout}_decoder", counting)
+        count_compiles(monkeypatch, lambda layout, f: compiled.update([(layout, format_formula(f))]))
 
         buf = RollingBuffer(2, 3)
         for _ in range(10):
@@ -666,14 +670,16 @@ class TestDecoderCache:
             run_episode(ep, pred_stub, roll, [f1, f2])
             run_episode(ep, pred_stub, obs, [f1])
         n1, n2 = format_formula(f1), format_formula(f2)
-        # semantic: (sem, f1), (sem, f2); history: (roll, f1), (roll, f2). The
-        # observer certifies with the decoder it was specialised with, which
-        # observer_calibrate compiled before the counting began.
-        assert compiled == {("semantic", n1): 1, ("semantic", n2): 1, ("history", n1): 1, ("history", n2): 1}
+        # semantic: f1 and f2 on the dictionary; history: f2 on (2, 3). The
+        # observer shares roll's layout, and observer_calibrate compiled f1's
+        # history decoder for it before the counting began.
+        assert compiled == {("semantic", n1): 1, ("semantic", n2): 1, ("history", n2): 1}
+        assert obs.decoder(f1) is roll.decoder(f1)
 
     def test_certification_walks_no_formula_after_compiling(self, monkeypatch):
-        # Once a (monitor, formula) pair has compiled, its verdicts take the
-        # formula's text and horizon from the decoder.
+        # Once a formula's decoder for a layout is compiled, every verdict of
+        # every monitor of that layout takes the formula's text and horizon
+        # from the decoder, and compiles nothing.
         rng = np.random.default_rng(21)
         d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
         eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
@@ -693,16 +699,11 @@ class TestDecoderCache:
 
                     monkeypatch.setattr(mod, name, walking)
         compiles = []
-        for layout in ("semantic", "history"):
-            def compiling(f, *args, real=getattr(conformal, f"compile_{layout}_decoder")):
-                compiles.append(f)
-                return real(f, *args)
+        count_compiles(monkeypatch, lambda layout, f: compiles.append((layout, f)))
 
-            monkeypatch.setattr(conformal, f"compile_{layout}_decoder", compiling)
-
-        # observer_calibrate compiled each observer's formula before the
-        # counting began, and the observer holds that decoder.
-        compiled = {("observer", i) for i in range(len(formulas))}
+        # observer_calibrate compiled each formula's history decoder before
+        # the counting began, for the layout the rolling monitor shares.
+        compiled = {(kind, i) for kind in ("rolling", "observer") for i in range(len(formulas))}
         late_walks = Counter()
 
         def certify(key, call):
@@ -711,8 +712,7 @@ class TestDecoderCache:
             if key in compiled:
                 late_walks.update(walks - walked)
                 assert len(compiles) == n_compiles, key
-            elif len(compiles) > n_compiles:
-                compiled.add(key)
+            compiled.add(key)
 
         buf = RollingBuffer(2, 3)
         for t in range(10):
@@ -722,8 +722,8 @@ class TestDecoderCache:
                 certify(("semantic", i), lambda: semantic_certify(basis, sem, f))
                 certify(("rolling", i), lambda: rolling_certify(buf, roll, f))
                 certify(("observer", i), lambda: observer_certify(buf, observers[i], f))
-        # Only the semantic and rolling pairs compile while certifying.
-        assert len(compiles) == 4
+        # Only the semantic decoders compile while certifying.
+        assert [layout for layout, _ in compiles] == ["semantic"] * 2
         assert compiled == {(kind, i) for kind in ("semantic", "rolling", "observer") for i in range(2)}
         assert late_walks == Counter()
 
@@ -748,12 +748,15 @@ class TestDecoderCache:
             monkeypatch.setattr(helpers, name, walking)
 
         rng = np.random.default_rng(22)
-        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        # Predicate names no other test uses, so no decoder of these
+        # formulas exists before this test.
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)), ("once_a", "once_b"))
         eps = [random_episode(rng, 2, 8, names=d.predicate_names) for _ in range(8)]
         sem_stub = PredictorStub(mode="semantic", scale=0.1, seed=1, dictionary=d)
         sem = calibrate(eps, sem_stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
         roll, pred_stub, _ = rolling_monitor(rng, m=2, k_max=3)
         texts = ("G[0,1] p0", "F[0,2] p1 | G[0,2] p0", "F[0,1] p0 & G[0,1] p1", "G[0,2] p1", "F[0,2] p0 | F[0,1] p1")
+        texts = [t.replace("p0", "once_a").replace("p1", "once_b") for t in texts]
         formulas = [parse_formula(t, d.predicate_names) for t in texts]
         observers = [observer_calibrate(eps, pred_stub, f, 0.1, k_max=3) for f in formulas]
         assert generated == []
@@ -767,15 +770,16 @@ class TestDecoderCache:
                 rolling_certify(buf, roll, f)
                 observer_certify(buf, obs, f)
 
-        plain = [mon.decoder(f) for f in formulas for mon in (sem, roll)]
-        shifted = [obs.decoder(f) for f, obs in zip(formulas, observers)]
-        assert len({id(dec) for dec in plain + shifted}) == 15
-        assert all("read" in dec.__dict__ for dec in plain)
-        # A decoder read only by observers never generates its plain read-out,
-        # and its shifted one is the decoder's own.
-        assert not any("read" in dec.__dict__ for dec in shifted)
-        assert all("read_shifted" in dec.__dict__ for dec in shifted)
-        assert not any("read_shifted" in dec.__dict__ for dec in plain)
+        semantic = [sem.decoder(f) for f in formulas]
+        history = [roll.decoder(f) for f in formulas]
+        # The observers share the rolling monitor's layout, so its decoders.
+        assert all(obs.decoder(f) is dec for f, obs, dec in zip(formulas, observers, history))
+        assert len({id(dec) for dec in semantic + history}) == 10
+        # A history decoder generates its plain read-out for the rolling
+        # monitor and its shifted one for the observer, once each; a
+        # semantic one only its plain read-out.
+        assert all({"read", "read_shifted"} <= dec.__dict__.keys() for dec in history)
+        assert all("read" in dec.__dict__ and "read_shifted" not in dec.__dict__ for dec in semantic)
         assert len(generated) == 15
         assert sum(" - c" in source for source in generated) == 5
         assert walks == Counter()
