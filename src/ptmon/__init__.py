@@ -10,7 +10,8 @@ Layout:
 
 * :mod:`ptmon.logic` — formula types, parser, printer, horizons.
 * :mod:`ptmon.robustness` — episodes, robustness evaluation, basis vectors.
-* :mod:`ptmon.fragment` — atom dictionaries, min/max decoders, compilation.
+* :mod:`ptmon.fragment` — basis layouts (atom dictionaries, predicate history),
+  min/max decoders, compilation.
 * :mod:`ptmon.conformal` — split-conformal calibration and certified bounds.
 * :mod:`ptmon.monitors` — streaming and whole-episode certification, verdicts.
 * :mod:`ptmon.benchmark` — crossroad scenario, predictor stubs, dataset I/O.
@@ -49,6 +50,7 @@ from .conformal import (
 from .fragment import (
     AtomicDictionary,
     Decoder,
+    HistoryLayout,
     build_depth1_dictionary,
     compile_history_decoder,
     compile_semantic_decoder,
@@ -104,6 +106,7 @@ __all__ = [
     "Eventually",
     "Formula",
     "FormulaSyntaxError",
+    "HistoryLayout",
     "Label",
     "MonitorVerdict",
     "NotInFragmentError",

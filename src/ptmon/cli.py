@@ -42,6 +42,7 @@ from .conformal import (
     observer_calibrate,
     save_monitor,
 )
+from .fragment import HistoryLayout
 from .logic import Predicate, parse_formula
 from .metrics import (
     evaluate_monitors,
@@ -134,13 +135,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_sigma(args, episodes_dir, stub, basis_spec, dim):
-    if args.sigma == "uniform":
-        return np.ones(dim)
-    train = load_split(episodes_dir, "train")
-    return estimate_sigma(train, stub, basis_spec)
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     dataset = Path(args.dataset)
     manifest = load_manifest(dataset)
@@ -158,28 +152,21 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise ValueError("the observer baseline is defined for --level 2 only")
         if formula is None:
             raise ValueError("--monitor observer requires --formula")
-        stub = _load_noise(args.noise, "predicates", dictionary)
-        calib_eps = load_split(dataset, "calib")
+    elif args.scope == "active" and formula is None:
+        raise ValueError("--scope active requires --formula")
+    # The observer's sigma is one scale per predicate: the history of lag 0.
+    layout = {"semantic": dictionary, "rolling": HistoryLayout(m, k_max), "observer": HistoryLayout(m, 0)}[args.monitor]
+    stub = _load_noise(args.noise, "predicates" if layout.predicts_steps else "semantic", dictionary)
+    sigma = (np.ones(layout.dim) if args.sigma == "uniform"
+             else estimate_sigma(load_split(dataset, "train"), stub, layout))
+    calib_eps = load_split(dataset, "calib")
+    if args.monitor == "observer":
         mon = observer_calibrate(
-            calib_eps,
-            stub,
-            formula,
-            args.alpha,
-            sigma_predicates=_resolve_sigma(args, dataset, stub, (m, 0), m),
-            k_max=k_max,
-            tau_seed=args.tau_seed,
+            calib_eps, stub, formula, args.alpha, sigma_predicates=sigma, k_max=k_max, tau_seed=args.tau_seed
         )
     else:
-        if args.scope == "active" and formula is None:
-            raise ValueError("--scope active requires --formula")
-        mode = "semantic" if args.monitor == "semantic" else "predicates"
-        stub = _load_noise(args.noise, mode, dictionary)
-        basis_spec = dictionary if args.monitor == "semantic" else (m, k_max)
-        dim = dictionary.r if args.monitor == "semantic" else m * (k_max + 1)
-        sigma = _resolve_sigma(args, dataset, stub, basis_spec, dim)
-        calib_eps = load_split(dataset, "calib")
         cfg = ScoreConfig(sigma=sigma, alpha=args.alpha, level=args.level)
-        mon = calibrate(calib_eps, stub, cfg, basis_spec, tau_seed=args.tau_seed)
+        mon = calibrate(calib_eps, stub, cfg, layout, tau_seed=args.tau_seed)
         if args.scope == "active":
             mon = mon.for_formula(formula)
 
@@ -260,7 +247,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for name, mon in monitors.items():
         for group in groups:
             first = group[0][1]
-            if first.predictor_config == mon.predictor_config and first.basis_spec == mon.basis_spec:
+            if first.predictor_config == mon.predictor_config and first.layout == mon.layout:
                 group.append((name, mon))
                 break
         else:

@@ -45,22 +45,15 @@ from .fragment import (
     AtomicDictionary,
     BasisMismatchError,
     Decoder,
+    HistoryLayout,
     compile_history_decoder,
-    compile_semantic_decoder,
     decode_series,
     decode_values,
     dictionary_from_json,
     dictionary_to_json,
 )
 from .logic import Formula, horizon
-from .robustness import (
-    BasisKind,
-    BasisVector,
-    Episode,
-    _basis_rows,
-    read_only_array,
-    stack_lags,
-)
+from .robustness import BasisKind, BasisVector, Episode, read_only_array
 
 SCORE_CACHE_VERSION = 1
 MONITOR_VERSION = 1
@@ -212,16 +205,22 @@ def load_score_cache(path: str | Path) -> ScoreCache:
 class CalibratedMonitor:
     """Everything needed to certify at run time, plus the score cache.
 
-    ``kind`` is ``"semantic"`` (decode a dictionary-atom basis),
-    ``"rolling"`` (decode raw predicate history), or ``"observer"``
-    (decode raw predicate history shrunk by per-coordinate radii
-    ``coord_radii``, the lower end of symmetric intervals).
+    ``layout`` is the basis the monitor reads: an :class:`AtomicDictionary`
+    or a :class:`HistoryLayout` (a plain ``(m, k_max)`` pair is taken as
+    the latter). Every layout decision (dimension, depth, decoder, truth)
+    is the layout's; :attr:`dictionary` and :attr:`basis_kind` read it, and
+    so do ``m``, ``k_max`` and the layout's ``key``, once, when the monitor
+    is built, as plain attributes that certification reads on every call.
+    ``kind`` is the model file's label and the score rule: ``"semantic"`` (a dictionary) and ``"rolling"`` (history)
+    subtract one radius, ``"observer"`` (history) the per-coordinate radii
+    ``coord_radii``, the lower ends of symmetric intervals.
     ``support`` of ``None`` means the radius protects the whole basis;
     otherwise only decoders reading within ``support`` may use it.
 
     Building a monitor checks that its parts agree, and raises
-    ``ValueError`` naming the numbers when they do not: ``sigma``,
-    ``coord_radii`` and the cache's columns must each have the basis
+    ``ValueError`` naming the numbers when they do not: a semantic monitor
+    reads a dictionary and the other kinds history, ``sigma``,
+    ``coord_radii`` and the cache's columns must each have the layout's
     dimension, and the cache must hold ``n_calibration`` rows at the
     monitor's ``level`` and ``seed``, symmetric (``|error|``) scores for an
     observer and one-sided ones otherwise.
@@ -256,9 +255,7 @@ class CalibratedMonitor:
     sigma: np.ndarray
     n_calibration: int
     seed: int
-    dictionary: AtomicDictionary | None = None
-    m: int | None = None
-    k_max: int | None = None
+    layout: AtomicDictionary | HistoryLayout
     support: frozenset[int] | None = None
     cache: ScoreCache | None = None
     formula: str | None = None
@@ -268,24 +265,25 @@ class CalibratedMonitor:
     def __post_init__(self) -> None:
         if self.kind not in ("semantic", "rolling", "observer"):
             raise ValueError(f"unknown monitor kind {self.kind!r}")
+        layout = _as_layout(self.layout)
+        if (self.kind == "semantic") != (layout.basis_kind is BasisKind.SEMANTIC):
+            raise ValueError(f"a {self.kind} monitor cannot read a {layout.basis_kind.value} layout")
+        object.__setattr__(self, "layout", layout)
+        # Read off the layout once, as plain attributes: certification reads
+        # them on every call, and a dictionary's attribute reads cost more.
+        object.__setattr__(self, "m", layout.m)
+        object.__setattr__(self, "k_max", layout.k_max)
+        object.__setattr__(self, "_layout_key", layout.key)
         object.__setattr__(self, "sigma", read_only_array(self.sigma))
         if self.coord_radii is not None:
             object.__setattr__(self, "coord_radii", read_only_array(self.coord_radii))
-        if self.kind == "semantic":
-            if self.dictionary is None:
-                raise ValueError("semantic monitor needs a dictionary")
-            object.__setattr__(self, "m", self.dictionary.m)
-            object.__setattr__(self, "k_max", self.dictionary.K_max)
-        elif self.m is None or self.k_max is None:
-            raise ValueError(f"{self.kind} monitor needs m and k_max")
-        _, _, dim = _layout(self.basis_spec)
-        parts = [("sigma's size", self.sigma.size, "the basis dimension", dim)]
+        parts = [("sigma's size", self.sigma.size, "the basis dimension", layout.dim)]
         if self.coord_radii is not None:
-            parts.append(("coord_radii's size", self.coord_radii.size, "the basis dimension", dim))
+            parts.append(("coord_radii's size", self.coord_radii.size, "the basis dimension", layout.dim))
         if self.cache is not None:
             rows, columns = self.cache.matrix.shape
             parts += [
-                ("the score cache's column count", columns, "the basis dimension", dim),
+                ("the score cache's column count", columns, "the basis dimension", layout.dim),
                 ("the score cache's row count", rows, "n_calibration", self.n_calibration),
                 ("the score cache's level", self.cache.level, "the monitor's level", self.level),
                 ("the score cache's seed", self.cache.seed, "the monitor's seed", self.seed),
@@ -302,13 +300,12 @@ class CalibratedMonitor:
 
     @cached_property
     def basis_kind(self) -> BasisKind:
-        return BasisKind.SEMANTIC if self.kind == "semantic" else BasisKind.PREDICATE_HISTORY
+        return self.layout.basis_kind
 
     @property
-    def basis_spec(self) -> AtomicDictionary | tuple[int, int]:
-        """The layout in :func:`predicted_basis` terms: the dictionary, or
-        ``(m, k_max)`` for predicate history."""
-        return self.dictionary if self.kind == "semantic" else (self.m, self.k_max)
+    def dictionary(self) -> AtomicDictionary | None:
+        """The layout of a semantic monitor; ``None`` for predicate history."""
+        return self.layout if self.layout.basis_kind is BasisKind.SEMANTIC else None
 
     @cached_property
     def shift(self) -> np.ndarray:
@@ -327,18 +324,15 @@ class CalibratedMonitor:
         return self.shift.tolist()
 
     def decoder(self, f: Formula) -> Decoder:
-        """The decoder reading ``f`` off this monitor's basis layout: the
-        one :func:`~ptmon.fragment.compile_semantic_decoder` or
-        :func:`~ptmon.fragment.compile_history_decoder` keeps for it.
+        """The decoder reading ``f`` off this monitor's layout: the one
+        the layout's ``compile`` keeps for it.
 
         Raises :class:`~ptmon.logic.NotInFragmentError` when ``f`` is not
         built from the dictionary's atoms, and
         :class:`~ptmon.fragment.HorizonExceededError` when it reads deeper
         than ``k_max``.
         """
-        if self.kind == "semantic":
-            return compile_semantic_decoder(f, self.dictionary)
-        return compile_history_decoder(f, self.m, self.k_max)
+        return self.layout.compile(f)
 
     def for_formula(self, f: Formula) -> "CalibratedMonitor":
         """A copy specialized to ``f``: support narrowed, radius recomputed.
@@ -443,26 +437,25 @@ def sample_level2_time(seed: int, episode_index: int, k_max: int, T: int) -> int
     return int(rng.integers(k_max, T + 1))
 
 
-def _layout(basis_spec) -> tuple[str, int, int]:
-    """Monitor kind, history depth and dimension of a basis layout."""
-    if isinstance(basis_spec, AtomicDictionary):
-        return "semantic", basis_spec.K_max, basis_spec.r
-    m, k_max = basis_spec
-    return "rolling", k_max, m * (k_max + 1)
+def _as_layout(basis_spec) -> AtomicDictionary | HistoryLayout:
+    """The layout a public entry point was given: a layout as it is, and a
+    plain ``(m, k_max)`` pair as :class:`HistoryLayout`."""
+    return basis_spec if isinstance(basis_spec, (AtomicDictionary, HistoryLayout)) else HistoryLayout(*basis_spec)
 
 
-def _prediction(ep: Episode, predictor, basis_spec) -> np.ndarray:
-    """The predictor's raw output for ``ep``, checked: atom columns over
-    ``t = k_max .. T`` for a dictionary, per-step predicates ``(m, T+1)``
-    for ``(m, k_max)``."""
-    kind, k_max, _ = _layout(basis_spec)
+def _prediction(ep: Episode, predictor, layout) -> np.ndarray:
+    """The predictor's raw output for ``ep``, checked: per-step predicates
+    ``(m, T+1)`` for a layout that :attr:`~HistoryLayout.predicts_steps`,
+    otherwise the basis columns over ``t = k_max .. T``."""
+    k_max = layout.k_max
     if ep.T < k_max:
         raise ValueError(f"episode too short: T={ep.T} < k_max={k_max}")
-    expected = (basis_spec.r, ep.T - k_max + 1) if kind == "semantic" else (basis_spec[0], ep.T + 1)
+    expected = (layout.m, ep.T + 1) if layout.predicts_steps else (layout.dim, ep.T - k_max + 1)
     predicted = np.asarray(predictor.predict(ep), dtype=float)
     if predicted.shape != expected:
         raise ValueError(
-            f"predictor/basis mismatch: predictor gave {predicted.shape}, {kind} basis needs {expected}"
+            f"predictor/basis mismatch: predictor gave {predicted.shape}, "
+            f"{layout.basis_kind.value} basis needs {expected}"
         )
     if not np.isfinite(predicted).all():
         raise ValueError(f"predictor returned non-finite values for episode {ep.uid}")
@@ -472,15 +465,17 @@ def _prediction(ep: Episode, predictor, basis_spec) -> np.ndarray:
 def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
     """The predictor's output for ``ep`` as basis columns over ``t = k_max .. T``.
 
-    ``basis_spec`` is an :class:`AtomicDictionary`, whose predictor emits the
-    atom columns directly, or ``(m, k_max)``, whose predictor emits per-step
-    predicates ``(m, T+1)`` that are stacked into predicate-history columns.
+    ``basis_spec`` is a layout or a plain ``(m, k_max)`` pair. A dictionary's
+    predictor emits the atom columns directly; a :class:`HistoryLayout`'s
+    emits per-step predicates ``(m, T+1)``, which the layout's ``basis``
+    stacks into predicate-history columns.
     Raises ``ValueError`` for a too-short episode, a wrongly shaped
     prediction or a non-finite one; every calibration and
     :func:`~ptmon.monitors.run_episodes` run the same checks on each episode.
     """
-    predicted = _prediction(ep, predictor, basis_spec)
-    return predicted if isinstance(basis_spec, AtomicDictionary) else stack_lags(predicted, basis_spec[1])
+    layout = _as_layout(basis_spec)
+    predicted = _prediction(ep, predictor, layout)
+    return layout.basis(predicted) if layout.predicts_steps else predicted
 
 
 # Basis columns in one block of episodes: enough to pay numpy's per-call
@@ -490,7 +485,7 @@ def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
 _BLOCK_COLUMNS = 256
 
 
-def _episode_blocks(episodes: Iterable[Episode], predictor, basis_spec, tau_seed: int | None = None):
+def _episode_blocks(episodes: Iterable[Episode], predictor, layout, tau_seed: int | None = None):
     """The episodes' predicted and true bases side by side, in blocks, each
     with its episodes' widths. Every episode is predicted whole and its
     prediction checked on its own (:func:`_prediction`).
@@ -505,18 +500,18 @@ def _episode_blocks(episodes: Iterable[Episode], predictor, basis_spec, tau_seed
     intermediates are no larger than for whole episodes. A block always
     holds at least one episode.
     """
-    kind, k_max, _ = _layout(basis_spec)
+    k_max = layout.k_max
     block: list[tuple[np.ndarray, np.ndarray]] = []
     columns = 0
     for i, ep in enumerate(episodes):
-        mu, predicted = ep.mu, _prediction(ep, predictor, basis_spec)
+        mu, predicted = ep.mu, _prediction(ep, predictor, layout)
         width = ep.T - k_max + 1
         if tau_seed is not None:
             start = sample_level2_time(tau_seed, i, k_max, ep.T) - k_max
             mu, width = mu[:, start : start + k_max + 1], k_max + 1
-            predicted = predicted[:, start : start + (1 if kind == "semantic" else width)]
+            predicted = predicted[:, start : start + (width if layout.predicts_steps else 1)]
         if block and columns + width > _BLOCK_COLUMNS:
-            bases = [_block_bases(block, basis_spec)]
+            bases = [_block_bases(block, layout)]
             # Hold neither the episodes' own predictions nor, once popped,
             # the bases while the block is used: a caller that copies them
             # frees the originals.
@@ -525,37 +520,38 @@ def _episode_blocks(episodes: Iterable[Episode], predictor, basis_spec, tau_seed
         block.append((mu, predicted))
         columns += width
     if block:
-        yield _block_bases(block, basis_spec)
+        yield _block_bases(block, layout)
 
 
-def _block_bases(block: list[tuple[np.ndarray, np.ndarray]], basis_spec):
+def _block_bases(block: list[tuple[np.ndarray, np.ndarray]], layout):
     """``(predicted, true, widths)`` for a block of margin arrays (whole
     episodes or sampled windows) and their checked predictions over the
     same steps.
 
     The margins (and per-step predictions) are laid end to end along time
-    and run once through the basis routine, :func:`~ptmon.robustness._basis_rows`
-    or :func:`stack_lags`. Column ``c`` is then the window ending at step
-    ``c + k_max``; the ``k_max`` columns after each array's last one
-    straddle a boundary and are dropped. Every kept column reads only its
-    own array, and the doubling of
+    and run once through the layout's ``basis`` routine,
+    :func:`~ptmon.robustness._basis_rows` or
+    :func:`~ptmon.robustness.stack_lags`. Column ``c`` is then the window
+    ending at step ``c + k_max``; the ``k_max`` columns after each array's
+    last one straddle a boundary and are dropped. Every kept column reads
+    only its own array, and the doubling of
     :func:`~ptmon.robustness._sliding_extrema` builds a window from the
     same ``np.minimum``/``np.maximum`` calls wherever it starts (an atom
     outside the shared pass is evaluated on its own and tail-aligned, so
     this holds for it too): the result is the per-array bases side by
     side, bit for bit.
     """
-    kind, k_max, _ = _layout(basis_spec)
+    k_max = layout.k_max
     widths = [mu.shape[1] - k_max for mu, _ in block]
     # Array e's columns start e * k_max columns later in the concatenation.
     keep = np.arange(sum(widths)) + k_max * np.repeat(np.arange(len(block)), widths)
     # Truth first: its temporaries are freed before the predictions are
     # stacked, which keeps the block's peak memory (and fresh pages) down.
     mu = np.concatenate([mu for mu, _ in block], axis=1)
-    true = (_basis_rows(mu, basis_spec) if kind == "semantic" else stack_lags(mu, k_max))[:, keep]
+    true = layout.basis(mu)[:, keep]
     predicted = np.concatenate([p for _, p in block], axis=1)
-    if kind != "semantic":
-        predicted = stack_lags(predicted, k_max)[:, keep]
+    if layout.predicts_steps:
+        predicted = layout.basis(predicted)[:, keep]
     return predicted, true, widths
 
 
@@ -582,15 +578,14 @@ def score_matrix(
     level 2 a block holds only each episode's sampled window, so both bases
     are built for the sampled columns alone.
     """
-    return _scores(episodes, predictor, basis_spec, sigma, level, tau_seed, symmetric=False)
+    return _scores(episodes, predictor, _as_layout(basis_spec), sigma, level, tau_seed, symmetric=False)
 
 
-def _scores(episodes, predictor, basis_spec, sigma, level, tau_seed, symmetric) -> np.ndarray:
+def _scores(episodes, predictor, layout, sigma, level, tau_seed, symmetric) -> np.ndarray:
     """:func:`score_matrix`, of ``|predicted - truth| / sigma`` when ``symmetric``."""
-    dim = _layout(basis_spec)[2]
-    rows = np.empty((len(episodes), dim), dtype=float)
+    rows = np.empty((len(episodes), layout.dim), dtype=float)
     i = 0
-    blocks = _episode_blocks(episodes, predictor, basis_spec, tau_seed if level == 2 else None)
+    blocks = _episode_blocks(episodes, predictor, layout, tau_seed if level == 2 else None)
     for predicted, true, widths in blocks:
         # At level 2 each episode is one column: its sampled time.
         errs = predicted - true
@@ -616,35 +611,34 @@ def calibrate(
 ) -> CalibratedMonitor:
     """Calibrate a semantic or rolling monitor on held-out episodes.
 
-    ``basis_spec`` is an :class:`AtomicDictionary` for the semantic basis or
-    a ``(m, k_max)`` pair for raw predicate history. Each episode is scored
-    at every valid time ``t = k_max .. T`` and aggregated by its worst
+    ``basis_spec`` is the layout: an :class:`AtomicDictionary` for a
+    semantic monitor, or a :class:`HistoryLayout` (or plain ``(m, k_max)``
+    pair) for a rolling one over raw predicate history. Each episode is
+    scored at every valid time ``t = k_max .. T`` and aggregated by its worst
     (``cfg.level`` 1), or scored at one time sampled with ``tau_seed``
     (level 2), and the radius is their split quantile over ``cfg.support`` (all
     coordinates when ``None``). The per-coordinate score matrix is retained
     on the monitor as its score cache.
     """
-    kind, _, dim = _layout(basis_spec)
-    if cfg.sigma.size != dim:
-        raise ValueError(f"sigma has {cfg.sigma.size} entries, basis needs {dim}")
+    layout = _as_layout(basis_spec)
+    if cfg.sigma.size != layout.dim:
+        raise ValueError(f"sigma has {cfg.sigma.size} entries, basis needs {layout.dim}")
     if not episodes:
         raise ValueError("calibration needs at least one episode")
 
-    rows = score_matrix(episodes, predictor, basis_spec, cfg.sigma, cfg.level, tau_seed)
+    rows = score_matrix(episodes, predictor, layout, cfg.sigma, cfg.level, tau_seed)
     cache = ScoreCache(rows, cfg.level, tau_seed)
-    support = range(dim) if cfg.support is None else cfg.support
+    support = range(layout.dim) if cfg.support is None else cfg.support
     radius = radius_for_support(cache, support, cfg.alpha)
     return CalibratedMonitor(
-        kind=kind,
+        kind="semantic" if layout.basis_kind is BasisKind.SEMANTIC else "rolling",
         level=cfg.level,
         alpha=cfg.alpha,
         radius=radius,
         sigma=cfg.sigma,
         n_calibration=len(episodes),
         seed=tau_seed,
-        dictionary=basis_spec if kind == "semantic" else None,
-        m=None if kind == "semantic" else basis_spec[0],
-        k_max=None if kind == "semantic" else basis_spec[1],
+        layout=layout,
         support=cfg.support,
         cache=cache,
     )
@@ -665,7 +659,8 @@ def estimate_sigma(episodes: Sequence[Episode], predictor, basis_spec) -> np.nda
     """
     if not episodes:
         raise ValueError("sigma estimation needs at least one episode")
-    pooled = [np.abs(predicted - true) for predicted, true, _ in _episode_blocks(episodes, predictor, basis_spec)]
+    blocks = _episode_blocks(episodes, predictor, _as_layout(basis_spec))
+    pooled = [np.abs(predicted - true) for predicted, true, _ in blocks]
     sigma = np.median(np.concatenate(pooled, axis=1), axis=1)
     return np.maximum(sigma, SIGMA_FLOOR)
 
@@ -676,10 +671,8 @@ def estimate_sigma(episodes: Sequence[Episode], predictor, basis_spec) -> np.nda
 
 
 def _check_certifiable(mon: CalibratedMonitor, kind: BasisKind, dim: int, d: Decoder) -> None:
-    if d.basis_kind is not mon.basis_kind:
-        raise BasisMismatchError(
-            f"{mon.kind} monitor certifies {mon.basis_kind.value} decoders, got {d.basis_kind.value}"
-        )
+    if d.layout != mon._layout_key:
+        raise BasisMismatchError(f"decoder of {d.formula!r} was compiled for another layout than the monitor's")
     if kind is not d.basis_kind:
         raise BasisMismatchError(f"decoder reads {d.basis_kind.value}, basis is {kind.value}")
     if not dim == d.dim == mon.dim:
@@ -695,13 +688,16 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     """Decode the shrunk prediction ``predicted - mon.shift``: a
     calibrated-probability lower bound on the decoded true value.
 
-    Requires matching basis kind and dimension, and — when the monitor was
-    calibrated on a restricted support — that the decoder reads only inside
-    that support. The decoder is checked against the monitor on every call
-    (a few attribute compares; the support test is an identity check for
-    the decoder a :meth:`~CalibratedMonitor.for_formula` copy was made
-    with, a subset test otherwise), and the snapshot against the monitor
-    before anything is read from it. :func:`_check_certifiable` builds the
+    Requires a decoder compiled for the monitor's layout (its
+    :attr:`~ptmon.fragment.Decoder.layout` equals the layout's ``key``, so
+    an equal dictionary loaded apart matches), a snapshot of the layout's
+    basis kind and dimension, and — when the monitor was calibrated on a
+    restricted support — a decoder that reads only inside that support.
+    The decoder is checked against the monitor on every call (one key
+    compare; the support test is an identity check for the decoder a
+    :meth:`~CalibratedMonitor.for_formula` copy was made with, a subset
+    test otherwise), and the snapshot against the monitor before anything
+    is read from it. :func:`_check_certifiable` builds the
     error when a test fails, so every mismatch raises as if all three were
     checked on every call.
 
@@ -717,16 +713,12 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
     of the snapshot's float list. Python and numpy subtract floats alike,
     bit for bit.
     """
-    support, kind, dim = mon.support, mon.basis_kind, mon.dim
-    if not (
-        d.basis_kind is kind
-        and d.dim == dim
-        and (support is None or d.support is support or d.support <= support)
-    ):
+    support = mon.support
+    if not (d.layout == mon._layout_key and (support is None or d.support is support or d.support <= support)):
         _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
     if support is not None:
         # A basis vector is one-dimensional, so its length is its shape.
-        if predicted.kind is not kind or len(predicted.values) != dim:
+        if predicted.kind is not mon.basis_kind or len(predicted.values) != mon.dim:
             _check_certifiable(mon, predicted.kind, predicted.values.shape[0], d)
         return d.read_shifted(predicted._floats, mon._shift_floats, min, max)
     shrunk = predicted._shrunk.get(mon)
@@ -734,7 +726,7 @@ def certified_lower_bound(mon: CalibratedMonitor, predicted: BasisVector, d: Dec
         # Only a snapshot that matches the monitor is memoised, so a memoised
         # one needs no second look.
         values = predicted.values
-        if predicted.kind is not kind or values.shape[0] != dim:
+        if predicted.kind is not mon.basis_kind or values.shape[0] != mon.dim:
             _check_certifiable(mon, predicted.kind, values.shape[0], d)
         shrunk = (values - mon.shift).tolist()
         predicted._shrunk[mon] = shrunk
@@ -805,7 +797,8 @@ def observer_calibrate(
         raise ValueError(f"sigma_predicates must have shape ({m},)")
     sigma = ScoreConfig(np.repeat(sigma_predicates, width), alpha, 2).sigma
 
-    rows = _scores(episodes, predictor, (m, k_max), sigma, 2, tau_seed, symmetric=True)
+    layout = HistoryLayout(m, k_max)
+    rows = _scores(episodes, predictor, layout, sigma, 2, tau_seed, symmetric=True)
 
     # Unspecialized, the observer has no radius; for_formula sets it.
     unfitted = CalibratedMonitor(
@@ -816,8 +809,7 @@ def observer_calibrate(
         sigma=sigma,
         n_calibration=len(episodes),
         seed=tau_seed,
-        m=m,
-        k_max=k_max,
+        layout=layout,
         cache=ScoreCache(rows, 2, tau_seed, symmetric=True),
     )
     return unfitted.for_formula(f)
@@ -860,7 +852,9 @@ def save_monitor(mon: CalibratedMonitor, path: str | Path) -> None:
     ``<stem>.scores.npz``.
 
     ``score_cache_path`` inside the JSON is the cache's file name, relative
-    to the JSON file, so the pair can be moved together.
+    to the JSON file, so the pair can be moved together. The layout is
+    written just before it: ``dictionary`` for a semantic monitor, ``m`` and
+    ``k_max`` for predicate history.
     """
     path = Path(path)
     obj: dict = {
@@ -877,11 +871,8 @@ def save_monitor(mon: CalibratedMonitor, path: str | Path) -> None:
         "coord_radii": mon.coord_radii.tolist() if mon.coord_radii is not None else None,
         "predictor": mon.predictor_config,
     }
-    if mon.kind == "semantic":
-        obj["dictionary"] = dictionary_to_json(mon.dictionary)
-    else:
-        obj["m"] = mon.m
-        obj["k_max"] = mon.k_max
+    d = mon.dictionary
+    obj.update({"dictionary": dictionary_to_json(d)} if d is not None else {"m": mon.m, "k_max": mon.k_max})
     obj["score_cache_path"] = None
     if mon.cache is not None:
         cache_path = path.with_suffix(".scores.npz")
@@ -901,7 +892,8 @@ def load_monitor(path: str | Path) -> CalibratedMonitor:
     if version != MONITOR_VERSION:
         raise ValueError(f"unsupported monitor version {version}")
     cache = load_score_cache(path.parent / obj["score_cache_path"]) if obj.get("score_cache_path") else None
-    dictionary = dictionary_from_json(obj["dictionary"]) if "dictionary" in obj else None
+    layout = (dictionary_from_json(obj["dictionary"]) if "dictionary" in obj
+              else HistoryLayout(obj.get("m"), obj.get("k_max")))
     support = obj.get("support")
     coord_radii = obj.get("coord_radii")
     return CalibratedMonitor(
@@ -912,9 +904,7 @@ def load_monitor(path: str | Path) -> CalibratedMonitor:
         sigma=np.asarray(obj["sigma"], dtype=float),
         n_calibration=int(obj["n"]),
         seed=int(obj["seed"]),
-        dictionary=dictionary,
-        m=obj.get("m"),
-        k_max=obj.get("k_max"),
+        layout=layout,
         support=frozenset(support) if support is not None else None,
         cache=cache,
         formula=obj.get("formula"),

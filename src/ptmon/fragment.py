@@ -1,18 +1,29 @@
-"""Atomic dictionaries and compiled min/max decoders over robustness bases.
+"""Basis layouts and compiled min/max decoders over them.
 
-A dictionary fixes a finite set of window formulas (atoms). Any formula built
-from those atoms with ``&``/``|`` can be *decoded* — its robustness recovered
-exactly — from the vector of atom robustness values, because conjunction and
-disjunction act as coordinatewise min/max. The same construction unrolls
-window operators into min/max over lagged predicate-history coordinates, so
-one decoder type serves both basis layouts.
+A basis has one of two layouts, and each is one class with the same few
+members (:attr:`~AtomicDictionary.dim`, :attr:`~AtomicDictionary.k_max`,
+:attr:`~AtomicDictionary.basis_kind`, :attr:`~AtomicDictionary.key`,
+:meth:`~AtomicDictionary.compile`, :meth:`~AtomicDictionary.basis` and
+:attr:`~AtomicDictionary.predicts_steps`), so code that reads a basis asks
+its layout and never which layout it has:
+
+* an :class:`AtomicDictionary` fixes a finite set of window formulas
+  (atoms). Any formula built from those atoms with ``&``/``|`` can be
+  *decoded* — its robustness recovered exactly — from the vector of atom
+  robustness values, because conjunction and disjunction act as
+  coordinatewise min/max;
+* a :class:`HistoryLayout` holds every predicate at every lag up to its
+  depth; the same construction unrolls window operators into min/max over
+  lagged coordinates, so one decoder type serves both layouts.
 
 Decoders are trees of ``leaf`` / ``min`` / ``max`` nodes. They are monotone
 in every coordinate and 1-Lipschitz for the sup norm, which is what makes
-uniform lower bounds on the basis transfer to the decoded value. On its first
-decode a decoder turns its tree into straight-line Python, written by one
-walk of the tree: :attr:`Decoder.read` for one basis vector, with the
-built-in ``min``/``max`` over a list of floats, and
+uniform lower bounds on the basis transfer to the decoded value. Each names
+its layout by the layout's :attr:`~AtomicDictionary.key`, which holds no
+layout, so certification can refuse a decoder of another layout of the same
+dimension. On its first decode a decoder turns its tree into straight-line
+Python, written by one walk of the tree: :attr:`Decoder.read` for one
+basis vector, with the built-in ``min``/``max`` over a list of floats, and
 :attr:`Decoder.read_series` for the columns of a row-major basis matrix,
 which reduces each run of consecutive rows in one numpy call. The same
 walk writes :attr:`Decoder.read_shifted`, which subtracts a shift passed as
@@ -65,6 +76,8 @@ from .robustness import (
     BasisKind,
     BasisVector,
     WindowLayout,
+    _basis_rows,
+    stack_lags,
     window_layout,
 )
 
@@ -74,26 +87,37 @@ class HorizonExceededError(ValueError):
 
 
 class BasisMismatchError(ValueError):
-    """Basis vector and decoder disagree on layout kind or dimension."""
+    """A basis, decoder or buffer is read in a layout other than its own:
+    another layout kind or dimension, another dictionary, or another
+    history depth of the same dimension."""
 
 
 @dataclass(frozen=True)
 class AtomicDictionary:
-    """An ordered tuple of distinct atom formulas.
+    """The semantic layout: an ordered tuple of distinct atom formulas, one
+    basis coordinate per atom.
 
     ``m`` is the number of predicates the atoms range over. The history depth
-    ``K_max`` is derived as the largest atom horizon, ``window_layout``
-    tells semantic basis extraction which atoms share its one
-    sliding-extremum pass, and each atom's coordinate is looked up in one
+    ``K_max`` (also :attr:`k_max`) is derived as the largest atom horizon,
+    ``window_layout`` tells semantic basis extraction which atoms share its
+    one sliding-extremum pass, and each atom's coordinate is looked up in one
     index that every :func:`compile_semantic_decoder` call shares; all
-    three are computed once per dictionary. Atoms are interned nodes, so an
+    three are computed once per dictionary, and so is :attr:`key`, the
+    ``(m, atoms)`` pair every decoder compiled for it carries. Equal
+    dictionaries have equal keys. Atoms are interned nodes, so an
     atom lookup is an identity hit. The dictionary also keeps the semantic
     decoders compiled for it, weakly keyed by formula node and left out of
     its pickled state, so equal dictionaries built apart compile apart.
+
+    Its predictor emits the atom columns themselves (:attr:`predicts_steps`
+    is false), and :meth:`basis` computes the true ones from margins.
     """
 
     atoms: tuple[Formula, ...]
     m: int
+
+    basis_kind = BasisKind.SEMANTIC
+    predicts_steps = False
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -104,6 +128,9 @@ class AtomicDictionary:
             for k in _predicate_names(atom):
                 if k < 0 or k >= self.m:
                     raise ValueError(f"atom uses predicate index {k} outside 0..{self.m - 1}")
+        object.__setattr__(self, "k_max", self.K_max)
+        # Never equal to a history key, whose second entry is an int.
+        object.__setattr__(self, "key", (self.m, self.atoms))
 
     @functools.cached_property
     def K_max(self) -> int:
@@ -129,12 +156,57 @@ class AtomicDictionary:
     def r(self) -> int:
         return len(self.atoms)
 
+    dim = r
+
+    def compile(self, f: Formula) -> "Decoder":
+        return compile_semantic_decoder(f, self)
+
+    def basis(self, mu: np.ndarray) -> np.ndarray:
+        """The atoms' robustness at the times ``K_max .. n-1`` of ``(m, n)`` margins."""
+        return _basis_rows(mu, self)
+
     @functools.cached_property
     def predicate_names(self) -> tuple[str, ...]:
         names = {}
         for atom in self.atoms:
             names.update(_predicate_names(atom))
         return tuple(names.get(k, f"p{k}") for k in range(self.m))
+
+
+@dataclass(frozen=True)
+class HistoryLayout:
+    """The predicate-history layout: every one of ``m`` predicates at every
+    lag up to ``k_max``, coordinate ``k * (k_max + 1) + j`` holding
+    predicate ``k`` at lag ``j``.
+
+    It has the members of :class:`AtomicDictionary` that read a basis. Its
+    predictor emits per-step margins (:attr:`predicts_steps`), which
+    :meth:`basis` stacks into history columns as it does true margins, and
+    :attr:`key` is the ``(m, k_max)`` pair every decoder compiled for it
+    carries.
+    """
+
+    m: int
+    k_max: int
+
+    basis_kind = BasisKind.PREDICATE_HISTORY
+    predicts_steps = True
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.m, int) and isinstance(self.k_max, int) and self.m >= 1 and self.k_max >= 0):
+            raise ValueError(f"need integers m >= 1 and k_max >= 0, got m={self.m!r}, k_max={self.k_max!r}")
+        object.__setattr__(self, "key", (self.m, self.k_max))
+
+    @property
+    def dim(self) -> int:
+        return self.m * (self.k_max + 1)
+
+    def compile(self, f: Formula) -> "Decoder":
+        return compile_history_decoder(f, self.m, self.k_max)
+
+    def basis(self, mu: np.ndarray) -> np.ndarray:
+        """History columns over the valid times of ``(m, n)`` per-step values."""
+        return stack_lags(mu, self.k_max)
 
 
 def _predicate_names(f: Formula) -> dict[int, str]:
@@ -238,6 +310,12 @@ class Decoder:
     argument and numpy the later one. The compilers return one decoder per
     layout and formula node, so every monitor of that layout shares these
     read-outs.
+
+    ``layout`` is the :attr:`~AtomicDictionary.key` of the layout the
+    compilers built the decoder for: a key, not the layout, since a
+    dictionary keeps its decoders. Certification compares it with the
+    monitor's layout key. A hand-built decoder has none, and no monitor
+    certifies with it.
     """
 
     root: DecoderNode
@@ -245,6 +323,7 @@ class Decoder:
     dim: int
     formula: str
     horizon: int
+    layout: tuple | None = None
 
     def __post_init__(self) -> None:
         support, stack = set(), [self.root]
@@ -464,7 +543,7 @@ def _semantic_decoder(f: Formula, dictionary: AtomicDictionary) -> Decoder:
         raise NotInFragmentError(node)
 
     root = _materialise(build(f))
-    return Decoder(root, BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f))
+    return Decoder(root, BasisKind.SEMANTIC, dictionary.r, format_formula(f), horizon(f), dictionary.key)
 
 
 def compile_history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
@@ -518,7 +597,7 @@ def _history_decoder(f: Formula, m: int, k_max: int) -> Decoder:
         return _join(op, [build(child, lag + d) for d in range(iv.a, iv.b + 1)])
 
     root = _materialise(build(f, 0))
-    return Decoder(root, BasisKind.PREDICATE_HISTORY, m * width, format_formula(f), h)
+    return Decoder(root, BasisKind.PREDICATE_HISTORY, m * width, format_formula(f), h, (m, k_max))
 
 
 # ---------------------------------------------------------------------------

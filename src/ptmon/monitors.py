@@ -200,7 +200,9 @@ def rolling_certify(
     :class:`~ptmon.fragment.BasisMismatchError` on every call, warm-up
     included, before anything is read: ``(2, 5)`` and ``(3, 3)`` histories
     both have 12 coordinates, so the snapshot's dimension check alone
-    would let one be read as the other.
+    would let one be read as the other. A ``decoder`` compiled for another
+    layout raises too, once the steps it reads have arrived (see
+    :func:`~ptmon.conformal.certified_lower_bound`).
     """
     k_max = mon.k_max
     if buf.k_max != k_max:
@@ -224,7 +226,9 @@ def semantic_certify(
 
     Without ``decoder``, the monitor's own
     :meth:`~ptmon.conformal.CalibratedMonitor.decoder` is used. The verdict
-    names ``decoder.formula``.
+    names ``decoder.formula``. A ``decoder`` compiled for another
+    dictionary raises :class:`~ptmon.fragment.BasisMismatchError` past
+    warm-up, also when the dictionaries have as many atoms.
     """
     if decoder is None:
         decoder = mon.decoder(f)
@@ -333,7 +337,7 @@ def run_monitors(
     that read one basis layout through one predictor; one list of results
     per monitor, in the order of ``mons``.
 
-    Before any episode is read, monitors whose ``basis_spec`` differ raise
+    Before any episode is read, monitors whose layouts differ raise
     ``ValueError``, and each monitor resolves each distinct formula once, to
     its cached decoder and the monitor that
     :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
@@ -368,10 +372,10 @@ def _run_resolved(
     resolutions: Sequence[_Resolution],
 ) -> list[list[EpisodeResult]]:
     """:func:`run_monitors` with each monitor's formulas already resolved."""
-    spec = mons[0].basis_spec
+    layout = mons[0].layout
     for mon in mons[1:]:
-        if mon.basis_spec != spec:
-            raise ValueError(f"monitors in one pass must share a basis layout, got {spec!r} and {mon.basis_spec!r}")
+        if mon.layout != layout:
+            raise ValueError(f"monitors in one pass must share a basis layout, got {layout!r} and {mon.layout!r}")
     # Decoders compiled from one formula for one layout are the same tree,
     # so the first monitor that certifies a formula reads its truth for all.
     truth_decoders: dict[str, Decoder] = {}
@@ -390,7 +394,7 @@ def _run_resolved(
         groups.append(list(by_monitor.values()))
 
     results: list[list[EpisodeResult]] = [[] for _ in mons]
-    for predicted, true, widths in _episode_blocks(episodes, predictor, spec):
+    for predicted, true, widths in _episode_blocks(episodes, predictor, layout):
         # Read row-major: ``_block_bases`` hands both over column-major, and
         # each shrink of a row-major ``predicted`` is row-major too.
         predicted, true = np.ascontiguousarray(predicted), np.ascontiguousarray(true)

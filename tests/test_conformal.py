@@ -59,6 +59,7 @@ from ptmon.conformal import (
 from ptmon.fragment import (
     AtomicDictionary,
     BasisMismatchError,
+    HistoryLayout,
     HorizonExceededError,
     build_depth1_dictionary,
     compile_history_decoder,
@@ -87,7 +88,7 @@ def history_monitor(m, k_max):
     """An uncalibrated rolling monitor: only its layout matters."""
     return CalibratedMonitor(
         kind="rolling", level=2, alpha=0.1, radius=0.0, sigma=np.ones(m * (k_max + 1)),
-        n_calibration=1, seed=0, m=m, k_max=k_max,
+        n_calibration=1, seed=0, layout=HistoryLayout(m, k_max),
     )
 
 
@@ -234,6 +235,27 @@ class TestCalibrate:
             naive_robustness(f, ep.mu, t)
         )
 
+    def test_a_pair_is_taken_as_a_history_layout(self):
+        # Public entry points take a plain (m, k_max) pair for the layout.
+        rng = np.random.default_rng(5)
+        eps = [random_episode(rng, 2, 8) for _ in range(9)]
+        stub = PredictorStub(mode="predicates", scale=0.2, seed=3)
+        cfg = ScoreConfig(sigma=np.ones(6), alpha=0.1, level=1)
+        by_pair, by_layout = (calibrate(eps, stub, cfg, spec) for spec in ((2, 2), HistoryLayout(2, 2)))
+        assert by_pair.layout == by_layout.layout == HistoryLayout(2, 2)
+        assert (by_pair.kind, by_pair.m, by_pair.k_max, by_pair.dictionary) == ("rolling", 2, 2, None)
+        assert by_pair.cache.matrix.tobytes() == by_layout.cache.matrix.tobytes()
+        assert estimate_sigma(eps, stub, (2, 2)).tobytes() == estimate_sigma(eps, stub, HistoryLayout(2, 2)).tobytes()
+        assert predicted_basis(eps[0], stub, (2, 2)).tobytes() == predicted_basis(eps[0], stub, by_pair.layout).tobytes()
+        assert replace(by_pair, layout=(2, 2)).layout == by_pair.layout
+
+    def test_kind_and_layout_must_agree(self):
+        mon = history_monitor(2, 3)
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)))
+        for kind, layout in (("semantic", mon.layout), ("rolling", d), ("observer", d)):
+            with pytest.raises(ValueError, match=f"a {kind} monitor cannot read a"):
+                replace(mon, kind=kind, layout=layout, sigma=np.ones(layout.dim))
+
     def test_sigma_rescales_radius(self):
         d = tiny_dictionary()
         rng = np.random.default_rng(0)
@@ -361,7 +383,7 @@ class TestSupportNarrowing:
             f = And(f, d.atoms[q]) if rng.random() < 0.5 else Or(d.atoms[q], f)
         mon = CalibratedMonitor(
             kind="semantic", level=2, alpha=0.1, radius=0.0, sigma=np.ones(d.r),
-            n_calibration=1, seed=0, dictionary=d,
+            n_calibration=1, seed=0, layout=d,
         )
         assert mon.decoder(f).support == set(used)
 
@@ -385,14 +407,14 @@ class TestRadiusQueriesMatchTheOracles:
         the same support."""
         dim = m * (k_max + 1)
         if kind == "semantic":
-            layout = {"dictionary": AtomicDictionary(tuple(lag_term(c, k_max + 1) for c in range(dim)), m)}
+            layout = AtomicDictionary(tuple(lag_term(c, k_max + 1) for c in range(dim)), m)
         else:
-            layout = {"m": m, "k_max": k_max}
+            layout = HistoryLayout(m, k_max)
         if kind == "observer":
             # An observer calibrates symmetric scores; the matrix is the same.
             cache = replace(cache, symmetric=True)
         return CalibratedMonitor(kind=kind, level=2, alpha=alpha, radius=0.0, sigma=np.ones(dim),
-                                 n_calibration=cache.matrix.shape[0], seed=0, cache=cache, **layout)
+                                 n_calibration=cache.matrix.shape[0], seed=0, cache=cache, layout=layout)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -618,7 +640,9 @@ class TestShrinkOnce:
         assert replace(mon).shift is not shift
 
     @pytest.mark.parametrize(
-        "name", [f.name for f in fields(CalibratedMonitor)] + ["shift", "dim", "basis_kind", "_shift_floats"]
+        "name",
+        [f.name for f in fields(CalibratedMonitor)]
+        + ["shift", "dim", "basis_kind", "_shift_floats", "dictionary", "m", "k_max"],
     )
     def test_fields_cannot_be_assigned(self, name):
         # A copy from for_formula is built without the frozen __init__.
@@ -989,7 +1013,7 @@ class TestChecksEveryCall:
         f = parse_formula("G[0,1] p0", d.predicate_names)
         self.warm(sem, basis, sem.decoder(f))
         # A history monitor of the same dimension reads the semantic snapshot.
-        rolling = replace(sem, kind="rolling", dictionary=None, m=1, k_max=d.r - 1, cache=None)
+        rolling = replace(sem, kind="rolling", layout=HistoryLayout(1, d.r - 1), cache=None)
         dec = rolling.decoder(parse_formula("p0", ("p0",)))
         want = f"decoder reads {BasisKind.PREDICATE_HISTORY.value}, basis is {BasisKind.SEMANTIC.value}"
         for _ in range(3):
@@ -1068,7 +1092,8 @@ class TestChecksEveryCall:
     def test_layout_of_copies(self):
         d, sem, _ = self.semantic()
         assert (sem.basis_kind, sem.dim) == (BasisKind.SEMANTIC, d.r)
-        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)), cache=None)
+        rolling = replace(sem, kind="rolling", layout=HistoryLayout(d.m, d.K_max),
+                          sigma=np.ones(d.m * (d.K_max + 1)), cache=None)
         assert (rolling.basis_kind, rolling.dim) == (BasisKind.PREDICATE_HISTORY, d.m * (d.K_max + 1))
         wider = f"sigma's size is {rolling.dim + 1}, but the basis dimension is {rolling.dim}"
         with pytest.raises(ValueError, match=wider):
@@ -1086,7 +1111,8 @@ class TestChecksEveryCall:
 
     def test_layout_after_round_trip(self, tmp_path):
         d, sem, _ = self.semantic()
-        rolling = replace(sem, kind="rolling", dictionary=None, sigma=np.ones(d.m * (d.K_max + 1)), cache=None)
+        rolling = replace(sem, kind="rolling", layout=HistoryLayout(d.m, d.K_max),
+                          sigma=np.ones(d.m * (d.K_max + 1)), cache=None)
         for mon in (sem, rolling, self.observer()):
             mon.basis_kind, mon.dim  # cached on the saved monitor before it is written
             save_monitor(mon, tmp_path / f"{mon.kind}.json")
@@ -1455,6 +1481,36 @@ class TestPersistence:
             if want.coord_radii is not None:
                 assert got.coord_radii.tobytes() == want.coord_radii.tobytes()
 
+    # The fields every model file writes first, in this order.
+    LEADING_KEYS = ["version", "kind", "level", "alpha", "radius", "sigma", "n", "seed", "support", "formula",
+                    "coord_radii", "predictor"]
+    LAYOUT_FIELDS = {
+        "semantic": {"dictionary": {"m": 2, "predicate_names": ["p0", "p1"], "atoms": [
+            "G[0,1] p0", "F[0,1] p0", "G[0,2] p0", "F[0,2] p0", "G[0,1] p1", "F[0,1] p1", "G[0,2] p1", "F[0,2] p1"]}},
+        "rolling": {"m": 2, "k_max": 2},
+        "observer": {"m": 2, "k_max": 2},
+    }
+
+    @pytest.mark.parametrize("kind", ["semantic", "rolling", "observer"])
+    def test_model_file_format(self, tmp_path, kind):
+        # The layout is written just before score_cache_path: the dictionary
+        # for a semantic model, m and k_max for a history one.
+        save_monitor(calibrated(kind)[0], tmp_path / "m.json")
+        obj = json.loads((tmp_path / "m.json").read_text())
+        layout = self.LAYOUT_FIELDS[kind]
+        assert list(obj) == [*self.LEADING_KEYS, *layout, "score_cache_path"]
+        assert {key: obj[key] for key in layout} == layout
+        assert all(type(obj[key]) is int for key in layout if key != "dictionary")
+
+    @pytest.mark.parametrize("kind, claimed", [
+        ("semantic", "rolling"), ("semantic", "observer"), ("rolling", "semantic"), ("observer", "semantic"),
+    ])
+    def test_kind_contradicting_the_layout_fields_is_refused(self, tmp_path, kind, claimed):
+        save_monitor(calibrated(kind)[0], tmp_path / "m.json")
+        self._rewrite(tmp_path / "m.json", kind=claimed)
+        with pytest.raises(ValueError):
+            load_monitor(tmp_path / "m.json")
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"version": 99}')
@@ -1598,11 +1654,11 @@ class TestBlocksEqualOneEpisodeAtATime:
         eps = mixed_length_episodes(rng, m, k_max, 30)
         assert sum(ep.T - k_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         stub = PredictorStub(mode="predicates", scale=0.2, bias=0.05, ar_coeff=0.3, seed=seed % 89)
-        spec = (m, k_max)
+        spec, layout = (m, k_max), HistoryLayout(m, k_max)  # the oracles read the pair
         wholes = [naive_true_basis(ep, spec) for ep in eps]
-        true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, spec)], axis=1)
+        true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, layout)], axis=1)
         assert true.tobytes() == np.concatenate(wholes, axis=1).tobytes()
-        assert block_truth_at_sampled_times(eps, stub, spec, seed % 11) == sampled_columns(wholes, eps, k_max, seed % 11)
+        assert block_truth_at_sampled_times(eps, stub, layout, seed % 11) == sampled_columns(wholes, eps, k_max, seed % 11)
         sigma = estimate_sigma(eps, stub, spec)
         assert sigma.tobytes() == naive_estimate_sigma(eps, stub, spec).tobytes()
         for level in (1, 2):
@@ -1614,10 +1670,10 @@ class TestBlocksEqualOneEpisodeAtATime:
         assert mon.cache.matrix.tobytes() == want.tobytes()
 
 
-def block_truth_at_sampled_times(eps, predictor, spec, tau_seed) -> bytes:
+def block_truth_at_sampled_times(eps, predictor, layout, tau_seed) -> bytes:
     """The true bases of the level-2 blocks (each episode's sampled window),
     side by side, as bytes."""
-    blocks = conformal._episode_blocks(eps, predictor, spec, tau_seed)
+    blocks = conformal._episode_blocks(eps, predictor, layout, tau_seed)
     return np.concatenate([t for _, t, _ in blocks], axis=1).tobytes()
 
 
@@ -1649,7 +1705,8 @@ class TestTruthOncePerBlock:
 
     def record(self, monkeypatch, eps):
         """Count the blocks and keep what each basis routine call receives:
-        recorded margins as ``truth``, a noisy prediction as ``other``."""
+        recorded margins as ``truth``, a noisy prediction as ``other``. The
+        routines are the ones the layouts' ``basis`` calls."""
         margins = np.concatenate([ep.mu for ep in eps], axis=1)
         calls = {"blocks": 0, "truth": [], "other": []}
         real_blocks = conformal._block_bases
@@ -1659,13 +1716,13 @@ class TestTruthOncePerBlock:
             return real_blocks(*args)
 
         def recorded(name):
-            real = getattr(conformal, name)
+            real = getattr(fragment, name)
 
             def wrapper(x, *args):
                 calls["truth" if np.isin(x, margins).all() else "other"].append(np.array(x))
                 return real(x, *args)
 
-            monkeypatch.setattr(conformal, name, wrapper)
+            monkeypatch.setattr(fragment, name, wrapper)
 
         monkeypatch.setattr(conformal, "_block_bases", counting_blocks)
         recorded("_basis_rows")

@@ -41,6 +41,7 @@ from ptmon.fragment import (
     AtomicDictionary,
     BasisMismatchError,
     Decoder,
+    HistoryLayout,
     HorizonExceededError,
     Leaf,
     MaxNode,
@@ -118,6 +119,45 @@ class TestDictionary:
         blob = dictionary_to_json(standard_dictionary)
         back = dictionary_from_json(blob)
         assert back == standard_dictionary
+
+
+class TestLayouts:
+    """The two layouts answer the same members, and each decoder names the
+    key of the layout it was compiled for."""
+
+    def test_history_layout(self):
+        layout = HistoryLayout(2, 3)
+        f = parse_formula("G[0,3] p0 | F[1,2] p1", ("p0", "p1"))
+        assert (layout.dim, layout.k_max, layout.basis_kind) == (8, 3, BasisKind.PREDICATE_HISTORY)
+        assert layout.predicts_steps and layout.key == (2, 3) and layout.key is layout.key
+        assert layout.compile(f) is compile_history_decoder(f, 2, 3)
+        assert layout.compile(f).layout == layout.key == HistoryLayout(2, 3).key
+        ep = random_episode(np.random.default_rng(3), 2, 9)
+        assert layout.basis(ep.mu).tobytes() == predicate_history_series(ep, 3).tobytes()
+
+    def test_dictionary_layout(self):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 4)))
+        f = parse_formula("G[0,4] p0 & F[0,1] p1", d.predicate_names)
+        assert (d.dim, d.k_max, d.basis_kind) == (d.r, d.K_max, BasisKind.SEMANTIC)
+        assert not d.predicts_steps and d.key == (d.m, d.atoms) and d.key is d.key
+        assert d.compile(f) is compile_semantic_decoder(f, d)
+        twin = build_depth1_dictionary(2, ((0, 1), (0, 4)))
+        assert twin.compile(f) is not d.compile(f) and twin.compile(f).layout == d.compile(f).layout == d.key
+        ep = random_episode(np.random.default_rng(4), 2, 9)
+        assert d.basis(ep.mu).tobytes() == semantic_basis_series(ep, d).tobytes()
+
+    def test_keys_of_other_layouts_differ(self):
+        # Same dimension, different layouts: no two keys are equal.
+        layouts = [HistoryLayout(2, 5), HistoryLayout(3, 3), HistoryLayout(12, 0),
+                   AtomicDictionary(tuple(Predicate(f"p{k}", k) for k in range(12)), 12),
+                   AtomicDictionary(tuple(Eventually(TimeInterval(0, j), Predicate("p0", 0)) for j in range(12)), 1)]
+        assert {layout.dim for layout in layouts} == {12}
+        assert len({layout.key for layout in layouts}) == len(layouts)
+
+    @pytest.mark.parametrize("m, k_max", [(0, 2), (2, -1), (None, 2), (2, None), (2.0, 2)])
+    def test_history_layout_refuses_what_has_no_coordinates(self, m, k_max):
+        with pytest.raises(ValueError, match="need integers m >= 1 and k_max >= 0"):
+            HistoryLayout(m, k_max)
 
 
 class TestDecoderStructure:

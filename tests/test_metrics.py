@@ -14,7 +14,7 @@ import ptmon.monitors as monitors
 from ptmon.benchmark import PredictorStub
 import ptmon.conformal as conformal
 from ptmon.conformal import CalibratedMonitor, ScoreConfig, calibrate, observer_calibrate, sample_level2_time
-from ptmon.fragment import build_depth1_dictionary
+from ptmon.fragment import HistoryLayout, build_depth1_dictionary
 from ptmon.logic import Predicate, format_formula, parse_formula
 from ptmon.metrics import (
     ReportRow,
@@ -303,7 +303,7 @@ class TestEvaluateMonitors:
     def test_layout_mismatch_raises_before_predicting(self, monkeypatch):
         named, stub, episodes, formulas = history_group()
         roll = named[0][1]
-        deeper = dataclasses.replace(roll, k_max=5, sigma=np.ones(2 * 6), cache=None)
+        deeper = dataclasses.replace(roll, layout=HistoryLayout(2, 5), sigma=np.ones(2 * 6), cache=None)
 
         def predicting(self, ep):
             raise AssertionError("an episode was predicted")

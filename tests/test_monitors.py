@@ -292,6 +292,82 @@ class TestBufferLayout:
             rolling_certify(RollingBuffer(2, 2), mon, parse_formula("p0", ("p0", "p1")))
 
 
+class TestDecoderLayout:
+    """A decoder compiled for another layout of the same dimension is
+    refused wherever a caller may pass one, on every call: ``(2, 5)`` and
+    ``(3, 3)`` histories both hold 12 coordinates, and the dictionaries of
+    ``p0`` over the window ``[0, 3]`` or ``[0, 2]`` both hold 2 atoms. An
+    equal dictionary built apart is the same layout."""
+
+    @staticmethod
+    def history():
+        mon, _, _ = rolling_monitor(np.random.default_rng(31), m=3, k_max=3)
+        f = parse_formula("G[0,1] p1", ("p0", "p1", "p2"))
+        return mon, f, compile_history_decoder(f, 2, 5)
+
+    @staticmethod
+    def semantic(intervals=((0, 2),)):
+        d = build_depth1_dictionary(1, intervals)
+        eps = [random_episode(np.random.default_rng(41), 1, 9) for _ in range(10)]
+        stub = PredictorStub(mode="semantic", scale=0.1, seed=2, dictionary=d)
+        return calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+
+    def test_history_decoder_of_another_depth(self):
+        mon, f, alien = self.history()
+        assert alien.dim == mon.dim == 12
+        buf = RollingBuffer(3, 3)
+        for t in range(4):
+            rolling_step(buf, [10.0 + t, -5.0, 0.0])
+        own = rolling_certify(buf, mon, f)
+        assert own.label is Label.UNCERTAIN and own.lower_bound < -5.0
+        for target in (mon, mon.for_formula(f)):
+            for _ in range(2):
+                with pytest.raises(fragment.BasisMismatchError):
+                    rolling_certify(buf, target, f, alien)
+                with pytest.raises(fragment.BasisMismatchError):
+                    certified_lower_bound(target, buf._current_basis(), alien)
+                with pytest.raises(fragment.BasisMismatchError):
+                    conformal.certified_lower_bounds(target, np.zeros((12, 3)), [target.decoder(f), alien])
+
+    def test_semantic_decoder_of_another_dictionary(self):
+        mon = self.semantic()
+        other = build_depth1_dictionary(1, [(0, 3)])
+        g = parse_formula("G[0,3] p0", other.predicate_names)
+        alien = compile_semantic_decoder(g, other)
+        assert alien.dim == mon.dim == 2
+        basis = BasisVector(BasisKind.SEMANTIC, [5.0, 6.0], mon.k_max)
+        for target in (mon, mon.for_formula(parse_formula("G[0,2] p0", other.predicate_names))):
+            for _ in range(2):
+                with pytest.raises(fragment.BasisMismatchError):
+                    semantic_certify(basis, target, g, alien)
+                with pytest.raises(fragment.BasisMismatchError):
+                    certified_lower_bound(target, basis, alien)
+                with pytest.raises(fragment.BasisMismatchError):
+                    conformal.certified_lower_bounds(target, np.zeros((2, 3)), [alien])
+
+    def test_hand_built_decoder_names_no_layout(self):
+        # The oracle builds the monitor's own tree, but no compiler named its layout.
+        mon, f, _ = self.history()
+        twin = helpers.naive_compile_history_decoder(f, 3, 3)
+        assert twin.layout is None and twin.root == mon.decoder(f).root
+        with pytest.raises(fragment.BasisMismatchError):
+            conformal.certified_lower_bounds(mon, np.zeros((12, 3)), [twin])
+
+    def test_equal_dictionary_built_apart_is_the_same_layout(self, tmp_path):
+        mon = self.semantic()
+        conformal.save_monitor(mon, tmp_path / "sem.json")
+        back = conformal.load_monitor(tmp_path / "sem.json")
+        assert back.dictionary == mon.dictionary and back.dictionary is not mon.dictionary
+        f = parse_formula("G[0,2] p0 & F[0,2] p0", mon.dictionary.predicate_names)
+        dec = mon.decoder(f)
+        assert back.decoder(f) is not dec
+        basis = BasisVector(BasisKind.SEMANTIC, [5.0, 6.0], mon.k_max)
+        for target in (back, back.for_formula(f)):
+            want = semantic_certify(basis, target, f)
+            assert semantic_certify(basis, target, f, dec) == want and want.label is Label.SAFE
+            assert conformal.certified_lower_bounds(target, basis.values[:, None], [dec])[0][0] == want.lower_bound
+
+
 class TestObserverCertify:
     def test_formula_guard(self):
         rng = np.random.default_rng(6)
@@ -569,10 +645,11 @@ class TestRunMonitors:
         roll = mons[0]
         if other == "semantic":
             d = build_depth1_dictionary(2, ((0, 1), (0, 3)))
-            mismatched = replace(roll, kind="semantic", dictionary=d, sigma=np.ones(d.r), cache=None)
+            mismatched = replace(roll, kind="semantic", layout=d, sigma=np.ones(d.r), cache=None)
         else:
             m, k_max = (2, 4) if other == "deeper" else (3, 3)
-            mismatched = replace(roll, m=m, k_max=k_max, sigma=np.ones(m * (k_max + 1)), cache=None)
+            layout = fragment.HistoryLayout(m, k_max)
+            mismatched = replace(roll, layout=layout, sigma=np.ones(layout.dim), cache=None)
         predictor = CountingPredictor(stub)
         with pytest.raises(ValueError, match="share a basis layout"):
             monitors.run_monitors(eps, predictor, [*mons, mismatched], formulas)
