@@ -13,12 +13,16 @@ episode:
   per episode at one sampled time for level-2 monitors, as an
   all-times-per-episode event for level-1.
 
-The episodes' bounds and truth are concatenated into one array each and
-counted at once; level-1 coverage reduces each episode's slice, level-2
-coverage reads each episode's sampled time. :func:`evaluate_monitors`
-scores several monitors that share one basis layout and one predictor from
-one pass over the episodes, and draws those times once for all of them,
-since every formula's bounds span the same valid times.
+Every rate comes from five integer counts: valid points, safe, truly
+safe, safe and true, and covered episodes. Level-1 coverage reduces each
+episode's slice, level-2 coverage reads each episode's sampled time.
+:func:`evaluate_monitors` scores several monitors that share one basis
+layout and one predictor as it certifies them, in one pass over the
+episodes: each certified block adds its counts per monitor and formula and
+is dropped, so memory holds one block however long the split is, and the
+level-2 times are drawn once per episode for all of them, since every
+formula's bounds span the same valid times. :func:`compute_metrics` counts
+per-episode arrays that the caller holds, concatenated.
 
 The CSV report rounds percentages to one decimal; a JSON sidecar keeps full
 precision. A separate sweep file tabulates the radius of ``G[0,K]`` window
@@ -30,15 +34,16 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .conformal import CalibratedMonitor, sample_level2_time
 from .fragment import HorizonExceededError
 from .logic import Always, Formula, NotInFragmentError, Predicate, TimeInterval
-from .monitors import _resolve, _run_resolved
+from .monitors import _certified_blocks, _resolve
 from .robustness import Episode
 
 
@@ -83,7 +88,7 @@ def compute_metrics(
     """
     lb, rho, sizes = _pool(lower_bounds, truths)
     times = _level2_times(sizes, k_max, coverage_seed) if level != 1 else None
-    return _score(lb, rho, sizes, times)
+    return _rates(*_counts(lb, rho, sizes, times), sizes.size)
 
 
 def _pool(lower_bounds, truths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,49 +109,55 @@ def _pool(lower_bounds, truths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(lbs), np.concatenate(rhos), sizes
 
 
-def _level2_times(sizes: np.ndarray, k_max: int, coverage_seed: int) -> np.ndarray:
-    """Each episode's sampled level-2 coverage time, as an index into its
-    valid times."""
+def _level2_times(sizes: np.ndarray, k_max: int, coverage_seed: int, first: int = 0) -> np.ndarray:
+    """The sampled level-2 coverage time of each episode, numbered from
+    ``first``, as an index into its valid times."""
     if not sizes.all():
         raise ValueError("level-2 coverage needs a valid time in every episode")
-    draws = [sample_level2_time(coverage_seed, i, k_max, k_max + n - 1) for i, n in enumerate(sizes.tolist())]
+    draws = [
+        sample_level2_time(coverage_seed, i, k_max, k_max + n - 1) for i, n in enumerate(sizes.tolist(), first)
+    ]
     return np.array(draws) - k_max
 
 
-def _score(lb: np.ndarray, rho: np.ndarray, sizes: np.ndarray, times: np.ndarray | None) -> dict:
-    """The metrics of pooled bounds and truth: level-2 coverage at each
-    episode's index in ``times``, level-1 coverage when it is ``None``."""
+def _counts(lb: np.ndarray, rho: np.ndarray, sizes: np.ndarray, times: np.ndarray | None) -> list[int]:
+    """Valid points, safe, truly safe, safe and true, and covered episodes
+    of bounds and truth laid end to end, episode by episode, in ``sizes``:
+    level-2 coverage at each episode's index in ``times``, level-1 coverage
+    (every valid time held) when it is ``None``."""
     safe = lb >= 0.0
     true_safe = rho >= 0.0
-    n_valid = lb.size
-    n_safe = int(np.count_nonzero(safe))
-    n_true_safe = int(np.count_nonzero(true_safe))
-    n_safe_correct = int(np.count_nonzero(safe & true_safe))
-    n_unsafe = n_valid - n_true_safe
-    n_safe_wrong = n_safe - n_safe_correct
     starts = np.cumsum(sizes) - sizes
     if times is None:
-        held = lb <= rho
         nonempty = sizes > 0
         # An episode with no valid time holds vacuously.
-        covered = int(np.count_nonzero(np.logical_and.reduceat(held, starts[nonempty])))
+        covered = int(np.count_nonzero(np.logical_and.reduceat(lb <= rho, starts[nonempty])))
         covered += sizes.size - int(np.count_nonzero(nonempty))
     else:
         at = starts + times
         covered = int(np.count_nonzero(lb[at] <= rho[at]))
+    n_safe_true = int(np.count_nonzero(safe & true_safe))
+    return [lb.size, int(np.count_nonzero(safe)), int(np.count_nonzero(true_safe)), n_safe_true, covered]
+
+
+def _rates(n_valid: int, n_safe: int, n_true_safe: int, n_safe_true: int, covered: int, n_episodes: int) -> dict:
+    """The report's percentages from the counts of :func:`_counts`, summed
+    over ``n_episodes`` episodes."""
+    n_unsafe = n_valid - n_true_safe
+    n_safe_wrong = n_safe - n_safe_true
     return {
         "csr": 100.0 * n_safe / n_valid,
-        "prec": 100.0 * n_safe_correct / n_safe if n_safe else None,
+        "prec": 100.0 * n_safe_true / n_safe if n_safe else None,
         "fpr": 100.0 * n_safe_wrong / n_unsafe if n_unsafe else None,
         "gt_safe": 100.0 * n_true_safe / n_valid,
-        "coverage": 100.0 * covered / sizes.size,
+        "coverage": 100.0 * covered / n_episodes,
     }
 
 
 def evaluate_monitors(
     named: Sequence[tuple[str, CalibratedMonitor]],
     predictor,
-    episodes: Sequence[Episode],
+    episodes: Iterable[Episode],
     formulas: Sequence[Formula],
     coverage_seed: int = 0,
 ) -> list[tuple[list[ReportRow], dict[str, str]]]:
@@ -155,39 +166,44 @@ def evaluate_monitors(
     does; one ``(rows, errors)`` pair per monitor, in input order.
 
     The monitors must read one basis layout through ``predictor``: they
-    share one :func:`~ptmon.monitors.run_monitors` pass, so each episode is
-    predicted and its truth read out once for all of them. A formula listed
-    more than once is certified and reported once, at its first position,
-    and its ``q_phi`` is the radius of the monitor that certified it. Every
-    formula's bounds span the same valid times, so the level-2 monitors
-    draw each episode's coverage time once for all of them.
+    share one pass of :func:`~ptmon.monitors.run_monitors`, so each episode
+    is predicted and its truth read out once for all of them. Each block of
+    the pass is folded into five counts per monitor and formula (see
+    :func:`_counts`) and then dropped, so memory holds one block, however
+    many episodes there are. A formula listed more than once is certified
+    and reported once, at its first position, and its ``q_phi`` is the
+    radius of the monitor that certified it. Every formula's bounds span
+    the same valid times, so the level-2 monitors draw each episode's
+    coverage time once for all of them. Without episodes there are no rows,
+    and ``errors`` still names the formulas a monitor cannot certify.
     """
     mons = [mon for _, mon in named]
     resolutions = [_resolve(mon, formulas) for mon in mons]
+    totals = [{name: [0] * 5 for name in resolved} for resolved, _ in resolutions]
+    level2 = any(mon.level != 1 and resolved for mon, (resolved, _) in zip(mons, resolutions))
+    n_episodes = 0
+    for widths, truth, bounds in _certified_blocks(episodes, predictor, mons, resolutions):
+        sizes = np.array(widths)
+        times = _level2_times(sizes, mons[0].k_max, coverage_seed, n_episodes) if level2 else None
+        n_episodes += sizes.size
+        for mon, mon_bounds, counts in zip(mons, bounds, totals):
+            for name, total in counts.items():
+                block = _counts(mon_bounds[name], truth[name], sizes, times if mon.level != 1 else None)
+                total[:] = map(add, total, block)
     evaluated = []
-    times = None
-    for (name, mon), (resolved, _), results in zip(
-        named, resolutions, _run_resolved(episodes, predictor, mons, resolutions)
-    ):
-        if not results:
-            evaluated.append(([], {}))
-            continue
-        rows = []
-        for fname, (_, mon_f) in resolved.items():
-            lb, rho, sizes = _pool([r.bounds[fname] for r in results], [r.truth[fname] for r in results])
-            if mon.level != 1 and times is None:
-                times = _level2_times(sizes, mon.k_max, coverage_seed)
-            rows.append(
-                ReportRow(
-                    formula=fname,
-                    monitor=name,
-                    kind=mon.kind,
-                    level=mon.level,
-                    q_phi=mon_f.radius,
-                    **_score(lb, rho, sizes, times if mon.level != 1 else None),
-                )
+    for (name, mon), (resolved, errors), counts in zip(named, resolutions, totals):
+        rows = [
+            ReportRow(
+                formula=fname,
+                monitor=name,
+                kind=mon.kind,
+                level=mon.level,
+                q_phi=mon_f.radius,
+                **_rates(*counts[fname], n_episodes),
             )
-        evaluated.append((rows, results[0].errors))
+            for fname, (_, mon_f) in resolved.items()
+        ] if n_episodes else []
+        evaluated.append((rows, errors))
     return evaluated
 
 

@@ -22,7 +22,9 @@ groups its formulas by the monitor that certifies them; each group takes
 one :func:`ptmon.conformal.certified_lower_bounds` call per block, which
 shrinks the block once into a row-major matrix and decodes every formula
 of the group from it. The bounds are those the streaming functions give
-step by step. :func:`run_episodes` is its one-monitor case.
+step by step. :func:`run_episodes` is its one-monitor case, and
+:func:`ptmon.metrics.evaluate_monitors` scores the same block pass as it
+goes.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -49,7 +51,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -337,41 +339,72 @@ def run_monitors(
     that read one basis layout through one predictor; one list of results
     per monitor, in the order of ``mons``.
 
-    Before any episode is read, monitors whose layouts differ raise
-    ``ValueError``, and each monitor resolves each distinct formula once, to
-    its cached decoder and the monitor that
+    The pass is :func:`_certified_blocks`'s, which
+    :func:`ptmon.metrics.evaluate_monitors` reads too: monitors whose
+    layouts differ raise ``ValueError`` before any episode is read, each
+    monitor resolves each distinct formula once, to its cached decoder and
+    the monitor that
     :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
     reason it cannot be certified, which its results carry in ``errors``.
-    The episodes are then read in the blocks calibration reads (see
+    Each block of whole episodes is then certified for every monitor at
+    once, and sliced here into one :class:`EpisodeResult` per episode and
+    monitor: column views of each formula's bound and truth arrays, not of
+    a block's basis, the truth views shared by every monitor's results.
+    The bounds are those of one monitor and one episode at a time, bit for
+    bit. Min and max are exact, so the truth equals each formula's
+    robustness; the bits can differ only in the sign of a zero, where a
+    formula repeats a subformula that its decoder reads once.
+    """
+    resolutions = [_resolve(mon, formulas) for mon in mons]
+    results: list[list[EpisodeResult]] = [[] for _ in mons]
+    for widths, truth, bounds in _certified_blocks(episodes, predictor, mons, resolutions):
+        stops = np.cumsum(widths).tolist()
+        columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
+        episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
+        for mon, (resolved, errors), mon_bounds, out in zip(mons, resolutions, bounds, results):
+            for cols, rho in zip(columns, episode_truth):
+                out.append(
+                    EpisodeResult(
+                        {name: mon_bounds[name][cols] for name in resolved},
+                        {name: rho[name] for name in resolved},
+                        dict(errors),
+                        mon.k_max,
+                    )
+                )
+    return results
+
+
+# One certified block of a pass (see :func:`_certified_blocks`): its
+# episodes' widths, each formula's truth over the block's columns, and each
+# monitor's bounds by formula.
+_Block = tuple[list[int], dict[str, np.ndarray], list[dict[str, np.ndarray]]]
+
+
+def _certified_blocks(
+    episodes: Iterable[Episode],
+    predictor,
+    mons: Sequence[CalibratedMonitor],
+    resolutions: Sequence[_Resolution],
+) -> Iterator[_Block]:
+    """Certify the episodes with every monitor of ``mons``, each with its
+    formulas already resolved (see :func:`_resolve`), one block at a time.
+
+    Monitors whose layouts differ raise ``ValueError`` before any episode
+    is read. The episodes are read in the blocks calibration reads (see
     :mod:`ptmon.conformal`): whole episodes up to a few hundred basis
     columns, each predicted once and checked on its own, the block's true
     basis built once over its episodes laid end to end, with the columns
     that straddle two episodes dropped, so it equals the per-episode bases
     side by side, bit for bit. Both blocks are read row-major (C order).
-    Each formula's truth is read off the true block once, read-only, and
-    shared by every monitor's results. Each monitor's formulas are grouped
-    by their certifying monitor (one group for a fragment-wide semantic or
-    rolling monitor, one per formula for a specialised observer), and each
-    group takes one :func:`~ptmon.conformal.certified_lower_bounds` call on
-    the predicted block: one shrink, then one decode per formula. Results
-    hold column views of each formula's bound and truth arrays, not of a
-    block's basis; blocks, not one matrix for all episodes, keep memory at
-    one block's basis. The bounds are those of one monitor and one episode
-    at a time, bit for bit.
-    Min and max are exact, so the truth equals each formula's robustness;
-    the bits can differ only in the sign of a zero, where a formula repeats
-    a subformula that its decoder reads once.
+    Each formula's truth is read off the true block once, read-only, for
+    every monitor. Each monitor's formulas are grouped by their certifying
+    monitor (one group for a fragment-wide semantic or rolling monitor, one
+    per formula for a specialised observer), and each group takes one
+    :func:`~ptmon.conformal.certified_lower_bounds` call on the predicted
+    block: one shrink, then one decode per formula. Both bases are dropped
+    before the block is handed over, so a caller that keeps nothing of it
+    holds one block's arrays at a time.
     """
-    return _run_resolved(episodes, predictor, mons, [_resolve(mon, formulas) for mon in mons])
-
-
-def _run_resolved(
-    episodes: Iterable[Episode],
-    predictor,
-    mons: Sequence[CalibratedMonitor],
-    resolutions: Sequence[_Resolution],
-) -> list[list[EpisodeResult]]:
-    """:func:`run_monitors` with each monitor's formulas already resolved."""
     layout = mons[0].layout
     for mon in mons[1:]:
         if mon.layout != layout:
@@ -393,7 +426,6 @@ def _run_resolved(
             decoders.append(d)
         groups.append(list(by_monitor.values()))
 
-    results: list[list[EpisodeResult]] = [[] for _ in mons]
     for predicted, true, widths in _episode_blocks(episodes, predictor, layout):
         # Read row-major: ``_block_bases`` hands both over column-major, and
         # each shrink of a row-major ``predicted`` is row-major too.
@@ -401,23 +433,14 @@ def _run_resolved(
         truth = {name: decode_series(d, true) for name, d in truth_decoders.items()}
         for rho in truth.values():
             rho.flags.writeable = False
-        stops = np.cumsum(widths).tolist()
-        columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
-        episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
-        for mon, (resolved, errors), mon_groups, out in zip(mons, resolutions, groups, results):
-            bounds: dict[str, np.ndarray] = {}
+        bounds: list[dict[str, np.ndarray]] = []
+        for mon_groups in groups:
+            mon_bounds: dict[str, np.ndarray] = {}
             for mon_f, names, decoders in mon_groups:
-                bounds.update(zip(names, certified_lower_bounds(mon_f, predicted, decoders)))
-            for cols, rho in zip(columns, episode_truth):
-                out.append(
-                    EpisodeResult(
-                        {name: bounds[name][cols] for name in resolved},
-                        {name: rho[name] for name in resolved},
-                        dict(errors),
-                        mon.k_max,
-                    )
-                )
-    return results
+                mon_bounds.update(zip(names, certified_lower_bounds(mon_f, predicted, decoders)))
+            bounds.append(mon_bounds)
+        del predicted, true
+        yield widths, truth, bounds
 
 
 def run_episodes(

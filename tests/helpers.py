@@ -36,6 +36,8 @@ from ptmon.logic import (
     format_formula,
     horizon,
 )
+from ptmon.metrics import ReportRow, compute_metrics
+from ptmon.monitors import run_monitors
 from ptmon.robustness import BasisKind, Episode, predicate_history_series
 
 
@@ -218,6 +220,25 @@ def naive_compute_metrics(lower_bounds, truths, level: int, k_max: int, coverage
         "gt_safe": 100.0 * n_true_safe / n_valid,
         "coverage": 100.0 * covered / len(lower_bounds),
     }
+
+
+def pooled_report_rows(named, predictor, episodes, formulas, coverage_seed: int = 0) -> list:
+    """``metrics.evaluate_monitors`` assembled the pooled way: one
+    ``monitors.run_monitors`` pass keeps every episode's results, and each
+    certified formula's bounds and truth go through
+    ``metrics.compute_metrics``, which draws its own level-2 times; one
+    ``(rows, errors)`` pair per monitor. Needs at least one episode."""
+    by_name = {format_formula(f): f for f in formulas}
+    evaluated = []
+    for (name, mon), results in zip(named, run_monitors(episodes, predictor, [mon for _, mon in named], formulas)):
+        rows = []
+        for fname in results[0].bounds:
+            lbs, rhos = [r.bounds[fname] for r in results], [r.truth[fname] for r in results]
+            summary = compute_metrics(lbs, rhos, mon.level, mon.k_max, coverage_seed)
+            q_phi = mon.monitor_for(by_name[fname]).radius
+            rows.append(ReportRow(fname, name, mon.kind, mon.level, q_phi, **summary))
+        evaluated.append((rows, results[0].errors))
+    return evaluated
 
 
 def naive_true_basis(ep: Episode, basis_spec) -> np.ndarray:

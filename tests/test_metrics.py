@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import functools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_compute_metrics, random_episode
+from helpers import naive_compute_metrics, pooled_report_rows, random_episode
 import ptmon.metrics as metrics_module
 import ptmon.monitors as monitors
 from ptmon.benchmark import PredictorStub
@@ -16,6 +18,7 @@ import ptmon.conformal as conformal
 from ptmon.conformal import CalibratedMonitor, ScoreConfig, calibrate, observer_calibrate, sample_level2_time
 from ptmon.fragment import HistoryLayout, build_depth1_dictionary
 from ptmon.logic import Predicate, format_formula, parse_formula
+from ptmon.robustness import Episode
 from ptmon.metrics import (
     ReportRow,
     SweepRow,
@@ -311,6 +314,150 @@ class TestEvaluateMonitors:
         monkeypatch.setattr(PredictorStub, "predict", predicting)
         with pytest.raises(ValueError, match="share a basis layout"):
             evaluate_monitors([*named, ("deeper", deeper)], stub, episodes, formulas)
+
+    def test_no_episodes_still_reports_resolution_errors(self):
+        named, stub, episodes, formulas = history_group()
+        empty = evaluate_monitors(named, stub, [], formulas)
+        assert [rows for rows, _ in empty] == [[], [], []]
+        with_episodes = evaluate_monitors(named, stub, episodes, formulas)
+        assert [errors for _, errors in empty] == [errors for _, errors in with_episodes]
+        assert [sorted(errors) for _, errors in empty] == [
+            ["G[0,8] p_f"], ["G[0,8] p_f"], ["F[0,4] p_goal", "G[0,8] p_f"]
+        ]
+
+
+GRID_NAMES = ("p_f", "p_goal")
+# Certifiable by all, by some, and (``G[0,8]``, past ``k_max`` 3) by none.
+GRID_FORMULAS = ("G[0,2] p_f", "F[0,2] p_goal", "G[0,1] (p_f | p_goal)", "F[0,3] p_f & G[0,1] p_goal", "G[0,8] p_f")
+
+
+def grid_episode(rng: np.random.Generator, T: int) -> Episode:
+    """Margins on a grid of quarters in [-0.75, 0.75], each zero of either sign."""
+    mu = 0.25 * rng.integers(-3, 4, size=(2, T + 1))
+    mu[(mu == 0) & (rng.random(mu.shape) < 0.5)] = -0.0
+    return Episode(mu=mu, predicate_names=GRID_NAMES, uid=int(rng.integers(1 << 30)))
+
+
+class GridPredictor:
+    """Per-step predictions off the margins by -0.25, 0 or 0.25, the offset
+    drawn per episode and step; a zero offset keeps the margin's bits,
+    signed zeros included."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def predict(self, ep: Episode) -> np.ndarray:
+        offset = np.random.default_rng([self.seed, ep.uid]).integers(-1, 2, ep.mu.shape)
+        return np.where(offset == 0, ep.mu, ep.mu + 0.25 * offset)
+
+
+@functools.cache
+def grid_group():
+    """Over one ``(2, 3)`` layout and one :class:`GridPredictor`: fragment-wide
+    rolling monitors at levels 1 and 2, the level-2 one's copy for
+    ``F[0,2] p_goal``, and an observer for ``G[0,2] p_f`` without a score
+    cache, which certifies only its own formula.
+
+    The fragment-wide monitors' radius is set to zero, so their bounds are
+    the predicted robustness: they tie with the truth where the prediction
+    is exact, signed zeros included, and miss it where it overshoots, so
+    their coverage depends on which times are read."""
+    rng = np.random.default_rng(52)
+    calib = [grid_episode(rng, int(T)) for T in rng.integers(3, 20, size=30)]
+    predictor = GridPredictor(5)
+    own, goal = (parse_formula(t, GRID_NAMES) for t in GRID_FORMULAS[:2])
+    roll1, roll2 = (
+        dataclasses.replace(
+            calibrate(calib, predictor, ScoreConfig(sigma=np.ones(2 * 4), alpha=0.2, level=level), (2, 3)),
+            radius=0.0,
+        )
+        for level in (1, 2)
+    )
+    obs = observer_calibrate(calib, predictor, own, 0.2, k_max=3)
+    named = [
+        ("roll1", roll1), ("roll2", roll2), ("narrow", roll2.for_formula(goal)),
+        ("obs", dataclasses.replace(obs, cache=None)),
+    ]
+    return named, predictor
+
+
+class TestScoredAsCertified:
+    """``evaluate_monitors`` folds each block into counts; its rows equal the
+    rows of every episode's results pooled through ``compute_metrics``."""
+
+    def test_grid_bounds_tie_with_the_truth_at_both_zeros_and_miss_it(self):
+        named, predictor = grid_group()
+        rng = np.random.default_rng(3)
+        episodes = [grid_episode(rng, 12) for _ in range(40)]
+        results = monitors.run_monitors(episodes, predictor, [named[1][1]], [parse_formula("G[0,2] p_f", GRID_NAMES)])
+        lb = np.concatenate([r.bounds["G[0,2] p_f"] for r in results[0]])
+        rho = np.concatenate([r.truth["G[0,2] p_f"] for r in results[0]])
+        tie, zero = lb == rho, rho == 0.0
+        assert (tie & ~zero).any() and (lb > rho).any()
+        # Zeros of both signs on both sides, and 0.0 tied with -0.0.
+        assert np.signbit(lb[tie & zero]).any() and np.signbit(rho[zero]).any()
+        assert (tie & zero & (np.signbit(lb) != np.signbit(rho))).any()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.integers(3, 18), min_size=1, max_size=8),
+        st.integers(1, 48),
+        st.lists(st.sampled_from(range(4)), min_size=1, max_size=4, unique=True),
+        st.lists(st.sampled_from(GRID_FORMULAS), min_size=1, max_size=6),
+        st.integers(0, 2**16),
+        st.integers(0, 5),
+    )
+    def test_rows_equal_the_pooled_rows(self, lengths, block_columns, picks, texts, seed, coverage_seed):
+        """Mixed lengths ``T`` (1 to 16 valid times) over blocks of
+        ``block_columns`` columns, any order of the grid group's monitors,
+        and formulas drawn with repeats."""
+        group, predictor = grid_group()
+        named = [group[i] for i in picks]
+        rng = np.random.default_rng(seed)
+        episodes = [grid_episode(rng, T) for T in lengths]
+        formulas = [parse_formula(t, GRID_NAMES) for t in texts]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conformal, "_BLOCK_COLUMNS", block_columns)
+            got = evaluate_monitors(named, predictor, episodes, formulas, coverage_seed)
+            want = pooled_report_rows(named, predictor, episodes, formulas, coverage_seed)
+        # ``repr`` tells a numpy scalar from a Python float, and -0.0 from 0.0.
+        assert repr(got) == repr(want)
+
+
+@functools.cache
+def memory_setup(level: int):
+    rng = np.random.default_rng(60)
+    calib = [random_episode(rng, 2, 40) for _ in range(20)]
+    stub = PredictorStub(mode="predicates", scale=0.1, seed=3)
+    mon = calibrate(calib, stub, ScoreConfig(sigma=np.ones(2 * 5), alpha=0.1, level=level), (2, 4))
+    texts = ("G[0,2] p0", "F[0,4] p1", "G[0,1] p0 & F[0,3] p1", "F[0,2] (p0 | p1)")
+    return mon, stub, [parse_formula(t, ("p0", "p1")) for t in texts]
+
+
+class TestMemoryFlatInTheSplit:
+    """Scoring holds one block of the split at a time. Fixed sizes: a
+    ``(2, 4)`` history layout, episodes of ``T = 40`` (37 valid times, six
+    to a 256-column block), four formulas, and 24 episodes against 192;
+    three drawn seeds per level."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2**16))
+    def test_peak_at_8x_the_episodes_within_1_25x_the_peak_at_1x(self, level, seed):
+        mon, stub, formulas = memory_setup(level)
+        rng = np.random.default_rng(seed)
+        episodes = [random_episode(rng, 2, 40) for _ in range(8 * 24)]
+        # Decoders and their read-outs are built before anything is measured.
+        evaluate_monitor("mon", mon, stub, episodes[:2], formulas)
+        peaks = []
+        for n in (24, 8 * 24):
+            tracemalloc.start()
+            try:
+                evaluate_monitor("mon", mon, stub, episodes[:n], formulas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestHorizonSweep:
