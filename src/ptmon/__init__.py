@@ -75,6 +75,7 @@ from .monitors import (
     Label,
     MonitorVerdict,
     RollingBuffer,
+    iter_episodes,
     observer_certify,
     rolling_certify,
     run_episode,
@@ -131,6 +132,7 @@ __all__ = [
     "generate_dataset",
     "horizon",
     "interval_propagate",
+    "iter_episodes",
     "load_manifest",
     "load_monitor",
     "load_split",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,7 +52,7 @@ from .metrics import (
     write_report_json,
     write_sweep_csv,
 )
-from .monitors import run_episodes, write_verdicts_csv, write_verdicts_jsonl
+from .monitors import iter_episodes, write_verdicts_csv, write_verdicts_jsonl
 
 
 def read_kv_file(path: str | Path) -> dict:
@@ -190,23 +191,29 @@ def cmd_certify(args: argparse.Namespace) -> int:
     formula = parse_formula(args.formula, names)
     stub = _predictor_for_model(mon)
     episodes = load_split(dataset, args.split)
-    # Certify before opening --out, so a failure leaves an existing file as it was.
-    results = run_episodes(episodes, stub, mon, [formula])
-    if results[0].errors:
-        raise ValueError(next(iter(results[0].errors.values())))
+    # Raises, before any episode is read, when the model cannot certify it.
+    mon.decoder(formula)
+    mon.monitor_for(formula)
 
     out_path = Path(args.out)
     as_csv = out_path.suffix.lower() == ".csv"
     counts: dict[str, int] = {}
-    with open(out_path, "w", newline="" if as_csv else None) as fh:
-        for i, result in enumerate(results):
-            verdicts = result.verdicts
-            for v in verdicts:
-                counts[v.label.value] = counts.get(v.label.value, 0) + 1
-            if as_csv:
-                write_verdicts_csv(verdicts, fh, header=(i == 0), episode=i)
-            else:
-                write_verdicts_jsonl(verdicts, fh, episode=i)
+    # Each block's verdicts are written as it is certified, to a file beside
+    # --out that replaces it at the end: a failure leaves --out as it was.
+    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", newline="" if as_csv else None) as fh:
+            for i, result in enumerate(iter_episodes(episodes, stub, mon, [formula])):
+                verdicts = result.verdicts
+                for v in verdicts:
+                    counts[v.label.value] = counts.get(v.label.value, 0) + 1
+                if as_csv:
+                    write_verdicts_csv(verdicts, fh, header=(i == 0), episode=i)
+                else:
+                    write_verdicts_jsonl(verdicts, fh, episode=i)
+        os.replace(partial, out_path)
+    finally:
+        partial.unlink(missing_ok=True)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"certified {len(episodes)} episodes ({summary}) -> {out_path}")
     return 0
@@ -241,22 +248,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         pred = Predicate(args.sweep_predicate, names.index(args.sweep_predicate))
         sweep_rows = horizon_sweep(monitors, ks, pred)
 
-    # Models with one predictor and one basis layout share one pass over the
-    # episodes; rows and notes still come out in --models order.
-    groups: list[list[tuple[str, CalibratedMonitor]]] = []
+    # One pass over the episodes for all models of one k_max (every model of
+    # a usual report), with one predictor per distinct configuration (and
+    # dictionary, which a semantic predictor reads): models that share it
+    # share its predictions. Rows and notes come out in --models order.
+    stubs: dict[tuple, PredictorStub] = {}
+    passes: dict[int, list[tuple[str, CalibratedMonitor, PredictorStub]]] = {}
     for name, mon in monitors.items():
-        for group in groups:
-            first = group[0][1]
-            if first.predictor_config == mon.predictor_config and first.layout == mon.layout:
-                group.append((name, mon))
-                break
-        else:
-            groups.append([(name, mon)])
+        key = (json.dumps(mon.predictor_config, sort_keys=True), mon.dictionary)
+        if key not in stubs:
+            stubs[key] = _predictor_for_model(mon)
+        passes.setdefault(mon.k_max, []).append((name, mon, stubs[key]))
     evaluated = {}
-    for group in groups:
-        stub = _predictor_for_model(group[0][1])
-        results = evaluate_monitors(group, stub, episodes, formulas, coverage_seed=args.coverage_seed)
-        evaluated.update(zip((name for name, _ in group), results))
+    for models in passes.values():
+        results = evaluate_monitors(models, episodes, formulas, coverage_seed=args.coverage_seed)
+        evaluated.update(zip((name for name, _, _ in models), results))
     rows = []
     for name in monitors:
         mon_rows, errors = evaluated[name]

@@ -22,12 +22,14 @@ score matrix is cached so the radius for any new formula's support can be
 recomputed later without touching data or predictor again.
 
 :func:`estimate_sigma`, :func:`score_matrix`, :func:`observer_calibrate`
-and :func:`~ptmon.monitors.run_episodes` read episodes through one
-generator of blocks (:func:`_episode_blocks`) of whole episodes or, at
-level 2, of each episode's sampled window of ``k_max + 1`` steps. Each
-episode is predicted whole and its prediction checked on its own, but the
-truth and the error matrix are computed once per block, with results
-bit-identical to one episode at a time.
+and the batch certification of :mod:`~ptmon.monitors` and
+:mod:`~ptmon.metrics` read episodes through one generator of blocks
+(:func:`_episode_blocks`) of whole episodes or, at level 2, of each
+episode's sampled window of ``k_max + 1`` steps. Each episode is predicted
+whole, once per predictor, and each prediction checked on its own, but
+the bases and the error matrix are computed once per block, with results
+bit-identical to one episode at a time. One pass can read several
+predictors and layouts that share one ``k_max``.
 """
 
 from __future__ import annotations
@@ -485,10 +487,13 @@ def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
 _BLOCK_COLUMNS = 256
 
 
-def _episode_blocks(episodes: Iterable[Episode], predictor, layout, tau_seed: int | None = None):
-    """The episodes' predicted and true bases side by side, in blocks, each
-    with its episodes' widths. Every episode is predicted whole and its
-    prediction checked on its own (:func:`_prediction`).
+def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int | None = None):
+    """The episodes' predicted and true bases side by side, in blocks:
+    one predicted basis per ``(predictor, layout)`` pair of ``sources`` (at
+    least one), one true basis per layout of ``truths``, and the block's
+    episodes' widths. Every layout must have the first source's ``k_max``.
+    Each episode is predicted whole, once per source, and each prediction
+    checked on its own (:func:`_prediction`).
 
     Without ``tau_seed`` a block holds whole episodes up to
     :data:`_BLOCK_COLUMNS` columns. With one (level 2), episode ``i`` enters
@@ -498,20 +503,25 @@ def _episode_blocks(episodes: Iterable[Episode], predictor, layout, tau_seed: in
     (per-step predictions), one basis column wide. A window counts its
     ``k_max + 1`` steps against :data:`_BLOCK_COLUMNS`, so a block's
     intermediates are no larger than for whole episodes. A block always
-    holds at least one episode.
+    holds at least one episode. The blocks depend on ``k_max`` alone, so
+    every source and truth is cut into the same blocks.
     """
-    k_max = layout.k_max
-    block: list[tuple[np.ndarray, np.ndarray]] = []
+    k_max = sources[0][1].k_max
+    block: list[tuple[np.ndarray, list[np.ndarray]]] = []
     columns = 0
     for i, ep in enumerate(episodes):
-        mu, predicted = ep.mu, _prediction(ep, predictor, layout)
+        mu = ep.mu
+        predicted = [_prediction(ep, predictor, layout) for predictor, layout in sources]
         width = ep.T - k_max + 1
         if tau_seed is not None:
             start = sample_level2_time(tau_seed, i, k_max, ep.T) - k_max
             mu, width = mu[:, start : start + k_max + 1], k_max + 1
-            predicted = predicted[:, start : start + (width if layout.predicts_steps else 1)]
+            predicted = [
+                p[:, start : start + (width if layout.predicts_steps else 1)]
+                for p, (_, layout) in zip(predicted, sources)
+            ]
         if block and columns + width > _BLOCK_COLUMNS:
-            bases = [_block_bases(block, layout)]
+            bases = [_block_bases(block, sources, truths, k_max)]
             # Hold neither the episodes' own predictions nor, once popped,
             # the bases while the block is used: a caller that copies them
             # frees the originals.
@@ -520,16 +530,17 @@ def _episode_blocks(episodes: Iterable[Episode], predictor, layout, tau_seed: in
         block.append((mu, predicted))
         columns += width
     if block:
-        yield _block_bases(block, layout)
+        yield _block_bases(block, sources, truths, k_max)
 
 
-def _block_bases(block: list[tuple[np.ndarray, np.ndarray]], layout):
+def _block_bases(block: list[tuple[np.ndarray, list[np.ndarray]]], sources, truths, k_max: int):
     """``(predicted, true, widths)`` for a block of margin arrays (whole
     episodes or sampled windows) and their checked predictions over the
-    same steps.
+    same steps, one per source: the predicted bases in the order of
+    ``sources``, the true ones in the order of ``truths``.
 
     The margins (and per-step predictions) are laid end to end along time
-    and run once through the layout's ``basis`` routine,
+    and run once through each layout's ``basis`` routine,
     :func:`~ptmon.robustness._basis_rows` or
     :func:`~ptmon.robustness.stack_lags`. Column ``c`` is then the window
     ending at step ``c + k_max``; the ``k_max`` columns after each array's
@@ -541,17 +552,18 @@ def _block_bases(block: list[tuple[np.ndarray, np.ndarray]], layout):
     this holds for it too): the result is the per-array bases side by
     side, bit for bit.
     """
-    k_max = layout.k_max
     widths = [mu.shape[1] - k_max for mu, _ in block]
     # Array e's columns start e * k_max columns later in the concatenation.
     keep = np.arange(sum(widths)) + k_max * np.repeat(np.arange(len(block)), widths)
     # Truth first: its temporaries are freed before the predictions are
     # stacked, which keeps the block's peak memory (and fresh pages) down.
     mu = np.concatenate([mu for mu, _ in block], axis=1)
-    true = layout.basis(mu)[:, keep]
-    predicted = np.concatenate([p for _, p in block], axis=1)
-    if layout.predicts_steps:
-        predicted = layout.basis(predicted)[:, keep]
+    true = [layout.basis(mu)[:, keep] for layout in truths]
+    del mu
+    predicted = []
+    for j, (_, layout) in enumerate(sources):
+        p = np.concatenate([ps[j] for _, ps in block], axis=1)
+        predicted.append(layout.basis(p)[:, keep] if layout.predicts_steps else p)
     return predicted, true, widths
 
 
@@ -585,8 +597,8 @@ def _scores(episodes, predictor, layout, sigma, level, tau_seed, symmetric) -> n
     """:func:`score_matrix`, of ``|predicted - truth| / sigma`` when ``symmetric``."""
     rows = np.empty((len(episodes), layout.dim), dtype=float)
     i = 0
-    blocks = _episode_blocks(episodes, predictor, layout, tau_seed if level == 2 else None)
-    for predicted, true, widths in blocks:
+    blocks = _episode_blocks(episodes, [(predictor, layout)], [layout], tau_seed if level == 2 else None)
+    for (predicted,), (true,), widths in blocks:
         # At level 2 each episode is one column: its sampled time.
         errs = predicted - true
         if symmetric:
@@ -659,8 +671,9 @@ def estimate_sigma(episodes: Sequence[Episode], predictor, basis_spec) -> np.nda
     """
     if not episodes:
         raise ValueError("sigma estimation needs at least one episode")
-    blocks = _episode_blocks(episodes, predictor, _as_layout(basis_spec))
-    pooled = [np.abs(predicted - true) for predicted, true, _ in blocks]
+    layout = _as_layout(basis_spec)
+    blocks = _episode_blocks(episodes, [(predictor, layout)], [layout])
+    pooled = [np.abs(predicted - true) for (predicted,), (true,), _ in blocks]
     sigma = np.median(np.concatenate(pooled, axis=1), axis=1)
     return np.maximum(sigma, SIGMA_FLOOR)
 

@@ -107,7 +107,8 @@ class AtomicDictionary:
     dictionaries have equal keys. Atoms are interned nodes, so an
     atom lookup is an identity hit. The dictionary also keeps the semantic
     decoders compiled for it, weakly keyed by formula node and left out of
-    its pickled state, so equal dictionaries built apart compile apart.
+    its pickled state, so equal dictionaries built apart compile apart;
+    :func:`dictionary_from_json` loads an equal dictionary as the live one.
 
     Its predictor emits the atom columns themselves (:attr:`predicts_steps`
     is false), and :meth:`basis` computes the true ones from margins.
@@ -674,7 +675,19 @@ def dictionary_to_json(dictionary: AtomicDictionary) -> dict:
     }
 
 
+# Every live dictionary that :func:`dictionary_from_json` built, by its key.
+_LOADED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def dictionary_from_json(obj: dict) -> AtomicDictionary:
+    """The dictionary :func:`dictionary_to_json` wrote. While one built
+    here lives, an equal one loads as that same object, so every model
+    loaded with it shares its semantic decoders and read-outs."""
     names = list(obj["predicate_names"])
     atoms = tuple(parse_formula(text, names) for text in obj["atoms"])
-    return AtomicDictionary(atoms, int(obj["m"]))
+    m = int(obj["m"])
+    d = _LOADED.get((m, atoms))
+    if d is None:
+        d = AtomicDictionary(atoms, m)
+        _LOADED[d.key] = d
+    return d

@@ -16,13 +16,16 @@ episode:
 Every rate comes from five integer counts: valid points, safe, truly
 safe, safe and true, and covered episodes. Level-1 coverage reduces each
 episode's slice, level-2 coverage reads each episode's sampled time.
-:func:`evaluate_monitors` scores several monitors that share one basis
-layout and one predictor as it certifies them, in one pass over the
-episodes: each certified block adds its counts per monitor and formula and
-is dropped, so memory holds one block however long the split is, and the
-level-2 times are drawn once per episode for all of them, since every
-formula's bounds span the same valid times. :func:`compute_metrics` counts
-per-episode arrays that the caller holds, concatenated.
+:func:`evaluate_monitors` scores every model of a report as it certifies
+them, in one pass over the episodes, whatever their kinds and layouts, as
+long as they share one ``k_max``: each episode is predicted once per
+distinct predictor and each formula's truth read once per block, each
+certified block adds its counts per monitor and formula (one
+:func:`_counts` call per monitor, over its formulas' rows) and is dropped,
+so memory holds one block however long the split is, and the level-2
+times are drawn once per episode for all models, since every formula's
+bounds span the same valid times. :func:`compute_metrics` counts
+per-episode arrays that the caller holds, concatenated, as one row.
 
 The CSV report rounds percentages to one decimal; a JSON sidecar keeps full
 precision. A separate sweep file tabulates the radius of ``G[0,K]`` window
@@ -34,7 +37,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,11 +86,12 @@ def compute_metrics(
     have a valid time. Returns percentages in [0, 100]; ``prec`` and ``fpr``
     are ``None`` exactly when their denominators are empty. At level 1 an
     episode with no valid time counts as covered; level 2 needs a valid time
-    in every episode.
+    in every episode. The counts are :func:`_counts`' for one row, as
+    :func:`evaluate_monitors` counts each of its formulas.
     """
     lb, rho, sizes = _pool(lower_bounds, truths)
     times = _level2_times(sizes, k_max, coverage_seed) if level != 1 else None
-    return _rates(*_counts(lb, rho, sizes, times), sizes.size)
+    return _rates(*_counts(lb[None], rho[None], sizes, times)[0].tolist(), sizes.size)
 
 
 def _pool(lower_bounds, truths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,24 +123,29 @@ def _level2_times(sizes: np.ndarray, k_max: int, coverage_seed: int, first: int 
     return np.array(draws) - k_max
 
 
-def _counts(lb: np.ndarray, rho: np.ndarray, sizes: np.ndarray, times: np.ndarray | None) -> list[int]:
+def _counts(lb: np.ndarray, rho: np.ndarray, sizes: np.ndarray, times: np.ndarray | None) -> np.ndarray:
     """Valid points, safe, truly safe, safe and true, and covered episodes
-    of bounds and truth laid end to end, episode by episode, in ``sizes``:
-    level-2 coverage at each episode's index in ``times``, level-1 coverage
-    (every valid time held) when it is ``None``."""
+    of each row of ``(rows, columns)`` bounds and truth, whose columns lay
+    the episodes end to end, episode by episode, in ``sizes``: level-2
+    coverage at each episode's index in ``times``, level-1 coverage (every
+    valid time held) when it is ``None``. One row of five ints per row."""
     safe = lb >= 0.0
     true_safe = rho >= 0.0
     starts = np.cumsum(sizes) - sizes
+    counts = np.empty((len(lb), 5), dtype=np.int64)
+    counts[:, 0] = lb.shape[1]
+    counts[:, 1] = safe.sum(axis=1)
+    counts[:, 2] = true_safe.sum(axis=1)
+    counts[:, 3] = (safe & true_safe).sum(axis=1)
     if times is None:
         nonempty = sizes > 0
         # An episode with no valid time holds vacuously.
-        covered = int(np.count_nonzero(np.logical_and.reduceat(lb <= rho, starts[nonempty])))
-        covered += sizes.size - int(np.count_nonzero(nonempty))
+        held = np.logical_and.reduceat(lb <= rho, starts[nonempty], axis=1)
+        counts[:, 4] = held.sum(axis=1) + (sizes.size - int(np.count_nonzero(nonempty)))
     else:
         at = starts + times
-        covered = int(np.count_nonzero(lb[at] <= rho[at]))
-    n_safe_true = int(np.count_nonzero(safe & true_safe))
-    return [lb.size, int(np.count_nonzero(safe)), int(np.count_nonzero(true_safe)), n_safe_true, covered]
+        counts[:, 4] = (lb[:, at] <= rho[:, at]).sum(axis=1)
+    return counts
 
 
 def _rates(n_valid: int, n_safe: int, n_true_safe: int, n_safe_true: int, covered: int, n_episodes: int) -> dict:
@@ -155,43 +163,48 @@ def _rates(n_valid: int, n_safe: int, n_true_safe: int, n_safe_true: int, covere
 
 
 def evaluate_monitors(
-    named: Sequence[tuple[str, CalibratedMonitor]],
-    predictor,
+    models: Sequence[tuple[str, CalibratedMonitor, object]],
     episodes: Iterable[Episode],
     formulas: Sequence[Formula],
     coverage_seed: int = 0,
 ) -> list[tuple[list[ReportRow], dict[str, str]]]:
-    """Certify every episode for every formula with each ``(name, monitor)``
-    pair and summarize per monitor and formula, as :func:`compute_metrics`
-    does; one ``(rows, errors)`` pair per monitor, in input order.
+    """Certify every episode for every formula with each ``(name, monitor,
+    predictor)`` triple and summarize per monitor and formula, as
+    :func:`compute_metrics` does; one ``(rows, errors)`` pair per monitor,
+    in input order.
 
-    The monitors must read one basis layout through ``predictor``: they
-    share one pass of :func:`~ptmon.monitors.run_monitors`, so each episode
-    is predicted and its truth read out once for all of them. Each block of
-    the pass is folded into five counts per monitor and formula (see
-    :func:`_counts`) and then dropped, so memory holds one block, however
-    many episodes there are. A formula listed more than once is certified
-    and reported once, at its first position, and its ``q_phi`` is the
-    radius of the monitor that certified it. Every formula's bounds span
-    the same valid times, so the level-2 monitors draw each episode's
-    coverage time once for all of them. Without episodes there are no rows,
-    and ``errors`` still names the formulas a monitor cannot certify.
+    All models share one pass of
+    :func:`~ptmon.monitors._certified_blocks`: their monitors may read any
+    layouts of one ``k_max``, each episode is predicted once per distinct
+    predictor (monitors that share one must share a layout) and each
+    formula's truth is read out once per block for all of them. Each block
+    is folded into five counts per monitor and formula, in one
+    :func:`_counts` call per monitor over its formulas' stacked rows, and
+    then dropped, so memory holds one block, however many episodes there
+    are. A formula listed more than once is certified and reported once, at
+    its first position, and its ``q_phi`` is the radius of the monitor that
+    certified it. Every formula's bounds span the same valid times, so the
+    level-2 monitors draw each episode's coverage time once for all of
+    them. Without episodes there are no rows, and ``errors`` still names
+    the formulas a monitor cannot certify.
     """
-    mons = [mon for _, mon in named]
+    mons = [mon for _, mon, _ in models]
     resolutions = [_resolve(mon, formulas) for mon in mons]
-    totals = [{name: [0] * 5 for name in resolved} for resolved, _ in resolutions]
+    totals = [np.zeros((len(resolved), 5), dtype=np.int64) for resolved, _ in resolutions]
     level2 = any(mon.level != 1 and resolved for mon, (resolved, _) in zip(mons, resolutions))
+    pairs = [(mon, predictor) for _, mon, predictor in models]
     n_episodes = 0
-    for widths, truth, bounds in _certified_blocks(episodes, predictor, mons, resolutions):
+    for widths, truth, bounds in _certified_blocks(episodes, pairs, resolutions):
         sizes = np.array(widths)
         times = _level2_times(sizes, mons[0].k_max, coverage_seed, n_episodes) if level2 else None
         n_episodes += sizes.size
-        for mon, mon_bounds, counts in zip(mons, bounds, totals):
-            for name, total in counts.items():
-                block = _counts(mon_bounds[name], truth[name], sizes, times if mon.level != 1 else None)
-                total[:] = map(add, total, block)
+        for mon, (resolved, _), mon_bounds, total in zip(mons, resolutions, bounds, totals):
+            if resolved:
+                lb = np.stack([mon_bounds[name] for name in resolved])
+                rho = np.stack([truth[name] for name in resolved])
+                total += _counts(lb, rho, sizes, times if mon.level != 1 else None)
     evaluated = []
-    for (name, mon), (resolved, errors), counts in zip(named, resolutions, totals):
+    for (name, mon, _), (resolved, errors), total in zip(models, resolutions, totals):
         rows = [
             ReportRow(
                 formula=fname,
@@ -199,9 +212,9 @@ def evaluate_monitors(
                 kind=mon.kind,
                 level=mon.level,
                 q_phi=mon_f.radius,
-                **_rates(*counts[fname], n_episodes),
+                **_rates(*counts, n_episodes),
             )
-            for fname, (_, mon_f) in resolved.items()
+            for (fname, (_, mon_f)), counts in zip(resolved.items(), total.tolist())
         ] if n_episodes else []
         evaluated.append((rows, errors))
     return evaluated
@@ -216,7 +229,7 @@ def evaluate_monitor(
     coverage_seed: int = 0,
 ) -> tuple[list[ReportRow], dict[str, str]]:
     """:func:`evaluate_monitors` for one monitor."""
-    return evaluate_monitors([(name, mon)], predictor, episodes, formulas, coverage_seed)[0]
+    return evaluate_monitors([(name, mon, predictor)], episodes, formulas, coverage_seed)[0]
 
 
 def horizon_sweep(

@@ -13,18 +13,21 @@ monitor shrinks each snapshot once for every formula certified from it
 (both are immutable, so the shrink never goes stale). A restricted monitor
 (a specialised observer, or any ``for_formula`` copy) shrinks nothing: it
 passes its shift to each decoder's shifted read-out.
-:func:`run_monitors` certifies recorded episodes with one or more monitors
-that read one basis layout through one predictor, in the blocks of whole
-episodes that calibration reads: one predicted and one true basis per
-block, shared by all the monitors, and each formula's truth read out once
-per block for all of them. Each monitor resolves each formula once and
-groups its formulas by the monitor that certifies them; each group takes
-one :func:`ptmon.conformal.certified_lower_bounds` call per block, which
+Recorded episodes are certified in one block pass (:func:`_certified_blocks`)
+over ``(monitor, predictor)`` pairs of any layouts that share one
+``k_max``, in the blocks of whole episodes that calibration reads: each
+episode predicted once per distinct predictor, one predicted basis per
+predictor and block, and each formula's truth read out once per block for
+all the monitors. Each monitor resolves each formula once and groups its
+formulas by the monitor that certifies them; each group takes one
+:func:`ptmon.conformal.certified_lower_bounds` call per block, which
 shrinks the block once into a row-major matrix and decodes every formula
 of the group from it. The bounds are those the streaming functions give
-step by step. :func:`run_episodes` is its one-monitor case, and
-:func:`ptmon.metrics.evaluate_monitors` scores the same block pass as it
-goes.
+step by step. :func:`run_monitors` runs the pass for monitors of one
+predictor, :func:`run_episodes` is its one-monitor case and
+:func:`iter_episodes` yields those results as each block is certified;
+:func:`ptmon.metrics.evaluate_monitors` scores the pass for every model of
+a report as it goes.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -315,6 +318,12 @@ class EpisodeResult:
 _Resolution = tuple[dict[str, tuple[Decoder, CalibratedMonitor]], dict[str, str]]
 
 
+# One certified block of a pass (see :func:`_certified_blocks`): its
+# episodes' widths, each formula's truth over the block's columns, and each
+# monitor's bounds by formula.
+_Block = tuple[list[int], dict[str, np.ndarray], list[dict[str, np.ndarray]]]
+
+
 def _resolve(mon: CalibratedMonitor, formulas: Sequence[Formula]) -> _Resolution:
     resolved: dict[str, tuple[Decoder, CalibratedMonitor]] = {}
     errors: dict[str, str] = {}
@@ -347,74 +356,120 @@ def run_monitors(
     :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
     reason it cannot be certified, which its results carry in ``errors``.
     Each block of whole episodes is then certified for every monitor at
-    once, and sliced here into one :class:`EpisodeResult` per episode and
-    monitor: column views of each formula's bound and truth arrays, not of
-    a block's basis, the truth views shared by every monitor's results.
-    The bounds are those of one monitor and one episode at a time, bit for
-    bit. Min and max are exact, so the truth equals each formula's
-    robustness; the bits can differ only in the sign of a zero, where a
-    formula repeats a subformula that its decoder reads once.
+    once, and sliced into one :class:`EpisodeResult` per episode and
+    monitor (see :func:`_block_results`). The bounds are those of one
+    monitor and one episode at a time, bit for bit. Min and max are exact,
+    so the truth equals each formula's robustness; the bits can differ only
+    in the sign of a zero, where a formula repeats a subformula that its
+    decoder reads once.
     """
     resolutions = [_resolve(mon, formulas) for mon in mons]
     results: list[list[EpisodeResult]] = [[] for _ in mons]
-    for widths, truth, bounds in _certified_blocks(episodes, predictor, mons, resolutions):
-        stops = np.cumsum(widths).tolist()
-        columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
-        episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
-        for mon, (resolved, errors), mon_bounds, out in zip(mons, resolutions, bounds, results):
-            for cols, rho in zip(columns, episode_truth):
-                out.append(
-                    EpisodeResult(
-                        {name: mon_bounds[name][cols] for name in resolved},
-                        {name: rho[name] for name in resolved},
-                        dict(errors),
-                        mon.k_max,
-                    )
-                )
+    for block in _certified_blocks(episodes, [(mon, predictor) for mon in mons], resolutions):
+        for out, block_results in zip(results, _block_results(block, mons, resolutions)):
+            out.extend(block_results)
     return results
 
 
-# One certified block of a pass (see :func:`_certified_blocks`): its
-# episodes' widths, each formula's truth over the block's columns, and each
-# monitor's bounds by formula.
-_Block = tuple[list[int], dict[str, np.ndarray], list[dict[str, np.ndarray]]]
+def iter_episodes(
+    episodes: Iterable[Episode],
+    predictor,
+    mon: CalibratedMonitor,
+    formulas: Sequence[Formula],
+) -> Iterator[EpisodeResult]:
+    """:func:`run_episodes`'s results one at a time, in episode order, as
+    each block of the pass is certified: a caller that keeps no result
+    holds one block of the split, however many episodes it has."""
+    resolutions = [_resolve(mon, formulas)]
+    for block in _certified_blocks(episodes, [(mon, predictor)], resolutions):
+        yield from _block_results(block, [mon], resolutions)[0]
+
+
+def _block_results(
+    block: _Block, mons: Sequence[CalibratedMonitor], resolutions: Sequence[_Resolution]
+) -> list[list[EpisodeResult]]:
+    """A certified block sliced into one :class:`EpisodeResult` per episode
+    for each monitor: column views of each formula's bound and truth
+    arrays, not of a block's basis, the truth views shared by every
+    monitor's results."""
+    widths, truth, bounds = block
+    stops = np.cumsum(widths).tolist()
+    columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
+    episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
+    return [
+        [
+            EpisodeResult(
+                {name: mon_bounds[name][cols] for name in resolved},
+                {name: rho[name] for name in resolved},
+                dict(errors),
+                mon.k_max,
+            )
+            for cols, rho in zip(columns, episode_truth)
+        ]
+        for mon, (resolved, errors), mon_bounds in zip(mons, resolutions, bounds)
+    ]
 
 
 def _certified_blocks(
     episodes: Iterable[Episode],
-    predictor,
-    mons: Sequence[CalibratedMonitor],
+    pairs: Sequence[tuple[CalibratedMonitor, object]],
     resolutions: Sequence[_Resolution],
 ) -> Iterator[_Block]:
-    """Certify the episodes with every monitor of ``mons``, each with its
-    formulas already resolved (see :func:`_resolve`), one block at a time.
+    """Certify the episodes with every ``(monitor, predictor)`` pair of
+    ``pairs``, each monitor with its formulas already resolved (see
+    :func:`_resolve`), one block at a time.
 
-    Monitors whose layouts differ raise ``ValueError`` before any episode
-    is read. The episodes are read in the blocks calibration reads (see
-    :mod:`ptmon.conformal`): whole episodes up to a few hundred basis
-    columns, each predicted once and checked on its own, the block's true
-    basis built once over its episodes laid end to end, with the columns
-    that straddle two episodes dropped, so it equals the per-episode bases
-    side by side, bit for bit. Both blocks are read row-major (C order).
-    Each formula's truth is read off the true block once, read-only, for
-    every monitor. Each monitor's formulas are grouped by their certifying
-    monitor (one group for a fragment-wide semantic or rolling monitor, one
-    per formula for a specialised observer), and each group takes one
-    :func:`~ptmon.conformal.certified_lower_bounds` call on the predicted
-    block: one shrink, then one decode per formula. Both bases are dropped
+    The monitors may read any layouts of one ``k_max``, but monitors that
+    share a predictor (the same object) must share a layout: either
+    mismatch raises ``ValueError`` before any episode is predicted. The
+    episodes are read in the blocks calibration reads (see
+    :func:`~ptmon.conformal._episode_blocks`): whole episodes up to a few
+    hundred basis columns, each predicted once per distinct predictor and
+    checked on its own, and each basis built once per block over its
+    episodes laid end to end, with the columns that straddle two episodes
+    dropped, so it equals the per-episode bases side by side, bit for bit.
+    The bases are read row-major (C order).
+
+    Each formula's truth is read once per block, read-only, for every
+    monitor, by the resolved decoder with the smallest support (the first
+    monitor's on a tie): min and max are exact, so every decoder of a
+    formula reads the same values, and a dictionary atom is one coordinate
+    where history unrolls its window. A layout's true basis is built only
+    when some truth decoder reads it, so a pass whose formulas all have a
+    semantic decoder builds no history truth. Each monitor's formulas are
+    grouped by their certifying monitor (one group for a fragment-wide
+    semantic or rolling monitor, one per formula for a specialised
+    observer), and each group takes one
+    :func:`~ptmon.conformal.certified_lower_bounds` call on its predictor's
+    block: one shrink, then one decode per formula. The bases are dropped
     before the block is handed over, so a caller that keeps nothing of it
     holds one block's arrays at a time.
     """
-    layout = mons[0].layout
-    for mon in mons[1:]:
-        if mon.layout != layout:
-            raise ValueError(f"monitors in one pass must share a basis layout, got {layout!r} and {mon.layout!r}")
-    # Decoders compiled from one formula for one layout are the same tree,
-    # so the first monitor that certifies a formula reads its truth for all.
+    # One source per distinct predictor, with the layout its monitors read.
+    sources: list[tuple[object, object]] = []
+    source_of: list[int] = []
+    k_max = pairs[0][0].k_max
+    for mon, predictor in pairs:
+        j = next((j for j, (p, _) in enumerate(sources) if p is predictor), len(sources))
+        if j == len(sources):
+            sources.append((predictor, mon.layout))
+        elif mon.layout != sources[j][1]:
+            raise ValueError(
+                f"monitors that share a predictor must share a basis layout, got {sources[j][1]!r} and {mon.layout!r}"
+            )
+        if mon.k_max != k_max:
+            raise ValueError(f"monitors in one pass must share k_max, got {k_max} and {mon.k_max}")
+        source_of.append(j)
+    # Each formula's truth from its decoder of smallest support.
     truth_decoders: dict[str, Decoder] = {}
     for resolved, _ in resolutions:
         for name, (d, _) in resolved.items():
-            truth_decoders.setdefault(name, d)
+            best = truth_decoders.get(name)
+            if best is None or len(d.support) < len(best.support):
+                truth_decoders[name] = d
+    layouts = {mon.layout.key: mon.layout for mon, _ in pairs}
+    truth_keys = list(dict.fromkeys(d.layout for d in truth_decoders.values()))
+    truth_of = {name: truth_keys.index(d.layout) for name, d in truth_decoders.items()}
     # Each monitor's formulas grouped by the monitor that certifies them: one
     # group for a fragment-wide monitor, one per formula for a specialised one.
     groups: list[list[tuple[CalibratedMonitor, list[str], list[Decoder]]]] = []
@@ -426,18 +481,20 @@ def _certified_blocks(
             decoders.append(d)
         groups.append(list(by_monitor.values()))
 
-    for predicted, true, widths in _episode_blocks(episodes, predictor, layout):
-        # Read row-major: ``_block_bases`` hands both over column-major, and
-        # each shrink of a row-major ``predicted`` is row-major too.
-        predicted, true = np.ascontiguousarray(predicted), np.ascontiguousarray(true)
-        truth = {name: decode_series(d, true) for name, d in truth_decoders.items()}
+    blocks = _episode_blocks(episodes, sources, [layouts[key] for key in truth_keys])
+    for predicted, true, widths in blocks:
+        # Read row-major: ``_block_bases`` hands the bases over column-major,
+        # and each shrink of a row-major ``predicted`` is row-major too.
+        predicted = [np.ascontiguousarray(p) for p in predicted]
+        true = [np.ascontiguousarray(t) for t in true]
+        truth = {name: decode_series(d, true[truth_of[name]]) for name, d in truth_decoders.items()}
         for rho in truth.values():
             rho.flags.writeable = False
         bounds: list[dict[str, np.ndarray]] = []
-        for mon_groups in groups:
+        for j, mon_groups in zip(source_of, groups):
             mon_bounds: dict[str, np.ndarray] = {}
             for mon_f, names, decoders in mon_groups:
-                mon_bounds.update(zip(names, certified_lower_bounds(mon_f, predicted, decoders)))
+                mon_bounds.update(zip(names, certified_lower_bounds(mon_f, predicted[j], decoders)))
             bounds.append(mon_bounds)
         del predicted, true
         yield widths, truth, bounds
@@ -450,7 +507,7 @@ def run_episodes(
     formulas: Sequence[Formula],
 ) -> list[EpisodeResult]:
     """:func:`run_monitors` for one monitor."""
-    return run_monitors(episodes, predictor, [mon], formulas)[0]
+    return list(iter_episodes(episodes, predictor, mon, formulas))
 
 
 def run_episode(

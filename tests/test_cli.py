@@ -1,15 +1,22 @@
 import csv
+import gc
 import json
 import shutil
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ptmon.cli as cli
+import ptmon.conformal as conformal
 import ptmon.fragment as fragment
 import ptmon.monitors as monitors
-from ptmon.benchmark import PredictorStub, load_split
+from ptmon.benchmark import PREDICATE_NAMES, PredictorStub, load_split, stub_from_json
 from ptmon.cli import _parse_counts, _parse_int_list, main, read_kv_file
+from ptmon.conformal import load_monitor
+from ptmon.logic import parse_formula
 
 
 class TestKvFile:
@@ -246,6 +253,77 @@ class TestCertify:
         ]) == 0
         assert built == ["G[0,2] p_f"] * 6
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_verdicts_equal_those_written_from_the_whole_split(self, workspace, tmp_path, suffix):
+        root, ds, _ = workspace
+        out = tmp_path / f"v{suffix}"
+        assert main([
+            "certify", "--model", str(root / "roll.json"), "--dataset", str(ds),
+            "--formula", "F[0,1] p_goal", "--out", str(out),
+        ]) == 0
+        mon = load_monitor(root / "roll.json")
+        stub = stub_from_json(mon.predictor_config)
+        formula = parse_formula("F[0,1] p_goal", PREDICATE_NAMES)
+        results = monitors.run_episodes(load_split(ds, "test"), stub, mon, [formula])
+        want = tmp_path / f"want{suffix}"
+        with open(want, "w", newline="" if suffix == ".csv" else None) as fh:
+            for i, result in enumerate(results):
+                if suffix == ".csv":
+                    monitors.write_verdicts_csv(result.verdicts, fh, header=(i == 0), episode=i)
+                else:
+                    monitors.write_verdicts_jsonl(result.verdicts, fh, episode=i)
+        assert out.read_bytes() == want.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, want.name])
+
+    def test_failure_midway_leaves_out_as_it_was(self, workspace, tmp_path, monkeypatch):
+        root, ds, _ = workspace
+        out = tmp_path / "v.jsonl"
+        out.write_text('{"earlier": "verdicts"}\n')
+        before = out.read_bytes()
+        real_predict, calls = PredictorStub.predict, []
+
+        def failing(self, ep):
+            calls.append(ep.uid)
+            if len(calls) == 4:
+                raise ValueError("prediction failed")
+            return real_predict(self, ep)
+
+        monkeypatch.setattr(PredictorStub, "predict", failing)
+        monkeypatch.setattr(conformal, "_BLOCK_COLUMNS", 20)  # two episodes a block
+        assert main([
+            "certify", "--model", str(root / "sem.json"), "--dataset", str(ds),
+            "--formula", "G[0,4] p_clear", "--out", str(out),
+        ]) == 2
+        assert len(calls) == 4
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    def test_peak_memory_flat_in_the_split(self, workspace, tmp_path, monkeypatch):
+        """Each block's verdicts are written as it is certified: the
+        ``tracemalloc`` peak of a certify over 8x the episodes is within
+        1.25x of the peak over 1x. The episodes are loaded before tracing,
+        so the peak is the certification's and the writing's."""
+        root, ds, _ = workspace
+        split = load_split(ds, "test")
+        episodes = [replace(split[i % len(split)], uid=i) for i in range(8 * 100)]
+        argv = ["certify", "--model", str(root / "sem.json"), "--dataset", str(ds), "--formula", "G[0,4] p_clear"]
+        # As in the metrics module's memory test: no full collection inside a
+        # measurement, and free lists filled by an untraced run over them all.
+        gc.collect()
+        monkeypatch.setattr(cli, "load_split", lambda *_: episodes)
+        assert main([*argv, "--out", str(tmp_path / "warm.jsonl")]) == 0
+        peaks = []
+        for n in (100, 8 * 100):
+            monkeypatch.setattr(cli, "load_split", lambda *_: episodes[:n])
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", str(tmp_path / f"v{n}.jsonl")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / f"v{8 * 100}.jsonl").read_text().splitlines()) == 8 * 100 * 25
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_missing_model_exit_1(self, workspace, tmp_path):
         _, ds, _ = workspace
         assert main([
@@ -372,6 +450,61 @@ class TestReport:
         assert per_episode == {2: n_test}
         assert rows == alone[roll] + alone[reseeded]
         assert alone[reseeded] != alone[obs]
+
+    def report_rows(self, tmp_path, ds, formulas, models, stem):
+        """The JSON rows of a report over ``models``, by model name."""
+        out = tmp_path / f"{stem}.csv"
+        assert main([
+            "report", "--models", ",".join(map(str, models)), "--dataset", str(ds),
+            "--formulas", str(formulas), "--sweep", "", "--out", str(out),
+        ]) == 0
+        rows = json.loads(out.with_suffix(".json").read_text())
+        assert [r["monitor"] for r in rows] == sorted((r["monitor"] for r in rows), key=[m.stem for m in models].index)
+        return {m.stem: [r for r in rows if r["monitor"] == m.stem] for m in models}
+
+    def test_reversed_models_give_each_model_its_rows(self, workspace, tmp_path, monkeypatch):
+        root, ds, _ = workspace
+        formulas = self.formulas_file(tmp_path)
+        models = [root / f"{s}.json" for s in ("sem", "roll", "obs")]
+        passes = []
+        real = cli.evaluate_monitors
+
+        def counting(models, *args, **kwargs):
+            passes.append([name for name, _, _ in models])
+            return real(models, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_monitors", counting)
+        given = self.report_rows(tmp_path, ds, formulas, models, "given")
+        reversed_ = self.report_rows(tmp_path, ds, formulas, models[::-1], "reversed")
+        assert given == reversed_ and sum(map(len, given.values())) == 8
+        # One pass for all three models, in --models order.
+        assert passes == [["sem", "roll", "obs"], ["obs", "roll", "sem"]]
+
+    def test_models_of_another_k_max_take_their_own_pass(self, workspace, tmp_path, monkeypatch):
+        root, ds, noise = workspace
+        formulas = tmp_path / "deep.txt"
+        formulas.write_text("G[0,2] p_f\nG[0,20] p_f\n")
+        # An observer reading 20 steps back, past the dataset's k_max of 16.
+        deep = tmp_path / "deep.json"
+        assert main([
+            "calibrate", "--dataset", str(ds), "--noise", str(noise), "--monitor", "observer",
+            "--formula", "G[0,20] p_f", "--out", str(deep),
+        ]) == 0
+        models = [root / "sem.json", deep, root / "roll.json"]
+        passes = []
+        real = cli.evaluate_monitors
+
+        def counting(models, *args, **kwargs):
+            passes.append([name for name, _, _ in models])
+            return real(models, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_monitors", counting)
+        together = self.report_rows(tmp_path, ds, formulas, models, "together")
+        assert passes == [["sem", "roll"], ["deep"]]
+        alone = {m.stem: self.report_rows(tmp_path, ds, formulas, [m], m.stem)[m.stem] for m in models}
+        assert together == alone
+        assert [r["formula"] for r in together["deep"]] == ["G[0,2] p_f", "G[0,20] p_f"]
+        assert [r["formula"] for r in together["roll"]] == ["G[0,2] p_f"]
 
     def test_history_models_share_decoders(self, workspace, tmp_path, monkeypatch):
         # Each formula's decoder generates one batch read-out per layout:

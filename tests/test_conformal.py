@@ -1327,6 +1327,35 @@ class TestPersistence:
         assert np.array_equal(back.cache.matrix, mon.cache.matrix)
         assert back.predictor_config == stub.to_json()
 
+    def test_loads_of_one_model_share_its_dictionary_and_decoders(self, tmp_path, monkeypatch):
+        names = ("loaded_once_0", "loaded_once_1")  # in no other test
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)), names)
+        eps = tiny_episodes(np.random.default_rng(17), d, 9)
+        stub = PredictorStub(mode="semantic", scale=0.2, seed=3, dictionary=d)
+        path = tmp_path / "mon.json"
+        save_monitor(calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d), path)
+        built = []
+        real = fragment._semantic_decoder
+
+        def counting(f, dictionary):
+            built.append(format_formula(f))
+            return real(f, dictionary)
+
+        monkeypatch.setattr(fragment, "_semantic_decoder", counting)
+        first, second = load_monitor(path), load_monitor(path)
+        assert first.layout is second.layout
+        assert first.layout == d and first.layout is not d
+        texts = (f"G[0,1] {names[0]}", f"F[0,2] {names[1]} | G[0,2] {names[0]}")
+        formulas = [parse_formula(t, names) for t in texts]
+        assert [first.decoder(f) for f in formulas] == [second.decoder(f) for f in formulas]
+        assert built == list(texts)
+        # Held by nothing else, the loaded dictionary goes with its monitors.
+        layout = weakref.ref(first.layout)
+        del first, second
+        assert layout() is None
+        assert load_monitor(path).decoder(formulas[0]).formula == texts[0]
+        assert built == [*texts, texts[0]]
+
     def test_monitor_round_trip_observer(self, tmp_path):
         rng = np.random.default_rng(14)
         eps = [random_episode(rng, 1, 6) for _ in range(9)]
@@ -1635,7 +1664,7 @@ class TestBlocksEqualOneEpisodeAtATime:
         assert sum(ep.T - d.K_max + 1 for ep in eps) > 3 * conformal._BLOCK_COLUMNS
         stub = PredictorStub(mode="semantic", scale=0.2, bias=-0.05, ar_coeff=0.5, seed=seed % 97, dictionary=d)
         wholes = [lag_loop_basis_rows(ep.mu, d) for ep in eps]
-        true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, d)], axis=1)
+        true = np.concatenate([t for _, (t,), _ in conformal._episode_blocks(eps, [(stub, d)], [d])], axis=1)
         assert true.tobytes() == np.concatenate(wholes, axis=1).tobytes()
         assert block_truth_at_sampled_times(eps, stub, d, seed % 13) == sampled_columns(wholes, eps, d.K_max, seed % 13)
         sigma = estimate_sigma(eps, stub, d)
@@ -1656,7 +1685,7 @@ class TestBlocksEqualOneEpisodeAtATime:
         stub = PredictorStub(mode="predicates", scale=0.2, bias=0.05, ar_coeff=0.3, seed=seed % 89)
         spec, layout = (m, k_max), HistoryLayout(m, k_max)  # the oracles read the pair
         wholes = [naive_true_basis(ep, spec) for ep in eps]
-        true = np.concatenate([t for _, t, _ in conformal._episode_blocks(eps, stub, layout)], axis=1)
+        true = np.concatenate([t for _, (t,), _ in conformal._episode_blocks(eps, [(stub, layout)], [layout])], axis=1)
         assert true.tobytes() == np.concatenate(wholes, axis=1).tobytes()
         assert block_truth_at_sampled_times(eps, stub, layout, seed % 11) == sampled_columns(wholes, eps, k_max, seed % 11)
         sigma = estimate_sigma(eps, stub, spec)
@@ -1673,8 +1702,8 @@ class TestBlocksEqualOneEpisodeAtATime:
 def block_truth_at_sampled_times(eps, predictor, layout, tau_seed) -> bytes:
     """The true bases of the level-2 blocks (each episode's sampled window),
     side by side, as bytes."""
-    blocks = conformal._episode_blocks(eps, predictor, layout, tau_seed)
-    return np.concatenate([t for _, t, _ in blocks], axis=1).tobytes()
+    blocks = conformal._episode_blocks(eps, [(predictor, layout)], [layout], tau_seed)
+    return np.concatenate([t for _, (t,), _ in blocks], axis=1).tobytes()
 
 
 def sampled_columns(wholes, eps, k_max, tau_seed) -> bytes:

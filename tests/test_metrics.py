@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import gc
 import json
 import tracemalloc
 from collections import Counter
@@ -272,7 +273,7 @@ def history_group():
 class TestEvaluateMonitors:
     def test_shared_pass_equals_one_monitor_at_a_time(self):
         named, stub, episodes, formulas = history_group()
-        shared = evaluate_monitors(named, stub, episodes, formulas, coverage_seed=7)
+        shared = evaluate_monitors([(name, mon, stub) for name, mon in named], episodes, formulas, coverage_seed=7)
         alone = [evaluate_monitor(name, mon, stub, episodes, formulas, coverage_seed=7) for name, mon in named]
         # ``repr`` tells a numpy scalar from a Python float, and -0.0 from 0.0.
         assert repr(shared) == repr(alone)
@@ -298,7 +299,7 @@ class TestEvaluateMonitors:
 
         monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
         monkeypatch.setattr(PredictorStub, "predict", counting_predict)
-        results = evaluate_monitors(named, stub, episodes, formulas)
+        results = evaluate_monitors([(name, mon, stub) for name, mon in named], episodes, formulas)
         assert sum(len(rows) for rows, _ in results) == 5
         assert draws == {i: 1 for i in range(len(episodes))}
         assert predictions == {ep.uid: 1 for ep in episodes}
@@ -313,17 +314,130 @@ class TestEvaluateMonitors:
 
         monkeypatch.setattr(PredictorStub, "predict", predicting)
         with pytest.raises(ValueError, match="share a basis layout"):
-            evaluate_monitors([*named, ("deeper", deeper)], stub, episodes, formulas)
+            evaluate_monitors([(name, mon, stub) for name, mon in [*named, ("deeper", deeper)]], episodes, formulas)
 
     def test_no_episodes_still_reports_resolution_errors(self):
         named, stub, episodes, formulas = history_group()
-        empty = evaluate_monitors(named, stub, [], formulas)
+        models = [(name, mon, stub) for name, mon in named]
+        empty = evaluate_monitors(models, [], formulas)
         assert [rows for rows, _ in empty] == [[], [], []]
-        with_episodes = evaluate_monitors(named, stub, episodes, formulas)
+        with_episodes = evaluate_monitors(models, episodes, formulas)
         assert [errors for _, errors in empty] == [errors for _, errors in with_episodes]
         assert [sorted(errors) for _, errors in empty] == [
             ["G[0,8] p_f"], ["G[0,8] p_f"], ["F[0,4] p_goal", "G[0,8] p_f"]
         ]
+
+
+MIXED_NAMES = ("p0", "p1")
+# In the dictionary, certifiable by history alone (not a dictionary atom),
+# and by no model (past ``k_max`` 3).
+MIXED_FORMULAS = ("G[0,1] p0", "F[0,3] p1 & G[0,1] p0", "G[0,2] p0", "G[0,8] p0")
+
+
+@functools.cache
+def mixed_models():
+    """Every kind of model over one ``k_max`` of 3, as a report holds them:
+    semantic models at levels 2 and 1 that share a dictionary predictor,
+    and a rolling model and an observer of ``G[0,2] p0`` without a score
+    cache that share a per-step predictor; and mixed-length episodes that span several
+    blocks."""
+    d = build_depth1_dictionary(2, ((0, 1), (0, 3)), MIXED_NAMES)
+    rng = np.random.default_rng(70)
+    calib = [random_episode(rng, 2, 12, names=MIXED_NAMES) for _ in range(10)]
+    sem_stub = PredictorStub(mode="semantic", scale=0.1, seed=3, dictionary=d)
+    step_stub = PredictorStub(mode="predicates", scale=0.1, seed=3)
+    sem, sem1 = (
+        calibrate(calib, sem_stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.2, level=level), d) for level in (2, 1)
+    )
+    roll = calibrate(calib, step_stub, ScoreConfig(sigma=np.ones(2 * 4), alpha=0.2, level=2), (2, 3))
+    obs = observer_calibrate(calib, step_stub, parse_formula(MIXED_FORMULAS[2], MIXED_NAMES), 0.2, k_max=3)
+    # Without its score cache, the observer certifies its own formula alone.
+    obs = dataclasses.replace(obs, cache=None)
+    models = (("sem", sem, sem_stub), ("sem1", sem1, sem_stub), ("roll", roll, step_stub), ("obs", obs, step_stub))
+    episodes = [random_episode(rng, 2, int(T), names=MIXED_NAMES) for T in rng.permutation(np.arange(4, 124, 8))]
+    assert sum(ep.T - 3 + 1 for ep in episodes) > 3 * conformal._BLOCK_COLUMNS
+    return models, episodes
+
+
+class TestOnePassPerReport:
+    """Models of every kind and layout share one pass when they share
+    ``k_max``: each episode predicted once per distinct predictor, each
+    formula's truth read once per block, each episode's level-2 time drawn
+    once."""
+
+    @pytest.mark.parametrize("order", ["given", "reversed"])
+    def test_rows_equal_each_model_evaluated_alone(self, order):
+        models, episodes = mixed_models()
+        models = list(models if order == "given" else reversed(models))
+        formulas = [parse_formula(t, MIXED_NAMES) for t in MIXED_FORMULAS]
+        together = evaluate_monitors(models, episodes, formulas, coverage_seed=4)
+        alone = [evaluate_monitors([model], episodes, formulas, coverage_seed=4)[0] for model in models]
+        # ``repr`` tells a numpy scalar from a Python float, and -0.0 from 0.0.
+        assert repr(together) == repr(alone)
+        certified = {name: [r.formula for r in rows] for (name, _, _), (rows, _) in zip(models, together)}
+        assert certified == {
+            "sem": list(MIXED_FORMULAS[:2]), "sem1": list(MIXED_FORMULAS[:2]),
+            "roll": list(MIXED_FORMULAS[:3]), "obs": [MIXED_FORMULAS[2]],
+        }
+
+    @pytest.mark.parametrize("texts", [MIXED_FORMULAS, MIXED_FORMULAS[:2] + MIXED_FORMULAS[3:]],
+                             ids=["history_truth_needed", "semantic_truth_only"])
+    def test_one_prediction_draw_and_truth_per_report(self, texts, monkeypatch):
+        models, episodes = mixed_models()
+        formulas = [parse_formula(t, MIXED_NAMES) for t in texts]
+        predictions, draws, truths, blocks = Counter(), Counter(), Counter(), []
+        real_predict, real_draw = PredictorStub.predict, metrics_module.sample_level2_time
+        real_decode, real_blocks = monitors.decode_series, conformal._block_bases
+
+        def counting_predict(self, ep):
+            predictions[self.mode, ep.uid] += 1
+            return real_predict(self, ep)
+
+        def counting_draw(seed, i, *args):
+            draws[i] += 1
+            return real_draw(seed, i, *args)
+
+        def counting_truth(d, values):
+            truths[d.formula, d.basis_kind.value] += 1
+            return real_decode(d, values)
+
+        def recording_blocks(block, sources, truth_layouts, k_max):
+            blocks.append([layout.basis_kind.value for layout in truth_layouts])
+            return real_blocks(block, sources, truth_layouts, k_max)
+
+        monkeypatch.setattr(PredictorStub, "predict", counting_predict)
+        monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
+        monkeypatch.setattr(monitors, "decode_series", counting_truth)
+        monkeypatch.setattr(conformal, "_block_bases", recording_blocks)
+        # History models first: the truth still comes from the dictionary.
+        results = evaluate_monitors(models[::-1], episodes, formulas)
+        assert sum(len(rows) for rows, _ in results) == (8 if len(texts) == 4 else 6)
+        assert predictions == {(mode, ep.uid): 1 for ep in episodes for mode in ("semantic", "predicates")}
+        assert draws == {i: 1 for i in range(len(episodes))}
+        n_blocks = len(blocks)
+        assert n_blocks > 3
+        # The truth of a dictionary formula is read off its atoms; only a
+        # formula outside the dictionary needs the history truth.
+        want = {(t, "semantic"): n_blocks for t in texts[:2]}
+        if len(texts) == 4:
+            want[texts[2], "predicate_history"] = n_blocks
+        assert truths == want
+        kinds = ["predicate_history", "semantic"] if len(texts) == 4 else ["semantic"]
+        assert [sorted(truth_kinds) for truth_kinds in blocks] == [kinds] * n_blocks
+
+    def test_monitors_of_another_k_max_raise_before_predicting(self, monkeypatch):
+        models, episodes = mixed_models()
+        roll = models[2][1]
+        deeper = dataclasses.replace(roll, layout=HistoryLayout(2, 4), sigma=np.ones(2 * 5), cache=None)
+        other = PredictorStub(mode="predicates", scale=0.1, seed=3)
+
+        def predicting(self, ep):
+            raise AssertionError("an episode was predicted")
+
+        monkeypatch.setattr(PredictorStub, "predict", predicting)
+        formulas = [parse_formula(t, MIXED_NAMES) for t in MIXED_FORMULAS]
+        with pytest.raises(ValueError, match="share k_max"):
+            evaluate_monitors([*models, ("deeper", deeper, other)], episodes, formulas)
 
 
 GRID_NAMES = ("p_f", "p_goal")
@@ -418,7 +532,7 @@ class TestScoredAsCertified:
         formulas = [parse_formula(t, GRID_NAMES) for t in texts]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(conformal, "_BLOCK_COLUMNS", block_columns)
-            got = evaluate_monitors(named, predictor, episodes, formulas, coverage_seed)
+            got = evaluate_monitors([(name, mon, predictor) for name, mon in named], episodes, formulas, coverage_seed)
             want = pooled_report_rows(named, predictor, episodes, formulas, coverage_seed)
         # ``repr`` tells a numpy scalar from a Python float, and -0.0 from 0.0.
         assert repr(got) == repr(want)
@@ -447,8 +561,14 @@ class TestMemoryFlatInTheSplit:
         mon, stub, formulas = memory_setup(level)
         rng = np.random.default_rng(seed)
         episodes = [random_episode(rng, 2, 40) for _ in range(8 * 24)]
-        # Decoders and their read-outs are built before anything is measured.
-        evaluate_monitor("mon", mon, stub, episodes[:2], formulas)
+        # Collect the cyclic garbage earlier tests leave (hypothesis's engine
+        # data, some 28,000 objects): with it pending, a full collection falls
+        # due inside a measurement now and then, and a full collection empties
+        # CPython's free lists, whose refill tracemalloc counts. One untraced
+        # run over all the episodes then builds the decoders and read-outs and
+        # fills the free lists as far as the longer measured run uses them.
+        gc.collect()
+        evaluate_monitor("mon", mon, stub, episodes, formulas)
         peaks = []
         for n in (24, 8 * 24):
             tracemalloc.start()
