@@ -75,7 +75,6 @@ from .monitors import (
     Label,
     MonitorVerdict,
     RollingBuffer,
-    iter_episodes,
     observer_certify,
     rolling_certify,
     run_episode,
@@ -132,7 +131,6 @@ __all__ = [
     "generate_dataset",
     "horizon",
     "interval_propagate",
-    "iter_episodes",
     "load_manifest",
     "load_monitor",
     "load_split",

@@ -19,6 +19,7 @@ import argparse
 import ast
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,7 +53,7 @@ from .metrics import (
     write_report_json,
     write_sweep_csv,
 )
-from .monitors import iter_episodes, write_verdicts_csv, write_verdicts_jsonl
+from .monitors import _result_blocks, write_verdicts_csv, write_verdicts_jsonl
 
 
 def read_kv_file(path: str | Path) -> dict:
@@ -198,22 +199,36 @@ def cmd_certify(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     as_csv = out_path.suffix.lower() == ".csv"
     counts: dict[str, int] = {}
-    # Each block's verdicts are written as it is certified, to a file beside
-    # --out that replaces it at the end: a failure leaves --out as it was.
-    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
-    try:
-        with open(partial, "w", newline="" if as_csv else None) as fh:
-            for i, result in enumerate(iter_episodes(episodes, stub, mon, [formula])):
-                verdicts = result.verdicts
-                for v in verdicts:
-                    counts[v.label.value] = counts.get(v.label.value, 0) + 1
-                if as_csv:
-                    write_verdicts_csv(verdicts, fh, header=(i == 0), episode=i)
-                else:
-                    write_verdicts_jsonl(verdicts, fh, episode=i)
-        os.replace(partial, out_path)
-    finally:
-        partial.unlink(missing_ok=True)
+
+    def write(fh) -> None:
+        results = (r for block in _result_blocks(episodes, stub, [mon], [formula]) for r in block[0])
+        for i, result in enumerate(results):
+            verdicts = result.verdicts
+            for v in verdicts:
+                counts[v.label.value] = counts.get(v.label.value, 0) + 1
+            if as_csv:
+                write_verdicts_csv(verdicts, fh, header=(i == 0), episode=i)
+            else:
+                write_verdicts_jsonl(verdicts, fh, episode=i)
+
+    newline = "" if as_csv else None
+    if out_path.is_symlink() or (out_path.exists() and not out_path.is_file()):
+        # A symlink, FIFO or device (/dev/stdout) is written in place.
+        with open(out_path, "w", newline=newline) as fh:
+            write(fh)
+    else:
+        # Each block's verdicts are written as it is certified, to a file
+        # beside --out that replaces it at the end, with --out's mode: a
+        # failure leaves --out as it was.
+        partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
+        try:
+            with open(partial, "w", newline=newline) as fh:
+                write(fh)
+            if out_path.exists():
+                shutil.copymode(out_path, partial)
+            os.replace(partial, out_path)
+        finally:
+            partial.unlink(missing_ok=True)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"certified {len(episodes)} episodes ({summary}) -> {out_path}")
     return 0

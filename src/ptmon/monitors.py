@@ -24,8 +24,8 @@ formulas by the monitor that certifies them; each group takes one
 shrinks the block once into a row-major matrix and decodes every formula
 of the group from it. The bounds are those the streaming functions give
 step by step. :func:`run_monitors` runs the pass for monitors of one
-predictor, :func:`run_episodes` is its one-monitor case and
-:func:`iter_episodes` yields those results as each block is certified;
+predictor, one block at a time (:func:`_result_blocks`), and
+:func:`run_episodes` is its one-monitor case;
 :func:`ptmon.metrics.evaluate_monitors` scores the pass for every model of
 a report as it goes.
 
@@ -357,57 +357,49 @@ def run_monitors(
     reason it cannot be certified, which its results carry in ``errors``.
     Each block of whole episodes is then certified for every monitor at
     once, and sliced into one :class:`EpisodeResult` per episode and
-    monitor (see :func:`_block_results`). The bounds are those of one
+    monitor (see :func:`_result_blocks`). The bounds are those of one
     monitor and one episode at a time, bit for bit. Min and max are exact,
     so the truth equals each formula's robustness; the bits can differ only
     in the sign of a zero, where a formula repeats a subformula that its
     decoder reads once.
     """
-    resolutions = [_resolve(mon, formulas) for mon in mons]
     results: list[list[EpisodeResult]] = [[] for _ in mons]
-    for block in _certified_blocks(episodes, [(mon, predictor) for mon in mons], resolutions):
-        for out, block_results in zip(results, _block_results(block, mons, resolutions)):
+    for block in _result_blocks(episodes, predictor, mons, formulas):
+        for out, block_results in zip(results, block):
             out.extend(block_results)
     return results
 
 
-def iter_episodes(
+def _result_blocks(
     episodes: Iterable[Episode],
     predictor,
-    mon: CalibratedMonitor,
+    mons: Sequence[CalibratedMonitor],
     formulas: Sequence[Formula],
-) -> Iterator[EpisodeResult]:
-    """:func:`run_episodes`'s results one at a time, in episode order, as
-    each block of the pass is certified: a caller that keeps no result
-    holds one block of the split, however many episodes it has."""
-    resolutions = [_resolve(mon, formulas)]
-    for block in _certified_blocks(episodes, [(mon, predictor)], resolutions):
-        yield from _block_results(block, [mon], resolutions)[0]
-
-
-def _block_results(
-    block: _Block, mons: Sequence[CalibratedMonitor], resolutions: Sequence[_Resolution]
-) -> list[list[EpisodeResult]]:
-    """A certified block sliced into one :class:`EpisodeResult` per episode
-    for each monitor: column views of each formula's bound and truth
-    arrays, not of a block's basis, the truth views shared by every
+) -> Iterator[list[list[EpisodeResult]]]:
+    """:func:`run_monitors`' results one block at a time, each monitor's
+    in episode order, as each block of the pass is certified: a caller
+    that keeps no result holds one block of the split, however many
+    episodes it has (``ptmon certify`` writes each block as it comes).
+    Each block is sliced into column views of each formula's bound and
+    truth arrays, not of a block's basis, the truth views shared by every
     monitor's results."""
-    widths, truth, bounds = block
-    stops = np.cumsum(widths).tolist()
-    columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
-    episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
-    return [
-        [
-            EpisodeResult(
-                {name: mon_bounds[name][cols] for name in resolved},
-                {name: rho[name] for name in resolved},
-                dict(errors),
-                mon.k_max,
-            )
-            for cols, rho in zip(columns, episode_truth)
+    resolutions = [_resolve(mon, formulas) for mon in mons]
+    for widths, truth, bounds in _certified_blocks(episodes, [(mon, predictor) for mon in mons], resolutions):
+        stops = np.cumsum(widths).tolist()
+        columns = [slice(stop - width, stop) for stop, width in zip(stops, widths)]
+        episode_truth = [{name: rho[cols] for name, rho in truth.items()} for cols in columns]
+        yield [
+            [
+                EpisodeResult(
+                    {name: mon_bounds[name][cols] for name in resolved},
+                    {name: rho[name] for name in resolved},
+                    dict(errors),
+                    mon.k_max,
+                )
+                for cols, rho in zip(columns, episode_truth)
+            ]
+            for mon, (resolved, errors), mon_bounds in zip(mons, resolutions, bounds)
         ]
-        for mon, (resolved, errors), mon_bounds in zip(mons, resolutions, bounds)
-    ]
 
 
 def _certified_blocks(
@@ -507,7 +499,7 @@ def run_episodes(
     formulas: Sequence[Formula],
 ) -> list[EpisodeResult]:
     """:func:`run_monitors` for one monitor."""
-    return list(iter_episodes(episodes, predictor, mon, formulas))
+    return run_monitors(episodes, predictor, [mon], formulas)[0]
 
 
 def run_episode(

@@ -306,11 +306,13 @@ class TestCertify:
         root, ds, _ = workspace
         split = load_split(ds, "test")
         episodes = [replace(split[i % len(split)], uid=i) for i in range(8 * 100)]
+        warm = [replace(ep, uid=ep.uid + 8 * 100) for ep in episodes]
         argv = ["certify", "--model", str(root / "sem.json"), "--dataset", str(ds), "--formula", "G[0,4] p_clear"]
         # As in the metrics module's memory test: no full collection inside a
-        # measurement, and free lists filled by an untraced run over them all.
+        # measurement, and free lists filled by an untraced run over as many
+        # episodes of other uids.
         gc.collect()
-        monkeypatch.setattr(cli, "load_split", lambda *_: episodes)
+        monkeypatch.setattr(cli, "load_split", lambda *_: warm)
         assert main([*argv, "--out", str(tmp_path / "warm.jsonl")]) == 0
         peaks = []
         for n in (100, 8 * 100):
@@ -323,6 +325,28 @@ class TestCertify:
                 tracemalloc.stop()
         assert len((tmp_path / f"v{8 * 100}.jsonl").read_text().splitlines()) == 8 * 100 * 25
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_symlinked_out_is_written_through(self, workspace, tmp_path):
+        root, ds, _ = workspace
+        target, link = tmp_path / "target.jsonl", tmp_path / "v.jsonl"
+        target.write_text('{"earlier": "verdicts"}\n')
+        link.symlink_to(target)
+        argv = ["certify", "--model", str(root / "sem.json"), "--dataset", str(ds), "--formula", "G[0,4] p_clear"]
+        assert main([*argv, "--out", str(link)]) == 0
+        assert main([*argv, "--out", str(tmp_path / "plain.jsonl")]) == 0
+        assert link.is_symlink() and target.read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+    def test_existing_out_keeps_its_mode(self, workspace, tmp_path):
+        root, ds, _ = workspace
+        out = tmp_path / "v.csv"
+        out.write_text("earlier\n")
+        out.chmod(0o600)
+        assert main([
+            "certify", "--model", str(root / "sem.json"), "--dataset", str(ds),
+            "--formula", "G[0,4] p_clear", "--out", str(out),
+        ]) == 0
+        assert out.stat().st_mode & 0o777 == 0o600 and out.read_text().startswith("t,formula")
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
     def test_missing_model_exit_1(self, workspace, tmp_path):
         _, ds, _ = workspace

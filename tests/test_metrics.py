@@ -561,14 +561,16 @@ class TestMemoryFlatInTheSplit:
         mon, stub, formulas = memory_setup(level)
         rng = np.random.default_rng(seed)
         episodes = [random_episode(rng, 2, 40) for _ in range(8 * 24)]
+        warm = [random_episode(rng, 2, 40) for _ in range(8 * 24)]
         # Collect the cyclic garbage earlier tests leave (hypothesis's engine
         # data, some 28,000 objects): with it pending, a full collection falls
         # due inside a measurement now and then, and a full collection empties
         # CPython's free lists, whose refill tracemalloc counts. One untraced
-        # run over all the episodes then builds the decoders and read-outs and
-        # fills the free lists as far as the longer measured run uses them.
+        # run over as many other episodes of the same shape then builds the
+        # decoders and read-outs and fills the free lists, without filling
+        # anything kept per measured episode.
         gc.collect()
-        evaluate_monitor("mon", mon, stub, episodes, formulas)
+        evaluate_monitor("mon", mon, stub, warm, formulas)
         peaks = []
         for n in (24, 8 * 24):
             tracemalloc.start()
