@@ -60,7 +60,8 @@ def batch(out: Path, noise: str, formulas: str) -> None:
 
     runs = [
         ["simulate", "--counts", "4,20,4", "--seed", "0", "--out", data],
-        calibrate("sem", "--monitor", "semantic", "--scope", "fragment"),
+        # --sigma auto predicts the train split in blocks (estimate_sigma).
+        calibrate("sem", "--monitor", "semantic", "--scope", "fragment", "--sigma", "auto"),
         # Level 1 reads whole episodes; at alpha 0.5 some calib episodes are
         # not covered, so the report's level-1 coverage count is exercised.
         calibrate("sem1", "--monitor", "semantic", "--scope", "active",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .fragment import AtomicDictionary, build_depth1_dictionary
-from .robustness import Episode, semantic_basis_series
+from .robustness import Episode, TimeOutOfRangeError, _basis_rows, basis_side_by_side
 
 PREDICATE_NAMES = ("p_clear", "p_f", "p_l", "p_r", "p_front_margin", "p_goal", "p_speed")
 DEFAULT_INTERVALS = ((0, 1), (0, 2), (0, 4), (0, 8), (0, 16))
@@ -302,6 +303,17 @@ class PredictorStub:
     deviates follow ``z[t] = ar*z[t-1] + sqrt(1-ar^2)*eps[t]``, so ``ar=0``
     gives i.i.d. noise. The draw is keyed by ``(seed, episode uid)``: calling
     ``predict`` twice on the same episode returns identical output.
+
+    ``scale`` and ``bias`` are each a finite number or one per row
+    (predicate or atom), ``scale`` nonnegative. Construction checks them
+    once (a semantic stub's vectors against the dictionary's atoms; a
+    predicates stub's against each episode's ``m`` when it is predicted),
+    raising ``ValueError``, and keeps them as float arrays shaped for the
+    noise; ``to_json`` writes the fields as given.
+
+    :meth:`predict_block` predicts a block of episodes in one call, each
+    bit for bit what :meth:`predict`, its one-episode case, gives alone;
+    calibration and batch certification predict through it.
     """
 
     mode: str
@@ -316,37 +328,68 @@ class PredictorStub:
             raise ValueError(f"mode must be 'predicates' or 'semantic', got {self.mode!r}")
         if self.mode == "semantic" and self.dictionary is None:
             raise ValueError("semantic mode needs the dictionary whose basis it predicts")
-        if not (0.0 <= self.ar_coeff < 1.0):
+        if not (isinstance(self.ar_coeff, numbers.Real) and 0.0 <= self.ar_coeff < 1.0):
             raise ValueError(f"ar_coeff must lie in [0, 1), got {self.ar_coeff}")
-        if np.any(np.asarray(self.scale) < 0):
+        object.__setattr__(self, "_scale", _noise_coefficient("scale", self.scale))
+        object.__setattr__(self, "_bias", _noise_coefficient("bias", self.bias))
+        if (self._scale < 0).any():
             raise ValueError("scale must be nonnegative")
+        if self.mode == "semantic":
+            self._check_rows(self.dictionary.r, f"the dictionary has {self.dictionary.r} atoms")
+
+    def _check_rows(self, rows: int, what: str) -> None:
+        for name, x in (("scale", self._scale), ("bias", self._bias)):
+            if x.ndim and x.shape[0] != rows:
+                raise ValueError(f"{name} has {x.shape[0]} entries, but {what}")
 
     def predict(self, ep: Episode) -> np.ndarray:
-        if self.mode == "semantic":
-            truth = semantic_basis_series(ep, self.dictionary)
-        else:
-            truth = ep.mu
-        noise = self._noise(truth.shape, ep.uid)
-        return truth + noise
+        """``predict_block([ep])[0]``."""
+        return self.predict_block([ep])[0]
 
-    def _noise(self, shape: tuple[int, int], uid: int) -> np.ndarray:
+    def predict_block(self, episodes: Sequence[Episode]) -> list[np.ndarray]:
+        """One prediction per episode of ``episodes``, in order.
+
+        The truth is the episode's margins, or in semantic mode its atom
+        basis, built for the whole block from one basis pass over the
+        margins laid end to end, bit for bit each episode's own. Each
+        episode's noise is drawn from its own generator and added in place,
+        ``z *= scale; z += bias; z += truth``: floating-point products and
+        sums commute, so that is ``truth + (bias + scale * z)`` bit for bit.
+        """
+        if not episodes:
+            return []
+        if self.mode == "semantic":
+            d, k_max = self.dictionary, self.dictionary.K_max
+            for ep in episodes:
+                if ep.T < k_max:
+                    raise TimeOutOfRangeError(f"episode too short: T={ep.T} < K_max={k_max}")
+            joined = basis_side_by_side([ep.mu for ep in episodes], lambda mu: _basis_rows(mu, d), k_max)
+            truths = np.split(joined, np.cumsum([ep.T - k_max + 1 for ep in episodes])[:-1], axis=1)
+        else:
+            for ep in episodes:
+                self._check_rows(ep.m, f"episode {ep.uid} has {ep.m} predicates")
+            truths = [ep.mu for ep in episodes]
+        out = []
+        for ep, truth in zip(episodes, truths):
+            z = self._deviates(truth.shape, ep.uid)
+            z *= self._scale
+            z += self._bias
+            z += truth
+            out.append(z)
+        return out
+
+    def _deviates(self, shape: tuple[int, int], uid: int) -> np.ndarray:
+        """The episode's unit-variance noise before scaling, a new array."""
         rng = np.random.default_rng([self.seed, uid])
         eps = rng.standard_normal(shape)
-        if self.ar_coeff > 0.0:
-            z = np.empty_like(eps)
-            z[:, 0] = eps[:, 0]
-            w = math.sqrt(1.0 - self.ar_coeff**2)
-            for t in range(1, shape[1]):
-                z[:, t] = self.ar_coeff * z[:, t - 1] + w * eps[:, t]
-        else:
-            z = eps
-        scale = np.asarray(self.scale, dtype=float)
-        bias = np.asarray(self.bias, dtype=float)
-        if scale.ndim == 1:
-            scale = scale[:, None]
-        if bias.ndim == 1:
-            bias = bias[:, None]
-        return bias + scale * z
+        if self.ar_coeff == 0.0:
+            return eps
+        z = np.empty_like(eps)
+        z[:, 0] = eps[:, 0]
+        w = math.sqrt(1.0 - self.ar_coeff**2)
+        for t in range(1, shape[1]):
+            z[:, t] = self.ar_coeff * z[:, t - 1] + w * eps[:, t]
+        return z
 
     def to_json(self) -> dict:
         return {
@@ -356,6 +399,22 @@ class PredictorStub:
             "ar_coeff": self.ar_coeff,
             "seed": self.seed,
         }
+
+
+def _noise_coefficient(name: str, value) -> np.ndarray:
+    """``value``, a number or a vector of numbers, as a read-only float
+    array shaped for the noise: 0-d, or a vector as one column of rows."""
+    try:
+        x = np.asarray(value)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.dtype.kind not in "iuf" or x.ndim > 1:
+        raise ValueError(f"{name} must be a number or a vector of numbers, got {value!r}")
+    x = x.astype(float).reshape(x.shape + (1,) * x.ndim)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    x.flags.writeable = False
+    return x
 
 
 def stub_from_json(obj: dict, dictionary: AtomicDictionary | None = None) -> PredictorStub:

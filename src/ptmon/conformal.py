@@ -25,11 +25,14 @@ recomputed later without touching data or predictor again.
 and the batch certification of :mod:`~ptmon.monitors` and
 :mod:`~ptmon.metrics` read episodes through one generator of blocks
 (:func:`_episode_blocks`) of whole episodes or, at level 2, of each
-episode's sampled window of ``k_max + 1`` steps. Each episode is predicted
-whole, once per predictor, and each prediction checked on its own, but
-the bases and the error matrix are computed once per block, with results
-bit-identical to one episode at a time. One pass can read several
-predictors and layouts that share one ``k_max``.
+episode's sampled window of ``k_max + 1`` steps. Each block is predicted
+in one call per predictor, ``predict_block(episodes)`` when the predictor
+has one (its one contract: each prediction bit for bit what ``predict``
+gives the episode alone), else ``predict`` per episode; each episode is
+predicted whole and each prediction checked on its own. The bases and the
+error matrix are computed once per block, with results bit-identical to
+one episode at a time. One pass can read several predictors and layouts
+that share one ``k_max``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .fragment import (
     dictionary_to_json,
 )
 from .logic import Formula, horizon
-from .robustness import BasisKind, BasisVector, Episode, read_only_array
+from .robustness import BasisKind, BasisVector, Episode, basis_side_by_side, read_only_array
 
 SCORE_CACHE_VERSION = 1
 MONITOR_VERSION = 1
@@ -445,15 +448,13 @@ def _as_layout(basis_spec) -> AtomicDictionary | HistoryLayout:
     return basis_spec if isinstance(basis_spec, (AtomicDictionary, HistoryLayout)) else HistoryLayout(*basis_spec)
 
 
-def _prediction(ep: Episode, predictor, layout) -> np.ndarray:
-    """The predictor's raw output for ``ep``, checked: per-step predicates
-    ``(m, T+1)`` for a layout that :attr:`~HistoryLayout.predicts_steps`,
-    otherwise the basis columns over ``t = k_max .. T``."""
-    k_max = layout.k_max
-    if ep.T < k_max:
-        raise ValueError(f"episode too short: T={ep.T} < k_max={k_max}")
-    expected = (layout.m, ep.T + 1) if layout.predicts_steps else (layout.dim, ep.T - k_max + 1)
-    predicted = np.asarray(predictor.predict(ep), dtype=float)
+def _checked(prediction, ep: Episode, layout) -> np.ndarray:
+    """A predictor's output for ``ep`` as a float array, checked: per-step
+    predicates ``(m, T+1)`` for a layout that
+    :attr:`~HistoryLayout.predicts_steps`, otherwise the basis columns over
+    ``t = k_max .. T``, all finite."""
+    expected = (layout.m, ep.T + 1) if layout.predicts_steps else (layout.dim, ep.T - layout.k_max + 1)
+    predicted = np.asarray(prediction, dtype=float)
     if predicted.shape != expected:
         raise ValueError(
             f"predictor/basis mismatch: predictor gave {predicted.shape}, "
@@ -476,7 +477,9 @@ def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
     :func:`~ptmon.monitors.run_episodes` run the same checks on each episode.
     """
     layout = _as_layout(basis_spec)
-    predicted = _prediction(ep, predictor, layout)
+    if ep.T < layout.k_max:
+        raise ValueError(f"episode too short: T={ep.T} < k_max={layout.k_max}")
+    predicted = _checked(predictor.predict(ep), ep, layout)
     return layout.basis(predicted) if layout.predicts_steps else predicted
 
 
@@ -492,8 +495,6 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
     one predicted basis per ``(predictor, layout)`` pair of ``sources`` (at
     least one), one true basis per layout of ``truths``, and the block's
     episodes' widths. Every layout must have the first source's ``k_max``.
-    Each episode is predicted whole, once per source, and each prediction
-    checked on its own (:func:`_prediction`).
 
     Without ``tau_seed`` a block holds whole episodes up to
     :data:`_BLOCK_COLUMNS` columns. With one (level 2), episode ``i`` enters
@@ -503,34 +504,64 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
     (per-step predictions), one basis column wide. A window counts its
     ``k_max + 1`` steps against :data:`_BLOCK_COLUMNS`, so a block's
     intermediates are no larger than for whole episodes. A block always
-    holds at least one episode. The blocks depend on ``k_max`` alone, so
-    every source and truth is cut into the same blocks.
+    holds at least one episode. The blocks depend on ``ep.T`` and ``k_max``
+    alone, so every source and truth is cut into the same blocks.
+
+    Each block's episodes are predicted whole, in one call per source:
+    ``predictor.predict_block(episodes)`` when the predictor has one, which
+    must return one prediction per episode, in order, each bit for bit what
+    ``predictor.predict`` gives the episode alone; otherwise ``predict`` per
+    episode. Each prediction is then checked on its own, in split order
+    (:func:`_checked`). An episode shorter than ``k_max`` raises
+    ``ValueError`` before it is predicted, once the block before it has been
+    predicted, checked and handed over.
     """
     k_max = sources[0][1].k_max
-    block: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    block: list[tuple[int, Episode]] = []
     columns = 0
     for i, ep in enumerate(episodes):
-        mu = ep.mu
-        predicted = [_prediction(ep, predictor, layout) for predictor, layout in sources]
-        width = ep.T - k_max + 1
-        if tau_seed is not None:
-            start = sample_level2_time(tau_seed, i, k_max, ep.T) - k_max
-            mu, width = mu[:, start : start + k_max + 1], k_max + 1
-            predicted = [
-                p[:, start : start + (width if layout.predicts_steps else 1)]
-                for p, (_, layout) in zip(predicted, sources)
-            ]
-        if block and columns + width > _BLOCK_COLUMNS:
-            bases = [_block_bases(block, sources, truths, k_max)]
+        width = ep.T - k_max + 1 if tau_seed is None else k_max + 1
+        if block and (ep.T < k_max or columns + width > _BLOCK_COLUMNS):
+            bases = [_predicted_block(block, sources, truths, k_max, tau_seed)]
             # Hold neither the episodes' own predictions nor, once popped,
             # the bases while the block is used: a caller that copies them
             # frees the originals.
             block, columns = [], 0
             yield bases.pop()
-        block.append((mu, predicted))
+        if ep.T < k_max:
+            raise ValueError(f"episode too short: T={ep.T} < k_max={k_max}")
+        block.append((i, ep))
         columns += width
     if block:
-        yield _block_bases(block, sources, truths, k_max)
+        yield _predicted_block(block, sources, truths, k_max, tau_seed)
+
+
+def _predicted_block(block: list[tuple[int, Episode]], sources, truths, k_max: int, tau_seed: int | None):
+    """:func:`_block_bases` of the ``(position, episode)`` pairs of
+    ``block``: each source predicts the block in one call, each prediction
+    is checked, and at level 2 (a ``tau_seed``) cut to the episode's
+    sampled window."""
+    episodes = [ep for _, ep in block]
+    predictions = []
+    for predictor, _ in sources:
+        predict_block = getattr(predictor, "predict_block", None)
+        out = predict_block(episodes) if predict_block else [predictor.predict(ep) for ep in episodes]
+        if len(out) != len(episodes):
+            raise ValueError(f"predict_block returned {len(out)} predictions for {len(episodes)} episodes")
+        predictions.append(out)
+    arrays = []
+    for e, (i, ep) in enumerate(block):
+        mu = ep.mu
+        predicted = [_checked(out[e], ep, layout) for out, (_, layout) in zip(predictions, sources)]
+        if tau_seed is not None:
+            start = sample_level2_time(tau_seed, i, k_max, ep.T) - k_max
+            mu = mu[:, start : start + k_max + 1]
+            predicted = [
+                p[:, start : start + (k_max + 1 if layout.predicts_steps else 1)]
+                for p, (_, layout) in zip(predicted, sources)
+            ]
+        arrays.append((mu, predicted))
+    return _block_bases(arrays, sources, truths, k_max)
 
 
 def _block_bases(block: list[tuple[np.ndarray, list[np.ndarray]]], sources, truths, k_max: int):
@@ -539,31 +570,21 @@ def _block_bases(block: list[tuple[np.ndarray, list[np.ndarray]]], sources, trut
     same steps, one per source: the predicted bases in the order of
     ``sources``, the true ones in the order of ``truths``.
 
-    The margins (and per-step predictions) are laid end to end along time
-    and run once through each layout's ``basis`` routine,
-    :func:`~ptmon.robustness._basis_rows` or
-    :func:`~ptmon.robustness.stack_lags`. Column ``c`` is then the window
-    ending at step ``c + k_max``; the ``k_max`` columns after each array's
-    last one straddle a boundary and are dropped. Every kept column reads
-    only its own array, and the doubling of
-    :func:`~ptmon.robustness._sliding_extrema` builds a window from the
-    same ``np.minimum``/``np.maximum`` calls wherever it starts (an atom
-    outside the shared pass is evaluated on its own and tail-aligned, so
-    this holds for it too): the result is the per-array bases side by
-    side, bit for bit.
+    Each basis comes from one call of its layout's ``basis`` over the
+    block's arrays laid end to end
+    (:func:`~ptmon.robustness.basis_side_by_side`), bit for bit the
+    per-array bases side by side; atom-column predictions are laid side by
+    side as they are.
     """
     widths = [mu.shape[1] - k_max for mu, _ in block]
-    # Array e's columns start e * k_max columns later in the concatenation.
-    keep = np.arange(sum(widths)) + k_max * np.repeat(np.arange(len(block)), widths)
     # Truth first: its temporaries are freed before the predictions are
     # stacked, which keeps the block's peak memory (and fresh pages) down.
-    mu = np.concatenate([mu for mu, _ in block], axis=1)
-    true = [layout.basis(mu)[:, keep] for layout in truths]
-    del mu
+    true = [basis_side_by_side([mu for mu, _ in block], layout.basis, k_max) for layout in truths]
     predicted = []
     for j, (_, layout) in enumerate(sources):
-        p = np.concatenate([ps[j] for _, ps in block], axis=1)
-        predicted.append(layout.basis(p)[:, keep] if layout.predicts_steps else p)
+        ps = [ps[j] for _, ps in block]
+        predicted.append(basis_side_by_side(ps, layout.basis, k_max) if layout.predicts_steps
+                         else np.concatenate(ps, axis=1))
     return predicted, true, widths
 
 

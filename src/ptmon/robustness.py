@@ -20,6 +20,10 @@ Two flattenings of an episode's history are used downstream:
   ``k`` at lag ``j``);
 * the semantic vector: one robustness value per atom of a dictionary.
 
+Several arrays' bases come from one call of a basis routine over the
+arrays laid end to end (:func:`basis_side_by_side`), bit for bit the
+per-array bases side by side.
+
 Everything here is pure; an episode keeps its arrays read-only.
 """
 
@@ -338,6 +342,29 @@ def _basis_rows(mu: np.ndarray, dictionary) -> np.ndarray:
         row = _series(dictionary.atoms[i], mu)
         out[i] = row[row.size - out.shape[1] :]
     return out
+
+
+def basis_side_by_side(arrays: Sequence[np.ndarray], routine, k_max: int) -> np.ndarray:
+    """The bases of the ``(m, n_e)`` arrays of ``arrays`` (each with
+    ``n_e > k_max``) side by side, from one call of the basis ``routine``
+    over the arrays laid end to end along time.
+
+    A routine maps ``(m, n)`` values to one column per time ``k_max ..
+    n-1`` that reads only the ``k_max + 1`` steps ending there: a layout's
+    ``basis``, :func:`_basis_rows` or :func:`stack_lags`. Column ``c`` of
+    the one call is the window ending at step ``c + k_max``; the ``k_max``
+    columns after each array's last one straddle a boundary and are
+    dropped. Every kept column reads only its own array, and the doubling
+    of :func:`_sliding_extrema` builds a window from the same
+    ``np.minimum``/``np.maximum`` calls wherever it starts (an atom outside
+    the shared pass is evaluated on its own and tail-aligned, so this holds
+    for it too): the result is the per-array bases side by side, bit for
+    bit.
+    """
+    widths = [a.shape[1] - k_max for a in arrays]
+    # Array e's columns start e * k_max columns later in the one call.
+    keep = np.arange(sum(widths)) + k_max * np.repeat(np.arange(len(arrays)), widths)
+    return routine(np.concatenate(arrays, axis=1))[:, keep]
 
 
 def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:

@@ -377,6 +377,23 @@ def lag_loop_basis_rows(mu: np.ndarray, dictionary: AtomicDictionary) -> np.ndar
     return out
 
 
+def naive_stub_prediction(stub, ep: Episode) -> np.ndarray:
+    """A :class:`~ptmon.benchmark.PredictorStub`'s prediction for ``ep``,
+    one episode at a time: the truth (the margins, or the atom rows of
+    :func:`lag_loop_basis_rows`) plus ``bias + scale * z``, where ``z`` is the
+    AR(1) filter of the episode's standard normal draws, and ``scale`` and
+    ``bias`` are the stub's fields as given, a vector as one column."""
+    truth = lag_loop_basis_rows(ep.mu, stub.dictionary) if stub.mode == "semantic" else ep.mu
+    z = np.random.default_rng([stub.seed, ep.uid]).standard_normal(truth.shape)
+    if stub.ar_coeff:
+        eps, w = z.copy(), math.sqrt(1.0 - stub.ar_coeff**2)
+        for t in range(1, truth.shape[1]):
+            z[:, t] = stub.ar_coeff * z[:, t - 1] + w * eps[:, t]
+    scale, bias = (np.asarray(x, dtype=float) for x in (stub.scale, stub.bias))
+    scale, bias = (x[:, None] if x.ndim else x for x in (scale, bias))
+    return truth + (bias + scale * z)
+
+
 def naive_wrap_angle(angle: np.ndarray) -> np.ndarray:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 

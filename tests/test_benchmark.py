@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmon.benchmark as benchmark
-from helpers import naive_crossroad_margins, naive_simulate_episode, random_episode, write_split
+from helpers import (
+    mixed_dictionary,
+    naive_crossroad_margins,
+    naive_simulate_episode,
+    naive_stub_prediction,
+    random_episode,
+    tie_heavy,
+    write_split,
+)
 from ptmon.benchmark import (
     DEFAULT_INTERVALS,
     PREDICATE_NAMES,
@@ -25,7 +33,7 @@ from ptmon.benchmark import (
     simulate_episode,
     stub_from_json,
 )
-from ptmon.robustness import semantic_basis_series
+from ptmon.robustness import Episode, TimeOutOfRangeError, semantic_basis_series
 from ptmon.fragment import build_depth1_dictionary
 
 
@@ -328,6 +336,92 @@ class TestPredictorStub:
         z = stub.predict(ep) - ep.mu
         assert np.allclose(z[:6], 0.0)
         assert np.abs(z[6]).max() > 0
+
+
+class TestPredictBlock:
+    """``predict_block(eps)[i]`` is ``predict(eps[i])`` bit for bit, and both
+    are the one-episode-at-a-time oracle's prediction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["semantic", "predicates"]), st.booleans(), st.booleans())
+    def test_block_equals_each_episode_alone(self, seed, mode, ar, per_row):
+        rng = np.random.default_rng(seed)
+        m = 3
+        d = mixed_dictionary(rng, m)
+        rows = d.r if mode == "semantic" else m
+        if per_row:  # zero scales among them keep the truth's bits
+            scale = np.where(rng.random(rows) < 0.3, 0.0, rng.uniform(0.0, 0.5, rows))
+            bias = rng.choice([0.0, -0.0, 0.25], rows)
+        else:
+            scale, bias = float(rng.choice([0.0, 0.3])), float(rng.choice([0.0, -0.1]))
+        stub = PredictorStub(mode=mode, scale=scale, bias=bias, ar_coeff=0.7 if ar else 0.0,
+                             seed=seed % 101, dictionary=d)
+        # Mixed lengths, one with a single valid time, and ties and signed
+        # zeros in the margins.
+        lengths = [d.K_max, *rng.integers(d.K_max, d.K_max + 40, size=int(rng.integers(1, 8)))]
+        eps = [Episode(mu=tie_heavy(rng, (m, int(n) + 1)), uid=int(rng.integers(1 << 40)))
+               for n in rng.permutation(lengths)]
+        got = stub.predict_block(eps)
+        assert len(got) == len(eps)
+        for ep, p in zip(eps, got):
+            assert p.dtype == float
+            assert p.tobytes() == stub.predict(ep).tobytes()
+            assert p.tobytes() == naive_stub_prediction(stub, ep).tobytes()
+
+    def test_empty_block(self):
+        d = build_depth1_dictionary(7, DEFAULT_INTERVALS, PREDICATE_NAMES)
+        assert PredictorStub(mode="semantic", dictionary=d).predict_block([]) == []
+        assert PredictorStub(mode="predicates").predict_block([]) == []
+
+    def test_semantic_episode_too_short(self):
+        d = build_depth1_dictionary(7, DEFAULT_INTERVALS, PREDICATE_NAMES)
+        stub = PredictorStub(mode="semantic", dictionary=d)
+        eps = [simulate_episode(CrossroadConfig(T=T), 2) for T in (20, 15)]
+        with pytest.raises(TimeOutOfRangeError, match="T=15 < K_max=16"):
+            stub.predict_block(eps)
+
+
+class TestNoiseCoefficientsChecked:
+    """``scale`` and ``bias`` are checked once, when the stub is built; a
+    predicates stub's vectors against each episode's predicates."""
+
+    @pytest.mark.parametrize("name", ["scale", "bias"])
+    @pytest.mark.parametrize("bad", ["abc", None, True, [[0.1]], [0.1, "x"], [[0.1, 0.2], [0.3]]])
+    def test_not_a_number_or_vector(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a number or a vector of numbers"):
+            PredictorStub(mode="predicates", **{name: bad})
+
+    @pytest.mark.parametrize("name", ["scale", "bias"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+    def test_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PredictorStub(mode="predicates", **{name: bad})
+
+    def test_negative_scale(self):
+        with pytest.raises(ValueError, match="scale must be nonnegative"):
+            PredictorStub(mode="predicates", scale=[0.1, -0.1])
+
+    @pytest.mark.parametrize("name", ["scale", "bias"])
+    def test_semantic_vector_of_another_length(self, name):
+        d = build_depth1_dictionary(7, DEFAULT_INTERVALS, PREDICATE_NAMES)
+        with pytest.raises(ValueError, match=f"{name} has 7 entries, but the dictionary has {d.r} atoms"):
+            PredictorStub(mode="semantic", dictionary=d, **{name: [0.1] * 7})
+
+    @pytest.mark.parametrize("name", ["scale", "bias"])
+    def test_predicates_vector_of_another_length(self, name):
+        stub = PredictorStub(mode="predicates", **{name: [0.1, 0.2]})
+        ep = simulate_episode(CrossroadConfig(T=10), 5)
+        with pytest.raises(ValueError, match=f"{name} has 2 entries, but episode 5 has 7 predicates"):
+            stub.predict(ep)
+
+    @pytest.mark.parametrize("scale, bias, text", [
+        (0.1, -0.05, '"scale": 0.1, "bias": -0.05'),
+        (1, 0, '"scale": 1, "bias": 0'),
+        ([0.5, 1, 0.0], np.array([0.0, -0.0, 2.0]), '"scale": [0.5, 1.0, 0.0], "bias": [0.0, -0.0, 2.0]'),
+    ])
+    def test_to_json_writes_the_fields_as_given(self, scale, bias, text):
+        stub = PredictorStub(mode="predicates", scale=scale, bias=bias, seed=4)
+        assert json.dumps(stub.to_json()) == '{"mode": "predicates", ' + text + ', "ar_coeff": 0.0, "seed": 4}'
 
 
 class TestDatasetIO:

@@ -180,6 +180,28 @@ class TestCalibrate:
         assert code == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("monitor", ["semantic", "rolling"])
+    @pytest.mark.parametrize("line, message", [
+        ("scale = abc", "scale must be a number or a vector of numbers, got 'abc'"),
+        ("bias = -1e999", "bias must be finite, got -inf"),
+        ("scale = [0.1, 0.2]", "scale has 2 entries, but "),
+        ("ar_coeff = abc", "ar_coeff must lie in [0, 1)"),
+    ])
+    def test_malformed_noise_value_exit_2(self, workspace, tmp_path, capsys, monitor, line, message):
+        """A noise value numpy cannot use is a malformed config: exit 2
+        with the key named, never a traceback, and no model is written."""
+        root, ds, _ = workspace
+        noise = tmp_path / "noise.txt"
+        noise.write_text(f"{line}\nseed = 9\n")
+        out = tmp_path / "bad.json"
+        code = main([
+            "calibrate", "--dataset", str(ds), "--monitor", monitor, "--scope", "fragment",
+            "--noise", str(noise), "--out", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_formula_reports_position(self, workspace, capsys):
         root, ds, noise = workspace
         code = main([
@@ -280,15 +302,15 @@ class TestCertify:
         out = tmp_path / "v.jsonl"
         out.write_text('{"earlier": "verdicts"}\n')
         before = out.read_bytes()
-        real_predict, calls = PredictorStub.predict, []
+        real_predict_block, calls = PredictorStub.predict_block, []
 
-        def failing(self, ep):
-            calls.append(ep.uid)
-            if len(calls) == 4:
+        def failing(self, episodes):
+            calls.extend(ep.uid for ep in episodes)
+            if len(calls) >= 4:
                 raise ValueError("prediction failed")
-            return real_predict(self, ep)
+            return real_predict_block(self, episodes)
 
-        monkeypatch.setattr(PredictorStub, "predict", failing)
+        monkeypatch.setattr(PredictorStub, "predict_block", failing)
         monkeypatch.setattr(conformal, "_BLOCK_COLUMNS", 20)  # two episodes a block
         assert main([
             "certify", "--model", str(root / "sem.json"), "--dataset", str(ds),
@@ -444,13 +466,13 @@ class TestReport:
             "--formula", "G[0,2] p_f", "--out", str(tmp_path / "reseeded.json"),
         ]) == 0
         predictions = Counter()
-        real_predict = PredictorStub.predict
+        real_predict_block = PredictorStub.predict_block
 
-        def counting_predict(self, ep):
-            predictions[ep.uid] += 1
-            return real_predict(self, ep)
+        def counting_predict_block(self, episodes):
+            predictions.update(ep.uid for ep in episodes)
+            return real_predict_block(self, episodes)
 
-        monkeypatch.setattr(PredictorStub, "predict", counting_predict)
+        monkeypatch.setattr(PredictorStub, "predict_block", counting_predict_block)
 
         def report(*models):
             """The JSON rows of a report over ``models``, and how many times

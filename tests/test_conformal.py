@@ -1829,6 +1829,61 @@ class TestTruthOncePerBlock:
         self.check(calls, predictor, eps, 7, None, stacks_predictions=mode == "predicates")
 
 
+class TestLevel2TimeLaw:
+    """Level-2 times are uniform on ``k_max .. T``: over a fixed range of
+    episode positions every valid time is drawn and none other, with
+    counts a chi-square test does not reject."""
+
+    def test_support_is_every_valid_time(self):
+        k_max, T, n = 16, 60, 4500
+        counts = np.bincount([sample_level2_time(0, i, k_max, T) for i in range(n)], minlength=T + 1)
+        assert counts[:k_max].sum() == 0 and len(counts) == T + 1
+        assert (counts[k_max:] > 0).all()
+        # Pearson's statistic over the 45 valid times, 44 degrees of freedom;
+        # 78.75 is the 0.999 quantile of chi-square(44).
+        expected = n / (T - k_max + 1)
+        assert ((counts[k_max:] - expected) ** 2 / expected).sum() < 78.75
+
+    def test_one_valid_time(self):
+        assert {sample_level2_time(3, i, 16, 16) for i in range(50)} == {16}
+
+
+class TestReuseRunsNoPredictor:
+    """Criterion 9 through every predictor entry point: with ``predict``
+    and ``predict_block`` both poisoned, a saved model is loaded,
+    specialised to a new formula and certifies from a snapshot."""
+
+    def test_load_for_formula_and_certify(self, tmp_path, monkeypatch):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 4)), ("p0", "p1"))
+        rng = np.random.default_rng(41)
+        eps = tiny_episodes(rng, d, 24, T=12)
+        stub = PredictorStub(mode="semantic", scale=0.15, seed=3, dictionary=d)
+        mon = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d, tau_seed=1)
+        save_monitor(replace(mon, predictor_config=stub.to_json()), tmp_path / "model.json")
+        f_new = parse_formula("G[0,4] p0 & F[0,1] p1", d.predicate_names)
+        support = mon.decoder(f_new).support
+        want = calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2, support=support), d,
+                         tau_seed=1).radius
+        snapshot = BasisVector(BasisKind.SEMANTIC, stub.predict(eps[0])[:, 3], d.K_max + 3)
+        calls = []
+
+        def poisoned(self, *args):
+            calls.append(args)
+            raise AssertionError("predictor ran during reuse")
+
+        monkeypatch.setattr(PredictorStub, "predict", poisoned)
+        monkeypatch.setattr(PredictorStub, "predict_block", poisoned)
+        active = load_monitor(tmp_path / "model.json").for_formula(f_new)
+        assert active.radius == want
+        lb = certified_lower_bound(active, snapshot, active.decoder(f_new))
+        assert lb == copy_and_subtract_bound(active, snapshot, active.decoder(f_new))
+        assert calls == []
+        # The poison reaches the block path calibration takes.
+        with pytest.raises(AssertionError, match="predictor ran"):
+            calibrate(eps, stub, ScoreConfig(sigma=np.ones(d.r), alpha=0.1, level=2), d)
+        assert len(calls) == 1
+
+
 class TestTooShortEpisodeRefused:
     """An episode shorter than the basis depth (``T < k_max``) in the middle
     of the list is refused by every calibration with the same error, before

@@ -287,18 +287,18 @@ class TestEvaluateMonitors:
     def test_one_prediction_and_one_level2_draw_per_episode_for_the_group(self, monkeypatch):
         named, stub, episodes, formulas = history_group()
         draws, predictions = Counter(), Counter()
-        real_draw, real_predict = metrics_module.sample_level2_time, PredictorStub.predict
+        real_draw, real_predict_block = metrics_module.sample_level2_time, PredictorStub.predict_block
 
         def counting_draw(seed, i, *args):
             draws[i] += 1
             return real_draw(seed, i, *args)
 
-        def counting_predict(self, ep):
-            predictions[ep.uid] += 1
-            return real_predict(self, ep)
+        def counting_predict_block(self, eps):
+            predictions.update(ep.uid for ep in eps)
+            return real_predict_block(self, eps)
 
         monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
-        monkeypatch.setattr(PredictorStub, "predict", counting_predict)
+        monkeypatch.setattr(PredictorStub, "predict_block", counting_predict_block)
         results = evaluate_monitors([(name, mon, stub) for name, mon in named], episodes, formulas)
         assert sum(len(rows) for rows, _ in results) == 5
         assert draws == {i: 1 for i in range(len(episodes))}
@@ -309,10 +309,11 @@ class TestEvaluateMonitors:
         roll = named[0][1]
         deeper = dataclasses.replace(roll, layout=HistoryLayout(2, 5), sigma=np.ones(2 * 6), cache=None)
 
-        def predicting(self, ep):
+        def predicting(self, ep_or_eps):
             raise AssertionError("an episode was predicted")
 
         monkeypatch.setattr(PredictorStub, "predict", predicting)
+        monkeypatch.setattr(PredictorStub, "predict_block", predicting)
         with pytest.raises(ValueError, match="share a basis layout"):
             evaluate_monitors([(name, mon, stub) for name, mon in [*named, ("deeper", deeper)]], episodes, formulas)
 
@@ -386,12 +387,12 @@ class TestOnePassPerReport:
         models, episodes = mixed_models()
         formulas = [parse_formula(t, MIXED_NAMES) for t in texts]
         predictions, draws, truths, blocks = Counter(), Counter(), Counter(), []
-        real_predict, real_draw = PredictorStub.predict, metrics_module.sample_level2_time
+        real_predict_block, real_draw = PredictorStub.predict_block, metrics_module.sample_level2_time
         real_decode, real_blocks = monitors.decode_series, conformal._block_bases
 
-        def counting_predict(self, ep):
-            predictions[self.mode, ep.uid] += 1
-            return real_predict(self, ep)
+        def counting_predict_block(self, eps):
+            predictions.update((self.mode, ep.uid) for ep in eps)
+            return real_predict_block(self, eps)
 
         def counting_draw(seed, i, *args):
             draws[i] += 1
@@ -405,7 +406,7 @@ class TestOnePassPerReport:
             blocks.append([layout.basis_kind.value for layout in truth_layouts])
             return real_blocks(block, sources, truth_layouts, k_max)
 
-        monkeypatch.setattr(PredictorStub, "predict", counting_predict)
+        monkeypatch.setattr(PredictorStub, "predict_block", counting_predict_block)
         monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
         monkeypatch.setattr(monitors, "decode_series", counting_truth)
         monkeypatch.setattr(conformal, "_block_bases", recording_blocks)
@@ -431,10 +432,11 @@ class TestOnePassPerReport:
         deeper = dataclasses.replace(roll, layout=HistoryLayout(2, 4), sigma=np.ones(2 * 5), cache=None)
         other = PredictorStub(mode="predicates", scale=0.1, seed=3)
 
-        def predicting(self, ep):
+        def predicting(self, ep_or_eps):
             raise AssertionError("an episode was predicted")
 
         monkeypatch.setattr(PredictorStub, "predict", predicting)
+        monkeypatch.setattr(PredictorStub, "predict_block", predicting)
         formulas = [parse_formula(t, MIXED_NAMES) for t in MIXED_FORMULAS]
         with pytest.raises(ValueError, match="share k_max"):
             evaluate_monitors([*models, ("deeper", deeper, other)], episodes, formulas)

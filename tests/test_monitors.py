@@ -193,6 +193,48 @@ class TestRollingCertify:
         # depth-0 formulas only need the freshest step back
         assert rolling_certify(buf, mon, shallow).label is not Label.WARMING_UP
 
+    @pytest.mark.parametrize("kind", ["rolling", "observer"])
+    @pytest.mark.parametrize("text", ["G[0,2] p0 & F[0,1] p1", "F[1,2] p0 | p1", "p0"])
+    def test_rewarms_for_horizon_plus_one_fresh_steps_after_a_drop(self, kind, text):
+        """After ``mark_dropped`` both history monitors report warm-up until
+        ``horizon + 1`` fresh steps have been pushed; the first bound then
+        equals the naive decoder over those fresh steps alone, less the
+        monitor's shift. Reading a lag from before the drop (zero-filled)
+        would raise in the oracle."""
+        rng = np.random.default_rng(12)
+        m, k_max = 2, 4
+        f = parse_formula(text, ("p0", "p1"))
+        eps = [random_episode(rng, m, 12) for _ in range(15)]
+        stub = PredictorStub(mode="predicates", scale=0.3, seed=6)
+        if kind == "rolling":
+            sigma = rng.uniform(0.5, 2.0, m * (k_max + 1))
+            mon = calibrate(eps, stub, ScoreConfig(sigma=sigma, alpha=0.2, level=2), (m, k_max))
+            certify = lambda buf: rolling_certify(buf, mon, f)  # noqa: E731
+        else:
+            mon = observer_calibrate(eps, stub, f, 0.2, k_max=k_max)
+            certify = lambda buf: observer_certify(buf, mon, f)  # noqa: E731
+        root = helpers.naive_compile_history_decoder(f, m, k_max).root
+        buf = RollingBuffer(m, k_max)
+        for t in range(k_max + 3):
+            buf.push(rng.normal(size=m))
+        assert certify(buf).label is not Label.WARMING_UP
+        buf.mark_dropped()
+        assert certify(buf).label is Label.WARMING_UP
+        fresh = rng.normal(size=(m, horizon(f) + 1))
+        for n in range(1, horizon(f) + 2):
+            buf.push(fresh[:, n - 1])
+            v = certify(buf)
+            if n <= horizon(f):
+                assert v.label is Label.WARMING_UP and v.lower_bound is None
+        # Only the fresh steps, lag j of predicate k at k * (k_max + 1) + j.
+        values = {
+            k * (k_max + 1) + j: float(fresh[k, -1 - j]) - float(mon.shift[k * (k_max + 1) + j])
+            for k in range(m)
+            for j in range(fresh.shape[1])
+        }
+        assert v.lower_bound == helpers.naive_decode(root, values)
+        assert v.label is (Label.SAFE if v.lower_bound >= 0.0 else Label.UNCERTAIN)
+
     def test_tie_is_safe(self):
         rng = np.random.default_rng(4)
         mon, stub, _ = rolling_monitor(rng)
