@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .conformal import _NOISE, _check_seed, _keyed_generator
 from .fragment import AtomicDictionary, build_depth1_dictionary
 from .robustness import Episode, TimeOutOfRangeError, _basis_rows, basis_side_by_side
 
@@ -301,8 +302,11 @@ class PredictorStub:
     dictionary-atom robustness columns for the valid times. Noise is
     stationary with unit marginal variance before scaling: successive
     deviates follow ``z[t] = ar*z[t-1] + sqrt(1-ar^2)*eps[t]``, so ``ar=0``
-    gives i.i.d. noise. The draw is keyed by ``(seed, episode uid)``: calling
-    ``predict`` twice on the same episode returns identical output.
+    gives i.i.d. noise. The draw is keyed by ``(seed, episode uid)``, on
+    streams of its own (:meth:`_deviates`): calling ``predict`` twice on the
+    same episode returns identical output. ``seed`` is an integer in ``0 ..
+    2**64 - 1`` (``ValueError`` otherwise, at construction), and so must
+    each predicted episode's uid be.
 
     ``scale`` and ``bias`` are each a finite number or one per row
     (predicate or atom), ``scale`` nonnegative. Construction checks them
@@ -328,6 +332,7 @@ class PredictorStub:
             raise ValueError(f"mode must be 'predicates' or 'semantic', got {self.mode!r}")
         if self.mode == "semantic" and self.dictionary is None:
             raise ValueError("semantic mode needs the dictionary whose basis it predicts")
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
         if not (isinstance(self.ar_coeff, numbers.Real) and 0.0 <= self.ar_coeff < 1.0):
             raise ValueError(f"ar_coeff must lie in [0, 1), got {self.ar_coeff}")
         object.__setattr__(self, "_scale", _noise_coefficient("scale", self.scale))
@@ -379,9 +384,11 @@ class PredictorStub:
         return out
 
     def _deviates(self, shape: tuple[int, int], uid: int) -> np.ndarray:
-        """The episode's unit-variance noise before scaling, a new array."""
-        rng = np.random.default_rng([self.seed, uid])
-        eps = rng.standard_normal(shape)
+        """The episode's unit-variance noise before scaling, a new array:
+        ``standard_normal(shape)`` from the keyed generator of ``(1, seed,
+        uid)`` (:func:`~ptmon.conformal._keyed_generator`, purpose 1:
+        predictor noise), then the AR(1) filter along time."""
+        eps = _keyed_generator(_NOISE, self.seed, uid).standard_normal(shape)
         if self.ar_coeff == 0.0:
             return eps
         z = np.empty_like(eps)
@@ -425,7 +432,7 @@ def stub_from_json(obj: dict, dictionary: AtomicDictionary | None = None) -> Pre
         scale=np.asarray(scale, dtype=float) if isinstance(scale, list) else float(scale),
         bias=np.asarray(bias, dtype=float) if isinstance(bias, list) else float(bias),
         ar_coeff=float(obj.get("ar_coeff", 0.0)),
-        seed=int(obj.get("seed", 0)),
+        seed=obj.get("seed", 0),
         dictionary=dictionary,
     )
 

@@ -107,7 +107,7 @@ def _load_noise(path: str | None, mode: str, dictionary) -> PredictorStub:
         scale=cfg.get("scale", 0.2),
         bias=cfg.get("bias", 0.0),
         ar_coeff=cfg.get("ar_coeff", 0.0),
-        seed=int(cfg.get("seed", 0)),
+        seed=cfg.get("seed", 0),
         dictionary=dictionary if mode == "semantic" else None,
     )
 

@@ -37,14 +37,18 @@ that share one ``k_max``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import numbers
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .fragment import (
     AtomicDictionary,
@@ -61,7 +65,7 @@ from .logic import Formula, horizon
 from .robustness import BasisKind, BasisVector, Episode, basis_side_by_side, read_only_array
 
 SCORE_CACHE_VERSION = 1
-MONITOR_VERSION = 1
+MONITOR_VERSION = 2
 # Smallest per-coordinate scale estimate_sigma returns.
 SIGMA_FLOOR = 1e-6
 
@@ -423,10 +427,53 @@ def _radius(cache: ScoreCache, index: np.ndarray, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Purpose tags of the keyed draws: each purpose has streams of its own, so
+# equal integers never key one stream for two purposes, nor one the
+# simulator draws from with ``default_rng([seed, uid])``.
+_NOISE, _LEVEL2_TIME = 1, 2
+
+
+def _check_seed(seed, name: str) -> int:
+    """``seed`` as an ``int``: a keyed draw's seed is an integer in
+    ``0 .. 2**64 - 1``. Raises ``ValueError`` otherwise."""
+    if isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64:
+        return int(seed)
+    raise ValueError(f"{name} must be an integer in 0 .. 2**64 - 1, got {seed!r}")
+
+
+class _Key(ISeedSequence):
+    """The seed of one keyed draw, through numpy's public interface for seed
+    sequences: the state words are the 32-byte BLAKE2b digest of
+    ``(purpose, seed, key)``, packed as three little-endian 64-bit words,
+    read as little-endian words."""
+
+    __slots__ = ("_digest",)
+
+    def __init__(self, purpose: int, seed: int, key: int) -> None:
+        try:
+            words = struct.pack("<3Q", purpose, seed, key)
+        except struct.error:
+            raise ValueError(f"a draw needs a seed and key in 0 .. 2**64 - 1, got {seed!r} and {key!r}") from None
+        self._digest = hashlib.blake2b(words, digest_size=32).digest()
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.frombuffer(self._digest, np.dtype(dtype).newbyteorder("<"), n_words)
+
+
+def _keyed_generator(purpose: int, seed: int, key: int) -> np.random.Generator:
+    """The generator of one keyed draw (randomness contract version 2):
+    ``PCG64`` seeded with :class:`_Key`, that is with ``generate_state(4,
+    uint64)`` of the digest of ``(purpose, seed, key)``. A draw depends on
+    these three integers alone."""
+    return np.random.Generator(np.random.PCG64(_Key(purpose, seed, key)))
+
+
 def sample_level2_time(seed: int, episode_index: int, k_max: int, T: int) -> int:
     """The valid time, uniform on ``k_max .. T``, at which a level-2 score or
-    check reads episode ``episode_index``: one ``integers`` draw from a
-    fresh ``np.random.default_rng([seed, episode_index])``.
+    check reads episode ``episode_index``: one ``integers(k_max, T + 1)``
+    draw from the keyed generator of ``(2, seed, episode_index)``
+    (:func:`_keyed_generator`, purpose 2: level-2 times). ``seed`` and
+    ``episode_index`` lie in ``0 .. 2**64 - 1``.
 
     Every level-2 draw goes through this function: level-2 calibration and
     the observer's calibration (each episode's window in
@@ -435,11 +482,12 @@ def sample_level2_time(seed: int, episode_index: int, k_max: int, T: int) -> int
     episode_index)``, never on the order or the number of other draws.
     Do not vectorise it, share a generator between episodes or cache its
     draws silently: any other stream of draws moves every level-2 time, and
-    with them every radius, model file and digest. A cheaper draw needs a
-    versioned change of this contract.
+    with them every radius, model file and digest. Another draw needs a
+    new version of this contract and of :data:`MONITOR_VERSION`;
+    ``tests/test_conformal.py::TestRandomnessContract`` pins this one by
+    value.
     """
-    rng = np.random.default_rng([seed, episode_index])
-    return int(rng.integers(k_max, T + 1))
+    return int(_keyed_generator(_LEVEL2_TIME, seed, episode_index).integers(k_max, T + 1))
 
 
 def _as_layout(basis_spec) -> AtomicDictionary | HistoryLayout:
@@ -499,7 +547,8 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
     Without ``tau_seed`` a block holds whole episodes up to
     :data:`_BLOCK_COLUMNS` columns. With one (level 2), episode ``i`` enters
     only as its sampled window: the ``k_max + 1`` steps that end at
-    ``tau = sample_level2_time(tau_seed, i, k_max, ep.T)``, with the
+    ``tau = sample_level2_time(tau_seed, i, k_max, ep.T)``, the keyed draw
+    of ``(tau_seed, i)`` for its position ``i`` in ``episodes``, with the
     prediction's column for ``tau`` (atom columns) or the same steps
     (per-step predictions), one basis column wide. A window counts its
     ``k_max + 1`` steps against :data:`_BLOCK_COLUMNS`, so a block's
@@ -510,7 +559,8 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
     Each block's episodes are predicted whole, in one call per source:
     ``predictor.predict_block(episodes)`` when the predictor has one, which
     must return one prediction per episode, in order, each bit for bit what
-    ``predictor.predict`` gives the episode alone; otherwise ``predict`` per
+    ``predictor.predict`` gives the episode alone (the stub's noise is keyed
+    by the episode's uid, never by its block); otherwise ``predict`` per
     episode. Each prediction is then checked on its own, in split order
     (:func:`_checked`). An episode shorter than ``k_max`` raises
     ``ValueError`` before it is predicted, once the block before it has been
@@ -651,8 +701,10 @@ def calibrate(
     (``cfg.level`` 1), or scored at one time sampled with ``tau_seed``
     (level 2), and the radius is their split quantile over ``cfg.support`` (all
     coordinates when ``None``). The per-coordinate score matrix is retained
-    on the monitor as its score cache.
+    on the monitor as its score cache. ``tau_seed`` must lie in ``0 ..
+    2**64 - 1`` at either level (``ValueError``).
     """
+    tau_seed = _check_seed(tau_seed, "tau_seed")
     layout = _as_layout(basis_spec)
     if cfg.sigma.size != layout.dim:
         raise ValueError(f"sigma has {cfg.sigma.size} entries, basis needs {layout.dim}")
@@ -821,6 +873,7 @@ def observer_calibrate(
     formulas remain recomputable. It is formed block by block as
     :func:`score_matrix` forms level 2, from ``|predicted - truth| / sigma``.
     """
+    tau_seed = _check_seed(tau_seed, "tau_seed")
     if not episodes:
         raise ValueError("calibration needs at least one episode")
     m = episodes[0].m
@@ -924,7 +977,10 @@ def load_monitor(path: str | Path) -> CalibratedMonitor:
     obj = json.loads(path.read_text())
     version = int(obj.get("version", 0))
     if version != MONITOR_VERSION:
-        raise ValueError(f"unsupported monitor version {version}")
+        raise ValueError(
+            f"unsupported monitor version {version} (expected {MONITOR_VERSION}): its radius was calibrated "
+            "under other noise and level-2 draws; re-run 'ptmon calibrate'"
+        )
     cache = load_score_cache(path.parent / obj["score_cache_path"]) if obj.get("score_cache_path") else None
     layout = (dictionary_from_json(obj["dictionary"]) if "dictionary" in obj
               else HistoryLayout(obj.get("m"), obj.get("k_max")))

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conformal import CalibratedMonitor, sample_level2_time
+from .conformal import CalibratedMonitor, _check_seed, sample_level2_time
 from .fragment import HorizonExceededError
 from .logic import Always, Formula, NotInFragmentError, Predicate, TimeInterval
 from .monitors import _certified_blocks, _resolve
@@ -186,8 +186,10 @@ def evaluate_monitors(
     certified it. Every formula's bounds span the same valid times, so the
     level-2 monitors draw each episode's coverage time once for all of
     them. Without episodes there are no rows, and ``errors`` still names
-    the formulas a monitor cannot certify.
+    the formulas a monitor cannot certify. ``coverage_seed`` must lie in
+    ``0 .. 2**64 - 1`` (``ValueError``, before any episode is read).
     """
+    coverage_seed = _check_seed(coverage_seed, "coverage_seed")
     mons = [mon for _, mon, _ in models]
     resolutions = [_resolve(mon, formulas) for mon in mons]
     totals = [np.zeros((len(resolved), 5), dtype=np.int64) for resolved, _ in resolutions]

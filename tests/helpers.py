@@ -9,7 +9,9 @@ meaningful.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -377,14 +379,35 @@ def lag_loop_basis_rows(mu: np.ndarray, dictionary: AtomicDictionary) -> np.ndar
     return out
 
 
+def naive_keyed_generator(purpose: int, seed: int, key: int) -> np.random.Generator:
+    """The generator of a keyed draw as the randomness contract (version 2)
+    states it, built without the library: the 32-byte BLAKE2b digest of
+    ``(purpose, seed, key)`` packed as three little-endian 64-bit words,
+    read as four little-endian words ``w``, seeds PCG64 with the 128-bit
+    seed ``w[0]:w[1]`` and stream ``w[2]:w[3]`` (high word first) through
+    PCG's ``srandom`` (O'Neill, "PCG", 2014): ``inc = 2*stream + 1``, and
+    the state is one step from 0, plus the seed, stepped once more, where a
+    step is ``state*mult + inc`` modulo ``2**128``."""
+    digest = hashlib.blake2b(struct.pack("<3Q", purpose, seed, key), digest_size=32).digest()
+    w = [int.from_bytes(digest[8 * j : 8 * j + 8], "little") for j in range(4)]
+    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & mask
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & mask
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
 def naive_stub_prediction(stub, ep: Episode) -> np.ndarray:
     """A :class:`~ptmon.benchmark.PredictorStub`'s prediction for ``ep``,
     one episode at a time: the truth (the margins, or the atom rows of
     :func:`lag_loop_basis_rows`) plus ``bias + scale * z``, where ``z`` is the
-    AR(1) filter of the episode's standard normal draws, and ``scale`` and
+    AR(1) filter of the episode's standard normal draws from the keyed
+    generator of purpose 1 (:func:`naive_keyed_generator`), and ``scale`` and
     ``bias`` are the stub's fields as given, a vector as one column."""
     truth = lag_loop_basis_rows(ep.mu, stub.dictionary) if stub.mode == "semantic" else ep.mu
-    z = np.random.default_rng([stub.seed, ep.uid]).standard_normal(truth.shape)
+    z = naive_keyed_generator(1, stub.seed, ep.uid).standard_normal(truth.shape)
     if stub.ar_coeff:
         eps, w = z.copy(), math.sqrt(1.0 - stub.ar_coeff**2)
         for t in range(1, truth.shape[1]):

@@ -318,6 +318,17 @@ class TestPredictorStub:
             r = np.corrcoef(z[0, :-1], z[0, 1:])[0, 1]
             assert lo <= r <= hi
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2.5, 3.0, True, "3", None])
+    def test_seed_checked_at_construction(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer in 0 .. 2\\*\\*64 - 1"):
+            PredictorStub(mode="predicates", seed=bad)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(7)])
+    def test_seed_kept_as_an_int(self, seed):
+        stub = PredictorStub(mode="predicates", seed=seed)
+        assert type(stub.seed) is int and stub.seed == int(seed)
+        assert json.loads(json.dumps(stub.to_json()))["seed"] == int(seed)
+
     def test_json_round_trip(self):
         d = build_depth1_dictionary(7, DEFAULT_INTERVALS, PREDICATE_NAMES)
         stub = PredictorStub(mode="semantic", scale=0.3, bias=-0.1, ar_coeff=0.5, seed=9, dictionary=d)

@@ -135,7 +135,7 @@ class TestCalibrate:
         root, _, _ = workspace
         for stem in ("sem", "roll", "obs"):
             model = json.loads((root / f"{stem}.json").read_text())
-            assert model["version"] == 1
+            assert model["version"] == conformal.MONITOR_VERSION
             assert model["predictor"] is not None
             assert (root / f"{stem}.scores.npz").exists()
         assert json.loads((root / "sem.json").read_text())["support"] is None
@@ -200,6 +200,39 @@ class TestCalibrate:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "2.5"])
+    def test_noise_seed_out_of_range_exit_2_before_any_split_is_read(self, workspace, tmp_path, capsys,
+                                                                     monkeypatch, seed):
+        _, ds, _ = workspace
+        noise = tmp_path / "noise.txt"
+        noise.write_text(f"scale = 0.1\nseed = {seed}\n")
+
+        def no_split(*args):
+            raise AssertionError("a split was read")
+
+        monkeypatch.setattr(cli, "load_split", no_split)
+        out = tmp_path / "bad.json"
+        code = main([
+            "calibrate", "--dataset", str(ds), "--monitor", "semantic", "--scope", "fragment",
+            "--sigma", "auto", "--noise", str(noise), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"seed must be an integer in 0 .. 2**64 - 1, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("monitor", ["semantic", "observer"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_tau_seed_out_of_range_exit_2(self, workspace, tmp_path, capsys, monitor, seed):
+        _, ds, noise = workspace
+        out = tmp_path / "bad.json"
+        code = main([
+            "calibrate", "--dataset", str(ds), "--monitor", monitor, "--formula", "G[0,2] p_f",
+            "--noise", str(noise), "--tau-seed", seed, "--out", str(out),
+        ])
+        assert code == 2
+        assert f"tau_seed must be an integer in 0 .. 2**64 - 1, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_formula_reports_position(self, workspace, capsys):
@@ -621,6 +654,18 @@ class TestReport:
         assert not out.exists()
         assert not out.with_suffix(".json").exists()
         assert not (tmp_path / "r_sweep.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_coverage_seed_out_of_range_exit_2_and_writes_nothing(self, workspace, tmp_path, capsys, seed):
+        root, ds, _ = workspace
+        out = tmp_path / "r.csv"
+        code = main([
+            "report", "--models", str(root / "sem.json"), "--dataset", str(ds),
+            "--formulas", str(self.formulas_file(tmp_path)), "--coverage-seed", seed, "--out", str(out),
+        ])
+        assert code == 2
+        assert f"coverage_seed must be an integer in 0 .. 2**64 - 1, got {seed}" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists() and not (tmp_path / "r_sweep.csv").exists()
 
     def test_models_with_one_stem_exit_2(self, workspace, tmp_path, capsys):
         root, ds, _ = workspace

@@ -22,6 +22,7 @@ from helpers import (
     mixed_dictionary,
     naive_coord_radii,
     naive_estimate_sigma,
+    naive_keyed_generator,
     naive_observer_rows,
     naive_radius_for_support,
     naive_score_matrix,
@@ -1540,10 +1541,13 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_monitor(tmp_path / "m.json")
 
-    def test_version_guard(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_guard(self, tmp_path, version):
+        """A version-1 model was calibrated under other draws of noise and
+        level-2 times: it is refused with the fix named."""
         path = tmp_path / "m.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(ValueError):
+        path.write_text(json.dumps({"version": version}))
+        with pytest.raises(ValueError, match=f"unsupported monitor version {version} .*re-run 'ptmon calibrate'"):
             load_monitor(path)
 
 
@@ -1846,6 +1850,74 @@ class TestLevel2TimeLaw:
 
     def test_one_valid_time(self):
         assert {sample_level2_time(3, i, 16, 16) for i in range(50)} == {16}
+
+
+class TestRandomnessContract:
+    """Version 2 of the randomness contract: the stub's noise and the
+    level-2 times come from PCG64 seeded by the BLAKE2b digest of
+    ``(purpose, seed, key)``, purpose 1 for noise keyed by the episode uid
+    and purpose 2 for level-2 times keyed by the episode's position. The
+    values below are pinned, so any change of either draw fails here by
+    name before it moves a digest."""
+
+    @staticmethod
+    def noise(seed, uid, n=4):
+        """The stub's first ``n`` deviates for ``uid``: its prediction of
+        all-zero margins at unit scale, which is ``z`` bit for bit."""
+        stub = PredictorStub(mode="predicates", scale=1.0, seed=seed)
+        return stub.predict(Episode(mu=np.zeros((1, n)), uid=uid))[0]
+
+    @pytest.mark.parametrize("seed, uid, want", [
+        (0, 0, [0.48275811288503345, 2.6473147666532375, 1.0040173261374097, -0.701414672957984]),
+        (9, (1 << 32) + 5, [-2.232087584319201, 0.6005434900765783, -1.391630882346832, 0.3550581042090175]),
+    ])
+    def test_first_deviates_pinned(self, seed, uid, want):
+        assert self.noise(seed, uid).tolist() == want
+
+    @pytest.mark.parametrize("seed, i, k_max, T, want", [
+        (0, 0, 16, 60, 59), (3, 5, 16, 60, 32), (7, 1, 4, 20, 15), (2**64 - 1, 2**40, 0, 1000, 690),
+    ])
+    def test_level2_times_pinned(self, seed, i, k_max, T, want):
+        assert sample_level2_time(seed, i, k_max, T) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 40), st.integers(0, 200))
+    def test_both_draws_are_the_documented_generator(self, seed, key, k_max, extra):
+        """Against the contract as written, built without the library
+        (:func:`helpers.naive_keyed_generator`)."""
+        want = naive_keyed_generator(1, seed, key).standard_normal(5)
+        assert self.noise(seed, key, 5).tobytes() == want.tobytes()
+        T = k_max + extra
+        assert sample_level2_time(seed, key, k_max, T) == naive_keyed_generator(2, seed, key).integers(k_max, T + 1)
+
+    @pytest.mark.parametrize("seed, key", [(0, 0), (3, 3), (9, (1 << 32) + 5), (2**64 - 1, 1)])
+    def test_purposes_and_the_simulator_never_share_a_stream(self, seed, key):
+        """Equal integers key three different streams: the stub's noise,
+        the simulator's ``default_rng([seed, uid])`` and the level-2 time."""
+        simulator = np.random.default_rng([seed, key])
+        noise = self.noise(seed, key, 8)
+        assert not np.isin(noise, simulator.standard_normal(8)).any()
+        raw = [conformal._keyed_generator(purpose, seed, key).bit_generator.random_raw(8) for purpose in (1, 2)]
+        raw.append(np.random.default_rng([seed, key]).bit_generator.random_raw(8))
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert not np.isin(raw[a], raw[b]).any()
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2.0, True, None])
+    def test_calibration_seed_checked_before_predicting(self, bad):
+        d = build_depth1_dictionary(2, ((0, 1), (0, 2)), ("p0", "p1"))
+        eps = tiny_episodes(np.random.default_rng(5), d, 6)
+        f = parse_formula("G[0,1] p0", ("p0", "p1"))
+        for level, spec in ((1, (2, 2)), (2, d)):
+            cfg = ScoreConfig(sigma=np.ones(HistoryLayout(2, 2).dim if level == 1 else d.r), alpha=0.1, level=level)
+            with pytest.raises(ValueError, match="tau_seed must be an integer in 0 .. 2\\*\\*64 - 1"):
+                calibrate(eps, None, cfg, spec, tau_seed=bad)
+        with pytest.raises(ValueError, match="tau_seed must be an integer"):
+            observer_calibrate(eps, None, f, 0.1, k_max=2, tau_seed=bad)
+
+    @pytest.mark.parametrize("seed, i", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.0, 0)])
+    def test_draw_out_of_range_is_a_value_error(self, seed, i):
+        with pytest.raises(ValueError, match="a draw needs a seed and key in 0 .. 2"):
+            sample_level2_time(seed, i, 0, 3)
 
 
 class TestReuseRunsNoPredictor:
