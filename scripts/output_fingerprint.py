@@ -68,10 +68,13 @@ def batch(out: Path, noise: str, formulas: str) -> None:
                   "--formula", "G[0,2] p_f", "--level", "1", "--alpha", "0.5"),
         calibrate("roll", "--monitor", "rolling", "--level", "2",
                   "--formula", "G[0,2] p_f", "--sigma", "auto"),
+        # Level-1 history: whole-episode predicate-history bases.
+        calibrate("roll1", "--monitor", "rolling", "--scope", "fragment",
+                  "--level", "1", "--sigma", "auto"),
         calibrate("obs", "--monitor", "observer", "--formula", "G[0,2] p_f"),
         ["certify", "--model", str(models / "sem.json"), "--dataset", data,
          "--formula", "G[0,4] p_clear", "--out", str(out / "verdicts.jsonl")],
-        ["report", "--models", ",".join(str(models / f"{m}.json") for m in ("sem", "sem1", "roll", "obs")),
+        ["report", "--models", ",".join(str(models / f"{m}.json") for m in ("sem", "sem1", "roll", "roll1", "obs")),
          "--dataset", data, "--formulas", formulas, "--split", "calib", "--sweep", "",
          "--out", str(out / "report_calib.csv")],
     ]

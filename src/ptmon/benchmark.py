@@ -37,7 +37,7 @@ import numpy as np
 
 from .conformal import _NOISE, _check_seed, _keyed_generator
 from .fragment import AtomicDictionary, build_depth1_dictionary
-from .robustness import Episode, TimeOutOfRangeError, _basis_rows, basis_side_by_side
+from .robustness import Episode, TimeOutOfRangeError, _basis_rows
 
 PREDICATE_NAMES = ("p_clear", "p_f", "p_l", "p_r", "p_front_margin", "p_goal", "p_speed")
 DEFAULT_INTERVALS = ((0, 1), (0, 2), (0, 4), (0, 8), (0, 16))
@@ -303,7 +303,7 @@ class PredictorStub:
     stationary with unit marginal variance before scaling: successive
     deviates follow ``z[t] = ar*z[t-1] + sqrt(1-ar^2)*eps[t]``, so ``ar=0``
     gives i.i.d. noise. The draw is keyed by ``(seed, episode uid)``, on
-    streams of its own (:meth:`_deviates`): calling ``predict`` twice on the
+    streams of its own (:meth:`_draw`): calling ``predict`` twice on the
     same episode returns identical output. ``seed`` is an integer in ``0 ..
     2**64 - 1`` (``ValueError`` otherwise, at construction), and so must
     each predicted episode's uid be.
@@ -349,54 +349,73 @@ class PredictorStub:
 
     def predict(self, ep: Episode) -> np.ndarray:
         """``predict_block([ep])[0]``."""
-        return self.predict_block([ep])[0]
+        self._check(ep)
+        return self._predict_stack([ep])[0]
 
     def predict_block(self, episodes: Sequence[Episode]) -> list[np.ndarray]:
-        """One prediction per episode of ``episodes``, in order.
-
-        The truth is the episode's margins, or in semantic mode its atom
-        basis, built for the whole block from one basis pass over the
-        margins laid end to end, bit for bit each episode's own. Each
-        episode's noise is drawn from its own generator and added in place,
-        ``z *= scale; z += bias; z += truth``: floating-point products and
-        sums commute, so that is ``truth + (bias + scale * z)`` bit for bit.
-        """
-        if not episodes:
-            return []
-        if self.mode == "semantic":
-            d, k_max = self.dictionary, self.dictionary.K_max
-            for ep in episodes:
-                if ep.T < k_max:
-                    raise TimeOutOfRangeError(f"episode too short: T={ep.T} < K_max={k_max}")
-            joined = basis_side_by_side([ep.mu for ep in episodes], lambda mu: _basis_rows(mu, d), k_max)
-            truths = np.split(joined, np.cumsum([ep.T - k_max + 1 for ep in episodes])[:-1], axis=1)
-        else:
-            for ep in episodes:
-                self._check_rows(ep.m, f"episode {ep.uid} has {ep.m} predicates")
-            truths = [ep.mu for ep in episodes]
-        out = []
-        for ep, truth in zip(episodes, truths):
-            z = self._deviates(truth.shape, ep.uid)
-            z *= self._scale
-            z += self._bias
-            z += truth
-            out.append(z)
+        """One prediction per episode of ``episodes``, in order: each
+        episode is checked, then the episodes of each shape are predicted
+        together (:meth:`_predict_stack`)."""
+        for ep in episodes:
+            self._check(ep)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for e, ep in enumerate(episodes):
+            groups.setdefault(ep.mu.shape, []).append(e)
+        out: list[np.ndarray] = [None] * len(episodes)
+        for members in groups.values():
+            for e, z in zip(members, self._predict_stack([episodes[e] for e in members])):
+                out[e] = z
         return out
 
-    def _deviates(self, shape: tuple[int, int], uid: int) -> np.ndarray:
-        """The episode's unit-variance noise before scaling, a new array:
-        ``standard_normal(shape)`` from the keyed generator of ``(1, seed,
-        uid)`` (:func:`~ptmon.conformal._keyed_generator`, purpose 1:
-        predictor noise), then the AR(1) filter along time."""
-        eps = _keyed_generator(_NOISE, self.seed, uid).standard_normal(shape)
+    def _check(self, ep: Episode) -> None:
+        """Raise for an episode the stub cannot predict: shorter than the
+        dictionary's ``K_max``, or with another predicate count than a
+        vector ``scale`` or ``bias`` has entries."""
+        if self.mode == "semantic":
+            if ep.T < self.dictionary.K_max:
+                raise TimeOutOfRangeError(f"episode too short: T={ep.T} < K_max={self.dictionary.K_max}")
+        elif self._scale.ndim or self._bias.ndim:
+            self._check_rows(ep.m, f"episode {ep.uid} has {ep.m} predicates")
+
+    def _predict_stack(self, episodes: Sequence[Episode]) -> np.ndarray:
+        """The predictions of checked episodes of one shape, as one stack
+        ``(E, rows, n)``.
+
+        The truth is their margins, or in semantic mode their atom bases
+        from one basis pass over the stacked margins, bit for bit each
+        episode's own. Each episode's noise is drawn from its own generator
+        into its slice of the stack (:meth:`_draw`), which is then shifted
+        in place, ``z *= scale; z += bias; z += truth``: floating-point
+        products and sums commute, so that is ``truth + (bias + scale *
+        z)`` bit for bit.
+        """
+        # One episode is read as it is: a stack of one would copy it.
+        margins = np.stack([ep.mu for ep in episodes]) if len(episodes) > 1 else episodes[0].mu[None]
+        truth = margins
+        if self.mode == "semantic":
+            # The bases come side by side; view them episode-major.
+            rows = _basis_rows(margins, self.dictionary)
+            truth = rows.reshape(rows.shape[0], len(episodes), -1).transpose(1, 0, 2)
+        block = np.empty(truth.shape)
+        for z, ep in zip(block, episodes):
+            self._draw(z, ep.uid)
+        block *= self._scale
+        block += self._bias
+        block += truth
+        return block
+
+    def _draw(self, z: np.ndarray, uid: int) -> None:
+        """Write the episode's unit-variance noise before scaling into the
+        C-contiguous ``(rows, n)`` array ``z``: ``standard_normal`` from the
+        keyed generator of ``(1, seed, uid)``
+        (:func:`~ptmon.conformal._keyed_generator`, purpose 1: predictor
+        noise), then the AR(1) filter along time, in place."""
+        _keyed_generator(_NOISE, self.seed, uid).standard_normal(out=z)
         if self.ar_coeff == 0.0:
-            return eps
-        z = np.empty_like(eps)
-        z[:, 0] = eps[:, 0]
+            return
         w = math.sqrt(1.0 - self.ar_coeff**2)
-        for t in range(1, shape[1]):
-            z[:, t] = self.ar_coeff * z[:, t - 1] + w * eps[:, t]
-        return z
+        for t in range(1, z.shape[1]):
+            z[:, t] = self.ar_coeff * z[:, t - 1] + w * z[:, t]
 
     def to_json(self) -> dict:
         return {

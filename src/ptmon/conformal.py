@@ -24,15 +24,17 @@ recomputed later without touching data or predictor again.
 :func:`estimate_sigma`, :func:`score_matrix`, :func:`observer_calibrate`
 and the batch certification of :mod:`~ptmon.monitors` and
 :mod:`~ptmon.metrics` read episodes through one generator of blocks
-(:func:`_episode_blocks`) of whole episodes or, at level 2, of each
-episode's sampled window of ``k_max + 1`` steps. Each block is predicted
-in one call per predictor, ``predict_block(episodes)`` when the predictor
-has one (its one contract: each prediction bit for bit what ``predict``
-gives the episode alone), else ``predict`` per episode; each episode is
-predicted whole and each prediction checked on its own. The bases and the
-error matrix are computed once per block, with results bit-identical to
-one episode at a time. One pass can read several predictors and layouts
-that share one ``k_max``.
+(:func:`_episode_blocks`) of whole episodes of one length or, at level 2,
+of each episode's sampled window of ``k_max + 1`` steps. Each block is
+predicted in one call per predictor, ``predict_block(episodes)`` when the
+predictor has one (its one contract: each prediction bit for bit what
+``predict`` gives the episode alone), else ``predict`` per episode; each
+episode is predicted whole, each prediction's shape checked on its own and
+their finiteness once per block. A block is one stack ``(E, m, n)`` of
+equal-length arrays, the episodes on their own axis, so each basis is built
+once per block with no column that crosses two episodes, and the bases and
+the error matrix are bit-identical to one episode at a time. One pass can
+read several predictors and layouts that share one ``k_max``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .fragment import (
     dictionary_to_json,
 )
 from .logic import Formula, horizon
-from .robustness import BasisKind, BasisVector, Episode, basis_side_by_side, read_only_array
+from .robustness import BasisKind, BasisVector, Episode, read_only_array
 
 SCORE_CACHE_VERSION = 1
 MONITOR_VERSION = 2
@@ -441,6 +443,12 @@ def _check_seed(seed, name: str) -> int:
     raise ValueError(f"{name} must be an integer in 0 .. 2**64 - 1, got {seed!r}")
 
 
+# The little-endian words a seed is read in, by the word type numpy asks
+# for (``np.uint32`` or ``np.uint64``), built once: building one took about
+# a quarter of a keyed draw.
+_LITTLE_ENDIAN_WORDS = {t: np.dtype(t).newbyteorder("<") for t in (np.uint32, np.uint64)}
+
+
 class _Key(ISeedSequence):
     """The seed of one keyed draw, through numpy's public interface for seed
     sequences: the state words are the 32-byte BLAKE2b digest of
@@ -457,7 +465,7 @@ class _Key(ISeedSequence):
         self._digest = hashlib.blake2b(words, digest_size=32).digest()
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return np.frombuffer(self._digest, np.dtype(dtype).newbyteorder("<"), n_words)
+        return np.frombuffer(self._digest, _LITTLE_ENDIAN_WORDS[dtype], n_words)
 
 
 def _keyed_generator(purpose: int, seed: int, key: int) -> np.random.Generator:
@@ -496,12 +504,17 @@ def _as_layout(basis_spec) -> AtomicDictionary | HistoryLayout:
     return basis_spec if isinstance(basis_spec, (AtomicDictionary, HistoryLayout)) else HistoryLayout(*basis_spec)
 
 
+def _expected_shape(ep: Episode, layout) -> tuple[int, int]:
+    """The shape of a predictor's output for ``ep``: per-step predicates
+    ``(m, T+1)`` for a layout that :attr:`~HistoryLayout.predicts_steps`,
+    otherwise the basis columns over ``t = k_max .. T``."""
+    return (layout.m, ep.T + 1) if layout.predicts_steps else (layout.dim, ep.T - layout.k_max + 1)
+
+
 def _checked(prediction, ep: Episode, layout) -> np.ndarray:
-    """A predictor's output for ``ep`` as a float array, checked: per-step
-    predicates ``(m, T+1)`` for a layout that
-    :attr:`~HistoryLayout.predicts_steps`, otherwise the basis columns over
-    ``t = k_max .. T``, all finite."""
-    expected = (layout.m, ep.T + 1) if layout.predicts_steps else (layout.dim, ep.T - layout.k_max + 1)
+    """A predictor's output for ``ep`` as a float array, checked: of
+    :func:`_expected_shape`, all finite."""
+    expected = _expected_shape(ep, layout)
     predicted = np.asarray(prediction, dtype=float)
     if predicted.shape != expected:
         raise ValueError(
@@ -544,25 +557,28 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
     least one), one true basis per layout of ``truths``, and the block's
     episodes' widths. Every layout must have the first source's ``k_max``.
 
-    Without ``tau_seed`` a block holds whole episodes up to
-    :data:`_BLOCK_COLUMNS` columns. With one (level 2), episode ``i`` enters
-    only as its sampled window: the ``k_max + 1`` steps that end at
-    ``tau = sample_level2_time(tau_seed, i, k_max, ep.T)``, the keyed draw
-    of ``(tau_seed, i)`` for its position ``i`` in ``episodes``, with the
+    Without ``tau_seed`` a block holds whole episodes of one length, up to
+    :data:`_BLOCK_COLUMNS` columns: an episode of another length starts a
+    new block. With one (level 2), episode ``i`` enters only as its sampled
+    window: the ``k_max + 1`` steps that end at ``tau =
+    sample_level2_time(tau_seed, i, k_max, ep.T)``, the keyed draw of
+    ``(tau_seed, i)`` for its position ``i`` in ``episodes``, with the
     prediction's column for ``tau`` (atom columns) or the same steps
-    (per-step predictions), one basis column wide. A window counts its
-    ``k_max + 1`` steps against :data:`_BLOCK_COLUMNS`, so a block's
-    intermediates are no larger than for whole episodes. A block always
-    holds at least one episode. The blocks depend on ``ep.T`` and ``k_max``
-    alone, so every source and truth is cut into the same blocks.
+    (per-step predictions), one basis column wide. Windows all have ``k_max
+    + 1`` steps, whatever the episodes' lengths, and a window counts them
+    against :data:`_BLOCK_COLUMNS`, so a block's intermediates are no larger
+    than for whole episodes. A block always holds at least one episode. The
+    blocks depend on ``ep.T`` and ``k_max`` alone, so every source and truth
+    is cut into the same blocks, and each block is one stack ``(E, m, n)``
+    of equal-length arrays (:func:`_predicted_block`).
 
     Each block's episodes are predicted whole, in one call per source:
     ``predictor.predict_block(episodes)`` when the predictor has one, which
     must return one prediction per episode, in order, each bit for bit what
     ``predictor.predict`` gives the episode alone (the stub's noise is keyed
     by the episode's uid, never by its block); otherwise ``predict`` per
-    episode. Each prediction is then checked on its own, in split order
-    (:func:`_checked`). An episode shorter than ``k_max`` raises
+    episode. A bad prediction raises the error :func:`_checked` gives the
+    first bad one in split order. An episode shorter than ``k_max`` raises
     ``ValueError`` before it is predicted, once the block before it has been
     predicted, checked and handed over.
     """
@@ -571,7 +587,8 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
     columns = 0
     for i, ep in enumerate(episodes):
         width = ep.T - k_max + 1 if tau_seed is None else k_max + 1
-        if block and (ep.T < k_max or columns + width > _BLOCK_COLUMNS):
+        new_length = tau_seed is None and block and ep.T != block[0][1].T
+        if block and (ep.T < k_max or new_length or columns + width > _BLOCK_COLUMNS):
             bases = [_predicted_block(block, sources, truths, k_max, tau_seed)]
             # Hold neither the episodes' own predictions nor, once popped,
             # the bases while the block is used: a caller that copies them
@@ -588,9 +605,13 @@ def _episode_blocks(episodes: Iterable[Episode], sources, truths, tau_seed: int 
 
 def _predicted_block(block: list[tuple[int, Episode]], sources, truths, k_max: int, tau_seed: int | None):
     """:func:`_block_bases` of the ``(position, episode)`` pairs of
-    ``block``: each source predicts the block in one call, each prediction
-    is checked, and at level 2 (a ``tau_seed``) cut to the episode's
-    sampled window."""
+    ``block``: each source predicts the block in one call, and the margins
+    and each source's predictions are stacked once. Whole episodes, which
+    share one length, are stacked as they are; at level 2 (a ``tau_seed``)
+    each episode's sampled window is cut from the episodes laid end to end
+    by one gather. Each prediction's shape is checked on its own and their
+    finiteness once per source and block; a bad one raises what
+    :func:`_checked` raises for the first bad prediction in split order."""
     episodes = [ep for _, ep in block]
     predictions = []
     for predictor, _ in sources:
@@ -599,43 +620,66 @@ def _predicted_block(block: list[tuple[int, Episode]], sources, truths, k_max: i
         if len(out) != len(episodes):
             raise ValueError(f"predict_block returned {len(out)} predictions for {len(episodes)} episodes")
         predictions.append(out)
-    arrays = []
-    for e, (i, ep) in enumerate(block):
-        mu = ep.mu
-        predicted = [_checked(out[e], ep, layout) for out, (_, layout) in zip(predictions, sources)]
-        if tau_seed is not None:
-            start = sample_level2_time(tau_seed, i, k_max, ep.T) - k_max
-            mu = mu[:, start : start + k_max + 1]
-            predicted = [
-                p[:, start : start + (k_max + 1 if layout.predicts_steps else 1)]
-                for p, (_, layout) in zip(predicted, sources)
-            ]
-        arrays.append((mu, predicted))
-    return _block_bases(arrays, sources, truths, k_max)
+    try:
+        arrays = [[np.asarray(p, dtype=float) for p in out] for out in predictions]
+    except (TypeError, ValueError):
+        _first_error(episodes, predictions, sources)
+        raise
+    for out, (_, layout) in zip(arrays, sources):
+        if any(p.shape != _expected_shape(ep, layout) for p, ep in zip(out, episodes)):
+            _first_error(episodes, predictions, sources)
+    if tau_seed is None:
+        margins = np.stack([ep.mu for ep in episodes])
+        joined = [np.stack(out) if layout.predicts_steps else np.concatenate(out, axis=1)
+                  for out, (_, layout) in zip(arrays, sources)]
+    else:
+        margins = np.concatenate([ep.mu for ep in episodes], axis=1)
+        joined = [np.concatenate(out, axis=1) for out in arrays]
+    if not all(np.isfinite(x).all() for x in joined):
+        _first_error(episodes, predictions, sources)
+    # The stacks are copies: free the per-episode predictions before the
+    # bases are built, which keeps the block's peak memory down.
+    del predictions, arrays
+    if tau_seed is None:
+        return _block_bases((margins, joined), sources, truths, k_max)
+    # Window e's first step in the steps laid end to end; atom columns start
+    # k_max columns earlier per episode before it.
+    lengths = np.array([ep.T + 1 for ep in episodes])
+    taus = np.array([sample_level2_time(tau_seed, i, k_max, ep.T) for i, ep in block])
+    firsts = np.cumsum(lengths) - lengths + taus - k_max
+    steps = firsts[:, None] + np.arange(k_max + 1)
+    columns = firsts - k_max * np.arange(len(episodes))
+    windows = [x[:, steps].transpose(1, 0, 2) if layout.predicts_steps else x[:, columns]
+               for x, (_, layout) in zip(joined, sources)]
+    return _block_bases((margins[:, steps].transpose(1, 0, 2), windows), sources, truths, k_max)
 
 
-def _block_bases(block: list[tuple[np.ndarray, list[np.ndarray]]], sources, truths, k_max: int):
-    """``(predicted, true, widths)`` for a block of margin arrays (whole
-    episodes or sampled windows) and their checked predictions over the
-    same steps, one per source: the predicted bases in the order of
-    ``sources``, the true ones in the order of ``truths``.
+def _first_error(episodes: list[Episode], predictions, sources) -> None:
+    """Raise what :func:`_checked` raises for the first bad prediction of a
+    block in split order: episode by episode, each source in turn."""
+    for e, ep in enumerate(episodes):
+        for out, (_, layout) in zip(predictions, sources):
+            _checked(out[e], ep, layout)
 
-    Each basis comes from one call of its layout's ``basis`` over the
-    block's arrays laid end to end
-    (:func:`~ptmon.robustness.basis_side_by_side`), bit for bit the
-    per-array bases side by side; atom-column predictions are laid side by
-    side as they are.
+
+def _block_bases(block: tuple[np.ndarray, list[np.ndarray]], sources, truths, k_max: int):
+    """``(predicted, true, widths)`` for a block: its margins, a stack
+    ``(E, m, n)`` of whole episodes of one length or of sampled windows,
+    and one checked prediction per source over the same steps, a stack of
+    per-step predictions or the atom columns side by side. The predicted
+    bases come in the order of ``sources``, the true ones in the order of
+    ``truths``.
+
+    Each basis of per-step values comes from one call of its layout's
+    ``basis`` over the stack (see :mod:`~ptmon.robustness`): the
+    per-episode bases side by side, ``E * (n - k_max)`` columns in C order,
+    bit for bit each episode's own.
     """
-    widths = [mu.shape[1] - k_max for mu, _ in block]
-    # Truth first: its temporaries are freed before the predictions are
-    # stacked, which keeps the block's peak memory (and fresh pages) down.
-    true = [basis_side_by_side([mu for mu, _ in block], layout.basis, k_max) for layout in truths]
-    predicted = []
-    for j, (_, layout) in enumerate(sources):
-        ps = [ps[j] for _, ps in block]
-        predicted.append(basis_side_by_side(ps, layout.basis, k_max) if layout.predicts_steps
-                         else np.concatenate(ps, axis=1))
-    return predicted, true, widths
+    margins, predictions = block
+    n_episodes, _, n = margins.shape
+    true = [layout.basis(margins) for layout in truths]
+    predicted = [layout.basis(p) if layout.predicts_steps else p for p, (_, layout) in zip(predictions, sources)]
+    return predicted, true, [n - k_max] * n_episodes
 
 
 def score_matrix(

@@ -417,10 +417,10 @@ def _certified_blocks(
     episodes are read in the blocks calibration reads (see
     :func:`~ptmon.conformal._episode_blocks`): whole episodes up to a few
     hundred basis columns, each predicted once per distinct predictor and
-    checked on its own, and each basis built once per block over its
-    episodes laid end to end, with the columns that straddle two episodes
-    dropped, so it equals the per-episode bases side by side, bit for bit.
-    The bases are read row-major (C order).
+    checked, and each basis built once per block over the stack of its
+    episodes, one length to a block, so it equals the per-episode bases side
+    by side, bit for bit. The bases come row-major (C order), and each shrink
+    of one is row-major too.
 
     Each formula's truth is read once per block, read-only, for every
     monitor, by the resolved decoder with the smallest support (the first
@@ -475,10 +475,6 @@ def _certified_blocks(
 
     blocks = _episode_blocks(episodes, sources, [layouts[key] for key in truth_keys])
     for predicted, true, widths in blocks:
-        # Read row-major: ``_block_bases`` hands the bases over column-major,
-        # and each shrink of a row-major ``predicted`` is row-major too.
-        predicted = [np.ascontiguousarray(p) for p in predicted]
-        true = [np.ascontiguousarray(t) for t in true]
         truth = {name: decode_series(d, true[truth_of[name]]) for name, d in truth_decoders.items()}
         for rho in truth.values():
             rho.flags.writeable = False

@@ -20,9 +20,12 @@ Two flattenings of an episode's history are used downstream:
   ``k`` at lag ``j``);
 * the semantic vector: one robustness value per atom of a dictionary.
 
-Several arrays' bases come from one call of a basis routine over the
-arrays laid end to end (:func:`basis_side_by_side`), bit for bit the
-per-array bases side by side.
+Both basis routines (:func:`stack_lags` and the semantic rows) also take
+a stack ``(E, m, n)`` of equal-length margin arrays, episodes on their own
+axis, and return the per-episode bases side by side, ``E * (n - k_max)``
+columns in C order. A window never crosses from one episode into the next,
+so no column is built and dropped, and the doubling is elementwise across
+the episode axis: each episode's columns equal its own basis bit for bit.
 
 Everything here is pure; an episode keeps its arrays read-only.
 """
@@ -269,17 +272,23 @@ def predicate_history_series(ep: Episode, k_max: int) -> np.ndarray:
 def stack_lags(step_values: np.ndarray, k_max: int) -> np.ndarray:
     """Lay out per-step values ``(m, T+1)`` as history columns over the
     valid times ``t = k_max .. T``: row ``k*(k_max+1) + j`` holds row ``k``
-    at lag ``j``."""
+    at lag ``j``. A stack ``(E, m, T+1)`` gives each episode's columns side
+    by side."""
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     x = np.asarray(step_values, dtype=float)
-    m, n = x.shape
+    stack = x if x.ndim == 3 else x[None]
+    n_episodes, m, n = stack.shape
     if n - 1 < k_max:
         raise TimeOutOfRangeError(f"episode too short: T={n - 1} < k_max={k_max}")
     width = k_max + 1
-    # windows[k, i, j] is row k at time i + j; reversing j turns it into a lag.
-    windows = sliding_window_view(x, width, axis=1)
-    return np.array(windows[:, :, ::-1].transpose(0, 2, 1), order="C").reshape(m * width, -1)
+    if n == width:
+        # One column per episode: its steps, latest first.
+        return np.array(stack[:, :, ::-1].transpose(1, 2, 0), order="C").reshape(m * width, n_episodes)
+    # windows[e, k, i, j] is row k of episode e at time i + j; reversing j
+    # turns it into a lag.
+    windows = sliding_window_view(stack, width, axis=2)
+    return np.array(windows[..., ::-1].transpose(1, 3, 0, 2), order="C").reshape(m * width, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,50 +330,32 @@ def window_layout(atoms: Sequence[Formula]) -> WindowLayout:
 
 def _basis_rows(mu: np.ndarray, dictionary) -> np.ndarray:
     """Every atom's robustness at the times ``K_max .. n-1`` of a ``(m, n)``
-    margin array, one atom per row; ``n > K_max``."""
+    margin array, one atom per row; ``n > K_max``. A stack ``(E, m, n)``
+    gives each episode's rows side by side, ``(r, E * (n - K_max))``."""
+    stack = mu if mu.ndim == 3 else mu[None]
     layout = dictionary.window_layout
-    k, n = dictionary.K_max, mu.shape[1]
+    k, (n_episodes, m, n) = dictionary.K_max, stack.shape
+    width = n - k
     # Without fallback atoms the shared rows are all rows, in order.
-    out = np.empty((dictionary.r, n - k)) if layout.fallback else None
+    out = np.empty((dictionary.r, n_episodes, width)) if layout.fallback else None
     if layout.widths:
-        # snapshots[w, mode, i] holds every predicate's min (mode 0) or max
-        # (mode 1) over the window of b = widths[w] ending at time k + i,
-        # which starts at row k - b + i of the time-major margins.
-        y = np.ascontiguousarray(mu.T)
-        snapshots = np.empty((len(layout.widths), 2, n - k, mu.shape[0]))
+        # snapshots[w, mode, i, e] holds every predicate's min (mode 0) or
+        # max (mode 1) over episode e's window of b = widths[w] ending at
+        # time k + i, which starts at row k - b + i of the time-major margins.
+        y = np.ascontiguousarray(stack.transpose(2, 0, 1))
+        snapshots = np.empty((len(layout.widths), 2, width, n_episodes, m))
         for mode, op in enumerate((np.minimum, np.maximum)):
             _sliding_extrema(y, op, [(b + 1, k - b, snapshots[w, mode]) for w, b in enumerate(layout.widths)])
-        rows = snapshots[layout.width_index, layout.modes, :, layout.predicates]
+        # Gathered as (atom, time, episode); one episode needs no copy.
+        rows = snapshots[layout.width_index, layout.modes, :, :, layout.predicates].transpose(0, 2, 1)
         if out is None:
-            return rows
+            return np.ascontiguousarray(rows).reshape(dictionary.r, -1)
         out[layout.rows] = rows
     for i in layout.fallback:
-        row = _series(dictionary.atoms[i], mu)
-        out[i] = row[row.size - out.shape[1] :]
-    return out
-
-
-def basis_side_by_side(arrays: Sequence[np.ndarray], routine, k_max: int) -> np.ndarray:
-    """The bases of the ``(m, n_e)`` arrays of ``arrays`` (each with
-    ``n_e > k_max``) side by side, from one call of the basis ``routine``
-    over the arrays laid end to end along time.
-
-    A routine maps ``(m, n)`` values to one column per time ``k_max ..
-    n-1`` that reads only the ``k_max + 1`` steps ending there: a layout's
-    ``basis``, :func:`_basis_rows` or :func:`stack_lags`. Column ``c`` of
-    the one call is the window ending at step ``c + k_max``; the ``k_max``
-    columns after each array's last one straddle a boundary and are
-    dropped. Every kept column reads only its own array, and the doubling
-    of :func:`_sliding_extrema` builds a window from the same
-    ``np.minimum``/``np.maximum`` calls wherever it starts (an atom outside
-    the shared pass is evaluated on its own and tail-aligned, so this holds
-    for it too): the result is the per-array bases side by side, bit for
-    bit.
-    """
-    widths = [a.shape[1] - k_max for a in arrays]
-    # Array e's columns start e * k_max columns later in the one call.
-    keep = np.arange(sum(widths)) + k_max * np.repeat(np.arange(len(arrays)), widths)
-    return routine(np.concatenate(arrays, axis=1))[:, keep]
+        for e in range(n_episodes):
+            row = _series(dictionary.atoms[i], stack[e])
+            out[i, e] = row[row.size - width :]
+    return out.reshape(dictionary.r, -1)
 
 
 def semantic_basis_series(ep: Episode, dictionary) -> np.ndarray:

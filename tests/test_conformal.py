@@ -1703,6 +1703,88 @@ class TestBlocksEqualOneEpisodeAtATime:
         assert mon.cache.matrix.tobytes() == want.tobytes()
 
 
+class TestBlocksOfOneLength:
+    """At level 1 a block stacks whole episodes of one length: the next
+    episode starts a new block when its length differs or it would pass
+    ``_BLOCK_COLUMNS``. At level 2 every window has ``k_max + 1`` steps, so
+    only ``_BLOCK_COLUMNS`` ends a block. Either way the blocks follow the
+    split order, and their widths are their episodes' own."""
+
+    @pytest.mark.parametrize("tau_seed", [None, 5], ids=["level1", "level2"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_max=st.integers(0, 6))
+    def test_blocks_follow_the_split(self, tau_seed, seed, k_max):
+        rng = np.random.default_rng(seed)
+        # Runs of one to four episodes of each length.
+        eps = [ep for ep in mixed_length_episodes(rng, 2, k_max, 12) for _ in range(int(rng.integers(1, 5)))]
+        stub = PredictorStub(mode="predicates", scale=0.1, seed=seed % 89)
+        layout = HistoryLayout(2, k_max)
+        stacks = []
+        real_blocks = conformal._block_bases
+
+        def recording(block, *args):
+            stacks.append(block[0])
+            return real_blocks(block, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conformal, "_block_bases", recording)
+            widths = [w for _, _, w in conformal._episode_blocks(eps, [(stub, layout)], [layout], tau_seed)]
+        i = 0
+        for margins, block_widths in zip(stacks, widths, strict=True):
+            n_episodes, _, n = margins.shape
+            block, i = eps[i : i + n_episodes], i + n_episodes
+            if tau_seed is None:
+                assert margins.tobytes() == np.stack([ep.mu for ep in block]).tobytes()
+                assert block_widths == [ep.T - k_max + 1 for ep in block]
+                steps = n - k_max
+                ends = i == len(eps) or eps[i].T + 1 != n or (n_episodes + 1) * steps > conformal._BLOCK_COLUMNS
+            else:
+                assert n == k_max + 1 and block_widths == [1] * n_episodes
+                steps = n
+                ends = i == len(eps) or (n_episodes + 1) * steps > conformal._BLOCK_COLUMNS
+            assert ends and (n_episodes == 1 or n_episodes * steps <= conformal._BLOCK_COLUMNS)
+        assert i == len(eps)
+
+
+class TestFirstBadPredictionInSplitOrder:
+    """Shapes are checked per prediction and finiteness once per block, yet
+    a block with two bad predictions raises the first one's error in split
+    order, worded as a one-episode check words it."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("mode", ["semantic", "predicates"])
+    def test_nan_and_wrong_shape_in_one_block(self, mode, level):
+        d = tiny_dictionary()
+        rng = np.random.default_rng(22)
+        eps = tiny_episodes(rng, d, 6)
+        assert sum(ep.T + 1 for ep in eps) <= conformal._BLOCK_COLUMNS  # one block
+        spec = d if mode == "semantic" else (2, 3)
+        stub = PredictorStub(mode=mode, seed=1, dictionary=d)
+        expected = (d.r, 7) if mode == "semantic" else (2, 9)
+        cfg = ScoreConfig(sigma=np.ones(d.r if mode == "semantic" else 8), alpha=0.1, level=level)
+
+        class Broken:
+            def __init__(self, nan_at, short_at):
+                self.nan_at, self.short_at = nan_at, short_at
+
+            def predict_block(self, episodes):
+                out = stub.predict_block(episodes)
+                out[self.nan_at] = out[self.nan_at].copy()
+                out[self.nan_at][0, -1] = np.nan
+                out[self.short_at] = out[self.short_at][:, :-1]
+                return out
+
+        nan_error = f"predictor returned non-finite values for episode {eps[1].uid}"
+        shape_error = (
+            f"predictor/basis mismatch: predictor gave {(expected[0], expected[1] - 1)}, "
+            f"{'semantic' if mode == 'semantic' else 'predicate_history'} basis needs {expected}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(nan_error)}$"):
+            calibrate(eps, Broken(nan_at=1, short_at=2), cfg, spec, tau_seed=3)
+        with pytest.raises(ValueError, match=f"^{re.escape(shape_error)}$"):
+            calibrate(eps, Broken(nan_at=2, short_at=1), cfg, spec, tau_seed=3)
+
+
 def block_truth_at_sampled_times(eps, predictor, layout, tau_seed) -> bytes:
     """The true bases of the level-2 blocks (each episode's sampled window),
     side by side, as bytes."""
@@ -1730,11 +1812,12 @@ class RecordingPredictor:
 
 class TestTruthOncePerBlock:
     """A calibration builds each block's true basis in one call of the basis
-    routine, not one call per episode. At level 2 a block holds each
-    episode's sampled window, the ``k_max + 1`` steps that end at its
-    sampled time; level 1 and ``estimate_sigma`` read whole episodes. Every
-    episode is predicted once, whole, and no call of the basis routine reads
-    more steps than a block of whole episodes does."""
+    routine, not one call per episode. Each call receives one stack ``(E,
+    m, n)``: at level 2 each episode's sampled window, the ``k_max + 1``
+    steps that end at its sampled time; at level 1 and in
+    ``estimate_sigma``, whole episodes of one length. Every episode is
+    predicted once, whole, and no call of the basis routine reads more
+    steps than a block of whole episodes does."""
 
     def record(self, monkeypatch, eps):
         """Count the blocks and keep what each basis routine call receives:
@@ -1763,33 +1846,36 @@ class TestTruthOncePerBlock:
         return calls
 
     @staticmethod
-    def laid_end_to_end(arrays, eps, k_max, tau_seed) -> bytes:
-        """One array per episode, side by side: whole, or with a
-        ``tau_seed`` only each episode's sampled window."""
+    def stacked(arrays, eps, k_max, tau_seed) -> bytes:
+        """One array per episode, stacked on a leading episode axis: whole,
+        or with a ``tau_seed`` only each episode's sampled window."""
         if tau_seed is not None:
             starts = [sample_level2_time(tau_seed, i, k_max, ep.T) - k_max for i, ep in enumerate(eps)]
             arrays = [a[:, s : s + k_max + 1] for a, s in zip(arrays, starts)]
-        return np.concatenate(arrays, axis=1).tobytes()
+        return np.stack(arrays).tobytes()
 
     def check(self, calls, predictor, eps, k_max, tau_seed, stacks_predictions):
         # Each episode is predicted once, as the Episode itself.
         assert len(predictor.seen) == len(eps) and all(a is b for a, b in zip(predictor.seen, eps))
         assert 1 < calls["blocks"] < len(eps)
         assert len(calls["truth"]) == calls["blocks"]
-        got = np.concatenate(calls["truth"], axis=1).tobytes()
-        assert got == self.laid_end_to_end([ep.mu for ep in eps], eps, k_max, tau_seed)
+        # Every call receives one (E, m, n) stack of whole episodes or of windows.
+        n = eps[0].T + 1 if tau_seed is None else k_max + 1
+        assert all(x.ndim == 3 and x.shape[1:] == (eps[0].m, n) for x in calls["truth"] + calls["other"])
+        got = np.concatenate(calls["truth"]).tobytes()
+        assert got == self.stacked([ep.mu for ep in eps], eps, k_max, tau_seed)
         if stacks_predictions:
             assert len(calls["other"]) == calls["blocks"]
-            got = np.concatenate(calls["other"], axis=1).tobytes()
+            got = np.concatenate(calls["other"]).tobytes()
             predictions = [predictor.inner.predict(ep) for ep in eps]
-            assert got == self.laid_end_to_end(predictions, eps, k_max, tau_seed)
+            assert got == self.stacked(predictions, eps, k_max, tau_seed)
         else:
             assert calls["other"] == []
         # A block of whole episodes holds as many as fit in _BLOCK_COLUMNS
         # columns; a block of windows counts each window's steps.
         T = eps[0].T
         whole_block = conformal._BLOCK_COLUMNS // (T - k_max + 1) * (T + 1)
-        most = max(x.shape[1] for x in calls["truth"] + calls["other"])
+        most = max(x.shape[0] * x.shape[2] for x in calls["truth"] + calls["other"])
         assert most <= whole_block
         if tau_seed is not None:
             assert most <= conformal._BLOCK_COLUMNS

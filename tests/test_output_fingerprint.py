@@ -16,7 +16,7 @@ SCRIPT = REPO / "scripts" / "output_fingerprint.py"
 SRC = REPO / "src"
 EXPECTED_FILES = {
     *(f"data/crossroad/{name}" for name in ("manifest.json", "train.npy", "calib.npy", "test.npy")),
-    *(f"models/{m}{suffix}" for m in ("sem", "sem1", "roll", "obs") for suffix in (".json", ".scores.npz")),
+    *(f"models/{m}{suffix}" for m in ("sem", "sem1", "roll", "roll1", "obs") for suffix in (".json", ".scores.npz")),
     "verdicts.jsonl",
     "report_calib.csv",
     "report_calib.json",

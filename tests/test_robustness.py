@@ -32,6 +32,7 @@ from ptmon.robustness import (
     predicate_history_series,
     robustness_series,
     semantic_basis_series,
+    stack_lags,
     windowed_extrema,
 )
 
@@ -360,3 +361,39 @@ class TestSlidingExtremaBitForBit:
         got = semantic_basis_series(Episode(mu=mu), d)
         assert got.shape == (d.r, extra_columns + 1)
         assert got.tobytes() == lag_loop_basis_rows(mu, d).tobytes()
+
+
+def lag_slice_history(x: np.ndarray, k_max: int) -> np.ndarray:
+    """The predicate-history columns of one ``(m, n)`` array from its lag
+    slices: row ``k * (k_max + 1) + j`` is ``x[k, k_max - j : n - j]``."""
+    n = x.shape[1]
+    return np.array([x[k, k_max - j : n - j] for k in range(x.shape[0]) for j in range(k_max + 1)])
+
+
+class TestStackedBases:
+    """A layout's ``basis`` of a stack ``(E, m, n)`` of margin arrays is each
+    array's basis side by side, bit for bit (``tobytes``), in C order: a
+    semantic basis with atoms outside the shared pass, a predicate history,
+    whole episodes and ``k_max + 1``-step windows, one episode included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.integers(1, 4), st.booleans())
+    def test_stack_equals_each_episode_side_by_side(self, seed, k_max, n_episodes, window):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        deepest = (Always if rng.random() < 0.5 else Eventually)(TimeInterval(0, k_max), Predicate("p0", 0))
+        d = AtomicDictionary(tuple(dict.fromkeys((*mixed_dictionary(rng, m).atoms, deepest))), m)
+        for layout in (d, fragment.HistoryLayout(m, k_max)):
+            k = layout.k_max
+            n = k + 1 if window else k + 1 + int(rng.integers(1, 12))
+            stack = tie_heavy(rng, (n_episodes, m, n))
+            got = layout.basis(stack)
+            if layout is d:
+                want = [lag_loop_basis_rows(x, d) for x in stack]
+            else:
+                want = [lag_slice_history(x, k) for x in stack]
+                assert [stack_lags(x, k).tobytes() for x in stack] == [w.tobytes() for w in want]
+            assert got.shape == (layout.dim, n_episodes * (n - k)) and got.flags.c_contiguous
+            assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
+            if n_episodes == 1:
+                assert layout.basis(stack[0]).tobytes() == got.tobytes()
