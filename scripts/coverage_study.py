@@ -30,7 +30,7 @@ from ptmon.benchmark import (
 from ptmon.conformal import ScoreConfig, calibrate, sample_level2_time, score_matrix
 from ptmon.fragment import build_depth1_dictionary
 from ptmon.logic import And, Or
-from ptmon.monitors import run_episodes
+from ptmon.monitors import run_monitors
 
 
 def random_fragment_formula(rng, d):
@@ -66,7 +66,7 @@ def run_seed(d, cfg, s, n, scale, alpha, joint):
         frng = np.random.default_rng(777_000 + s)
         formulas = [random_fragment_formula(frng, d) for _ in range(joint)]
         hits = 0
-        for i, res in enumerate(run_episodes(test, stub, mon2, formulas)):
+        for i, res in enumerate(run_monitors(test, stub, [mon2], formulas)[0]):
             col = sample_level2_time(s + 777, i, d.K_max, cfg.T) - d.K_max
             hits += all(res.bounds[n][col] <= res.truth[n][col] for n in res.bounds)
         out["cov_joint"] = hits / len(test)

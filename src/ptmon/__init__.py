@@ -78,7 +78,6 @@ from .monitors import (
     observer_certify,
     rolling_certify,
     run_episode,
-    run_episodes,
     run_monitors,
     semantic_certify,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "robustness_series",
     "rolling_certify",
     "run_episode",
-    "run_episodes",
     "run_monitors",
     "sample_level2_time",
     "save_monitor",

@@ -252,6 +252,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if ks and args.sweep_predicate not in names:
         raise ValueError(f"--sweep-predicate {args.sweep_predicate!r} not among {list(names)}")
     model_paths = [p.strip() for p in args.models.split(",")]
+    if "" in model_paths:
+        raise ValueError(f"--models: entry {model_paths.index('') + 1} of {args.models!r} is empty")
     stems = [Path(p).stem for p in model_paths]
     for stem in stems:
         if stems.count(stem) > 1:

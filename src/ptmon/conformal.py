@@ -125,9 +125,15 @@ def _rank(n: int, alpha: float) -> int:
 def split_quantile(scores: Sequence[float] | np.ndarray, alpha: float) -> float | np.ndarray:
     """Finite-sample upper quantile: the ``min(n, ceil((n+1)(1-alpha)))``-th
     smallest of ``n`` scores (1-based); of each column, for an ``(n, c)``
-    matrix of scores."""
+    matrix of scores. A NaN score raises ``ValueError``: it would sort last
+    and still count toward ``n``."""
     s = np.sort(np.asarray(scores, dtype=float), axis=0)
     rank = _rank(s.shape[0], alpha)
+    # NaN sorts last, so a column holds one only if its last score is NaN;
+    # math.isnan reads a 1-D one in a tenth of np.isnan's time.
+    last = s[-1]
+    if math.isnan(last) if s.ndim == 1 else np.isnan(last).any():
+        raise ValueError("scores must not be NaN")
     return float(s[rank - 1]) if s.ndim == 1 else s[rank - 1]
 
 
@@ -534,8 +540,9 @@ def predicted_basis(ep: Episode, predictor, basis_spec) -> np.ndarray:
     emits per-step predicates ``(m, T+1)``, which the layout's ``basis``
     stacks into predicate-history columns.
     Raises ``ValueError`` for a too-short episode, a wrongly shaped
-    prediction or a non-finite one; every calibration and
-    :func:`~ptmon.monitors.run_episodes` run the same checks on each episode.
+    prediction or a non-finite one. Calibration and batch certification
+    raise the same errors, checking each prediction's shape on its own and
+    finiteness once per block (see :func:`_episode_blocks`).
     """
     layout = _as_layout(basis_spec)
     if ep.T < layout.k_max:
@@ -961,14 +968,17 @@ def interval_propagate(
     whenever the inputs bracket the true history. The decoder and its
     read-out are the ones :func:`~ptmon.fragment.compile_history_decoder`
     keeps on ``f``, so repeated calls through one formula compile once.
+    Infinite bounds are allowed; NaN or crossed ones raise ``ValueError``.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
     if lo.shape != hi.shape:
         raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-    if (lo > hi).any():
-        bad = int(np.argmax(lo > hi))
-        raise ValueError(f"crossed bounds at coordinate {bad}: {lo[bad]} > {hi[bad]}")
+    # A NaN compares false, so it fails ``lo <= hi`` as crossed bounds do.
+    bad = ~(lo <= hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"NaN or crossed bounds at coordinate {i}: [{lo[i]}, {hi[i]}]")
     d = compile_history_decoder(f, m, k_max)
     return decode_values(d, lo), decode_values(d, hi)
 

@@ -83,12 +83,15 @@ def compute_metrics(
 
     ``lower_bounds[i]`` and ``truths[i]`` must be 1-D arrays of one shape,
     aligned to ``t = k_max .. T_i`` for episode ``i``, and some episode must
-    have a valid time. Returns percentages in [0, 100]; ``prec`` and ``fpr``
-    are ``None`` exactly when their denominators are empty. At level 1 an
-    episode with no valid time counts as covered; level 2 needs a valid time
-    in every episode. The counts are :func:`_counts`' for one row, as
-    :func:`evaluate_monitors` counts each of its formulas.
+    have a valid time; ``level`` must be 1 or 2 (``ValueError``). Returns
+    percentages in [0, 100]; ``prec`` and ``fpr`` are ``None`` exactly when
+    their denominators are empty. At level 1 an episode with no valid time
+    counts as covered; level 2 needs a valid time in every episode. The
+    counts are :func:`_counts`' for one row, as :func:`evaluate_monitors`
+    counts each of its formulas.
     """
+    if level not in (1, 2):
+        raise ValueError(f"level must be 1 or 2, got {level}")
     lb, rho, sizes = _pool(lower_bounds, truths)
     times = _level2_times(sizes, k_max, coverage_seed) if level != 1 else None
     return _rates(*_counts(lb[None], rho[None], sizes, times)[0].tolist(), sizes.size)
@@ -171,7 +174,7 @@ def evaluate_monitors(
     """Certify every episode for every formula with each ``(name, monitor,
     predictor)`` triple and summarize per monitor and formula, as
     :func:`compute_metrics` does; one ``(rows, errors)`` pair per monitor,
-    in input order.
+    in input order, and none without a model.
 
     All models share one pass of
     :func:`~ptmon.monitors._certified_blocks`: their monitors may read any
@@ -220,18 +223,6 @@ def evaluate_monitors(
         ] if n_episodes else []
         evaluated.append((rows, errors))
     return evaluated
-
-
-def evaluate_monitor(
-    name: str,
-    mon: CalibratedMonitor,
-    predictor,
-    episodes: Sequence[Episode],
-    formulas: Sequence[Formula],
-    coverage_seed: int = 0,
-) -> tuple[list[ReportRow], dict[str, str]]:
-    """:func:`evaluate_monitors` for one monitor."""
-    return evaluate_monitors([(name, mon, predictor)], episodes, formulas, coverage_seed)[0]
 
 
 def horizon_sweep(

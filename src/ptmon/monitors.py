@@ -16,18 +16,14 @@ passes its shift to each decoder's shifted read-out.
 Recorded episodes are certified in one block pass (:func:`_certified_blocks`)
 over ``(monitor, predictor)`` pairs of any layouts that share one
 ``k_max``, in the blocks of whole episodes that calibration reads: each
-episode predicted once per distinct predictor, one predicted basis per
-predictor and block, and each formula's truth read out once per block for
-all the monitors. Each monitor resolves each formula once and groups its
+episode predicted once per distinct predictor, and each formula's truth
+read out once per block for all the monitors. Each monitor groups its
 formulas by the monitor that certifies them; each group takes one
-:func:`ptmon.conformal.certified_lower_bounds` call per block, which
-shrinks the block once into a row-major matrix and decodes every formula
-of the group from it. The bounds are those the streaming functions give
-step by step. :func:`run_monitors` runs the pass for monitors of one
-predictor, one block at a time (:func:`_result_blocks`), and
-:func:`run_episodes` is its one-monitor case;
-:func:`ptmon.metrics.evaluate_monitors` scores the pass for every model of
-a report as it goes.
+:func:`ptmon.conformal.certified_lower_bounds` call per block. The bounds
+are those the streaming functions give step by step. There are two entry
+points: :func:`run_monitors` returns per-episode results for monitors of
+one predictor, and :func:`ptmon.metrics.evaluate_monitors` scores every
+model of a report as the pass goes.
 
 Each formula gets a verdict per step: ``safe`` when the certified lower
 bound clears zero (ties count as safe), ``uncertain`` otherwise, and
@@ -172,12 +168,6 @@ class RollingBuffer:
         return self._snapshot
 
 
-def _layout_mismatch(buf: RollingBuffer, mon: CalibratedMonitor) -> BasisMismatchError:
-    return BasisMismatchError(
-        f"buffer holds history (m={buf.m}, k_max={buf.k_max}), monitor reads (m={mon.m}, k_max={mon.k_max})"
-    )
-
-
 def rolling_step(buf: RollingBuffer, mu_hat: Sequence[float] | np.ndarray | None) -> None:
     """Feed one step into the buffer; ``None`` records a dropped prediction."""
     if mu_hat is None:
@@ -211,7 +201,9 @@ def rolling_certify(
     """
     k_max = mon.k_max
     if buf.k_max != k_max:
-        raise _layout_mismatch(buf, mon)
+        raise BasisMismatchError(
+            f"buffer holds history (m={buf.m}, k_max={buf.k_max}), monitor reads (m={mon.m}, k_max={k_max})"
+        )
     if decoder is None:
         decoder = mon.decoder(f)
     t = buf.t
@@ -253,24 +245,19 @@ def observer_certify(
 
     The bound is the lower end of the observer's symmetric per-coordinate
     intervals pushed through ``f``: since ``f`` is monotone, that is
-    :func:`rolling_certify` with the observer's per-coordinate shift, and
-    the body below is :func:`rolling_certify`'s. The observer's support
+    :func:`rolling_certify` with the observer's per-coordinate shift, which
+    certifies it once the formula is checked. The observer's support
     is ``f``'s, so it shrinks nothing: the shifted read-out of ``f``'s
-    decoder subtracts the shift from each coordinate it reads.
+    decoder subtracts the shift from each coordinate it reads. A formula
+    other than the one the monitor was calibrated for raises
+    ``ValueError``.
     """
-    k_max = mon.k_max
-    if buf.k_max != k_max:
-        raise _layout_mismatch(buf, mon)
-    decoder = compile_history_decoder(f, mon.m, k_max)
+    decoder = compile_history_decoder(f, mon.m, mon.k_max)
     if mon.formula is not None and mon.formula != decoder.formula:
         raise ValueError(
             f"observer monitor was calibrated for {mon.formula!r}, asked to certify {decoder.formula!r}"
         )
-    t = buf.t
-    if t < k_max or buf.fill < decoder.horizon + 1:
-        return _new(MonitorVerdict, (t, decoder.formula, None, _WARMING_UP))
-    lb = certified_lower_bound(mon, buf._current_basis(), decoder)
-    return _new(MonitorVerdict, (t, decoder.formula, lb, _SAFE if lb >= 0.0 else _UNCERTAIN))
+    return rolling_certify(buf, mon, f, decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +333,7 @@ def run_monitors(
 ) -> list[list[EpisodeResult]]:
     """Certify recorded episodes for several formulas with several monitors
     that read one basis layout through one predictor; one list of results
-    per monitor, in the order of ``mons``.
+    per monitor, in the order of ``mons``, and none without a monitor.
 
     The pass is :func:`_certified_blocks`'s, which
     :func:`ptmon.metrics.evaluate_monitors` reads too: monitors whose
@@ -355,8 +342,7 @@ def run_monitors(
     the monitor that
     :meth:`~ptmon.conformal.CalibratedMonitor.monitor_for` picks, or to the
     reason it cannot be certified, which its results carry in ``errors``.
-    Each block of whole episodes is then certified for every monitor at
-    once, and sliced into one :class:`EpisodeResult` per episode and
+    Each block is sliced into one :class:`EpisodeResult` per episode and
     monitor (see :func:`_result_blocks`). The bounds are those of one
     monitor and one episode at a time, bit for bit. Min and max are exact,
     so the truth equals each formula's robustness; the bits can differ only
@@ -408,35 +394,26 @@ def _certified_blocks(
     resolutions: Sequence[_Resolution],
 ) -> Iterator[_Block]:
     """Certify the episodes with every ``(monitor, predictor)`` pair of
-    ``pairs``, each monitor with its formulas already resolved (see
-    :func:`_resolve`), one block at a time.
+    ``pairs``, each monitor's formulas resolved by :func:`_resolve`, one
+    block of whole episodes at a time (see
+    :func:`~ptmon.conformal._episode_blocks`); no pair reads no episode.
 
-    The monitors may read any layouts of one ``k_max``, but monitors that
-    share a predictor (the same object) must share a layout: either
-    mismatch raises ``ValueError`` before any episode is predicted. The
-    episodes are read in the blocks calibration reads (see
-    :func:`~ptmon.conformal._episode_blocks`): whole episodes up to a few
-    hundred basis columns, each predicted once per distinct predictor and
-    checked, and each basis built once per block over the stack of its
-    episodes, one length to a block, so it equals the per-episode bases side
-    by side, bit for bit. The bases come row-major (C order), and each shrink
-    of one is row-major too.
-
-    Each formula's truth is read once per block, read-only, for every
-    monitor, by the resolved decoder with the smallest support (the first
-    monitor's on a tie): min and max are exact, so every decoder of a
-    formula reads the same values, and a dictionary atom is one coordinate
-    where history unrolls its window. A layout's true basis is built only
-    when some truth decoder reads it, so a pass whose formulas all have a
-    semantic decoder builds no history truth. Each monitor's formulas are
-    grouped by their certifying monitor (one group for a fragment-wide
-    semantic or rolling monitor, one per formula for a specialised
-    observer), and each group takes one
-    :func:`~ptmon.conformal.certified_lower_bounds` call on its predictor's
-    block: one shrink, then one decode per formula. The bases are dropped
-    before the block is handed over, so a caller that keeps nothing of it
-    holds one block's arrays at a time.
+    Each block yields its episodes' widths, each formula's read-only truth
+    over its columns, read once by the formula's decoder of smallest
+    support, and each monitor's bounds by formula, bit for bit those of one
+    episode and one monitor at a time. The monitors must share ``k_max``,
+    and those that share a predictor object must share a layout
+    (``ValueError`` before any prediction). Each distinct predictor
+    predicts each episode once, each certifying monitor takes one
+    :func:`~ptmon.conformal.certified_lower_bounds` call per block, and no
+    basis outlives its block. Pinned by ``TestRunEpisodes``,
+    ``TestRunMonitors`` and ``TestRunEpisodesTruth`` in
+    ``tests/test_monitors.py`` and by ``TestEvaluateMonitors``,
+    ``TestOnePassPerReport`` and ``TestMemoryFlatInTheSplit`` in
+    ``tests/test_metrics.py``.
     """
+    if not pairs:
+        return
     # One source per distinct predictor, with the layout its monitors read.
     sources: list[tuple[object, object]] = []
     source_of: list[int] = []
@@ -488,24 +465,15 @@ def _certified_blocks(
         yield widths, truth, bounds
 
 
-def run_episodes(
-    episodes: Iterable[Episode],
-    predictor,
-    mon: CalibratedMonitor,
-    formulas: Sequence[Formula],
-) -> list[EpisodeResult]:
-    """:func:`run_monitors` for one monitor."""
-    return run_monitors(episodes, predictor, [mon], formulas)[0]
-
-
 def run_episode(
     ep: Episode,
     predictor,
     mon: CalibratedMonitor,
     formulas: Sequence[Formula],
 ) -> EpisodeResult:
-    """:func:`run_episodes` for one episode."""
-    return run_episodes([ep], predictor, mon, formulas)[0]
+    """:func:`run_monitors` for one episode and one monitor; kept only
+    because the benchmark's output check calls it."""
+    return run_monitors([ep], predictor, [mon], formulas)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ class TestCertify:
         mon = load_monitor(root / "roll.json")
         stub = stub_from_json(mon.predictor_config)
         formula = parse_formula("F[0,1] p_goal", PREDICATE_NAMES)
-        results = monitors.run_episodes(load_split(ds, "test"), stub, mon, [formula])
+        results = monitors.run_monitors(load_split(ds, "test"), stub, [mon], [formula])[0]
         want = tmp_path / f"want{suffix}"
         with open(want, "w", newline="" if suffix == ".csv" else None) as fh:
             for i, result in enumerate(results):
@@ -682,6 +682,19 @@ class TestReport:
         ])
         assert code == 2
         assert "'sem'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, index", [("{sem},", 2), (",{sem}", 1), ("{sem}, ,{sem}", 2)])
+    def test_empty_model_entry_exit_2(self, workspace, tmp_path, capsys, entries, index):
+        root, ds, _ = workspace
+        models = entries.format(sem=root / "sem.json")
+        out = tmp_path / "r.csv"
+        code = main([
+            "report", "--models", models, "--dataset", str(ds),
+            "--formulas", str(self.formulas_file(tmp_path)), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"--models: entry {index} of {models!r} is empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_formula_file_exit_2(self, workspace, tmp_path):

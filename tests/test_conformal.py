@@ -130,6 +130,21 @@ class TestSplitQuantile:
         with pytest.raises(ValueError):
             split_quantile([1.0], 0.0)
 
+    def test_nan_score_rejected(self):
+        # NaN sorts last: it would count toward n and, here, be returned.
+        with pytest.raises(ValueError, match="NaN"):
+            split_quantile([1.0, math.nan, 2.0], 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            split_quantile([math.nan], 0.1)
+
+    def test_nan_in_any_column_rejected(self):
+        scores = np.arange(12.0).reshape(6, 2)
+        scores[2, 1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            split_quantile(scores, 0.5)
+        scores[2, 1] = math.inf
+        assert split_quantile(scores, 0.5).tolist() == [6.0, 9.0]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=50),
@@ -1222,6 +1237,15 @@ class TestIntervalPropagate:
         f = parse_formula("G[0,1] p0", ("p0",))
         with pytest.raises(ValueError):
             interval_propagate(f, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, 1)
+
+    def test_nan_bounds_rejected_and_infinite_ones_kept(self):
+        # ``lo > hi`` is false for NaN, so a NaN bound would decode to NaN.
+        f = parse_formula("G[0,1] p0", ("p0",))
+        for lower, upper in (([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.nan])):
+            with pytest.raises(ValueError, match="NaN or crossed bounds at coordinate 1"):
+                interval_propagate(f, np.array(lower), np.array(upper), 1, 1)
+        lo, hi = interval_propagate(f, np.array([-math.inf, 0.5]), np.array([2.0, math.inf]), 1, 1)
+        assert (lo, hi) == (-math.inf, 2.0)
 
     def test_one_formula_compiles_once(self, monkeypatch):
         # 1,000 calls through one formula compile its decoder and generate

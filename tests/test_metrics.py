@@ -24,7 +24,6 @@ from ptmon.metrics import (
     ReportRow,
     SweepRow,
     compute_metrics,
-    evaluate_monitor,
     evaluate_monitors,
     horizon_sweep,
     write_report_csv,
@@ -82,6 +81,11 @@ class TestComputeMetrics:
             compute_metrics([], [], level=1, k_max=0)
         with pytest.raises(ValueError):
             compute_metrics([np.zeros(3)], [np.zeros(3), np.zeros(3)], level=1, k_max=0)
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_unknown_level_raises(self, level):
+        with pytest.raises(ValueError, match=f"level must be 1 or 2, got {level}"):
+            compute_metrics(LB, RHO, level=level, k_max=0)
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_episodes_must_be_one_dimensional(self, level):
@@ -151,7 +155,7 @@ class TestEvaluateMonitor:
     def test_fragment_wide_radius_reported(self):
         d, mon, stub, test_eps = small_setup()
         f = parse_formula("G[0,1] p0", d.predicate_names)
-        rows, errors = evaluate_monitor("semL2", mon, stub, test_eps, [f])
+        rows, errors = evaluate_monitors([("semL2", mon, stub)], test_eps, [f])[0]
         assert not errors
         (row,) = rows
         assert row.monitor == "semL2"
@@ -165,7 +169,7 @@ class TestEvaluateMonitor:
         f = parse_formula("G[0,1] p0", d.predicate_names)
         g = parse_formula("F[0,2] p1", d.predicate_names)
         active = mon.for_formula(f)
-        rows, errors = evaluate_monitor("act", active, stub, test_eps, [f, g])
+        rows, errors = evaluate_monitors([("act", active, stub)], test_eps, [f, g])[0]
         assert not errors
         by_formula = {r.formula: r for r in rows}
         assert by_formula["G[0,1] p0"].q_phi == active.radius
@@ -174,7 +178,7 @@ class TestEvaluateMonitor:
     def test_uncertifiable_formula_lands_in_errors(self):
         d, mon, stub, test_eps = small_setup()
         alien = parse_formula("G[0,5] p0", d.predicate_names)
-        rows, errors = evaluate_monitor("semL2", mon, stub, test_eps, [alien])
+        rows, errors = evaluate_monitors([("semL2", mon, stub)], test_eps, [alien])[0]
         assert not rows
         assert "G[0,5] p0" in errors
 
@@ -201,7 +205,7 @@ class TestEvaluateMonitor:
         monkeypatch.setattr(CalibratedMonitor, "for_formula", counting_for_formula)
         monkeypatch.setattr(conformal, "compile_history_decoder", counting_compile)
         goal, deep = (parse_formula(t, names) for t in ("F[0,4] p_goal", "G[0,8] p_f"))
-        rows, errors = evaluate_monitor("obs", obs, stub, episodes, [goal, deep])
+        rows, errors = evaluate_monitors([("obs", obs, stub)], episodes, [goal, deep])[0]
         assert [r.formula for r in rows] == ["F[0,4] p_goal"]
         assert list(errors) == ["G[0,8] p_f"]
         # one specialisation, whose radius is also q_phi; the deep formula
@@ -237,7 +241,7 @@ class TestEvaluateMonitor:
         monkeypatch.setattr(metrics_module, "sample_level2_time", counting_draw)
         monkeypatch.setattr(monitors, "certified_lower_bounds", counting_certify)
         monkeypatch.setattr(conformal, "decode_series", counting_decode)
-        rows, errors = evaluate_monitor("semL2", mon, stub, test_eps, formulas, coverage_seed=5)
+        rows, errors = evaluate_monitors([("semL2", mon, stub)], test_eps, formulas, coverage_seed=5)[0]
         assert not errors and len(rows) == len(formulas)
         assert draws == {i: 1 for i in range(len(test_eps))}
         # The fragment-wide monitor certifies all formulas in one call per
@@ -245,7 +249,7 @@ class TestEvaluateMonitor:
         assert certifications == {(True, tuple(format_formula(f) for f in formulas)): 3}
         assert decodes == {format_formula(f): 3 for f in formulas}
         # The shared draw is the one ``compute_metrics`` makes per formula.
-        results = monitors.run_episodes(test_eps, stub, mon, formulas)
+        results = monitors.run_monitors(test_eps, stub, [mon], formulas)[0]
         for row in rows:
             summary = compute_metrics(
                 [r.bounds[row.formula] for r in results], [r.truth[row.formula] for r in results], 2, mon.k_max, 5
@@ -274,7 +278,7 @@ class TestEvaluateMonitors:
     def test_shared_pass_equals_one_monitor_at_a_time(self):
         named, stub, episodes, formulas = history_group()
         shared = evaluate_monitors([(name, mon, stub) for name, mon in named], episodes, formulas, coverage_seed=7)
-        alone = [evaluate_monitor(name, mon, stub, episodes, formulas, coverage_seed=7) for name, mon in named]
+        alone = [evaluate_monitors([(name, mon, stub)], episodes, formulas, coverage_seed=7)[0] for name, mon in named]
         # ``repr`` tells a numpy scalar from a Python float, and -0.0 from 0.0.
         assert repr(shared) == repr(alone)
         assert [[r.formula for r in rows] for rows, _ in shared] == [
@@ -316,6 +320,12 @@ class TestEvaluateMonitors:
         monkeypatch.setattr(PredictorStub, "predict_block", predicting)
         with pytest.raises(ValueError, match="share a basis layout"):
             evaluate_monitors([(name, mon, stub) for name, mon in [*named, ("deeper", deeper)]], episodes, formulas)
+
+    def test_no_models_no_results_and_no_episode_read(self):
+        _, _, episodes, formulas = history_group()
+        remaining = iter(episodes)
+        assert evaluate_monitors([], remaining, formulas) == []
+        assert next(remaining) is episodes[0]
 
     def test_no_episodes_still_reports_resolution_errors(self):
         named, stub, episodes, formulas = history_group()
@@ -572,12 +582,12 @@ class TestMemoryFlatInTheSplit:
         # decoders and read-outs and fills the free lists, without filling
         # anything kept per measured episode.
         gc.collect()
-        evaluate_monitor("mon", mon, stub, warm, formulas)
+        evaluate_monitors([("mon", mon, stub)], warm, formulas)
         peaks = []
         for n in (24, 8 * 24):
             tracemalloc.start()
             try:
-                evaluate_monitor("mon", mon, stub, episodes[:n], formulas)
+                evaluate_monitors([("mon", mon, stub)], episodes[:n], formulas)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -36,7 +36,7 @@ from ptmon.monitors import (
     rolling_certify,
     rolling_step,
     run_episode,
-    run_episodes,
+    run_monitors,
     semantic_certify,
     verdict_to_json,
     write_verdicts_csv,
@@ -550,7 +550,7 @@ class TestRunEpisodes:
         monkeypatch.setattr(conformal, "_block_bases", counting_blocks)
         monkeypatch.setattr(monitors, "certified_lower_bounds", counting)
         monkeypatch.setattr(conformal, "decode_series", counting_decodes)
-        batch = run_episodes(eps, stub, mon, formulas)
+        batch = run_monitors(eps, stub, [mon], formulas)[0]
         n_blocks = blocks["block"]
         assert n_blocks > 3
         # One certification per certifying monitor and block: the whole
@@ -595,7 +595,7 @@ class TestRunEpisodes:
         monkeypatch.setattr(conformal, "decode_series", recording)
         gc.disable()
         try:
-            results = run_episodes(eps, stub, mon, [*formulas, leaf])
+            results = run_monitors(eps, stub, [mon], [*formulas, leaf])[0]
             alive = sum(ref() is not None for ref in shrunk)
         finally:
             gc.enable()
@@ -609,7 +609,7 @@ class TestRunEpisodes:
         eps = [random_episode(rng, 2, 60) for _ in range(12)]
         eps[7] = random_episode(rng, 2, mon.k_max - 1)
         with pytest.raises(ValueError, match="too short"):
-            run_episodes(eps, stub, mon, formulas)
+            run_monitors(eps, stub, [mon], formulas)
 
 
 def history_group(seed):
@@ -650,7 +650,7 @@ class TestRunMonitors:
         shared = monitors.run_monitors(eps, predictor, mons, formulas)
         # Each episode is predicted once for the whole group.
         assert predictor.calls == Counter({ep.uid: 1 for ep in eps})
-        alone = [run_episodes(eps, stub, mon, formulas) for mon in mons]
+        alone = [run_monitors(eps, stub, [mon], formulas)[0] for mon in mons]
         names = [format_formula(f) for f in formulas]
         # Only the observer's own formula is certified by every monitor.
         assert list(shared[2][0].bounds) == [names[0]]
@@ -671,6 +671,12 @@ class TestRunMonitors:
         for i in range(len(eps)):
             truths = [results[i].truth[names[0]] for results in shared]
             assert truths[0] is truths[1] is truths[2]
+
+    def test_no_monitors_no_results_and_no_episode_read(self):
+        _, stub, eps, formulas = history_group(14)
+        predictor, remaining = CountingPredictor(stub), iter(eps)
+        assert monitors.run_monitors(remaining, predictor, [], formulas) == []
+        assert next(remaining) is eps[0] and not predictor.calls
 
     def test_shared_truth_is_read_only(self):
         mons, stub, eps, formulas = history_group(12)
@@ -730,7 +736,7 @@ class TestRunEpisodesTruth:
     def test_truth_is_the_robustness_oracle_bit_for_bit(self, kind):
         mon, stub, eps, formulas = crossroad_setup(kind)
         zeros = 0
-        for ep, res in zip(eps, run_episodes(eps, stub, mon, formulas)):
+        for ep, res in zip(eps, run_monitors(eps, stub, [mon], formulas)[0]):
             assert not res.errors
             for f in formulas:
                 got = res.truth[format_formula(f)]
@@ -744,12 +750,12 @@ class TestRunEpisodesTruth:
         mons = [crossroad_setup(kind, n_formulas=5) for kind in ("semantic", "rolling", "observer")]
 
         def evaluating(*args):
-            raise AssertionError("run_episodes evaluated a formula")
+            raise AssertionError("run_monitors evaluated a formula")
 
         for name in ("robustness_series", "_series"):
             monkeypatch.setattr(robustness_module, name, evaluating)
         for mon, stub, eps, formulas in mons:
-            results = run_episodes(eps, stub, mon, formulas)
+            results = run_monitors(eps, stub, [mon], formulas)[0]
             assert all(len(res.truth) == len(formulas) for res in results)
 
 
